@@ -109,6 +109,16 @@ done
 cargo run --release --offline -p ncpu-obs --bin trace_check -- \
     --summary "$SERVE_DIR"/artifacts/RUN_serve_*.json
 
+# End-to-end benchmark: servebench is a package of its own (outside the
+# workspace, so the workspace build and tests above skip it). Build and
+# test it, then serve a 2 s trained_cold stream and require its summary
+# (the last line) to report zero failed requests.
+cargo build --release --offline --manifest-path servebench/Cargo.toml
+cargo test --release --offline --manifest-path servebench/Cargo.toml
+cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
+    --workload trained_cold --seed 1 --seconds 2 --trace 0 > "$SERVE_DIR/servebench.txt"
+tail -n 1 "$SERVE_DIR/servebench.txt" | grep -q '"failed": 0'
+
 # Benchmark artifacts: short samples keep CI fast; the JSON schema and
 # the parallel byte-identity assertion are what this gate checks, not
 # the absolute timings. The harness writes into the package dir (cargo

@@ -183,13 +183,15 @@ impl BitVec {
 
     /// Packs the vector into little-endian bytes (bit i of byte i/8),
     /// the layout the accelerator's image memory uses.
+    ///
+    /// Word-wise: element `i` is bit `i % 64` of word `i / 64`, so the
+    /// little-endian bytes of the words are already this layout, and the
+    /// slack-bits-zero invariant makes truncating them to `len.div_ceil(8)`
+    /// bytes exact (the last byte's unused high bits are zero either way).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len.div_ceil(8)];
-        for i in 0..self.len {
-            if self.get(i) {
-                out[i / 8] |= 1 << (i % 8);
-            }
-        }
+        debug_assert!(self.slack_bits_clear());
+        let mut out: Vec<u8> = self.words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        out.truncate(self.len.div_ceil(8));
         out
     }
 
@@ -305,6 +307,48 @@ mod tests {
             let rt = BitVec::from_bytes(&v.to_bytes(), len);
             assert!(rt.slack_bits_clear(), "from_bytes len={len}");
             assert_eq!(rt.count_ones(), len);
+        }
+    }
+
+    /// The per-bit packing `to_bytes` replaced, kept as its reference.
+    fn to_bytes_per_bit(v: &BitVec) -> Vec<u8> {
+        let mut out = vec![0u8; v.len().div_ceil(8)];
+        for i in 0..v.len() {
+            if v.get(i) {
+                out[i / 8] |= 1 << (i % 8);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn to_bytes_matches_the_per_bit_reference_after_every_constructor_and_mutator() {
+        let mut rng = ncpu_testkit::rng::Rng::seed_from_u64(0xb17e_5000);
+        for len in 0usize..=260 {
+            let bits: Vec<bool> = (0..len).map(|_| rng.next_u64() & 1 == 1).collect();
+            let signs: Vec<f32> = bits.iter().map(|&b| if b { 0.5 } else { -0.5 }).collect();
+            let ones = BitVec::from_bools((0..len).map(|_| true));
+            let mut built = vec![
+                ("zeros", BitVec::zeros(len)),
+                ("from_bools", BitVec::from_bools(bits.iter().copied())),
+                ("from_signs", BitVec::from_signs(&signs)),
+                ("from_iter", bits.iter().copied().collect()),
+                ("from_bytes", BitVec::from_bytes(&to_bytes_per_bit(&ones), len)),
+            ];
+            if len > 0 {
+                let mut set_v = BitVec::zeros(len);
+                for (i, &b) in bits.iter().enumerate() {
+                    set_v.set(i, b);
+                }
+                let mut cleared = ones.clone();
+                cleared.set(len - 1, false);
+                cleared.set(len / 2, false);
+                built.push(("set", set_v));
+                built.push(("set_clear", cleared));
+            }
+            for (how, v) in &built {
+                assert_eq!(v.to_bytes(), to_bytes_per_bit(v), "{how} len={len}");
+            }
         }
     }
 

@@ -54,13 +54,30 @@ impl fmt::Display for ModelDecodeError {
 
 impl Error for ModelDecodeError {}
 
+/// Byte-indexed remainders of the reflected CRC-32 polynomial
+/// `0xEDB88320`, built at compile time: entry `b` is the register after
+/// shifting the byte `b` through eight polynomial steps.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3, the zlib/PNG checksum), one table lookup per byte.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -244,6 +261,36 @@ mod tests {
         bytes.splice(cut..cut, [0u8; 8]);
         // Content changed → checksum catches it first.
         assert!(from_bytes(&bytes).is_err());
+    }
+
+    /// The shift-register definition the table is derived from, kept
+    /// here only as the reference the table version must reproduce.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_standard_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_reference() {
+        let mut rng = ncpu_testkit::rng::Rng::seed_from_u64(0x0c2c_3200);
+        for len in (0..64).chain([255, 256, 257, 1000, 4096]) {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len={len}");
+        }
+        let model = to_bytes(&sample_model());
+        assert_eq!(crc32(&model), crc32_bitwise(&model));
     }
 
     #[test]

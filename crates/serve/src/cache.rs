@@ -14,7 +14,7 @@
 //! clock or worker count.
 //!
 //! The LRU itself is generic ([`Lru`]): the fleet reuses it to bound
-//! the scenario-construction memo, so *every* long-lived map in the
+//! the use-case construction memo, so *every* long-lived map in the
 //! service shares one eviction discipline.
 
 use std::collections::BTreeMap;

@@ -3,8 +3,12 @@
 //!
 //! Batch execution is deterministic end to end:
 //!
-//! 1. every request in the batch is materialized (scenario construction
-//!    is memoized so identical specs never retrain a model);
+//! 1. every request in the batch is materialized: its scenario is
+//!    assembled from a use case, and trained (image/motion) use cases
+//!    are memoized by their shape `(kind, batch, train_per_class,
+//!    epochs)`, so a request that changes only the system, fabric,
+//!    operating point, faults or topology of a seen workload never
+//!    retrains the model or restages its items;
 //! 2. cache hits are cloned into a batch-local answer map up front, and
 //!    unique misses are collected in first-appearance order and run via
 //!    `ncpu_par`'s order-preserving `par_map_indexed`, so the worker
@@ -29,17 +33,16 @@
 
 use ncpu_obs::Counters;
 use ncpu_par::Pool;
-use ncpu_soc::{
-    Engine, EventDriven, Lockstep, Scenario, SystemConfig,
-};
+use ncpu_soc::{Engine, EventDriven, Lockstep, Scenario, SystemConfig, UseCase};
 
 use crate::cache::{CacheEntry, Lru, ResultCache};
-use crate::spec::{EnginePref, ScenarioSpec, WorkloadSpec};
+use crate::spec::{EnginePref, ScenarioSpec, UseCaseShape, WorkloadSpec};
 
-/// Bound on the scenario-construction memo. Only trained (image/motion)
-/// builds are memoized — parametric construction is cheap — and each
-/// entry holds a full trained model, so the cap keeps a long-running
-/// service's memory flat no matter how many distinct specs it sees.
+/// Bound on the construction memo. Only trained (image/motion) use
+/// cases are memoized — parametric construction is cheap — and each
+/// entry holds a full trained model plus its staged items, so the cap
+/// keeps a long-running service's memory flat no matter how many
+/// distinct workload shapes it sees.
 const BUILD_MEMO_CAP: usize = 64;
 
 /// Pinned counter names the fleet always publishes (zeroed at startup
@@ -76,7 +79,7 @@ pub struct RunOutcome {
 pub struct Fleet {
     pool: Pool,
     cache: ResultCache,
-    builds: Lru<String, Scenario>,
+    use_cases: Lru<UseCaseShape, UseCase>,
     counters: Counters,
     next_id: u64,
 }
@@ -141,7 +144,7 @@ impl Fleet {
         Fleet {
             pool: Pool::with_workers(workers),
             cache: ResultCache::new(cache_capacity),
-            builds: Lru::new(BUILD_MEMO_CAP),
+            use_cases: Lru::new(BUILD_MEMO_CAP),
             counters,
             next_id: 0,
         }
@@ -173,20 +176,24 @@ impl Fleet {
         format!("r{:06}", self.next_id)
     }
 
-    /// Builds a scenario from `spec`, memoizing the expensive trained
-    /// (image/motion) builds in the bounded LRU so identical specs
-    /// never retrain. Parametric construction is cheap enough to repeat.
+    /// Builds a scenario from `spec` — exactly what `spec.build()`
+    /// returns — taking a trained use case from the bounded memo when
+    /// one of the same shape was built before, so only the first request
+    /// of a workload shape trains. Parametric construction is cheap
+    /// enough to repeat.
     fn build_memoized(&mut self, spec: &ScenarioSpec) -> Scenario {
-        if matches!(spec.workload, WorkloadSpec::Parametric { .. }) {
+        let Some(shape) = spec.workload.trained_shape() else {
             return spec.build();
-        }
-        let memo = spec.memo_key();
-        if let Some(scenario) = self.builds.get(&memo) {
-            return scenario.clone();
-        }
-        let scenario = spec.build();
-        self.builds.insert(memo, scenario.clone());
-        scenario
+        };
+        let usecase = match self.use_cases.get(&shape) {
+            Some(usecase) => usecase.clone(),
+            None => {
+                let usecase = spec.workload.use_case();
+                self.use_cases.insert(shape, usecase.clone());
+                usecase
+            }
+        };
+        spec.assemble(usecase)
     }
 
     /// Executes one batch of parsed requests (`Err` entries are parse
@@ -479,6 +486,92 @@ mod tests {
         assert_eq!(hit.cache, "hit");
         assert_eq!(hit.report_json, cold[0].as_ref().unwrap().report_json);
         assert!(warm[1].is_ok() && warm[2].is_ok());
+    }
+
+    /// Serves `texts` one batch at a time through `fleet` and checks
+    /// every answer against a fresh, unmemoized `spec.build()`: same
+    /// canonical key, byte-identical report and artifact.
+    fn assert_memoized_equals_fresh(fleet: &mut Fleet, texts: &[String]) {
+        for text in texts {
+            let served = batch(fleet, &[text.as_str()]).remove(0).unwrap();
+            let spec = spec(text).unwrap();
+            let fresh = spec.build();
+            assert_eq!(served.key, fresh.cache_key(), "{text}");
+            let entry = execute(routed_engine(&spec).unwrap(), served.key, &fresh);
+            assert_eq!(served.report_json, entry.compact_json, "{text}");
+            assert_eq!(served.artifact_json, entry.artifact_json, "{text}");
+        }
+    }
+
+    #[test]
+    fn memoized_use_cases_build_the_same_scenarios_as_fresh_builds() {
+        let mut fleet = Fleet::new(1, 64);
+        // Equal numeric shapes, so a memo key that dropped the kind
+        // would hand motion requests the image use case.
+        let image = r#""workload":"image","batch":2,"train_per_class":3,"epochs":1"#;
+        let motion = r#""workload":"motion","batch":2,"train_per_class":3,"epochs":1"#;
+        let variants = [
+            r#""cores":2"#,
+            r#""cores":1,"operating_point":0.8"#,
+            r#""cores":3,"engine":"event""#,
+            r#""topology":{"cores":[{},{"operating_point":0.7}],"scheduler":"work_stealing"}"#,
+            r#""cores":2,"fault_seed":5,"fault_sram_flip_ppm":200000"#,
+        ];
+        let texts: Vec<String> = [image, motion]
+            .iter()
+            .flat_map(|w| variants.iter().map(move |v| format!("{{{w},{v}}}")))
+            .collect();
+        assert_memoized_equals_fresh(&mut fleet, &texts);
+        assert_eq!(fleet.use_cases.len(), 2, "one memo entry per workload shape");
+        assert_eq!(fleet.use_cases.stats(), (8, 2, 0), "each shape trained once");
+    }
+
+    #[test]
+    fn an_operating_point_by_cores_sweep_trains_once() {
+        let mut fleet = Fleet::new(1, 64);
+        let mut texts = Vec::new();
+        for op in [0.7, 0.9, 1.0] {
+            for cores in [1, 2] {
+                texts.push(format!(
+                    r#"{{"workload":"motion","batch":1,"operating_point":{op},"cores":{cores}}}"#
+                ));
+            }
+        }
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let out = batch(&mut fleet, &refs);
+        assert!(out.iter().all(|o| o.as_ref().is_ok_and(|o| o.cache == "miss")));
+        assert_eq!(fleet.use_cases.len(), 1);
+        assert_eq!(fleet.use_cases.stats(), (5, 1, 0));
+    }
+
+    #[test]
+    fn parametric_specs_never_enter_the_memo() {
+        let mut fleet = Fleet::new(1, 64);
+        batch(
+            &mut fleet,
+            &[
+                r#"{"cpu_fraction":0.5,"batch":2,"cores":1}"#,
+                r#"{"cpu_fraction":0.5,"batch":2,"cores":1,"operating_point":0.8}"#,
+                r#"{"system":"hetero","cpu_fraction":0.5,"batch":2}"#,
+            ],
+        );
+        assert!(fleet.use_cases.is_empty());
+        assert_eq!(fleet.use_cases.stats(), (0, 0, 0), "parametric never probes the memo");
+    }
+
+    #[test]
+    fn the_memo_stays_bounded_past_its_cap() {
+        let mut fleet = Fleet::new(1, 64);
+        let shapes = BUILD_MEMO_CAP + 6;
+        for batch in 1..=shapes {
+            let text = format!(
+                r#"{{"workload":"motion","batch":{batch},"train_per_class":1,"epochs":1}}"#
+            );
+            fleet.build_memoized(&spec(&text).unwrap());
+            assert!(fleet.use_cases.len() <= BUILD_MEMO_CAP);
+        }
+        assert_eq!(fleet.use_cases.len(), BUILD_MEMO_CAP);
+        assert_eq!(fleet.use_cases.stats(), (0, shapes as u64, 6));
     }
 
     #[test]

@@ -15,7 +15,25 @@ use ncpu_fault::FaultPlan;
 use ncpu_obs::json::Json;
 use ncpu_obs::numparse::{num_as_u32, num_as_u64, num_as_usize};
 use ncpu_soc::topology::{CoreRole, CoreSpec, SchedulerKind, Topology};
-use ncpu_soc::{pseudo_model, Scenario, SocConfig, SystemConfig, UseCase};
+use ncpu_soc::{pseudo_model, Scenario, SocConfig, SystemConfig, UseCase, UseCaseKind};
+
+/// Largest accepted `batch`. Every item is staged and simulated, so an
+/// unbounded batch lets one request line exhaust the host's memory
+/// (`"batch":100000000` of images would stage ~670 GB).
+pub const MAX_BATCH: usize = 4096;
+
+/// Largest accepted `train_per_class` (training-set size per class).
+pub const MAX_TRAIN_PER_CLASS: usize = 1000;
+
+/// Largest accepted `epochs`.
+pub const MAX_EPOCHS: usize = 100;
+
+/// Everything a trained (image/motion) [`UseCase`] is a pure function
+/// of: `(kind, batch, train_per_class, epochs)`. Training data, item
+/// frames and the trainer all draw from fixed seeds, so two specs with
+/// the same shape construct byte-identical use cases whatever their
+/// system, fabric, operating point, faults or topology.
+pub type UseCaseShape = (UseCaseKind, usize, usize, usize);
 
 /// Which engine the client wants; `Auto` lets the router pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +98,40 @@ pub struct ScenarioSpec {
     pub topology: Option<Topology>,
     /// Engine preference.
     pub engine: EnginePref,
+}
+
+impl WorkloadSpec {
+    /// The construction-memo key of a trained workload; `None` for the
+    /// parametric workload, whose construction is cheap and takes an
+    /// `f64` that is not a sound map key.
+    pub fn trained_shape(&self) -> Option<UseCaseShape> {
+        match *self {
+            WorkloadSpec::Parametric { .. } => None,
+            WorkloadSpec::Image { batch, train_per_class, epochs } => {
+                Some((UseCaseKind::Image, batch, train_per_class, epochs))
+            }
+            WorkloadSpec::Motion { batch, train_per_class, epochs } => {
+                Some((UseCaseKind::Motion, batch, train_per_class, epochs))
+            }
+        }
+    }
+
+    /// Constructs the use case. This is where image/motion training
+    /// happens; the result depends on [`trained_shape`](Self::trained_shape)
+    /// alone.
+    pub fn use_case(&self) -> UseCase {
+        match *self {
+            WorkloadSpec::Parametric { cpu_fraction, batch, model_input } => {
+                UseCase::parametric(cpu_fraction, batch, pseudo_model(model_input, 10, 10))
+            }
+            WorkloadSpec::Image { batch, train_per_class, epochs } => {
+                UseCase::image(batch, train_per_class, epochs)
+            }
+            WorkloadSpec::Motion { batch, train_per_class, epochs } => {
+                UseCase::motion(batch, train_per_class, epochs)
+            }
+        }
+    }
 }
 
 impl Default for ScenarioSpec {
@@ -193,6 +245,16 @@ fn want_usize(obj: &Json, key: &str, default: usize) -> Result<usize, String> {
     }
 }
 
+/// [`want_usize`] for a size knob: `0` means `1` (as it always has),
+/// and anything above `max` is rejected instead of allocated.
+fn want_size(obj: &Json, key: &str, default: usize, max: usize) -> Result<usize, String> {
+    let n = want_usize(obj, key, default)?.max(1);
+    if n > max {
+        return Err(format!("{key}: at most {max}, got {n}"));
+    }
+    Ok(n)
+}
+
 fn want_bool(obj: &Json, key: &str, default: bool) -> Result<bool, String> {
     match obj.get(key) {
         None => Ok(default),
@@ -245,19 +307,19 @@ impl ScenarioSpec {
                 };
                 WorkloadSpec::Parametric {
                     cpu_fraction: frac,
-                    batch: want_usize(obj, "batch", 8)?.max(1),
+                    batch: want_size(obj, "batch", 8, MAX_BATCH)?,
                     model_input: want_usize(obj, "model_input", 64)?.clamp(8, 4096),
                 }
             }
             Some("image") => WorkloadSpec::Image {
-                batch: want_usize(obj, "batch", 4)?.max(1),
-                train_per_class: want_usize(obj, "train_per_class", 2)?.max(1),
-                epochs: want_usize(obj, "epochs", 1)?.max(1),
+                batch: want_size(obj, "batch", 4, MAX_BATCH)?,
+                train_per_class: want_size(obj, "train_per_class", 2, MAX_TRAIN_PER_CLASS)?,
+                epochs: want_size(obj, "epochs", 1, MAX_EPOCHS)?,
             },
             Some("motion") => WorkloadSpec::Motion {
-                batch: want_usize(obj, "batch", 2)?.max(1),
-                train_per_class: want_usize(obj, "train_per_class", 4)?.max(1),
-                epochs: want_usize(obj, "epochs", 2)?.max(1),
+                batch: want_size(obj, "batch", 2, MAX_BATCH)?,
+                train_per_class: want_size(obj, "train_per_class", 4, MAX_TRAIN_PER_CLASS)?,
+                epochs: want_size(obj, "epochs", 2, MAX_EPOCHS)?,
             },
             Some(other) => {
                 return Err(format!(
@@ -379,23 +441,23 @@ impl ScenarioSpec {
         Ok(ScenarioSpec { workload, system, soc, operating_point, fault, topology, engine })
     }
 
-    /// Materializes the spec into a runnable [`Scenario`]. This is where
-    /// image/motion training happens, so callers memoize by spec (see
-    /// `Fleet`). Serve pins `TraceLevel::Counters`: one trace level per
-    /// cache domain is what makes cached and fresh reports comparable
-    /// byte-for-byte.
+    /// Materializes the spec into a runnable [`Scenario`] around a
+    /// freshly constructed use case — training an image/motion model
+    /// every call. `Fleet` takes the same [`assemble`](Self::assemble)
+    /// path with a use case from its construction memo, so a memoized
+    /// and a fresh build are the same code from the use case on. Serve
+    /// pins `TraceLevel::Counters`: one trace level per cache domain is
+    /// what makes cached and fresh reports comparable byte-for-byte.
     pub fn build(&self) -> Scenario {
-        let usecase = match &self.workload {
-            WorkloadSpec::Parametric { cpu_fraction, batch, model_input } => {
-                UseCase::parametric(*cpu_fraction, *batch, pseudo_model(*model_input, 10, 10))
-            }
-            WorkloadSpec::Image { batch, train_per_class, epochs } => {
-                UseCase::image(*batch, *train_per_class, *epochs)
-            }
-            WorkloadSpec::Motion { batch, train_per_class, epochs } => {
-                UseCase::motion(*batch, *train_per_class, *epochs)
-            }
-        };
+        self.assemble(self.workload.use_case())
+    }
+
+    /// Wraps `usecase` in this spec's system, fabric, trace pin, faults,
+    /// operating point and topology. `usecase` must be what
+    /// `self.workload.use_case()` constructs (for a trained workload:
+    /// any use case of the same [`WorkloadSpec::trained_shape`]);
+    /// otherwise the scenario does not describe this spec.
+    pub fn assemble(&self, usecase: UseCase) -> Scenario {
         let mut s = Scenario::new(usecase, self.system)
             .with_soc(self.soc)
             .with_trace(ncpu_obs::TraceLevel::Counters)
@@ -409,9 +471,13 @@ impl ScenarioSpec {
         s
     }
 
-    /// Deterministic memo key for scenario construction (training is
-    /// expensive; identical specs must not retrain). Distinct from the
-    /// result-cache key, which hashes the *built* scenario.
+    /// A deterministic fingerprint of the whole spec (its `Debug`
+    /// rendering). Two requests that differ in any field — operating
+    /// point and engine pin included — get different strings, so it is
+    /// *not* the construction-memo key: `Fleet` memoizes on
+    /// [`WorkloadSpec::trained_shape`], which only the use case depends
+    /// on. Distinct from the result-cache key too, which hashes the
+    /// *built* scenario.
     pub fn memo_key(&self) -> String {
         format!("{self:?}")
     }
@@ -479,6 +545,32 @@ mod tests {
         assert!(spec_of(r#"{"engine":"warp"}"#).unwrap_err().contains("engine"));
         assert!(spec_of(r#"{"fault_seed":"junk"}"#).unwrap_err().contains("fault_seed"));
         assert!(spec_of(r#"[1,2]"#).is_err());
+    }
+
+    #[test]
+    fn size_knobs_are_capped_on_both_sides_of_the_limit() {
+        let caps = [("batch", MAX_BATCH), ("train_per_class", MAX_TRAIN_PER_CLASS), ("epochs", MAX_EPOCHS)];
+        for workload in ["image", "motion"] {
+            for (key, max) in caps {
+                let at = spec_of(&format!(r#"{{"workload":"{workload}","{key}":{max}}}"#))
+                    .unwrap_or_else(|e| panic!("{workload} {key}={max} must parse: {e}"));
+                let shape = at.workload.trained_shape().unwrap();
+                assert!([shape.1, shape.2, shape.3].contains(&max), "{workload} {key}");
+                let over = max + 1;
+                let err = spec_of(&format!(r#"{{"workload":"{workload}","{key}":{over}}}"#))
+                    .unwrap_err();
+                assert_eq!(err, format!("{key}: at most {max}, got {over}"));
+            }
+        }
+        assert!(spec_of(r#"{"batch":4096}"#).is_ok());
+        assert!(spec_of(r#"{"batch":4097}"#).unwrap_err().contains("batch"));
+        let err = spec_of(r#"{"workload":"image","batch":100000000}"#).unwrap_err();
+        assert!(err.contains("at most 4096"), "{err}");
+        // Zero still means one, as it always has.
+        assert_eq!(
+            spec_of(r#"{"workload":"image","batch":0,"epochs":0}"#).unwrap().workload,
+            WorkloadSpec::Image { batch: 1, train_per_class: 2, epochs: 1 }
+        );
     }
 
     #[test]

@@ -380,4 +380,29 @@ mod tests {
         );
         assert_ne!(parametric.cache_key(), hetero.cache_key(), "system shape is semantic");
     }
+
+    #[test]
+    fn cache_keys_are_pinned_across_encoder_rewrites() {
+        // The key hashes the model artifact bytes, so these pins hold
+        // the CRC-32 and `BitVec::to_bytes` encoders to the exact bytes
+        // the bit-at-a-time versions produced; a persisted cache must
+        // never see its keys move under an optimization.
+        let model = ncpu_bnn::io::to_bytes(&pseudo_model(784, 100, 10));
+        assert_eq!(fnv1a_64(&model), 0x9e92_1245_03ce_db20);
+        let image = Scenario::new(UseCase::image(4, 2, 1), crate::SystemConfig::Ncpu { cores: 2 });
+        assert_eq!(image.cache_key(), 0x0ca7_7b31_b07d_83e2);
+        let motion = Scenario::new(UseCase::motion(2, 4, 2), crate::SystemConfig::Ncpu { cores: 1 })
+            .with_operating_point(0.8);
+        assert_eq!(motion.cache_key(), 0x0bd0_acde_6945_fcac);
+        let parametric = Scenario::new(
+            UseCase::parametric(0.5, 8, pseudo_model(64, 10, 10)),
+            crate::SystemConfig::Ncpu { cores: 2 },
+        );
+        assert_eq!(parametric.cache_key(), 0x87d2_be67_242d_e493);
+        let hetero = Scenario::new(
+            UseCase::parametric(0.5, 2, pseudo_model(784, 100, 10)),
+            crate::SystemConfig::Heterogeneous,
+        );
+        assert_eq!(hetero.cache_key(), 0xe33c_f482_2753_7c56);
+    }
 }

@@ -42,7 +42,7 @@ pub fn pseudo_deep_model(
 }
 
 /// Which real-time workload a [`UseCase`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum UseCaseKind {
     /// Image classification (paper Fig. 15(a)): resize → grayscale filter
     /// → normalization → BNN.
