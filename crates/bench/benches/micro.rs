@@ -51,15 +51,13 @@ fn bench_bnn(b: &mut Bench) {
 }
 
 fn bench_endtoend(b: &mut Bench) {
+    use ncpu_soc::{Analytic, Engine, Scenario, SystemConfig};
     let model = ncpu_bench::context::image_pseudo_model(100);
     let uc = ncpu_soc::UseCase::parametric(0.7, 4, model);
-    let soc = ncpu_soc::SocConfig::default();
-    b.bench("endtoend/heterogeneous_baseline", || {
-        black_box(ncpu_soc::run(&uc, ncpu_soc::SystemConfig::Heterogeneous, &soc))
-    });
-    b.bench("endtoend/dual_ncpu", || {
-        black_box(ncpu_soc::run(&uc, ncpu_soc::SystemConfig::Ncpu { cores: 2 }, &soc))
-    });
+    let baseline = Scenario::new(uc.clone(), SystemConfig::Heterogeneous);
+    b.bench("endtoend/heterogeneous_baseline", || black_box(Analytic.report(&baseline)));
+    let dual = Scenario::new(uc, SystemConfig::Ncpu { cores: 2 });
+    b.bench("endtoend/dual_ncpu", || black_box(Analytic.report(&dual)));
 }
 
 fn main() {

@@ -1,6 +1,8 @@
 //! Topology sweep: {homogeneous 4R, big.LITTLE 1R+3R@0.7V, BNN-heavy
-//! 2R+2B} × {static, work-stealing} on end-to-end workloads, reporting
-//! area / energy / makespan into `BENCH_topology.json`.
+//! 2R+2B} on end-to-end workloads, reporting area / energy / makespan
+//! into `BENCH_topology.json`. Row names keep the `_static` suffix of
+//! the round-robin dispatch plan so the committed baseline still lines
+//! up row for row.
 //!
 //! Unlike the wall-clock suites, every row here is a *deterministic
 //! model metric* recorded through `record_once` (cycles, nanojoules,
@@ -8,15 +10,15 @@
 //! baseline is host-independent and the `bench_diff` gate pins the
 //! model itself rather than machine noise.
 //!
-//! Before any row is recorded, each (workload, topology, scheduler)
-//! cell is run through both twin engines and checked for report
+//! Before any row is recorded, each (workload, topology) cell is run
+//! through both twin engines and checked for report
 //! equality — a release-mode heterogeneous-fleet equivalence smoke.
 
 use std::time::Duration;
 
 use ncpu_power::{AreaModel, PowerModel};
 use ncpu_soc::energy::run_energy_uj_topo;
-use ncpu_soc::topology::{CoreRole, CoreSpec, SchedulerKind, Topology};
+use ncpu_soc::topology::{CoreRole, CoreSpec, Topology};
 use ncpu_soc::{
     pseudo_model, Engine, EventDriven, Lockstep, Scenario, SystemConfig, UseCase, L2_BYTES,
 };
@@ -36,17 +38,16 @@ fn topologies() -> Vec<(&'static str, Topology)> {
         spec.operating_point = Some(0.7);
         spec.bank = 1;
     }
-    let biglittle =
-        Topology::from_specs(specs, vec![3 * L2_BYTES / 4, L2_BYTES / 4], SchedulerKind::Static)
-            .expect("big.LITTLE topology is structural");
+    let biglittle = Topology::from_specs(specs, vec![3 * L2_BYTES / 4, L2_BYTES / 4])
+        .expect("big.LITTLE topology is structural");
 
     // Two reconfigurable cores plus two fixed BNN arrays (idle in item
     // engines: area/leakage only).
     let mut specs = vec![CoreSpec::reconfigurable(); 4];
     specs[2].role = CoreRole::BnnOnly;
     specs[3].role = CoreRole::BnnOnly;
-    let bnnheavy = Topology::from_specs(specs, vec![L2_BYTES], SchedulerKind::Static)
-        .expect("BNN-heavy topology is structural");
+    let bnnheavy =
+        Topology::from_specs(specs, vec![L2_BYTES]).expect("BNN-heavy topology is structural");
 
     vec![("homogeneous_4r", homogeneous), ("biglittle_1p3", biglittle), ("bnnheavy_2p2", bnnheavy)]
 }
@@ -71,57 +72,50 @@ fn main() {
         ("image_b8", UseCase::image(8, 2, 1)),
     ];
 
-    // (workload, topology, scheduler) -> (makespan, energy_uj)
+    // (workload, topology) -> (makespan, energy_uj)
     let mut cells: Vec<(String, u64, f64)> = Vec::new();
     for (wl, uc) in &workloads {
         for (tname, topo) in topologies() {
-            for sched in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-                let topo = topo.clone().with_scheduler(sched);
-                let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 4 })
-                    .with_topology(topo.clone());
+            let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 4 })
+                .with_topology(topo.clone());
 
-                // Twin-engine equivalence gate on the heterogeneous
-                // fleet before anything is recorded.
-                let lockstep = Lockstep.report(&scenario);
-                let event = EventDriven.report(&scenario);
-                assert_eq!(
-                    format!("{event:?}").replace("(event)", "(engine)"),
-                    format!("{lockstep:?}").replace("(lockstep)", "(engine)"),
-                    "{wl}/{tname}: engines diverged on a heterogeneous fleet"
-                );
+            // Twin-engine equivalence gate on the heterogeneous fleet
+            // before anything is recorded.
+            let lockstep = Lockstep.report(&scenario);
+            let event = EventDriven.report(&scenario);
+            assert_eq!(
+                format!("{event:?}").replace("(event)", "(engine)"),
+                format!("{lockstep:?}").replace("(lockstep)", "(engine)"),
+                "{wl}/{tname}: engines diverged on a heterogeneous fleet"
+            );
 
-                let sched_tag = match sched {
-                    SchedulerKind::Static => "static",
-                    SchedulerKind::WorkStealing => "ws",
-                };
-                let cell = format!("{wl}/{tname}_{sched_tag}");
-                let energy_uj = run_energy_uj_topo(&event, &pm, &am, NEURONS, 1.0, &topo);
-                bench.record_once(
-                    &format!("{cell}/makespan_cycles"),
-                    Duration::from_nanos(event.makespan),
-                );
-                bench.record_once(
-                    &format!("{cell}/energy_nj"),
-                    Duration::from_nanos((energy_uj * 1.0e3).round() as u64),
-                );
-                bench.record_once(
-                    &format!("{cell}/area_um2"),
-                    Duration::from_nanos((fleet_area_mm2(&am, &topo) * 1.0e6).round() as u64),
-                );
-                println!(
-                    "{cell}: makespan {} cycles, energy {energy_uj:.1} uJ, area {:.2} mm2 [{}]",
-                    event.makespan,
-                    fleet_area_mm2(&am, &topo),
-                    topo.label()
-                );
-                cells.push((cell, event.makespan, energy_uj));
-            }
+            let cell = format!("{wl}/{tname}_static");
+            let energy_uj = run_energy_uj_topo(&event, &pm, &am, NEURONS, 1.0, &topo);
+            bench.record_once(
+                &format!("{cell}/makespan_cycles"),
+                Duration::from_nanos(event.makespan),
+            );
+            bench.record_once(
+                &format!("{cell}/energy_nj"),
+                Duration::from_nanos((energy_uj * 1.0e3).round() as u64),
+            );
+            bench.record_once(
+                &format!("{cell}/area_um2"),
+                Duration::from_nanos((fleet_area_mm2(&am, &topo) * 1.0e6).round() as u64),
+            );
+            println!(
+                "{cell}: makespan {} cycles, energy {energy_uj:.1} uJ, area {:.2} mm2 [{}]",
+                event.makespan,
+                fleet_area_mm2(&am, &topo),
+                topo.label()
+            );
+            cells.push((cell, event.makespan, energy_uj));
         }
     }
     bench.finish();
 
     // The crossover this artifact exists to document: for each
-    // workload, the 1+3 big.LITTLE fleet (statically scheduled, so the
+    // workload, the 1+3 big.LITTLE fleet (round-robin dispatched, so the
     // plan — and therefore the cycle makespan — is identical to the
     // homogeneous fleet's) runs at strictly lower energy because three
     // cores integrate at 0.7 V.
@@ -134,7 +128,7 @@ fn main() {
         let bl = find(&format!("{wl}/biglittle_1p3_static"));
         assert_eq!(
             bl.1, homog.1,
-            "{wl}: static big.LITTLE must match the homogeneous plan cycle-for-cycle"
+            "{wl}: big.LITTLE must match the homogeneous plan cycle-for-cycle"
         );
         if bl.2 < homog.2 {
             println!(

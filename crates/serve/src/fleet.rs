@@ -382,11 +382,10 @@ mod tests {
     #[test]
     fn mixed_role_fleets_serve_through_both_twin_engines() {
         // A heterogeneous 3-core fleet (two reconfigurable, one BNN
-        // fixed-function, work-stealing): both twin engines accept it
-        // and share one cache entry, like any homogeneous spec.
+        // fixed-function): both twin engines accept it and share one
+        // cache entry, like any homogeneous spec.
         let mut fleet = Fleet::new(2, 64);
-        let topo = r#""topology":{"cores":[{},{"operating_point":0.7},{"role":"bnn"}],
-                       "scheduler":"work_stealing"}"#;
+        let topo = r#""topology":{"cores":[{},{"operating_point":0.7},{"role":"bnn"}]}"#;
         let out = batch(
             &mut fleet,
             &[
@@ -514,7 +513,7 @@ mod tests {
             r#""cores":2"#,
             r#""cores":1,"operating_point":0.8"#,
             r#""cores":3,"engine":"event""#,
-            r#""topology":{"cores":[{},{"operating_point":0.7}],"scheduler":"work_stealing"}"#,
+            r#""topology":{"cores":[{},{"operating_point":0.7}]}"#,
             r#""cores":2,"fault_seed":5,"fault_sram_flip_ppm":200000"#,
         ];
         let texts: Vec<String> = [image, motion]

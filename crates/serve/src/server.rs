@@ -297,6 +297,19 @@ mod tests {
     }
 
     #[test]
+    fn a_topology_scheduler_field_gets_one_typed_error_line() {
+        let mut fleet = Fleet::new(1, 64);
+        let out = transcript(
+            &mut fleet,
+            "{\"topology\":{\"cores\":[{},{}],\"scheduler\":\"work_stealing\"}}\n",
+        );
+        assert_eq!(
+            out,
+            "{\"id\":\"r000001\",\"error\":\"topology: unknown field \\\"scheduler\\\"\"}\n"
+        );
+    }
+
+    #[test]
     fn duplicate_reports_are_byte_identical_in_the_transcript() {
         let mut fleet = Fleet::new(2, 64);
         let req = "{\"cpu_fraction\":0.25,\"batch\":2,\"cores\":2}\n";

@@ -14,7 +14,7 @@
 use ncpu_fault::FaultPlan;
 use ncpu_obs::json::Json;
 use ncpu_obs::numparse::{num_as_u32, num_as_u64, num_as_usize};
-use ncpu_soc::topology::{CoreRole, CoreSpec, SchedulerKind, Topology};
+use ncpu_soc::topology::{CoreRole, CoreSpec, Topology};
 use ncpu_soc::{pseudo_model, Scenario, SocConfig, SystemConfig, UseCase, UseCaseKind};
 
 /// Largest accepted `batch`. Every item is staged and simulated, so an
@@ -27,6 +27,12 @@ pub const MAX_TRAIN_PER_CLASS: usize = 1000;
 
 /// Largest accepted `epochs`.
 pub const MAX_EPOCHS: usize = 100;
+
+/// Largest accepted NCPU core count, whether given as `"cores"` or as
+/// the length of a `"topology"` core list. Every core gets its own
+/// simulated pipeline and memories, so an unbounded list lets one
+/// request line exhaust the host's memory.
+pub const MAX_CORES: usize = 64;
 
 /// Everything a trained (image/motion) [`UseCase`] is a pure function
 /// of: `(kind, batch, train_per_class, epochs)`. Training data, item
@@ -153,14 +159,13 @@ impl Default for ScenarioSpec {
 /// ```json
 /// {"cores": [{"role": "reconfigurable", "operating_point": 0.7, "bank": 0},
 ///            {"role": "bnn"}],
-///  "banks": [196608, 65536],
-///  "scheduler": "work_stealing"}
+///  "banks": [196608, 65536]}
 /// ```
 ///
 /// Every field defaults like the library: omitted `role` is
 /// reconfigurable, omitted `operating_point` inherits the scenario
-/// point, omitted `bank` is 0, omitted `banks` is one full-width bank,
-/// omitted `scheduler` is static. Structural validation is
+/// point, omitted `bank` is 0, omitted `banks` is one full-width bank.
+/// At most [`MAX_CORES`] core specs are accepted. Structural validation is
 /// [`Topology::from_specs`]'s; on top of it, the serve workloads are
 /// all item batches, so a fleet with no reconfigurable core is rejected
 /// here instead of panicking inside a worker.
@@ -169,13 +174,16 @@ fn parse_topology(t: &Json) -> Result<Topology, String> {
         return Err("topology: expected an object".to_string());
     };
     for (key, _) in fields {
-        if !["cores", "banks", "scheduler"].contains(&key.as_str()) {
+        if !["cores", "banks"].contains(&key.as_str()) {
             return Err(format!("topology: unknown field {key:?}"));
         }
     }
     let Some(Json::Arr(core_specs)) = t.get("cores") else {
         return Err("topology: expected a \"cores\" array of core specs".to_string());
     };
+    if core_specs.len() > MAX_CORES {
+        return Err(format!("topology: cores: at most {MAX_CORES}, got {}", core_specs.len()));
+    }
     let mut specs = Vec::with_capacity(core_specs.len());
     for (c, spec) in core_specs.iter().enumerate() {
         let Json::Obj(spec_fields) = spec else {
@@ -219,16 +227,7 @@ fn parse_topology(t: &Json) -> Result<Topology, String> {
             .collect::<Result<Vec<_>, _>>()?,
         Some(_) => return Err("topology: banks: expected an array of byte widths".to_string()),
     };
-    let scheduler = match t.get("scheduler").map(|v| v.as_str().unwrap_or("?")) {
-        None | Some("static") => SchedulerKind::Static,
-        Some("work_stealing") => SchedulerKind::WorkStealing,
-        Some(other) => {
-            return Err(format!(
-                "topology: scheduler: expected \"static\" or \"work_stealing\", got {other:?}"
-            ))
-        }
-    };
-    let topo = Topology::from_specs(specs, bank_bytes, scheduler)?;
+    let topo = Topology::from_specs(specs, bank_bytes)?;
     if topo.item_cores().is_empty() {
         return Err("topology: the serve workloads need at least one reconfigurable core".into());
     }
@@ -330,7 +329,7 @@ impl ScenarioSpec {
 
         let mut system = match obj.get("system").map(|v| v.as_str().unwrap_or("?")) {
             None | Some("ncpu") => {
-                SystemConfig::Ncpu { cores: want_usize(obj, "cores", 2)?.clamp(1, 64) }
+                SystemConfig::Ncpu { cores: want_size(obj, "cores", 2, MAX_CORES)? }
             }
             Some("hetero") | Some("heterogeneous") => SystemConfig::Heterogeneous,
             Some(other) => {
@@ -574,6 +573,25 @@ mod tests {
     }
 
     #[test]
+    fn core_counts_are_capped_on_both_sides_of_the_limit() {
+        let cores = |doc: &str| spec_of(doc).map(|s| s.system);
+        assert_eq!(cores(r#"{"cores":64}"#), Ok(SystemConfig::Ncpu { cores: MAX_CORES }));
+        assert_eq!(cores(r#"{"cores":65}"#), Err("cores: at most 64, got 65".to_string()));
+        assert_eq!(cores(r#"{"cores":1000}"#), Err("cores: at most 64, got 1000".to_string()));
+        // Zero still means one.
+        assert_eq!(cores(r#"{"cores":0}"#), Ok(SystemConfig::Ncpu { cores: 1 }));
+        // A topology core list gets the same cap.
+        let list =
+            |n: usize| format!(r#"{{"topology":{{"cores":[{}]}}}}"#, vec!["{}"; n].join(","));
+        assert_eq!(cores(&list(64)), Ok(SystemConfig::Ncpu { cores: MAX_CORES }));
+        assert_eq!(cores(&list(65)), Err("topology: cores: at most 64, got 65".to_string()));
+        assert_eq!(
+            cores(&list(20_000)),
+            Err("topology: cores: at most 64, got 20000".to_string())
+        );
+    }
+
+    #[test]
     fn fault_fields_populate_the_plan() {
         let s = spec_of(r#"{"fault_seed":9,"fault_sram_flip_ppm":50}"#).unwrap();
         assert_eq!(s.fault.seed, 9);
@@ -614,14 +632,13 @@ mod tests {
     fn topology_block_parses_and_infers_cores() {
         let s = spec_of(
             r#"{"topology":{"cores":[{},{"role":"bnn"},{"operating_point":0.7,"bank":1}],
-                "banks":[131072,65536],"scheduler":"work_stealing"}}"#,
+                "banks":[131072,65536]}}"#,
         )
         .unwrap();
         assert_eq!(s.system, SystemConfig::Ncpu { cores: 3 });
         let topo = s.topology.as_ref().unwrap();
         assert_eq!(topo.label(), "R+B+R@0.7V");
         assert_eq!(topo.banks(), 2);
-        assert_eq!(topo.scheduler(), SchedulerKind::WorkStealing);
         // Matching explicit core count is accepted; a mismatch is not.
         assert!(spec_of(r#"{"cores":2,"topology":{"cores":[{},{}]}}"#).is_ok());
         let err = spec_of(r#"{"cores":4,"topology":{"cores":[{},{}]}}"#).unwrap_err();

@@ -36,13 +36,12 @@
 
 use crate::scenario::Scenario;
 use crate::system::SystemConfig;
-use crate::topology::SchedulerKind;
 use crate::usecase::UseCaseKind;
 
 /// Version tag leading the canonical encoding; bump when the layout
 /// changes so stale persisted keys can never alias fresh ones.
-/// `v2` added the fabric topology (roles, per-core DVFS, L2 banking,
-/// scheduler) to the encoding.
+/// `v2` added the fabric topology (roles, per-core DVFS, L2 banking, and
+/// a scheduler byte that is now always 0) to the encoding.
 pub const CANONICAL_TAG: &[u8] = b"ncpu-scenario-v2";
 
 /// 64-bit FNV-1a over `bytes` — deterministic on every host, no
@@ -144,10 +143,10 @@ pub fn canonical_bytes(scenario: &Scenario) -> Vec<u8> {
     for &width in topo.bank_bytes() {
         push_u64(&mut out, width as u64);
     }
-    out.push(match topo.scheduler() {
-        SchedulerKind::Static => 0,
-        SchedulerKind::WorkStealing => 1,
-    });
+    // Where the v2 layout tagged the item scheduler. Dispatch is always
+    // round-robin now, so the tag is the constant the static scheduler
+    // wrote, which keeps every v2 key valid.
+    out.push(0);
 
     out
 }
@@ -172,7 +171,7 @@ mod tests {
     /// integers so shrinking stays meaningful. Grouped as three nested
     /// tuples (workload/fabric, environment, topology) to stay within
     /// the harness's tuple-shrinking arity.
-    type Draw = ((u8, u8, u8, u8, u8), (u8, u64, bool, bool), (u8, bool, bool, u8));
+    type Draw = ((u8, u8, u8, u8, u8), (u8, u64, bool, bool), (u8, bool, u8));
 
     fn draw(rng: &mut Rng) -> Draw {
         (
@@ -192,7 +191,6 @@ mod tests {
             (
                 rng.gen_range(0..=2u8),      // last core role tag
                 rng.gen_range(0..2u64) == 1, // split the L2 into two banks
-                rng.gen_range(0..2u64) == 1, // work-stealing scheduler
                 rng.gen_range(0..=4u8),      // core 0 DVFS point (0 = inherit)
             ),
         )
@@ -202,9 +200,9 @@ mod tests {
     /// the 0.46–0.49 V corner, disjoint from the scenario-level points
     /// (0.55–1.0 V), so a per-core mutation can never alias the
     /// inherited voltage.
-    fn build_topology(cores: usize, t: &(u8, bool, bool, u8)) -> crate::topology::Topology {
-        use crate::topology::{CoreRole, CoreSpec, SchedulerKind, Topology};
-        let (role, split, steal, core0_op) = *t;
+    fn build_topology(cores: usize, t: &(u8, bool, u8)) -> crate::topology::Topology {
+        use crate::topology::{CoreRole, CoreSpec, Topology};
+        let (role, split, core0_op) = *t;
         let mut specs = vec![CoreSpec::reconfigurable(); cores];
         specs[cores - 1].role = match role % 3 {
             0 => CoreRole::Reconfigurable,
@@ -222,8 +220,7 @@ mod tests {
         } else {
             vec![crate::fabric::L2_BYTES]
         };
-        let sched = if steal { SchedulerKind::WorkStealing } else { SchedulerKind::Static };
-        Topology::from_specs(specs, bank_bytes, sched).expect("drawn topology is structural")
+        Topology::from_specs(specs, bank_bytes).expect("drawn topology is structural")
     }
 
     fn build(d: &Draw) -> Scenario {
@@ -276,7 +273,7 @@ mod tests {
 
     #[test]
     fn trace_level_and_default_operating_point_are_non_semantic() {
-        let mk = || build(&((5, 4, 2, 4, 16), (0, 7, false, true), (0, false, false, 0)));
+        let mk = || build(&((5, 4, 2, 4, 16), (0, 7, false, true), (0, false, 0)));
         let base = mk();
         assert_eq!(base.cache_key(), mk().cache_key(), "construction is deterministic");
         for level in [TraceLevel::Off, TraceLevel::Counters, TraceLevel::Full] {
@@ -313,7 +310,7 @@ mod tests {
             // Semantic: mutate each field of the draw in a way that must
             // change the canonical bytes, and demand a fresh key.
             let ((frac, batch, cores, dma, setup), (op, seed, naive, pipelining), topo) = *d;
-            let (role, split, steal, core0_op) = topo;
+            let (role, split, core0_op) = topo;
             let w = (frac, batch, cores, dma, setup);
             let e = (op, seed, naive, pipelining);
             let mutations: Vec<(&str, Draw)> = vec![
@@ -326,10 +323,9 @@ mod tests {
                 ("fault_seed", (w, (op, seed + 1, naive, pipelining), topo)),
                 ("switch_policy", (w, (op, seed, !naive, pipelining), topo)),
                 ("layer_pipelining", (w, (op, seed, naive, !pipelining), topo)),
-                ("topo_role", (w, e, ((role + 1) % 3, split, steal, core0_op))),
-                ("topo_banks", (w, e, (role, !split, steal, core0_op))),
-                ("topo_scheduler", (w, e, (role, split, !steal, core0_op))),
-                ("topo_core0_op", (w, e, (role, split, steal, (core0_op % 4) + 1))),
+                ("topo_role", (w, e, ((role + 1) % 3, split, core0_op))),
+                ("topo_banks", (w, e, (role, !split, core0_op))),
+                ("topo_core0_op", (w, e, (role, split, (core0_op % 4) + 1))),
             ];
             for (what, mutated) in &mutations {
                 prop_assert_ne!(
@@ -347,7 +343,7 @@ mod tests {
 
     #[test]
     fn fault_plan_knobs_are_all_semantic() {
-        let base = build(&((5, 4, 2, 4, 16), (2, 7, false, true), (0, false, false, 0)));
+        let base = build(&((5, 4, 2, 4, 16), (2, 7, false, true), (0, false, 0)));
         let key = base.cache_key();
         let plans = [
             FaultPlan { seed: 8, sram_flip_ppm: 100, ..FaultPlan::none() },
@@ -359,7 +355,7 @@ mod tests {
         ];
         for plan in plans {
             assert_ne!(
-                build(&((5, 4, 2, 4, 16), (2, 7, false, true), (0, false, false, 0)))
+                build(&((5, 4, 2, 4, 16), (2, 7, false, true), (0, false, 0)))
                     .with_faults(plan)
                     .cache_key(),
                 key,

@@ -6,8 +6,8 @@
 //! Rollback re-uses one core's four physical layers for all logical
 //! layers (half the throughput); series mode splits the network across
 //! N cores so each image streams segment 0 → link → … → segment N−1.
-//! The paper builds the two-core split; [`run_series_n`] generalizes it
-//! to any segment count.
+//! The paper builds the two-core split; [`series`] generalizes it to any
+//! segment count. [`run`] is the [`crate::Deep`] engine's body.
 
 use std::fmt;
 
@@ -16,13 +16,17 @@ use ncpu_bnn::{BitVec, BnnLayer, BnnModel, Topology};
 use ncpu_fault::{Fault, FaultPlan, FaultSession};
 use ncpu_obs::{Detector, EventKind, FaultClass, Recorder, Recovery, TraceLevel};
 
+use ncpu_sim::stats::Timeline;
+
 use crate::fabric;
+use crate::report::{CoreReport, RunReport};
+use crate::scenario::Scenario;
 use crate::system::SocConfig;
 
 /// Structured error for the deep series path — the conditions that used
 /// to surface as `expect`/`assert` panics deep inside the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeepError {
+enum DeepError {
     /// The requested segment count is outside `2..=layers`.
     SegmentsOutOfRange {
         /// Requested segment count.
@@ -66,8 +70,6 @@ impl fmt::Display for DeepError {
     }
 }
 
-impl std::error::Error for DeepError {}
-
 /// Splits a deep model into `(front, back)` halves for series execution.
 ///
 /// The front half's "classes" are its full final layer (every activation
@@ -77,7 +79,7 @@ impl std::error::Error for DeepError {}
 ///
 /// Panics if the model has fewer than 2 layers or `split` is not inside
 /// `1..layers`.
-pub fn split_model(deep: &BnnModel, split: usize) -> (BnnModel, BnnModel) {
+fn split_model(deep: &BnnModel, split: usize) -> (BnnModel, BnnModel) {
     let layers = deep.layers();
     assert!(layers.len() >= 2, "need at least two layers to split");
     assert!((1..layers.len()).contains(&split), "split must be interior");
@@ -113,7 +115,7 @@ pub fn split_model(deep: &BnnModel, split: usize) -> (BnnModel, BnnModel) {
 /// # Panics
 ///
 /// Panics unless `1 ≤ segments ≤ layers`.
-pub fn split_model_n(deep: &BnnModel, segments: usize) -> Vec<BnnModel> {
+fn split_model_n(deep: &BnnModel, segments: usize) -> Vec<BnnModel> {
     let layers = deep.layers().len();
     assert!(
         (1..=layers).contains(&segments),
@@ -138,7 +140,7 @@ pub fn split_model_n(deep: &BnnModel, segments: usize) -> Vec<BnnModel> {
 
 /// Outcome of a deep-model batch run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeepRun {
+struct DeepRun {
     /// Predicted class per image.
     pub outputs: Vec<usize>,
     /// Makespan in cycles.
@@ -161,31 +163,17 @@ impl From<BatchRun> for DeepRun {
 }
 
 /// Runs `deep` on one core by rolling logical layers onto the physical
-/// array.
-pub fn run_rolled(deep: &BnnModel, inputs: &[BitVec], soc: &SocConfig) -> DeepRun {
-    run_rolled_traced(deep, inputs, soc, TraceLevel::Off).0
-}
-
-/// Like [`run_rolled`], returning the recorder with the rolled core's
-/// per-image `bnn` spans on lane 0 and the run counters.
-pub fn run_rolled_traced(
-    deep: &BnnModel,
-    inputs: &[BitVec],
-    soc: &SocConfig,
-    level: TraceLevel,
-) -> (DeepRun, Recorder) {
-    run_rolled_arrivals_traced(deep, inputs, &vec![0; inputs.len()], soc, level)
-}
-
-/// Like [`run_rolled_traced`], with a per-image arrival cycle (the
-/// fault layer's staging prologue delays deliveries; a clean run is all
-/// zeros). Latency metrics stay anchored at cycle 0 — an arrival delay
-/// is recovery time the image spent in service.
+/// array, returning the recorder with the rolled core's per-image `bnn`
+/// spans on lane 0 and the run counters. `arrivals` holds one arrival
+/// cycle per image (the fault layer's staging prologue delays
+/// deliveries; a clean run is all zeros). Latency metrics stay anchored
+/// at cycle 0 — an arrival delay is recovery time the image spent in
+/// service.
 ///
 /// # Panics
 ///
 /// Panics if `arrivals` is not parallel to `inputs`.
-pub fn run_rolled_arrivals_traced(
+fn rolled(
     deep: &BnnModel,
     inputs: &[BitVec],
     arrivals: &[u64],
@@ -219,82 +207,25 @@ pub fn run_rolled_arrivals_traced(
     (run, rec)
 }
 
-/// Runs `deep` split across two NCPU cores in series: core 0 computes the
-/// front half, the activations cross the inter-core link (DMA-costed),
-/// and core 1 computes the back half while core 0 starts the next image.
-pub fn run_series(deep: &BnnModel, inputs: &[BitVec], soc: &SocConfig) -> DeepRun {
-    run_series_traced(deep, inputs, soc, TraceLevel::Off).0
-}
-
-/// Like [`run_series`], returning the recorder with `front`/`back` phase
-/// spans (lanes 0/1), the inter-core link's DMA spans (lane 2), and the
-/// `deep.link_bytes` counter — the traffic the series split puts on the
-/// fabric.
-pub fn run_series_traced(
-    deep: &BnnModel,
-    inputs: &[BitVec],
-    soc: &SocConfig,
-    level: TraceLevel,
-) -> (DeepRun, Recorder) {
-    run_series_n_traced(deep, inputs, soc, 2, level)
-}
-
-/// Runs `deep` split across `segments` NCPU cores in series (the N-core
-/// generalization of [`run_series`]): each image streams through segment
-/// 0, crosses the shared inter-core link (DMA-costed), and so on until
-/// the final segment classifies it, with every segment pipelining across
-/// images.
+/// Runs `deep` split across `segments` NCPU cores in series: each image
+/// streams through segment 0, crosses the shared inter-core link
+/// (DMA-costed), and so on until the final segment classifies it, with
+/// every segment pipelining across images. `arrivals` is as for
+/// [`rolled`].
 ///
 /// The recorder carries one phase lane per segment — labelled `front`,
 /// `mid`…, `back` — the link's DMA spans on lane `segments`, per-segment
 /// `core{s}.busy_cycles` counters, and the total `deep.link_bytes`.
 ///
-/// # Panics
-///
-/// Panics unless `2 ≤ segments ≤ layers` and every input matches the
-/// model's width — use [`try_run_series_n_traced`] to get those
-/// conditions as a structured [`DeepError`] instead.
-pub fn run_series_n_traced(
-    deep: &BnnModel,
-    inputs: &[BitVec],
-    soc: &SocConfig,
-    segments: usize,
-    level: TraceLevel,
-) -> (DeepRun, Recorder) {
-    try_run_series_n_traced(deep, inputs, soc, segments, level)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`run_series_n_traced`]: invalid segment counts,
-/// mismatched input widths, and (defensively) empty segments come back
-/// as a [`DeepError`] instead of a panic.
-///
 /// # Errors
 ///
-/// See [`DeepError`].
-pub fn try_run_series_n_traced(
-    deep: &BnnModel,
-    inputs: &[BitVec],
-    soc: &SocConfig,
-    segments: usize,
-    level: TraceLevel,
-) -> Result<(DeepRun, Recorder), DeepError> {
-    try_run_series_n_arrivals_traced(deep, inputs, &vec![0; inputs.len()], soc, segments, level)
-}
-
-/// Like [`try_run_series_n_traced`], with a per-image arrival cycle
-/// (the fault layer's staging prologue delays deliveries; a clean run
-/// is all zeros). Latency metrics stay anchored at cycle 0 — an
-/// arrival delay is recovery time the image spent in service.
-///
-/// # Errors
-///
-/// See [`DeepError`].
+/// Invalid segment counts, mismatched input widths, and (defensively)
+/// empty segments come back as a [`DeepError`].
 ///
 /// # Panics
 ///
 /// Panics if `arrivals` is not parallel to `inputs`.
-pub fn try_run_series_n_arrivals_traced(
+fn series(
     deep: &BnnModel,
     inputs: &[BitVec],
     arrivals: &[u64],
@@ -393,6 +324,116 @@ pub fn try_run_series_n_arrivals_traced(
     Ok((run, rec))
 }
 
+/// The deep engine's body: rollback on one BNN-capable core, a series
+/// pipeline over N ≥ 2 of them, with the fault layer resolved against
+/// input staging first.
+pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
+    // Roles map to segment placement: every BNN-capable core
+    // (reconfigurable or fixed BNN array) holds one resident model
+    // segment, in core-id order; CPU-only cores hold none. The
+    // homogeneous default keeps the historical "N cores = N
+    // segments" exactly.
+    let topo = scenario.topology();
+    let segment_cores = topo.bnn_cores();
+    assert!(!segment_cores.is_empty(), "the deep engine needs at least one BNN-capable core");
+    let cores = segment_cores.len();
+    let model = scenario.usecase().model();
+    let width = model.topology().input();
+    let items = scenario.usecase().items();
+    // The fault prologue resolves the plan against input staging
+    // before the accelerator sees any image: surviving images get
+    // delayed arrivals, dropped ones never enter the batch. The
+    // deep engine has no spare cores (every core holds a resident
+    // model segment), so quarantine is structurally disabled.
+    let prologue = scenario.fault().is_active().then(|| {
+        let sizes: Vec<usize> = items.iter().map(|i| i.staged.len()).collect();
+        deep_fault_prologue(scenario.fault(), scenario.millivolts(), &sizes, scenario.soc())
+    });
+    let (inputs, arrivals): (Vec<BitVec>, Vec<u64>) = match &prologue {
+        Some(p) => p
+            .kept
+            .iter()
+            .zip(&p.arrivals)
+            .map(|(&i, &at)| (BitVec::from_bytes(&items[i].staged, width), at))
+            .unzip(),
+        None => items.iter().map(|item| (BitVec::from_bytes(&item.staged, width), 0)).unzip(),
+    };
+    let (run, mut rec, config, roles) = if cores == 1 {
+        let (run, rec) = rolled(model, &inputs, &arrivals, scenario.soc(), scenario.trace());
+        let busy = rec.counters().get("accel.busy_cycles");
+        (run, rec, "deep rollback (1 core)".to_string(), vec![("deep".to_string(), busy)])
+    } else {
+        let (run, rec) = series(model, &inputs, &arrivals, scenario.soc(), cores, scenario.trace())
+            .unwrap_or_else(|e| panic!("{e}"));
+        let roles = (0..cores)
+            .map(|s| {
+                let role = if topo.is_homogeneous() {
+                    format!("seg{s}")
+                } else {
+                    format!("seg{s}@core{}", segment_cores[s])
+                };
+                (role, rec.counters().get(&format!("core{s}.busy_cycles")))
+            })
+            .collect();
+        (run, rec, format!("{cores}x ncpu (series)"), roles)
+    };
+    if !topo.is_homogeneous() {
+        for (s, &c) in segment_cores.iter().enumerate() {
+            rec.set_counter(format!("deep.seg{s}.core"), c as u64);
+        }
+    }
+    rec.set_counter("deep.first_latency", run.first_latency);
+    rec.set_counter("deep.steady_interval", run.steady_interval);
+    let mut makespan = run.total_cycles;
+    let mut predictions = run.outputs.clone();
+    if let Some(p) = &prologue {
+        // Fault instants go on a dedicated lane (past the segment
+        // phase lanes and the link's DMA lane), pre-sorted so the
+        // per-lane timestamp order the validator enforces holds.
+        let fault_lane = if cores == 1 { 1 } else { cores as u16 + 1 };
+        for (cycle, kind) in &p.events {
+            rec.emit(fault_lane, *cycle, kind.clone());
+        }
+        for &sample in &p.recovery_cycles {
+            rec.metric("fault.recovery_cycles", sample);
+        }
+        for &sample in &p.retries {
+            rec.metric("item.retries", sample);
+        }
+        for &(name, value) in &p.counters {
+            rec.set_counter(name, value);
+        }
+        // A dropped image's detection can outlast the batch; the
+        // batch itself only saw the surviving images.
+        makespan = makespan.max(p.horizon);
+        rec.set_counter("run.makespan_cycles", makespan);
+        rec.set_counter("run.items", items.len() as u64);
+        debug_assert_eq!(p.kept.len() + p.dropped.len(), items.len());
+        let mut full = vec![fabric::DROPPED_PREDICTION; items.len()];
+        for (k, &orig) in p.kept.iter().enumerate() {
+            full[orig] = run.outputs[k];
+        }
+        predictions = full;
+    }
+    let report = RunReport {
+        config,
+        makespan,
+        cores: roles
+            .into_iter()
+            .enumerate()
+            .map(|(lane, (role, busy))| CoreReport {
+                role,
+                timeline: Timeline::from_obs_events(rec.spans(), lane as u16),
+                busy_cycles: busy,
+            })
+            .collect(),
+        predictions,
+        labels: items.iter().map(|i| i.label).collect(),
+        metrics: rec.metrics().clone(),
+    };
+    (report, rec)
+}
+
 /// What the fault prologue decided for one deep batch: per-image
 /// staging delays, dropped images, and the fault-layer bookkeeping the
 /// caller merges into the run's recorder after the batch executes.
@@ -400,7 +441,7 @@ pub fn try_run_series_n_arrivals_traced(
 /// The deep engine has no spare cores to re-schedule onto (every core
 /// holds a resident model segment), so quarantine is structurally
 /// disabled here: recovery is retry-with-backoff, then drop.
-pub(crate) struct DeepPrologue {
+struct DeepPrologue {
     /// Arrival cycle per *surviving* image, parallel to `kept`.
     pub arrivals: Vec<u64>,
     /// Original item indices that survived staging, in order.
@@ -428,7 +469,7 @@ pub(crate) struct DeepPrologue {
 /// benign stalls delay the arrival, detected faults (parity at the
 /// priced delivery cycle, watchdog for hangs) retry with exponential
 /// backoff until the plan's budget drops the image.
-pub(crate) fn deep_fault_prologue(
+fn deep_fault_prologue(
     plan: &FaultPlan,
     millivolts: u32,
     staged_sizes: &[usize],
@@ -563,6 +604,21 @@ pub(crate) mod tests {
         (0..n).map(|k| BitVec::from_bools((0..48).map(|i| (i + k) % 3 == 0))).collect()
     }
 
+    /// [`rolled`] with every image arriving at cycle 0.
+    fn rolled_at_zero(deep: &BnnModel, inputs: &[BitVec]) -> DeepRun {
+        rolled(deep, inputs, &vec![0; inputs.len()], &SocConfig::default(), TraceLevel::Off).0
+    }
+
+    /// [`series`] with every image arriving at cycle 0.
+    fn series_at_zero(
+        deep: &BnnModel,
+        inputs: &[BitVec],
+        segments: usize,
+    ) -> Result<(DeepRun, Recorder), DeepError> {
+        let arrivals = vec![0; inputs.len()];
+        series(deep, inputs, &arrivals, &SocConfig::default(), segments, TraceLevel::Counters)
+    }
+
     #[test]
     fn split_preserves_function() {
         let deep = deep_model(8);
@@ -605,9 +661,8 @@ pub(crate) mod tests {
     fn rolled_and_series_agree_functionally() {
         let deep = deep_model(8);
         let ins = inputs(5);
-        let soc = SocConfig::default();
-        let rolled = run_rolled(&deep, &ins, &soc);
-        let series = run_series(&deep, &ins, &soc);
+        let rolled = rolled_at_zero(&deep, &ins);
+        let (series, _) = series_at_zero(&deep, &ins, 2).unwrap();
         let reference: Vec<usize> = ins.iter().map(|i| deep.classify(i)).collect();
         assert_eq!(rolled.outputs, reference);
         assert_eq!(series.outputs, reference);
@@ -617,9 +672,8 @@ pub(crate) mod tests {
     fn series_doubles_throughput_over_rollback() {
         let deep = deep_model(8);
         let ins = inputs(16);
-        let soc = SocConfig::default();
-        let rolled = run_rolled(&deep, &ins, &soc);
-        let series = run_series(&deep, &ins, &soc);
+        let rolled = rolled_at_zero(&deep, &ins);
+        let (series, _) = series_at_zero(&deep, &ins, 2).unwrap();
         // Two cores hold all 8 layers resident: roughly 2× the rollback
         // throughput at steady state.
         assert!(
@@ -635,9 +689,8 @@ pub(crate) mod tests {
     fn four_segment_series_pipelines_deeper() {
         let deep = deep_model(8);
         let ins = inputs(12);
-        let soc = SocConfig::default();
-        let (two, _) = run_series_n_traced(&deep, &ins, &soc, 2, TraceLevel::Counters);
-        let (four, rec) = run_series_n_traced(&deep, &ins, &soc, 4, TraceLevel::Counters);
+        let (two, _) = series_at_zero(&deep, &ins, 2).unwrap();
+        let (four, rec) = series_at_zero(&deep, &ins, 4).unwrap();
         let reference: Vec<usize> = ins.iter().map(|i| deep.classify(i)).collect();
         assert_eq!(four.outputs, reference);
         // Shorter segments drain faster between completions.
@@ -665,9 +718,8 @@ pub(crate) mod tests {
     fn bad_segment_counts_return_structured_errors() {
         let deep = deep_model(8);
         let ins = inputs(2);
-        let soc = SocConfig::default();
         for segments in [0usize, 1, 9, 100] {
-            let err = try_run_series_n_traced(&deep, &ins, &soc, segments, TraceLevel::Off)
+            let err = series_at_zero(&deep, &ins, segments)
                 .expect_err("out-of-range segment count must not run");
             assert_eq!(err, DeepError::SegmentsOutOfRange { segments, layers: 8 });
         }
@@ -680,21 +732,9 @@ pub(crate) mod tests {
         let deep = deep_model(8);
         let mut ins = inputs(3);
         ins[1] = BitVec::from_bools((0..32).map(|i| i % 2 == 0));
-        let err = try_run_series_n_traced(&deep, &ins, &SocConfig::default(), 2, TraceLevel::Off)
-            .expect_err("width mismatch must not run");
+        let err = series_at_zero(&deep, &ins, 2).expect_err("width mismatch must not run");
         assert_eq!(err, DeepError::InputWidthMismatch { image: 1, expected: 48, got: 32 });
         assert_eq!(err.to_string(), "input image 1 is 32 bits wide, the model expects 48");
-    }
-
-    #[test]
-    fn try_variant_matches_panicking_variant_on_valid_input() {
-        let deep = deep_model(8);
-        let ins = inputs(4);
-        let soc = SocConfig::default();
-        let (run, _) = run_series_n_traced(&deep, &ins, &soc, 2, TraceLevel::Off);
-        let (fallible, _) =
-            try_run_series_n_traced(&deep, &ins, &soc, 2, TraceLevel::Off).unwrap();
-        assert_eq!(run, fallible);
     }
 
     fn stall_only_plan() -> FaultPlan {

@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn undervolted_cores_cut_the_fleet_energy() {
-        use crate::topology::{CoreSpec, SchedulerKind, Topology};
+        use crate::topology::{CoreSpec, Topology};
         let mut r = fake_report(10_000, 6_000, "ncpu0", "cpu");
         r.cores.push(r.cores[0].clone());
         r.cores[1].role = "ncpu1".into();
@@ -240,12 +240,8 @@ mod tests {
         let am = AreaModel::default();
         let nominal = run_energy_uj_topo(&r, &pm, &am, 100, 1.0, &Topology::homogeneous(2));
         let little = CoreSpec { operating_point: Some(0.7), ..CoreSpec::reconfigurable() };
-        let topo = Topology::from_specs(
-            vec![CoreSpec::reconfigurable(), little],
-            vec![crate::fabric::L2_BYTES],
-            SchedulerKind::Static,
-        )
-        .unwrap();
+        let specs = vec![CoreSpec::reconfigurable(), little];
+        let topo = Topology::from_specs(specs, vec![crate::fabric::L2_BYTES]).unwrap();
         let mixed = run_energy_uj_topo(&r, &pm, &am, 100, 1.0, &topo);
         assert!(mixed < nominal, "mixed {mixed} vs nominal {nominal}");
     }

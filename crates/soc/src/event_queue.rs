@@ -23,7 +23,6 @@ pub struct EventQueue {
     /// Per-actor live wakeup: `(cycle, generation)` or `None`.
     armed: Vec<Option<(u64, u64)>>,
     next_gen: u64,
-    live: usize,
 }
 
 impl EventQueue {
@@ -33,7 +32,6 @@ impl EventQueue {
             heap: BinaryHeap::new(),
             armed: vec![None; actors],
             next_gen: 0,
-            live: 0,
         }
     }
 
@@ -44,32 +42,10 @@ impl EventQueue {
     ///
     /// Panics if `actor` is out of range.
     pub fn arm(&mut self, actor: u16, cycle: u64) {
-        let slot = &mut self.armed[actor as usize];
-        if slot.is_none() {
-            self.live += 1;
-        }
         let gen = self.next_gen;
         self.next_gen += 1;
-        *slot = Some((cycle, gen));
+        self.armed[actor as usize] = Some((cycle, gen));
         self.heap.push(Reverse((cycle, actor, gen)));
-    }
-
-    /// Cancels `actor`'s armed wakeup, if any. The heap entry is dropped
-    /// lazily on a later pop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actor` is out of range.
-    pub fn cancel(&mut self, actor: u16) {
-        if self.armed[actor as usize].take().is_some() {
-            self.live -= 1;
-        }
-    }
-
-    /// The earliest armed `(cycle, actor)` without popping it.
-    pub fn peek(&mut self) -> Option<(u64, u16)> {
-        self.drop_stale();
-        self.heap.peek().map(|Reverse((cycle, actor, _))| (*cycle, *actor))
     }
 
     /// Pops the earliest armed wakeup; ties pop in ascending actor order.
@@ -77,22 +53,11 @@ impl EventQueue {
         self.drop_stale();
         let Reverse((cycle, actor, _)) = self.heap.pop()?;
         self.armed[actor as usize] = None;
-        self.live -= 1;
         Some((cycle, actor))
     }
 
-    /// Whether any actor is armed.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of armed actors.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
     /// Discards heap entries whose generation no longer matches the
-    /// actor's live wakeup (cancelled or re-armed).
+    /// actor's live wakeup (re-armed).
     fn drop_stale(&mut self) {
         while let Some(Reverse((cycle, actor, gen))) = self.heap.peek() {
             match self.armed[*actor as usize] {
@@ -123,7 +88,6 @@ mod tests {
         q.arm(1, 10);
         let order: Vec<(u64, u16)> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![(10, 0), (10, 1), (10, 2), (10, 3)]);
-        assert!(q.is_empty());
     }
 
     /// Cycles dominate actors: an earlier wakeup on a higher actor pops
@@ -146,34 +110,14 @@ mod tests {
         q.arm(0, 5);
         q.arm(0, 15); // moved later: the 5-cycle entry is stale
         q.arm(1, 10);
-        assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((10, 1)));
         assert_eq!(q.pop(), Some((15, 0)));
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
 
         q.arm(0, 30);
         q.arm(0, 7); // moved earlier: only the 7 survives
-        assert_eq!(q.peek(), Some((7, 0)));
         assert_eq!(q.pop(), Some((7, 0)));
         assert_eq!(q.pop(), None);
-    }
-
-    /// Cancelling removes the wakeup; a later re-arm starts fresh.
-    #[test]
-    fn cancel_then_rearm() {
-        let mut q = EventQueue::new(3);
-        q.arm(1, 4);
-        q.arm(2, 6);
-        q.cancel(1);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek(), Some((6, 2)));
-        q.arm(1, 5);
-        assert_eq!(q.pop(), Some((5, 1)));
-        assert_eq!(q.pop(), Some((6, 2)));
-        assert!(q.is_empty());
-        // Cancelling an unarmed actor is a no-op.
-        q.cancel(0);
-        assert!(q.is_empty());
     }
 
     /// Popping consumes the wakeup: the actor must be re-armed to fire
@@ -188,26 +132,6 @@ mod tests {
         assert_eq!(q.pop(), Some((2, 0)));
     }
 
-    /// Cancelling a wakeup whose generation already fired is a no-op:
-    /// the live count must not underflow and a fresh arm still works.
-    #[test]
-    fn cancel_of_already_fired_generation_is_noop() {
-        let mut q = EventQueue::new(2);
-        q.arm(0, 5);
-        assert_eq!(q.pop(), Some((5, 0)));
-        // The generation armed above has fired; this cancel targets
-        // nothing.
-        q.cancel(0);
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        q.arm(0, 9);
-        q.arm(1, 8);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((8, 1)));
-        assert_eq!(q.pop(), Some((9, 0)));
-        assert_eq!(q.pop(), None);
-    }
-
     /// Re-arming at the cycle the actor is already armed for (or was
     /// just popped at) bumps the generation without duplicating the
     /// wakeup — exactly one pop surfaces per live arm.
@@ -216,35 +140,12 @@ mod tests {
         let mut q = EventQueue::new(1);
         q.arm(0, 10);
         q.arm(0, 10); // same cycle: old generation goes stale
-        assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((10, 0)));
         assert_eq!(q.pop(), None);
         // Re-arm at the cycle that just fired: the queue can run
         // multiple dispatches of one actor in the same cycle slot.
         q.arm(0, 10);
         assert_eq!(q.pop(), Some((10, 0)));
-        assert!(q.is_empty());
-    }
-
-    /// Cancellation inside a same-cycle tie must not disturb the
-    /// ascending-actor pop order of the survivors, including an actor
-    /// re-armed into the tie after its original entry went stale.
-    #[test]
-    fn same_cycle_ties_hold_actor_order_under_cancellation() {
-        let mut q = EventQueue::new(4);
-        for actor in 0..4 {
-            q.arm(actor, 10);
-        }
-        q.cancel(1);
-        q.cancel(2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((10, 0)));
-        // Actor 2 rejoins the cycle-10 tie with a fresh generation; it
-        // still pops before actor 3 (actor order, not arm order).
-        q.arm(2, 10);
-        assert_eq!(q.pop(), Some((10, 2)));
-        assert_eq!(q.pop(), Some((10, 3)));
         assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 }

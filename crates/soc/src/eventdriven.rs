@@ -51,122 +51,48 @@
 //! so the restart exists for soundness, not for the paper's workloads.
 
 use ncpu_core::{BankPorts, NcpuCore, ReplayDelta, ReplayState, SharedL2};
-use ncpu_fault::FaultPlan;
-use ncpu_obs::{EventKind, Recorder, StallCause, TraceLevel};
+use ncpu_obs::{EventKind, Recorder, StallCause};
 use ncpu_pipeline::PipeStats;
 
 use crate::event_queue::EventQueue;
 use crate::fabric;
 use crate::report::RunReport;
-use crate::system::SocConfig;
-use crate::topology::Topology;
-use crate::usecase::UseCase;
+use crate::scenario::Scenario;
 
-/// Result of an event-driven run, plus contention statistics.
-#[derive(Debug, Clone)]
-pub struct EventReport {
-    /// The standard run report (per-core utilization, predictions…).
-    pub report: RunReport,
-    /// Cycles a core would have replayed because the L2 port was taken —
-    /// identical to the lock-step engine's count by construction.
-    pub l2_conflict_cycles: u64,
-    /// Items served from the replay cache instead of being simulated
-    /// (engine instrumentation; not part of the report counters).
-    pub replayed_items: usize,
-}
-
-/// Runs `usecase` on `cores` event-driven NCPU cores.
+/// The event-driven engine: co-simulates `scenario`'s NCPU fleet and
+/// returns the report with the root [`Recorder`] — byte-identical
+/// (events, spans, counters) to [`crate::lockstep::run`] on the same
+/// scenario, except for the engine name in the report's `config`.
 ///
-/// # Panics
-///
-/// Panics if a generated program faults (a workspace bug) or the run
-/// exceeds an internal cycle bound.
-pub fn run_ncpu_event(usecase: &UseCase, cores: usize, soc: &SocConfig) -> EventReport {
-    run_ncpu_event_traced(usecase, cores, soc, TraceLevel::Counters).0
-}
-
-/// Like [`run_ncpu_event`], but also returns the root [`Recorder`] —
-/// byte-identical (events, spans, counters) to
-/// [`crate::lockstep::run_ncpu_lockstep_traced`] on the same inputs,
-/// except for the engine name in the report's `config`.
-///
-/// # Panics
-///
-/// Panics if a generated program faults (a workspace bug) or the run
-/// exceeds an internal cycle bound.
-pub fn run_ncpu_event_traced(
-    usecase: &UseCase,
-    cores: usize,
-    soc: &SocConfig,
-    level: TraceLevel,
-) -> (EventReport, Recorder) {
-    run_ncpu_event_faulted(usecase, cores, soc, level, &FaultPlan::none(), 1000)
-}
-
-/// Like [`run_ncpu_event_traced`], but with a [`FaultPlan`] bound to an
-/// operating point (`millivolts` scales the SRAM soft-error rate).
-///
-/// An inert plan ([`FaultPlan::none`]) takes the exact pre-fault code
-/// path. An active plan resolves every dispatch through
-/// `fabric::resolve_dispatch` at the same `(cycle, core)` slots the
-/// lock-step engine does, so reports, counters and raw trace streams
-/// stay byte-identical — with one exception the engine cannot simulate:
-/// a *mid-item* watchdog expiry. Items execute atomically here, so when
-/// any item overruns the plan's watchdog budget the whole run restarts
-/// on the lock-step engine (the generalization of the memo-unsoundness
-/// restart), which aborts the item for real; only the engine name in
-/// the report's `config` betrays the fallback.
-///
-/// # Panics
-///
-/// Panics if a generated program faults (a workspace bug) or the run
-/// exceeds an internal cycle bound.
-pub fn run_ncpu_event_faulted(
-    usecase: &UseCase,
-    cores: usize,
-    soc: &SocConfig,
-    level: TraceLevel,
-    plan: &FaultPlan,
-    millivolts: u32,
-) -> (EventReport, Recorder) {
-    run_ncpu_event_topo(usecase, &Topology::homogeneous(cores), soc, level, plan, millivolts)
-}
-
-/// Like [`run_ncpu_event_faulted`], but over an explicit [`Topology`]:
-/// item dispatch follows the topology's scheduler plan, fixed-function
-/// cores sit idle, and L2 arbitration is per bank. With
-/// [`Topology::homogeneous`] this is byte-identical to the historical
-/// `cores`-only entry point.
+/// Item dispatch follows the topology's plan, fixed-function cores sit
+/// idle, and L2 arbitration is per bank. An inert fault plan takes the
+/// exact pre-fault code path. An active plan resolves every dispatch
+/// through `fabric::resolve_dispatch` at the same `(cycle, core)` slots
+/// the lock-step engine does — with one exception the engine cannot
+/// simulate: a *mid-item* watchdog expiry. Items execute atomically
+/// here, so when any item overruns the plan's watchdog budget the whole
+/// run restarts on the lock-step engine (the generalization of the
+/// memo-unsoundness restart), which aborts the item for real; only the
+/// engine name in the report's `config` betrays the fallback.
 ///
 /// # Panics
 ///
 /// Panics if a generated program faults (a workspace bug), the run
 /// exceeds an internal cycle bound, or the topology has no item-capable
 /// core.
-pub fn run_ncpu_event_topo(
-    usecase: &UseCase,
-    topo: &Topology,
-    soc: &SocConfig,
-    level: TraceLevel,
-    plan: &FaultPlan,
-    millivolts: u32,
-) -> (EventReport, Recorder) {
-    match run_attempt(usecase, topo, soc, level, true, plan, millivolts) {
-        Ok(result) => result,
+pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
+    match run_attempt(scenario, true) {
+        Ok((report, rec, _)) => (report, rec),
         // An item read the shared L2 after a replay already skipped a
         // write: replay is unsound for this workload, simulate all items.
-        Err(Restart::MemoUnsound) => {
-            match run_attempt(usecase, topo, soc, level, false, plan, millivolts) {
-                Ok(result) => result,
-                Err(Restart::MemoUnsound) => {
-                    unreachable!("memoization disabled: nothing to invalidate")
-                }
-                Err(Restart::Watchdog) => {
-                    lockstep_fallback(usecase, topo, soc, level, plan, millivolts)
-                }
+        Err(Restart::MemoUnsound) => match run_attempt(scenario, false) {
+            Ok((report, rec, _)) => (report, rec),
+            Err(Restart::MemoUnsound) => {
+                unreachable!("memoization disabled: nothing to invalidate")
             }
-        }
-        Err(Restart::Watchdog) => lockstep_fallback(usecase, topo, soc, level, plan, millivolts),
+            Err(Restart::Watchdog) => lockstep_fallback(scenario),
+        },
+        Err(Restart::Watchdog) => lockstep_fallback(scenario),
     }
 }
 
@@ -174,26 +100,10 @@ pub fn run_ncpu_event_topo(
 /// cannot abort mid-item, so the run re-executes on the lock-step
 /// engine, which can. Byte-identical by definition — it *is* the
 /// lock-step run, relabeled.
-fn lockstep_fallback(
-    usecase: &UseCase,
-    topo: &Topology,
-    soc: &SocConfig,
-    level: TraceLevel,
-    plan: &FaultPlan,
-    millivolts: u32,
-) -> (EventReport, Recorder) {
-    let (ls, rec) =
-        crate::lockstep::run_ncpu_lockstep_topo(usecase, topo, soc, level, plan, millivolts);
-    let mut report = ls.report;
+fn lockstep_fallback(scenario: &Scenario) -> (RunReport, Recorder) {
+    let (mut report, rec) = crate::lockstep::run(scenario);
     report.config = report.config.replace("(lockstep)", "(event)");
-    (
-        EventReport {
-            report,
-            l2_conflict_cycles: ls.l2_conflict_cycles,
-            replayed_items: 0,
-        },
-        rec,
-    )
+    (report, rec)
 }
 
 /// The run must start over on a different strategy.
@@ -278,15 +188,18 @@ struct CoreRun {
     cache: Vec<Cached>,
 }
 
+/// One simulation pass over `scenario`, with or without the replay
+/// cache. On success also returns how many items were served from the
+/// cache instead of being simulated (engine instrumentation; not part of
+/// the report counters, which must match the lock-step engine's).
 fn run_attempt(
-    usecase: &UseCase,
-    topo: &Topology,
-    soc: &SocConfig,
-    level: TraceLevel,
+    scenario: &Scenario,
     mut memoize: bool,
-    plan: &FaultPlan,
-    millivolts: u32,
-) -> Result<(EventReport, Recorder), Restart> {
+) -> Result<(RunReport, Recorder, usize), Restart> {
+    let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
+    let topo = &scenario.topology();
+    let plan = scenario.fault();
+    let millivolts = scenario.millivolts();
     let cores = topo.cores();
     assert!(cores >= 1, "need at least one core");
     let mut rec = Recorder::new(level.at_least_counters());
@@ -296,7 +209,7 @@ fn run_attempt(
         .is_active()
         .then(|| fabric::FaultCtl::new(plan, millivolts, usecase.items().len(), topo));
     let watchdog = ctl.as_ref().map_or(0, |ctl| ctl.watchdog());
-    let dispatch_plan = topo.plan(usecase, soc);
+    let dispatch_plan = topo.plan(usecase.items().len());
     let mut states: Vec<CoreRun> = (0..cores)
         .map(|c| {
             let mut core = fabric::ncpu_core(usecase, soc, level, l2.clone());
@@ -624,10 +537,7 @@ fn run_attempt(
             predictions,
         },
     );
-    Ok((
-        EventReport { report, l2_conflict_cycles: l2_conflicts, replayed_items: replayed },
-        rec,
-    ))
+    Ok((report, rec, replayed))
 }
 
 /// Fieldwise `after - before` of the pipeline counters.
@@ -667,12 +577,27 @@ fn core_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockstep::run_ncpu_lockstep_traced;
-    use crate::system::SystemConfig;
+    use crate::scenario::{Engine, EventDriven, Lockstep};
+    use crate::system::{SocConfig, SystemConfig};
+    use crate::usecase::UseCase;
     use ncpu_core::SwitchPolicy;
+    use ncpu_fault::FaultPlan;
+    use ncpu_obs::TraceLevel;
 
     fn parametric(batch: usize) -> UseCase {
         UseCase::parametric(0.6, batch, crate::system::tests::pseudo_model(784, 30, 10))
+    }
+
+    fn ncpu(uc: &UseCase, cores: usize, soc: SocConfig, level: TraceLevel) -> Scenario {
+        Scenario::new(uc.clone(), SystemConfig::Ncpu { cores }).with_soc(soc).with_trace(level)
+    }
+
+    /// Items the memoizing first pass served from the replay cache.
+    fn replayed_items(scenario: &Scenario) -> usize {
+        match run_attempt(scenario, true) {
+            Ok((_, _, replayed)) => replayed,
+            Err(_) => panic!("the first pass must complete without a restart"),
+        }
     }
 
     /// The headline property on one fixed configuration (the fuzz suite
@@ -681,16 +606,15 @@ mod tests {
     #[test]
     fn event_engine_matches_lockstep_bytes() {
         let uc = parametric(5);
-        let soc = SocConfig::default();
         for level in [TraceLevel::Counters, TraceLevel::Full] {
-            let (ls, ls_rec) = run_ncpu_lockstep_traced(&uc, 2, &soc, level);
-            let (ev, ev_rec) = run_ncpu_event_traced(&uc, 2, &soc, level);
-            assert_eq!(ev.l2_conflict_cycles, ls.l2_conflict_cycles);
-            assert_eq!(ev.report.makespan, ls.report.makespan);
-            assert_eq!(ev.report.predictions, ls.report.predictions);
+            let s = ncpu(&uc, 2, SocConfig::default(), level);
+            let (ls, ls_rec) = Lockstep.run(&s);
+            let (ev, ev_rec) = EventDriven.run(&s);
+            assert_eq!(ev.makespan, ls.makespan);
+            assert_eq!(ev.predictions, ls.predictions);
             assert_eq!(
-                ev.report.cores.iter().map(|c| c.busy_cycles).collect::<Vec<_>>(),
-                ls.report.cores.iter().map(|c| c.busy_cycles).collect::<Vec<_>>(),
+                ev.cores.iter().map(|c| c.busy_cycles).collect::<Vec<_>>(),
+                ls.cores.iter().map(|c| c.busy_cycles).collect::<Vec<_>>(),
             );
             assert_eq!(ev_rec.spans(), ls_rec.spans(), "{level:?}: raw span stream");
             assert_eq!(ev_rec.events(), ls_rec.events(), "{level:?}: raw instant stream");
@@ -699,7 +623,7 @@ mod tests {
                 ls_rec.counters().to_json(),
                 "{level:?}: counter registry"
             );
-            assert!(ev.replayed_items > 0, "steady-state items must replay");
+            assert!(replayed_items(&s) > 0, "steady-state items must replay");
         }
     }
 
@@ -707,14 +631,15 @@ mod tests {
     /// two cores simulates two items per core and replays the rest.
     #[test]
     fn steady_state_items_replay() {
-        let uc = parametric(16);
-        let ev = run_ncpu_event(&uc, 2, &SocConfig::default());
+        let s = ncpu(&parametric(16), 2, SocConfig::default(), TraceLevel::Counters);
         // Per core: 8 items, at most 2 distinct (cold first item,
         // steady-state second); the rest replay.
-        assert!(ev.replayed_items >= 12, "replayed {}", ev.replayed_items);
-        let ls = crate::lockstep::run_ncpu_lockstep(&uc, 2, &SocConfig::default());
-        assert_eq!(ev.report.makespan, ls.report.makespan);
-        assert_eq!(ev.report.predictions, ls.report.predictions);
+        let replayed = replayed_items(&s);
+        assert!(replayed >= 12, "replayed {replayed}");
+        let ev = EventDriven.report(&s);
+        let ls = Lockstep.report(&s);
+        assert_eq!(ev.makespan, ls.makespan);
+        assert_eq!(ev.predictions, ls.predictions);
     }
 
     /// The heterogeneous-style staged workloads exercise the DMA wakeup
@@ -723,12 +648,15 @@ mod tests {
     fn staged_items_wait_for_dma_delivery() {
         let uc = UseCase::image(4, 2, 1);
         for cores in [1usize, 2] {
-            let (ev, _) = run_ncpu_event_traced(&uc, cores, &SocConfig::default(), TraceLevel::Counters);
-            let (ls, _) =
-                run_ncpu_lockstep_traced(&uc, cores, &SocConfig::default(), TraceLevel::Counters);
-            assert_eq!(ev.report.makespan, ls.report.makespan, "{cores} cores");
-            assert_eq!(ev.report.predictions, ls.report.predictions);
-            assert_eq!(ev.l2_conflict_cycles, ls.l2_conflict_cycles);
+            let s = ncpu(&uc, cores, SocConfig::default(), TraceLevel::Counters);
+            let (ev, ev_rec) = EventDriven.run(&s);
+            let (ls, ls_rec) = Lockstep.run(&s);
+            assert_eq!(ev.makespan, ls.makespan, "{cores} cores");
+            assert_eq!(ev.predictions, ls.predictions);
+            assert_eq!(
+                ev_rec.counters().get("soc.l2_conflict_cycles"),
+                ls_rec.counters().get("soc.l2_conflict_cycles")
+            );
         }
     }
 
@@ -736,11 +664,11 @@ mod tests {
     /// jump targets — and must still match to the cycle.
     #[test]
     fn naive_policy_matches_lockstep() {
-        let uc = parametric(4);
         let soc = SocConfig { switch_policy: SwitchPolicy::Naive, ..SocConfig::default() };
-        let (ev, ev_rec) = run_ncpu_event_traced(&uc, 4, &soc, TraceLevel::Full);
-        let (ls, ls_rec) = run_ncpu_lockstep_traced(&uc, 4, &soc, TraceLevel::Full);
-        assert_eq!(ev.report.makespan, ls.report.makespan);
+        let s = ncpu(&parametric(4), 4, soc, TraceLevel::Full);
+        let (ev, ev_rec) = EventDriven.run(&s);
+        let (ls, ls_rec) = Lockstep.run(&s);
+        assert_eq!(ev.makespan, ls.makespan);
         assert_eq!(ev_rec.events(), ls_rec.events());
         assert_eq!(ev_rec.spans(), ls_rec.spans());
     }
@@ -752,8 +680,7 @@ mod tests {
     #[test]
     fn faulted_event_matches_lockstep_bytes() {
         let uc = UseCase::image(8, 2, 1);
-        let soc = SocConfig::default();
-        let plan = ncpu_fault::FaultPlan {
+        let plan = FaultPlan {
             seed: 7,
             sram_flip_ppm: 200_000,
             dma_stall_ppm: 150_000,
@@ -766,14 +693,16 @@ mod tests {
             quarantine_after: 6,
         };
         for level in [TraceLevel::Counters, TraceLevel::Full] {
-            let (ls, ls_rec) =
-                crate::lockstep::run_ncpu_lockstep_faulted(&uc, 2, &soc, level, &plan, 900);
-            let (ev, ev_rec) = run_ncpu_event_faulted(&uc, 2, &soc, level, &plan, 900);
-            assert_eq!(ev.report.makespan, ls.report.makespan, "{level:?}");
-            assert_eq!(ev.report.predictions, ls.report.predictions);
+            let s = ncpu(&uc, 2, SocConfig::default(), level)
+                .with_operating_point(0.9)
+                .with_faults(plan);
+            let (ls, ls_rec) = Lockstep.run(&s);
+            let (ev, ev_rec) = EventDriven.run(&s);
+            assert_eq!(ev.makespan, ls.makespan, "{level:?}");
+            assert_eq!(ev.predictions, ls.predictions);
             assert_eq!(
-                ev.report.cores.iter().map(|c| c.busy_cycles).collect::<Vec<_>>(),
-                ls.report.cores.iter().map(|c| c.busy_cycles).collect::<Vec<_>>(),
+                ev.cores.iter().map(|c| c.busy_cycles).collect::<Vec<_>>(),
+                ls.cores.iter().map(|c| c.busy_cycles).collect::<Vec<_>>(),
             );
             assert_eq!(ev_rec.spans(), ls_rec.spans(), "{level:?}: raw span stream");
             assert_eq!(ev_rec.events(), ls_rec.events(), "{level:?}: raw instant stream");
@@ -792,31 +721,24 @@ mod tests {
     /// counter — identically on both engines.
     #[test]
     fn exhausted_retries_drop_items_identically() {
-        let uc = UseCase::image(8, 2, 1);
-        let soc = SocConfig::default();
-        let plan = ncpu_fault::FaultPlan {
+        let plan = FaultPlan {
             seed: 11,
             sram_flip_ppm: 600_000,
             watchdog_cycles: 20_000_000,
             max_retries: 0,
-            ..ncpu_fault::FaultPlan::none()
+            ..FaultPlan::none()
         };
-        let (ls, ls_rec) = crate::lockstep::run_ncpu_lockstep_faulted(
-            &uc,
-            2,
-            &soc,
-            TraceLevel::Full,
-            &plan,
-            1000,
-        );
-        let (ev, ev_rec) = run_ncpu_event_faulted(&uc, 2, &soc, TraceLevel::Full, &plan, 1000);
-        assert_eq!(ev.report.predictions, ls.report.predictions);
+        let s = ncpu(&UseCase::image(8, 2, 1), 2, SocConfig::default(), TraceLevel::Full)
+            .with_faults(plan);
+        let (ls, ls_rec) = Lockstep.run(&s);
+        let (ev, ev_rec) = EventDriven.run(&s);
+        assert_eq!(ev.predictions, ls.predictions);
         assert_eq!(ev_rec.events(), ls_rec.events());
         assert_eq!(ev_rec.counters().to_json(), ls_rec.counters().to_json());
         let dropped = ev_rec.counters().get("fault.items_dropped");
         assert!(dropped > 0, "a 60% flip rate with no retries must drop");
         let sentinels =
-            ev.report.predictions.iter().filter(|&&p| p == fabric::DROPPED_PREDICTION).count();
+            ev.predictions.iter().filter(|&&p| p == fabric::DROPPED_PREDICTION).count();
         assert_eq!(sentinels as u64, dropped);
     }
 
@@ -826,33 +748,28 @@ mod tests {
     /// requires for EventDriven.
     #[test]
     fn watchdog_overrun_falls_back_to_lockstep() {
-        let uc = parametric(4);
-        let soc = SocConfig::default();
         // No injection at all: the watchdog alone fires on genuinely
         // long items (a parametric item runs ~2.2k cycles).
-        let plan = ncpu_fault::FaultPlan {
+        let plan = FaultPlan {
             watchdog_cycles: 1_000,
             backoff_cycles: 16,
             max_retries: 1,
-            ..ncpu_fault::FaultPlan::none()
+            ..FaultPlan::none()
         };
-        let (ls, ls_rec) = crate::lockstep::run_ncpu_lockstep_faulted(
-            &uc,
-            2,
-            &soc,
-            TraceLevel::Full,
-            &plan,
-            1000,
+        let s = ncpu(&parametric(4), 2, SocConfig::default(), TraceLevel::Full).with_faults(plan);
+        let (ls, ls_rec) = Lockstep.run(&s);
+        let (ev, ev_rec) = EventDriven.run(&s);
+        assert_eq!(ev.config, "2x ncpu (event)", "fallback keeps the engine label");
+        assert!(
+            matches!(run_attempt(&s, true), Err(Restart::Watchdog)),
+            "fallback bypasses the replay cache"
         );
-        let (ev, ev_rec) = run_ncpu_event_faulted(&uc, 2, &soc, TraceLevel::Full, &plan, 1000);
-        assert_eq!(ev.report.config, "2x ncpu (event)", "fallback keeps the engine label");
-        assert_eq!(ev.replayed_items, 0, "fallback bypasses the replay cache");
         assert!(
             ev_rec.counters().get("fault.detected.watchdog") > 0,
             "the watchdog must have fired"
         );
-        assert_eq!(ev.report.makespan, ls.report.makespan);
-        assert_eq!(ev.report.predictions, ls.report.predictions);
+        assert_eq!(ev.makespan, ls.makespan);
+        assert_eq!(ev.predictions, ls.predictions);
         assert_eq!(ev_rec.events(), ls_rec.events());
         assert_eq!(ev_rec.spans(), ls_rec.spans());
         assert_eq!(ev_rec.counters().to_json(), ls_rec.counters().to_json());
@@ -861,7 +778,6 @@ mod tests {
     /// Drives the engine through the `Engine` trait like any other.
     #[test]
     fn engine_trait_runs_event() {
-        use crate::scenario::{Engine, EventDriven, Scenario};
         let s = Scenario::new(parametric(3), SystemConfig::Ncpu { cores: 2 });
         let report = EventDriven.report(&s);
         assert_eq!(report.config, "2x ncpu (event)");

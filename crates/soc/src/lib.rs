@@ -1,4 +1,4 @@
-//! The two-core NCPU SoC and the conventional heterogeneous baseline.
+//! The N-core NCPU SoC and the conventional heterogeneous baseline.
 //!
 //! Reproduces the end-to-end system of paper Section VI/VII: a shared
 //! incoherent L2, a DMA engine, and either
@@ -7,35 +7,35 @@
 //!   pre-processes each item, offloads the packed BNN input over the
 //!   L2/DMA path (`trigger_bnn`), and a standalone layer-pipelined BNN
 //!   accelerator that classifies as inputs arrive, or
-//! * **1 or 2 NCPU cores** — each core pre-processes with data written
-//!   straight into its local image memory, switches modes with zero
-//!   latency, classifies in place, and switches back.
+//! * **N ≥ 1 NCPU cores** (the paper builds 1 and 2) — each core
+//!   pre-processes with data written straight into its local image
+//!   memory, switches modes with zero latency, classifies in place, and
+//!   switches back.
 //!
-//! [`run`] executes a [`UseCase`] under a [`SystemConfig`] and returns a
-//! [`RunReport`] with the makespan, per-core busy/mode timelines,
-//! utilizations, predicted classes and energy — everything the paper's
-//! Figs. 13–17 and Table IV are made of.
-//!
-//! Prefer the [`Scenario`]/[`Engine`] layer for new code: one value
-//! describes the run (use case × system × fabric × trace × operating
-//! point) and the [`Analytic`], [`Lockstep`], [`EventDriven`], and
-//! [`Deep`] engines execute it interchangeably, at any core count
-//! N ≥ 1. All are built on one shared `fabric` module, so result
-//! mailboxes, program construction, DMA staging, and report assembly
-//! cannot drift apart. [`EventDriven`] is the byte-identical fast twin
-//! of [`Lockstep`]: an event-queue scheduler that jumps between
-//! observable actions instead of walking every cycle.
+//! A [`Scenario`] describes one run (use case × system × fabric ×
+//! topology × trace × operating point × fault plan) and [`Engine::run`]
+//! executes it on the [`Analytic`], [`Lockstep`], [`EventDriven`], or
+//! [`Deep`] engine, returning a [`RunReport`] with the makespan,
+//! per-core busy/mode timelines, utilizations, predicted classes and
+//! energy — everything the paper's Figs. 13–17 and Table IV are made
+//! of — plus the run's [`obs::Recorder`]. All engines are built on one
+//! shared `fabric` module, so result mailboxes, program construction,
+//! DMA staging, and report assembly cannot drift apart. [`EventDriven`]
+//! is the byte-identical fast twin of [`Lockstep`]: an event-queue
+//! scheduler that jumps between observable actions instead of walking
+//! every cycle. [`run_independent`] runs two different use cases side by
+//! side on one shared fabric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod canonical;
-pub mod deep;
+mod deep;
 pub mod energy;
-pub mod event_queue;
-pub mod eventdriven;
+mod event_queue;
+mod eventdriven;
 mod fabric;
-pub mod lockstep;
+mod lockstep;
 pub mod phases;
 mod report;
 mod scenario;
@@ -47,13 +47,13 @@ pub use canonical::{cache_key, canonical_bytes, fnv1a_64};
 pub use fabric::{result_addr, DROPPED_PREDICTION, ITEM_BUDGET, L2_BYTES};
 pub use report::{CoreReport, RunReport};
 pub use scenario::{Analytic, Deep, Engine, EventDriven, Lockstep, Scenario};
-pub use system::{run, run_independent, run_traced, run_traced_faulted, SocConfig, SystemConfig};
+pub use system::{run_independent, SocConfig, SystemConfig};
 pub use usecase::{pseudo_deep_model, pseudo_model, UseCase, UseCaseKind};
 
 /// The fault-injection plan a [`Scenario`] carries (re-exported from
 /// `ncpu-fault`; attach one with [`Scenario::with_faults`]).
 pub use ncpu_fault::FaultPlan;
 
-/// The observability layer the SoC records into ([`run_traced`] returns
-/// its [`obs::Recorder`]).
+/// The observability layer the SoC records into ([`Engine::run`]
+/// returns its [`obs::Recorder`]).
 pub use ncpu_obs as obs;

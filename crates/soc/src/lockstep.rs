@@ -1,6 +1,6 @@
 //! Lock-step co-simulation of the N-core SoC.
 //!
-//! The scheduler in [`crate::run`] simulates cores one item at a time with
+//! The [`crate::Analytic`] engine simulates cores one item at a time with
 //! analytic fabric costs — fast, but it cannot see cycle-level interactions
 //! between the cores. This module steps every core one cycle at a time on
 //! a single global clock and arbitrates the shared L2 port for real:
@@ -18,97 +18,38 @@
 //! any core count.
 
 use ncpu_core::{BankPorts, NcpuCore, SharedL2, StepOutcome};
-use ncpu_fault::FaultPlan;
-use ncpu_obs::{EventKind, Recorder, StallCause, TraceLevel};
+use ncpu_obs::{EventKind, Recorder, StallCause};
 
 use crate::fabric;
 use crate::report::RunReport;
-use crate::system::SocConfig;
-use crate::topology::Topology;
-use crate::usecase::UseCase;
+use crate::scenario::Scenario;
 
-/// Result of a lock-step run, plus contention statistics.
-#[derive(Debug, Clone)]
-pub struct LockstepReport {
-    /// The standard run report (per-core utilization, predictions…).
-    pub report: RunReport,
-    /// Cycles a core had to replay because the L2 port was taken.
-    pub l2_conflict_cycles: u64,
-}
-
-/// Runs `usecase` on `cores` lock-stepped NCPU cores.
+/// The lock-step engine: co-simulates `scenario`'s NCPU fleet one
+/// global cycle at a time and returns the report with the root
+/// [`Recorder`]. On top of the per-core events, the arbiter emits a
+/// `stall.l2_conflict` instant (at [`ncpu_obs::TraceLevel::Full`]) every
+/// time a core replays a cycle because its L2 bank port was taken, and
+/// sets the `soc.l2_conflict_cycles` counter.
+///
+/// Items follow the topology's dispatch plan, only reconfigurable cores
+/// receive them, and L2 arbitration is per bank — cores in different
+/// banks never conflict. An inert fault plan takes the exact pre-fault
+/// code path. An active plan resolves every dispatch through
+/// `fabric::resolve_dispatch` (parity detection at DMA delivery, retry
+/// with backoff, drop, quarantine with re-scheduling) and arms a
+/// mid-item watchdog that aborts and resets a core whose item overruns
+/// the plan's cycle budget.
 ///
 /// # Panics
 ///
-/// Panics if a generated program faults (a workspace bug) or the run
-/// exceeds an internal cycle bound.
-pub fn run_ncpu_lockstep(usecase: &UseCase, cores: usize, soc: &SocConfig) -> LockstepReport {
-    run_ncpu_lockstep_traced(usecase, cores, soc, TraceLevel::Counters).0
-}
-
-/// Like [`run_ncpu_lockstep`], but also returns the root [`Recorder`].
-/// On top of the per-core events, the lock-step arbiter emits a
-/// `stall.l2_conflict` instant (at [`TraceLevel::Full`]) every time a
-/// core replays a cycle because the L2 port was taken, and sets the
-/// `soc.l2_conflict_cycles` counter.
-///
-/// # Panics
-///
-/// Panics if a generated program faults (a workspace bug) or the run
-/// exceeds an internal cycle bound.
-pub fn run_ncpu_lockstep_traced(
-    usecase: &UseCase,
-    cores: usize,
-    soc: &SocConfig,
-    level: TraceLevel,
-) -> (LockstepReport, Recorder) {
-    run_ncpu_lockstep_faulted(usecase, cores, soc, level, &FaultPlan::none(), 1000)
-}
-
-/// Like [`run_ncpu_lockstep_traced`], but with a [`FaultPlan`] bound to
-/// an operating point (`millivolts` scales the SRAM soft-error rate).
-///
-/// An inert plan ([`FaultPlan::none`]) takes the exact pre-fault code
-/// path — byte-identical reports, counters and traces. An active plan
-/// resolves every dispatch through `fabric::resolve_dispatch` (parity
-/// detection at DMA delivery, retry with backoff, drop, quarantine with
-/// re-scheduling) and arms a mid-item watchdog that aborts and resets a
-/// core whose item overruns the plan's cycle budget.
-///
-/// # Panics
-///
-/// Panics if a generated program faults (a workspace bug) or the run
-/// exceeds an internal cycle bound.
-pub fn run_ncpu_lockstep_faulted(
-    usecase: &UseCase,
-    cores: usize,
-    soc: &SocConfig,
-    level: TraceLevel,
-    plan: &FaultPlan,
-    millivolts: u32,
-) -> (LockstepReport, Recorder) {
-    run_ncpu_lockstep_topo(usecase, &Topology::homogeneous(cores), soc, level, plan, millivolts)
-}
-
-/// Like [`run_ncpu_lockstep_faulted`], but co-simulating an explicit
-/// [`Topology`]: items follow the topology's scheduler plan, only
-/// reconfigurable cores receive them, and L2 arbitration is per bank —
-/// cores in different banks never conflict. `Topology::homogeneous(n)`
-/// (one full-width bank, static plan) reproduces
-/// [`run_ncpu_lockstep_faulted`] byte-for-byte.
-///
-/// # Panics
-///
-/// Panics like [`run_ncpu_lockstep_faulted`], or if an item workload is
-/// given a topology with no reconfigurable core.
-pub fn run_ncpu_lockstep_topo(
-    usecase: &UseCase,
-    topo: &Topology,
-    soc: &SocConfig,
-    level: TraceLevel,
-    plan: &FaultPlan,
-    millivolts: u32,
-) -> (LockstepReport, Recorder) {
+/// Panics if a generated program faults (a workspace bug), the run
+/// exceeds an internal cycle bound, or an item workload is given a
+/// topology with no reconfigurable core.
+pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
+    let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
+    let topo = &scenario.topology();
+    let plan = scenario.fault();
+    let millivolts = scenario.millivolts();
     let cores = topo.cores();
     assert!(cores >= 1, "need at least one core");
     let mut rec = Recorder::new(level.at_least_counters());
@@ -156,7 +97,7 @@ pub fn run_ncpu_lockstep_topo(
     }
 
     let mut dma = fabric::new_dma(soc, level);
-    let dispatch_plan = topo.plan(usecase, soc);
+    let dispatch_plan = topo.plan(usecase.items().len());
     let mut states: Vec<CoreState> = (0..cores)
         .map(|c| {
             let core = fabric::ncpu_core(usecase, soc, level, l2.clone());
@@ -459,14 +400,14 @@ pub fn run_ncpu_lockstep_topo(
             predictions,
         },
     );
-    (LockstepReport { report, l2_conflict_cycles: l2_conflicts }, rec)
+    (report, rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Analytic, Engine, Lockstep, Scenario};
-    use crate::system::SystemConfig;
+    use crate::scenario::{Analytic, Engine, Lockstep};
+    use crate::system::{SocConfig, SystemConfig};
     use crate::usecase::UseCase;
     use ncpu_core::SwitchPolicy;
 
@@ -507,26 +448,20 @@ mod tests {
 
     #[test]
     fn contention_is_negligible_for_local_data_workloads() {
-        let uc = parametric(6);
-        let lockstep = run_ncpu_lockstep(&uc, 2, &SocConfig::default());
+        let (_, rec) = Lockstep.run(&Scenario::new(parametric(6), SystemConfig::Ncpu { cores: 2 }));
         // One result word per item is the only shared-L2 traffic.
-        assert!(
-            lockstep.l2_conflict_cycles < 20,
-            "conflicts {}",
-            lockstep.l2_conflict_cycles
-        );
+        let conflicts = rec.counters().get("soc.l2_conflict_cycles");
+        assert!(conflicts < 20, "conflicts {conflicts}");
     }
 
     #[test]
     fn four_way_arbitration_completes_and_agrees() {
-        let uc = parametric(8);
-        let soc = SocConfig::default();
-        let lockstep = run_ncpu_lockstep(&uc, 4, &soc);
-        let analytic =
-            crate::system::run(&uc, SystemConfig::Ncpu { cores: 4 }, &soc);
-        assert_eq!(lockstep.report.predictions, analytic.predictions);
-        assert_eq!(lockstep.report.cores.len(), 4);
-        for core in &lockstep.report.cores {
+        let scenario = Scenario::new(parametric(8), SystemConfig::Ncpu { cores: 4 });
+        let lockstep = Lockstep.report(&scenario);
+        let analytic = Analytic.report(&scenario);
+        assert_eq!(lockstep.predictions, analytic.predictions);
+        assert_eq!(lockstep.cores.len(), 4);
+        for core in &lockstep.cores {
             assert!(core.busy_cycles > 0, "{} never ran", core.role);
         }
     }

@@ -1,50 +1,46 @@
-//! The `Scenario`/`Engine` layer: one description of *what* to run, three
+//! The `Scenario`/`Engine` layer: one description of *what* to run, four
 //! interchangeable simulators for *how* to run it.
 //!
 //! A [`Scenario`] bundles everything a run needs — the [`UseCase`], the
 //! [`SystemConfig`] (including the NCPU core count N ≥ 1), the
-//! [`SocConfig`] fabric parameters, the [`TraceLevel`], and an optional
-//! DVFS operating point — so experiments, the `paper` binary, and
-//! `ncpu-par` fan-out all pass one value instead of ad-hoc tuples.
+//! [`SocConfig`] fabric parameters, the [`TraceLevel`], an optional
+//! DVFS operating point, a fault plan, and an optional fabric
+//! [`Topology`] — so experiments, the `paper` binary, and `ncpu-par`
+//! fan-out all pass one value instead of ad-hoc tuples. [`Engine::run`]
+//! is the only way to run a single use case; `run_independent` (two
+//! different use cases sharing one fabric) is the only other entry
+//! point.
 //!
 //! An [`Engine`] turns a scenario into a `(RunReport, Recorder)` pair.
-//! Three engines exist, all built on the shared [`crate::fabric`]:
+//! Four engines exist, all built on the shared `fabric` module:
 //!
-//! * [`Analytic`] — the fast per-item scheduler ([`crate::run_traced`]).
-//!   Use it for every figure/table sweep: items are independent, fabric
-//!   costs are analytic, and it is orders of magnitude faster than
-//!   cycle-stepping.
+//! * [`Analytic`] — the fast per-item scheduler. Use it for every
+//!   figure/table sweep: items are independent, fabric costs are
+//!   analytic, and it is orders of magnitude faster than cycle-stepping.
 //! * [`Lockstep`] — the cycle-stepped co-simulation with real N-way L2
-//!   port arbitration ([`crate::lockstep`]). Use it to *validate* the
-//!   analytic model or when cycle-level core interaction matters; NCPU
-//!   systems only.
-//! * [`EventDriven`] — the event-queue twin of `Lockstep`
-//!   ([`crate::eventdriven`]): byte-identical reports, counters, and
-//!   event streams (pinned by `tests/engine_differential.rs`), but it
-//!   jumps between observable actions and replays steady-state items
-//!   instead of walking every cycle. Use it wherever lock-step fidelity
-//!   is needed at sweep scale; NCPU systems only.
-//! * [`Deep`] — the beyond-4-layer modes of paper Section VIII-A
-//!   ([`crate::deep`]): N = 1 rolls layers back onto one physical array,
-//!   N ≥ 2 connects cores in series. [`UseCaseKind::Deep`] use cases
-//!   only.
+//!   port arbitration. Use it to *validate* the analytic model or when
+//!   cycle-level core interaction matters; NCPU systems only.
+//! * [`EventDriven`] — the event-queue twin of `Lockstep`:
+//!   byte-identical reports, counters, and event streams (pinned by
+//!   `tests/engine_differential.rs`), but it jumps between observable
+//!   actions and replays steady-state items instead of walking every
+//!   cycle. Use it wherever lock-step fidelity is needed at sweep scale;
+//!   NCPU systems only.
+//! * [`Deep`] — the beyond-4-layer modes of paper Section VIII-A: one
+//!   BNN-capable core rolls layers back onto one physical array, N ≥ 2
+//!   connect in series. [`UseCaseKind::Deep`] use cases only.
 //!
-//! N-core semantics are uniform across engines: items are assigned
-//! round-robin (`item i → core i % N`) on `Analytic`/`Lockstep`, while
-//! `Deep` interprets N as the number of series segments the model is
-//! split into.
+//! N-core semantics are uniform across engines: the item engines
+//! (`Analytic`, `Lockstep`, `EventDriven`) dispatch items round-robin
+//! over the item-capable cores ([`Topology::plan`]; `item i → core
+//! i % N` on the homogeneous default), while `Deep` places one series
+//! segment on each BNN-capable core.
 
-use ncpu_bnn::BitVec;
 use ncpu_fault::FaultPlan;
 use ncpu_obs::{Recorder, TraceLevel};
-use ncpu_sim::stats::Timeline;
 
-use crate::deep::{self, run_rolled_arrivals_traced, try_run_series_n_arrivals_traced};
-use crate::eventdriven::run_ncpu_event_topo;
-use crate::fabric;
-use crate::lockstep::run_ncpu_lockstep_topo;
-use crate::report::{CoreReport, RunReport};
-use crate::system::{run_traced_faulted_topo, SocConfig, SystemConfig};
+use crate::report::RunReport;
+use crate::system::{SocConfig, SystemConfig};
 use crate::topology::Topology;
 use crate::usecase::{UseCase, UseCaseKind};
 
@@ -242,15 +238,7 @@ impl Engine for Analytic {
 
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
         let _prof = ncpu_obs::selfprof::span("engine.analytic");
-        run_traced_faulted_topo(
-            &scenario.usecase,
-            scenario.system,
-            &scenario.soc,
-            scenario.trace,
-            &scenario.fault,
-            scenario.millivolts(),
-            &scenario.topology(),
-        )
+        crate::system::run(scenario)
     }
 }
 
@@ -269,15 +257,7 @@ impl Engine for Lockstep {
         let SystemConfig::Ncpu { .. } = scenario.system else {
             panic!("the lock-step engine co-simulates NCPU cores, not the baseline");
         };
-        let (lockstep, rec) = run_ncpu_lockstep_topo(
-            &scenario.usecase,
-            &scenario.topology(),
-            &scenario.soc,
-            scenario.trace,
-            &scenario.fault,
-            scenario.millivolts(),
-        );
-        (lockstep.report, rec)
+        crate::lockstep::run(scenario)
     }
 }
 
@@ -297,15 +277,7 @@ impl Engine for EventDriven {
         let SystemConfig::Ncpu { .. } = scenario.system else {
             panic!("the event-driven engine co-simulates NCPU cores, not the baseline");
         };
-        let (event, rec) = run_ncpu_event_topo(
-            &scenario.usecase,
-            &scenario.topology(),
-            &scenario.soc,
-            scenario.trace,
-            &scenario.fault,
-            scenario.millivolts(),
-        );
-        (event.report, rec)
+        crate::eventdriven::run(scenario)
     }
 }
 
@@ -329,133 +301,7 @@ impl Engine for Deep {
         let SystemConfig::Ncpu { .. } = scenario.system else {
             panic!("the deep engine schedules NCPU cores, not the baseline");
         };
-        // Roles map to segment placement: every BNN-capable core
-        // (reconfigurable or fixed BNN array) holds one resident model
-        // segment, in core-id order; CPU-only cores hold none. The
-        // homogeneous default keeps the historical "N cores = N
-        // segments" exactly.
-        let topo = scenario.topology();
-        let segment_cores = topo.bnn_cores();
-        assert!(
-            !segment_cores.is_empty(),
-            "the deep engine needs at least one BNN-capable core"
-        );
-        let cores = segment_cores.len();
-        let model = scenario.usecase.model();
-        let width = model.topology().input();
-        let items = scenario.usecase.items();
-        // The fault prologue resolves the plan against input staging
-        // before the accelerator sees any image: surviving images get
-        // delayed arrivals, dropped ones never enter the batch. The
-        // deep engine has no spare cores (every core holds a resident
-        // model segment), so quarantine is structurally disabled.
-        let prologue = scenario.fault.is_active().then(|| {
-            let sizes: Vec<usize> = items.iter().map(|i| i.staged.len()).collect();
-            deep::deep_fault_prologue(
-                &scenario.fault,
-                scenario.millivolts(),
-                &sizes,
-                &scenario.soc,
-            )
-        });
-        let (inputs, arrivals): (Vec<BitVec>, Vec<u64>) = match &prologue {
-            Some(p) => p
-                .kept
-                .iter()
-                .zip(&p.arrivals)
-                .map(|(&i, &at)| (BitVec::from_bytes(&items[i].staged, width), at))
-                .unzip(),
-            None => {
-                items.iter().map(|item| (BitVec::from_bytes(&item.staged, width), 0)).unzip()
-            }
-        };
-        let (run, mut rec, config, roles) = if cores == 1 {
-            let (run, rec) = run_rolled_arrivals_traced(
-                model,
-                &inputs,
-                &arrivals,
-                &scenario.soc,
-                scenario.trace,
-            );
-            let busy = rec.counters().get("accel.busy_cycles");
-            (run, rec, "deep rollback (1 core)".to_string(), vec![("deep".to_string(), busy)])
-        } else {
-            let (run, rec) = try_run_series_n_arrivals_traced(
-                model,
-                &inputs,
-                &arrivals,
-                &scenario.soc,
-                cores,
-                scenario.trace,
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-            let roles = (0..cores)
-                .map(|s| {
-                    let role = if topo.is_homogeneous() {
-                        format!("seg{s}")
-                    } else {
-                        format!("seg{s}@core{}", segment_cores[s])
-                    };
-                    (role, rec.counters().get(&format!("core{s}.busy_cycles")))
-                })
-                .collect();
-            (run, rec, format!("{cores}x ncpu (series)"), roles)
-        };
-        if !topo.is_homogeneous() {
-            for (s, &c) in segment_cores.iter().enumerate() {
-                rec.set_counter(format!("deep.seg{s}.core"), c as u64);
-            }
-        }
-        rec.set_counter("deep.first_latency", run.first_latency);
-        rec.set_counter("deep.steady_interval", run.steady_interval);
-        let mut makespan = run.total_cycles;
-        let mut predictions = run.outputs.clone();
-        if let Some(p) = &prologue {
-            // Fault instants go on a dedicated lane (past the segment
-            // phase lanes and the link's DMA lane), pre-sorted so the
-            // per-lane timestamp order the validator enforces holds.
-            let fault_lane = if cores == 1 { 1 } else { cores as u16 + 1 };
-            for (cycle, kind) in &p.events {
-                rec.emit(fault_lane, *cycle, kind.clone());
-            }
-            for &sample in &p.recovery_cycles {
-                rec.metric("fault.recovery_cycles", sample);
-            }
-            for &sample in &p.retries {
-                rec.metric("item.retries", sample);
-            }
-            for &(name, value) in &p.counters {
-                rec.set_counter(name, value);
-            }
-            // A dropped image's detection can outlast the batch; the
-            // batch itself only saw the surviving images.
-            makespan = makespan.max(p.horizon);
-            rec.set_counter("run.makespan_cycles", makespan);
-            rec.set_counter("run.items", items.len() as u64);
-            debug_assert_eq!(p.kept.len() + p.dropped.len(), items.len());
-            let mut full = vec![fabric::DROPPED_PREDICTION; items.len()];
-            for (k, &orig) in p.kept.iter().enumerate() {
-                full[orig] = run.outputs[k];
-            }
-            predictions = full;
-        }
-        let report = RunReport {
-            config,
-            makespan,
-            cores: roles
-                .into_iter()
-                .enumerate()
-                .map(|(lane, (role, busy))| CoreReport {
-                    role,
-                    timeline: Timeline::from_obs_events(rec.spans(), lane as u16),
-                    busy_cycles: busy,
-                })
-                .collect(),
-            predictions,
-            labels: items.iter().map(|i| i.label).collect(),
-            metrics: rec.metrics().clone(),
-        };
-        (report, rec)
+        crate::deep::run(scenario)
     }
 }
 
@@ -490,17 +336,6 @@ mod tests {
         assert_eq!(hetero.millivolts(), 1000);
         // The default plan is the inert one: no injection, no watchdog.
         assert!(!hetero.fault().is_active());
-    }
-
-    #[test]
-    fn analytic_engine_matches_direct_call() {
-        let uc = UseCase::parametric(0.6, 3, pseudo_model(784, 20, 10));
-        let s = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 });
-        let via_engine = Analytic.report(&s);
-        let direct = crate::system::run(&uc, SystemConfig::Ncpu { cores: 2 }, s.soc());
-        assert_eq!(via_engine.makespan, direct.makespan);
-        assert_eq!(via_engine.predictions, direct.predictions);
-        assert_eq!(Analytic.name(), "analytic");
     }
 
     #[test]

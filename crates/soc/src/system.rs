@@ -1,15 +1,14 @@
-//! End-to-end execution under the three system configurations.
+//! The analytic engine: one scheduling loop for the NCPU fleet, one for
+//! the heterogeneous baseline, and [`run_independent`].
 //!
-//! The scheduling loops live here; everything the run paths share —
-//! program construction, result mailboxes, DMA staging, cycle budgets,
-//! report assembly — lives in [`crate::fabric`]. Prefer driving these
-//! paths through [`crate::scenario`]: a [`crate::Scenario`] plus the
-//! `Analytic` engine reaches exactly this code.
+//! Everything the run paths share — program construction, result
+//! mailboxes, DMA staging, cycle budgets, report assembly — lives in
+//! [`crate::fabric`]. A [`crate::Scenario`] run by the
+//! [`crate::Analytic`] engine reaches exactly this code.
 
 use ncpu_accel::Accelerator;
 use ncpu_bnn::BitVec;
 use ncpu_core::{NcpuCore, SharedL2, SwitchPolicy};
-use ncpu_fault::FaultPlan;
 use ncpu_isa::interp::Event;
 use ncpu_obs::{Recorder, TraceLevel};
 use ncpu_pipeline::{FlatMem, Pipeline};
@@ -17,7 +16,7 @@ use ncpu_sim::stats::Timeline;
 
 use crate::fabric;
 use crate::report::{CoreReport, RunReport};
-use crate::topology::Topology;
+use crate::scenario::Scenario;
 use crate::usecase::UseCase;
 
 /// Shared-fabric parameters of the SoC.
@@ -58,122 +57,62 @@ pub enum SystemConfig {
     },
 }
 
-/// Runs `usecase` under `system`, returning the full report.
-///
-/// # Panics
-///
-/// Panics if a generated program faults — the programs are produced by
-/// this workspace, so a fault is a bug, not an input condition.
-pub fn run(usecase: &UseCase, system: SystemConfig, soc: &SocConfig) -> RunReport {
-    run_traced(usecase, system, soc, TraceLevel::Counters).0
-}
-
-/// Runs `usecase` under `system` with observability at `level`, returning
-/// the report together with the root [`Recorder`]: every core's phase
-/// spans re-based onto the global clock, the DMA lane, the counter
-/// registry, and (at [`TraceLevel::Full`]) per-cycle instant events.
+/// The analytic engine: runs `scenario` with one per-item scheduler
+/// pass and analytic fabric costs, returning the report together with
+/// the root [`Recorder`] (every core's phase spans re-based onto the
+/// global clock, the DMA lane, the counter registry, and at
+/// [`TraceLevel::Full`] per-cycle instant events).
 ///
 /// The recorder always runs at `Counters` or above — report timelines are
-/// derived from its span events.
-///
-/// # Panics
-///
-/// Panics if a generated program faults — the programs are produced by
-/// this workspace, so a fault is a bug, not an input condition.
-pub fn run_traced(
-    usecase: &UseCase,
-    system: SystemConfig,
-    soc: &SocConfig,
-    level: TraceLevel,
-) -> (RunReport, Recorder) {
-    match system {
-        SystemConfig::Heterogeneous => run_heterogeneous(usecase, soc, level),
-        SystemConfig::Ncpu { cores } => {
-            run_ncpu(usecase, &Topology::homogeneous(cores), soc, level)
-        }
-    }
-}
-
-/// Like [`run_traced`], but with a [`FaultPlan`] bound to an operating
-/// point (`millivolts` scales the SRAM soft-error rate).
-///
-/// The NCPU scheduler prices recovery *analytically*: every dispatch is
-/// resolved through the shared fault layer (`fabric::resolve_dispatch`),
-/// so retries, backoff, drops and quarantine re-scheduling enter the
-/// analytic makespan without a cycle-level walk. Two modeling limits,
-/// by design: the analytic engine runs items atomically, so its
-/// watchdog prices injected `CoreHang` faults only (a genuinely
-/// long-running item is never aborted mid-flight — use the lock-step
-/// engine to study that); and the heterogeneous baseline ignores the
-/// plan entirely (the paper's reliability story is about the NCPU's
+/// derived from its span events. The heterogeneous baseline ignores the
+/// fault plan (the paper's reliability story is about the NCPU's
 /// low-voltage SRAM operating points).
 ///
 /// # Panics
 ///
-/// Panics if a generated program faults (a workspace bug).
-pub fn run_traced_faulted(
-    usecase: &UseCase,
-    system: SystemConfig,
-    soc: &SocConfig,
-    level: TraceLevel,
-    plan: &FaultPlan,
-    millivolts: u32,
-) -> (RunReport, Recorder) {
-    let topo = match system {
-        SystemConfig::Ncpu { cores } => Topology::homogeneous(cores),
-        SystemConfig::Heterogeneous => Topology::homogeneous(1),
-    };
-    run_traced_faulted_topo(usecase, system, soc, level, plan, millivolts, &topo)
-}
-
-/// Like [`run_traced_faulted`], but scheduling over an explicit
-/// [`Topology`] (roles, per-core DVFS points, L2 banking, scheduler).
-/// `Topology::homogeneous(cores)` reproduces [`run_traced_faulted`]
-/// byte-for-byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_traced_faulted_topo(
-    usecase: &UseCase,
-    system: SystemConfig,
-    soc: &SocConfig,
-    level: TraceLevel,
-    plan: &FaultPlan,
-    millivolts: u32,
-    topo: &Topology,
-) -> (RunReport, Recorder) {
-    match system {
-        SystemConfig::Heterogeneous => run_heterogeneous(usecase, soc, level),
-        SystemConfig::Ncpu { .. } if plan.is_active() => {
-            run_ncpu_faulted(usecase, topo, soc, level, plan, millivolts)
+/// Panics if a generated program faults — the programs are produced by
+/// this workspace, so a fault is a bug, not an input condition.
+pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
+    match scenario.system() {
+        SystemConfig::Heterogeneous => {
+            run_heterogeneous(scenario.usecase(), scenario.soc(), scenario.trace())
         }
-        SystemConfig::Ncpu { .. } => run_ncpu(usecase, topo, soc, level),
+        SystemConfig::Ncpu { .. } => run_ncpu(scenario),
     }
 }
 
-/// The analytic NCPU scheduler with an active fault plan: per-core
-/// clocks advance in global time order (so shared DMA bookings happen
-/// in arrival order), each dispatch resolves through the fault layer,
-/// and a quarantined core's queue re-schedules round-robin onto the
-/// healthy ones.
-fn run_ncpu_faulted(
-    usecase: &UseCase,
-    topo: &Topology,
-    soc: &SocConfig,
-    level: TraceLevel,
-    plan: &FaultPlan,
-    millivolts: u32,
-) -> (RunReport, Recorder) {
+/// The analytic NCPU scheduler: per-core clocks advance in global time
+/// order (so shared DMA bookings happen in arrival order) over the
+/// topology's dispatch plan.
+///
+/// With an active fault plan every dispatch resolves through the fault
+/// layer (`fabric::resolve_dispatch`), so retries, backoff, drops and
+/// quarantine re-scheduling enter the analytic makespan without a
+/// cycle-level walk, and a quarantined core's queue re-schedules
+/// round-robin onto the healthy ones. One modeling limit, by design:
+/// items run atomically, so the watchdog prices injected `CoreHang`
+/// faults only (a genuinely long-running item is never aborted
+/// mid-flight — use the lock-step engine to study that). With the inert
+/// plan there is no fault control at all: no draws, no `item.retries`
+/// samples, no `fault.*` counters.
+fn run_ncpu(scenario: &Scenario) -> (RunReport, Recorder) {
+    let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
+    let topo = scenario.topology();
     let cores = topo.cores();
     let mut rec = Recorder::new(level.at_least_counters());
     let (l2, mut pool, programs) = fabric::ncpu_pool(usecase, soc, level, cores);
     let mut dma = fabric::new_dma(soc, level);
     let items = usecase.items().len();
-    let mut ctl = fabric::FaultCtl::new(plan, millivolts, items, topo);
+    let plan = scenario.fault();
+    let mut ctl = plan
+        .is_active()
+        .then(|| fabric::FaultCtl::new(plan, scenario.millivolts(), items, &topo));
     let mut now = vec![0u64; cores];
     let mut busy = vec![0u64; cores];
     // Items complete out of order once drops and re-scheduling kick in,
     // so predictions are written by index rather than pushed.
     let mut predictions = vec![0usize; items];
-    let dispatch_plan = topo.plan(usecase, soc);
+    let dispatch_plan = topo.plan(items);
     let mut queues: Vec<Vec<(usize, u64)>> = (0..cores)
         .map(|c| (0..items).filter(|&i| dispatch_plan[i] == c).map(|i| (i, 0)).collect())
         .collect();
@@ -188,10 +127,11 @@ fn run_ncpu_faulted(
             .map(|c| (now[c].max(queues[c][at[c]].1), c))
             .min();
         let Some((dispatch, c)) = next else { break };
+        let _prof = ncpu_obs::selfprof::span("fabric.run_item");
         let (idx, _) = queues[c][at[c]];
         let staged = &usecase.items()[idx].staged;
         match fabric::resolve_dispatch(
-            Some(&mut ctl),
+            ctl.as_mut(),
             c,
             idx,
             staged,
@@ -209,24 +149,28 @@ fn run_ncpu_faulted(
                 busy[c] += used;
                 let depth = (queues[c].len() - at[c] - 1) as u64;
                 fabric::record_item_metrics(&mut rec, end - dispatch, used, depth);
-                rec.metric("item.retries", ctl.item_retries(idx));
+                if let Some(ctl) = &ctl {
+                    rec.metric("item.retries", ctl.item_retries(idx));
+                }
                 predictions[idx] = l2
                     .read_word(fabric::result_addr(c))
                     .expect("result staged by program") as usize;
                 at[c] += 1;
             }
             fabric::Resolution::Dropped { at: t } => {
+                let ctl = ctl.as_ref().expect("only an active fault plan drops items");
                 now[c] = now[c].max(t);
                 predictions[idx] = fabric::DROPPED_PREDICTION;
                 rec.metric("item.retries", ctl.item_retries(idx));
                 at[c] += 1;
             }
             fabric::Resolution::Quarantined { at: t } => {
+                let ctl = ctl.as_mut().expect("only an active fault plan quarantines cores");
                 now[c] = now[c].max(t);
                 let moved: Vec<usize> =
                     queues[c].split_off(at[c]).into_iter().map(|(i, _)| i).collect();
                 let mut defer = None;
-                let homes = fabric::reassign_items(&mut ctl, c, &moved, t, &mut rec, &mut defer);
+                let homes = fabric::reassign_items(ctl, c, &moved, t, &mut rec, &mut defer);
                 for (item, target) in homes {
                     match target {
                         Some(tg) => queues[tg].push((item, t + 1)),
@@ -238,66 +182,16 @@ fn run_ncpu_faulted(
     }
 
     let makespan = now.iter().copied().max().unwrap_or(0);
-    ctl.write_counters(&mut rec);
-    let report = fabric::assemble_ncpu_report(
-        &mut rec,
-        &mut dma,
-        &pool,
-        &busy,
-        usecase,
-        topo,
-        fabric::RunOutcome { config: format!("{cores}x ncpu"), makespan, predictions },
-    );
-    (report, rec)
-}
-
-pub(crate) fn run_ncpu(
-    usecase: &UseCase,
-    topo: &Topology,
-    soc: &SocConfig,
-    level: TraceLevel,
-) -> (RunReport, Recorder) {
-    let cores = topo.cores();
-    let mut rec = Recorder::new(level.at_least_counters());
-    let (l2, mut pool, programs) = fabric::ncpu_pool(usecase, soc, level, cores);
-    let mut dma = fabric::new_dma(soc, level);
-    let mut now = vec![0u64; cores];
-    let mut busy = vec![0u64; cores];
-    let mut predictions = Vec::with_capacity(usecase.items().len());
-
-    // The scheduler's upfront plan (round-robin `i % cores` on the
-    // homogeneous static default).
-    let plan = topo.plan(usecase, soc);
-    for (i, item) in usecase.items().iter().enumerate() {
-        let c = plan[i];
-        let dispatch = now[c];
-        let (end, used) = fabric::run_item(
-            &mut pool[c],
-            &programs[c],
-            &item.staged,
-            now[c],
-            &mut dma,
-            &mut rec,
-            c as u16,
-        );
-        now[c] = end;
-        busy[c] += used;
-        // Items still waiting behind this one on core `c` under the plan.
-        let depth = crate::topology::depth_behind(&plan, i);
-        fabric::record_item_metrics(&mut rec, end - dispatch, used, depth as u64);
-        predictions.push(
-            l2.read_word(fabric::result_addr(c)).expect("result staged by program") as usize,
-        );
+    if let Some(ctl) = &ctl {
+        ctl.write_counters(&mut rec);
     }
-
-    let makespan = now.iter().copied().max().unwrap_or(0);
     let report = fabric::assemble_ncpu_report(
         &mut rec,
         &mut dma,
         &pool,
         &busy,
         usecase,
-        topo,
+        &topo,
         fabric::RunOutcome { config: format!("{cores}x ncpu"), makespan, predictions },
     );
     (report, rec)
@@ -397,7 +291,7 @@ pub fn run_independent(a: &UseCase, b: &UseCase, soc: &SocConfig) -> (RunReport,
     (first, second)
 }
 
-pub(crate) fn run_heterogeneous(
+fn run_heterogeneous(
     usecase: &UseCase,
     soc: &SocConfig,
     level: TraceLevel,
@@ -512,18 +406,23 @@ pub(crate) fn run_heterogeneous(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::scenario::{Analytic, Engine};
     use crate::usecase::UseCase;
 
     pub(crate) use crate::usecase::pseudo_model;
 
+    /// The default-fabric Analytic report of `uc` under `system`.
+    pub(crate) fn analytic(uc: &UseCase, system: SystemConfig) -> RunReport {
+        Analytic.report(&Scenario::new(uc.clone(), system))
+    }
+
     #[test]
     fn parametric_two_ncpu_beats_baseline_per_paper_fig13() {
         let model = pseudo_model(784, 100, 10);
-        let soc = SocConfig::default();
         for (fraction, expect) in [(0.4, 0.285), (0.7, 0.412)] {
             let uc = UseCase::parametric(fraction, 2, model.clone());
-            let base = run(&uc, SystemConfig::Heterogeneous, &soc);
-            let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+            let base = analytic(&uc, SystemConfig::Heterogeneous);
+            let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
             let imp = dual.improvement_over(&base);
             assert!(
                 (imp - expect).abs() < 0.06,
@@ -536,10 +435,9 @@ pub(crate) mod tests {
     fn predictions_agree_across_systems() {
         let model = pseudo_model(784, 20, 10);
         let uc = UseCase::parametric(0.5, 4, model);
-        let soc = SocConfig::default();
-        let a = run(&uc, SystemConfig::Heterogeneous, &soc);
-        let b = run(&uc, SystemConfig::Ncpu { cores: 1 }, &soc);
-        let c = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+        let a = analytic(&uc, SystemConfig::Heterogeneous);
+        let b = analytic(&uc, SystemConfig::Ncpu { cores: 1 });
+        let c = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
         assert_eq!(a.predictions, b.predictions);
         assert_eq!(a.predictions, c.predictions);
     }
@@ -548,8 +446,7 @@ pub(crate) mod tests {
     fn dual_ncpu_sustains_high_utilization() {
         let model = pseudo_model(784, 50, 10);
         let uc = UseCase::parametric(0.7, 8, model);
-        let soc = SocConfig::default();
-        let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
         for core in &dual.cores {
             assert!(
                 core.utilization(dual.makespan) > 0.95,
@@ -558,7 +455,7 @@ pub(crate) mod tests {
                 core.utilization(dual.makespan)
             );
         }
-        let base = run(&uc, SystemConfig::Heterogeneous, &soc);
+        let base = analytic(&uc, SystemConfig::Heterogeneous);
         let cpu_util = base.cores[0].utilization(base.makespan);
         let accel_util = base.cores[1].utilization(base.makespan);
         assert!(cpu_util > accel_util, "baseline accelerator must be under-utilized");
@@ -568,9 +465,8 @@ pub(crate) mod tests {
     fn four_ncpu_cores_scale_the_parametric_sweep() {
         let model = pseudo_model(784, 50, 10);
         let uc = UseCase::parametric(0.7, 8, model);
-        let soc = SocConfig::default();
-        let two = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
-        let four = run(&uc, SystemConfig::Ncpu { cores: 4 }, &soc);
+        let two = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+        let four = analytic(&uc, SystemConfig::Ncpu { cores: 4 });
         assert_eq!(two.predictions, four.predictions, "same answers at any width");
         assert_eq!(four.cores.len(), 4);
         // 8 items over 4 cores halve the 2-core makespan (modulo DMA
@@ -587,9 +483,8 @@ pub(crate) mod tests {
     fn single_ncpu_is_modestly_slower_than_baseline() {
         let model = pseudo_model(784, 100, 10);
         let uc = UseCase::parametric(0.7, 2, model);
-        let soc = SocConfig::default();
-        let base = run(&uc, SystemConfig::Heterogeneous, &soc);
-        let single = run(&uc, SystemConfig::Ncpu { cores: 1 }, &soc);
+        let base = analytic(&uc, SystemConfig::Heterogeneous);
+        let single = analytic(&uc, SystemConfig::Ncpu { cores: 1 });
         let delta = single.makespan as f64 / base.makespan as f64 - 1.0;
         // Paper Fig. 17: +13.8% for the image case at batch 2.
         assert!((0.0..0.35).contains(&delta), "single-NCPU delta {delta}");
@@ -599,9 +494,9 @@ pub(crate) mod tests {
     fn traced_run_matches_plain_run_and_snapshots_counters() {
         let model = pseudo_model(784, 20, 10);
         let uc = UseCase::parametric(0.5, 2, model);
-        let soc = SocConfig::default();
-        let (report, rec) =
-            run_traced(&uc, SystemConfig::Ncpu { cores: 2 }, &soc, TraceLevel::Full);
+        let scenario =
+            Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }).with_trace(TraceLevel::Full);
+        let (report, rec) = Analytic.run(&scenario);
         assert_eq!(rec.counters().get("run.makespan_cycles"), report.makespan);
         assert_eq!(rec.counters().get("run.items"), 2);
         assert!(rec.counters().get("core0.retired") > 0);
@@ -619,7 +514,7 @@ pub(crate) mod tests {
             assert!(!core.timeline.spans().is_empty());
         }
         // Tracing must not perturb the simulation itself.
-        let plain = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+        let plain = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
         assert_eq!(plain.makespan, report.makespan);
         assert_eq!(plain.predictions, report.predictions);
     }
@@ -628,9 +523,7 @@ pub(crate) mod tests {
     fn traced_heterogeneous_records_both_lanes_and_dma() {
         let model = pseudo_model(784, 20, 10);
         let uc = UseCase::parametric(0.5, 2, model);
-        let soc = SocConfig::default();
-        let (report, rec) =
-            run_traced(&uc, SystemConfig::Heterogeneous, &soc, TraceLevel::Counters);
+        let (report, rec) = Analytic.run(&Scenario::new(uc, SystemConfig::Heterogeneous));
         assert!(!report.cores[0].timeline.spans().is_empty(), "cpu lane");
         assert!(!report.cores[1].timeline.spans().is_empty(), "accel lane");
         assert!(rec.counters().get("cpu.retired") > 0);
@@ -646,9 +539,8 @@ pub(crate) mod tests {
     #[test]
     fn motion_use_case_end_to_end() {
         let uc = UseCase::motion(2, 6, 3);
-        let soc = SocConfig::default();
-        let base = run(&uc, SystemConfig::Heterogeneous, &soc);
-        let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+        let base = analytic(&uc, SystemConfig::Heterogeneous);
+        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
         assert_eq!(base.predictions.len(), 2);
         assert_eq!(base.predictions, dual.predictions, "same classifier, same answers");
         assert!(dual.makespan < base.makespan, "two cores beat the baseline");
@@ -657,17 +549,13 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod independent_tests {
+    use super::tests::{analytic, pseudo_model};
     use super::*;
-    use crate::usecase::UseCase;
 
     #[test]
     fn independent_cores_run_different_tasks() {
         let motion = UseCase::motion(2, 4, 2);
-        let spin = UseCase::parametric(
-            0.5,
-            3,
-            crate::system::tests::pseudo_model(784, 20, 10),
-        );
+        let spin = UseCase::parametric(0.5, 3, pseudo_model(784, 20, 10));
         let (a, b) = run_independent(&motion, &spin, &SocConfig::default());
         assert_eq!(a.predictions.len(), 2);
         assert_eq!(b.predictions.len(), 3);
@@ -677,7 +565,7 @@ mod independent_tests {
         assert_eq!(b.cores[0].role, "ncpu1");
         // Results match a solo run of the same use case (sharing the
         // fabric does not change answers).
-        let solo = run(&motion, SystemConfig::Ncpu { cores: 1 }, &SocConfig::default());
+        let solo = analytic(&motion, SystemConfig::Ncpu { cores: 1 });
         assert_eq!(a.predictions, solo.predictions);
     }
 }

@@ -1,49 +1,34 @@
-//! Typed fabric topologies: per-core roles, per-core DVFS points,
-//! asymmetric L2 banking, and the pluggable item scheduler.
+//! Typed fabric topologies: per-core roles, per-core DVFS points, and
+//! asymmetric L2 banking.
 //!
 //! The paper's fleet is N identical reconfigurable cores; this module
 //! generalizes that to a [`Topology`] — one [`CoreSpec`] per core plus a
-//! shared L2 bank map and a [`SchedulerKind`] — carried on
-//! [`crate::Scenario`]. [`Topology::homogeneous`] is the byte-identical
-//! default: every engine that receives it (explicitly or as the
-//! materialized default for a scenario without a topology) produces
-//! exactly the reports it produced before topologies existed.
+//! shared L2 bank map — carried on [`crate::Scenario`].
+//! [`Topology::homogeneous`] is the byte-identical default: every engine
+//! that receives it (explicitly or as the materialized default for a
+//! scenario without a topology) produces exactly the reports it produced
+//! before topologies existed.
 //!
-//! # Scheduler contract
+//! # Dispatch plan
 //!
-//! An [`ItemScheduler`] turns a topology and a per-item cost estimate
-//! into an upfront dispatch *plan* (`item i → core plan[i]`). All four
-//! engines consume the same plan, so the lockstep/event byte-identity
-//! proof carries over to every topology unchanged: the engines never
-//! make a placement decision of their own.
-//!
-//! * [`Static`] round-robins over the item-capable cores in core-id
-//!   order — on a homogeneous fleet this is exactly the historical
-//!   `item i → core i % N`.
-//! * [`WorkStealing`] is the deterministic steal order the issue names:
-//!   each item goes to the item-capable core with the lowest
-//!   accumulated (speed-weighted) load — "lowest idle core first" —
-//!   with ties broken by the lowest core id. Cores pinned to a reduced
-//!   DVFS point accumulate load faster (their cycles are worth more
-//!   wall time), so the plan shifts items toward fast cores on
-//!   voltage-asymmetric fleets. On a uniform-cost, uniform-speed fleet
-//!   the two schedulers coincide by construction.
+//! [`Topology::plan`] turns an item count into an upfront dispatch
+//! *plan* (`item i → core plan[i]`): round-robin over the item-capable
+//! cores in core-id order, which on a homogeneous fleet is exactly the
+//! historical `item i → core i % N`. All engines consume the same plan,
+//! so the lockstep/event byte-identity proof carries over to every
+//! topology unchanged: the engines never make a placement decision of
+//! their own.
 //!
 //! # Roles
 //!
 //! * `Reconfigurable` cores run whole items (CPU phase + BNN phase) —
 //!   the only item-capable role.
-//! * `CpuOnly` / `BnnOnly` cores never receive items from the item
-//!   schedulers; they contribute area and leakage (and, for `BnnOnly`,
-//!   deep-engine segment placement) but stay idle in the item engines.
+//! * `CpuOnly` / `BnnOnly` cores never receive items from the plan;
+//!   they contribute area and leakage (and, for `BnnOnly`, deep-engine
+//!   segment placement) but stay idle in the item engines.
 //!
 //! The deep engine maps segments onto BNN-capable cores
 //! (`Reconfigurable` or `BnnOnly`) in core-id order.
-
-use ncpu_power::Dvfs;
-
-use crate::system::SocConfig;
-use crate::usecase::UseCase;
 
 /// What a core can execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +62,8 @@ pub struct CoreSpec {
     pub role: CoreRole,
     /// Per-core DVFS operating point in volts; `None` inherits the
     /// scenario-level point (or the nominal 1.0 V). Affects energy
-    /// post-processing and the work-stealing load weights — cycle
-    /// timing stays in one clock domain, like the scenario-level point.
+    /// post-processing only — cycle timing stays in one clock domain,
+    /// like the scenario-level point.
     pub operating_point: Option<f64>,
     /// Which L2 bank the core's traffic arbitrates in.
     pub bank: usize,
@@ -110,38 +95,23 @@ impl CoreSpec {
     }
 }
 
-/// Which item scheduler a scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Round-robin over item-capable cores (the pinned historical
-    /// behavior).
-    #[default]
-    Static,
-    /// Deterministic work stealing: lowest-idle-core-first, ties to the
-    /// lowest core id.
-    WorkStealing,
-}
-
-/// A complete fabric topology: one spec per core, the L2 bank widths,
-/// and the item scheduler.
+/// A complete fabric topology: one spec per core and the L2 bank
+/// widths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     specs: Vec<CoreSpec>,
     bank_bytes: Vec<usize>,
-    scheduler: SchedulerKind,
 }
 
 impl Topology {
     /// The byte-identical default: `n` reconfigurable cores at the
-    /// inherited voltage sharing one full-width L2 bank, statically
-    /// scheduled. A scenario without an explicit topology materializes
-    /// this, and every engine reproduces its pre-topology output on it
-    /// exactly.
+    /// inherited voltage sharing one full-width L2 bank. A scenario
+    /// without an explicit topology materializes this, and every engine
+    /// reproduces its pre-topology output on it exactly.
     pub fn homogeneous(n: usize) -> Topology {
         Topology {
             specs: vec![CoreSpec::reconfigurable(); n.max(1)],
             bank_bytes: vec![crate::fabric::L2_BYTES],
-            scheduler: SchedulerKind::Static,
         }
     }
 
@@ -155,11 +125,7 @@ impl Topology {
     /// Role feasibility (e.g. "an item workload needs a reconfigurable
     /// core") is checked at the engine boundary, not here, because it
     /// depends on the workload.
-    pub fn from_specs(
-        specs: Vec<CoreSpec>,
-        bank_bytes: Vec<usize>,
-        scheduler: SchedulerKind,
-    ) -> Result<Topology, String> {
+    pub fn from_specs(specs: Vec<CoreSpec>, bank_bytes: Vec<usize>) -> Result<Topology, String> {
         if specs.is_empty() {
             return Err("topology: at least one core".to_string());
         }
@@ -192,14 +158,7 @@ impl Topology {
                 }
             }
         }
-        Ok(Topology { specs, bank_bytes, scheduler })
-    }
-
-    /// Replaces the scheduler.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Topology {
-        self.scheduler = scheduler;
-        self
+        Ok(Topology { specs, bank_bytes })
     }
 
     /// Number of cores.
@@ -215,11 +174,6 @@ impl Topology {
     /// All core specs, in core-id order.
     pub fn specs(&self) -> &[CoreSpec] {
         &self.specs
-    }
-
-    /// The item scheduler this topology runs.
-    pub const fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
     }
 
     /// Per-bank byte widths.
@@ -297,175 +251,40 @@ impl Topology {
             .join("+")
     }
 
-    /// Builds the dispatch plan for `usecase` under this topology's
-    /// scheduler. Shared by all four engines — the single source of
-    /// placement truth.
+    /// The dispatch plan for `items` items: `plan[i]` is the core item
+    /// `i` runs on, round-robin over the item-capable cores in core-id
+    /// order. Shared by all engines — the single source of placement
+    /// truth.
     ///
     /// # Panics
     ///
     /// Panics if the topology has no item-capable core (an item
     /// workload cannot run on a fleet of fixed-function cores).
-    pub fn plan(&self, usecase: &UseCase, soc: &SocConfig) -> Vec<usize> {
-        let costs = item_costs(usecase, soc);
-        match self.scheduler {
-            SchedulerKind::Static => Static.plan(self, &costs),
-            SchedulerKind::WorkStealing => WorkStealing.plan(self, &costs),
-        }
-    }
-}
-
-/// Deterministic per-item cost estimate (cycles) the schedulers plan
-/// from: DMA staging of the item bytes plus the CPU-phase spin budget
-/// plus a flat BNN-phase constant. The estimate only has to rank items
-/// and accumulate consistently — engines never see it.
-pub fn item_costs(usecase: &UseCase, soc: &SocConfig) -> Vec<u64> {
-    usecase
-        .items()
-        .iter()
-        .map(|item| {
-            let bytes = item.staged.len() as u64;
-            let rate = u64::from(soc.dma_bytes_per_cycle.max(1));
-            soc.dma_setup_cycles + bytes.div_ceil(rate) + usecase.spin_cycles() + 64
-        })
-        .collect()
-}
-
-/// A deterministic item-placement policy: topology + per-item costs in,
-/// one core id per item out. Engines execute the plan verbatim.
-pub trait ItemScheduler {
-    /// Stable short name (bench/artifact tag).
-    fn name(&self) -> &'static str;
-
-    /// The dispatch plan: `plan[i]` is the core item `i` runs on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology has no item-capable core.
-    fn plan(&self, topo: &Topology, costs: &[u64]) -> Vec<usize>;
-}
-
-/// Round-robin over item-capable cores in id order — the pinned
-/// historical dispatch (`item i → core i % N` on homogeneous fleets).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Static;
-
-impl ItemScheduler for Static {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn plan(&self, topo: &Topology, costs: &[u64]) -> Vec<usize> {
-        let eligible = topo.item_cores();
+    pub fn plan(&self, items: usize) -> Vec<usize> {
+        let eligible = self.item_cores();
         assert!(!eligible.is_empty(), "item workload needs a reconfigurable core");
-        (0..costs.len()).map(|i| eligible[i % eligible.len()]).collect()
+        (0..items).map(|i| eligible[i % eligible.len()]).collect()
     }
-}
-
-/// Deterministic work stealing: each item is "stolen" by the
-/// item-capable core that has been idle longest (lowest accumulated
-/// speed-weighted load), ties broken by the lowest core id. A core at a
-/// reduced DVFS point accumulates load faster — its cycles cost more
-/// wall time — so items drift toward fast cores on voltage-asymmetric
-/// fleets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkStealing;
-
-impl ItemScheduler for WorkStealing {
-    fn name(&self) -> &'static str {
-        "work_stealing"
-    }
-
-    fn plan(&self, topo: &Topology, costs: &[u64]) -> Vec<usize> {
-        let eligible = topo.item_cores();
-        assert!(!eligible.is_empty(), "item workload needs a reconfigurable core");
-        let dvfs = Dvfs::default();
-        let nominal = dvfs.freq_hz(1.0, ncpu_power::CoreKind::NcpuCpuMode);
-        // Integer load weights (permille of nominal period) keep the
-        // accumulation exactly reproducible across hosts.
-        let weight: Vec<u64> = eligible
-            .iter()
-            .map(|&c| {
-                let v = topo.spec(c).volts(1.0);
-                let f = dvfs.freq_hz(v, ncpu_power::CoreKind::NcpuCpuMode);
-                ((nominal / f) * 1000.0).round() as u64
-            })
-            .collect();
-        let mut load = vec![0u64; eligible.len()];
-        costs
-            .iter()
-            .map(|&cost| {
-                let slot = (0..eligible.len())
-                    .min_by_key(|&s| (load[s], eligible[s]))
-                    .expect("eligible is non-empty");
-                load[slot] += cost * weight[slot] / 1000;
-                eligible[slot]
-            })
-            .collect()
-    }
-}
-
-/// Queue depth behind item `i` under `plan`: how many later items are
-/// bound for the same core. Reduces to the historical
-/// `(items - 1 - i) / cores` under the homogeneous static plan.
-pub fn depth_behind(plan: &[usize], i: usize) -> usize {
-    plan[i + 1..].iter().filter(|&&c| c == plan[i]).count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::usecase::pseudo_model;
 
     fn mixed(cores: usize) -> Topology {
         let mut specs = vec![CoreSpec::reconfigurable(); cores];
         specs[cores - 1].role = CoreRole::BnnOnly;
-        Topology::from_specs(specs, vec![crate::fabric::L2_BYTES], SchedulerKind::Static)
-            .expect("valid mixed topology")
+        Topology::from_specs(specs, vec![crate::fabric::L2_BYTES]).expect("valid mixed topology")
     }
 
     #[test]
-    fn homogeneous_static_plan_is_round_robin() {
-        let uc = UseCase::parametric(0.5, 7, pseudo_model(64, 10, 10));
-        let soc = SocConfig::default();
+    fn homogeneous_plan_is_round_robin() {
         for cores in [1usize, 2, 3, 4] {
             let topo = Topology::homogeneous(cores);
             assert!(topo.is_homogeneous());
-            let plan = topo.plan(&uc, &soc);
             let expect: Vec<usize> = (0..7).map(|i| i % cores).collect();
-            assert_eq!(plan, expect, "{cores} cores");
-            for i in 0..7 {
-                assert_eq!(depth_behind(&plan, i), (7 - 1 - i) / cores, "depth item {i}");
-            }
+            assert_eq!(topo.plan(7), expect, "{cores} cores");
         }
-    }
-
-    #[test]
-    fn work_stealing_coincides_with_static_on_uniform_fleets() {
-        let uc = UseCase::parametric(0.5, 9, pseudo_model(64, 10, 10));
-        let soc = SocConfig::default();
-        let topo = Topology::homogeneous(4);
-        let costs = item_costs(&uc, &soc);
-        assert_eq!(Static.plan(&topo, &costs), WorkStealing.plan(&topo, &costs));
-    }
-
-    #[test]
-    fn work_stealing_shifts_items_toward_fast_cores() {
-        let mut specs = vec![CoreSpec::reconfigurable(); 4];
-        for s in specs.iter_mut().skip(1) {
-            s.operating_point = Some(0.6); // three slow littles
-        }
-        let topo =
-            Topology::from_specs(specs, vec![crate::fabric::L2_BYTES], SchedulerKind::Static)
-                .unwrap();
-        let costs = vec![1000u64; 16];
-        let plan = WorkStealing.plan(&topo, &costs);
-        let on_big = plan.iter().filter(|&&c| c == 0).count();
-        assert!(
-            on_big > 4,
-            "the nominal-voltage core must absorb more than its round-robin share, got {on_big}"
-        );
-        // Static ignores the voltage asymmetry entirely.
-        assert_eq!(Static.plan(&topo, &costs), (0..16).map(|i| i % 4).collect::<Vec<_>>());
     }
 
     #[test]
@@ -473,42 +292,31 @@ mod tests {
         let topo = mixed(4);
         assert_eq!(topo.item_cores(), vec![0, 1, 2]);
         assert_eq!(topo.bnn_cores(), vec![0, 1, 2, 3]);
-        let costs = vec![10u64; 6];
-        let plan = Static.plan(&topo, &costs);
-        assert_eq!(plan, vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(topo.plan(6), vec![0, 1, 2, 0, 1, 2]);
         assert!(!topo.is_homogeneous());
     }
 
     #[test]
     fn validation_rejects_structural_nonsense() {
-        assert!(Topology::from_specs(vec![], vec![1024], SchedulerKind::Static).is_err());
-        assert!(Topology::from_specs(
-            vec![CoreSpec::reconfigurable()],
-            vec![],
-            SchedulerKind::Static
-        )
-        .is_err());
+        assert!(Topology::from_specs(vec![], vec![1024]).is_err());
+        assert!(Topology::from_specs(vec![CoreSpec::reconfigurable()], vec![]).is_err());
         assert!(Topology::from_specs(
             vec![CoreSpec { bank: 3, ..CoreSpec::reconfigurable() }],
-            vec![1024, 1024],
-            SchedulerKind::Static
+            vec![1024, 1024]
         )
         .is_err());
         assert!(Topology::from_specs(
             vec![CoreSpec { operating_point: Some(0.2), ..CoreSpec::reconfigurable() }],
-            vec![1024],
-            SchedulerKind::Static
+            vec![1024]
         )
         .is_err());
         assert!(Topology::from_specs(
             vec![CoreSpec::reconfigurable()],
-            vec![crate::fabric::L2_BYTES + 1],
-            SchedulerKind::Static
+            vec![crate::fabric::L2_BYTES + 1]
         )
         .is_err());
         let all_bnn = vec![CoreSpec { role: CoreRole::BnnOnly, ..CoreSpec::reconfigurable() }];
-        let topo =
-            Topology::from_specs(all_bnn, vec![1024], SchedulerKind::Static).expect("structural");
+        let topo = Topology::from_specs(all_bnn, vec![1024]).expect("structural");
         assert!(topo.item_cores().is_empty(), "feasibility is the engine's call");
     }
 
@@ -518,7 +326,7 @@ mod tests {
         assert_eq!(mixed(3).label(), "2R+B");
         let mut specs = vec![CoreSpec::reconfigurable(); 2];
         specs[1].operating_point = Some(0.7);
-        let t = Topology::from_specs(specs, vec![1024], SchedulerKind::Static).unwrap();
+        let t = Topology::from_specs(specs, vec![1024]).unwrap();
         assert_eq!(t.label(), "R+R@0.7V");
     }
 

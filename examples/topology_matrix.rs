@@ -7,7 +7,7 @@
 //!
 //! * the [`Lockstep`] and [`EventDriven`] twins run an item batch and
 //!   must agree **byte for byte** (reports and counters, modulo the
-//!   engine tag), under both the static and work-stealing schedulers;
+//!   engine tag);
 //! * the [`Deep`] engine runs an 8-layer model on the same fleet and
 //!   must place one segment per BNN-capable core.
 //!
@@ -19,16 +19,16 @@
 
 use ncpu::prelude::*;
 use ncpu::soc::pseudo_model;
-use ncpu::soc::topology::{CoreRole, CoreSpec, SchedulerKind, Topology};
+use ncpu::soc::topology::{CoreRole, CoreSpec, Topology};
 use ncpu::soc::{Deep, RunReport, L2_BYTES};
 
-fn mixed_fleet(sched: SchedulerKind) -> Topology {
+fn mixed_fleet() -> Topology {
     let mut specs = vec![CoreSpec::reconfigurable(); 4];
     specs[1].operating_point = Some(0.7);
     specs[1].bank = 1;
     specs[2].role = CoreRole::BnnOnly;
     specs[3].role = CoreRole::CpuOnly;
-    Topology::from_specs(specs, vec![3 * L2_BYTES / 4, L2_BYTES / 4], sched)
+    Topology::from_specs(specs, vec![3 * L2_BYTES / 4, L2_BYTES / 4])
         .expect("mixed fleet is structurally valid")
 }
 
@@ -39,41 +39,39 @@ fn normalized(report: &RunReport, tag: &str) -> String {
 
 fn main() {
     let uc = UseCase::parametric(0.6, 8, pseudo_model(784, 30, 10));
-    println!("topology matrix — mixed 4-core fleet [{}]", mixed_fleet(SchedulerKind::Static).label());
-    println!("{:<16} {:<14} {:>12}  roles", "scheduler", "engine", "makespan");
-    for sched in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-        let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 4 })
-            .with_topology(mixed_fleet(sched));
-        let (lockstep, ls_rec) = Lockstep.run(&scenario);
-        let (event, ev_rec) = EventDriven.run(&scenario);
-        for (name, report) in [("lockstep", &lockstep), ("event", &event)] {
-            let roles: Vec<&str> = report.cores.iter().map(|c| c.role.as_str()).collect();
-            println!("{:<16} {:<14} {:>12}  {:?}", format!("{sched:?}"), name, report.makespan, roles);
-        }
-        assert_eq!(
-            normalized(&event, "(event)"),
-            normalized(&lockstep, "(lockstep)"),
-            "{sched:?}: the twin engines must agree byte for byte on the mixed fleet"
-        );
-        assert_eq!(
-            ev_rec.counters().to_json(),
-            ls_rec.counters().to_json(),
-            "{sched:?}: counter registries diverged"
-        );
-        assert_eq!(lockstep.cores[2].busy_cycles, 0, "a fixed BNN array runs no items");
-        assert_eq!(lockstep.cores[3].busy_cycles, 0, "a CPU-only core runs no items");
+    println!("topology matrix — mixed 4-core fleet [{}]", mixed_fleet().label());
+    println!("{:<14} {:>12}  roles", "engine", "makespan");
+    let scenario =
+        Scenario::new(uc, SystemConfig::Ncpu { cores: 4 }).with_topology(mixed_fleet());
+    let (lockstep, ls_rec) = Lockstep.run(&scenario);
+    let (event, ev_rec) = EventDriven.run(&scenario);
+    for (name, report) in [("lockstep", &lockstep), ("event", &event)] {
+        let roles: Vec<&str> = report.cores.iter().map(|c| c.role.as_str()).collect();
+        println!("{:<14} {:>12}  {:?}", name, report.makespan, roles);
     }
+    assert_eq!(
+        normalized(&event, "(event)"),
+        normalized(&lockstep, "(lockstep)"),
+        "the twin engines must agree byte for byte on the mixed fleet"
+    );
+    assert_eq!(
+        ev_rec.counters().to_json(),
+        ls_rec.counters().to_json(),
+        "counter registries diverged"
+    );
+    assert_eq!(lockstep.cores[2].busy_cycles, 0, "a fixed BNN array runs no items");
+    assert_eq!(lockstep.cores[3].busy_cycles, 0, "a CPU-only core runs no items");
 
     // The deep engine on the same fleet: 3 BNN-capable cores, 3 segments.
     let model = ncpu::soc::pseudo_deep_model(64, 12, 8, 8);
     let inputs: Vec<BitVec> =
         (0..4).map(|k| BitVec::from_bools((0..64).map(|i| (i * 5 + k) % 3 == 0))).collect();
     let deep_uc = UseCase::deep(model, &inputs);
-    let scenario = Scenario::new(deep_uc, SystemConfig::Ncpu { cores: 4 })
-        .with_topology(mixed_fleet(SchedulerKind::Static));
+    let scenario =
+        Scenario::new(deep_uc, SystemConfig::Ncpu { cores: 4 }).with_topology(mixed_fleet());
     let report = Deep.report(&scenario);
     let roles: Vec<&str> = report.cores.iter().map(|c| c.role.as_str()).collect();
-    println!("{:<16} {:<14} {:>12}  {:?}", "-", "deep", report.makespan, roles);
+    println!("{:<14} {:>12}  {:?}", "deep", report.makespan, roles);
     assert_eq!(roles, ["seg0@core0", "seg1@core1", "seg2@core2"], "segment placement");
 
     println!("lockstep == event on the mixed fleet, deep placed {} segments: ok", roles.len());

@@ -21,8 +21,9 @@
 //! * [`accel`] — the cycle-level layer-pipelined BNN accelerator,
 //! * [`core`] — **the paper's contribution**: the unified NCPU core with
 //!   zero-latency mode switching and in-place memory reuse,
-//! * [`soc`] — the two-core SoC, the heterogeneous baseline, and the
-//!   end-to-end use cases,
+//! * [`soc`] — the N-core SoC, the heterogeneous baseline, the
+//!   end-to-end use cases, and the `Scenario`/`Engine` layer that runs
+//!   them,
 //! * [`serve`] — the scenario fleet service: batched simulation serving
 //!   over line-delimited JSON with a content-addressed result cache
 //!   (`ncpu serve`),
@@ -102,7 +103,7 @@ pub mod prelude {
     pub use ncpu_pipeline::{FlatMem, Pipeline};
     pub use ncpu_power::{AreaModel, CoreKind, PowerModel};
     pub use ncpu_soc::{
-        run, run_traced, Analytic, Engine, EventDriven, FaultPlan, Lockstep, Scenario,
-        SocConfig, SystemConfig, UseCase,
+        Analytic, Engine, EventDriven, FaultPlan, Lockstep, Scenario, SocConfig, SystemConfig,
+        UseCase,
     };
 }

@@ -2,13 +2,26 @@
 //! function of its seeds — two runs of anything give identical bytes.
 
 use ncpu::prelude::*;
+use ncpu::soc::RunReport;
+
+/// The default-fabric Analytic report of `uc` under `system`.
+fn analytic(uc: &UseCase, system: SystemConfig) -> RunReport {
+    Analytic.report(&Scenario::new(uc.clone(), system))
+}
+
+/// A fully traced Analytic run of `uc` on two NCPU cores.
+fn traced_dual(uc: &UseCase) -> (RunReport, ncpu::obs::Recorder) {
+    Analytic.run(
+        &Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }).with_trace(TraceLevel::Full),
+    )
+}
 
 #[test]
 fn soc_runs_are_bit_reproducible() {
     let mk = || {
         let uc = UseCase::motion(2, 4, 2);
-        let base = run(&uc, SystemConfig::Heterogeneous, &SocConfig::default());
-        let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &SocConfig::default());
+        let base = analytic(&uc, SystemConfig::Heterogeneous);
+        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
         (base.makespan, dual.makespan, base.predictions, dual.predictions)
     };
     assert_eq!(mk(), mk());
@@ -21,8 +34,8 @@ fn soc_runs_are_bit_reproducible() {
 fn image_use_case_reports_are_byte_identical() {
     let mk = || {
         let uc = UseCase::image(3, 4, 2);
-        let base = run(&uc, SystemConfig::Heterogeneous, &SocConfig::default());
-        let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &SocConfig::default());
+        let base = analytic(&uc, SystemConfig::Heterogeneous);
+        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
         format!("{base:?}\n{dual:?}")
     };
     assert_eq!(mk(), mk(), "image-classification reports must be byte-identical");
@@ -32,8 +45,8 @@ fn image_use_case_reports_are_byte_identical() {
 fn motion_use_case_reports_are_byte_identical() {
     let mk = || {
         let uc = UseCase::motion(3, 4, 2);
-        let base = run(&uc, SystemConfig::Heterogeneous, &SocConfig::default());
-        let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &SocConfig::default());
+        let base = analytic(&uc, SystemConfig::Heterogeneous);
+        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
         format!("{base:?}\n{dual:?}")
     };
     assert_eq!(mk(), mk(), "motion-detection reports must be byte-identical");
@@ -46,12 +59,7 @@ fn motion_use_case_reports_are_byte_identical() {
 fn trace_artifacts_are_byte_identical() {
     let mk = || {
         let uc = UseCase::motion(2, 4, 2);
-        let (dual, rec) = run_traced(
-            &uc,
-            SystemConfig::Ncpu { cores: 2 },
-            &SocConfig::default(),
-            TraceLevel::Full,
-        );
+        let (dual, rec) = traced_dual(&uc);
         let artifact = dual.artifact(uc.name(), &rec);
         (artifact.to_json(), ncpu::obs::chrome_trace(&rec, &dual.thread_names()))
     };
@@ -141,12 +149,7 @@ fn fig13_report_is_thread_count_invariant() {
 fn trace_artifacts_are_thread_count_invariant() {
     thread_count_invariant("1", "8", || {
         let uc = UseCase::motion(2, 4, 2);
-        let (dual, rec) = run_traced(
-            &uc,
-            SystemConfig::Ncpu { cores: 2 },
-            &SocConfig::default(),
-            TraceLevel::Full,
-        );
+        let (dual, rec) = traced_dual(&uc);
         let artifact = dual.artifact(uc.name(), &rec);
         format!(
             "{}\n{}",

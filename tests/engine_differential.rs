@@ -4,8 +4,8 @@
 //! event streams. Random scenarios cover the full matrix (switch policy
 //! × 1/2/4 cores × use-case kind × DMA operating point × trace level ×
 //! DVFS point × heterogeneous topology — mixed roles, asymmetric L2
-//! banks, per-core undervolting, both schedulers), seeded and
-//! shrinking via `ncpu-testkit`.
+//! banks, per-core undervolting), seeded and shrinking via
+//! `ncpu-testkit`.
 //!
 //! A second property checks the jump contract the engine is built on:
 //! driving a core by `next_event_in`-sized `step_n` jumps never lands a
@@ -15,7 +15,7 @@
 use std::sync::OnceLock;
 
 use ncpu::prelude::*;
-use ncpu::soc::topology::{CoreRole, CoreSpec, SchedulerKind, Topology as FleetTopology};
+use ncpu::soc::topology::{CoreRole, CoreSpec, Topology as FleetTopology};
 use ncpu::soc::{EventDriven as EventEngine, Lockstep as LockstepEngine, RunReport, L2_BYTES};
 use ncpu::core::StepOutcome;
 use ncpu_testkit::prop::{Prop, Shrink};
@@ -106,10 +106,9 @@ struct TopologyCase {
     /// on the narrow bank — per-bank port arbitration differs from the
     /// historical single port.
     asymmetric_banks: bool,
-    /// Every core except core 0 runs at 0.7 V (weights the
-    /// work-stealing planner and the energy model, never the clock).
+    /// Every core except core 0 runs at 0.7 V (weights the energy
+    /// model, never the clock).
     undervolt_littles: bool,
-    work_stealing: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -170,7 +169,6 @@ impl Case {
                 mixed_roles: rng.gen_bool(0.5),
                 asymmetric_banks: rng.gen_bool(0.5),
                 undervolt_littles: rng.gen_bool(0.5),
-                work_stealing: rng.gen_bool(0.5),
             }),
         }
     }
@@ -199,9 +197,7 @@ impl Case {
         } else {
             vec![L2_BYTES]
         };
-        let sched =
-            if t.work_stealing { SchedulerKind::WorkStealing } else { SchedulerKind::Static };
-        Some(FleetTopology::from_specs(specs, banks, sched).expect("generated topology is valid"))
+        Some(FleetTopology::from_specs(specs, banks).expect("generated topology is valid"))
     }
 
     fn scenario(&self) -> Scenario {
@@ -249,12 +245,6 @@ impl Shrink for Case {
         // minimal repro should say so by keeping only the guilty knob.
         if let Some(topo) = &self.topology {
             push(Case { topology: None, ..self.clone() });
-            if topo.work_stealing {
-                push(Case {
-                    topology: Some(TopologyCase { work_stealing: false, ..topo.clone() }),
-                    ..self.clone()
-                });
-            }
             if topo.mixed_roles {
                 push(Case {
                     topology: Some(TopologyCase { mixed_roles: false, ..topo.clone() }),

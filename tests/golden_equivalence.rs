@@ -94,3 +94,78 @@ fn event_engine_reproduces_pre_refactor_cosim_report() {
     assert_eq!(report.config, "2x ncpu (event)");
     assert_eq!(rec.counters().get("soc.l2_conflict_cycles"), 2, "arbitration conflicts");
 }
+
+/// `R+R@0.7V+R` over asymmetric L2 banks: core 1 is undervolted and
+/// alone on a narrow bank.
+fn mixed_static_fleet() -> ncpu::soc::topology::Topology {
+    use ncpu::soc::topology::{CoreSpec, Topology as Fleet};
+    let mut specs = vec![CoreSpec::reconfigurable(); 3];
+    specs[1].operating_point = Some(0.7);
+    specs[1].bank = 1;
+    let l2 = ncpu::soc::L2_BYTES;
+    Fleet::from_specs(specs, vec![3 * l2 / 4, l2 / 4]).expect("mixed fleet is structural")
+}
+
+/// Pins a full Analytic run: the report fields of [`check`] plus an
+/// FNV-1a of the counter registry's JSON.
+fn check_analytic(
+    scenario: &Scenario,
+    makespan: u64,
+    predictions: &[usize],
+    busy: &[u64],
+    fnv: u64,
+) {
+    let (report, rec) = Analytic.run(scenario);
+    check(&report, makespan, predictions, busy);
+    let counters = ncpu::soc::fnv1a_64(rec.counters().to_json().as_bytes());
+    assert_eq!(counters, fnv, "{}: counter registry drifted", report.config);
+}
+
+/// The analytic scheduler on a mixed static fleet and under an active
+/// fault plan. Captured from the tree that still had a separate
+/// fault-free analytic loop, so the single loop must reproduce both.
+#[test]
+fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
+    let fleet = mixed_static_fleet();
+    assert_eq!(fleet.label(), "R+R@0.7V+R");
+    let image = Scenario::new(UseCase::image(13, 2, 1), SystemConfig::Ncpu { cores: 3 })
+        .with_topology(fleet.clone());
+    check_analytic(
+        &image,
+        605_480,
+        &[7, 7, 6, 6, 8, 1, 7, 7, 3, 5, 7, 3, 5],
+        &[593_640, 474_912, 474_912],
+        0x1388_6ac0_7f8a_6ed2,
+    );
+    let motion = Scenario::new(UseCase::motion(13, 4, 2), SystemConfig::Ncpu { cores: 3 })
+        .with_topology(fleet);
+    check_analytic(
+        &motion,
+        110_955,
+        &[3, 2, 0, 2, 2, 0, 3, 1, 2, 5, 2, 2, 1],
+        &[108_955, 87_164, 87_164],
+        0x81eb_5e4d_91dc_ff5d,
+    );
+    let plan = FaultPlan {
+        seed: 21,
+        sram_flip_ppm: 250_000,
+        dma_stall_ppm: 150_000,
+        dma_stall_cycles: 48,
+        dma_truncate_ppm: 150_000,
+        core_hang_ppm: 80_000,
+        watchdog_cycles: 20_000_000,
+        max_retries: 2,
+        backoff_cycles: 32,
+        quarantine_after: 4,
+    };
+    let faulted = Scenario::new(UseCase::image(4, 2, 1), SystemConfig::Ncpu { cores: 4 })
+        .with_operating_point(0.9)
+        .with_faults(plan);
+    check_analytic(
+        &faulted,
+        135_480,
+        &[ncpu::soc::DROPPED_PREDICTION, 7, 6, 6],
+        &[0, 118_728, 118_728, 118_728],
+        0x4153_1b32_38ea_f4b5,
+    );
+}

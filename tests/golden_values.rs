@@ -39,11 +39,10 @@ fn pseudo_image_model(neurons: usize) -> BnnModel {
 #[test]
 fn golden_dual_ncpu_speedup_exceeds_37pct_at_batch_2() {
     let model = pseudo_image_model(100);
-    let soc = SocConfig::default();
     let improvement_at = |batch: usize| {
         let uc = UseCase::parametric(0.7, batch, model.clone());
-        let base = run(&uc, SystemConfig::Heterogeneous, &soc);
-        let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+        let base = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
+        let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }));
         dual.improvement_over(&base)
     };
     let at2 = improvement_at(2);
@@ -77,10 +76,9 @@ fn golden_dual_ncpu_speedup_exceeds_37pct_at_batch_2() {
 #[test]
 fn golden_utilization_ncpu_99pct_vs_starved_baseline() {
     let model = pseudo_image_model(100);
-    let soc = SocConfig::default();
     let uc = UseCase::parametric(0.76, 2, model);
 
-    let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+    let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }));
     for core in &dual.cores {
         let util = core.utilization(dual.makespan);
         assert!(
@@ -90,7 +88,7 @@ fn golden_utilization_ncpu_99pct_vs_starved_baseline() {
         );
     }
 
-    let base = run(&uc, SystemConfig::Heterogeneous, &soc);
+    let base = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
     let util_of = |role: &str| {
         base.cores
             .iter()

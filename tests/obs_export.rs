@@ -37,8 +37,9 @@ fn chrome_trace_matches_golden_file() {
 fn traced_dual_run_artifacts_validate_and_pin_utilization() {
     let model = ncpu::bnn::BnnModel::zeros(&Topology::paper(784, 100, 10));
     let uc = UseCase::parametric(0.76, 2, model);
-    let soc = SocConfig::default();
-    let (dual, rec) = run_traced(&uc, SystemConfig::Ncpu { cores: 2 }, &soc, TraceLevel::Full);
+    let (dual, rec) = Analytic.run(
+        &Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }).with_trace(TraceLevel::Full),
+    );
     let artifact = dual.artifact(uc.name(), &rec);
 
     let dir = std::env::temp_dir().join(format!("ncpu-obs-export-{}", std::process::id()));
@@ -74,8 +75,8 @@ fn traced_dual_run_artifacts_validate_and_pin_utilization() {
 fn full_trace_carries_instants_for_both_cores() {
     let model = ncpu::bnn::BnnModel::zeros(&Topology::paper(784, 50, 10));
     let uc = UseCase::parametric(0.5, 4, model);
-    let (_, rec) =
-        run_traced(&uc, SystemConfig::Ncpu { cores: 2 }, &SocConfig::default(), TraceLevel::Full);
+    let (_, rec) = Analytic
+        .run(&Scenario::new(uc, SystemConfig::Ncpu { cores: 2 }).with_trace(TraceLevel::Full));
     for core in [0u16, 1] {
         assert!(
             rec.events()

@@ -38,11 +38,10 @@ fn claim_small_reconfiguration_overhead() {
 #[test]
 fn claim_fig13_improvements() {
     let model = pseudo_image_model(100);
-    let soc = SocConfig::default();
     for (fraction, expect) in [(0.7, 0.412), (0.4, 0.285)] {
         let uc = UseCase::parametric(fraction, 2, model.clone());
-        let base = run(&uc, SystemConfig::Heterogeneous, &soc);
-        let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+        let base = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
+        let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }));
         let improvement = dual.improvement_over(&base);
         assert!(
             (improvement - expect).abs() < 0.06,
@@ -84,10 +83,9 @@ fn claim_energy_crossover() {
 #[test]
 fn claim_full_utilization_across_batches() {
     let model = pseudo_image_model(50);
-    let soc = SocConfig::default();
     for batch in [2usize, 10, 30] {
         let uc = UseCase::parametric(0.6, batch, model.clone());
-        let dual = run(&uc, SystemConfig::Ncpu { cores: 2 }, &soc);
+        let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }));
         for core in &dual.cores {
             assert!(
                 core.utilization(dual.makespan) > 0.95,

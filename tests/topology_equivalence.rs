@@ -13,7 +13,7 @@
 //!   the deep engine places segments on BNN-capable cores only.
 
 use ncpu::prelude::*;
-use ncpu::soc::topology::{CoreRole, CoreSpec, SchedulerKind, Topology as FleetTopology};
+use ncpu::soc::topology::{CoreRole, CoreSpec, Topology as FleetTopology};
 use ncpu::soc::{Deep, EventDriven as EventEngine, Lockstep as LockstepEngine, RunReport, L2_BYTES};
 use ncpu_testkit::prop::Prop;
 use ncpu_testkit::prop_assert_eq;
@@ -117,14 +117,14 @@ fn golden_cosim_pins_hold_under_an_explicit_default_topology() {
 
 /// A genuinely mixed fleet: one nominal reconfigurable core, one 0.7 V
 /// reconfigurable core on its own narrow L2 bank, a fixed BNN array,
-/// and a CPU-only core. Both schedulers, both twin engines.
-fn mixed_fleet(sched: SchedulerKind) -> FleetTopology {
+/// and a CPU-only core. Both twin engines.
+fn mixed_fleet() -> FleetTopology {
     let mut specs = vec![CoreSpec::reconfigurable(); 4];
     specs[1].operating_point = Some(0.7);
     specs[1].bank = 1;
     specs[2].role = CoreRole::BnnOnly;
     specs[3].role = CoreRole::CpuOnly;
-    FleetTopology::from_specs(specs, vec![3 * L2_BYTES / 4, L2_BYTES / 4], sched)
+    FleetTopology::from_specs(specs, vec![3 * L2_BYTES / 4, L2_BYTES / 4])
         .expect("mixed fleet is structurally valid")
 }
 
@@ -136,37 +136,23 @@ fn normalized(report: &RunReport, tag: &str) -> String {
 #[test]
 fn twin_engines_stay_byte_identical_on_mixed_fleets() {
     let uc = UseCase::parametric(0.6, 6, pseudo_model(256, 16, 10));
-    for sched in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-        let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 4 })
-            .with_topology(mixed_fleet(sched));
-        let (ls, ls_rec) = LockstepEngine.run(&scenario);
-        let (ev, ev_rec) = EventEngine.run(&scenario);
-        assert_eq!(
-            normalized(&ev, "(event)"),
-            normalized(&ls, "(lockstep)"),
-            "{sched:?}: twin engines diverged on the mixed fleet"
-        );
-        assert_eq!(
-            ev_rec.counters().to_json(),
-            ls_rec.counters().to_json(),
-            "{sched:?}: counters diverged"
-        );
-        // Roles are visible in the report, and fixed-function cores
-        // never enter the item plan.
-        let roles: Vec<&str> = ls.cores.iter().map(|c| c.role.as_str()).collect();
-        assert_eq!(roles, ["ncpu0", "ncpu1", "bnn2", "cpu3"]);
-        assert_eq!(ls.cores[2].busy_cycles, 0, "a fixed BNN array runs no items");
-        assert_eq!(ls.cores[3].busy_cycles, 0, "a CPU-only core runs no items");
-        assert_eq!(ls.predictions, EventEngine.report(&scenario).predictions);
-    }
-    // The scheduler is semantic: it changes the cache key even when it
-    // happens to produce the same plan.
-    let key = |s| {
-        Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 4 })
-            .with_topology(mixed_fleet(s))
-            .cache_key()
-    };
-    assert_ne!(key(SchedulerKind::Static), key(SchedulerKind::WorkStealing));
+    let scenario =
+        Scenario::new(uc, SystemConfig::Ncpu { cores: 4 }).with_topology(mixed_fleet());
+    let (ls, ls_rec) = LockstepEngine.run(&scenario);
+    let (ev, ev_rec) = EventEngine.run(&scenario);
+    assert_eq!(
+        normalized(&ev, "(event)"),
+        normalized(&ls, "(lockstep)"),
+        "twin engines diverged on the mixed fleet"
+    );
+    assert_eq!(ev_rec.counters().to_json(), ls_rec.counters().to_json(), "counters diverged");
+    // Roles are visible in the report, and fixed-function cores never
+    // enter the item plan.
+    let roles: Vec<&str> = ls.cores.iter().map(|c| c.role.as_str()).collect();
+    assert_eq!(roles, ["ncpu0", "ncpu1", "bnn2", "cpu3"]);
+    assert_eq!(ls.cores[2].busy_cycles, 0, "a fixed BNN array runs no items");
+    assert_eq!(ls.cores[3].busy_cycles, 0, "a CPU-only core runs no items");
+    assert_eq!(ls.predictions, EventEngine.report(&scenario).predictions);
 }
 
 /// The deep engine maps model segments onto BNN-capable cores only:
@@ -189,8 +175,8 @@ fn deep_engine_places_segments_on_bnn_capable_cores_only() {
     let mut specs = vec![CoreSpec::reconfigurable(); 4];
     specs[1].role = CoreRole::BnnOnly;
     specs[3].role = CoreRole::CpuOnly;
-    let topo = FleetTopology::from_specs(specs, vec![L2_BYTES], SchedulerKind::Static)
-        .expect("deep fleet is structurally valid");
+    let topo =
+        FleetTopology::from_specs(specs, vec![L2_BYTES]).expect("deep fleet is structurally valid");
     let scenario =
         Scenario::new(uc, SystemConfig::Ncpu { cores: 4 }).with_topology(topo);
     let (report, rec) = Deep.run(&scenario);
