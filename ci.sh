@@ -73,12 +73,16 @@ NCPU_TRACE=off cargo run --release --offline --example engine_matrix 4
 # engine (segment placement asserted).
 NCPU_TRACE=off cargo run --release --offline --example topology_matrix
 
-# Fleet-service smoke: 8 scenario requests over stdin, of which 4 are
-# content-addressed duplicates (field order, nesting, and an explicit
-# engine pin inside the byte-identical lockstep/event pair all
-# canonicalize away). The stats line must show exactly 4 hits and 4
-# misses; the duplicated reports must be byte-identical to their fresh
-# twins; and every artifact the service wrote must satisfy trace_check.
+# Fleet-service smoke: 10 scenario requests over stdin, of which 5 are
+# content-addressed duplicates (field order, nesting, an explicit
+# engine pin inside the byte-identical lockstep/event pair, and a
+# "topology" block of two default cores in place of "cores":2 all
+# canonicalize away), plus one request that must fail with a typed
+# error (a topology on the hetero baseline). A per-core operating point
+# is semantic, so that topology request is a miss. The stats line must
+# show exactly 5 hits, 5 misses and 1 error; the duplicated reports
+# must be byte-identical to their fresh twins; and every artifact the
+# service wrote must satisfy trace_check.
 SERVE_DIR=target/serve-ci
 rm -rf "$SERVE_DIR"
 SERVE_OUT="$SERVE_DIR/transcript.jsonl"
@@ -92,14 +96,19 @@ cargo run --release --offline --bin ncpu -- serve --artifacts "$SERVE_DIR/artifa
 {"system":"hetero","cpu_fraction":0.5,"batch":2}
 {"workload":"image","batch":4,"train_per_class":2,"epochs":1}
 {"system":"hetero","cpu_fraction":0.5,"batch":2,"engine":"analytic"}
+{"cpu_fraction":0.75,"batch":4,"topology":{"cores":[{},{}]}}
+{"cpu_fraction":0.75,"batch":4,"topology":{"cores":[{},{"operating_point":0.7}]}}
+{"system":"hetero","topology":{"cores":[{}]}}
 {"op":"stats"}
 {"op":"shutdown"}
 EOF
-grep -q '"serve.cache.hits":4' "$SERVE_OUT"
-grep -q '"serve.cache.misses":4' "$SERVE_OUT"
+grep -q '"serve.cache.hits":5' "$SERVE_OUT"
+grep -q '"serve.cache.misses":5' "$SERVE_OUT"
 grep -q '"serve.cache.evictions":0' "$SERVE_OUT"
-# Duplicate pairs (1,3), (2,5), (4,7), (6,8) must serve identical report bytes.
-for pair in "1 3" "2 5" "4 7" "6 8"; do
+grep -q '"serve.errors":1' "$SERVE_OUT"
+# Duplicate pairs (1,3), (2,5), (4,7), (6,8), (2,9) must serve identical
+# report bytes.
+for pair in "1 3" "2 5" "4 7" "6 8" "2 9"; do
     fresh=$(echo "$pair" | cut -d' ' -f1)
     dup=$(echo "$pair" | cut -d' ' -f2)
     sed -n "${fresh}p" "$SERVE_OUT" | sed 's/.*"report"://' > "$SERVE_DIR/fresh.json"
@@ -110,10 +119,11 @@ cargo run --release --offline -p ncpu-obs --bin trace_check -- \
     --summary "$SERVE_DIR"/artifacts/RUN_serve_*.json
 
 # End-to-end benchmark: servebench is a package of its own (outside the
-# workspace, so the workspace build and tests above skip it). Build and
-# test it, then serve a 2 s trained_cold stream and require its summary
-# (the last line) to report zero failed requests.
+# workspace, so the workspace build, tests and clippy above skip it).
+# Build, lint and test it, then serve a 2 s trained_cold stream and
+# require its summary (the last line) to report zero failed requests.
 cargo build --release --offline --manifest-path servebench/Cargo.toml
+cargo clippy --offline --manifest-path servebench/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline --manifest-path servebench/Cargo.toml
 cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
     --workload trained_cold --seed 1 --seconds 2 --trace 0 > "$SERVE_DIR/servebench.txt"

@@ -18,20 +18,20 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
             "endtoend/parametric_b128_2core",
             Scenario::new(
                 UseCase::parametric(0.8, 128, pseudo_model(784, 30, 10)),
-                SystemConfig::Ncpu { cores: 2 },
+                SystemConfig::ncpu(2),
             ),
         ),
         // Staged-DMA path with a trained model (image pipeline).
         (
             "endtoend/image_2core",
-            Scenario::new(UseCase::image(4, 2, 1), SystemConfig::Ncpu { cores: 2 }),
+            Scenario::new(UseCase::image(4, 2, 1), SystemConfig::ncpu(2)),
         ),
         // The N-core generalization under shared-L2 contention.
         (
             "smoke/parametric_b16_4core",
             Scenario::new(
                 UseCase::parametric(0.5, 16, pseudo_model(256, 20, 10)),
-                SystemConfig::Ncpu { cores: 4 },
+                SystemConfig::ncpu(4),
             ),
         ),
     ]

@@ -56,7 +56,7 @@ fn bench_endtoend(b: &mut Bench) {
     let uc = ncpu_soc::UseCase::parametric(0.7, 4, model);
     let baseline = Scenario::new(uc.clone(), SystemConfig::Heterogeneous);
     b.bench("endtoend/heterogeneous_baseline", || black_box(Analytic.report(&baseline)));
-    let dual = Scenario::new(uc, SystemConfig::Ncpu { cores: 2 });
+    let dual = Scenario::new(uc, SystemConfig::ncpu(2));
     b.bench("endtoend/dual_ncpu", || black_box(Analytic.report(&dual)));
 }
 

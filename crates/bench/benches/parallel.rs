@@ -51,7 +51,7 @@ fn regenerate(ids: &[&str]) -> String {
 fn fleet_latency_json(workers: usize) -> String {
     let scenarios: Vec<Scenario> = (1..=4)
         .map(|cores| {
-            Scenario::new(UseCase::image(8, 30, 10), SystemConfig::Ncpu { cores })
+            Scenario::new(UseCase::image(8, 30, 10), SystemConfig::ncpu(cores))
         })
         .collect();
     let pool = ncpu_par::Pool::with_workers(workers);

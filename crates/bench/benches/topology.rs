@@ -76,8 +76,7 @@ fn main() {
     let mut cells: Vec<(String, u64, f64)> = Vec::new();
     for (wl, uc) in &workloads {
         for (tname, topo) in topologies() {
-            let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 4 })
-                .with_topology(topo.clone());
+            let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu(topo.clone()));
 
             // Twin-engine equivalence gate on the heterogeneous fleet
             // before anything is recorded.

@@ -13,7 +13,7 @@ fn main() {
     let uc = UseCase::image(2, 2, 1);
     let pm = PowerModel::default();
     let am = AreaModel::default();
-    for system in [SystemConfig::Heterogeneous, SystemConfig::Ncpu { cores: 2 }] {
+    for system in [SystemConfig::Heterogeneous, SystemConfig::ncpu(2)] {
         let report = Analytic.report(&Scenario::new(uc.clone(), system));
         let traces = energy::power_traces(&report, &pm, &am, 100, 1.0, 512);
         for (core, trace) in report.cores.iter().zip(&traces) {

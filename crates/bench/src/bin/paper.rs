@@ -67,7 +67,7 @@ fn write_traced_artifacts() {
         use ncpu_soc::Engine;
         let scenario = ncpu_soc::Scenario::new(
             ncpu_soc::UseCase::image(4, 60, 25),
-            ncpu_soc::SystemConfig::Ncpu { cores: 2 },
+            ncpu_soc::SystemConfig::ncpu(2),
         )
         .with_trace(level);
         let (report, rec) = ncpu_soc::Analytic.run(&scenario);

@@ -29,7 +29,7 @@ fn infer_cycles(model: &ncpu_bnn::BnnModel) -> u64 {
 fn versus_dual(uc: &UseCase) -> [Scenario; 2] {
     [
         Scenario::new(uc.clone(), SystemConfig::Heterogeneous),
-        Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }),
+        Scenario::new(uc.clone(), SystemConfig::ncpu(2)),
     ]
 }
 
@@ -265,9 +265,9 @@ pub fn fig17() -> Report {
         let nominal = Scenario::new(uc, SystemConfig::Heterogeneous).with_operating_point(1.0);
         let base = Analytic.report(&nominal);
         let single = Analytic
-            .report(&Scenario::new(nominal.usecase().clone(), SystemConfig::Ncpu { cores: 1 }));
+            .report(&Scenario::new(nominal.usecase().clone(), SystemConfig::ncpu(1)));
         let dual = Analytic
-            .report(&Scenario::new(nominal.usecase().clone(), SystemConfig::Ncpu { cores: 2 }));
+            .report(&Scenario::new(nominal.usecase().clone(), SystemConfig::ncpu(2)));
         let single_delta = single.makespan as f64 / base.makespan as f64 - 1.0;
         lines.push(format!(
             "{name}: normalized latency — 1 NCPU {:.3} (paper +{:.1}%), CPU+BNN 1.000, \

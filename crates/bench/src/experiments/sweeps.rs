@@ -76,7 +76,7 @@ pub fn ablation_switch() -> Report {
         SocConfig { switch_policy: SwitchPolicy::Naive, ..SocConfig::default() },
     ]
     .into_iter()
-    .map(|soc| Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 1 }).with_soc(soc))
+    .map(|soc| Scenario::new(uc.clone(), SystemConfig::ncpu(1)).with_soc(soc))
     .collect();
     let mut reports =
         ncpu_par::par_map_indexed(scenarios, |_, s| Analytic.report(&s)).into_iter();
@@ -130,7 +130,7 @@ pub fn ablation_offload() -> Report {
     let model = image_pseudo_model(100);
     let uc = UseCase::parametric(0.7, 4, model);
     let scenarios: Vec<Scenario> =
-        [SystemConfig::Heterogeneous, SystemConfig::Ncpu { cores: 2 }]
+        [SystemConfig::Heterogeneous, SystemConfig::ncpu(2)]
             .into_iter()
             .map(|sys| Scenario::new(uc.clone(), sys))
             .collect();
@@ -185,7 +185,7 @@ pub fn ext_deep() -> Report {
     // One pool task per core count: 1 → rollback, 2 → series.
     let scenarios: Vec<Scenario> = [1usize, 2]
         .into_iter()
-        .map(|cores| Scenario::new(uc.clone(), SystemConfig::Ncpu { cores }))
+        .map(|cores| Scenario::new(uc.clone(), SystemConfig::ncpu(cores)))
         .collect();
     let mut runs = ncpu_par::par_map_indexed(scenarios, |_, s| Deep.run(&s)).into_iter();
     let (rolled, rolled_rec) = runs.next().expect("two modes");
@@ -249,7 +249,7 @@ pub fn ablation_interface() -> Report {
                 &Scenario::new(uc.clone(), SystemConfig::Heterogeneous).with_soc(soc),
             );
             let dual = Analytic.report(
-                &Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }).with_soc(soc),
+                &Scenario::new(uc.clone(), SystemConfig::ncpu(2)).with_soc(soc),
             );
             format!(
                 "{label:<34} {:>12} {:>10}",
@@ -280,7 +280,7 @@ pub fn ext_lockstep() -> Report {
         "cores", "analytic cy", "lockstep cy", "event cy", "delta", "L2 conflicts"
     )];
     for cores in [1usize, 2, 4] {
-        let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores });
+        let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores));
         let analytic = Analytic.report(&scenario);
         let (lockstep, rec) = Lockstep.run(&scenario);
         let (event, event_rec) = EventDriven.run(&scenario);
@@ -341,7 +341,7 @@ pub fn ext_fault() -> Report {
     let mut flips_at = Vec::new();
     for tenths in [10u32, 9, 8, 7, 6] {
         let volts = f64::from(tenths) / 10.0;
-        let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 4 })
+        let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(4))
             .with_operating_point(volts)
             .with_faults(plan);
         let (report, rec) = Analytic.run(&scenario);

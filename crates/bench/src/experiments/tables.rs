@@ -208,7 +208,7 @@ pub fn ext_realtime() -> Report {
     let hetero_cycles =
         Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous)).makespan;
     let ncpu_cycles =
-        Analytic.report(&Scenario::new(uc, SystemConfig::Ncpu { cores: 1 })).makespan;
+        Analytic.report(&Scenario::new(uc, SystemConfig::ncpu(1))).makespan;
 
     let pm = PowerModel::default();
     let am = AreaModel::default();

@@ -85,19 +85,19 @@ pub struct Fleet {
 }
 
 fn routed_engine(spec: &ScenarioSpec) -> Result<&'static str, String> {
-    match (spec.system, spec.engine) {
+    match (&spec.system, spec.engine) {
         (SystemConfig::Heterogeneous, EnginePref::Auto | EnginePref::Analytic) => Ok("analytic"),
         (SystemConfig::Heterogeneous, _) => {
             Err("engine: only \"analytic\" (or \"auto\") can run a heterogeneous system".to_string())
         }
-        (SystemConfig::Ncpu { .. }, EnginePref::Analytic) => Err(
+        (SystemConfig::Ncpu(_), EnginePref::Analytic) => Err(
             "engine: \"analytic\" on an ncpu system is outside the byte-identical \
              lockstep/event equivalence class and cannot share the result cache"
                 .to_string(),
         ),
-        (SystemConfig::Ncpu { .. }, EnginePref::Lockstep) => Ok("lockstep"),
-        (SystemConfig::Ncpu { .. }, EnginePref::Event) => Ok("event"),
-        (SystemConfig::Ncpu { .. }, EnginePref::Auto) => {
+        (SystemConfig::Ncpu(_), EnginePref::Lockstep) => Ok("lockstep"),
+        (SystemConfig::Ncpu(_), EnginePref::Event) => Ok("event"),
+        (SystemConfig::Ncpu(_), EnginePref::Auto) => {
             // Steady-state parametric items are memoizable and play to
             // the event queue's strengths; trained image/motion batches
             // walk lockstep (see `tests/event_floor.rs` for the honest

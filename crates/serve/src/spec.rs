@@ -92,7 +92,8 @@ pub enum WorkloadSpec {
 pub struct ScenarioSpec {
     /// What to run.
     pub workload: WorkloadSpec,
-    /// `Ncpu { cores }` or `Heterogeneous`.
+    /// An NCPU fleet (from `"cores"` or a `"topology"` block) or the
+    /// heterogeneous baseline.
     pub system: SystemConfig,
     /// Fabric parameters.
     pub soc: SocConfig,
@@ -100,8 +101,6 @@ pub struct ScenarioSpec {
     pub operating_point: Option<f64>,
     /// Fault-injection plan.
     pub fault: FaultPlan,
-    /// Explicit fabric topology; `None` is the homogeneous default.
-    pub topology: Option<Topology>,
     /// Engine preference.
     pub engine: EnginePref,
 }
@@ -144,11 +143,10 @@ impl Default for ScenarioSpec {
     fn default() -> ScenarioSpec {
         ScenarioSpec {
             workload: WorkloadSpec::Parametric { cpu_fraction: 0.5, batch: 8, model_input: 64 },
-            system: SystemConfig::Ncpu { cores: 2 },
+            system: SystemConfig::ncpu(2),
             soc: SocConfig::default(),
             operating_point: None,
             fault: FaultPlan::none(),
-            topology: None,
             engine: EnginePref::Auto,
         }
     }
@@ -329,7 +327,7 @@ impl ScenarioSpec {
 
         let mut system = match obj.get("system").map(|v| v.as_str().unwrap_or("?")) {
             None | Some("ncpu") => {
-                SystemConfig::Ncpu { cores: want_size(obj, "cores", 2, MAX_CORES)? }
+                SystemConfig::ncpu(want_size(obj, "cores", 2, MAX_CORES)?)
             }
             Some("hetero") | Some("heterogeneous") => SystemConfig::Heterogeneous,
             Some(other) => {
@@ -368,25 +366,22 @@ impl ScenarioSpec {
             ),
         };
 
-        let topology = match obj.get("topology") {
-            None => None,
-            Some(t) => {
-                let SystemConfig::Ncpu { cores } = system else {
-                    return Err("topology: describes NCPU fleets, not the hetero baseline".into());
-                };
-                let topo = parse_topology(t)?;
-                // An explicit "cores" must agree; an omitted one is
-                // inferred from the topology's core list.
-                if obj.get("cores").is_some() && topo.cores() != cores {
-                    return Err(format!(
-                        "topology: {} core specs but cores is {cores}",
-                        topo.cores()
-                    ));
-                }
-                system = SystemConfig::Ncpu { cores: topo.cores() };
-                Some(topo)
+        if let Some(t) = obj.get("topology") {
+            let SystemConfig::Ncpu(fleet) = &system else {
+                return Err("topology: describes NCPU fleets, not the hetero baseline".into());
+            };
+            let topo = parse_topology(t)?;
+            // An explicit "cores" must agree; an omitted one is
+            // inferred from the topology's core list.
+            let cores = fleet.cores();
+            if obj.get("cores").is_some() && topo.cores() != cores {
+                return Err(format!(
+                    "topology: {} core specs but cores is {cores}",
+                    topo.cores()
+                ));
             }
-        };
+            system = SystemConfig::Ncpu(topo);
+        }
 
         // Fault knobs ride the NCPU_FAULT_* parser: `fault_seed` in a
         // request and `NCPU_FAULT_SEED` in the environment go through
@@ -437,7 +432,7 @@ impl ScenarioSpec {
             }
         };
 
-        Ok(ScenarioSpec { workload, system, soc, operating_point, fault, topology, engine })
+        Ok(ScenarioSpec { workload, system, soc, operating_point, fault, engine })
     }
 
     /// Materializes the spec into a runnable [`Scenario`] around a
@@ -451,21 +446,18 @@ impl ScenarioSpec {
         self.assemble(self.workload.use_case())
     }
 
-    /// Wraps `usecase` in this spec's system, fabric, trace pin, faults,
-    /// operating point and topology. `usecase` must be what
+    /// Wraps `usecase` in this spec's system, fabric, trace pin, faults
+    /// and operating point. `usecase` must be what
     /// `self.workload.use_case()` constructs (for a trained workload:
     /// any use case of the same [`WorkloadSpec::trained_shape`]);
     /// otherwise the scenario does not describe this spec.
     pub fn assemble(&self, usecase: UseCase) -> Scenario {
-        let mut s = Scenario::new(usecase, self.system)
+        let mut s = Scenario::new(usecase, self.system.clone())
             .with_soc(self.soc)
             .with_trace(ncpu_obs::TraceLevel::Counters)
             .with_faults(self.fault);
         if let Some(v) = self.operating_point {
             s = s.with_operating_point(v);
-        }
-        if let Some(t) = &self.topology {
-            s = s.with_topology(t.clone());
         }
         s
     }
@@ -575,15 +567,15 @@ mod tests {
     #[test]
     fn core_counts_are_capped_on_both_sides_of_the_limit() {
         let cores = |doc: &str| spec_of(doc).map(|s| s.system);
-        assert_eq!(cores(r#"{"cores":64}"#), Ok(SystemConfig::Ncpu { cores: MAX_CORES }));
+        assert_eq!(cores(r#"{"cores":64}"#), Ok(SystemConfig::ncpu(MAX_CORES)));
         assert_eq!(cores(r#"{"cores":65}"#), Err("cores: at most 64, got 65".to_string()));
         assert_eq!(cores(r#"{"cores":1000}"#), Err("cores: at most 64, got 1000".to_string()));
         // Zero still means one.
-        assert_eq!(cores(r#"{"cores":0}"#), Ok(SystemConfig::Ncpu { cores: 1 }));
+        assert_eq!(cores(r#"{"cores":0}"#), Ok(SystemConfig::ncpu(1)));
         // A topology core list gets the same cap.
         let list =
             |n: usize| format!(r#"{{"topology":{{"cores":[{}]}}}}"#, vec!["{}"; n].join(","));
-        assert_eq!(cores(&list(64)), Ok(SystemConfig::Ncpu { cores: MAX_CORES }));
+        assert_eq!(cores(&list(64)), Ok(SystemConfig::ncpu(MAX_CORES)));
         assert_eq!(cores(&list(65)), Err("topology: cores: at most 64, got 65".to_string()));
         assert_eq!(
             cores(&list(20_000)),
@@ -635,16 +627,16 @@ mod tests {
                 "banks":[131072,65536]}}"#,
         )
         .unwrap();
-        assert_eq!(s.system, SystemConfig::Ncpu { cores: 3 });
-        let topo = s.topology.as_ref().unwrap();
+        let SystemConfig::Ncpu(topo) = &s.system else { panic!("an NCPU fleet") };
+        assert_eq!(topo.cores(), 3);
         assert_eq!(topo.label(), "R+B+R@0.7V");
         assert_eq!(topo.banks(), 2);
         // Matching explicit core count is accepted; a mismatch is not.
         assert!(spec_of(r#"{"cores":2,"topology":{"cores":[{},{}]}}"#).is_ok());
         let err = spec_of(r#"{"cores":4,"topology":{"cores":[{},{}]}}"#).unwrap_err();
         assert!(err.contains("cores"), "{err}");
-        // The built scenario carries the topology.
-        assert!(s.build().explicit_topology().is_some());
+        // The built scenario carries the parsed topology.
+        assert_eq!(s.build().system(), &s.system);
     }
 
     #[test]

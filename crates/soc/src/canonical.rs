@@ -20,15 +20,13 @@
 //!
 //! The operating point is normalized through [`Scenario::volts`]: an
 //! unset point and an explicit nominal `1.0 V` encode identically,
-//! because every engine resolves them identically. The topology is
-//! normalized through [`Scenario::topology`] the same way: an unset
-//! topology and an explicit [`Topology::homogeneous`] of the scenario's
-//! core count encode identically, and per-core operating points encode
-//! as their *effective* voltage (an unset per-core point inherits the
-//! scenario point), because that is exactly how every engine resolves
-//! them.
-//!
-//! [`Topology::homogeneous`]: crate::topology::Topology::homogeneous
+//! because every engine resolves them identically. An NCPU fleet's
+//! topology is encoded as resolved the same way: per-core operating
+//! points encode as their *effective* voltage (an unset per-core point
+//! inherits the scenario point), because that is exactly how every
+//! engine resolves them. The heterogeneous baseline has no fleet; its
+//! topology section encodes [`Topology::homogeneous`]`(1)`, the layout
+//! its keys have always had.
 //!
 //! The key itself is a 64-bit FNV-1a over the canonical bytes — the
 //! same deterministic, dependency-free hash the testkit uses for
@@ -36,6 +34,7 @@
 
 use crate::scenario::Scenario;
 use crate::system::SystemConfig;
+use crate::topology::Topology;
 use crate::usecase::UseCaseKind;
 
 /// Version tag leading the canonical encoding; bump when the layout
@@ -88,17 +87,21 @@ pub fn canonical_bytes(scenario: &Scenario) -> Vec<u8> {
         out.extend_from_slice(&item.staged);
     }
 
-    // System shape.
-    match scenario.system() {
+    // System shape: a tag and the core count (0 for the baseline).
+    let hetero_layout;
+    let topo = match scenario.system() {
         SystemConfig::Heterogeneous => {
+            hetero_layout = Topology::homogeneous(1);
             out.push(0);
             push_u64(&mut out, 0);
+            &hetero_layout
         }
-        SystemConfig::Ncpu { cores } => {
+        SystemConfig::Ncpu(topo) => {
             out.push(1);
-            push_u64(&mut out, cores as u64);
+            push_u64(&mut out, topo.cores() as u64);
+            topo
         }
-    }
+    };
 
     // Fabric parameters.
     let soc = scenario.soc();
@@ -126,12 +129,9 @@ pub fn canonical_bytes(scenario: &Scenario) -> Vec<u8> {
     push_u64(&mut out, fault.backoff_cycles);
     push_u32(&mut out, fault.quarantine_after);
 
-    // Topology, resolved: an unset topology materializes as
-    // `Topology::homogeneous(cores)`, so it encodes identically to the
-    // explicit homogeneous default. Per-core operating points encode as
-    // the *effective* voltage (unset inherits the scenario point) —
-    // the normalization every engine applies.
-    let topo = scenario.topology();
+    // Topology, resolved: per-core operating points encode as the
+    // *effective* voltage (unset inherits the scenario point) — the
+    // normalization every engine applies.
     let volts = scenario.volts();
     push_u64(&mut out, topo.cores() as u64);
     for spec in topo.specs() {
@@ -161,7 +161,7 @@ pub fn cache_key(scenario: &Scenario) -> u64 {
 mod tests {
     use super::*;
     use crate::usecase::{pseudo_model, UseCase};
-    use crate::{FaultPlan, SocConfig};
+    use crate::{Engine, FaultPlan, Lockstep, SocConfig};
     use ncpu_core::SwitchPolicy;
     use ncpu_obs::TraceLevel;
     use ncpu_testkit::rng::Rng;
@@ -200,8 +200,8 @@ mod tests {
     /// the 0.46–0.49 V corner, disjoint from the scenario-level points
     /// (0.55–1.0 V), so a per-core mutation can never alias the
     /// inherited voltage.
-    fn build_topology(cores: usize, t: &(u8, bool, u8)) -> crate::topology::Topology {
-        use crate::topology::{CoreRole, CoreSpec, Topology};
+    fn build_topology(cores: usize, t: &(u8, bool, u8)) -> Topology {
+        use crate::topology::{CoreRole, CoreSpec};
         let (role, split, core0_op) = *t;
         let mut specs = vec![CoreSpec::reconfigurable(); cores];
         specs[cores - 1].role = match role % 3 {
@@ -241,10 +241,9 @@ mod tests {
             layer_pipelining: pipelining,
         };
         let cores = usize::from(cores.clamp(1, 4));
-        let mut s = Scenario::new(uc, crate::SystemConfig::Ncpu { cores })
+        let mut s = Scenario::new(uc, crate::SystemConfig::Ncpu(build_topology(cores, &topo)))
             .with_soc(soc)
-            .with_faults(FaultPlan { seed, sram_flip_ppm: 100, ..FaultPlan::none() })
-            .with_topology(build_topology(cores, &topo));
+            .with_faults(FaultPlan { seed, sram_flip_ppm: 100, ..FaultPlan::none() });
         if op > 0 {
             s = s.with_operating_point(1.0 - f64::from(op) / 20.0);
         }
@@ -258,17 +257,6 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_ne!(fnv1a_64(b"ab"), fnv1a_64(b"ba"), "order matters");
-    }
-
-    #[test]
-    fn unset_topology_hashes_like_the_explicit_homogeneous_default() {
-        use crate::topology::Topology;
-        let uc = UseCase::parametric(0.5, 2, pseudo_model(64, 10, 10));
-        let unset = Scenario::new(uc.clone(), crate::SystemConfig::Ncpu { cores: 2 });
-        let explicit = Scenario::new(uc, crate::SystemConfig::Ncpu { cores: 2 })
-            .with_topology(Topology::homogeneous(2));
-        assert_eq!(unset.cache_key(), explicit.cache_key());
-        assert_eq!(canonical_bytes(&unset), canonical_bytes(&explicit));
     }
 
     #[test]
@@ -289,6 +277,14 @@ mod tests {
             base.cache_key(),
             "a real DVFS point is semantic"
         );
+        // A zero core count is the one core the fleet actually runs.
+        let uc = UseCase::parametric(0.5, 2, pseudo_model(64, 10, 10));
+        let zero = Scenario::new(uc.clone(), crate::SystemConfig::ncpu(0));
+        let one = Scenario::new(uc, crate::SystemConfig::ncpu(1));
+        assert_eq!(canonical_bytes(&zero), canonical_bytes(&one));
+        assert_eq!(zero.cache_key(), one.cache_key());
+        let report = |s: &Scenario| format!("{:?}", Lockstep.report(s));
+        assert_eq!(report(&zero), report(&one));
     }
 
     /// The shrinking property suite: non-semantic knobs never move the
@@ -368,7 +364,7 @@ mod tests {
     fn different_workload_kinds_never_collide() {
         let parametric = Scenario::new(
             UseCase::parametric(0.5, 2, pseudo_model(64, 10, 10)),
-            crate::SystemConfig::Ncpu { cores: 2 },
+            crate::SystemConfig::ncpu(2),
         );
         let hetero = Scenario::new(
             UseCase::parametric(0.5, 2, pseudo_model(64, 10, 10)),
@@ -385,14 +381,14 @@ mod tests {
         // never see its keys move under an optimization.
         let model = ncpu_bnn::io::to_bytes(&pseudo_model(784, 100, 10));
         assert_eq!(fnv1a_64(&model), 0x9e92_1245_03ce_db20);
-        let image = Scenario::new(UseCase::image(4, 2, 1), crate::SystemConfig::Ncpu { cores: 2 });
+        let image = Scenario::new(UseCase::image(4, 2, 1), crate::SystemConfig::ncpu(2));
         assert_eq!(image.cache_key(), 0x0ca7_7b31_b07d_83e2);
-        let motion = Scenario::new(UseCase::motion(2, 4, 2), crate::SystemConfig::Ncpu { cores: 1 })
+        let motion = Scenario::new(UseCase::motion(2, 4, 2), crate::SystemConfig::ncpu(1))
             .with_operating_point(0.8);
         assert_eq!(motion.cache_key(), 0x0bd0_acde_6945_fcac);
         let parametric = Scenario::new(
             UseCase::parametric(0.5, 8, pseudo_model(64, 10, 10)),
-            crate::SystemConfig::Ncpu { cores: 2 },
+            crate::SystemConfig::ncpu(2),
         );
         assert_eq!(parametric.cache_key(), 0x87d2_be67_242d_e493);
         let hetero = Scenario::new(

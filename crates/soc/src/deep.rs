@@ -327,13 +327,12 @@ fn series(
 /// The deep engine's body: rollback on one BNN-capable core, a series
 /// pipeline over N ≥ 2 of them, with the fault layer resolved against
 /// input staging first.
-pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
+pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (RunReport, Recorder) {
     // Roles map to segment placement: every BNN-capable core
     // (reconfigurable or fixed BNN array) holds one resident model
     // segment, in core-id order; CPU-only cores hold none. The
     // homogeneous default keeps the historical "N cores = N
     // segments" exactly.
-    let topo = scenario.topology();
     let segment_cores = topo.bnn_cores();
     assert!(!segment_cores.is_empty(), "the deep engine needs at least one BNN-capable core");
     let cores = segment_cores.len();

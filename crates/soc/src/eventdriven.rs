@@ -58,6 +58,7 @@ use crate::event_queue::EventQueue;
 use crate::fabric;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
+use crate::topology::Topology;
 
 /// The event-driven engine: co-simulates `scenario`'s NCPU fleet and
 /// returns the report with the root [`Recorder`] — byte-identical
@@ -80,19 +81,19 @@ use crate::scenario::Scenario;
 /// Panics if a generated program faults (a workspace bug), the run
 /// exceeds an internal cycle bound, or the topology has no item-capable
 /// core.
-pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
-    match run_attempt(scenario, true) {
+pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
+    match run_attempt(scenario, topo, true) {
         Ok((report, rec, _)) => (report, rec),
         // An item read the shared L2 after a replay already skipped a
         // write: replay is unsound for this workload, simulate all items.
-        Err(Restart::MemoUnsound) => match run_attempt(scenario, false) {
+        Err(Restart::MemoUnsound) => match run_attempt(scenario, topo, false) {
             Ok((report, rec, _)) => (report, rec),
             Err(Restart::MemoUnsound) => {
                 unreachable!("memoization disabled: nothing to invalidate")
             }
-            Err(Restart::Watchdog) => lockstep_fallback(scenario),
+            Err(Restart::Watchdog) => lockstep_fallback(scenario, topo),
         },
-        Err(Restart::Watchdog) => lockstep_fallback(scenario),
+        Err(Restart::Watchdog) => lockstep_fallback(scenario, topo),
     }
 }
 
@@ -100,8 +101,8 @@ pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
 /// cannot abort mid-item, so the run re-executes on the lock-step
 /// engine, which can. Byte-identical by definition — it *is* the
 /// lock-step run, relabeled.
-fn lockstep_fallback(scenario: &Scenario) -> (RunReport, Recorder) {
-    let (mut report, rec) = crate::lockstep::run(scenario);
+fn lockstep_fallback(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
+    let (mut report, rec) = crate::lockstep::run(scenario, topo);
     report.config = report.config.replace("(lockstep)", "(event)");
     (report, rec)
 }
@@ -194,14 +195,13 @@ struct CoreRun {
 /// the report counters, which must match the lock-step engine's).
 fn run_attempt(
     scenario: &Scenario,
+    topo: &Topology,
     mut memoize: bool,
 ) -> Result<(RunReport, Recorder, usize), Restart> {
     let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
-    let topo = &scenario.topology();
     let plan = scenario.fault();
     let millivolts = scenario.millivolts();
     let cores = topo.cores();
-    assert!(cores >= 1, "need at least one core");
     let mut rec = Recorder::new(level.at_least_counters());
     let l2 = SharedL2::new(fabric::L2_BYTES);
     let mut dma = fabric::new_dma(soc, level);
@@ -589,12 +589,20 @@ mod tests {
     }
 
     fn ncpu(uc: &UseCase, cores: usize, soc: SocConfig, level: TraceLevel) -> Scenario {
-        Scenario::new(uc.clone(), SystemConfig::Ncpu { cores }).with_soc(soc).with_trace(level)
+        Scenario::new(uc.clone(), SystemConfig::ncpu(cores)).with_soc(soc).with_trace(level)
+    }
+
+    /// The memoizing first pass over `scenario`'s fleet.
+    fn first_pass(scenario: &Scenario) -> Result<(RunReport, Recorder, usize), Restart> {
+        let SystemConfig::Ncpu(topo) = scenario.system() else {
+            unreachable!("the tests build NCPU scenarios")
+        };
+        run_attempt(scenario, topo, true)
     }
 
     /// Items the memoizing first pass served from the replay cache.
     fn replayed_items(scenario: &Scenario) -> usize {
-        match run_attempt(scenario, true) {
+        match first_pass(scenario) {
             Ok((_, _, replayed)) => replayed,
             Err(_) => panic!("the first pass must complete without a restart"),
         }
@@ -761,7 +769,7 @@ mod tests {
         let (ev, ev_rec) = EventDriven.run(&s);
         assert_eq!(ev.config, "2x ncpu (event)", "fallback keeps the engine label");
         assert!(
-            matches!(run_attempt(&s, true), Err(Restart::Watchdog)),
+            matches!(first_pass(&s), Err(Restart::Watchdog)),
             "fallback bypasses the replay cache"
         );
         assert!(
@@ -778,7 +786,7 @@ mod tests {
     /// Drives the engine through the `Engine` trait like any other.
     #[test]
     fn engine_trait_runs_event() {
-        let s = Scenario::new(parametric(3), SystemConfig::Ncpu { cores: 2 });
+        let s = Scenario::new(parametric(3), SystemConfig::ncpu(2));
         let report = EventDriven.report(&s);
         assert_eq!(report.config, "2x ncpu (event)");
         assert_eq!(EventDriven.name(), "event");

@@ -12,8 +12,9 @@
 //!   memory, switches modes with zero latency, classifies in place, and
 //!   switches back.
 //!
-//! A [`Scenario`] describes one run (use case × system × fabric ×
-//! topology × trace × operating point × fault plan) and [`Engine::run`]
+//! A [`Scenario`] describes one run (use case × system × fabric × trace
+//! × operating point × fault plan; an NCPU system is its
+//! [`topology::Topology`]) and [`Engine::run`]
 //! executes it on the [`Analytic`], [`Lockstep`], [`EventDriven`], or
 //! [`Deep`] engine, returning a [`RunReport`] with the makespan,
 //! per-core busy/mode timelines, utilizations, predicted classes and

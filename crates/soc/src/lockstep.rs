@@ -23,6 +23,7 @@ use ncpu_obs::{EventKind, Recorder, StallCause};
 use crate::fabric;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
+use crate::topology::Topology;
 
 /// The lock-step engine: co-simulates `scenario`'s NCPU fleet one
 /// global cycle at a time and returns the report with the root
@@ -45,13 +46,11 @@ use crate::scenario::Scenario;
 /// Panics if a generated program faults (a workspace bug), the run
 /// exceeds an internal cycle bound, or an item workload is given a
 /// topology with no reconfigurable core.
-pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
+pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
     let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
-    let topo = &scenario.topology();
     let plan = scenario.fault();
     let millivolts = scenario.millivolts();
     let cores = topo.cores();
-    assert!(cores >= 1, "need at least one core");
     let mut rec = Recorder::new(level.at_least_counters());
     let l2 = SharedL2::new(fabric::L2_BYTES);
     let mut ctl = plan
@@ -426,7 +425,7 @@ mod tests {
             for policy in [SwitchPolicy::ZeroLatency, SwitchPolicy::Naive] {
                 for cores in [1usize, 2, 4] {
                     let soc = SocConfig { switch_policy: policy, ..SocConfig::default() };
-                    let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores })
+                    let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores))
                         .with_soc(soc);
                     let (analytic, _) = Analytic.run(&scenario);
                     let (lockstep, _) = Lockstep.run(&scenario);
@@ -448,7 +447,7 @@ mod tests {
 
     #[test]
     fn contention_is_negligible_for_local_data_workloads() {
-        let (_, rec) = Lockstep.run(&Scenario::new(parametric(6), SystemConfig::Ncpu { cores: 2 }));
+        let (_, rec) = Lockstep.run(&Scenario::new(parametric(6), SystemConfig::ncpu(2)));
         // One result word per item is the only shared-L2 traffic.
         let conflicts = rec.counters().get("soc.l2_conflict_cycles");
         assert!(conflicts < 20, "conflicts {conflicts}");
@@ -456,7 +455,7 @@ mod tests {
 
     #[test]
     fn four_way_arbitration_completes_and_agrees() {
-        let scenario = Scenario::new(parametric(8), SystemConfig::Ncpu { cores: 4 });
+        let scenario = Scenario::new(parametric(8), SystemConfig::ncpu(4));
         let lockstep = Lockstep.report(&scenario);
         let analytic = Analytic.report(&scenario);
         assert_eq!(lockstep.predictions, analytic.predictions);

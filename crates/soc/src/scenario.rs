@@ -2,11 +2,11 @@
 //! interchangeable simulators for *how* to run it.
 //!
 //! A [`Scenario`] bundles everything a run needs — the [`UseCase`], the
-//! [`SystemConfig`] (including the NCPU core count N ≥ 1), the
-//! [`SocConfig`] fabric parameters, the [`TraceLevel`], an optional
-//! DVFS operating point, a fault plan, and an optional fabric
-//! [`Topology`] — so experiments, the `paper` binary, and `ncpu-par`
-//! fan-out all pass one value instead of ad-hoc tuples. [`Engine::run`]
+//! [`SystemConfig`] (for an NCPU fleet, its [`Topology`]: N ≥ 1 core
+//! specs and the L2 banking), the [`SocConfig`] fabric parameters, the
+//! [`TraceLevel`], an optional DVFS operating point, and a fault plan —
+//! so experiments, the `paper` binary, and `ncpu-par` fan-out all pass
+//! one value instead of ad-hoc tuples. [`Engine::run`]
 //! is the only way to run a single use case; `run_independent` (two
 //! different use cases sharing one fabric) is the only other entry
 //! point.
@@ -35,13 +35,15 @@
 //! over the item-capable cores ([`Topology::plan`]; `item i → core
 //! i % N` on the homogeneous default), while `Deep` places one series
 //! segment on each BNN-capable core.
+//!
+//! [`Topology`]: crate::topology::Topology
+//! [`Topology::plan`]: crate::topology::Topology::plan
 
 use ncpu_fault::FaultPlan;
 use ncpu_obs::{Recorder, TraceLevel};
 
 use crate::report::RunReport;
 use crate::system::{SocConfig, SystemConfig};
-use crate::topology::Topology;
 use crate::usecase::{UseCase, UseCaseKind};
 
 /// A complete, self-contained description of one end-to-end run.
@@ -53,7 +55,6 @@ pub struct Scenario {
     trace: TraceLevel,
     operating_point: Option<f64>,
     fault: FaultPlan,
-    topology: Option<Topology>,
 }
 
 impl Scenario {
@@ -68,7 +69,6 @@ impl Scenario {
             trace: TraceLevel::Counters,
             operating_point: None,
             fault: FaultPlan::none(),
-            topology: None,
         }
     }
 
@@ -103,38 +103,14 @@ impl Scenario {
         self
     }
 
-    /// Pins an explicit fabric topology. The default (no topology) is
-    /// [`Topology::homogeneous`] of the system's core count, which is
-    /// byte-identical to the pre-topology engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology's core count disagrees with the system's
-    /// (the topology describes exactly the cores the system schedules),
-    /// or if it is attached to the heterogeneous baseline.
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Scenario {
-        assert!(
-            matches!(self.system, SystemConfig::Ncpu { .. }),
-            "topologies describe NCPU fleets, not the heterogeneous baseline"
-        );
-        assert_eq!(
-            topology.cores(),
-            self.cores(),
-            "topology core count must match the system's"
-        );
-        self.topology = Some(topology);
-        self
-    }
-
     /// The workload.
     pub fn usecase(&self) -> &UseCase {
         &self.usecase
     }
 
-    /// The system configuration.
-    pub const fn system(&self) -> SystemConfig {
-        self.system
+    /// The system configuration (for an NCPU fleet, its topology).
+    pub const fn system(&self) -> &SystemConfig {
+        &self.system
     }
 
     /// The fabric parameters.
@@ -163,33 +139,10 @@ impl Scenario {
         &self.fault
     }
 
-    /// The explicit topology, if one was pinned.
-    pub const fn explicit_topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
-    }
-
-    /// The effective topology: the pinned one, or the byte-identical
-    /// [`Topology::homogeneous`] default over [`Scenario::cores`].
-    pub fn topology(&self) -> Topology {
-        match &self.topology {
-            Some(t) => t.clone(),
-            None => Topology::homogeneous(self.cores()),
-        }
-    }
-
     /// The operating point in millivolts — the integer form the fault
     /// layer's voltage-dependent soft-error scaling consumes.
     pub fn millivolts(&self) -> u32 {
         (self.volts() * 1000.0).round() as u32
-    }
-
-    /// Number of NCPU cores the scenario schedules (the heterogeneous
-    /// baseline counts as 1 — its single standalone CPU).
-    pub const fn cores(&self) -> usize {
-        match self.system {
-            SystemConfig::Ncpu { cores } => cores,
-            SystemConfig::Heterogeneous => 1,
-        }
     }
 
     /// The content-addressed cache key of this scenario: a 64-bit
@@ -254,10 +207,10 @@ impl Engine for Lockstep {
 
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
         let _prof = ncpu_obs::selfprof::span("engine.lockstep");
-        let SystemConfig::Ncpu { .. } = scenario.system else {
+        let SystemConfig::Ncpu(topo) = &scenario.system else {
             panic!("the lock-step engine co-simulates NCPU cores, not the baseline");
         };
-        crate::lockstep::run(scenario)
+        crate::lockstep::run(scenario, topo)
     }
 }
 
@@ -274,10 +227,10 @@ impl Engine for EventDriven {
 
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
         let _prof = ncpu_obs::selfprof::span("engine.event");
-        let SystemConfig::Ncpu { .. } = scenario.system else {
+        let SystemConfig::Ncpu(topo) = &scenario.system else {
             panic!("the event-driven engine co-simulates NCPU cores, not the baseline");
         };
-        crate::eventdriven::run(scenario)
+        crate::eventdriven::run(scenario, topo)
     }
 }
 
@@ -298,10 +251,10 @@ impl Engine for Deep {
             UseCaseKind::Deep,
             "the deep engine runs UseCase::deep workloads"
         );
-        let SystemConfig::Ncpu { .. } = scenario.system else {
+        let SystemConfig::Ncpu(topo) = &scenario.system else {
             panic!("the deep engine schedules NCPU cores, not the baseline");
         };
-        crate::deep::run(scenario)
+        crate::deep::run(scenario, topo)
     }
 }
 
@@ -315,12 +268,12 @@ mod tests {
         let uc = UseCase::parametric(0.5, 2, pseudo_model(784, 20, 10));
         let soc = SocConfig { dma_bytes_per_cycle: 8, ..SocConfig::default() };
         let plan = FaultPlan { seed: 9, sram_flip_ppm: 1_000, ..FaultPlan::none() };
-        let s = Scenario::new(uc, SystemConfig::Ncpu { cores: 4 })
+        let s = Scenario::new(uc, SystemConfig::ncpu(4))
             .with_soc(soc)
             .with_trace(TraceLevel::Full)
             .with_operating_point(0.6)
             .with_faults(plan);
-        assert_eq!(s.cores(), 4);
+        assert_eq!(s.system(), &SystemConfig::ncpu(4));
         assert_eq!(s.soc().dma_bytes_per_cycle, 8);
         assert_eq!(s.trace(), TraceLevel::Full);
         assert_eq!(s.operating_point(), Some(0.6));
@@ -331,7 +284,6 @@ mod tests {
             UseCase::parametric(0.5, 2, pseudo_model(784, 20, 10)),
             SystemConfig::Heterogeneous,
         );
-        assert_eq!(hetero.cores(), 1);
         assert!((hetero.volts() - 1.0).abs() < 1e-12);
         assert_eq!(hetero.millivolts(), 1000);
         // The default plan is the inert one: no injection, no watchdog.
@@ -341,7 +293,7 @@ mod tests {
     #[test]
     fn engines_are_interchangeable_behind_the_trait() {
         let uc = UseCase::parametric(0.6, 4, pseudo_model(784, 20, 10));
-        let s = Scenario::new(uc, SystemConfig::Ncpu { cores: 2 });
+        let s = Scenario::new(uc, SystemConfig::ncpu(2));
         let engines: Vec<Box<dyn Engine>> = vec![Box::new(Analytic), Box::new(Lockstep)];
         let reports: Vec<RunReport> = engines.iter().map(|e| e.report(&s)).collect();
         assert_eq!(reports[0].predictions, reports[1].predictions);
@@ -359,7 +311,7 @@ mod tests {
     #[should_panic(expected = "deep engine")]
     fn deep_rejects_non_deep_use_cases() {
         let uc = UseCase::parametric(0.6, 2, pseudo_model(784, 20, 10));
-        Deep.run(&Scenario::new(uc, SystemConfig::Ncpu { cores: 1 }));
+        Deep.run(&Scenario::new(uc, SystemConfig::ncpu(1)));
     }
 
     #[test]
@@ -368,13 +320,13 @@ mod tests {
         let ins = crate::deep::tests::inputs(6);
         let uc = UseCase::deep(model, &ins);
         let reference: Vec<usize> = uc.items().iter().map(|i| i.label).collect();
-        let rolled = Deep.report(&Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 1 }));
+        let rolled = Deep.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(1)));
         assert_eq!(rolled.config, "deep rollback (1 core)");
         assert_eq!(rolled.predictions, reference);
         assert_eq!(rolled.cores.len(), 1);
         for cores in [2usize, 4] {
             let (report, rec) =
-                Deep.run(&Scenario::new(uc.clone(), SystemConfig::Ncpu { cores }));
+                Deep.run(&Scenario::new(uc.clone(), SystemConfig::ncpu(cores)));
             assert_eq!(report.config, format!("{cores}x ncpu (series)"));
             assert_eq!(report.predictions, reference, "{cores} segments");
             assert_eq!(report.cores.len(), cores);
@@ -401,8 +353,8 @@ mod tests {
             ..FaultPlan::none()
         };
         for cores in [1usize, 2] {
-            let clean = Deep.report(&Scenario::new(uc.clone(), SystemConfig::Ncpu { cores }));
-            let scenario = Scenario::new(uc.clone(), SystemConfig::Ncpu { cores })
+            let clean = Deep.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(cores)));
+            let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores))
                 .with_operating_point(0.8)
                 .with_trace(TraceLevel::Full)
                 .with_faults(plan);

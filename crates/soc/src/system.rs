@@ -17,6 +17,7 @@ use ncpu_sim::stats::Timeline;
 use crate::fabric;
 use crate::report::{CoreReport, RunReport};
 use crate::scenario::Scenario;
+use crate::topology::Topology;
 use crate::usecase::UseCase;
 
 /// Shared-fabric parameters of the SoC.
@@ -44,17 +45,23 @@ impl Default for SocConfig {
 }
 
 /// Which system runs the use case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SystemConfig {
     /// Conventional heterogeneous pair: standalone CPU + BNN accelerator
     /// with DMA offload through the shared L2.
     Heterogeneous,
-    /// `cores` reconfigurable NCPU cores (the paper builds 1 and 2; the
-    /// schedulers accept any N ≥ 1).
-    Ncpu {
-        /// Number of NCPU cores (≥1).
-        cores: usize,
-    },
+    /// A fleet of NCPU cores described by its [`Topology`] (the paper
+    /// builds 1 and 2 identical reconfigurable cores; the schedulers
+    /// accept any N ≥ 1 and any mix of roles).
+    Ncpu(Topology),
+}
+
+impl SystemConfig {
+    /// `n` identical reconfigurable cores: [`Topology::homogeneous`],
+    /// which counts `0` as one core.
+    pub fn ncpu(n: usize) -> SystemConfig {
+        SystemConfig::Ncpu(Topology::homogeneous(n))
+    }
 }
 
 /// The analytic engine: runs `scenario` with one per-item scheduler
@@ -77,7 +84,7 @@ pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
         SystemConfig::Heterogeneous => {
             run_heterogeneous(scenario.usecase(), scenario.soc(), scenario.trace())
         }
-        SystemConfig::Ncpu { .. } => run_ncpu(scenario),
+        SystemConfig::Ncpu(topo) => run_ncpu(scenario, topo),
     }
 }
 
@@ -95,9 +102,8 @@ pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
 /// mid-flight — use the lock-step engine to study that). With the inert
 /// plan there is no fault control at all: no draws, no `item.retries`
 /// samples, no `fault.*` counters.
-fn run_ncpu(scenario: &Scenario) -> (RunReport, Recorder) {
+fn run_ncpu(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
     let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
-    let topo = scenario.topology();
     let cores = topo.cores();
     let mut rec = Recorder::new(level.at_least_counters());
     let (l2, mut pool, programs) = fabric::ncpu_pool(usecase, soc, level, cores);
@@ -106,7 +112,7 @@ fn run_ncpu(scenario: &Scenario) -> (RunReport, Recorder) {
     let plan = scenario.fault();
     let mut ctl = plan
         .is_active()
-        .then(|| fabric::FaultCtl::new(plan, scenario.millivolts(), items, &topo));
+        .then(|| fabric::FaultCtl::new(plan, scenario.millivolts(), items, topo));
     let mut now = vec![0u64; cores];
     let mut busy = vec![0u64; cores];
     // Items complete out of order once drops and re-scheduling kick in,
@@ -191,7 +197,7 @@ fn run_ncpu(scenario: &Scenario) -> (RunReport, Recorder) {
         &pool,
         &busy,
         usecase,
-        &topo,
+        topo,
         fabric::RunOutcome { config: format!("{cores}x ncpu"), makespan, predictions },
     );
     (report, rec)
@@ -422,7 +428,7 @@ pub(crate) mod tests {
         for (fraction, expect) in [(0.4, 0.285), (0.7, 0.412)] {
             let uc = UseCase::parametric(fraction, 2, model.clone());
             let base = analytic(&uc, SystemConfig::Heterogeneous);
-            let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+            let dual = analytic(&uc, SystemConfig::ncpu(2));
             let imp = dual.improvement_over(&base);
             assert!(
                 (imp - expect).abs() < 0.06,
@@ -436,8 +442,8 @@ pub(crate) mod tests {
         let model = pseudo_model(784, 20, 10);
         let uc = UseCase::parametric(0.5, 4, model);
         let a = analytic(&uc, SystemConfig::Heterogeneous);
-        let b = analytic(&uc, SystemConfig::Ncpu { cores: 1 });
-        let c = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+        let b = analytic(&uc, SystemConfig::ncpu(1));
+        let c = analytic(&uc, SystemConfig::ncpu(2));
         assert_eq!(a.predictions, b.predictions);
         assert_eq!(a.predictions, c.predictions);
     }
@@ -446,7 +452,7 @@ pub(crate) mod tests {
     fn dual_ncpu_sustains_high_utilization() {
         let model = pseudo_model(784, 50, 10);
         let uc = UseCase::parametric(0.7, 8, model);
-        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+        let dual = analytic(&uc, SystemConfig::ncpu(2));
         for core in &dual.cores {
             assert!(
                 core.utilization(dual.makespan) > 0.95,
@@ -465,8 +471,8 @@ pub(crate) mod tests {
     fn four_ncpu_cores_scale_the_parametric_sweep() {
         let model = pseudo_model(784, 50, 10);
         let uc = UseCase::parametric(0.7, 8, model);
-        let two = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
-        let four = analytic(&uc, SystemConfig::Ncpu { cores: 4 });
+        let two = analytic(&uc, SystemConfig::ncpu(2));
+        let four = analytic(&uc, SystemConfig::ncpu(4));
         assert_eq!(two.predictions, four.predictions, "same answers at any width");
         assert_eq!(four.cores.len(), 4);
         // 8 items over 4 cores halve the 2-core makespan (modulo DMA
@@ -484,7 +490,7 @@ pub(crate) mod tests {
         let model = pseudo_model(784, 100, 10);
         let uc = UseCase::parametric(0.7, 2, model);
         let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let single = analytic(&uc, SystemConfig::Ncpu { cores: 1 });
+        let single = analytic(&uc, SystemConfig::ncpu(1));
         let delta = single.makespan as f64 / base.makespan as f64 - 1.0;
         // Paper Fig. 17: +13.8% for the image case at batch 2.
         assert!((0.0..0.35).contains(&delta), "single-NCPU delta {delta}");
@@ -495,7 +501,7 @@ pub(crate) mod tests {
         let model = pseudo_model(784, 20, 10);
         let uc = UseCase::parametric(0.5, 2, model);
         let scenario =
-            Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }).with_trace(TraceLevel::Full);
+            Scenario::new(uc.clone(), SystemConfig::ncpu(2)).with_trace(TraceLevel::Full);
         let (report, rec) = Analytic.run(&scenario);
         assert_eq!(rec.counters().get("run.makespan_cycles"), report.makespan);
         assert_eq!(rec.counters().get("run.items"), 2);
@@ -514,7 +520,7 @@ pub(crate) mod tests {
             assert!(!core.timeline.spans().is_empty());
         }
         // Tracing must not perturb the simulation itself.
-        let plain = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+        let plain = analytic(&uc, SystemConfig::ncpu(2));
         assert_eq!(plain.makespan, report.makespan);
         assert_eq!(plain.predictions, report.predictions);
     }
@@ -540,7 +546,7 @@ pub(crate) mod tests {
     fn motion_use_case_end_to_end() {
         let uc = UseCase::motion(2, 6, 3);
         let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+        let dual = analytic(&uc, SystemConfig::ncpu(2));
         assert_eq!(base.predictions.len(), 2);
         assert_eq!(base.predictions, dual.predictions, "same classifier, same answers");
         assert!(dual.makespan < base.makespan, "two cores beat the baseline");
@@ -565,7 +571,7 @@ mod independent_tests {
         assert_eq!(b.cores[0].role, "ncpu1");
         // Results match a solo run of the same use case (sharing the
         // fabric does not change answers).
-        let solo = analytic(&motion, SystemConfig::Ncpu { cores: 1 });
+        let solo = analytic(&motion, SystemConfig::ncpu(1));
         assert_eq!(a.predictions, solo.predictions);
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! The paper's fleet is N identical reconfigurable cores; this module
 //! generalizes that to a [`Topology`] — one [`CoreSpec`] per core plus a
-//! shared L2 bank map — carried on [`crate::Scenario`].
-//! [`Topology::homogeneous`] is the byte-identical default: every engine
-//! that receives it (explicitly or as the materialized default for a
-//! scenario without a topology) produces exactly the reports it produced
-//! before topologies existed.
+//! shared L2 bank map — which is the whole description of an NCPU
+//! system ([`crate::SystemConfig::Ncpu`]). [`Topology::homogeneous`]
+//! (spelled [`crate::SystemConfig::ncpu`]) is the byte-identical
+//! default: every engine that receives it produces exactly the reports
+//! it produced before topologies existed.
 //!
 //! # Dispatch plan
 //!
@@ -104,10 +104,9 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// The byte-identical default: `n` reconfigurable cores at the
-    /// inherited voltage sharing one full-width L2 bank. A scenario
-    /// without an explicit topology materializes this, and every engine
-    /// reproduces its pre-topology output on it exactly.
+    /// The byte-identical default: `n` reconfigurable cores (at least
+    /// one) at the inherited voltage sharing one full-width L2 bank.
+    /// Every engine reproduces its pre-topology output on it exactly.
     pub fn homogeneous(n: usize) -> Topology {
         Topology {
             specs: vec![CoreSpec::reconfigurable(); n.max(1)],

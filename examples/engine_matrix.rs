@@ -14,13 +14,15 @@ use ncpu::prelude::*;
 use ncpu::soc::pseudo_model;
 
 fn main() {
-    let cores: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4);
-    let uc = UseCase::parametric(0.6, 2 * cores.max(1), pseudo_model(784, 30, 10));
-    let scenario = Scenario::new(uc, SystemConfig::Ncpu { cores });
+    let requested: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4);
+    let uc = UseCase::parametric(0.6, 2 * requested.max(1), pseudo_model(784, 30, 10));
+    let scenario = Scenario::new(uc, SystemConfig::ncpu(requested));
 
     let analytic = Analytic.report(&scenario);
     let lockstep = Lockstep.report(&scenario);
     let event = EventDriven.report(&scenario);
+    // The fleet that ran (a request for 0 cores builds one).
+    let cores = lockstep.cores.len();
 
     println!("engine matrix — {} cores, batch {}", cores, analytic.predictions.len());
     println!("{:<12} {:>12}  predictions", "engine", "makespan");

@@ -57,7 +57,7 @@ fn main() {
         backoff_cycles: 32,
         quarantine_after: 6,
     };
-    let scenario = Scenario::new(uc, SystemConfig::Ncpu { cores })
+    let scenario = Scenario::new(uc, SystemConfig::ncpu(cores))
         .with_trace(level)
         .with_operating_point(0.9)
         .with_faults(plan);

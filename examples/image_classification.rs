@@ -20,8 +20,8 @@ fn main() {
     };
 
     let base = Analytic.report(&scenario(SystemConfig::Heterogeneous));
-    let single = Analytic.report(&scenario(SystemConfig::Ncpu { cores: 1 }));
-    let dual_scenario = scenario(SystemConfig::Ncpu { cores: 2 });
+    let single = Analytic.report(&scenario(SystemConfig::ncpu(1)));
+    let dual_scenario = scenario(SystemConfig::ncpu(2));
     let (dual, rec) = Analytic.run(&dual_scenario);
 
     println!("\nclassification accuracy over the batch: {:.0}%", dual.accuracy() * 100.0);

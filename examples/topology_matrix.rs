@@ -41,8 +41,7 @@ fn main() {
     let uc = UseCase::parametric(0.6, 8, pseudo_model(784, 30, 10));
     println!("topology matrix — mixed 4-core fleet [{}]", mixed_fleet().label());
     println!("{:<14} {:>12}  roles", "engine", "makespan");
-    let scenario =
-        Scenario::new(uc, SystemConfig::Ncpu { cores: 4 }).with_topology(mixed_fleet());
+    let scenario = Scenario::new(uc, SystemConfig::Ncpu(mixed_fleet()));
     let (lockstep, ls_rec) = Lockstep.run(&scenario);
     let (event, ev_rec) = EventDriven.run(&scenario);
     for (name, report) in [("lockstep", &lockstep), ("event", &event)] {
@@ -67,8 +66,7 @@ fn main() {
     let inputs: Vec<BitVec> =
         (0..4).map(|k| BitVec::from_bools((0..64).map(|i| (i * 5 + k) % 3 == 0))).collect();
     let deep_uc = UseCase::deep(model, &inputs);
-    let scenario =
-        Scenario::new(deep_uc, SystemConfig::Ncpu { cores: 4 }).with_topology(mixed_fleet());
+    let scenario = Scenario::new(deep_uc, SystemConfig::Ncpu(mixed_fleet()));
     let report = Deep.report(&scenario);
     let roles: Vec<&str> = report.cores.iter().map(|c| c.role.as_str()).collect();
     println!("{:<14} {:>12}  {:?}", "deep", report.makespan, roles);

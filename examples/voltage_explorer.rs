@@ -40,7 +40,7 @@ fn detail(v: f64) {
     let model = ncpu_bench::context::pseudo_model(216, 30, 8);
     let uc = UseCase::parametric(0.3, 2, model);
     let scenario = |system| Scenario::new(uc.clone(), system).with_operating_point(v);
-    let dual_scenario = scenario(SystemConfig::Ncpu { cores: 2 });
+    let dual_scenario = scenario(SystemConfig::ncpu(2));
     let base = Analytic.report(&scenario(SystemConfig::Heterogeneous));
     let dual = Analytic.report(&dual_scenario);
     let volts = dual_scenario.volts();

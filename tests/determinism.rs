@@ -12,7 +12,7 @@ fn analytic(uc: &UseCase, system: SystemConfig) -> RunReport {
 /// A fully traced Analytic run of `uc` on two NCPU cores.
 fn traced_dual(uc: &UseCase) -> (RunReport, ncpu::obs::Recorder) {
     Analytic.run(
-        &Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }).with_trace(TraceLevel::Full),
+        &Scenario::new(uc.clone(), SystemConfig::ncpu(2)).with_trace(TraceLevel::Full),
     )
 }
 
@@ -21,7 +21,7 @@ fn soc_runs_are_bit_reproducible() {
     let mk = || {
         let uc = UseCase::motion(2, 4, 2);
         let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+        let dual = analytic(&uc, SystemConfig::ncpu(2));
         (base.makespan, dual.makespan, base.predictions, dual.predictions)
     };
     assert_eq!(mk(), mk());
@@ -35,7 +35,7 @@ fn image_use_case_reports_are_byte_identical() {
     let mk = || {
         let uc = UseCase::image(3, 4, 2);
         let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+        let dual = analytic(&uc, SystemConfig::ncpu(2));
         format!("{base:?}\n{dual:?}")
     };
     assert_eq!(mk(), mk(), "image-classification reports must be byte-identical");
@@ -46,7 +46,7 @@ fn motion_use_case_reports_are_byte_identical() {
     let mk = || {
         let uc = UseCase::motion(3, 4, 2);
         let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let dual = analytic(&uc, SystemConfig::Ncpu { cores: 2 });
+        let dual = analytic(&uc, SystemConfig::ncpu(2));
         format!("{base:?}\n{dual:?}")
     };
     assert_eq!(mk(), mk(), "motion-detection reports must be byte-identical");
@@ -170,7 +170,7 @@ fn metrics_histograms_are_thread_count_invariant() {
     use ncpu::soc::{Engine, EventDriven, Lockstep};
     thread_count_invariant("1", "4", || {
         let uc = UseCase::motion(2, 4, 2);
-        let scenario = Scenario::new(uc, SystemConfig::Ncpu { cores: 2 });
+        let scenario = Scenario::new(uc, SystemConfig::ncpu(2));
         let (_, ls_rec) = Lockstep.run(&scenario);
         let (_, ev_rec) = EventDriven.run(&scenario);
         let (ls, ev) = (ls_rec.metrics().to_json(), ev_rec.metrics().to_json());
@@ -202,7 +202,7 @@ fn faulted_runs_are_byte_identical_across_thread_counts() {
     };
     thread_count_invariant("1", "4", || {
         let uc = UseCase::image(4, 2, 1);
-        let scenario = Scenario::new(uc, SystemConfig::Ncpu { cores: 4 })
+        let scenario = Scenario::new(uc, SystemConfig::ncpu(4))
             .with_trace(TraceLevel::Full)
             .with_operating_point(0.9)
             .with_faults(plan);
@@ -239,7 +239,7 @@ fn merged_fleet_histogram_is_worker_count_invariant() {
         let scenarios: Vec<Scenario> = (1..=3)
             .map(|cores| {
                 let uc = UseCase::parametric(0.5, 4, crate_pseudo_model());
-                Scenario::new(uc, SystemConfig::Ncpu { cores })
+                Scenario::new(uc, SystemConfig::ncpu(cores))
             })
             .collect();
         ncpu_par::Pool::with_workers(workers).par_map_fold(

@@ -220,7 +220,11 @@ impl Case {
             },
             ..SocConfig::default()
         };
-        let mut scenario = Scenario::new(usecase, SystemConfig::Ncpu { cores: self.cores })
+        let system = match self.fleet_topology() {
+            Some(topo) => SystemConfig::Ncpu(topo),
+            None => SystemConfig::ncpu(self.cores),
+        };
+        let mut scenario = Scenario::new(usecase, system)
             .with_soc(soc)
             .with_trace(if self.full_trace { TraceLevel::Full } else { TraceLevel::Counters });
         if let Some(tenths) = self.operating_point {
@@ -228,9 +232,6 @@ impl Case {
         }
         if let Some(fault) = &self.fault {
             scenario = scenario.with_faults(fault.plan());
-        }
-        if let Some(topo) = self.fleet_topology() {
-            scenario = scenario.with_topology(topo);
         }
         scenario
     }

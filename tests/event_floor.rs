@@ -32,7 +32,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 #[test]
 fn event_engine_overhead_on_image_workload_is_bounded() {
     let scenario =
-        Scenario::new(UseCase::image(4, 2, 1), SystemConfig::Ncpu { cores: 2 });
+        Scenario::new(UseCase::image(4, 2, 1), SystemConfig::ncpu(2));
 
     // Warm both code paths and check equivalence once (config tags are
     // the engines' only legitimate byte difference).

@@ -50,10 +50,10 @@ fn analytic_engine_reproduces_pre_refactor_parametric_reports() {
             .report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
         check(&het, het_makespan, &[2, 2], &het_busy);
         let one =
-            Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 1 }));
+            Analytic.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(1)));
         check(&one, n1, &[2, 2], &[n1]);
         let two =
-            Analytic.report(&Scenario::new(uc, SystemConfig::Ncpu { cores: 2 }));
+            Analytic.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
         check(&two, n2, &[2, 2], &[n2, n2]);
         assert_eq!(
             fraction == 0.7,
@@ -68,14 +68,14 @@ fn analytic_engine_reproduces_pre_refactor_motion_report() {
     let uc = UseCase::motion(2, 4, 2);
     let het = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
     check(&het, 43866, &[3, 2], &[42502, 1040]);
-    let two = Analytic.report(&Scenario::new(uc, SystemConfig::Ncpu { cores: 2 }));
+    let two = Analytic.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
     check(&two, 22591, &[3, 2], &[21791, 21791]);
 }
 
 #[test]
 fn lockstep_engine_reproduces_pre_refactor_cosim_report() {
     let uc = UseCase::parametric(0.6, 4, pseudo_model(784, 30, 10));
-    let scenario = Scenario::new(uc, SystemConfig::Ncpu { cores: 2 });
+    let scenario = Scenario::new(uc, SystemConfig::ncpu(2));
     let (report, rec) = LockstepEngine.run(&scenario);
     check(&report, 4414, &[2, 2, 2, 2], &[4414, 4414]);
     assert_eq!(report.config, "2x ncpu (lockstep)");
@@ -88,7 +88,7 @@ fn lockstep_engine_reproduces_pre_refactor_cosim_report() {
 #[test]
 fn event_engine_reproduces_pre_refactor_cosim_report() {
     let uc = UseCase::parametric(0.6, 4, pseudo_model(784, 30, 10));
-    let scenario = Scenario::new(uc, SystemConfig::Ncpu { cores: 2 });
+    let scenario = Scenario::new(uc, SystemConfig::ncpu(2));
     let (report, rec) = EventEngine.run(&scenario);
     check(&report, 4414, &[2, 2, 2, 2], &[4414, 4414]);
     assert_eq!(report.config, "2x ncpu (event)");
@@ -128,8 +128,7 @@ fn check_analytic(
 fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
     let fleet = mixed_static_fleet();
     assert_eq!(fleet.label(), "R+R@0.7V+R");
-    let image = Scenario::new(UseCase::image(13, 2, 1), SystemConfig::Ncpu { cores: 3 })
-        .with_topology(fleet.clone());
+    let image = Scenario::new(UseCase::image(13, 2, 1), SystemConfig::Ncpu(fleet.clone()));
     check_analytic(
         &image,
         605_480,
@@ -137,8 +136,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         &[593_640, 474_912, 474_912],
         0x1388_6ac0_7f8a_6ed2,
     );
-    let motion = Scenario::new(UseCase::motion(13, 4, 2), SystemConfig::Ncpu { cores: 3 })
-        .with_topology(fleet);
+    let motion = Scenario::new(UseCase::motion(13, 4, 2), SystemConfig::Ncpu(fleet));
     check_analytic(
         &motion,
         110_955,
@@ -158,7 +156,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         backoff_cycles: 32,
         quarantine_after: 4,
     };
-    let faulted = Scenario::new(UseCase::image(4, 2, 1), SystemConfig::Ncpu { cores: 4 })
+    let faulted = Scenario::new(UseCase::image(4, 2, 1), SystemConfig::ncpu(4))
         .with_operating_point(0.9)
         .with_faults(plan);
     check_analytic(

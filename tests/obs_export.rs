@@ -38,7 +38,7 @@ fn traced_dual_run_artifacts_validate_and_pin_utilization() {
     let model = ncpu::bnn::BnnModel::zeros(&Topology::paper(784, 100, 10));
     let uc = UseCase::parametric(0.76, 2, model);
     let (dual, rec) = Analytic.run(
-        &Scenario::new(uc.clone(), SystemConfig::Ncpu { cores: 2 }).with_trace(TraceLevel::Full),
+        &Scenario::new(uc.clone(), SystemConfig::ncpu(2)).with_trace(TraceLevel::Full),
     );
     let artifact = dual.artifact(uc.name(), &rec);
 
@@ -76,7 +76,7 @@ fn full_trace_carries_instants_for_both_cores() {
     let model = ncpu::bnn::BnnModel::zeros(&Topology::paper(784, 50, 10));
     let uc = UseCase::parametric(0.5, 4, model);
     let (_, rec) = Analytic
-        .run(&Scenario::new(uc, SystemConfig::Ncpu { cores: 2 }).with_trace(TraceLevel::Full));
+        .run(&Scenario::new(uc, SystemConfig::ncpu(2)).with_trace(TraceLevel::Full));
     for core in [0u16, 1] {
         assert!(
             rec.events()
