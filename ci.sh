@@ -106,6 +106,9 @@ grep -q '"serve.cache.hits":5' "$SERVE_OUT"
 grep -q '"serve.cache.misses":5' "$SERVE_OUT"
 grep -q '"serve.cache.evictions":0' "$SERVE_OUT"
 grep -q '"serve.errors":1' "$SERVE_OUT"
+# Every NCPU request without an engine pin routes to the event engine,
+# trained image batches included (line 4 is the auto-routed image miss).
+sed -n 4p "$SERVE_OUT" | grep -q '"engine":"event"'
 # Duplicate pairs (1,3), (2,5), (4,7), (6,8), (2,9) must serve identical
 # report bytes.
 for pair in "1 3" "2 5" "4 7" "6 8" "2 9"; do
@@ -120,14 +123,17 @@ cargo run --release --offline -p ncpu-obs --bin trace_check -- \
 
 # End-to-end benchmark: servebench is a package of its own (outside the
 # workspace, so the workspace build, tests and clippy above skip it).
-# Build, lint and test it, then serve a 2 s trained_cold stream and
-# require its summary (the last line) to report zero failed requests.
+# Build, lint and test it, then serve a 2 s stream of each workload and
+# require each summary (the last line) to report zero failed requests.
 cargo build --release --offline --manifest-path servebench/Cargo.toml
 cargo clippy --offline --manifest-path servebench/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline --manifest-path servebench/Cargo.toml
-cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
-    --workload trained_cold --seed 1 --seconds 2 --trace 0 > "$SERVE_DIR/servebench.txt"
-tail -n 1 "$SERVE_DIR/servebench.txt" | grep -q '"failed": 0'
+for workload in trained_cold steady_sweep repeat_mix; do
+    cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 \
+        > "$SERVE_DIR/servebench_$workload.txt"
+    tail -n 1 "$SERVE_DIR/servebench_$workload.txt" | grep -q '"failed": 0'
+done
 
 # Benchmark artifacts: short samples keep CI fast; the JSON schema and
 # the parallel byte-identity assertion are what this gate checks, not

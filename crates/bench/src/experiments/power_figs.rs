@@ -102,8 +102,8 @@ pub fn fig11() -> Report {
     for kernel in kernels::all() {
         let (_, stats) = kernel.run();
         let (mut e_base, mut e_ncpu) = (0.0f64, 0.0f64);
-        for (mnemonic, count) in &stats.per_instr {
-            let e = instruction_energy_factor(mnemonic) * *count as f64;
+        for (mnemonic, count) in stats.per_instr.iter() {
+            let e = instruction_energy_factor(mnemonic) * count as f64;
             e_base += e;
             e_ncpu += e * ncpu_instruction_overhead(mnemonic);
         }

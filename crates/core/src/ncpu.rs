@@ -7,7 +7,7 @@ use ncpu_accel::{packed_row_bytes, AccelConfig, Accelerator};
 use ncpu_bnn::{BitVec, BnnModel};
 use ncpu_isa::interp::Event;
 use ncpu_obs::{EventKind as ObsEvent, Mode, Recorder, TraceLevel};
-use ncpu_pipeline::{PipeError, PipeStats, Pipeline, PipelineConfig};
+use ncpu_pipeline::{PipeError, PipeStats, Pipeline, PipelineConfig, Program};
 use ncpu_sim::stats::Timeline;
 
 use crate::l2::SharedL2;
@@ -162,7 +162,7 @@ pub struct ReplayState {
 
 /// The monotonic-counter deltas one program execution produced, applied
 /// by [`NcpuCore::apply_replay`] when the execution itself is skipped.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReplayDelta {
     /// Pipeline counter deltas (cycles, retired, stalls, per-mnemonic).
     pub pipe: PipeStats,
@@ -333,7 +333,8 @@ impl NcpuCore {
     }
 
     /// Loads a program into the instruction cache and restarts at PC 0.
-    pub fn load_program(&mut self, program: Vec<u32>) {
+    /// Pass `&Program` to reuse an image decoded once for many items.
+    pub fn load_program(&mut self, program: impl Into<Program>) {
         self.pipeline.load_program(program);
         self.pipeline.restart_at(0);
     }

@@ -44,6 +44,7 @@ impl AluOp {
     /// assert_eq!(AluOp::Add.eval(2, 3), 5);
     /// assert_eq!(AluOp::Sra.eval(0x8000_0000, 31), 0xffff_ffff);
     /// ```
+    #[inline]
     pub fn eval(self, a: u32, b: u32) -> u32 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -98,6 +99,7 @@ impl BranchOp {
     /// assert!(BranchOp::Lt.taken(u32::MAX, 0)); // -1 < 0 signed
     /// assert!(!BranchOp::Ltu.taken(u32::MAX, 0));
     /// ```
+    #[inline]
     pub fn taken(self, a: u32, b: u32) -> bool {
         match self {
             BranchOp::Eq => a == b,
@@ -136,6 +138,7 @@ impl LoadOp {
     }
 
     /// Extends a raw little-endian value of [`width`](Self::width) bytes to 32 bits.
+    #[inline]
     pub fn extend(self, raw: u32) -> u32 {
         match self {
             LoadOp::Byte => raw as u8 as i8 as i32 as u32,
@@ -307,6 +310,7 @@ pub enum Instruction {
 
 impl Instruction {
     /// The register written by this instruction, if any (never `x0`).
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         let rd = match *self {
             Instruction::Lui { rd, .. }
@@ -323,6 +327,7 @@ impl Instruction {
     }
 
     /// The registers read by this instruction (up to two).
+    #[inline]
     pub fn sources(&self) -> (Option<Reg>, Option<Reg>) {
         match *self {
             Instruction::Jalr { rs1, .. }
@@ -439,6 +444,87 @@ impl Instruction {
         }
     }
 
+    /// Every distinct [`mnemonic`](Self::mnemonic), indexed by
+    /// [`mnemonic_index`](Self::mnemonic_index): the 37 RV32I base
+    /// mnemonics in [`RV32I_BASE_MNEMONICS`](Self::RV32I_BASE_MNEMONICS)
+    /// order, then `mul`, `ecall`, `ebreak` and the six NCPU custom
+    /// instructions.
+    pub const MNEMONICS: [&'static str; 46] = [
+        "lui", "auipc", "jal", "jalr", "beq", "bne", "blt", "bge", "bltu", "bgeu", "lb", "lh",
+        "lw", "lbu", "lhu", "sb", "sh", "sw", "addi", "slti", "sltiu", "xori", "ori", "andi",
+        "slli", "srli", "srai", "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or",
+        "and", "mul", "ecall", "ebreak", "mv_neu", "trans_bnn", "trans_cpu", "trigger_bnn",
+        "sw_l2", "lw_l2",
+    ];
+
+    /// The position of [`mnemonic`](Self::mnemonic) in
+    /// [`MNEMONICS`](Self::MNEMONICS), found by matching the variant (no
+    /// string compare), so per-mnemonic counters can be a dense array.
+    #[inline]
+    pub const fn mnemonic_index(&self) -> usize {
+        match self {
+            Instruction::Lui { .. } => 0,
+            Instruction::Auipc { .. } => 1,
+            Instruction::Jal { .. } => 2,
+            Instruction::Jalr { .. } => 3,
+            Instruction::Branch { op, .. } => match op {
+                BranchOp::Eq => 4,
+                BranchOp::Ne => 5,
+                BranchOp::Lt => 6,
+                BranchOp::Ge => 7,
+                BranchOp::Ltu => 8,
+                BranchOp::Geu => 9,
+            },
+            Instruction::Load { op, .. } => match op {
+                LoadOp::Byte => 10,
+                LoadOp::Half => 11,
+                LoadOp::Word => 12,
+                LoadOp::ByteU => 13,
+                LoadOp::HalfU => 14,
+            },
+            Instruction::Store { op, .. } => match op {
+                StoreOp::Byte => 15,
+                StoreOp::Half => 16,
+                StoreOp::Word => 17,
+            },
+            Instruction::OpImm { op, .. } => match op {
+                AluOp::Add => 18,
+                AluOp::Slt => 19,
+                AluOp::Sltu => 20,
+                AluOp::Xor => 21,
+                AluOp::Or => 22,
+                AluOp::And => 23,
+                AluOp::Sll => 24,
+                AluOp::Srl => 25,
+                AluOp::Sra => 26,
+                // No immediate form: shares the register form's mnemonic.
+                AluOp::Sub => 28,
+                AluOp::Mul => 37,
+            },
+            Instruction::Op { op, .. } => match op {
+                AluOp::Add => 27,
+                AluOp::Sub => 28,
+                AluOp::Sll => 29,
+                AluOp::Slt => 30,
+                AluOp::Sltu => 31,
+                AluOp::Xor => 32,
+                AluOp::Srl => 33,
+                AluOp::Sra => 34,
+                AluOp::Or => 35,
+                AluOp::And => 36,
+                AluOp::Mul => 37,
+            },
+            Instruction::Ecall => 38,
+            Instruction::Ebreak => 39,
+            Instruction::MvNeu { .. } => 40,
+            Instruction::TransBnn => 41,
+            Instruction::TransCpu => 42,
+            Instruction::TriggerBnn => 43,
+            Instruction::SwL2 { .. } => 44,
+            Instruction::LwL2 { .. } => 45,
+        }
+    }
+
     /// The 37 RV32I base-instruction mnemonics in the order of paper Fig. 11(b).
     pub const RV32I_BASE_MNEMONICS: [&'static str; 37] = [
         "lui", "auipc", "jal", "jalr", "beq", "bne", "blt", "bge", "bltu", "bgeu", "lb", "lh",
@@ -498,6 +584,54 @@ mod tests {
             assert!(set.insert(m), "duplicate mnemonic {m}");
         }
         assert_eq!(set.len(), 37);
+    }
+
+    /// Every variant and every op, with fixed operands.
+    fn all_shapes() -> Vec<Instruction> {
+        let (r, o) = (Reg::A0, 0);
+        let alu = [
+            AluOp::Add, AluOp::Sub, AluOp::Sll, AluOp::Slt, AluOp::Sltu, AluOp::Xor,
+            AluOp::Srl, AluOp::Sra, AluOp::Or, AluOp::And, AluOp::Mul,
+        ];
+        let branch =
+            [BranchOp::Eq, BranchOp::Ne, BranchOp::Lt, BranchOp::Ge, BranchOp::Ltu, BranchOp::Geu];
+        let load = [LoadOp::Byte, LoadOp::Half, LoadOp::Word, LoadOp::ByteU, LoadOp::HalfU];
+        let store = [StoreOp::Byte, StoreOp::Half, StoreOp::Word];
+        let mut all = vec![
+            Instruction::Lui { rd: r, imm: o },
+            Instruction::Auipc { rd: r, imm: o },
+            Instruction::Jal { rd: r, offset: o },
+            Instruction::Jalr { rd: r, rs1: r, offset: o },
+            Instruction::Ecall,
+            Instruction::Ebreak,
+            Instruction::MvNeu { rs1: r, neuron: 0 },
+            Instruction::TransBnn,
+            Instruction::TransCpu,
+            Instruction::TriggerBnn,
+            Instruction::SwL2 { rs1: r, rs2: r, offset: o },
+            Instruction::LwL2 { rd: r, rs1: r, offset: o },
+        ];
+        all.extend(branch.map(|op| Instruction::Branch { op, rs1: r, rs2: r, offset: o }));
+        all.extend(load.map(|op| Instruction::Load { op, rd: r, rs1: r, offset: o }));
+        all.extend(store.map(|op| Instruction::Store { op, rs1: r, rs2: r, offset: o }));
+        all.extend(alu.map(|op| Instruction::OpImm { op, rd: r, rs1: r, imm: o }));
+        all.extend(alu.map(|op| Instruction::Op { op, rd: r, rs1: r, rs2: r }));
+        all
+    }
+
+    #[test]
+    fn mnemonic_index_agrees_with_mnemonic_for_every_shape() {
+        let mut seen = std::collections::HashSet::new();
+        for i in all_shapes() {
+            assert_eq!(Instruction::MNEMONICS[i.mnemonic_index()], i.mnemonic(), "{i:?}");
+            seen.insert(i.mnemonic_index());
+        }
+        assert_eq!(seen.len(), Instruction::MNEMONICS.len(), "every slot is reachable");
+        let unique: std::collections::HashSet<_> = Instruction::MNEMONICS.into_iter().collect();
+        assert_eq!(unique.len(), Instruction::MNEMONICS.len(), "no duplicate mnemonic");
+        for m in Instruction::RV32I_BASE_MNEMONICS {
+            assert!(Instruction::MNEMONICS.contains(&m), "{m} missing from MNEMONICS");
+        }
     }
 
     #[test]

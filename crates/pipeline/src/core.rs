@@ -4,10 +4,11 @@ use std::error::Error;
 use std::fmt;
 
 use ncpu_isa::interp::Event;
-use ncpu_isa::{decode, DecodeError, Instruction, Reg};
+use ncpu_isa::{DecodeError, Instruction, Reg};
 use ncpu_obs::{EventKind as ObsEvent, Recorder, StallCause, TraceLevel};
 
 use crate::memport::{MemFault, MemPort};
+use crate::program::Program;
 use crate::stats::PipeStats;
 use crate::trace::{RetireTrace, TraceEntry};
 
@@ -80,7 +81,8 @@ impl Error for PipeError {
 #[derive(Debug, Clone, Copy)]
 struct Fetched {
     pc: u32,
-    word: u32,
+    /// The predecoded word; an error surfaces only if it reaches ID.
+    instr: Result<Instruction, DecodeError>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -123,7 +125,7 @@ struct WbEntry {
 /// end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Pipeline<M> {
-    imem: Vec<u32>,
+    imem: Program,
     mem: M,
     regs: [u32; 32],
     pc: u32,
@@ -150,14 +152,18 @@ pub struct Pipeline<M> {
 
 impl<M: MemPort> Pipeline<M> {
     /// Creates a pipeline with `program` loaded at PC 0.
-    pub fn new(program: Vec<u32>, mem: M) -> Pipeline<M> {
+    pub fn new(program: impl Into<Program>, mem: M) -> Pipeline<M> {
         Pipeline::with_config(program, mem, PipelineConfig::default())
     }
 
     /// Creates a pipeline with explicit timing parameters.
-    pub fn with_config(program: Vec<u32>, mem: M, config: PipelineConfig) -> Pipeline<M> {
+    pub fn with_config(
+        program: impl Into<Program>,
+        mem: M,
+        config: PipelineConfig,
+    ) -> Pipeline<M> {
         Pipeline {
-            imem: program,
+            imem: program.into(),
             mem,
             regs: [0; 32],
             pc: 0,
@@ -202,15 +208,7 @@ impl<M: MemPort> Pipeline<M> {
     /// separately, and the monotonic counters advance by `delta` so the
     /// final stat snapshots match a full simulation byte for byte.
     pub fn apply_replay_stats(&mut self, delta: &PipeStats) {
-        self.stats.cycles += delta.cycles;
-        self.stats.retired += delta.retired;
-        self.stats.load_use_stalls += delta.load_use_stalls;
-        self.stats.flush_cycles += delta.flush_cycles;
-        self.stats.ex_stall_cycles += delta.ex_stall_cycles;
-        self.stats.mem_stall_cycles += delta.mem_stall_cycles;
-        for (mnemonic, count) in &delta.per_instr {
-            *self.stats.per_instr.entry(mnemonic).or_insert(0) += count;
-        }
+        self.stats.merge(delta);
     }
 
     /// The architectural register file (x0–x31), for state fingerprints.
@@ -299,12 +297,14 @@ impl<M: MemPort> Pipeline<M> {
 
     /// Instruction memory contents.
     pub fn imem(&self) -> &[u32] {
-        &self.imem
+        self.imem.words()
     }
 
-    /// Replaces the instruction memory (new task on the same core).
-    pub fn load_program(&mut self, program: Vec<u32>) {
-        self.imem = program;
+    /// Replaces the instruction memory (new task on the same core). A
+    /// `&Program` shares an already decoded image; a `Vec<u32>` is
+    /// decoded here, once.
+    pub fn load_program(&mut self, program: impl Into<Program>) {
+        self.imem = program.into();
     }
 
     /// Restarts control flow at `pc`, clearing all stage latches and the
@@ -382,7 +382,7 @@ impl<M: MemPort> Pipeline<M> {
                 self.regs[rd.index()] = wb.value;
             }
             self.stats.retired += 1;
-            *self.stats.per_instr.entry(wb.instr.mnemonic()).or_insert(0) += 1;
+            self.stats.per_instr.record(&wb.instr);
             if self.trace.is_enabled() {
                 self.trace.push(TraceEntry {
                     cycle: self.stats.cycles,
@@ -522,17 +522,21 @@ impl<M: MemPort> Pipeline<M> {
         // ---- ID ----
         if self.id_ex.is_none() {
             if let Some(f) = self.if_id.take() {
-                let instr = decode(f.word)
-                    .map_err(|source| PipeError::Decode { pc: f.pc, source })?;
+                let instr =
+                    f.instr.map_err(|source| PipeError::Decode { pc: f.pc, source })?;
                 self.id_ex = Some(Decoded { pc: f.pc, instr });
             }
         }
 
         // ---- IF ----
         if self.if_id.is_none() && !self.fetch_halted && !squash_fetch {
-            let index = (self.pc / 4) as usize;
-            if self.pc.is_multiple_of(4) && index < self.imem.len() {
-                self.if_id = Some(Fetched { pc: self.pc, word: self.imem[index] });
+            let fetched = if self.pc.is_multiple_of(4) {
+                self.imem.decoded((self.pc / 4) as usize)
+            } else {
+                None
+            };
+            if let Some(instr) = fetched {
+                self.if_id = Some(Fetched { pc: self.pc, instr });
                 self.pc = self.pc.wrapping_add(4);
             } else if self.is_drained() && !self.halted {
                 // Speculative over-fetch past the program end is squashed by

@@ -11,7 +11,11 @@
 //! * branches and jumps resolved in EX with a two-cycle flush,
 //! * a multi-cycle multiplier (the paper builds MUL from neuron adders),
 //! * stalling `lw_l2`/`sw_l2` accesses to the shared L2,
-//! * per-mnemonic retire counters feeding the Fig. 11(b) power breakdown.
+//! * per-mnemonic retire counters feeding the Fig. 11(b) power breakdown,
+//!   one dense array slot per mnemonic,
+//! * a predecoded instruction memory ([`Program`]): each word is decoded
+//!   once at load, and a word that fails to decode faults only if it
+//!   reaches ID.
 //!
 //! Architectural results are differential-tested against the functional
 //! golden model in [`ncpu_isa::interp`].
@@ -37,10 +41,12 @@
 
 mod core;
 mod memport;
+mod program;
 mod stats;
 mod trace;
 
 pub use crate::core::{Pipeline, PipelineConfig, PipeError};
 pub use memport::{FlatMem, MemFault, MemPort};
-pub use stats::PipeStats;
+pub use program::Program;
+pub use stats::{InstrCounts, PipeStats};
 pub use trace::{RetireTrace, TraceEntry};

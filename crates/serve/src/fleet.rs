@@ -22,21 +22,22 @@
 //!    misses than the whole cache is legal) without ever evicting an
 //!    answer this batch still owes.
 //!
-//! Engine routing implements the service policy: steady-state
-//! (parametric) workloads go to the event-driven engine, everything
-//! else on an NCPU system walks lockstep, heterogeneous systems use the
-//! analytic scheduler. A client may pin `lockstep`/`event` explicitly —
-//! the lockstep/event pair is byte-identical by construction so either
-//! answer is cacheable under the same key — but `analytic` on an NCPU
-//! system is rejected: its reports are not in that equivalence class
-//! and would poison the engine-invariant cache.
+//! Engine routing implements the service policy: every NCPU request
+//! goes to the event-driven engine (it memoizes steady-state parametric
+//! items and is no slower than lockstep on trained image/motion
+//! batches), heterogeneous systems use the analytic scheduler. A client
+//! may pin `lockstep`/`event` explicitly — the lockstep/event pair is
+//! byte-identical by construction so either answer is cacheable under
+//! the same key — but `analytic` on an NCPU system is rejected: its
+//! reports are not in that equivalence class and would poison the
+//! engine-invariant cache.
 
 use ncpu_obs::Counters;
 use ncpu_par::Pool;
 use ncpu_soc::{Engine, EventDriven, Lockstep, Scenario, SystemConfig, UseCase};
 
 use crate::cache::{CacheEntry, Lru, ResultCache};
-use crate::spec::{EnginePref, ScenarioSpec, UseCaseShape, WorkloadSpec};
+use crate::spec::{EnginePref, ScenarioSpec, UseCaseShape};
 
 /// Bound on the construction memo. Only trained (image/motion) use
 /// cases are memoized — parametric construction is cheap — and each
@@ -96,17 +97,11 @@ fn routed_engine(spec: &ScenarioSpec) -> Result<&'static str, String> {
                 .to_string(),
         ),
         (SystemConfig::Ncpu(_), EnginePref::Lockstep) => Ok("lockstep"),
-        (SystemConfig::Ncpu(_), EnginePref::Event) => Ok("event"),
-        (SystemConfig::Ncpu(_), EnginePref::Auto) => {
-            // Steady-state parametric items are memoizable and play to
-            // the event queue's strengths; trained image/motion batches
-            // walk lockstep (see `tests/event_floor.rs` for the honest
-            // overhead bound that motivates this split).
-            match spec.workload {
-                WorkloadSpec::Parametric { .. } => Ok("event"),
-                _ => Ok("lockstep"),
-            }
-        }
+        // The event engine memoizes parametric items and is no slower
+        // than lockstep on non-memoizable image/motion batches
+        // (`tests/event_floor.rs`), so it serves every NCPU request that
+        // does not pin lockstep.
+        (SystemConfig::Ncpu(_), EnginePref::Event | EnginePref::Auto) => Ok("event"),
     }
 }
 
@@ -408,9 +403,13 @@ mod tests {
     fn routing_policy_matches_the_documented_rules() {
         let auto_par = spec(r#"{"workload":"parametric"}"#).unwrap();
         let auto_img = spec(r#"{"workload":"image"}"#).unwrap();
+        let auto_motion = spec(r#"{"workload":"motion"}"#).unwrap();
+        let pinned = spec(r#"{"workload":"image","engine":"lockstep"}"#).unwrap();
         let hetero = spec(r#"{"system":"hetero"}"#).unwrap();
         assert_eq!(routed_engine(&auto_par).unwrap(), "event");
-        assert_eq!(routed_engine(&auto_img).unwrap(), "lockstep");
+        assert_eq!(routed_engine(&auto_img).unwrap(), "event");
+        assert_eq!(routed_engine(&auto_motion).unwrap(), "event");
+        assert_eq!(routed_engine(&pinned).unwrap(), "lockstep");
         assert_eq!(routed_engine(&hetero).unwrap(), "analytic");
         let bad = spec(r#"{"engine":"analytic"}"#).unwrap();
         assert!(routed_engine(&bad).is_err(), "analytic on ncpu poisons the cache");

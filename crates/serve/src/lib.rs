@@ -22,9 +22,9 @@
 //! * [`spec`] — the JSON request surface and its hardened parser
 //!   (fault knobs share `ncpu-fault`'s `NCPU_FAULT_*` code path);
 //! * [`cache`] — deterministic bounded LRU keyed by canonical hash;
-//! * [`fleet`] — batch planner, engine router (steady-state →
-//!   event-driven, trained workloads → lockstep, heterogeneous →
-//!   analytic), and the order-preserving parallel executor;
+//! * [`fleet`] — batch planner, engine router (every NCPU workload →
+//!   event-driven unless lockstep is pinned, heterogeneous → analytic),
+//!   and the order-preserving parallel executor;
 //! * [`server`] — the line protocol and the stdin/TCP front ends.
 
 #![forbid(unsafe_code)]

@@ -44,7 +44,7 @@ pub type UseCaseShape = (UseCaseKind, usize, usize, usize);
 /// Which engine the client wants; `Auto` lets the router pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePref {
-    /// Route by workload shape (the default).
+    /// Let the router pick by system (the default).
     Auto,
     /// Force the cycle-walking lockstep engine.
     Lockstep,

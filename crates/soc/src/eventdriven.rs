@@ -52,7 +52,7 @@
 
 use ncpu_core::{BankPorts, NcpuCore, ReplayDelta, ReplayState, SharedL2};
 use ncpu_obs::{EventKind, Recorder, StallCause};
-use ncpu_pipeline::PipeStats;
+use ncpu_pipeline::Program;
 
 use crate::event_queue::EventQueue;
 use crate::fabric;
@@ -164,7 +164,7 @@ impl Emission {
 
 struct CoreRun {
     core: NcpuCore,
-    program: Vec<u32>,
+    program: Program,
     /// Items assigned to this core: `(item index, available_from)` —
     /// plan-assigned items are available from cycle 0; items
     /// re-scheduled off a quarantined core from the cycle after the
@@ -368,7 +368,7 @@ fn run_attempt(
                 offset: now as i64,
             });
             let (used, prediction, delta, post) =
-                (hit.used, hit.prediction, hit.delta.clone(), hit.post.clone());
+                (hit.used, hit.prediction, hit.delta, hit.post.clone());
             st.core.apply_replay(&delta);
             if let Some(post) = &post {
                 st.core.restore_replay_state(post);
@@ -378,11 +378,11 @@ fn run_attempt(
         } else {
             let _prof = ncpu_obs::selfprof::span("event.simulate");
             let (reads_before, _) = l2.accesses();
-            let pipe_before = st.core.pipeline().stats().clone();
+            let pipe_before = *st.core.pipeline().stats();
             let core_before = *st.core.stats();
             let internal_before = st.core.total_cycles();
             let extra_before = internal_before - pipe_before.cycles;
-            st.core.load_program(st.program.clone());
+            st.core.load_program(&st.program);
             st.core.run(fabric::ITEM_BUDGET).expect("NCPU program must complete");
             let used = st.core.total_cycles() - internal_before;
             let (reads_after, _) = l2.accesses();
@@ -422,7 +422,7 @@ fn run_attempt(
                 let pre = pre.expect("captured when memoizing");
                 let after = st.core.pipeline().stats();
                 let delta = ReplayDelta {
-                    pipe: pipe_diff(&pipe_before, after),
+                    pipe: after.diff(&pipe_before),
                     core: core_diff(&core_before, st.core.stats()),
                     extra_cycles: (st.core.total_cycles() - after.cycles) - extra_before,
                 };
@@ -538,27 +538,6 @@ fn run_attempt(
         },
     );
     Ok((report, rec, replayed))
-}
-
-/// Fieldwise `after - before` of the pipeline counters.
-fn pipe_diff(before: &PipeStats, after: &PipeStats) -> PipeStats {
-    let mut delta = PipeStats {
-        cycles: after.cycles - before.cycles,
-        retired: after.retired - before.retired,
-        load_use_stalls: after.load_use_stalls - before.load_use_stalls,
-        flush_cycles: after.flush_cycles - before.flush_cycles,
-        ex_stall_cycles: after.ex_stall_cycles - before.ex_stall_cycles,
-        mem_stall_cycles: after.mem_stall_cycles - before.mem_stall_cycles,
-        per_instr: after.per_instr.clone(),
-    };
-    for (mnemonic, count) in &before.per_instr {
-        let entry = delta.per_instr.get_mut(mnemonic).expect("per-instr counts only grow");
-        *entry -= count;
-        if *entry == 0 {
-            delta.per_instr.remove(mnemonic);
-        }
-    }
-    delta
 }
 
 /// Fieldwise `after - before` of the core counters.

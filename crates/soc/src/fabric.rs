@@ -24,6 +24,7 @@ use ncpu_isa::asm;
 use ncpu_obs::Recorder;
 use ncpu_obs::TraceLevel;
 use ncpu_obs::{Detector, EventKind, FaultClass, Recovery};
+use ncpu_pipeline::Program;
 use ncpu_sim::stats::Timeline;
 use ncpu_sim::DmaEngine;
 use ncpu_workloads::{image, motion as motion_prog, Tail};
@@ -82,12 +83,12 @@ pub(crate) fn ncpu_pool(
     soc: &SocConfig,
     level: TraceLevel,
     cores: usize,
-) -> (SharedL2, Vec<NcpuCore>, Vec<Vec<u32>>) {
+) -> (SharedL2, Vec<NcpuCore>, Vec<Program>) {
     assert!(cores >= 1, "need at least one core");
     let l2 = SharedL2::new(L2_BYTES);
     let pool: Vec<NcpuCore> =
         (0..cores).map(|_| ncpu_core(uc, soc, level, l2.clone())).collect();
-    let programs: Vec<Vec<u32>> = pool
+    let programs: Vec<Program> = pool
         .iter()
         .enumerate()
         .map(|(c, core)| ncpu_program(uc, core, result_addr(c)))
@@ -96,15 +97,17 @@ pub(crate) fn ncpu_pool(
 }
 
 /// Builds the NCPU-mode program for `uc`: pre-process, classify in
-/// place, write the result word to the `result_l2` mailbox.
+/// place, write the result word to the `result_l2` mailbox. The program
+/// is decoded here, once per core and run; every item loads the shared
+/// image.
 ///
 /// # Panics
 ///
 /// Panics on [`UseCaseKind::Deep`] — deep use cases run on the `Deep`
 /// engine, which schedules the accelerator arrays directly.
-pub(crate) fn ncpu_program(uc: &UseCase, core: &NcpuCore, result_l2: u32) -> Vec<u32> {
+pub(crate) fn ncpu_program(uc: &UseCase, core: &NcpuCore, result_l2: u32) -> Program {
     let tail = Tail::NcpuClassify { output_base: core.output_base(), result_l2 };
-    match uc.kind() {
+    let words = match uc.kind() {
         UseCaseKind::Image => image::preprocess_program(
             &image::ImageLayout::default(),
             core.image_base(),
@@ -124,7 +127,8 @@ pub(crate) fn ncpu_program(uc: &UseCase, core: &NcpuCore, result_l2: u32) -> Vec
             asm::assemble(&src).expect("parametric NCPU program")
         }
         UseCaseKind::Deep => panic!("deep use cases run on the Deep engine"),
-    }
+    };
+    Program::new(words)
 }
 
 /// Builds the heterogeneous-baseline program for `uc`: pre-process on
@@ -174,7 +178,7 @@ pub(crate) fn hetero_pack_offset(uc: &UseCase) -> u32 {
 /// as lane `lane`, re-based to global time.
 pub(crate) fn run_item(
     core: &mut NcpuCore,
-    program: &[u32],
+    program: &Program,
     staged: &[u8],
     now: u64,
     dma: &mut DmaEngine,
@@ -208,13 +212,13 @@ pub(crate) fn stage_item(
 /// time.
 pub(crate) fn run_item_staged(
     core: &mut NcpuCore,
-    program: &[u32],
+    program: &Program,
     start: u64,
     rec: &mut Recorder,
     lane: u16,
 ) -> (u64, u64) {
     let internal_before = core.total_cycles();
-    core.load_program(program.to_vec());
+    core.load_program(program);
     core.run(ITEM_BUDGET).expect("NCPU program must complete");
     let used = core.total_cycles() - internal_before;
     // The core's shard holds only this item's events (earlier items were

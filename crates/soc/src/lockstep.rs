@@ -19,6 +19,7 @@
 
 use ncpu_core::{BankPorts, NcpuCore, SharedL2, StepOutcome};
 use ncpu_obs::{EventKind, Recorder, StallCause};
+use ncpu_pipeline::Program;
 
 use crate::fabric;
 use crate::report::RunReport;
@@ -59,7 +60,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
 
     struct CoreState {
         core: NcpuCore,
-        program: Vec<u32>,
+        program: Program,
         /// Items assigned to this core: `(item index, available_from)` —
         /// initial round-robin items are available from cycle 0; items
         /// re-scheduled off a quarantined core from the cycle after the
@@ -192,7 +193,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
                         break;
                     }
                     if st.pending_exec {
-                        st.core.load_program(st.program.clone());
+                        st.core.load_program(&st.program);
                         st.active = true;
                         st.item_start = clock;
                         st.internal_start = st.core.total_cycles();
@@ -227,7 +228,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
                                 st.pending_exec = true;
                                 st.wake_at = exec_start;
                             } else {
-                                st.core.load_program(st.program.clone());
+                                st.core.load_program(&st.program);
                                 st.active = true;
                                 st.item_start = clock;
                                 st.internal_start = st.core.total_cycles();

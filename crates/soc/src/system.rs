@@ -11,7 +11,7 @@ use ncpu_bnn::BitVec;
 use ncpu_core::{NcpuCore, SharedL2, SwitchPolicy};
 use ncpu_isa::interp::Event;
 use ncpu_obs::{Recorder, TraceLevel};
-use ncpu_pipeline::{FlatMem, Pipeline};
+use ncpu_pipeline::{FlatMem, Pipeline, Program};
 use ncpu_sim::stats::Timeline;
 
 use crate::fabric;
@@ -218,7 +218,7 @@ pub fn run_independent(a: &UseCase, b: &UseCase, soc: &SocConfig) -> (RunReport,
 
     struct CoreState {
         core: NcpuCore,
-        program: Vec<u32>,
+        program: Program,
         next_item: usize,
         now: u64,
         busy: u64,

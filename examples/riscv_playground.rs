@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\ntop retired mnemonics:");
     let mut counts: Vec<_> = s.per_instr.iter().collect();
-    counts.sort_by_key(|&(_, c)| std::cmp::Reverse(*c));
+    counts.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     for (m, c) in counts.iter().take(8) {
         println!("  {m:<6} {c}");
     }
