@@ -81,13 +81,16 @@ NCPU_TRACE=off cargo run --release --offline --example topology_matrix
 # error (a topology on the hetero baseline). A per-core operating point
 # is semantic, so that topology request is a miss. The stats line must
 # show exactly 5 hits, 5 misses and 1 error; the duplicated reports
-# must be byte-identical to their fresh twins; and every artifact the
-# service wrote must satisfy trace_check.
+# must be byte-identical to their fresh twins; every artifact the
+# service wrote must satisfy trace_check; and the same lines served
+# again without --artifacts must give a byte-identical transcript (the
+# artifact sink never changes served bytes).
 SERVE_DIR=target/serve-ci
 rm -rf "$SERVE_DIR"
+SERVE_IN="$SERVE_DIR/requests.jsonl"
 SERVE_OUT="$SERVE_DIR/transcript.jsonl"
 mkdir -p "$SERVE_DIR"
-cargo run --release --offline --bin ncpu -- serve --artifacts "$SERVE_DIR/artifacts" <<'EOF' > "$SERVE_OUT"
+cat > "$SERVE_IN" <<'EOF'
 {"cpu_fraction":0.25,"batch":2,"cores":1}
 {"cpu_fraction":0.75,"batch":4,"cores":2}
 {"scenario":{"batch":2,"cores":1,"cpu_fraction":0.25}}
@@ -102,6 +105,10 @@ cargo run --release --offline --bin ncpu -- serve --artifacts "$SERVE_DIR/artifa
 {"op":"stats"}
 {"op":"shutdown"}
 EOF
+cargo run --release --offline --bin ncpu -- serve --artifacts "$SERVE_DIR/artifacts" \
+    < "$SERVE_IN" > "$SERVE_OUT"
+cargo run --release --offline --bin ncpu -- serve < "$SERVE_IN" > "$SERVE_DIR/transcript_plain.jsonl"
+cmp "$SERVE_OUT" "$SERVE_DIR/transcript_plain.jsonl"
 grep -q '"serve.cache.hits":5' "$SERVE_OUT"
 grep -q '"serve.cache.misses":5' "$SERVE_OUT"
 grep -q '"serve.cache.evictions":0' "$SERVE_OUT"

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use ncpu_accel::{packed_row_bytes, AccelConfig, Accelerator};
 use ncpu_bnn::{BitVec, BnnModel};
@@ -142,6 +143,16 @@ pub enum StepOutcome {
 /// everything else a program can observe — PC, pipeline latches, halt
 /// flag — is reset by [`NcpuCore::load_program`] before the item runs.
 ///
+/// Capturing copies each accelerator bank written since that bank's
+/// previous capture (unchanged banks share one copy); a replay cache
+/// still captures only for executions it actually simulates. To test
+/// whether the live core is in a captured state, use
+/// [`NcpuCore::matches_replay_state`], which compares in place and skips
+/// banks still holding the captured copy; to skip even that, note
+/// [`NcpuCore::bank_generation`] when equality is known and compare
+/// the registers alone ([`NcpuCore::matches_replay_registers`]) while
+/// the generation is unchanged.
+///
 /// Deliberately excluded: monotonic counters (cycle counts, stats,
 /// retire traces, SRAM access counters) and the recorder shards — they
 /// advance, but never feed back into execution. Shared-L2 *content* is
@@ -156,8 +167,10 @@ pub struct ReplayState {
     busy_remaining: u64,
     /// Per accelerator bank, in registration order: enable flag and raw
     /// contents (image/weight/output memories double as the CPU-mode data
-    /// cache, so programs read and write them).
-    banks: Vec<(bool, Vec<u8>)>,
+    /// cache, so programs read and write them). Contents are
+    /// [`SramBank::snapshot`](ncpu_sim::SramBank::snapshot)s, shared
+    /// with every other capture that saw the bank unchanged.
+    banks: Vec<(bool, Arc<[u8]>)>,
 }
 
 /// The monotonic-counter deltas one program execution produced, applied
@@ -406,9 +419,42 @@ impl NcpuCore {
                 .accel()
                 .banks()
                 .iter()
-                .map(|(_, bank)| (bank.is_enabled(), bank.bytes().to_vec()))
+                .map(|(_, bank)| (bank.is_enabled(), bank.snapshot()))
                 .collect(),
         }
+    }
+
+    /// Whether this core is in `state`, compared in place: exactly
+    /// `self.replay_state() == *state`, without copying a bank, and
+    /// without comparing the bytes of a bank that still holds the copy
+    /// `state` captured.
+    pub fn matches_replay_state(&self, state: &ReplayState) -> bool {
+        let banks = self.pipeline.mem().accel().banks();
+        self.matches_replay_registers(state)
+            && banks.bank_count() == state.banks.len()
+            && banks.iter().zip(&state.banks).all(|((_, bank), (enabled, bytes))| {
+                bank.is_enabled() == *enabled && bank.holds(bytes)
+            })
+    }
+
+    /// Whether this core's registers, transition neurons, pending
+    /// triggers and busy countdown equal `state`'s — the part of
+    /// [`matches_replay_state`](Self::matches_replay_state) that is not
+    /// bank contents.
+    pub fn matches_replay_registers(&self, state: &ReplayState) -> bool {
+        *self.pipeline.regs() == state.regs
+            && self.transition == state.transition
+            && self.pending_triggers == state.pending_triggers
+            && self.busy_remaining == state.busy_remaining
+    }
+
+    /// The accelerator banks' summed write generation
+    /// ([`SramBank::generation`](ncpu_sim::SramBank::generation)). Bank
+    /// generations only grow, so an unchanged sum means no bank was
+    /// written, loaded or (un)gated in between: bank contents known to
+    /// equal a [`ReplayState`]'s then still do.
+    pub fn bank_generation(&self) -> u64 {
+        self.pipeline.mem().accel().banks().iter().map(|(_, bank)| bank.generation()).sum()
     }
 
     /// Restores a captured [`ReplayState`]. Bank contents are restored

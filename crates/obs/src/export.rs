@@ -19,22 +19,31 @@ use crate::record::{Counters, Recorder};
 /// Escapes `s` for inclusion in a JSON string literal.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// [`json_string`], appended to `out` without an intermediate string.
+fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Per-core slice of a [`RunArtifact`].
@@ -71,54 +80,203 @@ pub struct RunArtifact {
     pub metrics: MetricsReport,
 }
 
-impl RunArtifact {
-    /// Renders the artifact as deterministic JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"ncpu-run-v2\",");
-        let _ = writeln!(out, "  \"name\": {},", json_string(&self.name));
-        let _ = writeln!(out, "  \"config\": {},", json_string(&self.config));
-        let _ = writeln!(out, "  \"makespan_cycles\": {},", self.makespan);
-        let _ = writeln!(out, "  \"accuracy\": {:.6},", self.accuracy);
-        out.push_str("  \"cores\": [\n");
-        for (i, core) in self.cores.iter().enumerate() {
-            out.push_str("    {");
-            let _ = write!(
-                out,
-                "\"role\": {}, \"busy_cycles\": {}, \"utilization\": {:.6}, \"spans\": [",
-                json_string(&core.role),
-                core.busy_cycles,
-                core.utilization
-            );
-            for (j, (label, start, end)) in core.spans.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"label\": {}, \"start\": {start}, \"end\": {end}}}",
-                    json_string(label)
-                );
+/// The whitespace style a [`RunArtifact`] is rendered in. Both styles
+/// write the same token stream; they differ only in whitespace and in
+/// how numbers are spelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Style {
+    /// The multi-line `RUN_*.json` layout: integers verbatim, floats
+    /// with six decimals.
+    Pretty,
+    /// One line, no whitespace, numbers spelled the way
+    /// [`crate::json::render_compact`] spells what
+    /// [`crate::json::parse`] reads back from the pretty form: an
+    /// integer up to 2^53 verbatim, anything else through the same
+    /// `f64` rule. So `render(Compact)` equals
+    /// `render_compact(&parse(&render(Pretty)))`, without the parse.
+    Compact,
+}
+
+/// One token stream, two [`Style`]s: the whitespace calls are no-ops in
+/// the compact style, and numbers go through the style's spelling.
+struct Writer {
+    out: String,
+    style: Style,
+}
+
+impl Writer {
+    /// Whitespace only the pretty style writes.
+    fn ws(&mut self, pretty: &str) {
+        if self.style == Style::Pretty {
+            self.out.push_str(pretty);
+        }
+    }
+
+    fn punct(&mut self, c: char) {
+        self.out.push(c);
+    }
+
+    fn string(&mut self, s: &str) {
+        push_json_string(&mut self.out, s);
+    }
+
+    /// The separator before an element: a comma unless it is the
+    /// first, then the pretty style's line break or space.
+    fn separate(&mut self, first: bool, pretty: &str) {
+        if !first {
+            self.punct(',');
+        }
+        self.ws(pretty);
+    }
+
+    /// [`separate`](Self::separate), then `key`.
+    fn member(&mut self, first: bool, pretty: &str, key: &str) {
+        self.separate(first, pretty);
+        self.key(key);
+    }
+
+    /// `"key":` plus, pretty, one space.
+    fn key(&mut self, key: &str) {
+        self.string(key);
+        self.out.push(':');
+        self.ws(" ");
+    }
+
+    fn uint(&mut self, v: u64) {
+        if self.style == Style::Compact && v > 1 << 53 {
+            // What the parser reads back is `v` rounded to an f64 (both
+            // conversions round to nearest, ties to even).
+            self.out.push_str(&crate::json::render_num(v as f64));
+        } else {
+            let _ = write!(self.out, "{v}");
+        }
+    }
+
+    fn fixed6(&mut self, v: f64) {
+        let text = format!("{v:.6}");
+        if self.style == Style::Compact {
+            if let Ok(parsed) = text.parse::<f64>() {
+                self.out.push_str(&crate::json::render_num(parsed));
+                return;
             }
-            out.push_str("]}");
-            out.push_str(if i + 1 < self.cores.len() { ",\n" } else { "\n" });
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"counters\": {\n");
-        let total = self.counters.len();
+        self.out.push_str(&text);
+    }
+
+    /// A histogram value: always one line (the pretty form embeds
+    /// [`crate::metrics::CycleHistogram::to_json`]'s layout).
+    fn histogram(&mut self, hist: &crate::metrics::CycleHistogram) {
+        let scalars = [
+            ("count", hist.count()),
+            ("sum", hist.sum()),
+            ("min", hist.min()),
+            ("max", hist.max()),
+            ("p50", hist.p50()),
+            ("p99", hist.p99()),
+            ("p999", hist.p999()),
+        ];
+        self.punct('{');
+        for (name, value) in scalars {
+            self.string(name);
+            self.punct(':');
+            self.uint(value);
+            self.punct(',');
+        }
+        self.string("buckets");
+        self.out.push_str(":[");
+        for (i, (b, count, max)) in hist.buckets().into_iter().enumerate() {
+            self.separate(i == 0, "");
+            self.punct('[');
+            self.uint(b as u64);
+            self.punct(',');
+            self.uint(count);
+            self.punct(',');
+            self.uint(max);
+            self.punct(']');
+        }
+        self.out.push_str("]}");
+    }
+}
+
+impl RunArtifact {
+    /// Renders the artifact as deterministic multi-line JSON.
+    pub fn to_json(&self) -> String {
+        self.render(Style::Pretty)
+    }
+
+    /// Renders the artifact as one deterministic line, byte-identical
+    /// to `render_compact(&parse(&self.to_json()))` but written in one
+    /// pass: the same tokens as [`to_json`](Self::to_json), without
+    /// whitespace, an integer past 2^53 or a six-decimal float spelled
+    /// the way [`crate::json::render_compact`] spells the `f64` the
+    /// parser reads back.
+    pub fn to_compact_json(&self) -> String {
+        self.render(Style::Compact)
+    }
+
+    fn render(&self, style: Style) -> String {
+        const TOP: &str = "\n  ";
+        const NESTED: &str = "\n    ";
+        let mut w = Writer { out: String::with_capacity(4096), style };
+        w.punct('{');
+        w.member(true, TOP, "schema");
+        w.string("ncpu-run-v2");
+        w.member(false, TOP, "name");
+        w.string(&self.name);
+        w.member(false, TOP, "config");
+        w.string(&self.config);
+        w.member(false, TOP, "makespan_cycles");
+        w.uint(self.makespan);
+        w.member(false, TOP, "accuracy");
+        w.fixed6(self.accuracy);
+        w.member(false, TOP, "cores");
+        w.punct('[');
+        for (i, core) in self.cores.iter().enumerate() {
+            w.separate(i == 0, NESTED);
+            w.punct('{');
+            w.key("role");
+            w.string(&core.role);
+            w.member(false, " ", "busy_cycles");
+            w.uint(core.busy_cycles);
+            w.member(false, " ", "utilization");
+            w.fixed6(core.utilization);
+            w.member(false, " ", "spans");
+            w.punct('[');
+            for (j, (label, start, end)) in core.spans.iter().enumerate() {
+                w.separate(j == 0, "");
+                w.punct('{');
+                w.key("label");
+                w.string(label);
+                w.member(false, " ", "start");
+                w.uint(*start);
+                w.member(false, " ", "end");
+                w.uint(*end);
+                w.punct('}');
+            }
+            w.out.push_str("]}");
+        }
+        w.ws(TOP);
+        w.punct(']');
+        w.member(false, TOP, "counters");
+        w.punct('{');
         for (i, (name, value)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < total { "," } else { "" };
-            let _ = writeln!(out, "    {}: {value}{comma}", json_string(name));
+            w.member(i == 0, NESTED, name);
+            w.uint(value);
         }
-        out.push_str("  },\n");
-        out.push_str("  \"metrics\": {\n");
-        let total = self.metrics.len();
+        w.ws(TOP);
+        w.punct('}');
+        w.member(false, TOP, "metrics");
+        w.punct('{');
         for (i, (name, hist)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < total { "," } else { "" };
-            let _ = writeln!(out, "    {}: {}{comma}", json_string(name), hist.to_json());
+            w.member(i == 0, NESTED, name);
+            w.histogram(hist);
         }
-        out.push_str("  }\n}\n");
-        out
+        w.ws(TOP);
+        w.punct('}');
+        w.ws("\n");
+        w.punct('}');
+        w.ws("\n");
+        w.out
     }
 }
 

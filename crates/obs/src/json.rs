@@ -102,7 +102,7 @@ fn render_into(value: &Json, out: &mut String) {
     }
 }
 
-fn render_num(n: f64) -> String {
+pub(crate) fn render_num(n: f64) -> String {
     if n.fract() == 0.0 && n.abs() <= crate::numparse::MAX_EXACT_INT {
         format!("{}", n as i64)
     } else {

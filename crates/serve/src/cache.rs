@@ -4,8 +4,9 @@
 //! over the canonical scenario encoding — so two requests share an
 //! entry **iff** every engine in the equivalence class would produce
 //! byte-identical reports for them. Values are the finished, normalized
-//! report artifacts (engine tag stripped), so a hit is a pure string
-//! copy: no simulation, no re-rendering, no chance of divergence.
+//! compact reports (engine tag stripped), one shared `Arc<str>` each, so
+//! a hit is a reference-count bump: no simulation, no re-rendering, no
+//! copy, no chance of divergence.
 //!
 //! Eviction is least-recently-used over a deterministic logical clock
 //! (one tick per get/insert), so the eviction sequence is a pure
@@ -18,16 +19,17 @@
 //! service shares one eviction discipline.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A finished run, ready to serve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
     /// Name of the engine that computed the entry.
     pub engine: &'static str,
-    /// The normalized `RunArtifact` JSON (multi-line, `ncpu-run-v2`).
-    pub artifact_json: String,
-    /// The same artifact rendered compact, for single-line responses.
-    pub compact_json: String,
+    /// The normalized `RunArtifact` rendered compact (`ncpu-run-v2`),
+    /// for single-line responses; every response serving the entry
+    /// shares this one allocation.
+    pub compact_json: Arc<str>,
 }
 
 /// The result cache: a bounded [`Lru`] keyed by canonical scenario hash.
@@ -119,8 +121,7 @@ mod tests {
     fn entry(tag: &str) -> CacheEntry {
         CacheEntry {
             engine: "event",
-            artifact_json: format!("{{\n  \"name\": \"{tag}\"\n}}"),
-            compact_json: format!("{{\"name\":\"{tag}\"}}"),
+            compact_json: format!("{{\"name\":\"{tag}\"}}").into(),
         }
     }
 
@@ -128,7 +129,7 @@ mod tests {
     fn hit_returns_the_exact_bytes_inserted() {
         let mut cache = ResultCache::new(4);
         cache.insert(7, entry("a"));
-        assert_eq!(cache.get(&7).unwrap().compact_json, "{\"name\":\"a\"}");
+        assert_eq!(&*cache.get(&7).unwrap().compact_json, "{\"name\":\"a\"}");
         assert!(cache.get(&8).is_none());
         assert_eq!(cache.stats(), (1, 1, 0));
     }
@@ -153,6 +154,6 @@ mod tests {
         cache.insert(1, entry("a2"));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats(), (0, 0, 0));
-        assert_eq!(cache.get(&1).unwrap().compact_json, "{\"name\":\"a2\"}");
+        assert_eq!(&*cache.get(&1).unwrap().compact_json, "{\"name\":\"a2\"}");
     }
 }

@@ -3,20 +3,25 @@
 //!
 //! Batch execution is deterministic end to end:
 //!
-//! 1. every request in the batch is materialized: its scenario is
+//! 1. every request in the batch is keyed: a recently seen spec takes
+//!    its cache key from a bounded spec → key memo, so a repeat that
+//!    hits the cache never builds a scenario; otherwise the scenario is
 //!    assembled from a use case, and trained (image/motion) use cases
 //!    are memoized by their shape `(kind, batch, train_per_class,
 //!    epochs)`, so a request that changes only the system, fabric,
 //!    operating point, faults or topology of a seen workload never
 //!    retrains the model or restages its items;
-//! 2. cache hits are cloned into a batch-local answer map up front, and
-//!    unique misses are collected in first-appearance order and run via
-//!    `ncpu_par`'s order-preserving `par_map_indexed`, so the worker
-//!    count changes wall-clock time but never results;
+//! 2. cache hits are copied into a batch-local answer map up front (a
+//!    reference-count bump: an entry is one shared `Arc<str>`), and
+//!    unique misses move their scenario into a job, collected in
+//!    first-appearance order and run via `ncpu_par`'s order-preserving
+//!    `par_map_indexed`, so the worker count changes wall-clock time
+//!    but never results;
 //! 3. results are inserted into the cache *and* the answer map, then
 //!    every request is answered from the answer map — the first
-//!    appearance of a key counts as the miss, duplicates (within the
-//!    batch or across batches) are hits serving the exact cached bytes.
+//!    appearance of a key counts as the miss and also carries the typed
+//!    artifact, duplicates (within the batch or across batches) are hits
+//!    serving the exact cached bytes.
 //!    Answering from the batch-local map means the batch's own inserts
 //!    can evict whatever LRU pressure demands (a batch with more unique
 //!    misses than the whole cache is legal) without ever evicting an
@@ -32,7 +37,10 @@
 //! reports are not in that equivalence class and would poison the
 //! engine-invariant cache.
 
-use ncpu_obs::Counters;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use ncpu_obs::{Counters, RunArtifact};
 use ncpu_par::Pool;
 use ncpu_soc::{Engine, EventDriven, Lockstep, Scenario, SystemConfig, UseCase};
 
@@ -70,16 +78,25 @@ pub struct RunOutcome {
     /// computed the cached entry).
     pub engine: &'static str,
     /// Compact single-line report JSON — byte-identical for every
-    /// request that shares a key, cached or fresh.
-    pub report_json: String,
-    /// Multi-line `RUN_*.json` artifact form (for the artifact sink).
-    pub artifact_json: String,
+    /// request that shares a key, cached or fresh, and shared with the
+    /// cache entry rather than copied.
+    pub report_json: Arc<str>,
+    /// The typed artifact the report was rendered from: `Some` only on
+    /// the miss that computed it (the artifact sink renders its
+    /// multi-line `RUN_*.json` form); hits carry `None`.
+    pub artifact: Option<RunArtifact>,
 }
 
 /// The stateful service core shared by stdin and TCP front ends.
 pub struct Fleet {
     pool: Pool,
     cache: ResultCache,
+    /// Cache key of each recently seen spec, by [`ScenarioSpec::memo_key`]
+    /// (the spec's full `Debug` rendering, so equal strings are equal
+    /// specs). The key is a pure function of the spec, so a repeated
+    /// request that hits the result cache never builds its scenario.
+    /// Holds as many specs as the result cache holds entries.
+    keys: Lru<String, u64>,
     use_cases: Lru<UseCaseShape, UseCase>,
     counters: Counters,
     next_id: u64,
@@ -108,8 +125,9 @@ fn routed_engine(spec: &ScenarioSpec) -> Result<&'static str, String> {
 /// Runs `scenario` on the routed engine and normalizes the artifact:
 /// the ` (lockstep)` / ` (event)` config suffix is the single byte
 /// difference between the twin engines, so stripping it makes cached
-/// entries engine-invariant.
-fn execute(engine: &'static str, key: u64, scenario: &Scenario) -> CacheEntry {
+/// entries engine-invariant. Returns the cache entry (the compact form,
+/// written in one pass) and the typed artifact it was rendered from.
+fn execute(engine: &'static str, key: u64, scenario: &Scenario) -> (CacheEntry, RunArtifact) {
     let (mut report, rec) = match engine {
         "lockstep" => Lockstep.run(scenario),
         "event" => EventDriven.run(scenario),
@@ -118,14 +136,8 @@ fn execute(engine: &'static str, key: u64, scenario: &Scenario) -> CacheEntry {
     };
     report.config = report.config.replace(" (lockstep)", "").replace(" (event)", "");
     let artifact = report.artifact(&format!("serve_{key:016x}"), &rec);
-    let artifact_json = artifact.to_json();
-    let doc = ncpu_obs::json::parse(&artifact_json)
-        .expect("artifact exporter emits well-formed JSON");
-    CacheEntry {
-        engine,
-        compact_json: ncpu_obs::json::render_compact(&doc),
-        artifact_json,
-    }
+    let entry = CacheEntry { engine, compact_json: artifact.to_compact_json().into() };
+    (entry, artifact)
 }
 
 impl Fleet {
@@ -139,6 +151,7 @@ impl Fleet {
         Fleet {
             pool: Pool::with_workers(workers),
             cache: ResultCache::new(cache_capacity),
+            keys: Lru::new(cache_capacity),
             use_cases: Lru::new(BUILD_MEMO_CAP),
             counters,
             next_id: 0,
@@ -204,46 +217,51 @@ impl Fleet {
         self.counters.add("serve.batches", 1);
         self.counters.add("serve.requests", requests.len() as u64);
 
-        // Materialize every valid request: scenario (memoized build),
-        // key, routed engine.
-        type Prepared = Result<(String, u64, &'static str, Scenario), (String, String)>;
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(requests.len());
-        for (id, parsed) in requests {
-            match parsed {
-                Err(e) => prepared.push(Err((id, e))),
-                Ok(spec) => match routed_engine(&spec) {
-                    Err(e) => prepared.push(Err((id, e))),
-                    Ok(engine) => {
-                        let scenario = self.build_memoized(&spec);
-                        prepared.push(Ok((id, scenario.cache_key(), engine, scenario)));
-                    }
-                },
-            }
-        }
-
-        // Plan the batch: clone hit entries into the batch-local answer
-        // map *before* any insert, and collect unique misses in
-        // first-appearance order. Requests are answered from `answers`,
-        // never from post-insert cache residency — a batch with more
-        // unique misses than the cache holds (or whose misses evict an
-        // LRU-old key this batch also hits) must still answer every
-        // request.
-        let mut answers: std::collections::BTreeMap<u64, CacheEntry> =
-            std::collections::BTreeMap::new();
+        // Key every valid request (from the key memo, else by building
+        // its scenario) and plan the batch in one pass: copy hit entries
+        // into the batch-local answer map *before* any insert, and move
+        // each unique miss's scenario (built now if the key memo skipped
+        // it) into a job, in first-appearance order. Requests are
+        // answered from `answers`, never from post-insert cache
+        // residency — a batch with more unique misses than the cache
+        // holds (or whose misses evict an LRU-old key this batch also
+        // hits) must still answer every request.
+        let mut slots: Vec<Result<(String, u64), (String, String)>> =
+            Vec::with_capacity(requests.len());
+        let mut answers: BTreeMap<u64, CacheEntry> = BTreeMap::new();
         let mut jobs: Vec<(u64, &'static str, Scenario)> = Vec::new();
-        let mut planned: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for item in prepared.iter().flatten() {
-            let (_, key, engine, scenario) = item;
-            if answers.contains_key(key) || planned.contains(key) {
+        let mut planned: BTreeSet<u64> = BTreeSet::new();
+        for (id, parsed) in requests {
+            let routed = parsed.and_then(|spec| Ok((routed_engine(&spec)?, spec)));
+            let (engine, spec) = match routed {
+                Ok(routed) => routed,
+                Err(e) => {
+                    slots.push(Err((id, e)));
+                    continue;
+                }
+            };
+            let fingerprint = spec.memo_key();
+            let (key, scenario) = match self.keys.get(&fingerprint) {
+                Some(&key) => (key, None),
+                None => {
+                    let scenario = self.build_memoized(&spec);
+                    let key = scenario.cache_key();
+                    self.keys.insert(fingerprint, key);
+                    (key, Some(scenario))
+                }
+            };
+            slots.push(Ok((id, key)));
+            if answers.contains_key(&key) || planned.contains(&key) {
                 continue;
             }
-            match self.cache.get(key) {
+            match self.cache.get(&key) {
                 Some(entry) => {
-                    answers.insert(*key, entry.clone());
+                    answers.insert(key, entry.clone());
                 }
                 None => {
-                    planned.insert(*key);
-                    jobs.push((*key, engine, scenario.clone()));
+                    planned.insert(key);
+                    let scenario = scenario.unwrap_or_else(|| self.build_memoized(&spec));
+                    jobs.push((key, engine, scenario));
                 }
             }
         }
@@ -252,42 +270,39 @@ impl Fleet {
         let results = self.pool.par_map_indexed(jobs, |_i, (key, engine, scenario)| {
             (key, execute(engine, key, &scenario))
         });
-        for (key, entry) in results {
+        let mut artifacts: BTreeMap<u64, RunArtifact> = BTreeMap::new();
+        for (key, (entry, artifact)) in results {
             self.cache.insert(key, entry.clone());
             answers.insert(key, entry);
+            artifacts.insert(key, artifact);
         }
 
-        // Answer every request from the batch-local map, first
-        // appearance of a planned key = miss.
-        let mut seen_miss: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        prepared
+        // Answer every request from the batch-local map. The first
+        // appearance of a planned key is the miss and takes the
+        // artifact; every other appearance is a hit.
+        slots
             .into_iter()
-            .map(|item| match item {
+            .map(|slot| match slot {
                 Err((id, e)) => {
                     self.counters.add("serve.errors", 1);
                     Err((id, e))
                 }
-                Ok((id, key, _, _)) => {
-                    let verdict = if planned.contains(&key) && seen_miss.insert(key) {
-                        "miss"
-                    } else {
-                        "hit"
-                    };
+                Ok((id, key)) => {
+                    let artifact = artifacts.remove(&key);
+                    let verdict = if artifact.is_some() { "miss" } else { "hit" };
                     self.counters.add(
                         if verdict == "miss" { "serve.cache.misses" } else { "serve.cache.hits" },
                         1,
                     );
-                    let entry = answers
-                        .get(&key)
-                        .expect("every batch key was pre-fetched or executed")
-                        .clone();
+                    let entry =
+                        answers.get(&key).expect("every batch key was pre-fetched or executed");
                     Ok(RunOutcome {
                         id,
                         key,
                         cache: verdict,
                         engine: entry.engine,
-                        report_json: entry.compact_json,
-                        artifact_json: entry.artifact_json,
+                        report_json: Arc::clone(&entry.compact_json),
+                        artifact,
                     })
                 }
             })
@@ -349,7 +364,9 @@ mod tests {
         assert_eq!(cold.cache, "miss");
         assert_eq!(warm.cache, "hit");
         assert_eq!(cold.report_json, warm.report_json);
-        assert_eq!(cold.artifact_json, warm.artifact_json);
+        let artifact = cold.artifact.as_ref().expect("the miss carries its artifact");
+        assert_eq!(*cold.report_json, artifact.to_compact_json());
+        assert!(warm.artifact.is_none(), "a hit copies no artifact");
     }
 
     #[test]
@@ -495,9 +512,9 @@ mod tests {
             let spec = spec(text).unwrap();
             let fresh = spec.build();
             assert_eq!(served.key, fresh.cache_key(), "{text}");
-            let entry = execute(routed_engine(&spec).unwrap(), served.key, &fresh);
+            let (entry, artifact) = execute(routed_engine(&spec).unwrap(), served.key, &fresh);
             assert_eq!(served.report_json, entry.compact_json, "{text}");
-            assert_eq!(served.artifact_json, entry.artifact_json, "{text}");
+            assert_eq!(served.artifact, Some(artifact), "{text}");
         }
     }
 
@@ -570,6 +587,25 @@ mod tests {
         }
         assert_eq!(fleet.use_cases.len(), BUILD_MEMO_CAP);
         assert_eq!(fleet.use_cases.stats(), (0, shapes as u64, 6));
+    }
+
+    #[test]
+    fn a_repeated_spec_is_answered_without_building_its_scenario() {
+        let mut fleet = Fleet::new(1, 2);
+        let image = r#"{"workload":"image","batch":2,"train_per_class":2,"epochs":1}"#;
+        let cold = batch(&mut fleet, &[image]).remove(0).unwrap();
+        assert_eq!(fleet.use_cases.stats(), (0, 1, 0), "the first request trains");
+        let warm = batch(&mut fleet, &[image, image]);
+        assert!(warm.iter().all(|o| o.as_ref().is_ok_and(|o| o.cache == "hit")));
+        assert_eq!(warm[0].as_ref().unwrap().report_json, cold.report_json);
+        assert_eq!(fleet.use_cases.stats(), (0, 1, 0), "hits never reach the build");
+        // Drop the result but keep the key memo: the miss rebuilds, from
+        // the use-case memo, under the same key and with the same bytes.
+        fleet.cache = ResultCache::new(2);
+        let rerun = batch(&mut fleet, &[image]).remove(0).unwrap();
+        assert_eq!((rerun.cache, rerun.key), ("miss", cold.key));
+        assert_eq!(rerun.report_json, cold.report_json);
+        assert_eq!(fleet.use_cases.stats(), (1, 1, 0), "the rerun builds from the memo");
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub struct ServeConfig {
     /// Requests buffered before a forced flush.
     pub batch_max: usize,
     /// If set, every cache miss writes its `RUN_serve_<key>.json`
-    /// artifact here (the trace_check-able sink).
+    /// artifact here (the trace_check-able sink). The multi-line form is
+    /// rendered only for this sink; served bytes never depend on it.
     pub artifacts_dir: Option<PathBuf>,
 }
 
@@ -117,10 +118,8 @@ fn flush_batch<F: FleetAccess, W: Write>(
     for outcome in fleet.run_batch(std::mem::take(pending)) {
         match outcome {
             Ok(run) => {
-                if let Some(dir) = &cfg.artifacts_dir {
-                    if run.cache == "miss" {
-                        write_artifact(dir, run.key, &run.artifact_json)?;
-                    }
+                if let (Some(dir), Some(artifact)) = (&cfg.artifacts_dir, &run.artifact) {
+                    write_artifact(dir, run.key, &artifact.to_json())?;
                 }
                 writeln!(
                     out,
@@ -356,6 +355,11 @@ mod tests {
         let doc = json::parse(&std::fs::read_to_string(&artifacts[0]).expect("read artifact"))
             .expect("artifact parses");
         json::validate_run_artifact(&doc).expect("artifact validates");
+        // The file is the served report, pretty: it compacts to the
+        // response line's report bytes.
+        let out = String::from_utf8(out).expect("responses are UTF-8");
+        let (_, report) = out.trim_end().split_once("\"report\":").expect("a run response");
+        assert_eq!(json::render_compact(&doc), report.strip_suffix('}').expect("closing brace"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

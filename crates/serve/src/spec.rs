@@ -464,11 +464,12 @@ impl ScenarioSpec {
 
     /// A deterministic fingerprint of the whole spec (its `Debug`
     /// rendering). Two requests that differ in any field — operating
-    /// point and engine pin included — get different strings, so it is
-    /// *not* the construction-memo key: `Fleet` memoizes on
-    /// [`WorkloadSpec::trained_shape`], which only the use case depends
-    /// on. Distinct from the result-cache key too, which hashes the
-    /// *built* scenario.
+    /// point and engine pin included — get different strings, and equal
+    /// strings mean equal specs, so `Fleet` keys its spec → cache-key
+    /// memo on it. It is *not* the construction-memo key: `Fleet`
+    /// memoizes use cases on [`WorkloadSpec::trained_shape`], which
+    /// only the use case depends on. Distinct from the result-cache key
+    /// too, which hashes the *built* scenario.
     pub fn memo_key(&self) -> String {
         format!("{self:?}")
     }

@@ -1,8 +1,9 @@
 //! Banked SRAM model with the address arbiter of paper Fig. 4(b).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies one [`SramBank`] within an [`AddressArbiter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,6 +54,15 @@ impl Error for MemError {}
 /// `enabled` flag models the clock gating the paper applies to unused banks
 /// ("the rest of the unused memory are clock gated").
 ///
+/// The bank also keeps a write [`generation`](Self::generation): every
+/// call to one of its three mutators ([`write`](Self::write),
+/// [`load`](Self::load), [`set_enabled`](Self::set_enabled)) bumps it,
+/// whether or not the bytes actually change. An unchanged generation
+/// therefore proves the contents and enable flag are unchanged, which
+/// lets a replay memo skip re-comparing them, and lets
+/// [`snapshot`](Self::snapshot) hand out one shared copy of the
+/// contents until the next mutation.
+///
 /// # Examples
 ///
 /// ```
@@ -71,12 +81,24 @@ pub struct SramBank {
     reads: u64,
     writes: u64,
     enabled: bool,
+    generation: u64,
+    /// The last [`snapshot`](Self::snapshot) and the generation it was
+    /// taken at; current while the generation has not moved since.
+    snapshot: RefCell<Option<(u64, Arc<[u8]>)>>,
 }
 
 impl SramBank {
     /// Creates a zero-initialized bank of `bytes` bytes.
     pub fn new(name: impl Into<String>, bytes: usize) -> SramBank {
-        SramBank { name: name.into(), data: vec![0; bytes], reads: 0, writes: 0, enabled: true }
+        SramBank {
+            name: name.into(),
+            data: vec![0; bytes],
+            reads: 0,
+            writes: 0,
+            enabled: true,
+            generation: 0,
+            snapshot: RefCell::new(None),
+        }
     }
 
     /// The bank's name (used in power reports and errors).
@@ -107,7 +129,15 @@ impl SramBank {
     /// Enables or clock-gates the bank. Gated banks remain readable in the
     /// simulator (data is retained); only the accounting changes.
     pub fn set_enabled(&mut self, enabled: bool) {
+        self.generation += 1;
         self.enabled = enabled;
+    }
+
+    /// Number of mutator calls so far (see the type docs): equal
+    /// generations at two points in time mean equal contents and enable
+    /// flag. Reads and counter resets leave it alone.
+    pub const fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Resets the access counters (e.g. at a phase boundary).
@@ -151,6 +181,7 @@ impl SramBank {
     pub fn write(&mut self, offset: u32, width: u32, value: u32) -> Result<(), MemError> {
         self.check(offset, width)?;
         self.writes += 1;
+        self.generation += 1;
         for i in 0..width as usize {
             self.data[offset as usize + i] = (value >> (8 * i)) as u8;
         }
@@ -182,12 +213,42 @@ impl SramBank {
     ///
     /// Panics if the data does not fit.
     pub fn load(&mut self, offset: usize, bytes: &[u8]) {
+        self.generation += 1;
         self.data[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
 
     /// Raw view of the bank contents.
     pub fn bytes(&self) -> &[u8] {
         &self.data
+    }
+
+    /// The bank contents as a shared immutable copy. Calls with no
+    /// mutation in between return the same allocation, so snapshotting
+    /// an unchanged bank copies nothing.
+    pub fn snapshot(&self) -> Arc<[u8]> {
+        let mut cached = self.snapshot.borrow_mut();
+        match &*cached {
+            Some((generation, bytes)) if *generation == self.generation => Arc::clone(bytes),
+            _ => {
+                let bytes: Arc<[u8]> = Arc::from(self.data.as_slice());
+                *cached = Some((self.generation, Arc::clone(&bytes)));
+                bytes
+            }
+        }
+    }
+
+    /// Whether the bank currently holds exactly `bytes`. Free when
+    /// `bytes` is the bank's current [`snapshot`](Self::snapshot) (same
+    /// allocation, no mutation since); otherwise compares the bytes.
+    pub fn holds(&self, bytes: &Arc<[u8]>) -> bool {
+        match &*self.snapshot.borrow() {
+            Some((generation, current))
+                if *generation == self.generation && Arc::ptr_eq(current, bytes) =>
+            {
+                true
+            }
+            _ => *self.data == **bytes,
+        }
     }
 }
 
@@ -433,6 +494,56 @@ mod tests {
         arb.add_bank("b", 64, 64);
         assert_eq!(arb.resolve(63).unwrap().0.index(), 0);
         assert_eq!(arb.resolve(64).unwrap().0.index(), 1);
+    }
+
+    #[test]
+    fn mutators_and_only_mutators_bump_the_generation() {
+        let mut b = SramBank::new("t", 8);
+        assert_eq!(b.generation(), 0);
+        let mut expect = 0;
+        for width in [1, 2, 4] {
+            b.write(0, width, 0xff).unwrap();
+            expect += 1;
+            assert_eq!(b.generation(), expect, "write width {width}");
+        }
+        b.write_word(4, 7).unwrap();
+        b.load(0, &[1, 2]);
+        b.set_enabled(false);
+        b.set_enabled(false);
+        expect += 4;
+        assert_eq!(b.generation(), expect, "write_word, load, set_enabled (even a no-op)");
+        // A rejected write changes nothing, so it does not count either.
+        assert!(b.write(6, 4, 0).is_err());
+        b.read(0, 1).unwrap();
+        b.read_word(4).unwrap();
+        b.reset_counters();
+        let _ = b.bytes();
+        assert_eq!(b.generation(), expect, "reads, counter resets and views never bump");
+        // Clones carry the generation, so a cloned core keeps its proofs.
+        assert_eq!(b.clone().generation(), expect);
+    }
+
+    #[test]
+    fn snapshots_are_shared_until_the_next_mutation() {
+        let mut b = SramBank::new("t", 8);
+        let first = b.snapshot();
+        assert!(Arc::ptr_eq(&first, &b.snapshot()), "no mutation: same copy");
+        assert!(b.holds(&first));
+        b.read_word(0).unwrap();
+        assert!(Arc::ptr_eq(&first, &b.snapshot()), "reads do not mutate");
+        b.write(0, 1, 0).unwrap();
+        assert!(b.holds(&first), "same bytes: still held, found by comparing");
+        let second = b.snapshot();
+        assert!(!Arc::ptr_eq(&first, &second), "a mutation takes a fresh copy");
+        b.write(0, 1, 9).unwrap();
+        assert!(!b.holds(&second) && !b.holds(&first));
+        b.load(0, &[0]);
+        assert!(b.holds(&second), "loaded back to the snapshot's bytes");
+        let mut clone = b.clone();
+        let shared = b.snapshot();
+        assert!(clone.holds(&shared));
+        clone.write(4, 1, 1).unwrap();
+        assert!(!clone.holds(&shared) && b.holds(&shared), "clones diverge independently");
     }
 
     #[test]

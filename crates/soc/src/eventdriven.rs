@@ -39,14 +39,34 @@
 //! Items on one core are usually identical: same program, same staged
 //! bytes, same architectural starting state. The engine memoizes each
 //! simulated item keyed by its full [`ReplayState`] (registers,
-//! transition neurons, bank contents — compared byte for byte, no
-//! hashing) and *replays* matches: counters advance by the recorded
-//! deltas, the end state is restored, the recorded events and L2
-//! touches are re-based onto the new start cycle. Determinism makes
-//! this exact. The one escape hatch: a program that *reads* the shared
-//! L2 could observe content a skipped re-execution did not write, so an
-//! item whose simulation performed any L2 read is never cached — and if
-//! one shows up after a replay already happened, the whole run restarts
+//! transition neurons, bank contents) and *replays* matches: counters
+//! advance by the recorded deltas, the end state is restored, the
+//! recorded events and L2 touches are re-based onto the new start
+//! cycle. Determinism makes this exact.
+//!
+//! Finding a match copies nothing and hashes nothing:
+//!
+//! * **Generation-proven.** A core remembers which memo entry's start
+//!   state it is provably in, and the summed bank write generation
+//!   ([`NcpuCore::bank_generation`]) at that moment. It learns this
+//!   after simulating an item that ends where it started, and after
+//!   replaying such an entry. While the generation is unchanged no bank
+//!   was written, loaded or (un)gated, so a steady-state hit costs a
+//!   generation compare plus the register, staged-byte and core-spec
+//!   compares.
+//! * **Compared in place.** Any other lookup (after DMA staging moved
+//!   the generation, or after a replay restored a different end state)
+//!   scans the memo and compares the live banks against each entry's
+//!   start state in place ([`NcpuCore::matches_replay_state`]).
+//!
+//! A [`ReplayState`] is captured only for items that are simulated, and
+//! a capture copies only the banks written since their previous capture
+//! (the others share that copy).
+//!
+//! The one escape hatch: a program that *reads* the shared L2 could
+//! observe content a skipped re-execution did not write, so an item
+//! whose simulation performed any L2 read is never cached — and if one
+//! shows up after a replay already happened, the whole run restarts
 //! with memoization off. Fabric-generated programs never read the L2,
 //! so the restart exists for soundness, not for the paper's workloads.
 
@@ -114,6 +134,25 @@ enum Restart {
     /// An item overran the watchdog budget mid-execution: restart on
     /// the lock-step engine, which can abort mid-item.
     Watchdog,
+}
+
+/// How one [`run_attempt`] served its items (engine instrumentation;
+/// not part of the report counters, which must match the lock-step
+/// engine's).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct MemoStats {
+    /// Replays whose start state the bank generation proved.
+    proven: usize,
+    /// Replays found by comparing the live banks in place.
+    compared: usize,
+    /// Items simulated cycle by cycle.
+    simulated: usize,
+}
+
+impl MemoStats {
+    const fn replayed(&self) -> usize {
+        self.proven + self.compared
+    }
 }
 
 /// One memoized item execution.
@@ -187,17 +226,49 @@ struct CoreRun {
     finished_at: u64,
     predictions: Vec<(usize, usize)>,
     cache: Vec<Cached>,
+    /// `(entry, generation)`: the core is provably in `cache[entry].pre`
+    /// for as long as its [`NcpuCore::bank_generation`] still equals
+    /// `generation` — the banks have not been touched since they were
+    /// known equal. Registers are still compared on use.
+    proven: Option<(usize, u64)>,
+}
+
+impl CoreRun {
+    /// The memo entry the item about to run on this core replays, and
+    /// whether the generation proved its banks (`true`) or they were
+    /// compared in place (`false`). At most one entry can match: an
+    /// entry is only added when no existing one did.
+    fn lookup(&mut self, spec_key: u64, staged: &[u8]) -> Option<(usize, bool)> {
+        let applies = |e: &Cached| e.spec_key == spec_key && e.staged == staged;
+        if let Some((entry, generation)) = self.proven {
+            if generation != self.core.bank_generation() {
+                self.proven = None;
+            } else if applies(&self.cache[entry])
+                && self.core.matches_replay_registers(&self.cache[entry].pre)
+            {
+                return Some((entry, true));
+            }
+        }
+        let core = &self.core;
+        self.cache
+            .iter()
+            .position(|e| applies(e) && core.matches_replay_state(&e.pre))
+            .map(|entry| (entry, false))
+    }
+
+    /// Records that the core now sits in `cache[entry].pre`.
+    fn prove(&mut self, entry: usize) {
+        self.proven = Some((entry, self.core.bank_generation()));
+    }
 }
 
 /// One simulation pass over `scenario`, with or without the replay
-/// cache. On success also returns how many items were served from the
-/// cache instead of being simulated (engine instrumentation; not part of
-/// the report counters, which must match the lock-step engine's).
+/// cache. On success also returns how its items were served.
 fn run_attempt(
     scenario: &Scenario,
     topo: &Topology,
     mut memoize: bool,
-) -> Result<(RunReport, Recorder, usize), Restart> {
+) -> Result<(RunReport, Recorder, MemoStats), Restart> {
     let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
     let plan = scenario.fault();
     let millivolts = scenario.millivolts();
@@ -230,6 +301,7 @@ fn run_attempt(
                 finished_at: 0,
                 predictions: Vec::new(),
                 cache: Vec::new(),
+                proven: None,
             }
         })
         .collect();
@@ -243,7 +315,7 @@ fn run_attempt(
 
     let mut emissions: Vec<Emission> = Vec::new();
     let mut touches: Vec<(u64, u16)> = Vec::new();
-    let mut replayed = 0usize;
+    let mut stats = MemoStats::default();
     let budget = 2_000_000_000u64;
     'pop: while let Some((now, c)) = queue.pop() {
         assert!(now < budget, "event-driven run exceeded {budget} cycles");
@@ -350,14 +422,10 @@ fn run_attempt(
         // Execute (or replay) the item starting at `now`.
         let item = &usecase.items()[st.queue[st.at].0];
         let spec_key = topo.spec(ci).memo_key();
-        let pre = if memoize { Some(st.core.replay_state()) } else { None };
-        let hit = pre.as_ref().and_then(|pre| {
-            st.cache
-                .iter()
-                .find(|e| e.spec_key == spec_key && e.staged == item.staged && &e.pre == pre)
-        });
-        let (used, prediction) = if let Some(hit) = hit {
+        let hit = if memoize { st.lookup(spec_key, &item.staged) } else { None };
+        let (used, prediction) = if let Some((entry, proven)) = hit {
             let _prof = ncpu_obs::selfprof::span("event.replay");
+            let hit = &st.cache[entry];
             for &rel in &hit.touches_rel {
                 touches.push((now + rel - 1, c));
             }
@@ -367,15 +435,23 @@ fn run_attempt(
                 shard: hit.shard.clone(),
                 offset: now as i64,
             });
-            let (used, prediction, delta, post) =
-                (hit.used, hit.prediction, hit.delta, hit.post.clone());
-            st.core.apply_replay(&delta);
-            if let Some(post) = &post {
+            let served = (hit.used, hit.prediction);
+            st.core.apply_replay(&hit.delta);
+            if let Some(post) = &hit.post {
                 st.core.restore_replay_state(post);
+                st.proven = None;
+            } else {
+                st.prove(entry);
             }
-            replayed += 1;
-            (used, prediction)
+            if proven {
+                stats.proven += 1;
+            } else {
+                stats.compared += 1;
+            }
+            served
         } else {
+            stats.simulated += 1;
+            let pre = if memoize { Some(st.core.replay_state()) } else { None };
             let _prof = ncpu_obs::selfprof::span("event.simulate");
             let (reads_before, _) = l2.accesses();
             let pipe_before = *st.core.pipeline().stats();
@@ -410,27 +486,27 @@ fn run_attempt(
             // `c == idx % cores` — the historical read, byte for byte.
             let prediction =
                 l2.read_word(fabric::result_addr(ci)).expect("result written") as usize;
+            st.proven = None;
             if reads_after > reads_before {
                 // The program read the shared L2: its outcome may depend
                 // on content a skipped replay did not write.
-                if replayed > 0 {
+                if stats.replayed() > 0 {
                     return Err(Restart::MemoUnsound);
                 }
                 memoize = false;
                 st.cache.clear();
-            } else if memoize {
-                let pre = pre.expect("captured when memoizing");
+            } else if let Some(pre) = pre {
                 let after = st.core.pipeline().stats();
                 let delta = ReplayDelta {
                     pipe: after.diff(&pipe_before),
                     core: core_diff(&core_before, st.core.stats()),
                     extra_cycles: (st.core.total_cycles() - after.cycles) - extra_before,
                 };
-                let post = st.core.replay_state();
+                let steady = st.core.matches_replay_state(&pre);
                 st.cache.push(Cached {
                     staged: item.staged.clone(),
                     spec_key,
-                    post: (post != pre).then_some(post),
+                    post: (!steady).then(|| st.core.replay_state()),
                     pre,
                     used,
                     delta,
@@ -438,6 +514,9 @@ fn run_attempt(
                     touches_rel,
                     prediction,
                 });
+                if steady {
+                    st.prove(st.cache.len() - 1);
+                }
             }
             (used, prediction)
         };
@@ -537,7 +616,7 @@ fn run_attempt(
             predictions,
         },
     );
-    Ok((report, rec, replayed))
+    Ok((report, rec, stats))
 }
 
 /// Fieldwise `after - before` of the core counters.
@@ -572,17 +651,17 @@ mod tests {
     }
 
     /// The memoizing first pass over `scenario`'s fleet.
-    fn first_pass(scenario: &Scenario) -> Result<(RunReport, Recorder, usize), Restart> {
+    fn first_pass(scenario: &Scenario) -> Result<(RunReport, Recorder, MemoStats), Restart> {
         let SystemConfig::Ncpu(topo) = scenario.system() else {
             unreachable!("the tests build NCPU scenarios")
         };
         run_attempt(scenario, topo, true)
     }
 
-    /// Items the memoizing first pass served from the replay cache.
-    fn replayed_items(scenario: &Scenario) -> usize {
+    /// How the memoizing first pass served its items.
+    fn memo_stats(scenario: &Scenario) -> MemoStats {
         match first_pass(scenario) {
-            Ok((_, _, replayed)) => replayed,
+            Ok((_, _, stats)) => stats,
             Err(_) => panic!("the first pass must complete without a restart"),
         }
     }
@@ -610,23 +689,45 @@ mod tests {
                 ls_rec.counters().to_json(),
                 "{level:?}: counter registry"
             );
-            assert!(replayed_items(&s) > 0, "steady-state items must replay");
+            assert!(memo_stats(&s).replayed() > 0, "steady-state items must replay");
         }
     }
 
     /// Replay accelerates without changing a single byte: batch 16 on
-    /// two cores simulates two items per core and replays the rest.
+    /// two cores simulates two items per core (the cold first item, then
+    /// the first steady-state one) and replays the rest — every replay
+    /// proven by the bank generation, none needing a bank compare.
     #[test]
     fn steady_state_items_replay() {
         let s = ncpu(&parametric(16), 2, SocConfig::default(), TraceLevel::Counters);
-        // Per core: 8 items, at most 2 distinct (cold first item,
-        // steady-state second); the rest replay.
-        let replayed = replayed_items(&s);
-        assert!(replayed >= 12, "replayed {replayed}");
+        assert_eq!(memo_stats(&s), MemoStats { proven: 12, compared: 0, simulated: 4 });
         let ev = EventDriven.report(&s);
         let ls = Lockstep.report(&s);
         assert_eq!(ev.makespan, ls.makespan);
         assert_eq!(ev.predictions, ls.predictions);
+    }
+
+    /// DMA staging loads the banks before every image item, which moves
+    /// the bank generation: no replay can be generation-proven, so every
+    /// hit goes through the in-place compare — and the run still matches
+    /// the lock-step engine byte for byte. Each image appears four times
+    /// in a row on one core: the first two runs simulate (cold, then
+    /// steady), the last two replay.
+    #[test]
+    fn staged_items_replay_through_the_in_place_compare() {
+        let uc = UseCase::image(4, 2, 1).with_repeated_items(4);
+        for level in [TraceLevel::Counters, TraceLevel::Full] {
+            let s = ncpu(&uc, 1, SocConfig::default(), level);
+            assert_eq!(memo_stats(&s), MemoStats { proven: 0, compared: 8, simulated: 8 });
+            let (ls, ls_rec) = Lockstep.run(&s);
+            let (ev, ev_rec) = EventDriven.run(&s);
+            assert_eq!(ev.makespan, ls.makespan, "{level:?}");
+            assert_eq!(ev.predictions, ls.predictions);
+            assert_eq!(ev_rec.spans(), ls_rec.spans(), "{level:?}: raw span stream");
+            assert_eq!(ev_rec.events(), ls_rec.events(), "{level:?}: raw instant stream");
+            assert_eq!(ev_rec.counters().to_json(), ls_rec.counters().to_json());
+            assert_eq!(ev_rec.metrics().to_json(), ls_rec.metrics().to_json());
+        }
     }
 
     /// The heterogeneous-style staged workloads exercise the DMA wakeup
@@ -679,10 +780,23 @@ mod tests {
             backoff_cycles: 32,
             quarantine_after: 6,
         };
-        for level in [TraceLevel::Counters, TraceLevel::Full] {
-            let s = ncpu(&uc, 2, SocConfig::default(), level)
+        // The repeated batch on one core gives the memo hits to find;
+        // staging (and a flip's discarded delivery) never lets the bank
+        // generation prove one, so they all go through the compare.
+        let repeated = UseCase::image(4, 2, 1).with_repeated_items(4);
+        // `(use case, cores, level, least compared replays)`.
+        let runs = [
+            (&uc, 2, TraceLevel::Counters, 0),
+            (&uc, 2, TraceLevel::Full, 0),
+            (&repeated, 1, TraceLevel::Full, 1),
+        ];
+        for (uc, cores, level, least_compared) in runs {
+            let s = ncpu(uc, cores, SocConfig::default(), level)
                 .with_operating_point(0.9)
                 .with_faults(plan);
+            let stats = memo_stats(&s);
+            assert_eq!(stats.proven, 0, "{level:?}: staging moves the generation");
+            assert!(stats.compared >= least_compared, "{cores} cores, {level:?}: {stats:?}");
             let (ls, ls_rec) = Lockstep.run(&s);
             let (ev, ev_rec) = EventDriven.run(&s);
             assert_eq!(ev.makespan, ls.makespan, "{level:?}");

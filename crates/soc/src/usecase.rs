@@ -206,6 +206,15 @@ impl UseCase {
         &self.items
     }
 
+    /// Test fixture: every item repeated `times` times in place
+    /// (`[a, b]` becomes `[a, a, b, b]` for 2), so a replay memo sees
+    /// the same staged bytes more than once.
+    #[cfg(test)]
+    pub(crate) fn with_repeated_items(mut self, times: usize) -> UseCase {
+        self.items = self.items.iter().flat_map(|item| vec![item.clone(); times]).collect();
+        self
+    }
+
     /// Requested spin cycles (parametric use case only).
     pub const fn spin_cycles(&self) -> u64 {
         self.spin_cycles

@@ -93,3 +93,56 @@ fn full_trace_carries_instants_for_both_cores() {
     }
     assert_eq!(rec.dropped(), 0, "tiny run must not hit the event capacity");
 }
+
+/// The one-pass compact writer equals the old `to_json → parse →
+/// render_compact` chain on real run artifacts: every workload, every
+/// engine that accepts it, counter and full tracing, clean and faulted.
+#[test]
+fn compact_artifacts_equal_the_parse_round_trip_across_the_grid() {
+    let plan = FaultPlan {
+        seed: 9,
+        sram_flip_ppm: 250_000,
+        dma_stall_ppm: 150_000,
+        dma_stall_cycles: 48,
+        dma_truncate_ppm: 150_000,
+        core_hang_ppm: 80_000,
+        watchdog_cycles: 20_000_000,
+        max_retries: 2,
+        backoff_cycles: 32,
+        quarantine_after: 4,
+    };
+    let parametric = UseCase::parametric(0.6, 4, ncpu::soc::pseudo_model(64, 20, 10));
+    let use_cases = [UseCase::image(4, 2, 1), UseCase::motion(4, 2, 1), parametric];
+    let ncpu_engines: [&dyn Engine; 3] = [&Analytic, &Lockstep, &EventDriven];
+    let mut runs = 0;
+    for uc in &use_cases {
+        let systems = [
+            (SystemConfig::ncpu(2), &ncpu_engines[..]),
+            (SystemConfig::Heterogeneous, &ncpu_engines[..1]),
+        ];
+        for (system, engines) in systems {
+            for engine in engines {
+                for level in [TraceLevel::Counters, TraceLevel::Full] {
+                    for faults in [FaultPlan::none(), plan] {
+                        let scenario = Scenario::new(uc.clone(), system.clone())
+                            .with_trace(level)
+                            .with_faults(faults);
+                        let (report, rec) = engine.run(&scenario);
+                        let artifact = report.artifact(uc.name(), &rec);
+                        let pretty = obs::json::parse(&artifact.to_json()).expect("pretty parses");
+                        assert_eq!(
+                            artifact.to_compact_json(),
+                            obs::json::render_compact(&pretty),
+                            "{} on {system:?} via {}, {level:?}, faults {}",
+                            uc.name(),
+                            engine.name(),
+                            faults.is_active()
+                        );
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 3 * (3 + 1) * 2 * 2);
+}
