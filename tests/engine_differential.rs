@@ -402,6 +402,40 @@ fn check_case(case: &Case) -> Result<(), String> {
         ls_rec.sorted_events(),
         "sorted event stream diverged"
     );
+    if case.fault.is_some() {
+        let (an_report, an_rec) = Analytic.run(&scenario);
+        for (engine, report, rec) in [
+            ("lockstep", &ls_report, &ls_rec),
+            ("event", &ev_report, &ev_rec),
+            ("analytic", &an_report, &an_rec),
+        ] {
+            check_termination(engine, report, rec)?;
+        }
+    }
+    Ok(())
+}
+
+/// Every item terminates exactly once, whichever engine ran it: one
+/// `item.retries` sample per item, one sentinel prediction per counted
+/// drop, and one `item.latency_cycles` sample per completed item.
+fn check_termination(
+    engine: &str,
+    report: &RunReport,
+    rec: &ncpu::obs::Recorder,
+) -> Result<(), String> {
+    let samples =
+        |name: &str| rec.metrics().get(name).map_or(0, ncpu::obs::CycleHistogram::count);
+    let items = report.predictions.len() as u64;
+    let dropped = rec.counters().get("fault.items_dropped");
+    let sentinels =
+        report.predictions.iter().filter(|&&p| p == ncpu::soc::DROPPED_PREDICTION).count();
+    prop_assert_eq!(samples("item.retries"), items, "{engine}: item.retries samples");
+    prop_assert_eq!(sentinels as u64, dropped, "{engine}: sentinels vs fault.items_dropped");
+    prop_assert_eq!(
+        samples("item.latency_cycles"),
+        items - dropped,
+        "{engine}: item.latency_cycles samples"
+    );
     Ok(())
 }
 

@@ -106,19 +106,25 @@ fn mixed_static_fleet() -> ncpu::soc::topology::Topology {
     Fleet::from_specs(specs, vec![3 * l2 / 4, l2 / 4]).expect("mixed fleet is structural")
 }
 
-/// Pins a full Analytic run: the report fields of [`check`] plus an
-/// FNV-1a of the counter registry's JSON.
+/// FNV-1a of `text`'s bytes.
+fn fnv(text: &str) -> u64 {
+    ncpu::soc::fnv1a_64(text.as_bytes())
+}
+
+/// Pins a full Analytic run: the report fields of [`check`] plus FNV-1a
+/// hashes of the counter registry's and the metrics block's JSON.
 fn check_analytic(
     scenario: &Scenario,
     makespan: u64,
     predictions: &[usize],
     busy: &[u64],
-    fnv: u64,
+    (counters, metrics): (u64, u64),
 ) {
     let (report, rec) = Analytic.run(scenario);
     check(&report, makespan, predictions, busy);
-    let counters = ncpu::soc::fnv1a_64(rec.counters().to_json().as_bytes());
-    assert_eq!(counters, fnv, "{}: counter registry drifted", report.config);
+    let tag = &report.config;
+    assert_eq!(fnv(&rec.counters().to_json()), counters, "{tag}: counter registry drifted");
+    assert_eq!(fnv(&rec.metrics().to_json()), metrics, "{tag}: metrics block drifted");
 }
 
 /// The analytic scheduler on a mixed static fleet and under an active
@@ -134,7 +140,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         605_480,
         &[7, 7, 6, 6, 8, 1, 7, 7, 3, 5, 7, 3, 5],
         &[593_640, 474_912, 474_912],
-        0x1388_6ac0_7f8a_6ed2,
+        (0x1388_6ac0_7f8a_6ed2, 0x0d11_f2ba_736d_3122),
     );
     let motion = Scenario::new(UseCase::motion(13, 4, 2), SystemConfig::Ncpu(fleet));
     check_analytic(
@@ -142,7 +148,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         110_955,
         &[3, 2, 0, 2, 2, 0, 3, 1, 2, 5, 2, 2, 1],
         &[108_955, 87_164, 87_164],
-        0x81eb_5e4d_91dc_ff5d,
+        (0x81eb_5e4d_91dc_ff5d, 0x3b51_a09b_5b73_7e4c),
     );
     let plan = FaultPlan {
         seed: 21,
@@ -164,6 +170,90 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         135_480,
         &[ncpu::soc::DROPPED_PREDICTION, 7, 6, 6],
         &[0, 118_728, 118_728, 118_728],
-        0x4153_1b32_38ea_f4b5,
+        (0x4153_1b32_38ea_f4b5, 0x97aa_a6fc_066c_e0f9),
     );
+}
+
+/// FNV-1a hashes of a run's counter registry, metrics block, and raw
+/// span and instant streams.
+fn recorder_fnvs(rec: &ncpu::obs::Recorder) -> [u64; 3] {
+    [
+        fnv(&rec.counters().to_json()),
+        fnv(&rec.metrics().to_json()),
+        fnv(&format!("{:?}{:?}", rec.spans(), rec.events())),
+    ]
+}
+
+/// The Deep engine's staging prologue under two active fault plans, on
+/// one core (rollback) and two (series): flips, truncations and stalls
+/// with retries and drops, and a hang plan whose `quarantine_after` the
+/// deep engine must ignore (every core holds a resident segment, so
+/// there is nowhere to re-schedule to). Captured before the prologue
+/// moved onto the shared fault-recovery path.
+#[test]
+fn deep_engine_reproduces_faulted_prologue_reports() {
+    let model = ncpu::soc::pseudo_deep_model(64, 12, 8, 8);
+    let inputs: Vec<BitVec> =
+        (0..8).map(|k| BitVec::from_bools((0..64).map(|i| (i * 5 + k) % 3 == 0))).collect();
+    let uc = UseCase::deep(model, &inputs);
+    let mixed = FaultPlan {
+        seed: 9,
+        sram_flip_ppm: 300_000,
+        dma_stall_ppm: 200_000,
+        dma_stall_cycles: 48,
+        dma_truncate_ppm: 200_000,
+        core_hang_ppm: 0,
+        watchdog_cycles: 0,
+        max_retries: 1,
+        backoff_cycles: 32,
+        quarantine_after: 0,
+    };
+    let hang = FaultPlan {
+        seed: 4,
+        sram_flip_ppm: 0,
+        dma_stall_ppm: 0,
+        dma_stall_cycles: 0,
+        dma_truncate_ppm: 0,
+        core_hang_ppm: 400_000,
+        watchdog_cycles: 5_000,
+        max_retries: 2,
+        backoff_cycles: 16,
+        quarantine_after: 1,
+    };
+    let d = ncpu::soc::DROPPED_PREDICTION;
+    let mixed_predictions = [d, 2, d, d, 2, d, 2, 2];
+    // `(plan, cores, makespan, predictions, [counters, metrics, events])`.
+    let pins = [
+        (mixed, 1, 555, mixed_predictions, [
+            0x98ae_0bc7_39f4_b923,
+            0xcfbd_79db_b2f7_cb91,
+            0x7398_d33e_4da5_41e8,
+        ]),
+        (mixed, 2, 416, mixed_predictions, [
+            0xf281_50fe_505e_c0ad,
+            0x521e_a657_3ca0_1a30,
+            0x5465_7f6d_e85e_3c8c,
+        ]),
+        (hang, 1, 5874, [2; 8], [
+            0x083e_cc7f_c4d0_0597,
+            0x390c_d390_f71e_bba7,
+            0x4805_c5b4_1d15_ef53,
+        ]),
+        (hang, 2, 5579, [2; 8], [
+            0x1d09_30d0_0393_be32,
+            0x4c86_3151_7f30_c0aa,
+            0xa5ed_cd44_7f51_602b,
+        ]),
+    ];
+    for (plan, cores, makespan, predictions, fnvs) in pins {
+        let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores))
+            .with_trace(TraceLevel::Full)
+            .with_operating_point(0.9)
+            .with_faults(plan);
+        let (report, rec) = ncpu::soc::Deep.run(&scenario);
+        let tag = format!("seed {} on {cores} core(s)", plan.seed);
+        assert_eq!(report.makespan, makespan, "{tag}: makespan");
+        assert_eq!(report.predictions, predictions, "{tag}: predictions");
+        assert_eq!(recorder_fnvs(&rec), fnvs, "{tag}: counters, metrics, events");
+    }
 }
