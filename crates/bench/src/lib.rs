@@ -1,9 +1,10 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! Each `experiments::*` function runs one experiment end-to-end on the
-//! workspace's simulators and models and returns a formatted report. The
-//! `src/bin/*` binaries are thin wrappers (`cargo run --release -p
-//! ncpu-bench --bin fig13`), and `--bin paper` runs everything in order.
+//! workspace's simulators and models and returns a formatted report.
+//! `--bin paper` runs everything in order, or any experiments by id
+//! (`cargo run --release -p ncpu-bench --bin paper fig13`); `--bin fig16`
+//! also exports the Fig. 16 power traces as CSV.
 //!
 //! Absolute cycle counts and watts come from this reproduction's
 //! simulator + calibrated 65nm model, not from the authors' silicon; the

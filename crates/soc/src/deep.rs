@@ -13,8 +13,8 @@ use std::fmt;
 
 use ncpu_accel::{Accelerator, BatchRun};
 use ncpu_bnn::{BitVec, BnnLayer, BnnModel, Topology};
-use ncpu_fault::{Fault, FaultPlan, FaultSession};
-use ncpu_obs::{Detector, EventKind, FaultClass, Recorder, Recovery, TraceLevel};
+use ncpu_fault::FaultPlan;
+use ncpu_obs::{EventKind, Recorder, TraceLevel};
 
 use ncpu_sim::stats::Timeline;
 
@@ -344,7 +344,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (Run
     // delayed arrivals, dropped ones never enter the batch. The
     // deep engine has no spare cores (every core holds a resident
     // model segment), so quarantine is structurally disabled.
-    let prologue = scenario.fault().is_active().then(|| {
+    let mut prologue = scenario.fault().is_active().then(|| {
         let sizes: Vec<usize> = items.iter().map(|i| i.staged.len()).collect();
         deep_fault_prologue(scenario.fault(), scenario.millivolts(), &sizes, scenario.soc())
     });
@@ -385,7 +385,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (Run
     rec.set_counter("deep.steady_interval", run.steady_interval);
     let mut makespan = run.total_cycles;
     let mut predictions = run.outputs.clone();
-    if let Some(p) = &prologue {
+    if let Some(p) = &mut prologue {
         // Fault instants go on a dedicated lane (past the segment
         // phase lanes and the link's DMA lane), pre-sorted so the
         // per-lane timestamp order the validator enforces holds.
@@ -393,15 +393,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (Run
         for (cycle, kind) in &p.events {
             rec.emit(fault_lane, *cycle, kind.clone());
         }
-        for &sample in &p.recovery_cycles {
-            rec.metric("fault.recovery_cycles", sample);
-        }
-        for &sample in &p.retries {
-            rec.metric("item.retries", sample);
-        }
-        for &(name, value) in &p.counters {
-            rec.set_counter(name, value);
-        }
+        rec.absorb(&mut p.rec, fault_lane, 0);
         // A dropped image's detection can outlast the batch; the
         // batch itself only saw the surviving images.
         makespan = makespan.max(p.horizon);
@@ -442,111 +434,68 @@ pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (Run
 /// disabled here: recovery is retry-with-backoff, then drop.
 struct DeepPrologue {
     /// Arrival cycle per *surviving* image, parallel to `kept`.
-    pub arrivals: Vec<u64>,
+    arrivals: Vec<u64>,
     /// Original item indices that survived staging, in order.
-    pub kept: Vec<usize>,
+    kept: Vec<usize>,
     /// Original item indices the recovery policy dropped.
-    pub dropped: Vec<usize>,
+    dropped: Vec<usize>,
     /// Fault-layer instants, sorted by cycle — emit them on one
     /// dedicated lane so per-lane timestamp order holds.
-    pub events: Vec<(u64, EventKind)>,
-    /// `fault.recovery_cycles` histogram samples.
-    pub recovery_cycles: Vec<u64>,
-    /// `item.retries` histogram samples, one per item in index order.
-    pub retries: Vec<u64>,
-    /// The `fault.*` counters every engine exports, name → value.
-    pub counters: [(&'static str, u64); 9],
+    events: Vec<(u64, EventKind)>,
+    /// The `fault.*` counters, and the `fault.recovery_cycles` and
+    /// `item.retries` (one sample per item) histograms.
+    rec: Recorder,
     /// Cycle of the last fault-layer event (0 when none): a dropped
     /// item's detection can outlast every surviving completion, so the
     /// run's makespan is the max of the batch and this horizon.
-    pub horizon: u64,
+    horizon: u64,
 }
 
 /// Resolves the fault plan against a deep batch's input staging, before
-/// the accelerator sees any image. Each image's delivery draws from the
-/// same per-(item, attempt) split RNG streams the SoC engines use;
-/// benign stalls delay the arrival, detected faults (parity at the
-/// priced delivery cycle, watchdog for hangs) retry with exponential
-/// backoff until the plan's budget drops the image.
+/// the accelerator sees any image, on the same fault-recovery path the
+/// SoC engines use: each image's delivery draws from the same
+/// per-(item, attempt) split RNG streams ([`fabric::FaultCtl::detect`],
+/// with a detected fault priced at its transfer's delivery cycle), and
+/// [`fabric::recovery_decision`] retries with exponential backoff until
+/// the plan's budget drops the image. Every image starts staging at
+/// cycle 0 on one stream; a clean delivery arrives at once, a benign
+/// stall late.
 fn deep_fault_prologue(
     plan: &FaultPlan,
     millivolts: u32,
     staged_sizes: &[usize],
     soc: &SocConfig,
 ) -> DeepPrologue {
-    let session = FaultSession::new(plan, millivolts);
-    let cost = |bytes: u64| {
-        soc.dma_setup_cycles + bytes.div_ceil(u64::from(soc.dma_bytes_per_cycle.max(1)))
+    let no_quarantine = FaultPlan { quarantine_after: 0, ..*plan };
+    let one_stream = crate::topology::Topology::homogeneous(1);
+    let items = staged_sizes.len();
+    let mut ctl = fabric::FaultCtl::new(&no_quarantine, millivolts, items, &one_stream);
+    let cost = |bytes: u32| {
+        soc.dma_setup_cycles + u64::from(bytes).div_ceil(u64::from(soc.dma_bytes_per_cycle.max(1)))
     };
-    let mut arrivals = Vec::new();
-    let mut kept = Vec::new();
-    let mut dropped = Vec::new();
+    let mut rec = Recorder::new(TraceLevel::Counters);
     let mut events: Vec<(u64, EventKind)> = Vec::new();
-    let mut recovery_cycles = Vec::new();
-    let mut retries_hist = Vec::with_capacity(staged_sizes.len());
-    let (mut flips, mut stalls, mut truncates, mut hangs) = (0u64, 0u64, 0u64, 0u64);
-    let (mut parity, mut watchdog) = (0u64, 0u64);
-    let (mut retries, mut drops) = (0u64, 0u64);
+    let (mut arrivals, mut kept, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
     for (i, &bytes) in staged_sizes.iter().enumerate() {
-        let mut attempt = 0u32;
-        let mut faults = 0u32;
-        let mut delay = 0u64;
+        ctl.begin_dispatch(0);
+        let mut now = 0;
         // `Some(arrival)` once staging succeeds, `None` once dropped.
         let outcome = loop {
-            let draw = session.draw(i as u64, attempt, bytes);
-            attempt += 1;
-            match draw {
-                None => break Some(delay),
-                Some(Fault::DmaStall { extra_cycles }) => {
-                    // Benign: the image arrives, just late.
-                    stalls += 1;
-                    events.push((delay, EventKind::Fault { class: FaultClass::DmaStall }));
-                    break Some(delay + extra_cycles);
-                }
-                Some(fault) => {
-                    let (class, detect_at, by) = match fault {
-                        Fault::SramFlip { .. } => {
-                            flips += 1;
-                            (FaultClass::SramFlip, delay + cost(bytes as u64), Detector::Parity)
-                        }
-                        Fault::DmaTruncate { bytes: delivered } => {
-                            truncates += 1;
-                            (
-                                FaultClass::DmaTruncate,
-                                delay + cost(u64::from(delivered)),
-                                Detector::Parity,
-                            )
-                        }
-                        Fault::CoreHang => {
-                            hangs += 1;
-                            (FaultClass::CoreHang, delay + plan.watchdog_cycles, Detector::Watchdog)
-                        }
-                        Fault::DmaStall { .. } => unreachable!("handled above"),
-                    };
-                    match by {
-                        Detector::Parity => parity += 1,
-                        Detector::Watchdog => watchdog += 1,
+            let mut defer = Some(&mut events);
+            let deliver = |bytes| now + cost(bytes);
+            match ctl.detect(0, i, bytes, now, deliver, &mut rec, &mut defer) {
+                fabric::Draw::Clean => break Some(now),
+                fabric::Draw::Stalled(extra) => break Some(now + extra),
+                fabric::Draw::Detected(at) => {
+                    match fabric::recovery_decision(&mut ctl, 0, now, at, &mut rec, &mut defer) {
+                        fabric::Decision::RetryAt(resume) => now = resume,
+                        fabric::Decision::Drop(_) => break None,
+                        fabric::Decision::Quarantine(_) => unreachable!("quarantine is disabled"),
                     }
-                    events.push((delay, EventKind::Fault { class }));
-                    events.push((detect_at, EventKind::Detect { by }));
-                    faults += 1;
-                    if faults > plan.max_retries {
-                        drops += 1;
-                        events.push((detect_at, EventKind::Recover { action: Recovery::Drop }));
-                        recovery_cycles.push(detect_at - delay);
-                        break None;
-                    }
-                    retries += 1;
-                    events.push((detect_at, EventKind::Recover { action: Recovery::Retry }));
-                    let exp = (faults - 1).min(16);
-                    let resume =
-                        detect_at.saturating_add(plan.backoff_cycles.saturating_mul(1 << exp));
-                    recovery_cycles.push(resume - delay);
-                    delay = resume;
                 }
             }
         };
-        retries_hist.push(u64::from(attempt.saturating_sub(1)));
+        rec.metric("item.retries", ctl.item_retries(i));
         match outcome {
             Some(arrival) => {
                 arrivals.push(arrival);
@@ -555,28 +504,10 @@ fn deep_fault_prologue(
             None => dropped.push(i),
         }
     }
+    ctl.write_counters(&mut rec);
     let horizon = events.iter().map(|&(cycle, _)| cycle).max().unwrap_or(0);
     events.sort_by_key(|&(cycle, _)| cycle);
-    DeepPrologue {
-        arrivals,
-        kept,
-        dropped,
-        events,
-        recovery_cycles,
-        retries: retries_hist,
-        counters: [
-            ("fault.injected.sram_flip", flips),
-            ("fault.injected.dma_stall", stalls),
-            ("fault.injected.dma_truncate", truncates),
-            ("fault.injected.core_hang", hangs),
-            ("fault.detected.parity", parity),
-            ("fault.detected.watchdog", watchdog),
-            ("fault.retries", retries),
-            ("fault.items_dropped", drops),
-            ("fault.cores_quarantined", 0),
-        ],
-        horizon,
-    }
+    DeepPrologue { arrivals, kept, dropped, events, rec, horizon }
 }
 
 #[cfg(test)]
@@ -766,7 +697,7 @@ pub(crate) mod tests {
         assert_eq!(a.kept, b.kept);
         assert_eq!(a.dropped, b.dropped);
         assert_eq!(a.events, b.events);
-        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.rec.counters().to_json(), b.rec.counters().to_json());
         assert_eq!(a.horizon, b.horizon);
     }
 
@@ -778,8 +709,8 @@ pub(crate) mod tests {
         assert!(pro.dropped.is_empty());
         // A stall is benign: every image arrives, exactly one stall late.
         assert_eq!(pro.arrivals, vec![500; 5]);
-        assert!(pro.counters.contains(&("fault.injected.dma_stall", 5)));
-        assert!(pro.counters.contains(&("fault.items_dropped", 0)));
+        assert_eq!(pro.rec.counters().get("fault.injected.dma_stall"), 5);
+        assert_eq!(pro.rec.counters().get("fault.items_dropped"), 0);
     }
 
     #[test]
@@ -795,8 +726,8 @@ pub(crate) mod tests {
         let pro = deep_fault_prologue(&plan, 900, &sizes, &SocConfig::default());
         assert!(pro.kept.is_empty());
         assert_eq!(pro.dropped, vec![0, 1, 2, 3]);
-        assert!(pro.counters.contains(&("fault.items_dropped", 4)));
-        assert!(pro.counters.contains(&("fault.retries", 0)));
+        assert_eq!(pro.rec.counters().get("fault.items_dropped"), 4);
+        assert_eq!(pro.rec.counters().get("fault.retries"), 0);
         // Parity detection happens at the priced delivery cycle, so the
         // horizon extends past cycle 0 even though nothing ran.
         assert!(pro.horizon > 0);

@@ -9,9 +9,7 @@
 //!
 //! * A core that *loses* the L2 port replays nothing — the conflict is
 //!   counted (`soc.l2_conflict_cycles`, a `stall.l2_conflict` event) but
-//!   the loser's timing is unchanged. The `stalled_until` the lock-step
-//!   scheduler writes on a conflict is dead for active cores (it is
-//!   only consulted between items, and reset at item completion).
+//!   the loser's timing is unchanged.
 //! * Cores share no other cycle-level state: item programs keep data in
 //!   core-local banks and only *write* one result word through to their
 //!   private L2 mailbox. (The engine verifies the no-L2-read part at
@@ -33,6 +31,11 @@
 //! * Event/span emission into the root recorder is deferred and sorted
 //!   by `(cycle, core, stall-before-absorb)`, reproducing the raw
 //!   emission order (and capacity-drop behavior) of the per-cycle walk.
+//!
+//! What happens to an item — its queue slot, dispatch, completion, drop
+//! or quarantine — is the same [`fabric::Ledger`] the lock-step engine
+//! drives; this module keeps only its clock: the event queue and the
+//! replay memo.
 //!
 //! # Steady-state replay
 //!
@@ -70,9 +73,8 @@
 //! with memoization off. Fabric-generated programs never read the L2,
 //! so the restart exists for soundness, not for the paper's workloads.
 
-use ncpu_core::{BankPorts, NcpuCore, ReplayDelta, ReplayState, SharedL2};
+use ncpu_core::{BankPorts, NcpuCore, ReplayDelta, ReplayState};
 use ncpu_obs::{EventKind, Recorder, StallCause};
-use ncpu_pipeline::Program;
 
 use crate::event_queue::EventQueue;
 use crate::fabric;
@@ -201,30 +203,9 @@ impl Emission {
     }
 }
 
-struct CoreRun {
-    core: NcpuCore,
-    program: Program,
-    /// Items assigned to this core: `(item index, available_from)` —
-    /// plan-assigned items are available from cycle 0; items
-    /// re-scheduled off a quarantined core from the cycle after the
-    /// quarantine decision. Mirrors the lock-step queue exactly.
-    queue: Vec<(usize, u64)>,
-    /// Position within `queue`.
-    at: usize,
-    /// The pending wakeup begins the staged item (banks already loaded)
-    /// rather than attempting the next item start.
-    pending_exec: bool,
-    /// Cycle the scheduler first attempted the current item (before any
-    /// DMA staging sleep) — the latency clock start, matching the
-    /// lock-step engine's first-attempt cycle.
-    dispatch: u64,
-    /// Items waiting behind the current one, captured at dispatch (a
-    /// quarantined peer can push onto this queue mid-item; dispatch is
-    /// the one point both simulating engines observe the same queue).
-    depth: u64,
-    busy: u64,
-    finished_at: u64,
-    predictions: Vec<(usize, usize)>,
+/// One core's replay memo.
+#[derive(Default)]
+struct Memo {
     cache: Vec<Cached>,
     /// `(entry, generation)`: the core is provably in `cache[entry].pre`
     /// for as long as its [`NcpuCore::bank_generation`] still equals
@@ -233,32 +214,31 @@ struct CoreRun {
     proven: Option<(usize, u64)>,
 }
 
-impl CoreRun {
-    /// The memo entry the item about to run on this core replays, and
+impl Memo {
+    /// The memo entry the item about to run on `core` replays, and
     /// whether the generation proved its banks (`true`) or they were
     /// compared in place (`false`). At most one entry can match: an
     /// entry is only added when no existing one did.
-    fn lookup(&mut self, spec_key: u64, staged: &[u8]) -> Option<(usize, bool)> {
+    fn lookup(&mut self, core: &NcpuCore, spec_key: u64, staged: &[u8]) -> Option<(usize, bool)> {
         let applies = |e: &Cached| e.spec_key == spec_key && e.staged == staged;
         if let Some((entry, generation)) = self.proven {
-            if generation != self.core.bank_generation() {
+            if generation != core.bank_generation() {
                 self.proven = None;
             } else if applies(&self.cache[entry])
-                && self.core.matches_replay_registers(&self.cache[entry].pre)
+                && core.matches_replay_registers(&self.cache[entry].pre)
             {
                 return Some((entry, true));
             }
         }
-        let core = &self.core;
         self.cache
             .iter()
             .position(|e| applies(e) && core.matches_replay_state(&e.pre))
             .map(|entry| (entry, false))
     }
 
-    /// Records that the core now sits in `cache[entry].pre`.
-    fn prove(&mut self, entry: usize) {
-        self.proven = Some((entry, self.core.bank_generation()));
+    /// Records that `core` now sits in `cache[entry].pre`.
+    fn prove(&mut self, core: &NcpuCore, entry: usize) {
+        self.proven = Some((entry, core.bank_generation()));
     }
 }
 
@@ -270,45 +250,23 @@ fn run_attempt(
     mut memoize: bool,
 ) -> Result<(RunReport, Recorder, MemoStats), Restart> {
     let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
-    let plan = scenario.fault();
-    let millivolts = scenario.millivolts();
     let cores = topo.cores();
     let mut rec = Recorder::new(level.at_least_counters());
-    let l2 = SharedL2::new(fabric::L2_BYTES);
+    let (l2, mut pool, programs) = fabric::ncpu_pool(usecase, soc, level, cores);
+    for core in &mut pool {
+        core.set_l2_touch_log(true);
+    }
     let mut dma = fabric::new_dma(soc, level);
-    let mut ctl = plan
-        .is_active()
-        .then(|| fabric::FaultCtl::new(plan, millivolts, usecase.items().len(), topo));
-    let watchdog = ctl.as_ref().map_or(0, |ctl| ctl.watchdog());
-    let dispatch_plan = topo.plan(usecase.items().len());
-    let mut states: Vec<CoreRun> = (0..cores)
-        .map(|c| {
-            let mut core = fabric::ncpu_core(usecase, soc, level, l2.clone());
-            core.set_l2_touch_log(true);
-            let program = fabric::ncpu_program(usecase, &core, fabric::result_addr(c));
-            CoreRun {
-                core,
-                program,
-                queue: (0..usecase.items().len())
-                    .filter(|&i| dispatch_plan[i] == c)
-                    .map(|i| (i, 0))
-                    .collect(),
-                at: 0,
-                pending_exec: false,
-                dispatch: 0,
-                depth: 0,
-                busy: 0,
-                finished_at: 0,
-                predictions: Vec::new(),
-                cache: Vec::new(),
-                proven: None,
-            }
-        })
-        .collect();
+    let mut ledger = fabric::Ledger::new(scenario, topo);
+    let watchdog = ledger.ctl.as_ref().map_or(0, fabric::FaultCtl::watchdog);
+    let mut memos: Vec<Memo> = (0..cores).map(|_| Memo::default()).collect();
+    // The pending wakeup of each core begins its staged item (banks
+    // already loaded) rather than attempting the next item start.
+    let mut pending_exec = vec![false; cores];
 
     let mut queue = EventQueue::new(cores);
-    for (c, st) in states.iter().enumerate() {
-        if !st.queue.is_empty() {
+    for c in 0..cores {
+        if ledger.head(c).is_some() {
             queue.arm(c as u16, 0);
         }
     }
@@ -320,7 +278,7 @@ fn run_attempt(
     'pop: while let Some((now, c)) = queue.pop() {
         assert!(now < budget, "event-driven run exceeded {budget} cycles");
         let ci = c as usize;
-        if !states[ci].pending_exec {
+        if !std::mem::take(&mut pending_exec[ci]) {
             // Dispatch phase: resolve the next item against the fault
             // layer at this exact `(cycle, core)` slot — the same slot
             // the lock-step walk resolves it at, so DMA bookings, RNG
@@ -330,26 +288,22 @@ fn run_attempt(
             // in the same slot, matching the lock-step walk.
             let mut batch: Vec<(u64, EventKind)> = Vec::new();
             let run_now = loop {
-                let st = &mut states[ci];
-                if st.at >= st.queue.len() {
+                let Some((item, avail)) = ledger.head(ci) else {
                     break false; // parked (drained or quarantined)
-                }
-                let (idx, avail) = st.queue[st.at];
+                };
                 if avail > now {
                     queue.arm(c, avail);
                     break false;
                 }
-                st.dispatch = now;
-                st.depth = (st.queue.len() - st.at - 1) as u64;
-                let staged = &usecase.items()[idx].staged;
+                ledger.begin(ci, now);
                 match fabric::resolve_dispatch(
-                    ctl.as_mut(),
+                    ledger.ctl.as_mut(),
                     ci,
-                    idx,
-                    staged,
+                    item,
+                    &usecase.items()[item].staged,
                     now,
                     true,
-                    &mut st.core,
+                    &mut pool[ci],
                     &mut dma,
                     &mut rec,
                     Some(&mut batch),
@@ -357,21 +311,16 @@ fn run_attempt(
                     fabric::Resolution::Run { exec_start } => {
                         if exec_start > now {
                             // Banks are loaded; sleep until delivery.
-                            st.pending_exec = true;
+                            pending_exec[ci] = true;
                             queue.arm(c, exec_start);
                             break false;
                         }
                         break true;
                     }
                     fabric::Resolution::Dropped { at } => {
-                        st.predictions.push((idx, fabric::DROPPED_PREDICTION));
-                        st.finished_at = st.finished_at.max(at);
-                        st.at += 1;
-                        if let Some(ctl) = &ctl {
-                            rec.metric("item.retries", ctl.item_retries(idx));
-                        }
+                        ledger.drop_current(ci, at, &mut rec);
                         if at > now {
-                            if st.at < st.queue.len() {
+                            if ledger.head(ci).is_some() {
                                 queue.arm(c, at);
                             }
                             break false;
@@ -380,29 +329,13 @@ fn run_attempt(
                         // same slot.
                     }
                     fabric::Resolution::Quarantined { at } => {
-                        let moved: Vec<usize> =
-                            st.queue.split_off(st.at).into_iter().map(|(i, _)| i).collect();
-                        st.finished_at = st.finished_at.max(at);
-                        let ctl = ctl.as_mut().expect("quarantine requires fault control");
-                        let mut defer = Some(&mut batch);
-                        let homes = fabric::reassign_items(ctl, ci, &moved, at, &mut rec, &mut defer);
-                        for (item, target) in homes {
-                            match target {
-                                Some(t) => {
-                                    // A parked target has no pending
-                                    // wakeup; re-arm it where the lock-
-                                    // step scheduler would next dispatch.
-                                    let parked = states[t].at >= states[t].queue.len()
-                                        && !states[t].pending_exec;
-                                    let wake = states[t].finished_at.max(at + 1);
-                                    states[t].queue.push((item, at + 1));
-                                    if parked {
-                                        queue.arm(t as u16, wake);
-                                    }
-                                }
-                                None => states[ci]
-                                    .predictions
-                                    .push((item, fabric::DROPPED_PREDICTION)),
+                        // A parked target has no pending wakeup; re-arm
+                        // it where the lock-step scheduler would next
+                        // dispatch.
+                        let received = ledger.quarantine(ci, at, &mut rec, &mut Some(&mut batch));
+                        for (t, parked) in received {
+                            if parked {
+                                queue.arm(t as u16, ledger.finished_at(t).max(at + 1));
                             }
                         }
                         break false;
@@ -416,16 +349,16 @@ fn run_attempt(
                 continue 'pop;
             }
         }
-        let st = &mut states[ci];
-        st.pending_exec = false;
 
         // Execute (or replay) the item starting at `now`.
-        let item = &usecase.items()[st.queue[st.at].0];
+        let (core, memo) = (&mut pool[ci], &mut memos[ci]);
+        let (idx, _) = ledger.head(ci).expect("a dispatched item is at the queue head");
+        let staged = &usecase.items()[idx].staged;
         let spec_key = topo.spec(ci).memo_key();
-        let hit = if memoize { st.lookup(spec_key, &item.staged) } else { None };
+        let hit = if memoize { memo.lookup(core, spec_key, staged) } else { None };
         let (used, prediction) = if let Some((entry, proven)) = hit {
             let _prof = ncpu_obs::selfprof::span("event.replay");
-            let hit = &st.cache[entry];
+            let hit = &memo.cache[entry];
             for &rel in &hit.touches_rel {
                 touches.push((now + rel - 1, c));
             }
@@ -436,12 +369,12 @@ fn run_attempt(
                 offset: now as i64,
             });
             let served = (hit.used, hit.prediction);
-            st.core.apply_replay(&hit.delta);
+            core.apply_replay(&hit.delta);
             if let Some(post) = &hit.post {
-                st.core.restore_replay_state(post);
-                st.proven = None;
+                core.restore_replay_state(post);
+                memo.proven = None;
             } else {
-                st.prove(entry);
+                memo.prove(core, entry);
             }
             if proven {
                 stats.proven += 1;
@@ -451,19 +384,18 @@ fn run_attempt(
             served
         } else {
             stats.simulated += 1;
-            let pre = if memoize { Some(st.core.replay_state()) } else { None };
+            let pre = if memoize { Some(core.replay_state()) } else { None };
             let _prof = ncpu_obs::selfprof::span("event.simulate");
             let (reads_before, _) = l2.accesses();
-            let pipe_before = *st.core.pipeline().stats();
-            let core_before = *st.core.stats();
-            let internal_before = st.core.total_cycles();
+            let pipe_before = *core.pipeline().stats();
+            let core_before = *core.stats();
+            let internal_before = core.total_cycles();
             let extra_before = internal_before - pipe_before.cycles;
-            st.core.load_program(&st.program);
-            st.core.run(fabric::ITEM_BUDGET).expect("NCPU program must complete");
-            let used = st.core.total_cycles() - internal_before;
+            core.load_program(&programs[ci]);
+            core.run(fabric::ITEM_BUDGET).expect("NCPU program must complete");
+            let used = core.total_cycles() - internal_before;
             let (reads_after, _) = l2.accesses();
-            let touches_rel: Vec<u64> = st
-                .core
+            let touches_rel: Vec<u64> = core
                 .take_l2_touch_cycles()
                 .into_iter()
                 .map(|t| t - internal_before)
@@ -474,7 +406,7 @@ fn run_attempt(
             // Drain this item's events onto an item-relative clock so a
             // replay can re-base them anywhere.
             let mut shard = Recorder::with_capacity(level.at_least_counters(), usize::MAX);
-            shard.absorb(st.core.obs_mut(), 0, -(internal_before as i64));
+            shard.absorb(core.obs_mut(), 0, -(internal_before as i64));
             emissions.push(Emission::Absorb {
                 cycle: now + used - 1,
                 core: c,
@@ -486,7 +418,7 @@ fn run_attempt(
             // `c == idx % cores` — the historical read, byte for byte.
             let prediction =
                 l2.read_word(fabric::result_addr(ci)).expect("result written") as usize;
-            st.proven = None;
+            memo.proven = None;
             if reads_after > reads_before {
                 // The program read the shared L2: its outcome may depend
                 // on content a skipped replay did not write.
@@ -494,19 +426,19 @@ fn run_attempt(
                     return Err(Restart::MemoUnsound);
                 }
                 memoize = false;
-                st.cache.clear();
+                memo.cache.clear();
             } else if let Some(pre) = pre {
-                let after = st.core.pipeline().stats();
+                let after = core.pipeline().stats();
                 let delta = ReplayDelta {
                     pipe: after.diff(&pipe_before),
-                    core: core_diff(&core_before, st.core.stats()),
-                    extra_cycles: (st.core.total_cycles() - after.cycles) - extra_before,
+                    core: core_diff(&core_before, core.stats()),
+                    extra_cycles: (core.total_cycles() - after.cycles) - extra_before,
                 };
-                let steady = st.core.matches_replay_state(&pre);
-                st.cache.push(Cached {
-                    staged: item.staged.clone(),
+                let steady = core.matches_replay_state(&pre);
+                memo.cache.push(Cached {
+                    staged: staged.clone(),
                     spec_key,
-                    post: (!steady).then(|| st.core.replay_state()),
+                    post: (!steady).then(|| core.replay_state()),
                     pre,
                     used,
                     delta,
@@ -515,7 +447,7 @@ fn run_attempt(
                     prediction,
                 });
                 if steady {
-                    st.prove(st.cache.len() - 1);
+                    memo.prove(core, memo.cache.len() - 1);
                 }
             }
             (used, prediction)
@@ -528,17 +460,10 @@ fn run_attempt(
             return Err(Restart::Watchdog);
         }
 
-        let idx = st.queue[st.at].0;
-        st.predictions.push((idx, prediction));
-        st.busy += used;
-        st.finished_at = now + used;
-        fabric::record_item_metrics(&mut rec, st.finished_at - st.dispatch, used, st.depth);
-        if let Some(ctl) = &ctl {
-            rec.metric("item.retries", ctl.item_retries(idx));
-        }
-        st.at += 1;
-        if st.at < st.queue.len() {
-            queue.arm(c, st.finished_at);
+        ledger.charge(ci, used);
+        ledger.complete(ci, now + used, used, prediction, &mut rec);
+        if ledger.head(ci).is_some() {
+            queue.arm(c, now + used);
         }
     }
 
@@ -588,34 +513,8 @@ fn run_attempt(
         }
     }
 
-    let makespan = states.iter().map(|s| s.finished_at).max().unwrap_or(0);
-    let mut predictions = vec![0usize; usecase.items().len()];
-    let mut pool = Vec::with_capacity(cores);
-    let mut busy = Vec::with_capacity(cores);
-    for st in states {
-        for (idx, pred) in &st.predictions {
-            predictions[*idx] = *pred;
-        }
-        pool.push(st.core);
-        busy.push(st.busy);
-    }
     rec.set_counter("soc.l2_conflict_cycles", l2_conflicts);
-    if let Some(ctl) = &ctl {
-        ctl.write_counters(&mut rec);
-    }
-    let report = fabric::assemble_ncpu_report(
-        &mut rec,
-        &mut dma,
-        &pool,
-        &busy,
-        usecase,
-        topo,
-        fabric::RunOutcome {
-            config: format!("{cores}x ncpu (event)"),
-            makespan,
-            predictions,
-        },
-    );
+    let report = ledger.finish(format!("{cores}x ncpu (event)"), &pool, &mut dma, &mut rec);
     Ok((report, rec, stats))
 }
 

@@ -5,7 +5,7 @@
 //! deep-network series mode (`deep.rs`) each carried private copies of
 //! the result-mailbox layout, program construction, DMA staging, cycle
 //! budgets and report assembly. This module is the single owner of all
-//! of it, so the three engines cannot drift:
+//! of it, so the engines cannot drift:
 //!
 //! * [`result_addr`] — the per-core L2 result mailbox layout,
 //! * [`ncpu_program`] / [`hetero_program`] — program construction for
@@ -14,8 +14,16 @@
 //!   shared [`ITEM_BUDGET`],
 //! * [`ncpu_pool`] / [`ncpu_core`] — core construction, wired to the
 //!   `SocConfig` (shared L2, trace level, naive-switch DMA parameters),
-//! * [`assemble_ncpu_report`] — counter snapshots, DMA lane absorption
-//!   and [`RunReport`] assembly.
+//! * [`Ledger`] — every per-item fact of an NCPU-fleet run (each core's
+//!   queue and cursor, dispatch cycle and queue depth, busy and finish
+//!   cycles, predictions), what a completion, a drop and a quarantine do
+//!   to them, and the final report assembly. The three item engines
+//!   (`Analytic`, `Lockstep`, `EventDriven`) keep only their clocks and
+//!   drive one ledger each,
+//! * [`FaultCtl`] with [`resolve_dispatch`] and [`recovery_decision`] —
+//!   the one fault-recovery path: detection pricing, retry with
+//!   exponential backoff, drop and quarantine, for all four engines
+//!   (`Deep` resolves its input staging through it too).
 
 use ncpu_accel::AccelConfig;
 use ncpu_core::{NcpuCore, SharedL2, SwitchDma};
@@ -30,7 +38,9 @@ use ncpu_sim::DmaEngine;
 use ncpu_workloads::{image, motion as motion_prog, Tail};
 
 use crate::report::{CoreReport, RunReport};
+use crate::scenario::Scenario;
 use crate::system::SocConfig;
+use crate::topology::{CoreRole, Topology};
 use crate::usecase::{UseCase, UseCaseKind};
 
 /// Cycle budget per item (well above the heaviest program).
@@ -232,7 +242,7 @@ pub(crate) fn run_item_staged(
 /// Writes the per-core counter snapshot (`core{c}.*` namespace) from the
 /// core's cheap stat structs — counters are sampled at collection points,
 /// never updated on the simulation hot path.
-pub(crate) fn snapshot_core_counters(rec: &mut Recorder, c: usize, core: &NcpuCore) {
+fn snapshot_core_counters(rec: &mut Recorder, c: usize, core: &NcpuCore) {
     let ps = core.pipeline().stats();
     rec.set_counter(format!("core{c}.cycles"), ps.cycles);
     rec.set_counter(format!("core{c}.retired"), ps.retired);
@@ -287,62 +297,223 @@ pub(crate) fn record_item_metrics(rec: &mut Recorder, latency: u64, service: u64
     rec.metric("item.queue_depth", depth);
 }
 
-/// What a finished NCPU-pool run produced, independent of which engine
-/// executed the schedule.
-pub(crate) struct RunOutcome {
-    pub config: String,
-    pub makespan: u64,
-    pub predictions: Vec<usize>,
-}
-
-/// Assembles the final NCPU-pool report: snapshots every core's
-/// counters and the DMA lane, sets the run counters, and derives one
-/// [`CoreReport`] per core from the recorder's span stream. Roles are
-/// topology-aware — `ncpu{c}` for reconfigurable cores (the historical
-/// name), `cpu{c}`/`bnn{c}` for fixed-function ones — which is what the
-/// energy layer keys its area and power models on.
-pub(crate) fn assemble_ncpu_report(
-    rec: &mut Recorder,
-    dma: &mut DmaEngine,
-    pool: &[NcpuCore],
-    busy: &[u64],
-    usecase: &UseCase,
-    topo: &crate::topology::Topology,
-    outcome: RunOutcome,
-) -> RunReport {
-    let RunOutcome { config, makespan, predictions } = outcome;
-    for (c, core) in pool.iter().enumerate() {
-        snapshot_core_counters(rec, c, core);
-    }
-    snapshot_dma(rec, dma, pool.len() as u16);
-    set_run_counters(rec, makespan, usecase.items().len());
-    for &b in busy {
-        record_util_metric(rec, b, makespan);
-    }
-    let cores = (0..pool.len())
-        .map(|c| CoreReport {
-            role: match topo.spec(c).role {
-                crate::topology::CoreRole::Reconfigurable => format!("ncpu{c}"),
-                crate::topology::CoreRole::CpuOnly => format!("cpu{c}"),
-                crate::topology::CoreRole::BnnOnly => format!("bnn{c}"),
-            },
-            timeline: Timeline::from_obs_events(rec.spans(), c as u16),
-            busy_cycles: busy[c],
-        })
-        .collect();
-    RunReport {
-        config,
-        makespan,
-        cores,
-        predictions,
-        labels: usecase.items().iter().map(|i| i.label).collect(),
-        metrics: rec.metrics().clone(),
-    }
-}
-
 /// Prediction sentinel for an item the fault layer dropped: it never
 /// produced a classification, so it can never match its label.
 pub const DROPPED_PREDICTION: usize = usize::MAX;
+
+/// One core's share of a [`Ledger`].
+#[derive(Default)]
+struct CoreLedger {
+    /// Items assigned to this core: `(item index, available_from)`.
+    /// Planned items are available from cycle 0; items re-scheduled off
+    /// a quarantined core from the cycle after the quarantine decision.
+    queue: Vec<(usize, u64)>,
+    /// Position of the current item within `queue`.
+    at: usize,
+    /// Cycle the scheduler first attempted the current item (before any
+    /// DMA staging stall) — the latency clock start.
+    dispatch: u64,
+    /// Items waiting behind the current one, captured at dispatch: a
+    /// quarantined peer can re-schedule work onto this queue mid-item,
+    /// and the simulating engines observe that push at different walk
+    /// points, so completion-time depth would diverge.
+    depth: u64,
+    /// Cycles spent executing items.
+    busy: u64,
+    /// Cycle of the last completion or recovery decision.
+    finished_at: u64,
+}
+
+/// Every per-item fact of one NCPU-fleet run: each core's queue and
+/// cursor, the dispatch cycle and queue depth of its current item, busy
+/// and finish cycles, and the prediction vector — plus the run's fault
+/// control (`None` under the inert plan: no draws, no `item.retries`
+/// samples, no `fault.*` counters). The three item engines differ only
+/// in how they advance their clocks; each reports dispatches,
+/// execution and terminal points (completion, drop, quarantine) here,
+/// so what those do to an item cannot drift between engines.
+pub(crate) struct Ledger<'a> {
+    usecase: &'a UseCase,
+    topo: &'a Topology,
+    pub(crate) ctl: Option<FaultCtl>,
+    cores: Vec<CoreLedger>,
+    /// Written at each item's terminal point: items finish out of order
+    /// once drops and re-scheduling kick in.
+    predictions: Vec<usize>,
+}
+
+impl<'a> Ledger<'a> {
+    /// The ledger of `scenario` on `topo`: each core's queue holds its
+    /// share of the topology's dispatch plan.
+    pub(crate) fn new(scenario: &'a Scenario, topo: &'a Topology) -> Ledger<'a> {
+        let usecase = scenario.usecase();
+        let items = usecase.items().len();
+        let faults = scenario.fault();
+        let mut cores: Vec<CoreLedger> = (0..topo.cores()).map(|_| CoreLedger::default()).collect();
+        for (item, c) in topo.plan(items).into_iter().enumerate() {
+            cores[c].queue.push((item, 0));
+        }
+        let millivolts = scenario.millivolts();
+        Ledger {
+            usecase,
+            topo,
+            ctl: faults.is_active().then(|| FaultCtl::new(faults, millivolts, items, topo)),
+            cores,
+            predictions: vec![0; items],
+        }
+    }
+
+    /// Core `c`'s current item and the cycle it becomes available, or
+    /// `None` once the core is parked (drained or quarantined).
+    pub(crate) fn head(&self, c: usize) -> Option<(usize, u64)> {
+        let core = &self.cores[c];
+        core.queue.get(core.at).copied()
+    }
+
+    /// Cycle of core `c`'s last completion or recovery decision.
+    pub(crate) fn finished_at(&self, c: usize) -> u64 {
+        self.cores[c].finished_at
+    }
+
+    /// Starts the latency clock of core `c`'s current item at `now` and
+    /// captures the queue depth behind it. A re-dispatch after a
+    /// mid-item watchdog abort skips this and keeps both.
+    pub(crate) fn begin(&mut self, c: usize, now: u64) {
+        let core = &mut self.cores[c];
+        core.dispatch = now;
+        core.depth = (core.queue.len() - core.at - 1) as u64;
+    }
+
+    /// Charges `cycles` of execution to core `c`.
+    pub(crate) fn charge(&mut self, c: usize, cycles: u64) {
+        self.cores[c].busy += cycles;
+    }
+
+    /// Core `c`'s current item completed at `end` after `service` cycles
+    /// of execution, classifying as `prediction`.
+    pub(crate) fn complete(
+        &mut self,
+        c: usize,
+        end: u64,
+        service: u64,
+        prediction: usize,
+        rec: &mut Recorder,
+    ) {
+        let core = &mut self.cores[c];
+        core.finished_at = end;
+        record_item_metrics(rec, end - core.dispatch, service, core.depth);
+        let (item, _) = core.queue[core.at];
+        core.at += 1;
+        self.terminate(item, prediction, rec);
+    }
+
+    /// The fault layer dropped core `c`'s current item at cycle `at`.
+    pub(crate) fn drop_current(&mut self, c: usize, at: u64, rec: &mut Recorder) {
+        let core = &mut self.cores[c];
+        core.finished_at = core.finished_at.max(at);
+        let (item, _) = core.queue[core.at];
+        core.at += 1;
+        self.terminate(item, DROPPED_PREDICTION, rec);
+    }
+
+    /// Core `c` was quarantined at cycle `at`: its outstanding items
+    /// (current first) re-schedule round-robin over the healthy
+    /// item-capable cores, available from `at + 1`. An item that finds
+    /// no healthy core is dropped on the spot: counted and stamped with
+    /// a `recover.drop` on core `c`'s lane at `at`. Returns each core
+    /// that received items, in first-receipt order, and whether it was
+    /// parked before — a parked event-engine core has no pending wakeup.
+    pub(crate) fn quarantine(
+        &mut self,
+        c: usize,
+        at: u64,
+        rec: &mut Recorder,
+        defer: &mut Option<&mut Vec<(u64, EventKind)>>,
+    ) -> Vec<(usize, bool)> {
+        let core = &mut self.cores[c];
+        core.finished_at = core.finished_at.max(at);
+        let moved = core.queue.split_off(core.at);
+        let mut received: Vec<(usize, bool)> = Vec::new();
+        for (item, _) in moved {
+            let ctl = self.ctl.as_mut().expect("only an active fault plan quarantines cores");
+            match ctl.next_healthy() {
+                Some(t) => {
+                    if received.iter().all(|&(r, _)| r != t) {
+                        received.push((t, self.head(t).is_none()));
+                    }
+                    self.cores[t].queue.push((item, at + 1));
+                }
+                None => {
+                    ctl.items_dropped += 1;
+                    note(rec, defer, c as u16, at, EventKind::Recover { action: Recovery::Drop });
+                    self.terminate(item, DROPPED_PREDICTION, rec);
+                }
+            }
+        }
+        received
+    }
+
+    /// An item's terminal point — reached exactly once per item: its
+    /// prediction, and under an active plan its `item.retries` sample.
+    fn terminate(&mut self, item: usize, prediction: usize, rec: &mut Recorder) {
+        self.predictions[item] = prediction;
+        if let Some(ctl) = &self.ctl {
+            rec.metric("item.retries", ctl.item_retries(item));
+        }
+    }
+
+    /// Closes the run and assembles its report: the fault counters
+    /// (active plan only, so inert runs stay byte-identical to pre-fault
+    /// reports), every core's counters and the DMA lane, the run
+    /// counters with the makespan (the latest finish), per-core
+    /// utilization, and one [`CoreReport`] per core from the recorder's
+    /// span stream. Roles are topology-aware — `ncpu{c}` for
+    /// reconfigurable cores (the historical name), `cpu{c}`/`bnn{c}` for
+    /// fixed-function ones — which is what the energy layer keys its
+    /// area and power models on.
+    pub(crate) fn finish(
+        self,
+        config: String,
+        pool: &[NcpuCore],
+        dma: &mut DmaEngine,
+        rec: &mut Recorder,
+    ) -> RunReport {
+        if let Some(ctl) = &self.ctl {
+            ctl.write_counters(rec);
+        }
+        let makespan = self.cores.iter().map(|core| core.finished_at).max().unwrap_or(0);
+        for (c, core) in pool.iter().enumerate() {
+            snapshot_core_counters(rec, c, core);
+        }
+        snapshot_dma(rec, dma, pool.len() as u16);
+        set_run_counters(rec, makespan, self.predictions.len());
+        for core in &self.cores {
+            record_util_metric(rec, core.busy, makespan);
+        }
+        let cores = self
+            .cores
+            .iter()
+            .enumerate()
+            .map(|(c, core)| CoreReport {
+                role: match self.topo.spec(c).role {
+                    CoreRole::Reconfigurable => format!("ncpu{c}"),
+                    CoreRole::CpuOnly => format!("cpu{c}"),
+                    CoreRole::BnnOnly => format!("bnn{c}"),
+                },
+                timeline: Timeline::from_obs_events(rec.spans(), c as u16),
+                busy_cycles: core.busy,
+            })
+            .collect();
+        RunReport {
+            config,
+            makespan,
+            cores,
+            predictions: self.predictions,
+            labels: self.usecase.items().iter().map(|i| i.label).collect(),
+            metrics: rec.metrics().clone(),
+        }
+    }
+}
 
 /// How a dispatch attempt resolved after the fault layer had its say.
 pub(crate) enum Resolution {
@@ -372,6 +543,17 @@ pub(crate) enum Decision {
     Drop(u64),
     /// Quarantine the core at the given cycle.
     Quarantine(u64),
+}
+
+/// What one attempt's fault draw did to an item's delivery.
+pub(crate) enum Draw {
+    /// No fault: deliver as usual.
+    Clean,
+    /// A benign DMA stall: the delivery lands this many cycles late.
+    Stalled(u64),
+    /// A fault detected at the given cycle; the recovery policy decides
+    /// what happens next.
+    Detected(u64),
 }
 
 /// Shared fault-injection state for one run: the bound [`FaultSession`],
@@ -416,7 +598,7 @@ impl FaultCtl {
         plan: &FaultPlan,
         millivolts: u32,
         items: usize,
-        topo: &crate::topology::Topology,
+        topo: &Topology,
     ) -> FaultCtl {
         let cores = topo.cores();
         FaultCtl {
@@ -445,6 +627,12 @@ impl FaultCtl {
         self.plan.watchdog_cycles
     }
 
+    /// A fresh dispatch on core `core_idx`: its retry budget and backoff
+    /// exponent start over.
+    pub(crate) fn begin_dispatch(&mut self, core_idx: usize) {
+        self.dispatch_faults[core_idx] = 0;
+    }
+
     /// Retries item `item` has consumed so far (attempts beyond the
     /// first); sampled into the `item.retries` histogram at the item's
     /// terminal point — completion or drop — exactly once.
@@ -466,6 +654,68 @@ impl FaultCtl {
         None
     }
 
+    /// Draws the next attempt of delivering item `item` (`bytes` staged
+    /// bytes) to core `core_idx` at cycle `now`, and counts and notes
+    /// what it injected. Detectable faults are priced here, the one
+    /// place for every engine: a flip's corrupted copy still crosses
+    /// the fabric in full and parity catches it at delivery; a
+    /// truncation delivers only its prefix and the length check catches
+    /// it at delivery; a hang moves nothing and the watchdog notices a
+    /// full budget later. `deliver(bytes)` books a broken delivery of
+    /// `bytes` bytes starting at `now` and returns its delivery cycle —
+    /// a fabric DMA booking in the SoC engines, a priced transfer in
+    /// the deep engine's staging prologue.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn detect(
+        &mut self,
+        core_idx: usize,
+        item: usize,
+        bytes: usize,
+        now: u64,
+        deliver: impl FnOnce(u32) -> u64,
+        rec: &mut Recorder,
+        defer: &mut Option<&mut Vec<(u64, EventKind)>>,
+    ) -> Draw {
+        let lane = core_idx as u16;
+        let attempt = self.attempts[item];
+        self.attempts[item] += 1;
+        let (class, detect_at, by) = match self.session.draw(item as u64, attempt, bytes) {
+            None => {
+                self.consecutive[core_idx] = 0;
+                return Draw::Clean;
+            }
+            Some(Fault::DmaStall { extra_cycles }) => {
+                // Benign: the transfer completes, just late. Nothing to
+                // detect or retry.
+                self.injected_stall += 1;
+                note(rec, defer, lane, now, EventKind::Fault { class: FaultClass::DmaStall });
+                self.consecutive[core_idx] = 0;
+                return Draw::Stalled(extra_cycles);
+            }
+            Some(Fault::SramFlip { .. }) => {
+                // Certain detection — see ncpu-fault's parity proof
+                // test. The copy is discarded, so nothing is loaded.
+                self.injected_flip += 1;
+                (FaultClass::SramFlip, deliver(bytes as u32), Detector::Parity)
+            }
+            Some(Fault::DmaTruncate { bytes: prefix }) => {
+                self.injected_truncate += 1;
+                (FaultClass::DmaTruncate, deliver(prefix), Detector::Parity)
+            }
+            Some(Fault::CoreHang) => {
+                self.injected_hang += 1;
+                (FaultClass::CoreHang, now + self.plan.watchdog_cycles, Detector::Watchdog)
+            }
+        };
+        match by {
+            Detector::Parity => self.detected_parity += 1,
+            Detector::Watchdog => self.detected_watchdog += 1,
+        }
+        note(rec, defer, lane, now, EventKind::Fault { class });
+        note(rec, defer, lane, detect_at, EventKind::Detect { by });
+        Draw::Detected(detect_at)
+    }
+
     /// Exports the fault counters. Called once per run, only when a
     /// plan is active, so inert runs stay byte-identical to pre-fault
     /// reports.
@@ -485,7 +735,8 @@ impl FaultCtl {
 /// Routes a fault-layer event either straight into the recorder (the
 /// lock-step engine emits inline at its walk slot) or into a deferral
 /// buffer (the event engine replays it at the same slot's sort key, so
-/// the raw streams stay byte-identical).
+/// the raw streams stay byte-identical; the deep engine emits its
+/// staging prologue's events sorted on a lane of their own).
 fn note(
     rec: &mut Recorder,
     defer: &mut Option<&mut Vec<(u64, EventKind)>>,
@@ -506,14 +757,14 @@ fn note(
 /// path) this is exactly the pre-fault staging: book the DMA, load the
 /// banks, run — no draws, no counters, no events, byte-identical to the
 /// old engines. With faults, each attempt draws from its own split RNG
-/// stream; benign faults (stalls) delay delivery, detected faults
-/// (parity on flips/truncations at delivery, watchdog on hangs at
-/// expiry) charge the recovery policy — bounded retry with exponential
-/// backoff, then drop, with quarantine once a core's consecutive-fault
-/// count hits the plan's limit. Re-staged retries book their DMA
-/// occupancy eagerly at resolution time; both simulating engines do the
-/// same, in the same order, which keeps the fabric byte-deterministic
-/// (DESIGN §14 records the physical approximation).
+/// stream ([`FaultCtl::detect`]); benign faults (stalls) delay
+/// delivery, detected faults charge the recovery policy
+/// ([`recovery_decision`]) — bounded retry with exponential backoff,
+/// then drop, with quarantine once a core's consecutive-fault count
+/// hits the plan's limit. Re-staged retries book their DMA occupancy
+/// eagerly at resolution time; both simulating engines do the same, in
+/// the same order, which keeps the fabric byte-deterministic (DESIGN
+/// §14 records the physical approximation).
 ///
 /// `fresh` is false only when re-dispatching after a mid-item watchdog
 /// abort: the retry budget and the item's latency anchor survive the
@@ -531,71 +782,28 @@ pub(crate) fn resolve_dispatch(
     rec: &mut Recorder,
     mut defer: Option<&mut Vec<(u64, EventKind)>>,
 ) -> Resolution {
+    let stage = |core: &mut NcpuCore, dma: &mut DmaEngine, now: u64| {
+        if staged.is_empty() {
+            now
+        } else {
+            stage_item(core, staged, now, dma)
+        }
+    };
     let Some(ctl) = ctl else {
-        let exec_start =
-            if staged.is_empty() { dispatch } else { stage_item(core, staged, dispatch, dma) };
-        return Resolution::Run { exec_start };
+        return Resolution::Run { exec_start: stage(core, dma, dispatch) };
     };
     if fresh {
-        ctl.dispatch_faults[core_idx] = 0;
+        ctl.begin_dispatch(core_idx);
     }
-    let lane = core_idx as u16;
     let mut now = dispatch;
     loop {
-        let attempt = ctl.attempts[item];
-        ctl.attempts[item] += 1;
-        match ctl.session.draw(item as u64, attempt, staged.len()) {
-            None => {
-                ctl.consecutive[core_idx] = 0;
-                let exec_start =
-                    if staged.is_empty() { now } else { stage_item(core, staged, now, dma) };
-                return Resolution::Run { exec_start };
+        let deliver = |bytes: u32| dma.schedule(now, bytes);
+        match ctl.detect(core_idx, item, staged.len(), now, deliver, rec, &mut defer) {
+            Draw::Clean => return Resolution::Run { exec_start: stage(core, dma, now) },
+            Draw::Stalled(extra) => {
+                return Resolution::Run { exec_start: stage(core, dma, now) + extra };
             }
-            Some(Fault::DmaStall { extra_cycles }) => {
-                // Benign: the transfer completes, just late. Nothing to
-                // detect or retry.
-                ctl.injected_stall += 1;
-                note(rec, &mut defer, lane, now, EventKind::Fault { class: FaultClass::DmaStall });
-                ctl.consecutive[core_idx] = 0;
-                let exec_start = stage_item(core, staged, now, dma) + extra_cycles;
-                return Resolution::Run { exec_start };
-            }
-            Some(fault) => {
-                // A detectable fault: charge the fabric occupancy the
-                // broken delivery consumed, stamp injection + detection,
-                // then let the recovery policy decide.
-                let (class, detect_at, by) = match fault {
-                    Fault::SramFlip { .. } => {
-                        // The corrupted image still crosses the fabric in
-                        // full; parity over the staged bytes flips at
-                        // delivery (certain detection — see ncpu-fault's
-                        // parity proof test). The copy is discarded, so
-                        // the banks are never loaded.
-                        ctl.injected_flip += 1;
-                        let delivered = dma.schedule(now, staged.len() as u32);
-                        (FaultClass::SramFlip, delivered, Detector::Parity)
-                    }
-                    Fault::DmaTruncate { bytes } => {
-                        // Only the prefix crosses the fabric; the length
-                        // check at delivery catches it.
-                        ctl.injected_truncate += 1;
-                        let delivered = dma.schedule(now, bytes);
-                        (FaultClass::DmaTruncate, delivered, Detector::Parity)
-                    }
-                    Fault::CoreHang => {
-                        // Nothing crosses the fabric; only the watchdog
-                        // notices, a full budget later.
-                        ctl.injected_hang += 1;
-                        (FaultClass::CoreHang, now + ctl.plan.watchdog_cycles, Detector::Watchdog)
-                    }
-                    Fault::DmaStall { .. } => unreachable!("handled above"),
-                };
-                match by {
-                    Detector::Parity => ctl.detected_parity += 1,
-                    Detector::Watchdog => ctl.detected_watchdog += 1,
-                }
-                note(rec, &mut defer, lane, now, EventKind::Fault { class });
-                note(rec, &mut defer, lane, detect_at, EventKind::Detect { by });
+            Draw::Detected(detect_at) => {
                 match recovery_decision(ctl, core_idx, now, detect_at, rec, &mut defer) {
                     Decision::RetryAt(resume) => now = resume,
                     Decision::Drop(at) => return Resolution::Dropped { at },
@@ -612,7 +820,8 @@ pub(crate) fn resolve_dispatch(
 /// otherwise retry after exponential backoff. Also invoked by the
 /// lock-step engine's mid-item watchdog abort (where `fault_at` is the
 /// aborted item's start, so `fault.recovery_cycles` prices the wasted
-/// execution plus the backoff).
+/// execution plus the backoff) and by the deep engine's staging
+/// prologue.
 pub(crate) fn recovery_decision(
     ctl: &mut FaultCtl,
     core_idx: usize,
@@ -660,32 +869,4 @@ pub(crate) fn watchdog_abort(
     rec.emit(core_idx as u16, clock, EventKind::Detect { by: Detector::Watchdog });
     let mut defer = None;
     recovery_decision(ctl, core_idx, item_start, clock, rec, &mut defer)
-}
-
-/// Re-schedules a quarantined core's outstanding items (current item
-/// first) round-robin over the remaining healthy cores. Items that find
-/// no healthy core are dropped on the spot: counted, stamped with a
-/// `recover.drop` event on the quarantined core's lane at cycle `at`,
-/// and sampled into `item.retries`. Returns `(item, Some(target))`
-/// assignments in order — the moved items become available at `at + 1`.
-pub(crate) fn reassign_items(
-    ctl: &mut FaultCtl,
-    from: usize,
-    items: &[usize],
-    at: u64,
-    rec: &mut Recorder,
-    defer: &mut Option<&mut Vec<(u64, EventKind)>>,
-) -> Vec<(usize, Option<usize>)> {
-    items
-        .iter()
-        .map(|&item| {
-            let target = ctl.next_healthy();
-            if target.is_none() {
-                ctl.items_dropped += 1;
-                note(rec, defer, from as u16, at, EventKind::Recover { action: Recovery::Drop });
-                rec.metric("item.retries", ctl.item_retries(item));
-            }
-            (item, target)
-        })
-        .collect()
 }

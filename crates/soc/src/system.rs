@@ -90,57 +90,41 @@ pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
 
 /// The analytic NCPU scheduler: per-core clocks advance in global time
 /// order (so shared DMA bookings happen in arrival order) over the
-/// topology's dispatch plan.
+/// topology's dispatch plan, and each item runs atomically. A core's
+/// clock is its [`fabric::Ledger`] finish cycle.
 ///
 /// With an active fault plan every dispatch resolves through the fault
 /// layer (`fabric::resolve_dispatch`), so retries, backoff, drops and
 /// quarantine re-scheduling enter the analytic makespan without a
-/// cycle-level walk, and a quarantined core's queue re-schedules
-/// round-robin onto the healthy ones. One modeling limit, by design:
-/// items run atomically, so the watchdog prices injected `CoreHang`
-/// faults only (a genuinely long-running item is never aborted
-/// mid-flight — use the lock-step engine to study that). With the inert
-/// plan there is no fault control at all: no draws, no `item.retries`
-/// samples, no `fault.*` counters.
+/// cycle-level walk. One modeling limit, by design: items run
+/// atomically, so the watchdog prices injected `CoreHang` faults only
+/// (a genuinely long-running item is never aborted mid-flight — use the
+/// lock-step engine to study that).
 fn run_ncpu(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
     let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
     let cores = topo.cores();
     let mut rec = Recorder::new(level.at_least_counters());
     let (l2, mut pool, programs) = fabric::ncpu_pool(usecase, soc, level, cores);
     let mut dma = fabric::new_dma(soc, level);
-    let items = usecase.items().len();
-    let plan = scenario.fault();
-    let mut ctl = plan
-        .is_active()
-        .then(|| fabric::FaultCtl::new(plan, scenario.millivolts(), items, topo));
-    let mut now = vec![0u64; cores];
-    let mut busy = vec![0u64; cores];
-    // Items complete out of order once drops and re-scheduling kick in,
-    // so predictions are written by index rather than pushed.
-    let mut predictions = vec![0usize; items];
-    let dispatch_plan = topo.plan(items);
-    let mut queues: Vec<Vec<(usize, u64)>> = (0..cores)
-        .map(|c| (0..items).filter(|&i| dispatch_plan[i] == c).map(|i| (i, 0)).collect())
-        .collect();
-    let mut at = vec![0usize; cores];
-
+    let mut ledger = fabric::Ledger::new(scenario, topo);
     loop {
         // Always advance the core that can dispatch earliest (ties to
         // the lowest-numbered core), so fault draws and DMA bookings
         // happen in a deterministic global-time order.
         let next = (0..cores)
-            .filter(|&c| at[c] < queues[c].len())
-            .map(|c| (now[c].max(queues[c][at[c]].1), c))
+            .filter_map(|c| {
+                let (item, avail) = ledger.head(c)?;
+                Some((ledger.finished_at(c).max(avail), c, item))
+            })
             .min();
-        let Some((dispatch, c)) = next else { break };
+        let Some((dispatch, c, item)) = next else { break };
         let _prof = ncpu_obs::selfprof::span("fabric.run_item");
-        let (idx, _) = queues[c][at[c]];
-        let staged = &usecase.items()[idx].staged;
+        ledger.begin(c, dispatch);
         match fabric::resolve_dispatch(
-            ctl.as_mut(),
+            ledger.ctl.as_mut(),
             c,
-            idx,
-            staged,
+            item,
+            &usecase.items()[item].staged,
             dispatch,
             true,
             &mut pool[c],
@@ -151,55 +135,18 @@ fn run_ncpu(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
             fabric::Resolution::Run { exec_start } => {
                 let (end, used) =
                     fabric::run_item_staged(&mut pool[c], &programs[c], exec_start, &mut rec, c as u16);
-                now[c] = end;
-                busy[c] += used;
-                let depth = (queues[c].len() - at[c] - 1) as u64;
-                fabric::record_item_metrics(&mut rec, end - dispatch, used, depth);
-                if let Some(ctl) = &ctl {
-                    rec.metric("item.retries", ctl.item_retries(idx));
-                }
-                predictions[idx] = l2
-                    .read_word(fabric::result_addr(c))
-                    .expect("result staged by program") as usize;
-                at[c] += 1;
+                let prediction =
+                    l2.read_word(fabric::result_addr(c)).expect("result staged by program");
+                ledger.charge(c, used);
+                ledger.complete(c, end, used, prediction as usize, &mut rec);
             }
-            fabric::Resolution::Dropped { at: t } => {
-                let ctl = ctl.as_ref().expect("only an active fault plan drops items");
-                now[c] = now[c].max(t);
-                predictions[idx] = fabric::DROPPED_PREDICTION;
-                rec.metric("item.retries", ctl.item_retries(idx));
-                at[c] += 1;
-            }
-            fabric::Resolution::Quarantined { at: t } => {
-                let ctl = ctl.as_mut().expect("only an active fault plan quarantines cores");
-                now[c] = now[c].max(t);
-                let moved: Vec<usize> =
-                    queues[c].split_off(at[c]).into_iter().map(|(i, _)| i).collect();
-                let mut defer = None;
-                let homes = fabric::reassign_items(ctl, c, &moved, t, &mut rec, &mut defer);
-                for (item, target) in homes {
-                    match target {
-                        Some(tg) => queues[tg].push((item, t + 1)),
-                        None => predictions[item] = fabric::DROPPED_PREDICTION,
-                    }
-                }
+            fabric::Resolution::Dropped { at } => ledger.drop_current(c, at, &mut rec),
+            fabric::Resolution::Quarantined { at } => {
+                ledger.quarantine(c, at, &mut rec, &mut None);
             }
         }
     }
-
-    let makespan = now.iter().copied().max().unwrap_or(0);
-    if let Some(ctl) = &ctl {
-        ctl.write_counters(&mut rec);
-    }
-    let report = fabric::assemble_ncpu_report(
-        &mut rec,
-        &mut dma,
-        &pool,
-        &busy,
-        usecase,
-        topo,
-        fabric::RunOutcome { config: format!("{cores}x ncpu"), makespan, predictions },
-    );
+    let report = ledger.finish(format!("{cores}x ncpu"), &pool, &mut dma, &mut rec);
     (report, rec)
 }
 

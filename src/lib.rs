@@ -73,7 +73,7 @@
 //!
 //! ```text
 //! cargo run --release -p ncpu-bench --bin paper    # everything
-//! cargo run --release -p ncpu-bench --bin fig13    # one experiment
+//! cargo run --release -p ncpu-bench --bin paper fig13  # one experiment
 //! cargo bench                                      # fast set + micro-benches
 //! ```
 
