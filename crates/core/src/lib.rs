@@ -15,7 +15,11 @@
 //! * the zero-latency switch protocol (paper Fig. 5) keeps layer-1
 //!   weights resident and hides deeper-layer weight loads behind
 //!   inference; the naive alternative (used by the switch-cost ablation)
-//!   pays an explicit weight-reload stall.
+//!   pays an explicit weight-reload stall,
+//! * [`NcpuCore::run_functional`] runs a program untimed to the same
+//!   architectural end state as [`NcpuCore::run`] and records its
+//!   [`PathLog`](ncpu_pipeline::PathLog) — the only data-dependent input
+//!   to `run`'s timing, which replaying engines key cycle records on.
 //!
 //! # Examples
 //!

@@ -8,7 +8,9 @@ use ncpu_accel::{packed_row_bytes, AccelConfig, Accelerator};
 use ncpu_bnn::{BitVec, BnnModel};
 use ncpu_isa::interp::Event;
 use ncpu_obs::{EventKind as ObsEvent, Mode, Recorder, TraceLevel};
-use ncpu_pipeline::{PipeError, PipeStats, Pipeline, PipelineConfig, Program};
+use ncpu_pipeline::{
+    FunctionalStop, PathLog, PipeError, PipeStats, Pipeline, PipelineConfig, Program,
+};
 use ncpu_sim::stats::Timeline;
 
 use crate::l2::SharedL2;
@@ -367,6 +369,12 @@ impl NcpuCore {
         std::mem::take(&mut self.pending_triggers)
     }
 
+    /// `trigger_bnn` retirements not yet consumed by
+    /// [`take_pending_triggers`](Self::take_pending_triggers).
+    pub const fn pending_triggers(&self) -> u64 {
+        self.pending_triggers
+    }
+
     /// Enables or disables the shared-L2 touch log. While on, every
     /// MEM-stage `lw_l2`/`sw_l2` access records its cycle; the SoC
     /// engines use these to find contended L2 windows without observing
@@ -460,6 +468,10 @@ impl NcpuCore {
     /// Restores a captured [`ReplayState`]. Bank contents are restored
     /// with uncounted bulk loads so access counters keep their replay
     /// deltas (applied separately via [`apply_replay`](Self::apply_replay)).
+    /// A bank that still holds its captured contents and enable flag is
+    /// left alone, so its [`generation`](Self::bank_generation) and the
+    /// snapshot it shares with `state` survive: restoring after a run
+    /// copies back only the banks that run wrote.
     ///
     /// # Panics
     ///
@@ -473,8 +485,12 @@ impl NcpuCore {
         let banks = self.pipeline.mem_mut().accel_mut().banks_mut();
         assert_eq!(banks.bank_count(), state.banks.len(), "bank layout mismatch");
         for ((_, bank), (enabled, bytes)) in banks.iter_mut().zip(&state.banks) {
-            bank.set_enabled(*enabled);
-            bank.load(0, bytes);
+            if bank.is_enabled() != *enabled {
+                bank.set_enabled(*enabled);
+            }
+            if !bank.holds(bytes) {
+                bank.load(0, bytes);
+            }
         }
     }
 
@@ -541,13 +557,64 @@ impl NcpuCore {
         Ok(())
     }
 
-    /// Serves one `trans_bnn`: classify the configured number of images
-    /// sitting in the image memory, write results to the output memory,
-    /// and account the BNN-mode spans. Returns the stall cycles the
-    /// reconfiguration + inference occupy; the caller decides whether to
-    /// charge them at once ([`run`](Self::run)) or count them down
-    /// ([`step_one`](Self::step_one)).
-    fn serve_bnn(&mut self) -> Result<u64, CoreError> {
+    /// Runs the loaded program to `ebreak` without timing — the
+    /// functional twin of [`run`](Self::run). Registers, transition
+    /// neurons, pending triggers, bank contents (BNN results included)
+    /// and shared-L2 writes end exactly as `run` leaves them; the clock,
+    /// [`CoreStats`], pipeline counters, recorder shards and L2 touch log
+    /// are not touched, and the accelerator runs only its data half (see
+    /// `serve_bnn`). Each `trans_bnn`'s image count is appended to
+    /// `path` after the pipeline's own entries (see [`PathLog`]), which
+    /// makes the log the whole data-dependent input to `run`'s timing.
+    ///
+    /// Returns `Ok(None)` without executing an `lw_l2`: what it reads may
+    /// depend on other cores, so the item needs a timed run. Otherwise
+    /// returns the instructions retired.
+    ///
+    /// # Errors
+    ///
+    /// The [`CoreError`] a timed run of the same path raises, except that
+    /// the budget counts instructions: [`CoreError::CycleLimit`] once
+    /// `max_instructions` retire without a halt. Every instruction takes
+    /// at least one cycle, so a program that halts within
+    /// `max_instructions` cycles under [`run`](Self::run) halts here too.
+    pub fn run_functional(
+        &mut self,
+        max_instructions: u64,
+        path: &mut PathLog,
+    ) -> Result<Option<u64>, CoreError> {
+        let mut retired = 0;
+        loop {
+            let (stop, n) = self.pipeline.run_functional(max_instructions - retired, path)?;
+            retired += n;
+            match stop {
+                FunctionalStop::Event(Event::MvNeu { value, neuron })
+                    if (neuron as usize) < TRANSITION_NEURONS =>
+                {
+                    self.transition[neuron as usize] = value;
+                }
+                FunctionalStop::Event(Event::TransBnn) => {
+                    let (images, _) = self.bnn_data()?;
+                    path.push_value(images as u32);
+                }
+                FunctionalStop::Event(Event::TriggerBnn) => self.pending_triggers += 1,
+                FunctionalStop::Event(Event::Halted) => return Ok(Some(retired)),
+                FunctionalStop::Event(_) => {}
+                FunctionalStop::L2Read => return Ok(None),
+                FunctionalStop::Budget => {
+                    return Err(CoreError::CycleLimit { limit: max_instructions })
+                }
+            }
+        }
+    }
+
+    /// The data half of a `trans_bnn`: classify the configured number of
+    /// images sitting in the image memory and write the classes to the
+    /// output memory. Returns the image count and the batch's BNN cycles,
+    /// which depend only on that count, the model's shape and the
+    /// accelerator configuration. Shared by the timed and the functional
+    /// runs.
+    fn bnn_data(&mut self) -> Result<(usize, u64), CoreError> {
         let images = (self.transition[0].max(1)) as usize;
         let stride = self.image_stride();
         let input_bits = self.accel().model().topology().input();
@@ -555,26 +622,6 @@ impl NcpuCore {
         let capacity = image_bytes / stride;
         if images > capacity {
             return Err(CoreError::ImageCapacity { images, capacity });
-        }
-
-        // Close the CPU span and pull the pipeline's events onto the
-        // unified clock while `extra_cycles` still matches their epoch.
-        self.sync_pipeline_obs();
-        let switch_at = self.total_cycles();
-        if switch_at > self.span_start {
-            self.obs.phase(0, "cpu", self.span_start, switch_at);
-        }
-
-        // Naive policy: reload every packed weight before inference, one
-        // DMA transfer at the configured fabric operating point.
-        let switch_in = match self.policy {
-            SwitchPolicy::ZeroLatency => 0,
-            SwitchPolicy::Naive => {
-                self.switch_dma.transfer_cycles(self.accel().packed_weight_bytes() as u64)
-            }
-        };
-        if switch_in > 0 {
-            self.obs.phase(0, "switch", switch_at, switch_at + switch_in);
         }
 
         // Read packed images straight out of the image bank — the data the
@@ -606,9 +653,41 @@ impl NcpuCore {
                 .write(output_base + 4 * i as u32, 4, class as u32)
                 .expect("output bank holds one word per image");
         }
+        Ok((images, run.total_cycles))
+    }
+
+    /// Serves one `trans_bnn` in a timed run: the data half
+    /// ([`bnn_data`](Self::bnn_data)), then the accounting half — the
+    /// CPU, switch and BNN spans, the mode-switch and inference events,
+    /// and the core counters. Returns the stall cycles the
+    /// reconfiguration + inference occupy; the caller decides whether to
+    /// charge them at once ([`run`](Self::run)) or count them down
+    /// ([`step_one`](Self::step_one)).
+    fn serve_bnn(&mut self) -> Result<u64, CoreError> {
+        let (images, bnn_cycles) = self.bnn_data()?;
+
+        // Close the CPU span and pull the pipeline's events onto the
+        // unified clock while `extra_cycles` still matches their epoch.
+        self.sync_pipeline_obs();
+        let switch_at = self.total_cycles();
+        if switch_at > self.span_start {
+            self.obs.phase(0, "cpu", self.span_start, switch_at);
+        }
+
+        // Naive policy: reload every packed weight before inference, one
+        // DMA transfer at the configured fabric operating point.
+        let switch_in = match self.policy {
+            SwitchPolicy::ZeroLatency => 0,
+            SwitchPolicy::Naive => {
+                self.switch_dma.transfer_cycles(self.accel().packed_weight_bytes() as u64)
+            }
+        };
+        if switch_in > 0 {
+            self.obs.phase(0, "switch", switch_at, switch_at + switch_in);
+        }
 
         let bnn_start = switch_at + switch_in;
-        let bnn_end = bnn_start + run.total_cycles;
+        let bnn_end = bnn_start + bnn_cycles;
         if self.obs.wants_events() {
             self.obs.emit(0, bnn_start, ObsEvent::ModeSwitch { to: Mode::Bnn });
         }
@@ -633,9 +712,9 @@ impl NcpuCore {
 
         self.stats.switches += 1;
         self.stats.images_inferred += images as u64;
-        self.stats.bnn_cycles += run.total_cycles;
+        self.stats.bnn_cycles += bnn_cycles;
         self.stats.switch_overhead_cycles += switch_in + switch_back;
-        Ok(switch_in + run.total_cycles + switch_back)
+        Ok(switch_in + bnn_cycles + switch_back)
     }
 
     /// Advances the core by exactly one cycle — the lock-step interface the

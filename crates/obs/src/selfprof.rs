@@ -135,6 +135,24 @@ impl Drop for SpanGuard {
     }
 }
 
+impl SpanGuard {
+    /// Re-files the open span under `label`, keeping its start time: the
+    /// enclosed wall time and the visit go to `label` alone. For a region
+    /// whose label is only known partway through (a memo probe that turns
+    /// out to be a miss). Call it with no child span open.
+    pub fn relabel(&mut self, label: &str) {
+        if let Some((node, _)) = &mut self.armed {
+            TREE.with(|t| {
+                let mut tree = t.borrow_mut();
+                if tree.stack.last() == Some(node) {
+                    tree.stack.pop();
+                }
+                *node = tree.enter(label);
+            });
+        }
+    }
+}
+
 /// Opens a labelled profiling span; the returned guard closes it.
 /// Nested spans form the stack the flamegraph shows.
 pub fn span(label: &str) -> SpanGuard {
@@ -328,6 +346,30 @@ mod tests {
         let report = take();
         let frames: Vec<String> = report.entries.iter().map(ProfEntry::frames).collect();
         assert_eq!(frames, ["parent", "parent;a", "parent;b"]);
+    }
+
+    #[test]
+    fn relabel_moves_the_visit_and_keeps_the_parent() {
+        set_enabled(true);
+        for miss in [false, true, false] {
+            let _p = span("engine");
+            let mut g = span("probe.hit");
+            if miss {
+                g.relabel("probe.miss");
+            }
+        }
+        set_enabled(false);
+        let report = take();
+        let visits: Vec<(String, u64)> =
+            report.entries.iter().map(|e| (e.frames(), e.visits)).collect();
+        assert_eq!(
+            visits,
+            [
+                ("engine".to_string(), 3),
+                ("engine;probe.hit".to_string(), 2),
+                ("engine;probe.miss".to_string(), 1)
+            ]
+        );
     }
 
     #[test]

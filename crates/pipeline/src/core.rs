@@ -7,6 +7,7 @@ use ncpu_isa::interp::Event;
 use ncpu_isa::{DecodeError, Instruction, Reg};
 use ncpu_obs::{EventKind as ObsEvent, Recorder, StallCause, TraceLevel};
 
+use crate::functional::{FunctionalStop, PathLog};
 use crate::memport::{MemFault, MemPort};
 use crate::program::Program;
 use crate::stats::PipeStats;
@@ -641,6 +642,127 @@ impl<M: MemPort> Pipeline<M> {
         Ok(())
     }
 
+    /// Executes the program from the current PC without timing: one
+    /// predecoded instruction per iteration, with exactly the
+    /// [`MemPort`] accesses the MEM stage would perform, recording every
+    /// data-dependent choice into `path` (see [`PathLog`]). Returns why
+    /// it stopped and how many instructions retired.
+    ///
+    /// Registers, memory, the PC and (at `ebreak`) the halt flags end as
+    /// a [`run`](Self::run) over the same instructions leaves them;
+    /// cycle and retire counters, the retire trace, recorder events and
+    /// the L2 touch log are not touched. A caller that needs those
+    /// replays them from a timed execution of the same path.
+    ///
+    /// Call it on a drained pipeline (after [`restart_at`](Self::restart_at)
+    /// or a completed run): in-flight latches are not consulted.
+    ///
+    /// # Errors
+    ///
+    /// The faults a timed run of the same path raises:
+    /// [`PipeError::Decode`] for a bad word it would execute,
+    /// [`PipeError::PcOutOfRange`] for a PC outside the program, and
+    /// [`PipeError::Mem`] for an unmapped access.
+    pub fn run_functional(
+        &mut self,
+        budget: u64,
+        path: &mut PathLog,
+    ) -> Result<(FunctionalStop, u64), PipeError> {
+        debug_assert!(self.is_drained(), "functional execution starts from a drained pipeline");
+        let image = self.imem.clone();
+        let words = image.decoded_words();
+        let mut regs = self.regs;
+        let mut pc = self.pc;
+        let mut retired = 0u64;
+        let outcome = loop {
+            if retired == budget {
+                break Ok(FunctionalStop::Budget);
+            }
+            let slot = if pc.is_multiple_of(4) { words.get((pc / 4) as usize) } else { None };
+            let instr = match slot {
+                Some(Ok(instr)) => *instr,
+                Some(Err(source)) => break Err(PipeError::Decode { pc, source: *source }),
+                None => break Err(PipeError::PcOutOfRange { pc }),
+            };
+            let mut next = pc.wrapping_add(4);
+            let mut stop = None;
+            match instr {
+                Instruction::Lui { rd, imm } => set_reg(&mut regs, rd, imm as u32),
+                Instruction::Auipc { rd, imm } => {
+                    set_reg(&mut regs, rd, pc.wrapping_add(imm as u32));
+                }
+                Instruction::Jal { rd, offset } => {
+                    set_reg(&mut regs, rd, pc.wrapping_add(4));
+                    next = pc.wrapping_add(offset as u32);
+                }
+                Instruction::Jalr { rd, rs1, offset } => {
+                    let target = regs[rs1.index()].wrapping_add(offset as u32) & !1;
+                    path.push_value(target);
+                    set_reg(&mut regs, rd, pc.wrapping_add(4));
+                    next = target;
+                }
+                Instruction::Branch { op, rs1, rs2, offset } => {
+                    let taken = op.taken(regs[rs1.index()], regs[rs2.index()]);
+                    path.push_branch(taken);
+                    if taken {
+                        next = pc.wrapping_add(offset as u32);
+                    }
+                }
+                Instruction::Load { op, rd, rs1, offset } => {
+                    let addr = regs[rs1.index()].wrapping_add(offset as u32);
+                    match self.mem.read_local(addr, op.width()) {
+                        Ok(raw) => set_reg(&mut regs, rd, op.extend(raw)),
+                        Err(source) => break Err(PipeError::Mem { pc, source }),
+                    }
+                }
+                Instruction::Store { op, rs1, rs2, offset } => {
+                    let addr = regs[rs1.index()].wrapping_add(offset as u32);
+                    if let Err(source) =
+                        self.mem.write_local(addr, op.width(), regs[rs2.index()])
+                    {
+                        break Err(PipeError::Mem { pc, source });
+                    }
+                }
+                Instruction::OpImm { op, rd, rs1, imm } => {
+                    let value = op.eval(regs[rs1.index()], imm as u32);
+                    set_reg(&mut regs, rd, value);
+                }
+                Instruction::Op { op, rd, rs1, rs2 } => {
+                    let value = op.eval(regs[rs1.index()], regs[rs2.index()]);
+                    set_reg(&mut regs, rd, value);
+                }
+                Instruction::Ecall => stop = Some(Event::EnvCall),
+                Instruction::Ebreak => {
+                    self.halted = true;
+                    self.fetch_halted = true;
+                    stop = Some(Event::Halted);
+                }
+                Instruction::MvNeu { rs1, neuron } => {
+                    stop = Some(Event::MvNeu { value: regs[rs1.index()], neuron });
+                }
+                Instruction::TransBnn => stop = Some(Event::TransBnn),
+                Instruction::TransCpu => stop = Some(Event::TransCpu),
+                Instruction::TriggerBnn => stop = Some(Event::TriggerBnn),
+                Instruction::SwL2 { rs1, rs2, offset } => {
+                    let addr = regs[rs1.index()].wrapping_add(offset as u32);
+                    if let Err(source) = self.mem.write_l2(addr, regs[rs2.index()]) {
+                        break Err(PipeError::Mem { pc, source });
+                    }
+                    path.push_value(addr);
+                }
+                Instruction::LwL2 { .. } => break Ok(FunctionalStop::L2Read),
+            }
+            retired += 1;
+            pc = next;
+            if let Some(event) = stop {
+                break Ok(FunctionalStop::Event(event));
+            }
+        };
+        self.regs = regs;
+        self.pc = pc;
+        outcome.map(|stop| (stop, retired))
+    }
+
     /// Runs until `ebreak` retires or `max_cycles` elapse; returns the
     /// number of cycles consumed by this call.
     ///
@@ -681,5 +803,13 @@ impl<M: MemPort> Pipeline<M> {
                 }
             }
         }
+    }
+}
+
+/// Writes `value` to `rd` in `regs` unless `rd` is `x0`.
+#[inline]
+fn set_reg(regs: &mut [u32; 32], rd: Reg, value: u32) {
+    if rd != Reg::ZERO {
+        regs[rd.index()] = value;
     }
 }

@@ -1,0 +1,86 @@
+//! The functional (untimed) execution mode's path record.
+//!
+//! [`Pipeline::run_functional`](crate::Pipeline::run_functional) executes
+//! the predecoded program one instruction per iteration, with the same
+//! [`MemPort`](crate::MemPort) accesses the MEM stage performs but no
+//! latches, hazards or counters. What it leaves behind besides the
+//! architectural state is a [`PathLog`]: every data-dependent choice the
+//! execution made. The pipeline's timing is a function of the program and
+//! that log alone — which instructions issue in which order decides every
+//! hazard, flush and multi-cycle wait — so two executions of one program
+//! with equal logs take the same cycles, stalls and L2 touch offsets.
+
+use ncpu_isa::interp::Event;
+
+/// Every data-dependent choice one functional execution made, in
+/// execution order:
+///
+/// * each conditional branch's outcome, one bit;
+/// * each `jalr` target;
+/// * each `sw_l2` address (it appears in the full trace's L2 events);
+/// * any value an embedding layer appends through
+///   [`push_value`](Self::push_value) (the NCPU core logs each
+///   `trans_bnn`'s image count there).
+///
+/// Which stream the next entry comes from is fixed by the instruction
+/// the program reaches, so the two streams together identify the path
+/// exactly. Logs compare byte for byte; a log is never reduced to a
+/// hash.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct PathLog {
+    /// Branch outcomes so far.
+    branches: u64,
+    /// Outcome `i` is bit `i % 64` of word `i / 64` (taken = 1).
+    bits: Vec<u64>,
+    /// `jalr` targets, `sw_l2` addresses and appended values.
+    values: Vec<u32>,
+}
+
+impl PathLog {
+    /// An empty log.
+    pub fn new() -> PathLog {
+        PathLog::default()
+    }
+
+    /// Records one conditional-branch outcome.
+    #[inline]
+    pub fn push_branch(&mut self, taken: bool) {
+        let bit = self.branches % 64;
+        if bit == 0 {
+            self.bits.push(0);
+        }
+        if taken {
+            *self.bits.last_mut().expect("pushed above") |= 1 << bit;
+        }
+        self.branches += 1;
+    }
+
+    /// Records one data-dependent value (a `jalr` target, an `sw_l2`
+    /// address, or an embedding layer's own choice).
+    #[inline]
+    pub fn push_value(&mut self, value: u32) {
+        self.values.push(value);
+    }
+
+    /// Heap bytes the log holds (for memo size bounds).
+    pub fn heap_bytes(&self) -> usize {
+        self.bits.len() * 8 + self.values.len() * 4
+    }
+}
+
+/// Why [`Pipeline::run_functional`](crate::Pipeline::run_functional)
+/// returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FunctionalStop {
+    /// An instruction whose effect lies outside the pipeline retired:
+    /// `ecall`, `ebreak` ([`Event::Halted`]), `mv_neu`, `trans_bnn`,
+    /// `trans_cpu` or `trigger_bnn`. The PC points past it.
+    Event(Event),
+    /// The next instruction is an `lw_l2`, which the functional mode
+    /// does not execute: what it reads may depend on other cores. The
+    /// PC points at it.
+    L2Read,
+    /// The instruction budget is spent; the PC points at the next
+    /// instruction, so a further call resumes exactly there.
+    Budget,
+}

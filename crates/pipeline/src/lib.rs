@@ -15,7 +15,10 @@
 //!   one dense array slot per mnemonic,
 //! * a predecoded instruction memory ([`Program`]): each word is decoded
 //!   once at load, and a word that fails to decode faults only if it
-//!   reaches ID.
+//!   reaches ID,
+//! * a functional mode ([`Pipeline::run_functional`]) that executes the
+//!   same program untimed and records its [`PathLog`] — the only
+//!   data-dependent input to the pipeline's timing.
 //!
 //! Architectural results are differential-tested against the functional
 //! golden model in [`ncpu_isa::interp`].
@@ -40,12 +43,14 @@
 #![warn(missing_docs)]
 
 mod core;
+mod functional;
 mod memport;
 mod program;
 mod stats;
 mod trace;
 
 pub use crate::core::{Pipeline, PipelineConfig, PipeError};
+pub use functional::{FunctionalStop, PathLog};
 pub use memport::{FlatMem, MemFault, MemPort};
 pub use program::Program;
 pub use stats::{InstrCounts, PipeStats};

@@ -40,6 +40,11 @@ impl Program {
     pub(crate) fn decoded(&self, index: usize) -> Option<Result<Instruction, DecodeError>> {
         self.0.decoded.get(index).copied()
     }
+
+    /// Every word's decode result, indexed by word.
+    pub(crate) fn decoded_words(&self) -> &[Result<Instruction, DecodeError>] {
+        &self.0.decoded
+    }
 }
 
 impl From<Vec<u32>> for Program {

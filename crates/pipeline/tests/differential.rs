@@ -1,14 +1,16 @@
-//! Differential tests: the cycle-accurate pipeline must produce exactly the
-//! architectural state of the functional golden model (`ncpu_isa::interp`)
-//! for identical programs.
+//! Differential tests: the cycle-accurate pipeline and its functional
+//! mode must both produce exactly the architectural state of the
+//! functional golden model (`ncpu_isa::interp`) for identical programs —
+//! and the functional mode must also retire the golden model's PC
+//! stream, instruction by instruction.
 
 use ncpu_isa::asm::assemble;
-use ncpu_isa::interp::Interp;
-use ncpu_isa::Reg;
-use ncpu_pipeline::{FlatMem, Pipeline};
+use ncpu_isa::interp::{Event, Interp};
+use ncpu_isa::{Instruction, Reg};
+use ncpu_pipeline::{FlatMem, FunctionalStop, PathLog, Pipeline};
 use ncpu_testkit::prop::{Prop, Shrink};
 use ncpu_testkit::rng::Rng;
-use ncpu_testkit::prop_assert_eq;
+use ncpu_testkit::{prop_assert, prop_assert_eq};
 
 /// Runs a program on both models and compares register files plus the data
 /// memory window `[4096, 8192)` (kept clear of code in the golden model's
@@ -18,7 +20,7 @@ fn check_equivalent(src: &str) -> Result<(), String> {
     let mut gold = Interp::with_program(&program, 8192);
     gold.run(1_000_000).map_err(|e| format!("golden model failed: {e}\n{src}"))?;
 
-    let mut cpu = Pipeline::new(program, FlatMem::new(8192));
+    let mut cpu = Pipeline::new(program.clone(), FlatMem::new(8192));
     cpu.run(5_000_000).map_err(|e| format!("pipeline failed: {e}\n{src}"))?;
 
     for reg in Reg::all() {
@@ -31,6 +33,88 @@ fn check_equivalent(src: &str) -> Result<(), String> {
         src
     );
     prop_assert_eq!(cpu.stats().retired, gold.retired(), "retire count differs\n{}", src);
+    check_functional(&program, src)
+}
+
+/// The functional mode against the golden model: stepped one instruction
+/// per call, its PC stream must be the golden model's; run in one call,
+/// it must reach the same registers, memory, retire count and path log.
+/// An `lw_l2` ends the comparison where the functional mode stops at it.
+fn check_functional(program: &[u32], src: &str) -> Result<(), String> {
+    let mut gold = Interp::with_program(program, 8192);
+    let mut gold_pcs = Vec::new();
+    while !gold.is_halted() {
+        gold_pcs.push(gold.pc());
+        gold.step().map_err(|e| format!("golden model failed: {e}\n{src}"))?;
+    }
+
+    let mut stepped = Pipeline::new(program.to_vec(), FlatMem::new(8192));
+    let mut stepped_path = PathLog::new();
+    let mut pcs = Vec::new();
+    let mut retired = 0;
+    let l2_read = loop {
+        let pc = stepped.pc();
+        match stepped.run_functional(1, &mut stepped_path) {
+            Ok((FunctionalStop::L2Read, n)) => {
+                prop_assert_eq!(n, 0, "an lw_l2 stop retires nothing\n{}", src);
+                let word = program[(pc / 4) as usize];
+                prop_assert_eq!(
+                    ncpu_isa::decode(word).ok().map(|i| matches!(i, Instruction::LwL2 { .. })),
+                    Some(true),
+                    "stopped at pc {:#x}, which is no lw_l2\n{}",
+                    pc,
+                    src
+                );
+                break true;
+            }
+            Ok((stop, n)) => {
+                prop_assert_eq!(n, 1, "one instruction per unit budget\n{}", src);
+                pcs.push(pc);
+                retired += n;
+                if stop == FunctionalStop::Event(Event::Halted) {
+                    break false;
+                }
+            }
+            Err(e) => return Err(format!("functional mode failed: {e}\n{src}")),
+        }
+    };
+    prop_assert_eq!(&pcs[..], &gold_pcs[..pcs.len()], "PC stream differs\n{}", src);
+    if l2_read {
+        return Ok(());
+    }
+    prop_assert_eq!(pcs.len(), gold_pcs.len(), "functional run stopped early\n{}", src);
+    prop_assert_eq!(retired, gold.retired(), "functional retire count differs\n{}", src);
+    prop_assert!(stepped.is_halted(), "ebreak halts the functional run\n{}", src);
+
+    let mut whole = Pipeline::new(program.to_vec(), FlatMem::new(8192));
+    let mut whole_path = PathLog::new();
+    let mut whole_retired = 0;
+    loop {
+        match whole.run_functional(u64::MAX, &mut whole_path) {
+            Ok((FunctionalStop::Event(Event::Halted), n)) => {
+                whole_retired += n;
+                break;
+            }
+            Ok((_, n)) => whole_retired += n,
+            Err(e) => return Err(format!("functional mode failed: {e}\n{src}")),
+        }
+    }
+    prop_assert_eq!(whole_retired, gold.retired(), "retire count differs in one call\n{}", src);
+    prop_assert_eq!(&whole_path, &stepped_path, "path log depends on the budget\n{}", src);
+    prop_assert_eq!(whole.stats().retired, 0, "functional mode counts nothing\n{}", src);
+    for (model, name) in [(&stepped, "stepped"), (&whole, "whole")] {
+        for reg in Reg::all() {
+            prop_assert_eq!(model.reg(reg), gold.reg(reg), "{} register {} differs\n{}", name, reg, src);
+        }
+        prop_assert_eq!(
+            &model.mem().local()[4096..8192],
+            &gold.mem()[4096..8192],
+            "{} data memory differs\n{}",
+            name,
+            src
+        );
+        prop_assert_eq!(model.pc(), gold.pc(), "{} resume PC differs\n{}", name, src);
+    }
     Ok(())
 }
 

@@ -25,7 +25,9 @@
 //!    Answering from the batch-local map means the batch's own inserts
 //!    can evict whatever LRU pressure demands (a batch with more unique
 //!    misses than the whole cache is legal) without ever evicting an
-//!    answer this batch still owes.
+//!    answer this batch still owes. A job whose engine panics is caught
+//!    alone: each of its requests gets a one-line error, nothing is
+//!    cached for its key, and `serve.panics` counts it.
 //!
 //! Engine routing implements the service policy: every NCPU request
 //! goes to the event-driven engine (it memoizes steady-state parametric
@@ -38,6 +40,7 @@
 //! engine-invariant cache.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ncpu_obs::{Counters, RunArtifact};
@@ -56,10 +59,14 @@ const BUILD_MEMO_CAP: usize = 64;
 
 /// Pinned counter names the fleet always publishes (zeroed at startup
 /// so `stats` output is shape-stable before the first request).
-pub const COUNTER_NAMES: [&str; 6] = [
+/// `serve.panics` counts jobs whose engine run panicked; each request
+/// of such a job is answered with an error line (and counted in
+/// `serve.errors`).
+pub const COUNTER_NAMES: [&str; 7] = [
     "serve.requests",
     "serve.batches",
     "serve.errors",
+    "serve.panics",
     "serve.cache.hits",
     "serve.cache.misses",
     "serve.cache.evictions",
@@ -122,12 +129,24 @@ fn routed_engine(spec: &ScenarioSpec) -> Result<&'static str, String> {
     }
 }
 
+/// The text of a caught panic's payload, on one line.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s.as_str(),
+        _ => "panic",
+    };
+    text.lines().collect::<Vec<_>>().join(" ")
+}
+
 /// Runs `scenario` on the routed engine and normalizes the artifact:
 /// the ` (lockstep)` / ` (event)` config suffix is the single byte
 /// difference between the twin engines, so stripping it makes cached
 /// entries engine-invariant. Returns the cache entry (the compact form,
 /// written in one pass) and the typed artifact it was rendered from.
 fn execute(engine: &'static str, key: u64, scenario: &Scenario) -> (CacheEntry, RunArtifact) {
+    #[cfg(test)]
+    tests::maybe_panic(key);
     let (mut report, rec) = match engine {
         "lockstep" => Lockstep.run(scenario),
         "event" => EventDriven.run(scenario),
@@ -267,14 +286,26 @@ impl Fleet {
         }
 
         // The parallel section: order-preserving fan-out over the fleet.
+        // A job that panics fails alone: its requests get an error line,
+        // every other job of the batch is answered as usual.
         let results = self.pool.par_map_indexed(jobs, |_i, (key, engine, scenario)| {
-            (key, execute(engine, key, &scenario))
+            let run = panic::catch_unwind(AssertUnwindSafe(|| execute(engine, key, &scenario)));
+            (key, run.map_err(|payload| panic_message(payload.as_ref())))
         });
         let mut artifacts: BTreeMap<u64, RunArtifact> = BTreeMap::new();
-        for (key, (entry, artifact)) in results {
-            self.cache.insert(key, entry.clone());
-            answers.insert(key, entry);
-            artifacts.insert(key, artifact);
+        let mut failed: BTreeMap<u64, String> = BTreeMap::new();
+        for (key, run) in results {
+            match run {
+                Ok((entry, artifact)) => {
+                    self.cache.insert(key, entry.clone());
+                    answers.insert(key, entry);
+                    artifacts.insert(key, artifact);
+                }
+                Err(message) => {
+                    self.counters.add("serve.panics", 1);
+                    failed.insert(key, format!("engine failure: {message}"));
+                }
+            }
         }
 
         // Answer every request from the batch-local map. The first
@@ -286,6 +317,10 @@ impl Fleet {
                 Err((id, e)) => {
                     self.counters.add("serve.errors", 1);
                     Err((id, e))
+                }
+                Ok((id, key)) if failed.contains_key(&key) => {
+                    self.counters.add("serve.errors", 1);
+                    Err((id, failed[&key].clone()))
                 }
                 Ok((id, key)) => {
                     let artifact = artifacts.remove(&key);
@@ -313,6 +348,44 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Cache key whose job panics inside `execute` (0: none).
+    static PANIC_KEY: AtomicU64 = AtomicU64::new(0);
+
+    pub(super) fn maybe_panic(key: u64) {
+        if key != 0 && PANIC_KEY.load(Ordering::SeqCst) == key {
+            panic!("injected engine failure\non two lines");
+        }
+    }
+
+    /// A job that panics answers each of its requests with a one-line
+    /// error in its slot and counts once in `serve.panics`; the other
+    /// job of the batch is served, nothing is cached for the failed key,
+    /// and the fleet keeps serving — the same spec succeeds once the
+    /// fault is gone.
+    #[test]
+    fn a_panicking_job_fails_only_its_own_slots() {
+        let mut fleet = Fleet::new(2, 64);
+        let doomed = r#"{"cpu_fraction":0.123,"batch":1,"cores":1}"#;
+        let fine = r#"{"cpu_fraction":0.321,"batch":1,"cores":1}"#;
+        let key = spec(doomed).unwrap().build().cache_key();
+        PANIC_KEY.store(key, Ordering::SeqCst);
+        let out = batch(&mut fleet, &[doomed, fine, doomed]);
+        PANIC_KEY.store(0, Ordering::SeqCst);
+        for i in [0, 2] {
+            let (_, message) = out[i].as_ref().expect_err("the panicking job's slots fail");
+            assert_eq!(message, "engine failure: injected engine failure on two lines");
+        }
+        assert_eq!(out[1].as_ref().expect("the other job is served").cache, "miss");
+        let c = fleet.counters();
+        assert_eq!(
+            (c.get("serve.panics"), c.get("serve.errors"), c.get("serve.cache.misses")),
+            (1, 2, 1)
+        );
+        let retry = batch(&mut fleet, &[doomed]).remove(0).expect("the fleet still serves");
+        assert_eq!((retry.cache, retry.key), ("miss", key), "a failed job is never cached");
+    }
     use ncpu_obs::json::parse;
 
     fn spec(text: &str) -> Result<ScenarioSpec, String> {

@@ -26,7 +26,7 @@
 
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ncpu_obs::export::json_string;
 use ncpu_obs::json;
@@ -94,18 +94,26 @@ impl FleetAccess for &mut Fleet {
     }
 }
 
+/// Takes the fleet lock. A connection thread that panicked while
+/// holding it poisons it; the fleet is still served — engine panics are
+/// caught per job inside [`Fleet::run_batch`], so a poisoned lock means
+/// at worst a request that was never answered, not a corrupted cache.
+fn locked<'a, 'f>(fleet: &'a Mutex<&'f mut Fleet>) -> MutexGuard<'a, &'f mut Fleet> {
+    fleet.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl FleetAccess for &Mutex<&mut Fleet> {
     fn assign_id(&mut self) -> String {
-        self.lock().expect("fleet lock poisoned").assign_id()
+        locked(self).assign_id()
     }
     fn run_batch(
         &mut self,
         requests: Vec<(String, Result<ScenarioSpec, String>)>,
     ) -> Vec<Result<RunOutcome, (String, String)>> {
-        self.lock().expect("fleet lock poisoned").run_batch(requests)
+        locked(self).run_batch(requests)
     }
     fn counters(&mut self) -> Counters {
-        self.lock().expect("fleet lock poisoned").counters()
+        locked(self).counters()
     }
 }
 
@@ -321,6 +329,27 @@ mod tests {
         assert!(reports.iter().all(|r| *r == reports[0]), "dup reports must match byte-for-byte");
         assert_eq!(fleet.counters().get("serve.cache.hits"), 3);
         assert_eq!(fleet.counters().get("serve.cache.misses"), 1);
+    }
+
+    /// A thread that panicked while holding the fleet lock poisons it;
+    /// every later connection is still served.
+    #[test]
+    fn a_poisoned_fleet_lock_still_serves() {
+        let mut fleet = Fleet::new(1, 64);
+        let shared = Mutex::new(&mut fleet);
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = shared.lock();
+            panic!("a connection thread dies holding the lock");
+        }));
+        assert!(poisoner.is_err() && shared.is_poisoned());
+        let mut access = &shared;
+        let id = access.assign_id();
+        let out = access.run_batch(vec![(
+            id,
+            ScenarioSpec::parse(&json::parse(r#"{"cpu_fraction":0.5,"batch":1}"#).unwrap()),
+        )]);
+        assert_eq!(out[0].as_ref().expect("served").cache, "miss");
+        assert_eq!(access.counters().get("serve.requests"), 1);
     }
 
     #[test]

@@ -34,52 +34,87 @@
 //!
 //! What happens to an item — its queue slot, dispatch, completion, drop
 //! or quarantine — is the same [`fabric::Ledger`] the lock-step engine
-//! drives; this module keeps only its clock: the event queue and the
-//! replay memo.
+//! drives; this module keeps only its clock: the event queue, the
+//! steady-state replay and the path-keyed timing memo.
 //!
 //! # Steady-state replay
 //!
-//! Items on one core are usually identical: same program, same staged
-//! bytes, same architectural starting state. The engine memoizes each
-//! simulated item keyed by its full [`ReplayState`] (registers,
-//! transition neurons, bank contents) and *replays* matches: counters
-//! advance by the recorded deltas, the end state is restored, the
-//! recorded events and L2 touches are re-based onto the new start
-//! cycle. Determinism makes this exact.
+//! Parametric items on one core are usually identical: same program,
+//! same architectural starting state. When an item ends exactly where it
+//! started ([`NcpuCore::matches_replay_state`] against the state
+//! captured before it), the core remembers that steady state, its
+//! summed bank write generation ([`NcpuCore::bank_generation`]) and the
+//! item's timing. The next item is *skipped outright* while the
+//! generation is unchanged — no bank was written, loaded or (un)gated —
+//! and the registers, transition neurons, pending triggers and busy
+//! countdown still compare equal ([`NcpuCore::matches_replay_registers`]):
+//! counters advance by the recorded deltas and the recorded events and
+//! L2 touches are re-based onto the new start cycle. A skip copies and
+//! hashes nothing.
 //!
-//! Finding a match copies nothing and hashes nothing:
+//! DMA staging loads the banks before every image and motion item, so
+//! those items never skip; they take the path below instead.
 //!
-//! * **Generation-proven.** A core remembers which memo entry's start
-//!   state it is provably in, and the summed bank write generation
-//!   ([`NcpuCore::bank_generation`]) at that moment. It learns this
-//!   after simulating an item that ends where it started, and after
-//!   replaying such an entry. While the generation is unchanged no bank
-//!   was written, loaded or (un)gated, so a steady-state hit costs a
-//!   generation compare plus the register, staged-byte and core-spec
-//!   compares.
-//! * **Compared in place.** Any other lookup (after DMA staging moved
-//!   the generation, or after a replay restored a different end state)
-//!   scans the memo and compares the live banks against each entry's
-//!   start state in place ([`NcpuCore::matches_replay_state`]).
+//! # Path-keyed timing
 //!
-//! A [`ReplayState`] is captured only for items that are simulated, and
-//! a capture copies only the banks written since their previous capture
-//! (the others share that copy).
+//! Every other item runs *functionally* first ([`NcpuCore::run_functional`]:
+//! the predecoded program one instruction per step, no pipeline, with
+//! the BNN batch's data half), which produces the item's exact
+//! architectural effects — registers, banks, the L2 result word — and a
+//! [`PathLog`]: each conditional-branch outcome, `jalr` target and
+//! `sw_l2` address, and each `trans_bnn`'s image count. That log is the
+//! only data-dependent input to the item's timing:
 //!
-//! The one escape hatch: a program that *reads* the shared L2 could
-//! observe content a skipped re-execution did not write, so an item
-//! whose simulation performed any L2 read is never cached — and if one
-//! shows up after a replay already happened, the whole run restarts
-//! with memoization off. Fabric-generated programs never read the L2,
-//! so the restart exists for soundness, not for the paper's workloads.
+//! * the pipeline's hazards, flushes and multi-cycle waits depend only
+//!   on which instructions issue in which order — fixed by the program,
+//!   the branch outcomes and the `jalr` targets — and on the static
+//!   multiply wait and the fixed `l2_extra_cycles` of each L2 access;
+//!   local loads and stores never stall;
+//! * a BNN batch's cycles depend only on its image count, the model's
+//!   shape and the accelerator configuration, and the naive switch
+//!   policy's reloads only on the model's size and the DMA point;
+//! * the full trace's events carry PCs (path), stall causes (path),
+//!   `sw_l2` addresses (logged) and image counts (logged).
+//!
+//! So the item's timing is looked up in the use case's timing memo
+//! under a [`TimingKey`](crate::timing) of: the program words, the
+//! core spec's memo key, the timing fields of [`SocConfig`](crate::SocConfig)
+//! (DMA bytes per cycle and setup, switch policy, layer pipelining), the
+//! trace level, the model topology, the timing entry state
+//! (`busy_remaining`, `pending_triggers`; everything else a timed run
+//! reads at entry is reset by `load_program`) and the path log, compared
+//! byte for byte. A hit applies the recorded cycles, counter deltas,
+//! event shard and L2 touches on top of the functional post-state; a
+//! miss restores the captured entry state, simulates the item cycle by
+//! cycle and records it. Entries are pure functions of their keys, so
+//! the memo lives on the [`UseCase`](crate::UseCase), behind an `Arc`
+//! every clone shares: every scenario, engine run and serve worker
+//! built from one use case shares it. It keeps at most 256 entries and
+//! about 16 MiB (oldest first out); a `Counters`-level image or motion
+//! entry is a few KiB, a `Full`-level one several MiB. Path hits are
+//! profiled under the `event.replay` span, misses (functional pass
+//! included) under `event.simulate`.
+//!
+//! The one escape hatch: an `lw_l2` could observe content another core
+//! has not written yet in this atomic-item schedule, so the functional
+//! pass stops at one and the item is simulated; a simulated item that
+//! read the L2 is never cached, and if one shows up after a skipped item
+//! already happened (a skip does not redo its L2 write), the whole run
+//! restarts with memoization off. Path hits perform every write
+//! themselves. Fabric-generated programs never read the L2, so the
+//! restart exists for soundness, not for the paper's workloads.
 
-use ncpu_core::{BankPorts, NcpuCore, ReplayDelta, ReplayState};
-use ncpu_obs::{EventKind, Recorder, StallCause};
+use std::sync::Arc;
+
+use ncpu_core::{BankPorts, NcpuCore, ReplayDelta, ReplayState, SharedL2};
+use ncpu_obs::{EventKind, Recorder, StallCause, TraceLevel};
+use ncpu_pipeline::{PathLog, Program};
 
 use crate::event_queue::EventQueue;
 use crate::fabric;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
+use crate::timing::{TimingKey, TimingRecord};
 use crate::topology::Topology;
 
 /// The event-driven engine: co-simulates `scenario`'s NCPU fleet and
@@ -143,40 +178,51 @@ enum Restart {
 /// engine's).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct MemoStats {
-    /// Replays whose start state the bank generation proved.
-    proven: usize,
-    /// Replays found by comparing the live banks in place.
-    compared: usize,
+    /// Items skipped outright: the core provably sat in a steady state.
+    replayed: usize,
+    /// Items run functionally whose timing came from the use case's
+    /// timing memo.
+    path: usize,
     /// Items simulated cycle by cycle.
     simulated: usize,
 }
 
-impl MemoStats {
-    const fn replayed(&self) -> usize {
-        self.proven + self.compared
-    }
+/// An item that ended exactly where it started, and the proof that a
+/// core still sits in that state.
+struct Steady {
+    /// The item's start (and end) state.
+    state: ReplayState,
+    /// The core's [`NcpuCore::bank_generation`] when its banks were
+    /// compared equal to `state`'s: while it is unchanged no bank was
+    /// written, loaded or (un)gated. Registers are still compared on use.
+    generation: u64,
+    /// Cycles, counter deltas, event shard and L2 touches — shared with
+    /// the use case's timing memo.
+    timing: Arc<TimingRecord>,
+    prediction: usize,
 }
 
-/// One memoized item execution.
-struct Cached {
-    staged: Vec<u8>,
-    /// Memo key of the [`crate::topology::CoreSpec`] the item ran under.
-    /// The cache is per-core, so this is constant within one run — it
-    /// exists so a replay can never cross core specs if the cache is
-    /// ever shared or a spec ever changes mid-run.
-    spec_key: u64,
-    pre: ReplayState,
-    used: u64,
-    delta: ReplayDelta,
-    /// `None` when the item ends in exactly its starting state (the
-    /// steady-state common case) — restoring is then a no-op.
-    post: Option<ReplayState>,
-    /// The item's events/spans, cycles re-based to the item start.
-    shard: Recorder,
-    /// L2 touch cycles relative to the item start (1-based: a touch at
-    /// `rel` happened during global cycle `start + rel - 1`).
-    touches_rel: Vec<u64>,
-    prediction: usize,
+impl Steady {
+    /// The steady state `core` reached if the item that took it from
+    /// `pre` to where it is now ended where it started.
+    fn reached(
+        core: &NcpuCore,
+        pre: ReplayState,
+        timing: Arc<TimingRecord>,
+        prediction: usize,
+    ) -> Option<Steady> {
+        core.matches_replay_state(&pre).then(|| Steady {
+            state: pre,
+            generation: core.bank_generation(),
+            timing,
+            prediction,
+        })
+    }
+
+    /// Whether `core` provably still sits in this state.
+    fn holds(&self, core: &NcpuCore) -> bool {
+        self.generation == core.bank_generation() && core.matches_replay_registers(&self.state)
+    }
 }
 
 /// A deferred recorder operation, replayed in lock-step emission order.
@@ -203,45 +249,6 @@ impl Emission {
     }
 }
 
-/// One core's replay memo.
-#[derive(Default)]
-struct Memo {
-    cache: Vec<Cached>,
-    /// `(entry, generation)`: the core is provably in `cache[entry].pre`
-    /// for as long as its [`NcpuCore::bank_generation`] still equals
-    /// `generation` — the banks have not been touched since they were
-    /// known equal. Registers are still compared on use.
-    proven: Option<(usize, u64)>,
-}
-
-impl Memo {
-    /// The memo entry the item about to run on `core` replays, and
-    /// whether the generation proved its banks (`true`) or they were
-    /// compared in place (`false`). At most one entry can match: an
-    /// entry is only added when no existing one did.
-    fn lookup(&mut self, core: &NcpuCore, spec_key: u64, staged: &[u8]) -> Option<(usize, bool)> {
-        let applies = |e: &Cached| e.spec_key == spec_key && e.staged == staged;
-        if let Some((entry, generation)) = self.proven {
-            if generation != core.bank_generation() {
-                self.proven = None;
-            } else if applies(&self.cache[entry])
-                && core.matches_replay_registers(&self.cache[entry].pre)
-            {
-                return Some((entry, true));
-            }
-        }
-        self.cache
-            .iter()
-            .position(|e| applies(e) && core.matches_replay_state(&e.pre))
-            .map(|entry| (entry, false))
-    }
-
-    /// Records that `core` now sits in `cache[entry].pre`.
-    fn prove(&mut self, core: &NcpuCore, entry: usize) {
-        self.proven = Some((entry, core.bank_generation()));
-    }
-}
-
 /// One simulation pass over `scenario`, with or without the replay
 /// cache. On success also returns how its items were served.
 fn run_attempt(
@@ -259,7 +266,7 @@ fn run_attempt(
     let mut dma = fabric::new_dma(soc, level);
     let mut ledger = fabric::Ledger::new(scenario, topo);
     let watchdog = ledger.ctl.as_ref().map_or(0, fabric::FaultCtl::watchdog);
-    let mut memos: Vec<Memo> = (0..cores).map(|_| Memo::default()).collect();
+    let mut steady: Vec<Option<Steady>> = (0..cores).map(|_| None).collect();
     // The pending wakeup of each core begins its staged item (banks
     // already loaded) rather than attempting the next item start.
     let mut pending_exec = vec![false; cores];
@@ -351,105 +358,72 @@ fn run_attempt(
         }
 
         // Execute (or replay) the item starting at `now`.
-        let (core, memo) = (&mut pool[ci], &mut memos[ci]);
-        let (idx, _) = ledger.head(ci).expect("a dispatched item is at the queue head");
-        let staged = &usecase.items()[idx].staged;
-        let spec_key = topo.spec(ci).memo_key();
-        let hit = if memoize { memo.lookup(core, spec_key, staged) } else { None };
-        let (used, prediction) = if let Some((entry, proven)) = hit {
+        let core = &mut pool[ci];
+        let hit = steady[ci].as_ref().filter(|s| memoize && s.holds(core));
+        let (used, prediction) = if let Some(hit) = hit {
             let _prof = ncpu_obs::selfprof::span("event.replay");
-            let hit = &memo.cache[entry];
-            for &rel in &hit.touches_rel {
-                touches.push((now + rel - 1, c));
-            }
-            emissions.push(Emission::Absorb {
-                cycle: now + hit.used - 1,
-                core: c,
-                shard: hit.shard.clone(),
-                offset: now as i64,
-            });
-            let served = (hit.used, hit.prediction);
-            core.apply_replay(&hit.delta);
-            if let Some(post) = &hit.post {
-                core.restore_replay_state(post);
-                memo.proven = None;
-            } else {
-                memo.prove(core, entry);
-            }
-            if proven {
-                stats.proven += 1;
-            } else {
-                stats.compared += 1;
-            }
-            served
+            replay_timing(&hit.timing, now, c, &mut touches, &mut emissions);
+            core.apply_replay(&hit.timing.delta);
+            stats.replayed += 1;
+            (hit.timing.used, hit.prediction)
         } else {
-            stats.simulated += 1;
-            let pre = if memoize { Some(core.replay_state()) } else { None };
-            let _prof = ncpu_obs::selfprof::span("event.simulate");
-            let (reads_before, _) = l2.accesses();
-            let pipe_before = *core.pipeline().stats();
-            let core_before = *core.stats();
-            let internal_before = core.total_cycles();
-            let extra_before = internal_before - pipe_before.cycles;
-            core.load_program(&programs[ci]);
-            core.run(fabric::ITEM_BUDGET).expect("NCPU program must complete");
-            let used = core.total_cycles() - internal_before;
-            let (reads_after, _) = l2.accesses();
-            let touches_rel: Vec<u64> = core
-                .take_l2_touch_cycles()
-                .into_iter()
-                .map(|t| t - internal_before)
-                .collect();
-            for &rel in &touches_rel {
-                touches.push((now + rel - 1, c));
-            }
-            // Drain this item's events onto an item-relative clock so a
-            // replay can re-base them anywhere.
-            let mut shard = Recorder::with_capacity(level.at_least_counters(), usize::MAX);
-            shard.absorb(core.obs_mut(), 0, -(internal_before as i64));
-            emissions.push(Emission::Absorb {
-                cycle: now + used - 1,
-                core: c,
-                shard: shard.clone(),
-                offset: now as i64,
-            });
-            // The owning core's mailbox: its program writes
-            // `result_addr(c)`, and under the static homogeneous plan
-            // `c == idx % cores` — the historical read, byte for byte.
-            let prediction =
-                l2.read_word(fabric::result_addr(ci)).expect("result written") as usize;
-            memo.proven = None;
-            if reads_after > reads_before {
-                // The program read the shared L2: its outcome may depend
-                // on content a skipped replay did not write.
-                if stats.replayed() > 0 {
-                    return Err(Restart::MemoUnsound);
+            // Run the item functionally and look its path up in the use
+            // case's timing memo; a miss restores the entry state and
+            // times the item cycle by cycle.
+            let mut prof = ncpu_obs::selfprof::span("event.replay");
+            let pre = memoize.then(|| core.replay_state());
+            #[cfg(test)]
+            let twin = (pre.is_some() && tests::twin_checks()).then(|| core.clone());
+            let mut key = None;
+            let mut timed = None;
+            if let Some(pre) = &pre {
+                let entry = (core.busy_remaining(), core.pending_triggers());
+                core.load_program(&programs[ci]);
+                let mut path = PathLog::new();
+                if let Ok(Some(_)) = core.run_functional(fabric::ITEM_BUDGET, &mut path) {
+                    let spec_key = topo.spec(ci).memo_key();
+                    let shape = usecase.model().topology();
+                    let probe =
+                        TimingKey::new(&programs[ci], spec_key, soc, level, shape, entry, path);
+                    timed = usecase.timing().get(&probe);
+                    key = Some(probe);
                 }
-                memoize = false;
-                memo.cache.clear();
-            } else if let Some(pre) = pre {
-                let after = core.pipeline().stats();
-                let delta = ReplayDelta {
-                    pipe: after.diff(&pipe_before),
-                    core: core_diff(&core_before, core.stats()),
-                    extra_cycles: (core.total_cycles() - after.cycles) - extra_before,
-                };
-                let steady = core.matches_replay_state(&pre);
-                memo.cache.push(Cached {
-                    staged: staged.clone(),
-                    spec_key,
-                    post: (!steady).then(|| core.replay_state()),
-                    pre,
-                    used,
-                    delta,
-                    shard,
-                    touches_rel,
-                    prediction,
-                });
-                if steady {
-                    memo.prove(core, memo.cache.len() - 1);
+                if timed.is_none() {
+                    core.restore_replay_state(pre);
                 }
             }
+            let (timing, prediction) = if let Some(timing) = timed {
+                stats.path += 1;
+                replay_timing(&timing, now, c, &mut touches, &mut emissions);
+                core.apply_replay(&timing.delta);
+                #[cfg(test)]
+                if let Some(twin) = twin {
+                    tests::check_twin(twin, &programs[ci], level, &timing, core);
+                }
+                (timing, read_prediction(&l2, ci))
+            } else {
+                prof.relabel("event.simulate");
+                stats.simulated += 1;
+                let (reads_before, _) = l2.accesses();
+                let timing = Arc::new(simulate(core, &programs[ci], level));
+                let (reads_after, _) = l2.accesses();
+                replay_timing(&timing, now, c, &mut touches, &mut emissions);
+                if reads_after > reads_before {
+                    // The program read the shared L2: its outcome may depend
+                    // on content a skipped replay did not write.
+                    if stats.replayed > 0 {
+                        return Err(Restart::MemoUnsound);
+                    }
+                    memoize = false;
+                } else if let Some(key) = key {
+                    usecase.timing().insert(key, Arc::clone(&timing));
+                }
+                (timing, read_prediction(&l2, ci))
+            };
+            let used = timing.used;
+            steady[ci] = pre
+                .filter(|_| memoize)
+                .and_then(|pre| Steady::reached(core, pre, timing, prediction));
             (used, prediction)
         };
 
@@ -518,6 +492,58 @@ fn run_attempt(
     Ok((report, rec, stats))
 }
 
+/// Queues an item's recorded timing at start cycle `now` on core `c`:
+/// its L2 touches for the post-hoc arbitration and its event shard,
+/// absorbed at the item's halt cycle.
+fn replay_timing(
+    timing: &TimingRecord,
+    now: u64,
+    c: u16,
+    touches: &mut Vec<(u64, u16)>,
+    emissions: &mut Vec<Emission>,
+) {
+    for &rel in &timing.touches_rel {
+        touches.push((now + rel - 1, c));
+    }
+    emissions.push(Emission::Absorb {
+        cycle: now + timing.used - 1,
+        core: c,
+        shard: timing.shard.clone(),
+        offset: now as i64,
+    });
+}
+
+/// The class core `ci`'s program wrote to its mailbox. Under the static
+/// homogeneous plan `ci == idx % cores` — the historical read, byte for
+/// byte.
+fn read_prediction(l2: &SharedL2, ci: usize) -> usize {
+    l2.read_word(fabric::result_addr(ci)).expect("result written") as usize
+}
+
+/// Runs `program` on `core` cycle by cycle and returns what the run
+/// added on top of its architectural effects, with its events drained
+/// onto an item-relative clock so a replay can re-base them anywhere.
+fn simulate(core: &mut NcpuCore, program: &Program, level: TraceLevel) -> TimingRecord {
+    let pipe_before = *core.pipeline().stats();
+    let core_before = *core.stats();
+    let internal_before = core.total_cycles();
+    let extra_before = internal_before - pipe_before.cycles;
+    core.load_program(program);
+    core.run(fabric::ITEM_BUDGET).expect("NCPU program must complete");
+    let used = core.total_cycles() - internal_before;
+    let touches_rel =
+        core.take_l2_touch_cycles().into_iter().map(|t| t - internal_before).collect();
+    let mut shard = Recorder::with_capacity(level.at_least_counters(), usize::MAX);
+    shard.absorb(core.obs_mut(), 0, -(internal_before as i64));
+    let after = core.pipeline().stats();
+    let delta = ReplayDelta {
+        pipe: after.diff(&pipe_before),
+        core: core_diff(&core_before, core.stats()),
+        extra_cycles: (core.total_cycles() - after.cycles) - extra_before,
+    };
+    TimingRecord { used, delta, shard, touches_rel }
+}
+
 /// Fieldwise `after - before` of the core counters.
 fn core_diff(
     before: &ncpu_core::CoreStats,
@@ -539,7 +565,61 @@ mod tests {
     use crate::usecase::UseCase;
     use ncpu_core::SwitchPolicy;
     use ncpu_fault::FaultPlan;
-    use ncpu_obs::TraceLevel;
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        /// Whether path hits on this thread are also simulated on a twin.
+        static TWIN_CHECKS: Cell<bool> = const { Cell::new(false) };
+        /// Path hits twin-checked, and the first mismatch seen.
+        static TWIN_LOG: RefCell<(usize, Option<String>)> = const { RefCell::new((0, None)) };
+    }
+
+    pub(super) fn twin_checks() -> bool {
+        TWIN_CHECKS.with(Cell::get)
+    }
+
+    /// Cycle-simulates a path hit on `twin` — the core as it entered the
+    /// item — and checks the twin ends exactly where the functional run
+    /// plus the replayed timing left `core`: architectural state,
+    /// counters and clock, event shard and L2 touches. Mismatches are
+    /// logged, not panicked, so the property harness can shrink.
+    pub(super) fn check_twin(
+        mut twin: NcpuCore,
+        program: &Program,
+        level: TraceLevel,
+        timing: &TimingRecord,
+        core: &NcpuCore,
+    ) {
+        let simulated = simulate(&mut twin, program, level);
+        let checks = [
+            ("replay state", twin.replay_state() == core.replay_state()),
+            ("pipeline counters", twin.pipeline().stats() == core.pipeline().stats()),
+            ("core counters", twin.stats() == core.stats()),
+            ("clock", twin.total_cycles() == core.total_cycles()),
+            ("used", simulated.used == timing.used),
+            ("spans", simulated.shard.spans() == timing.shard.spans()),
+            ("events", simulated.shard.events() == timing.shard.events()),
+            ("touches", simulated.touches_rel == timing.touches_rel),
+        ];
+        TWIN_LOG.with(|log| {
+            let mut log = log.borrow_mut();
+            log.0 += 1;
+            if let (None, Some((what, _))) = (&log.1, checks.iter().find(|(_, ok)| !ok)) {
+                log.1 = Some(format!("path hit {}: {what} differs from a twin simulation", log.0));
+            }
+        });
+    }
+
+    /// Runs `f` with every path hit twin-checked; returns `f`'s value and
+    /// how many hits were checked, or the first mismatch.
+    fn twin_checked<T>(f: impl FnOnce() -> T) -> Result<(T, usize), String> {
+        TWIN_LOG.with(|log| *log.borrow_mut() = (0, None));
+        TWIN_CHECKS.with(|on| on.set(true));
+        let value = f();
+        TWIN_CHECKS.with(|on| on.set(false));
+        let (checked, failure) = TWIN_LOG.with(|log| log.borrow_mut().clone());
+        failure.map_or(Ok((value, checked)), Err)
+    }
 
     fn parametric(batch: usize) -> UseCase {
         UseCase::parametric(0.6, batch, crate::system::tests::pseudo_model(784, 30, 10))
@@ -588,45 +668,171 @@ mod tests {
                 ls_rec.counters().to_json(),
                 "{level:?}: counter registry"
             );
-            assert!(memo_stats(&s).replayed() > 0, "steady-state items must replay");
+            assert!(memo_stats(&s).replayed > 0, "steady-state items must replay");
         }
     }
 
     /// Replay accelerates without changing a single byte: batch 16 on
-    /// two cores simulates two items per core (the cold first item, then
-    /// the first steady-state one) and replays the rest — every replay
-    /// proven by the bank generation, none needing a bank compare.
+    /// two cores simulates the cold first item per core, runs the first
+    /// steady-state one functionally (it follows the cold item's path,
+    /// so the timing memo supplies its cycles) and skips the rest, each
+    /// proven by the bank generation.
     #[test]
     fn steady_state_items_replay() {
         let s = ncpu(&parametric(16), 2, SocConfig::default(), TraceLevel::Counters);
-        assert_eq!(memo_stats(&s), MemoStats { proven: 12, compared: 0, simulated: 4 });
+        assert_eq!(memo_stats(&s), MemoStats { replayed: 12, path: 2, simulated: 2 });
         let ev = EventDriven.report(&s);
         let ls = Lockstep.report(&s);
         assert_eq!(ev.makespan, ls.makespan);
         assert_eq!(ev.predictions, ls.predictions);
     }
 
-    /// DMA staging loads the banks before every image item, which moves
-    /// the bank generation: no replay can be generation-proven, so every
-    /// hit goes through the in-place compare — and the run still matches
-    /// the lock-step engine byte for byte. Each image appears four times
-    /// in a row on one core: the first two runs simulate (cold, then
-    /// steady), the last two replay.
+    /// Every digit follows one path through the pre-processing program:
+    /// of four distinct images on one core only the first is simulated
+    /// cycle by cycle, the other three run functionally and take their
+    /// timing from the memo — and a second run of the same use case
+    /// simulates nothing. DMA staging moves the bank generation before
+    /// every item, so none is skipped outright. Both runs match the
+    /// lock-step engine byte for byte at both trace levels; a new trace
+    /// level is a new timing key.
     #[test]
-    fn staged_items_replay_through_the_in_place_compare() {
-        let uc = UseCase::image(4, 2, 1).with_repeated_items(4);
+    fn distinct_images_take_their_timing_from_the_path_memo() {
+        let uc = UseCase::image(4, 2, 1);
         for level in [TraceLevel::Counters, TraceLevel::Full] {
             let s = ncpu(&uc, 1, SocConfig::default(), level);
-            assert_eq!(memo_stats(&s), MemoStats { proven: 0, compared: 8, simulated: 8 });
-            let (ls, ls_rec) = Lockstep.run(&s);
-            let (ev, ev_rec) = EventDriven.run(&s);
-            assert_eq!(ev.makespan, ls.makespan, "{level:?}");
-            assert_eq!(ev.predictions, ls.predictions);
-            assert_eq!(ev_rec.spans(), ls_rec.spans(), "{level:?}: raw span stream");
-            assert_eq!(ev_rec.events(), ls_rec.events(), "{level:?}: raw instant stream");
-            assert_eq!(ev_rec.counters().to_json(), ls_rec.counters().to_json());
-            assert_eq!(ev_rec.metrics().to_json(), ls_rec.metrics().to_json());
+            let cold = MemoStats { replayed: 0, path: 3, simulated: 1 };
+            let warm = MemoStats { path: 4, simulated: 0, ..cold };
+            assert_eq!(memo_stats(&s), cold, "{level:?}");
+            assert_eq!(memo_stats(&s), warm, "{level:?}");
+            assert_same_bytes(&s);
         }
+        assert_eq!(uc.timing().len(), 2, "one entry per trace level");
+    }
+
+    /// Reports, raw span and instant streams, counters and metrics of
+    /// both engines on `s`.
+    fn assert_same_bytes(s: &Scenario) {
+        let (ls, ls_rec) = Lockstep.run(s);
+        let (ev, ev_rec) = EventDriven.run(s);
+        assert_eq!(
+            format!("{ev:?}").replace("(event)", "(engine)"),
+            format!("{ls:?}").replace("(lockstep)", "(engine)"),
+        );
+        assert_eq!(ev_rec.spans(), ls_rec.spans(), "raw span stream");
+        assert_eq!(ev_rec.events(), ls_rec.events(), "raw instant stream");
+        assert_eq!(ev_rec.counters().to_json(), ls_rec.counters().to_json());
+        assert_eq!(ev_rec.metrics().to_json(), ls_rec.metrics().to_json());
+    }
+
+    /// One use case, so one timing memo, under every timing-relevant
+    /// axis in turn: each `SocConfig` field, both trace levels, an
+    /// operating point and a topology. A key missing an axis would hand
+    /// a run the timing recorded under another value of it; every run
+    /// must instead match the lock-step engine byte for byte, and the
+    /// repeat of each run must take all its timing from the memo.
+    #[test]
+    fn one_shared_use_case_stays_lockstep_identical_on_every_timing_axis() {
+        let uc = UseCase::motion(6, 2, 1);
+        let naive = SocConfig { switch_policy: SwitchPolicy::Naive, ..SocConfig::default() };
+        let socs = [
+            SocConfig::default(),
+            naive,
+            SocConfig { dma_bytes_per_cycle: 8, ..naive },
+            SocConfig { dma_setup_cycles: 40, ..naive },
+            SocConfig { layer_pipelining: false, ..SocConfig::default() },
+        ];
+        let mixed = Topology::from_specs(
+            vec![
+                crate::topology::CoreSpec::reconfigurable(),
+                crate::topology::CoreSpec {
+                    operating_point: Some(0.7),
+                    bank: 1,
+                    ..crate::topology::CoreSpec::reconfigurable()
+                },
+            ],
+            vec![fabric::L2_BYTES / 2, fabric::L2_BYTES / 2],
+        )
+        .expect("valid topology");
+        let mut scenarios = Vec::new();
+        for level in [TraceLevel::Counters, TraceLevel::Full] {
+            for soc in socs {
+                scenarios.push(ncpu(&uc, 2, soc, level));
+            }
+            scenarios.push(ncpu(&uc, 2, SocConfig::default(), level).with_operating_point(0.8));
+            scenarios.push(
+                Scenario::new(uc.clone(), SystemConfig::Ncpu(mixed.clone())).with_trace(level),
+            );
+        }
+        for s in &scenarios {
+            assert_same_bytes(s);
+            let warm = memo_stats(s);
+            assert_eq!(warm.simulated, 0, "{:?}: {warm:?}", s.soc());
+            assert_same_bytes(s);
+        }
+    }
+
+    static TWIN_IMAGE: std::sync::OnceLock<UseCase> = std::sync::OnceLock::new();
+    static TWIN_MOTION: std::sync::OnceLock<UseCase> = std::sync::OnceLock::new();
+    static TWIN_PARAMETRIC: std::sync::OnceLock<UseCase> = std::sync::OnceLock::new();
+
+    /// Soundness of the path memo on drawn scenarios: every path hit is
+    /// also simulated cycle by cycle on a twin of the core, which must
+    /// end in the same replay state, counters and clock, with the same
+    /// event shard and L2 touches; the run's report must equal the
+    /// lock-step engine's. Use cases are shared across cases, so later
+    /// cases hit entries earlier ones recorded under other configs.
+    /// Draw: `(workload, cores, soc variant, full trace, fault plan)`.
+    #[test]
+    fn path_hits_match_a_twin_simulation() {
+        use ncpu_testkit::prop::Prop;
+        let usecase = |kind: u8| match kind % 3 {
+            0 => TWIN_IMAGE.get_or_init(|| UseCase::image(3, 2, 1)),
+            1 => TWIN_MOTION.get_or_init(|| UseCase::motion(4, 2, 1)),
+            _ => TWIN_PARAMETRIC.get_or_init(|| parametric(4)),
+        };
+        let checked = Cell::new(0);
+        Prop::new("eventdriven::path_hits_match_a_twin_simulation").cases(24).run(
+            |rng| {
+                (
+                    rng.gen_range(0u8..3),
+                    rng.gen_range(1usize..=3),
+                    rng.gen_range(0u8..4),
+                    rng.gen_bool(0.3),
+                    rng.gen_bool(0.3),
+                )
+            },
+            |&(kind, cores, variant, full, faulted)| {
+                let soc = match variant % 4 {
+                    0 => SocConfig::default(),
+                    1 => SocConfig { switch_policy: SwitchPolicy::Naive, ..SocConfig::default() },
+                    2 => SocConfig { layer_pipelining: false, ..SocConfig::default() },
+                    _ => SocConfig { dma_bytes_per_cycle: 2, ..SocConfig::default() },
+                };
+                let level = if full { TraceLevel::Full } else { TraceLevel::Counters };
+                let mut s = ncpu(usecase(kind), cores.max(1), soc, level);
+                if faulted {
+                    s = s.with_faults(FaultPlan {
+                        seed: 5,
+                        sram_flip_ppm: 150_000,
+                        dma_stall_ppm: 100_000,
+                        dma_stall_cycles: 24,
+                        watchdog_cycles: 20_000_000,
+                        max_retries: 2,
+                        backoff_cycles: 16,
+                        ..FaultPlan::none()
+                    });
+                }
+                let (ev, hits) = twin_checked(|| EventDriven.report(&s))?;
+                checked.set(checked.get() + hits);
+                let ls = Lockstep.report(&s);
+                ncpu_testkit::prop_assert_eq!(
+                    format!("{ev:?}").replace("(event)", "(engine)"),
+                    format!("{ls:?}").replace("(lockstep)", "(engine)")
+                );
+                Ok(())
+            },
+        );
+        assert!(checked.get() > 0, "the drawn scenarios must produce path hits");
     }
 
     /// The heterogeneous-style staged workloads exercise the DMA wakeup
@@ -679,23 +885,23 @@ mod tests {
             backoff_cycles: 32,
             quarantine_after: 6,
         };
-        // The repeated batch on one core gives the memo hits to find;
-        // staging (and a flip's discarded delivery) never lets the bank
-        // generation prove one, so they all go through the compare.
+        // The repeated batch on one core gives the timing memo hits to
+        // find; staging (and a flip's discarded delivery) moves the bank
+        // generation, so no item is skipped outright.
         let repeated = UseCase::image(4, 2, 1).with_repeated_items(4);
-        // `(use case, cores, level, least compared replays)`.
+        // `(use case, cores, level, least path hits)`.
         let runs = [
             (&uc, 2, TraceLevel::Counters, 0),
             (&uc, 2, TraceLevel::Full, 0),
             (&repeated, 1, TraceLevel::Full, 1),
         ];
-        for (uc, cores, level, least_compared) in runs {
+        for (uc, cores, level, least_path) in runs {
             let s = ncpu(uc, cores, SocConfig::default(), level)
                 .with_operating_point(0.9)
                 .with_faults(plan);
             let stats = memo_stats(&s);
-            assert_eq!(stats.proven, 0, "{level:?}: staging moves the generation");
-            assert!(stats.compared >= least_compared, "{cores} cores, {level:?}: {stats:?}");
+            assert_eq!(stats.replayed, 0, "{level:?}: staging moves the generation");
+            assert!(stats.path >= least_path, "{cores} cores, {level:?}: {stats:?}");
             let (ls, ls_rec) = Lockstep.run(&s);
             let (ev, ev_rec) = EventDriven.run(&s);
             assert_eq!(ev.makespan, ls.makespan, "{level:?}");

@@ -41,6 +41,7 @@ pub mod phases;
 mod report;
 mod scenario;
 mod system;
+mod timing;
 pub mod topology;
 mod usecase;
 

@@ -6,6 +6,10 @@ use ncpu_bnn::{BitVec, BnnLayer, BnnModel, Topology};
 use ncpu_workloads::{image, motion as motion_prog, spin};
 use ncpu_testkit::rng::Rng;
 
+use std::sync::Arc;
+
+use crate::timing::TimingMemo;
+
 /// The workspace's deterministic pseudo-model: 4 hidden layers of
 /// `neurons` each with a fixed weight/bias pattern — no training, so
 /// callers (benches, examples, the serve fleet) start instantly, and
@@ -69,6 +73,11 @@ pub struct Item {
 }
 
 /// An end-to-end workload: a trained model plus a batch of items.
+///
+/// Clones share one bounded timing memo: the event engine stores each
+/// item path's cycle timing there once and replays it in every run of
+/// every scenario built from this use case (see the `eventdriven`
+/// module). The memo is a cache: it never changes a result.
 #[derive(Debug, Clone)]
 pub struct UseCase {
     kind: UseCaseKind,
@@ -76,6 +85,7 @@ pub struct UseCase {
     items: Vec<Item>,
     /// For [`UseCaseKind::Parametric`]: requested pre-processing cycles.
     spin_cycles: u64,
+    timing: Arc<TimingMemo>,
 }
 
 impl UseCase {
@@ -110,7 +120,7 @@ impl UseCase {
                 Item { staged: image::stage_bytes(&raw), label: raw.label() }
             })
             .collect();
-        UseCase { kind: UseCaseKind::Image, model, items, spin_cycles: 0 }
+        UseCase { kind: UseCaseKind::Image, model, items, spin_cycles: 0, timing: Arc::default() }
     }
 
     /// Builds the motion-detection use case with `batch` sensor windows.
@@ -132,7 +142,7 @@ impl UseCase {
                 Item { staged: motion_prog::stage_bytes(&w), label: w.label() }
             })
             .collect();
-        UseCase { kind: UseCaseKind::Motion, model, items, spin_cycles: 0 }
+        UseCase { kind: UseCaseKind::Motion, model, items, spin_cycles: 0, timing: Arc::default() }
     }
 
     /// Builds the parametric use case of Figs. 13/14: pre-processing is a
@@ -157,7 +167,13 @@ impl UseCase {
         let spin_cycles =
             ((cpu_fraction / (1.0 - cpu_fraction)) * infer as f64).round() as u64;
         let items = (0..batch).map(|_| Item { staged: Vec::new(), label: 0 }).collect();
-        UseCase { kind: UseCaseKind::Parametric, model, items, spin_cycles: spin_cycles.max(32) }
+        UseCase {
+            kind: UseCaseKind::Parametric,
+            model,
+            items,
+            spin_cycles: spin_cycles.max(32),
+            timing: Arc::default(),
+        }
     }
 
     /// Builds a deep-network use case: a model (any depth) plus the raw
@@ -178,7 +194,7 @@ impl UseCase {
                 Item { staged: input.to_bytes(), label: model.classify(input) }
             })
             .collect();
-        UseCase { kind: UseCaseKind::Deep, model, items, spin_cycles: 0 }
+        UseCase { kind: UseCaseKind::Deep, model, items, spin_cycles: 0, timing: Arc::default() }
     }
 
     /// The workload kind.
@@ -207,12 +223,17 @@ impl UseCase {
     }
 
     /// Test fixture: every item repeated `times` times in place
-    /// (`[a, b]` becomes `[a, a, b, b]` for 2), so a replay memo sees
-    /// the same staged bytes more than once.
+    /// (`[a, b]` becomes `[a, a, b, b]` for 2), so the same staged bytes
+    /// run more than once.
     #[cfg(test)]
     pub(crate) fn with_repeated_items(mut self, times: usize) -> UseCase {
         self.items = self.items.iter().flat_map(|item| vec![item.clone(); times]).collect();
         self
+    }
+
+    /// The timing memo every clone of this use case shares.
+    pub(crate) fn timing(&self) -> &TimingMemo {
+        &self.timing
     }
 
     /// Requested spin cycles (parametric use case only).

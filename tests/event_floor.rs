@@ -2,16 +2,20 @@
 //! relies on.
 //!
 //! `BENCH_event.json` advertises order-of-magnitude speedups on
-//! steady-state parametric sweeps, where almost every item replays from
-//! the event queue's memo cache. Trained image batches are the opposite
-//! regime: every item stages real bytes over DMA, nothing memoizes, and
-//! each item is simulated cycle by cycle in one atomic pass instead of
-//! lockstep's global per-cycle walk over every core.
+//! steady-state parametric sweeps, where almost every item is skipped
+//! outright because the core provably sits in the state the previous
+//! item started from. Trained image batches are the other regime: every
+//! item stages distinct bytes over DMA, so no item is skipped. Each runs
+//! functionally instead — an untimed pass over the predecoded program —
+//! and takes its cycles from the use case's path-keyed timing memo:
+//! every digit follows the same path through the pre-processing program,
+//! so only the first item per core program is ever simulated cycle by
+//! cycle, and a repeated run of the same use case simulates none.
 //!
 //! The serve router sends every NCPU request to the event engine unless
 //! a client pins lockstep. This test justifies that rule with a measured
-//! fact: over interleaved timed runs, the event engine's median may not
-//! be slower than lockstep's on this non-memoizable image workload —
+//! fact: over interleaved timed runs of one scenario, the event engine's
+//! median takes at most half of lockstep's on this image workload —
 //! while still producing the byte-identical report the differential
 //! suite demands.
 
@@ -19,11 +23,11 @@ use std::time::Instant;
 
 use ncpu::prelude::*;
 
-/// The event engine may not be slower than lockstep on a
-/// non-memoizable workload. Measured debug-build event/lockstep ratios
-/// sit at 0.53–0.58, so medians of interleaved runs keep load noise
-/// well inside the bound.
-const MAX_OVERHEAD_FACTOR: f64 = 1.0;
+/// The event engine must take at most half of lockstep's time on the
+/// image workload. Measured debug-build event/lockstep ratios sit at
+/// 0.12–0.16, so medians of interleaved runs keep load noise well inside
+/// the bound.
+const MAX_OVERHEAD_FACTOR: f64 = 0.5;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.total_cmp(b));
@@ -59,10 +63,11 @@ fn event_engine_overhead_on_image_workload_is_bounded() {
     }
     let (ls, ev) = (median(ls_ns), median(ev_ns));
     let factor = ev / ls;
+    println!("event/lockstep on the image workload: {factor:.3}");
     assert!(
         factor <= MAX_OVERHEAD_FACTOR,
         "event engine took {factor:.2}x lockstep on the image workload \
          (medians: event {ev:.0} ns, lockstep {ls:.0} ns); \
-         the non-memoizable floor regressed past {MAX_OVERHEAD_FACTOR}x"
+         the image-workload floor regressed past {MAX_OVERHEAD_FACTOR}x"
     );
 }
