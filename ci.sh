@@ -41,8 +41,10 @@ cargo run --release --offline -p ncpu-obs --bin trace_check -- \
 # Fault-injection smoke: a seeded four-core faulty image scenario runs
 # through all three SoC engines; the example itself asserts nonzero
 # injection/detection/recovery counters and byte-identical lockstep and
-# event reports, and its traced artifacts (fault instants included)
-# must pass the checker. The FaultPlan::none() byte-neutrality gate is
+# event reports, then reruns the batch under a 3,000-cycle watchdog
+# that aborts items mid-flight and asserts identical reports and
+# counters on all three engines; its traced artifacts (fault instants
+# included) must pass the checker. The FaultPlan::none() byte-neutrality gate is
 # tests/golden_equivalence.rs in the workspace suite above.
 FAULT_DIR=target/obs-fault-ci
 rm -rf "$FAULT_DIR"

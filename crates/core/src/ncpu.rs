@@ -388,11 +388,14 @@ impl NcpuCore {
 
     /// Drains the logged L2 touch cycles, stamped on the unified clock.
     /// A touch stamped `u` belongs to the step that advanced the core
-    /// from cycle `u - 1` to `u`. Complete only after
-    /// [`run`](Self::run) returns or a step reports
-    /// [`StepOutcome::Halted`] (the log is synced at mode switches and
-    /// at halt).
+    /// from cycle `u - 1` to `u`. Complete at any point, mid-program
+    /// too: touches the pipeline logged since the last mode switch are
+    /// still on its own clock, which trails the unified one by the
+    /// cycles spent outside the pipeline so far.
     pub fn take_l2_touch_cycles(&mut self) -> Vec<u64> {
+        let offset = self.extra_cycles;
+        let pending = self.pipeline.take_l2_touches();
+        self.l2_touches.extend(pending.into_iter().map(|t| t + offset));
         std::mem::take(&mut self.l2_touches)
     }
 

@@ -35,9 +35,9 @@
 //! batches), heterogeneous systems use the analytic scheduler. A client
 //! may pin `lockstep`/`event` explicitly — the lockstep/event pair is
 //! byte-identical by construction so either answer is cacheable under
-//! the same key — but `analytic` on an NCPU system is rejected: its
-//! reports are not in that equivalence class and would poison the
-//! engine-invariant cache.
+//! the same key — but `analytic` on an NCPU system is rejected: serve
+//! names one engine per system class, `"analytic"` is the baseline
+//! scheduler, and NCPU fleets are served by `event` or `lockstep`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -116,8 +116,8 @@ fn routed_engine(spec: &ScenarioSpec) -> Result<&'static str, String> {
             Err("engine: only \"analytic\" (or \"auto\") can run a heterogeneous system".to_string())
         }
         (SystemConfig::Ncpu(_), EnginePref::Analytic) => Err(
-            "engine: \"analytic\" on an ncpu system is outside the byte-identical \
-             lockstep/event equivalence class and cannot share the result cache"
+            "engine: \"analytic\" names the heterogeneous baseline's scheduler; \
+             an ncpu system is served by \"event\" (or \"auto\") or \"lockstep\""
                 .to_string(),
         ),
         (SystemConfig::Ncpu(_), EnginePref::Lockstep) => Ok("lockstep"),
@@ -502,7 +502,7 @@ mod tests {
         assert_eq!(routed_engine(&pinned).unwrap(), "lockstep");
         assert_eq!(routed_engine(&hetero).unwrap(), "analytic");
         let bad = spec(r#"{"engine":"analytic"}"#).unwrap();
-        assert!(routed_engine(&bad).is_err(), "analytic on ncpu poisons the cache");
+        assert!(routed_engine(&bad).is_err(), "analytic names the baseline scheduler only");
         let bad = spec(r#"{"system":"hetero","engine":"event"}"#).unwrap();
         assert!(routed_engine(&bad).is_err());
     }

@@ -17,9 +17,10 @@
 //! * [`Ledger`] — every per-item fact of an NCPU-fleet run (each core's
 //!   queue and cursor, dispatch cycle and queue depth, busy and finish
 //!   cycles, predictions), what a completion, a drop and a quarantine do
-//!   to them, and the final report assembly. The three item engines
-//!   (`Analytic`, `Lockstep`, `EventDriven`) keep only their clocks and
-//!   drive one ledger each,
+//!   to them, and the final report assembly. The two NCPU item engines
+//!   (the lock-step walk, and the event queue that `Analytic` and
+//!   `EventDriven` run) keep only their clocks and drive one ledger
+//!   each,
 //! * [`FaultCtl`] with [`resolve_dispatch`] and [`recovery_decision`] —
 //!   the one fault-recovery path: detection pricing, retry with
 //!   exponential backoff, drop and quarantine, for all four engines
@@ -197,7 +198,16 @@ pub(crate) fn run_item(
 ) -> (u64, u64) {
     let _prof = ncpu_obs::selfprof::span("fabric.run_item");
     let start = if staged.is_empty() { now } else { stage_item(core, staged, now, dma) };
-    run_item_staged(core, program, start, rec, lane)
+    let internal_before = core.total_cycles();
+    core.load_program(program);
+    core.run(ITEM_BUDGET).expect("NCPU program must complete");
+    let used = core.total_cycles() - internal_before;
+    // The core's shard holds only this item's events (earlier items were
+    // drained), all stamped ≥ internal_before on the core's unified
+    // clock; shift them onto the global clock.
+    let offset = start as i64 - internal_before as i64;
+    rec.absorb(core.obs_mut(), lane, offset);
+    (start + used, used)
 }
 
 /// Books the fabric DMA transfer for `staged` starting no earlier than
@@ -216,32 +226,14 @@ pub(crate) fn stage_item(
     delivered
 }
 
-/// Runs one already-staged program to completion on `core`, starting at
-/// `start` (global cycles). Returns `(end_time, used)` and drains the
-/// core's recorder shard into `rec` as lane `lane`, re-based to global
-/// time.
-pub(crate) fn run_item_staged(
-    core: &mut NcpuCore,
-    program: &Program,
-    start: u64,
-    rec: &mut Recorder,
-    lane: u16,
-) -> (u64, u64) {
-    let internal_before = core.total_cycles();
-    core.load_program(program);
-    core.run(ITEM_BUDGET).expect("NCPU program must complete");
-    let used = core.total_cycles() - internal_before;
-    // The core's shard holds only this item's events (earlier items were
-    // drained), all stamped ≥ internal_before on the core's unified
-    // clock; shift them onto the global clock.
-    let offset = start as i64 - internal_before as i64;
-    rec.absorb(core.obs_mut(), lane, offset);
-    (start + used, used)
-}
-
 /// Writes the per-core counter snapshot (`core{c}.*` namespace) from the
 /// core's cheap stat structs — counters are sampled at collection points,
 /// never updated on the simulation hot path.
+///
+/// It reads only the pipeline and core stats because only those are
+/// replayed (the event engine's skipped and path-memo items advance them
+/// by recorded deltas): reading `Accelerator::stats` or SRAM bank access
+/// counts would break lockstep≡event, which every Analytic NCPU run rides.
 fn snapshot_core_counters(rec: &mut Recorder, c: usize, core: &NcpuCore) {
     let ps = core.pipeline().stats();
     rec.set_counter(format!("core{c}.cycles"), ps.cycles);
@@ -328,8 +320,8 @@ struct CoreLedger {
 /// cursor, the dispatch cycle and queue depth of its current item, busy
 /// and finish cycles, and the prediction vector — plus the run's fault
 /// control (`None` under the inert plan: no draws, no `item.retries`
-/// samples, no `fault.*` counters). The three item engines differ only
-/// in how they advance their clocks; each reports dispatches,
+/// samples, no `fault.*` counters). The two NCPU item clocks differ
+/// only in how they advance; each reports dispatches,
 /// execution and terminal points (completion, drop, quarantine) here,
 /// so what those do to an item cannot drift between engines.
 pub(crate) struct Ledger<'a> {
@@ -818,7 +810,7 @@ pub(crate) fn resolve_dispatch(
 /// quarantine once the core's consecutive-fault count reaches the
 /// plan's limit, drop once the dispatch exhausts `max_retries`,
 /// otherwise retry after exponential backoff. Also invoked by the
-/// lock-step engine's mid-item watchdog abort (where `fault_at` is the
+/// simulating engines' mid-item watchdog abort (where `fault_at` is the
 /// aborted item's start, so `fault.recovery_cycles` prices the wasted
 /// execution plus the backoff) and by the deep engine's staging
 /// prologue.
@@ -855,18 +847,18 @@ pub(crate) fn recovery_decision(
     Decision::RetryAt(resume)
 }
 
-/// The lock-step engine's mid-item watchdog: detection at `clock`,
+/// The simulating engines' mid-item watchdog: detection at `clock`,
 /// then the shared recovery state machine, with the aborted item's
-/// start as the fault anchor.
+/// start as the fault anchor; [`note`] routes the instants.
 pub(crate) fn watchdog_abort(
     ctl: &mut FaultCtl,
     core_idx: usize,
     item_start: u64,
     clock: u64,
     rec: &mut Recorder,
+    defer: &mut Option<&mut Vec<(u64, EventKind)>>,
 ) -> Decision {
     ctl.detected_watchdog += 1;
-    rec.emit(core_idx as u16, clock, EventKind::Detect { by: Detector::Watchdog });
-    let mut defer = None;
-    recovery_decision(ctl, core_idx, item_start, clock, rec, &mut defer)
+    note(rec, defer, core_idx as u16, clock, EventKind::Detect { by: Detector::Watchdog });
+    recovery_decision(ctl, core_idx, item_start, clock, rec, defer)
 }

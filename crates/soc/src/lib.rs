@@ -24,8 +24,9 @@
 //! DMA staging, and report assembly cannot drift apart. [`EventDriven`]
 //! is the byte-identical fast twin of [`Lockstep`]: an event-queue
 //! scheduler that jumps between observable actions instead of walking
-//! every cycle. [`run_independent`] runs two different use cases side by
-//! side on one shared fabric.
+//! every cycle; [`Analytic`] runs NCPU fleets on it too, so the fast
+//! engine is exact. [`run_independent`] runs two different use cases
+//! side by side on one shared fabric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

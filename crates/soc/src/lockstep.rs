@@ -1,23 +1,23 @@
-//! Lock-step co-simulation of the N-core SoC.
+//! Lock-step co-simulation of the N-core SoC: the cycle-level reference
+//! the fast engine is held to.
 //!
-//! The [`crate::Analytic`] engine simulates cores one item at a time with
-//! analytic fabric costs — fast, but it cannot see cycle-level interactions
-//! between the cores. This module steps every core one cycle at a time on
-//! a single global clock and arbitrates the shared L2 port for real:
+//! This module steps every core one cycle at a time on a single global
+//! clock and arbitrates the shared L2 port for real:
 //!
 //! * each core advances via [`NcpuCore::step_one`],
 //! * when several cores touch an L2 bank in the same cycle, the lowest-
 //!   numbered one wins the bank's port (single-ported banks + fixed
 //!   priority); every other toucher's conflict is counted and traced,
 //!   and its timing is unchanged,
-//! * item staging pays the same DMA cost as the analytic scheduler, and
-//!   every item's queue position, metrics and terminal point go through
-//!   the shared [`fabric::Ledger`].
+//! * item staging books the fabric DMA, and every item's queue
+//!   position, metrics and terminal point go through the shared
+//!   [`fabric::Ledger`].
 //!
-//! The `lockstep_agrees_with_analytic_scheduler` matrix is the point: for
-//! the paper's workloads (local data, one result word written through per
-//! item), contention is negligible and the analytic model is sound — at
-//! any core count.
+//! The event engine, which [`crate::Analytic`] runs NCPU fleets on,
+//! reproduces this walk byte for byte without stepping every cycle:
+//! `lockstep_agrees_with_analytic_scheduler` holds the reports equal
+//! (label aside) across policies, core counts, workloads and a short
+//! watchdog, and `tests/engine_differential.rs` fuzzes the pair.
 
 use ncpu_core::{BankPorts, NcpuCore, StepOutcome};
 use ncpu_obs::{EventKind, Recorder, StallCause};
@@ -203,7 +203,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
             // (busy cycles already burned stay counted).
             if watchdog > 0 && clock.saturating_sub(st.item_start) >= watchdog {
                 let ctl = ledger.ctl.as_mut().expect("watchdog requires fault control");
-                let decision = fabric::watchdog_abort(ctl, c, st.item_start, clock, &mut rec);
+                let decision = fabric::watchdog_abort(ctl, c, st.item_start, clock, &mut rec, &mut None);
                 pool[c] = fabric::ncpu_core(usecase, soc, level, l2.clone());
                 st.active = false;
                 match decision {
@@ -276,37 +276,43 @@ mod tests {
     use crate::system::{SocConfig, SystemConfig};
     use crate::usecase::UseCase;
     use ncpu_core::SwitchPolicy;
+    use ncpu_fault::FaultPlan;
 
     fn parametric(batch: usize) -> UseCase {
         UseCase::parametric(0.6, batch, crate::system::tests::pseudo_model(784, 30, 10))
     }
 
-    /// The whole point of this module: the fast analytic scheduler and the
-    /// cycle-stepped co-simulation agree (small DMA-granularity slack) —
-    /// across switch policies, core counts, and real workload kinds,
-    /// driven through the `Engine` trait.
+    /// The fast engine and the cycle-stepped co-simulation produce the
+    /// same report, byte for byte but the engine label — across switch
+    /// policies, core counts, real workload kinds and a watchdog short
+    /// enough to abort items mid-flight, driven through the `Engine`
+    /// trait.
     #[test]
     fn lockstep_agrees_with_analytic_scheduler() {
         let usecases = [UseCase::image(4, 2, 1), UseCase::motion(4, 4, 2)];
+        let short_watchdog = FaultPlan {
+            watchdog_cycles: 3_000,
+            max_retries: 1,
+            backoff_cycles: 16,
+            ..FaultPlan::none()
+        };
         for uc in &usecases {
             for policy in [SwitchPolicy::ZeroLatency, SwitchPolicy::Naive] {
                 for cores in [1usize, 2, 4] {
-                    let soc = SocConfig { switch_policy: policy, ..SocConfig::default() };
-                    let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores))
-                        .with_soc(soc);
-                    let (analytic, _) = Analytic.run(&scenario);
-                    let (lockstep, _) = Lockstep.run(&scenario);
-                    let tag = format!("{} {policy:?} {cores} cores", uc.name());
-                    assert_eq!(
-                        lockstep.predictions, analytic.predictions,
-                        "{tag}: same answers"
-                    );
-                    let a = analytic.makespan as f64;
-                    let l = lockstep.makespan as f64;
-                    assert!(
-                        (l - a).abs() / a < 0.02,
-                        "{tag}: lockstep {l} vs analytic {a}"
-                    );
+                    for plan in [FaultPlan::none(), short_watchdog] {
+                        let soc = SocConfig { switch_policy: policy, ..SocConfig::default() };
+                        let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores))
+                            .with_soc(soc)
+                            .with_faults(plan);
+                        let analytic = Analytic.report(&scenario);
+                        let lockstep = Lockstep.report(&scenario);
+                        assert_eq!(
+                            format!("{lockstep:?}").replace(" (lockstep)", ""),
+                            format!("{analytic:?}"),
+                            "{} {policy:?} {cores} cores {plan:?}",
+                            uc.name()
+                        );
+                    }
                 }
             }
         }

@@ -14,18 +14,18 @@
 //! An [`Engine`] turns a scenario into a `(RunReport, Recorder)` pair.
 //! Four engines exist, all built on the shared `fabric` module:
 //!
-//! * [`Analytic`] — the fast per-item scheduler. Use it for every
-//!   figure/table sweep: items are independent, fabric costs are
-//!   analytic, and it is orders of magnitude faster than cycle-stepping.
+//! * [`Analytic`] — the fast engine for every figure/table sweep. An
+//!   NCPU fleet runs on the event engine below, under the plain
+//!   `"{N}x ncpu"` label, so its reports are exact against `Lockstep`;
+//!   the heterogeneous baseline has a scheduler of its own.
 //! * [`Lockstep`] — the cycle-stepped co-simulation with real N-way L2
-//!   port arbitration. Use it to *validate* the analytic model or when
-//!   cycle-level core interaction matters; NCPU systems only.
+//!   port arbitration: the reference the fast engine is held to; NCPU
+//!   systems only.
 //! * [`EventDriven`] — the event-queue twin of `Lockstep`:
 //!   byte-identical reports, counters, and event streams (pinned by
 //!   `tests/engine_differential.rs`), but it jumps between observable
-//!   actions and replays steady-state items instead of walking every
-//!   cycle. Use it wherever lock-step fidelity is needed at sweep scale;
-//!   NCPU systems only.
+//!   actions and replays memoized item timing instead of walking every
+//!   cycle. `Analytic`'s NCPU run, labeled `(event)`; NCPU systems only.
 //! * [`Deep`] — the beyond-4-layer modes of paper Section VIII-A: one
 //!   BNN-capable core rolls layers back onto one physical array, N ≥ 2
 //!   connect in series. [`UseCaseKind::Deep`] use cases only.
@@ -179,8 +179,9 @@ pub trait Engine {
     }
 }
 
-/// The fast analytic scheduler — handles every [`SystemConfig`] and every
-/// non-deep [`UseCaseKind`].
+/// The fast engine — handles every [`SystemConfig`] and every non-deep
+/// [`UseCaseKind`]: NCPU fleets on the event engine (exact against
+/// [`Lockstep`]), the heterogeneous baseline on its own scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Analytic;
 

@@ -1,5 +1,5 @@
-//! The analytic engine: one scheduling loop for the NCPU fleet, one for
-//! the heterogeneous baseline, and [`run_independent`].
+//! The analytic engine: the heterogeneous baseline's scheduler, the
+//! event engine for NCPU fleets, and [`run_independent`].
 //!
 //! Everything the run paths share — program construction, result
 //! mailboxes, DMA staging, cycle budgets, report assembly — lives in
@@ -64,14 +64,16 @@ impl SystemConfig {
     }
 }
 
-/// The analytic engine: runs `scenario` with one per-item scheduler
-/// pass and analytic fabric costs, returning the report together with
-/// the root [`Recorder`] (every core's phase spans re-based onto the
-/// global clock, the DMA lane, the counter registry, and at
-/// [`TraceLevel::Full`] per-cycle instant events).
+/// The analytic engine: runs `scenario` and returns the report together
+/// with the root [`Recorder`] (every core's phase spans re-based onto
+/// the global clock, the DMA lane, the counter registry, and at
+/// [`TraceLevel::Full`] per-cycle instant events). The recorder always
+/// runs at `Counters` or above — report timelines are derived from its
+/// span events.
 ///
-/// The recorder always runs at `Counters` or above — report timelines are
-/// derived from its span events. The heterogeneous baseline ignores the
+/// An NCPU fleet runs on the event engine, exact against the lock-step
+/// co-simulation on every axis, under the plain `"{N}x ncpu"` label. The
+/// heterogeneous baseline has a scheduler of its own, which ignores the
 /// fault plan (the paper's reliability story is about the NCPU's
 /// low-voltage SRAM operating points).
 ///
@@ -84,70 +86,12 @@ pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
         SystemConfig::Heterogeneous => {
             run_heterogeneous(scenario.usecase(), scenario.soc(), scenario.trace())
         }
-        SystemConfig::Ncpu(topo) => run_ncpu(scenario, topo),
-    }
-}
-
-/// The analytic NCPU scheduler: per-core clocks advance in global time
-/// order (so shared DMA bookings happen in arrival order) over the
-/// topology's dispatch plan, and each item runs atomically. A core's
-/// clock is its [`fabric::Ledger`] finish cycle.
-///
-/// With an active fault plan every dispatch resolves through the fault
-/// layer (`fabric::resolve_dispatch`), so retries, backoff, drops and
-/// quarantine re-scheduling enter the analytic makespan without a
-/// cycle-level walk. One modeling limit, by design: items run
-/// atomically, so the watchdog prices injected `CoreHang` faults only
-/// (a genuinely long-running item is never aborted mid-flight — use the
-/// lock-step engine to study that).
-fn run_ncpu(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
-    let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
-    let cores = topo.cores();
-    let mut rec = Recorder::new(level.at_least_counters());
-    let (l2, mut pool, programs) = fabric::ncpu_pool(usecase, soc, level, cores);
-    let mut dma = fabric::new_dma(soc, level);
-    let mut ledger = fabric::Ledger::new(scenario, topo);
-    loop {
-        // Always advance the core that can dispatch earliest (ties to
-        // the lowest-numbered core), so fault draws and DMA bookings
-        // happen in a deterministic global-time order.
-        let next = (0..cores)
-            .filter_map(|c| {
-                let (item, avail) = ledger.head(c)?;
-                Some((ledger.finished_at(c).max(avail), c, item))
-            })
-            .min();
-        let Some((dispatch, c, item)) = next else { break };
-        let _prof = ncpu_obs::selfprof::span("fabric.run_item");
-        ledger.begin(c, dispatch);
-        match fabric::resolve_dispatch(
-            ledger.ctl.as_mut(),
-            c,
-            item,
-            &usecase.items()[item].staged,
-            dispatch,
-            true,
-            &mut pool[c],
-            &mut dma,
-            &mut rec,
-            None,
-        ) {
-            fabric::Resolution::Run { exec_start } => {
-                let (end, used) =
-                    fabric::run_item_staged(&mut pool[c], &programs[c], exec_start, &mut rec, c as u16);
-                let prediction =
-                    l2.read_word(fabric::result_addr(c)).expect("result staged by program");
-                ledger.charge(c, used);
-                ledger.complete(c, end, used, prediction as usize, &mut rec);
-            }
-            fabric::Resolution::Dropped { at } => ledger.drop_current(c, at, &mut rec),
-            fabric::Resolution::Quarantined { at } => {
-                ledger.quarantine(c, at, &mut rec, &mut None);
-            }
+        SystemConfig::Ncpu(topo) => {
+            let (mut report, rec) = crate::eventdriven::run(scenario, topo);
+            report.config = format!("{}x ncpu", topo.cores());
+            (report, rec)
         }
     }
-    let report = ledger.finish(format!("{cores}x ncpu"), &pool, &mut dma, &mut rec);
-    (report, rec)
 }
 
 /// Runs two *different* use cases concurrently, one per NCPU core (paper

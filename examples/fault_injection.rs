@@ -5,8 +5,10 @@
 //! rate), runs it through the [`Analytic`], [`Lockstep`], and
 //! [`EventDriven`] engines, prints the injection/detection/recovery
 //! counters side by side, and asserts the two co-simulating engines
-//! agree **byte for byte** — faults included. This example doubles as
-//! the CI fault smoke:
+//! agree **byte for byte** — faults included. It then runs the same
+//! batch under a 3,000-cycle watchdog, which aborts ordinary items
+//! mid-flight, and asserts all three engines' reports and counters agree
+//! byte for byte there too. This example doubles as the CI fault smoke:
 //!
 //! ```text
 //! NCPU_TRACE=full NCPU_TRACE_DIR=out cargo run --release --example fault_injection
@@ -16,6 +18,7 @@
 //! carrying the fault instants for the trace checker.
 
 use ncpu::prelude::*;
+use ncpu::obs::Recorder;
 use ncpu::soc::{RunReport, DROPPED_PREDICTION};
 
 /// The counters the fault layer exports from every engine.
@@ -31,13 +34,27 @@ const FAULT_COUNTERS: [&str; 9] = [
     "fault.cores_quarantined",
 ];
 
-/// Renders a report with the engine tag stripped from `config`, so the
-/// two co-simulating engines' reports compare as one byte string.
+/// Renders a report with the engine tag (`" (lockstep)"`, `" (event)"`;
+/// the Analytic label has none) stripped from `config`, so the engines'
+/// reports compare as one byte string.
 fn normalized(report: &RunReport, tag: &str) -> String {
-    assert!(report.config.ends_with(tag), "{} should end with {tag}", report.config);
     let mut r = report.clone();
-    r.config = r.config.replace(tag, "(engine)");
+    r.config = match report.config.strip_suffix(tag) {
+        Some(label) => label.to_string(),
+        None => panic!("{} should end with {tag:?}", report.config),
+    };
     format!("{r:?}")
+}
+
+/// Prints the fault counters and makespans of the three engines' runs.
+fn print_counters(runs: &[(RunReport, Recorder); 3]) {
+    println!("\n{:<28} {:>10} {:>10} {:>10}", "counter", "analytic", "lockstep", "event");
+    for name in FAULT_COUNTERS {
+        let [a, l, e] = runs.each_ref().map(|(_, rec)| rec.counters().get(name));
+        println!("{name:<28} {a:>10} {l:>10} {e:>10}");
+    }
+    let [a, l, e] = runs.each_ref().map(|(report, _)| report.makespan);
+    println!("{:<28} {a:>10} {l:>10} {e:>10}", "makespan");
 }
 
 fn main() {
@@ -57,7 +74,7 @@ fn main() {
         backoff_cycles: 32,
         quarantine_after: 6,
     };
-    let scenario = Scenario::new(uc, SystemConfig::ncpu(cores))
+    let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores))
         .with_trace(level)
         .with_operating_point(0.9)
         .with_faults(plan);
@@ -75,20 +92,9 @@ fn main() {
         plan.dma_truncate_ppm,
         plan.core_hang_ppm,
     );
-    println!("\n{:<28} {:>10} {:>10} {:>10}", "counter", "analytic", "lockstep", "event");
-    for name in FAULT_COUNTERS {
-        println!(
-            "{:<28} {:>10} {:>10} {:>10}",
-            name,
-            an_rec.counters().get(name),
-            ls_rec.counters().get(name),
-            ev_rec.counters().get(name),
-        );
-    }
-    println!(
-        "{:<28} {:>10} {:>10} {:>10}",
-        "makespan", analytic.makespan, lockstep.makespan, event.makespan
-    );
+    let runs = [(analytic, an_rec), (lockstep, ls_rec), (event, ev_rec)];
+    print_counters(&runs);
+    let [_, (lockstep, ls_rec), (event, ev_rec)] = runs;
     let dropped = lockstep.predictions.iter().filter(|&&p| p == DROPPED_PREDICTION).count();
     println!(
         "items: {} total, {} dropped by the recovery policy",
@@ -110,8 +116,8 @@ fn main() {
     );
     // …and the two co-simulating engines must agree on every byte of it.
     assert_eq!(
-        normalized(&event, "(event)"),
-        normalized(&lockstep, "(lockstep)"),
+        normalized(&event, " (event)"),
+        normalized(&lockstep, " (lockstep)"),
         "event and lockstep reports diverged under faults"
     );
     assert_eq!(
@@ -137,4 +143,30 @@ fn main() {
             Err(e) => eprintln!("failed to write trace artifacts: {e}"),
         }
     }
+
+    // The same batch under a watchdog short enough to abort ordinary
+    // items mid-flight: every engine prices the abort on its own, and
+    // all three must still agree on every byte.
+    let short = FaultPlan { watchdog_cycles: 3_000, ..plan };
+    println!("\nsame batch, {}-cycle watchdog:", short.watchdog_cycles);
+    let scenario = scenario.with_faults(short);
+    let runs = [Analytic.run(&scenario), Lockstep.run(&scenario), EventDriven.run(&scenario)];
+    print_counters(&runs);
+    let [(analytic, an_rec), (lockstep, ls_rec), (event, ev_rec)] = &runs;
+    assert!(
+        ls_rec.counters().get("fault.detected.watchdog") > 0,
+        "a 3,000-cycle watchdog must abort image items"
+    );
+    let reference = normalized(lockstep, " (lockstep)");
+    for (name, report, rec, tag) in
+        [("analytic", analytic, an_rec, ""), ("event", event, ev_rec, " (event)")]
+    {
+        assert_eq!(normalized(report, tag), reference, "{name} and lockstep reports diverged");
+        assert_eq!(
+            rec.counters().to_json(),
+            ls_rec.counters().to_json(),
+            "{name} and lockstep counters diverged"
+        );
+    }
+    println!("analytic == lockstep == event under a short watchdog: ok");
 }

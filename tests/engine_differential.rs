@@ -68,9 +68,9 @@ struct FaultCase {
     stall_ppm: u32,
     truncate_ppm: u32,
     hang_ppm: u32,
-    /// A 3k-cycle watchdog trips on ordinary items, forcing the event
-    /// engine down its lockstep-fallback path; the 20M default only
-    /// catches injected hangs.
+    /// A 3k-cycle watchdog trips on ordinary items, which the event
+    /// engine must abort mid-item exactly as the lock-step walk does;
+    /// the 20M default only catches injected hangs.
     watchdog_short: bool,
     max_retries: u32,
     backoff_cycles: u64,

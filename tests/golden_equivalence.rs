@@ -130,6 +130,9 @@ fn check_analytic(
 /// The analytic scheduler on a mixed static fleet and under an active
 /// fault plan. Captured from the tree that still had a separate
 /// fault-free analytic loop, so the single loop must reproduce both.
+/// Since Analytic runs NCPU fleets on the event engine, the counter
+/// registries carry its `"soc.l2_conflict_cycles":0`; removing that one
+/// key gives back the bytes the earlier pins hashed.
 #[test]
 fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
     let fleet = mixed_static_fleet();
@@ -140,7 +143,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         605_480,
         &[7, 7, 6, 6, 8, 1, 7, 7, 3, 5, 7, 3, 5],
         &[593_640, 474_912, 474_912],
-        (0x1388_6ac0_7f8a_6ed2, 0x0d11_f2ba_736d_3122),
+        (0x05c5_f184_7c49_337c, 0x0d11_f2ba_736d_3122),
     );
     let motion = Scenario::new(UseCase::motion(13, 4, 2), SystemConfig::Ncpu(fleet));
     check_analytic(
@@ -148,7 +151,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         110_955,
         &[3, 2, 0, 2, 2, 0, 3, 1, 2, 5, 2, 2, 1],
         &[108_955, 87_164, 87_164],
-        (0x81eb_5e4d_91dc_ff5d, 0x3b51_a09b_5b73_7e4c),
+        (0xaf7e_956a_b13e_b461, 0x3b51_a09b_5b73_7e4c),
     );
     let plan = FaultPlan {
         seed: 21,
@@ -170,7 +173,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         135_480,
         &[ncpu::soc::DROPPED_PREDICTION, 7, 6, 6],
         &[0, 118_728, 118_728, 118_728],
-        (0x4153_1b32_38ea_f4b5, 0x97aa_a6fc_066c_e0f9),
+        (0xaa6a_b342_598f_e099, 0x97aa_a6fc_066c_e0f9),
     );
 }
 
