@@ -1,5 +1,7 @@
 //! The accelerator engine: functional inference + systolic timing.
 
+use std::sync::Arc;
+
 use ncpu_bnn::{BitVec, BnnModel};
 use ncpu_obs::{EventKind, Recorder, TraceLevel};
 use ncpu_sim::{AddressArbiter, BankId};
@@ -58,7 +60,9 @@ impl BatchRun {
 /// See the [crate documentation](crate) for the model and an example.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
-    model: BnnModel,
+    /// Shared, never mutated: every core built from one model holds the
+    /// same allocation.
+    model: Arc<BnnModel>,
     config: AccelConfig,
     banks: AddressArbiter,
     weight_bank_ids: Vec<BankId>,
@@ -68,12 +72,15 @@ pub struct Accelerator {
 
 impl Accelerator {
     /// Builds an accelerator and loads `model`'s weights into its banks.
+    /// Pass an `Arc<BnnModel>` to share one model among many
+    /// accelerators without copying it.
     ///
     /// # Panics
     ///
     /// Panics if the model's packed weights exceed the configured bank
     /// sizes (the paper's banks fit a 784→100×4 network).
-    pub fn new(model: BnnModel, config: AccelConfig) -> Accelerator {
+    pub fn new(model: impl Into<Arc<BnnModel>>, config: AccelConfig) -> Accelerator {
+        let model = model.into();
         let mut banks = AddressArbiter::new();
         let mut weight_bank_ids = Vec::new();
         let mut base = 0u32;
@@ -134,6 +141,7 @@ impl Accelerator {
     /// data-cache accesses through here — the memory-reuse scheme of paper
     /// Fig. 4 — so data written by the CPU is readable by the accelerator
     /// in place.
+    #[inline]
     pub fn banks_mut(&mut self) -> &mut AddressArbiter {
         &mut self.banks
     }

@@ -40,6 +40,42 @@ fn bench_pipeline(b: &mut Bench) {
     });
 }
 
+/// One staged image item through the functional mode: the image
+/// pre-processing program plus its in-place classification, re-staged
+/// every iteration. `elements` is the instructions one item retires, so
+/// the row reads instructions per second.
+fn bench_functional_image_item(b: &mut Bench) {
+    use ncpu_bnn::data::digits;
+    use ncpu_core::{NcpuCore, SwitchPolicy};
+    use ncpu_pipeline::{PathLog, Program};
+    use ncpu_workloads::{image, Tail};
+
+    let mut core = NcpuCore::new(
+        ncpu_bench::context::image_pseudo_model(100),
+        AccelConfig::default(),
+        SwitchPolicy::ZeroLatency,
+    );
+    let tail = Tail::NcpuClassify { output_base: core.output_base(), result_l2: 0x40 };
+    let program = Program::new(image::preprocess_program(
+        &image::ImageLayout::default(),
+        core.image_base(),
+        tail,
+    ));
+    let raw = digits::render_raw(3, 0.1, &mut ncpu_testkit::rng::Rng::seed_from_u64(77));
+    let staged = image::stage_bytes(&raw);
+    let mut item = move || {
+        let banks = core.pipeline_mut().mem_mut().accel_mut().banks_mut();
+        let (bank, off) = banks.resolve(0).expect("data cache starts at 0");
+        banks.bank_mut(bank).load(off as usize, &staged);
+        core.load_program(&program);
+        core.run_functional(u64::MAX, &mut PathLog::new())
+            .expect("image item runs")
+            .expect("image item reads no L2")
+    };
+    b.throughput(item());
+    b.bench("pipeline/functional_image_item", item);
+}
+
 fn bench_bnn(b: &mut Bench) {
     let a = BitVec::from_bools((0..784).map(|i| i % 3 == 0));
     let b2 = BitVec::from_bools((0..784).map(|i| i % 5 == 0));
@@ -70,6 +106,7 @@ fn main() {
     }
     if wants("pipeline") {
         bench_pipeline(&mut b);
+        bench_functional_image_item(&mut b);
     }
     if wants("bnn") {
         bench_bnn(&mut b);

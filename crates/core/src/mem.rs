@@ -41,10 +41,12 @@ impl NcpuMem {
 }
 
 impl MemPort for NcpuMem {
+    #[inline(always)]
     fn read_local(&mut self, addr: u32, width: u32) -> Result<u32, MemFault> {
         self.accel.banks_mut().read(addr, width).map_err(|_| MemFault { addr })
     }
 
+    #[inline(always)]
     fn write_local(&mut self, addr: u32, width: u32, value: u32) -> Result<(), MemFault> {
         self.accel.banks_mut().write(addr, width, value).map_err(|_| MemFault { addr })
     }

@@ -218,14 +218,19 @@ pub struct NcpuCore {
 }
 
 impl NcpuCore {
-    /// Creates a core with a private 64-KiB L2.
-    pub fn new(model: BnnModel, config: AccelConfig, policy: SwitchPolicy) -> NcpuCore {
+    /// Creates a core with a private 64-KiB L2. Pass an `Arc<BnnModel>`
+    /// to share one model among many cores without copying it.
+    pub fn new(
+        model: impl Into<Arc<BnnModel>>,
+        config: AccelConfig,
+        policy: SwitchPolicy,
+    ) -> NcpuCore {
         NcpuCore::with_l2(model, config, policy, SharedL2::new(64 * 1024))
     }
 
     /// Creates a core attached to a shared L2 (two-core SoC configuration).
     pub fn with_l2(
-        model: BnnModel,
+        model: impl Into<Arc<BnnModel>>,
         config: AccelConfig,
         policy: SwitchPolicy,
         l2: SharedL2,
@@ -563,12 +568,20 @@ impl NcpuCore {
     /// Runs the loaded program to `ebreak` without timing — the
     /// functional twin of [`run`](Self::run). Registers, transition
     /// neurons, pending triggers, bank contents (BNN results included)
-    /// and shared-L2 writes end exactly as `run` leaves them; the clock,
-    /// [`CoreStats`], pipeline counters, recorder shards and L2 touch log
-    /// are not touched, and the accelerator runs only its data half (see
-    /// `serve_bnn`). Each `trans_bnn`'s image count is appended to
-    /// `path` after the pipeline's own entries (see [`PathLog`]), which
-    /// makes the log the whole data-dependent input to `run`'s timing.
+    /// and shared-L2 writes end exactly as `run` leaves them, and the
+    /// accelerator runs only its data half (see `serve_bnn`).
+    ///
+    /// Of the counters it advances exactly what those data accesses
+    /// advance: each SRAM bank's read and write counts and write
+    /// generation (every local load and store, and a batch's output
+    /// writes), the accelerator's activity counters
+    /// ([`Accelerator::stats`]) and the shared L2's access counts (every
+    /// `sw_l2`). The clock, [`CoreStats`], pipeline counters, recorder
+    /// shards and L2 touch log are not touched.
+    ///
+    /// Each `trans_bnn`'s image count is appended to `path` after the
+    /// pipeline's own entries (see [`PathLog`]), which makes the log the
+    /// whole data-dependent input to `run`'s timing.
     ///
     /// Returns `Ok(None)` without executing an `lw_l2`: what it reads may
     /// depend on other cores, so the item needs a timed run. Otherwise
@@ -741,6 +754,13 @@ impl NcpuCore {
             }
             return Ok(StepOutcome::BnnBusy { remaining: self.busy_remaining });
         }
+        self.cpu_cycle()
+    }
+
+    /// One CPU-mode cycle of a core that is neither halted nor in a BNN
+    /// busy region: the body [`step_one`](Self::step_one) and
+    /// [`step_n`](Self::step_n) share.
+    fn cpu_cycle(&mut self) -> Result<StepOutcome, CoreError> {
         if let Some(event) = self.pipeline.step()? {
             match event {
                 Event::MvNeu { value, neuron } if (neuron as usize) < TRANSITION_NEURONS => {
@@ -816,12 +836,14 @@ impl NcpuCore {
     /// Panics if `n == 0`.
     pub fn step_n(&mut self, n: u64) -> Result<(StepOutcome, u64), CoreError> {
         assert!(n > 0, "step_n of zero cycles");
+        // Only a retiring `ebreak` halts the pipeline, and that cycle
+        // reports `Halted` and ends the loop: halt is checked once here.
+        if self.pipeline.is_halted() {
+            return Ok((StepOutcome::Halted, 0));
+        }
         let mut consumed = 0u64;
-        let mut outcome = StepOutcome::Halted;
+        let mut outcome = StepOutcome::Executing;
         while consumed < n {
-            if self.pipeline.is_halted() {
-                return Ok((StepOutcome::Halted, consumed));
-            }
             if self.busy_remaining > 0 {
                 let k = (n - consumed).min(self.busy_remaining);
                 self.busy_remaining -= k;
@@ -833,7 +855,7 @@ impl NcpuCore {
                 }
                 outcome = StepOutcome::BnnBusy { remaining: self.busy_remaining };
             } else {
-                outcome = self.step_one()?;
+                outcome = self.cpu_cycle()?;
                 consumed += 1;
                 if matches!(outcome, StepOutcome::Halted) {
                     break;

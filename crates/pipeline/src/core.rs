@@ -9,7 +9,7 @@ use ncpu_obs::{EventKind as ObsEvent, Recorder, StallCause, TraceLevel};
 
 use crate::functional::{FunctionalStop, PathLog};
 use crate::memport::{MemFault, MemPort};
-use crate::program::Program;
+use crate::program::{Op, Program};
 use crate::stats::PipeStats;
 use crate::trace::{RetireTrace, TraceEntry};
 
@@ -642,17 +642,22 @@ impl<M: MemPort> Pipeline<M> {
         Ok(())
     }
 
-    /// Executes the program from the current PC without timing: one
-    /// predecoded instruction per iteration, with exactly the
+    /// Executes the program from the current PC without timing: the
+    /// program's lowered micro-ops (see [`Program`]), checking the budget
+    /// and the PC only on entry and after taken jumps, with exactly the
     /// [`MemPort`] accesses the MEM stage would perform, recording every
     /// data-dependent choice into `path` (see [`PathLog`]). Returns why
     /// it stopped and how many instructions retired.
     ///
     /// Registers, memory, the PC and (at `ebreak`) the halt flags end as
-    /// a [`run`](Self::run) over the same instructions leaves them;
-    /// cycle and retire counters, the retire trace, recorder events and
-    /// the L2 touch log are not touched. A caller that needs those
-    /// replays them from a timed execution of the same path.
+    /// a [`run`](Self::run) over the same instructions leaves them. The
+    /// mode touches nothing else of the pipeline: cycle and retire
+    /// counters, the retire trace, recorder events and the L2 touch log
+    /// stay as they were, and a caller that needs them replays them from
+    /// a timed execution of the same path. Behind the port it touches
+    /// what the MEM stage's accesses touch — for a banked port, each
+    /// local access still counts one bank read or write and each write
+    /// bumps the bank's generation.
     ///
     /// Call it on a drained pipeline (after [`restart_at`](Self::restart_at)
     /// or a completed run): in-flight latches are not consulted.
@@ -670,93 +675,190 @@ impl<M: MemPort> Pipeline<M> {
     ) -> Result<(FunctionalStop, u64), PipeError> {
         debug_assert!(self.is_drained(), "functional execution starts from a drained pipeline");
         let image = self.imem.clone();
-        let words = image.decoded_words();
+        let ops = image.ops();
         let mut regs = self.regs;
         let mut pc = self.pc;
         let mut retired = 0u64;
-        let outcome = loop {
+        // Register indices are below 32 by construction; the mask lets
+        // the compiler drop the bounds check.
+        macro_rules! x {
+            ($r:expr) => {
+                regs[usize::from($r & 31)]
+            };
+        }
+        let outcome = 'block: loop {
+            // Block head, on entry and after every taken jump: the only
+            // place the budget and the PC are checked. The block runs on
+            // in straight-line order to the program's end or the budget,
+            // whichever comes first; its ops sit at consecutive PCs
+            // inside the program, so none needs a check of its own.
             if retired == budget {
                 break Ok(FunctionalStop::Budget);
             }
-            let slot = if pc.is_multiple_of(4) { words.get((pc / 4) as usize) } else { None };
-            let instr = match slot {
-                Some(Ok(instr)) => *instr,
-                Some(Err(source)) => break Err(PipeError::Decode { pc, source: *source }),
-                None => break Err(PipeError::PcOutOfRange { pc }),
+            let index = if pc.is_multiple_of(4) { (pc / 4) as usize } else { usize::MAX };
+            let rest = match ops.get(index..) {
+                Some(rest) if !rest.is_empty() => rest,
+                _ => break Err(PipeError::PcOutOfRange { pc }),
             };
-            let mut next = pc.wrapping_add(4);
-            let mut stop = None;
-            match instr {
-                Instruction::Lui { rd, imm } => set_reg(&mut regs, rd, imm as u32),
-                Instruction::Auipc { rd, imm } => {
-                    set_reg(&mut regs, rd, pc.wrapping_add(imm as u32));
+            let len = (rest.len() as u64).min(budget - retired) as usize;
+            for (k, &op) in rest[..len].iter().enumerate() {
+                // This op's PC, and the instructions retired before it.
+                let at = pc.wrapping_add(4 * k as u32);
+                let done = retired + k as u64;
+                // A taken jump retires this op and opens a block at `target`.
+                macro_rules! jump {
+                    ($target:expr) => {{
+                        regs[0] = 0;
+                        retired = done + 1;
+                        pc = $target;
+                        continue 'block;
+                    }};
                 }
-                Instruction::Jal { rd, offset } => {
-                    set_reg(&mut regs, rd, pc.wrapping_add(4));
-                    next = pc.wrapping_add(offset as u32);
+                // A conditional branch records its outcome; taken, it redirects.
+                macro_rules! branch {
+                    ($taken:expr, $target:expr) => {{
+                        let taken = $taken;
+                        path.push_branch(taken);
+                        if taken {
+                            jump!($target)
+                        }
+                    }};
                 }
-                Instruction::Jalr { rd, rs1, offset } => {
-                    let target = regs[rs1.index()].wrapping_add(offset as u32) & !1;
-                    path.push_value(target);
-                    set_reg(&mut regs, rd, pc.wrapping_add(4));
-                    next = target;
+                // An instruction whose effect lies outside the pipeline
+                // retires and ends the call.
+                macro_rules! stop {
+                    ($event:expr) => {{
+                        retired = done + 1;
+                        pc = at.wrapping_add(4);
+                        break 'block Ok(FunctionalStop::Event($event));
+                    }};
                 }
-                Instruction::Branch { op, rs1, rs2, offset } => {
-                    let taken = op.taken(regs[rs1.index()], regs[rs2.index()]);
-                    path.push_branch(taken);
-                    if taken {
-                        next = pc.wrapping_add(offset as u32);
+                // A fault retires nothing and leaves the PC on this op.
+                macro_rules! fault {
+                    ($error:expr) => {{
+                        retired = done;
+                        pc = at;
+                        break 'block Err($error);
+                    }};
+                }
+                macro_rules! local {
+                    ($access:expr) => {
+                        match $access {
+                            Ok(value) => value,
+                            Err(source) => fault!(PipeError::Mem { pc: at, source }),
+                        }
+                    };
+                }
+                // Destinations are written unconditionally, `x0` included;
+                // `x0` is zeroed again after every op.
+                match op {
+                    Op::Lui { rd, value } | Op::Auipc { rd, value } => x!(rd) = value,
+                    Op::Jal { rd, link, target } => {
+                        x!(rd) = link;
+                        jump!(target)
                     }
-                }
-                Instruction::Load { op, rd, rs1, offset } => {
-                    let addr = regs[rs1.index()].wrapping_add(offset as u32);
-                    match self.mem.read_local(addr, op.width()) {
-                        Ok(raw) => set_reg(&mut regs, rd, op.extend(raw)),
-                        Err(source) => break Err(PipeError::Mem { pc, source }),
+                    Op::Jalr { rd, rs1, offset, link } => {
+                        let target = x!(rs1).wrapping_add(offset) & !1;
+                        path.push_value(target);
+                        x!(rd) = link;
+                        jump!(target)
                     }
-                }
-                Instruction::Store { op, rs1, rs2, offset } => {
-                    let addr = regs[rs1.index()].wrapping_add(offset as u32);
-                    if let Err(source) =
-                        self.mem.write_local(addr, op.width(), regs[rs2.index()])
-                    {
-                        break Err(PipeError::Mem { pc, source });
+                    Op::Beq { rs1, rs2, target } => branch!(x!(rs1) == x!(rs2), target),
+                    Op::Bne { rs1, rs2, target } => branch!(x!(rs1) != x!(rs2), target),
+                    Op::Blt { rs1, rs2, target } => {
+                        branch!((x!(rs1) as i32) < (x!(rs2) as i32), target)
                     }
-                }
-                Instruction::OpImm { op, rd, rs1, imm } => {
-                    let value = op.eval(regs[rs1.index()], imm as u32);
-                    set_reg(&mut regs, rd, value);
-                }
-                Instruction::Op { op, rd, rs1, rs2 } => {
-                    let value = op.eval(regs[rs1.index()], regs[rs2.index()]);
-                    set_reg(&mut regs, rd, value);
-                }
-                Instruction::Ecall => stop = Some(Event::EnvCall),
-                Instruction::Ebreak => {
-                    self.halted = true;
-                    self.fetch_halted = true;
-                    stop = Some(Event::Halted);
-                }
-                Instruction::MvNeu { rs1, neuron } => {
-                    stop = Some(Event::MvNeu { value: regs[rs1.index()], neuron });
-                }
-                Instruction::TransBnn => stop = Some(Event::TransBnn),
-                Instruction::TransCpu => stop = Some(Event::TransCpu),
-                Instruction::TriggerBnn => stop = Some(Event::TriggerBnn),
-                Instruction::SwL2 { rs1, rs2, offset } => {
-                    let addr = regs[rs1.index()].wrapping_add(offset as u32);
-                    if let Err(source) = self.mem.write_l2(addr, regs[rs2.index()]) {
-                        break Err(PipeError::Mem { pc, source });
+                    Op::Bge { rs1, rs2, target } => {
+                        branch!((x!(rs1) as i32) >= (x!(rs2) as i32), target)
                     }
-                    path.push_value(addr);
+                    Op::Bltu { rs1, rs2, target } => branch!(x!(rs1) < x!(rs2), target),
+                    Op::Bgeu { rs1, rs2, target } => branch!(x!(rs1) >= x!(rs2), target),
+                    Op::Lb { rd, rs1, offset } => {
+                        let raw = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 1));
+                        x!(rd) = raw as u8 as i8 as i32 as u32;
+                    }
+                    Op::Lh { rd, rs1, offset } => {
+                        let raw = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 2));
+                        x!(rd) = raw as u16 as i16 as i32 as u32;
+                    }
+                    Op::Lw { rd, rs1, offset } => {
+                        x!(rd) = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 4));
+                    }
+                    Op::Lbu { rd, rs1, offset } => {
+                        let raw = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 1));
+                        x!(rd) = raw as u8 as u32;
+                    }
+                    Op::Lhu { rd, rs1, offset } => {
+                        let raw = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 2));
+                        x!(rd) = raw as u16 as u32;
+                    }
+                    Op::Sb { rs1, rs2, offset } => {
+                        local!(self.mem.write_local(x!(rs1).wrapping_add(offset), 1, x!(rs2)));
+                    }
+                    Op::Sh { rs1, rs2, offset } => {
+                        local!(self.mem.write_local(x!(rs1).wrapping_add(offset), 2, x!(rs2)));
+                    }
+                    Op::Sw { rs1, rs2, offset } => {
+                        local!(self.mem.write_local(x!(rs1).wrapping_add(offset), 4, x!(rs2)));
+                    }
+                    Op::Addi { rd, rs1, imm } => x!(rd) = x!(rs1).wrapping_add(imm),
+                    Op::Slti { rd, rs1, imm } => {
+                        x!(rd) = u32::from((x!(rs1) as i32) < (imm as i32));
+                    }
+                    Op::Sltiu { rd, rs1, imm } => x!(rd) = u32::from(x!(rs1) < imm),
+                    Op::Xori { rd, rs1, imm } => x!(rd) = x!(rs1) ^ imm,
+                    Op::Ori { rd, rs1, imm } => x!(rd) = x!(rs1) | imm,
+                    Op::Andi { rd, rs1, imm } => x!(rd) = x!(rs1) & imm,
+                    Op::Slli { rd, rs1, shamt } => x!(rd) = x!(rs1).wrapping_shl(shamt),
+                    Op::Srli { rd, rs1, shamt } => x!(rd) = x!(rs1).wrapping_shr(shamt),
+                    Op::Srai { rd, rs1, shamt } => {
+                        x!(rd) = (x!(rs1) as i32).wrapping_shr(shamt) as u32;
+                    }
+                    Op::Add { rd, rs1, rs2 } => x!(rd) = x!(rs1).wrapping_add(x!(rs2)),
+                    Op::Sub { rd, rs1, rs2 } => x!(rd) = x!(rs1).wrapping_sub(x!(rs2)),
+                    Op::Sll { rd, rs1, rs2 } => x!(rd) = x!(rs1).wrapping_shl(x!(rs2)),
+                    Op::Slt { rd, rs1, rs2 } => {
+                        x!(rd) = u32::from((x!(rs1) as i32) < (x!(rs2) as i32));
+                    }
+                    Op::Sltu { rd, rs1, rs2 } => x!(rd) = u32::from(x!(rs1) < x!(rs2)),
+                    Op::Xor { rd, rs1, rs2 } => x!(rd) = x!(rs1) ^ x!(rs2),
+                    Op::Srl { rd, rs1, rs2 } => x!(rd) = x!(rs1).wrapping_shr(x!(rs2)),
+                    Op::Sra { rd, rs1, rs2 } => {
+                        x!(rd) = (x!(rs1) as i32).wrapping_shr(x!(rs2)) as u32;
+                    }
+                    Op::Or { rd, rs1, rs2 } => x!(rd) = x!(rs1) | x!(rs2),
+                    Op::And { rd, rs1, rs2 } => x!(rd) = x!(rs1) & x!(rs2),
+                    Op::Mul { rd, rs1, rs2 } => x!(rd) = x!(rs1).wrapping_mul(x!(rs2)),
+                    Op::Ecall => stop!(Event::EnvCall),
+                    Op::Ebreak => {
+                        self.halted = true;
+                        self.fetch_halted = true;
+                        stop!(Event::Halted)
+                    }
+                    Op::MvNeu { rs1, neuron } => stop!(Event::MvNeu { value: x!(rs1), neuron }),
+                    Op::TransBnn => stop!(Event::TransBnn),
+                    Op::TransCpu => stop!(Event::TransCpu),
+                    Op::TriggerBnn => stop!(Event::TriggerBnn),
+                    Op::SwL2 { rs1, rs2, offset } => {
+                        let addr = x!(rs1).wrapping_add(offset);
+                        if let Err(source) = self.mem.write_l2(addr, x!(rs2)) {
+                            fault!(PipeError::Mem { pc: at, source })
+                        }
+                        path.push_value(addr);
+                    }
+                    Op::LwL2 => {
+                        retired = done;
+                        pc = at;
+                        break 'block Ok(FunctionalStop::L2Read);
+                    }
+                    Op::Invalid(source) => fault!(PipeError::Decode { pc: at, source }),
                 }
-                Instruction::LwL2 { .. } => break Ok(FunctionalStop::L2Read),
+                regs[0] = 0;
             }
-            retired += 1;
-            pc = next;
-            if let Some(event) = stop {
-                break Ok(FunctionalStop::Event(event));
-            }
+            // The block ran out: past the program's last word or at the
+            // budget, which the next head reports.
+            retired += len as u64;
+            pc = pc.wrapping_add(4 * len as u32);
         };
         self.regs = regs;
         self.pc = pc;
@@ -803,13 +905,5 @@ impl<M: MemPort> Pipeline<M> {
                 }
             }
         }
-    }
-}
-
-/// Writes `value` to `rd` in `regs` unless `rd` is `x0`.
-#[inline]
-fn set_reg(regs: &mut [u32; 32], rd: Reg, value: u32) {
-    if rd != Reg::ZERO {
-        regs[rd.index()] = value;
     }
 }

@@ -1,14 +1,17 @@
 //! The functional (untimed) execution mode's path record.
 //!
 //! [`Pipeline::run_functional`](crate::Pipeline::run_functional) executes
-//! the predecoded program one instruction per iteration, with the same
-//! [`MemPort`](crate::MemPort) accesses the MEM stage performs but no
-//! latches, hazards or counters. What it leaves behind besides the
-//! architectural state is a [`PathLog`]: every data-dependent choice the
-//! execution made. The pipeline's timing is a function of the program and
-//! that log alone — which instructions issue in which order decides every
-//! hazard, flush and multi-cycle wait — so two executions of one program
-//! with equal logs take the same cycles, stalls and L2 touch offsets.
+//! the program's lowered micro-ops (see [`Program`](crate::Program)),
+//! checking the budget and the PC only on entry and after taken jumps,
+//! with the same [`MemPort`](crate::MemPort) accesses the MEM stage
+//! performs but no latches, hazards or pipeline counters — what the port
+//! itself counts per access (an SRAM bank's reads and writes) still
+//! advances. What it leaves behind besides the architectural state is a
+//! [`PathLog`]: every data-dependent choice the execution made. The
+//! pipeline's timing is a function of the program and that log alone —
+//! which instructions issue in which order decides every hazard, flush
+//! and multi-cycle wait — so two executions of one program with equal
+//! logs take the same cycles, stalls and L2 touch offsets.
 
 use ncpu_isa::interp::Event;
 

@@ -17,8 +17,11 @@
 //!   once at load, and a word that fails to decode faults only if it
 //!   reaches ID,
 //! * a functional mode ([`Pipeline::run_functional`]) that executes the
-//!   same program untimed and records its [`PathLog`] — the only
-//!   data-dependent input to the pipeline's timing.
+//!   same program untimed — each word lowered once, at load, to a flat
+//!   micro-op dispatched by a single `match`, with the budget and PC
+//!   checked only on entry and after taken jumps — and records its
+//!   [`PathLog`], the
+//!   only data-dependent input to the pipeline's timing.
 //!
 //! Architectural results are differential-tested against the functional
 //! golden model in [`ncpu_isa::interp`].

@@ -5,9 +5,9 @@
 //! stream, instruction by instruction.
 
 use ncpu_isa::asm::assemble;
-use ncpu_isa::interp::{Event, Interp};
+use ncpu_isa::interp::{Event, ExecError, Interp};
 use ncpu_isa::{Instruction, Reg};
-use ncpu_pipeline::{FlatMem, FunctionalStop, PathLog, Pipeline};
+use ncpu_pipeline::{FlatMem, FunctionalStop, PathLog, PipeError, Pipeline};
 use ncpu_testkit::prop::{Prop, Shrink};
 use ncpu_testkit::rng::Rng;
 use ncpu_testkit::{prop_assert, prop_assert_eq};
@@ -245,6 +245,296 @@ fn hazard_heavy_sequences() {
          add t6, t5, t5
          ebreak",
     );
+}
+
+/// Every lowered op, each on operands that tell it apart from its
+/// neighbours (negative values for the signed ops and arithmetic
+/// shifts, shift amounts above 31 for the register shifts).
+#[test]
+fn every_lowered_op_matches_golden_model() {
+    assert_equivalent(
+        "li s0, 4096
+         li t0, -1234567
+         li t1, 37
+         li t2, 0x80000001
+         lui a0, 0xfffff
+         auipc a1, 0x12345
+         addi a2, t0, -2048
+         slti a3, t0, -5
+         sltiu a4, t0, 5
+         xori a5, t0, -1
+         ori a6, t0, 0x7ff
+         andi a7, t0, -16
+         slli s2, t0, 7
+         srli s3, t0, 7
+         srai s4, t0, 7
+         add s5, t0, t2
+         sub s6, t0, t2
+         sll s7, t2, t1
+         slt s8, t0, t1
+         sltu s9, t0, t1
+         xor s10, t0, t2
+         srl s11, t2, t1
+         sra t3, t2, t1
+         or t4, t0, t2
+         and t5, t0, t2
+         mul t6, t0, t2
+         sw t0, 0(s0)
+         sh t2, 4(s0)
+         sb t0, 6(s0)
+         lb a0, 0(s0)
+         lh a1, 0(s0)
+         lw a2, 0(s0)
+         lbu a3, 0(s0)
+         lhu a4, 4(s0)
+         li a5, 0
+         beq t0, t0, n1
+         addi a5, a5, 1
+n1:       bne t0, t1, n2
+         addi a5, a5, 2
+n2:       blt t0, t1, n3
+         addi a5, a5, 4
+n3:       bge t1, t0, n4
+         addi a5, a5, 8
+n4:       bltu t1, t0, n5
+         addi a5, a5, 16
+n5:       bgeu t0, t1, n6
+         addi a5, a5, 32
+n6:       beq t0, t1, n7
+         bne t0, t0, n7
+         blt t1, t0, n7
+         bge t0, t1, n7
+         bltu t0, t1, n7
+         bgeu t1, t0, n7
+         addi a5, a5, 64
+n7:       jal ra, n8
+         addi a5, a5, 128
+n8:       auipc t1, 0
+         jalr ra, 12(t1)
+         addi a5, a5, 256
+         ebreak",
+    );
+}
+
+/// Every op class with `x0` as its destination, each followed by a
+/// read of `x0`: the functional loop writes `x0` freely and must zero it
+/// again before the next op, on straight-line ops and across jumps.
+#[test]
+fn x0_destinations_stay_zero() {
+    assert_equivalent(
+        "li s0, 4096
+         li t0, -77
+         sw t0, 0(s0)
+         lui zero, 0x12345
+         add a0, a0, zero
+         auipc zero, 1
+         add a0, a0, zero
+         addi zero, t0, 7
+         add a0, a0, zero
+         srai zero, t0, 1
+         add a0, a0, zero
+         sub zero, t0, s0
+         add a0, a0, zero
+         mul zero, t0, t0
+         add a0, a0, zero
+         lw zero, 0(s0)
+         add a0, a0, zero
+         lbu zero, 0(s0)
+         sw zero, 4(s0)
+         jal zero, n1
+n1:       add a0, a0, zero
+         auipc t1, 0
+         jalr zero, 12(t1)
+         li a1, 99
+         add a0, a0, zero
+         bne zero, zero, n2
+         sw zero, 8(s0)
+n2:       ebreak",
+    );
+}
+
+/// A fault case: the timed run and the functional run (resumed across
+/// every non-fault stop) must fail with the same [`PipeError`] — same
+/// variant, same PC, same fault address or decode error — and the
+/// functional run must leave the golden model's registers, data memory
+/// and PC at the faulting instruction. Returns the error.
+fn check_fault(program: &[u32], what: &str) -> PipeError {
+    let mut timed = Pipeline::new(program.to_vec(), FlatMem::new(8192));
+    let timed_err = timed.run(1_000_000).expect_err(what);
+    let mut functional = Pipeline::new(program.to_vec(), FlatMem::new(8192));
+    let mut path = PathLog::new();
+    let err = loop {
+        match functional.run_functional(u64::MAX, &mut path) {
+            Err(e) => break e,
+            Ok((FunctionalStop::Event(Event::Halted) | FunctionalStop::L2Read, _)) => {
+                panic!("{what}: the functional run did not fault")
+            }
+            Ok(_) => {}
+        }
+    };
+    assert_eq!(err, timed_err, "{what}: functional and timed faults differ");
+    let pc = match err {
+        PipeError::Decode { pc, .. } | PipeError::PcOutOfRange { pc } | PipeError::Mem { pc, .. } => {
+            pc
+        }
+        PipeError::CycleLimit { .. } => panic!("{what}: no fault within the budget"),
+    };
+    assert_eq!(functional.pc(), pc, "{what}: the PC stays on the fault");
+
+    let mut gold = Interp::with_program(program, 8192);
+    for _ in 0..10_000 {
+        if gold.pc() == pc {
+            break;
+        }
+        gold.step().unwrap_or_else(|e| panic!("{what}: golden model failed early: {e}"));
+    }
+    assert_eq!(gold.pc(), pc, "{what}: the golden model never reaches the fault");
+    for reg in Reg::all() {
+        assert_eq!(functional.reg(reg), gold.reg(reg), "{what}: register {reg} differs");
+    }
+    assert_eq!(
+        &functional.mem().local()[4096..8192],
+        &gold.mem()[4096..8192],
+        "{what}: data memory differs"
+    );
+    // Where the golden model faults too, it faults alike.
+    match (&err, gold.step()) {
+        (PipeError::Decode { source, .. }, Err(ExecError::Decode { pc: at, source: gold_source })) => {
+            assert_eq!((at, gold_source), (pc, *source), "{what}");
+        }
+        (PipeError::Mem { source, .. }, Err(ExecError::MemOutOfBounds { pc: at, addr })) => {
+            assert_eq!((at, addr), (pc, source.addr), "{what}");
+        }
+        (PipeError::PcOutOfRange { .. }, _) => {}
+        (err, gold) => {
+            panic!("{what}: golden model gives {gold:?} where the pipeline gives {err:?}")
+        }
+    }
+    err
+}
+
+fn assembled(src: &str) -> Vec<u32> {
+    assemble(src).unwrap_or_else(|e| panic!("assembly failed: {e}\n{src}"))
+}
+
+#[test]
+fn reached_non_decoding_words_fault_alike() {
+    // Mid-block, as a branch target, and after an event the run resumes
+    // from; a bad word skipped by a taken branch never faults.
+    for (src, pc) in [
+        ("li a0, 3\naddi a1, a0, 1\n.word 0xffffffff\nebreak", 8),
+        ("li a0, 3\nj n1\n.word 0\nn1: .word 0\nebreak", 12),
+        ("li a0, 3\necall\nmv_neu a0, 2\n.word 0x0000707f\nebreak", 12),
+        ("li a0, 3\nbnez a0, n1\n.word 0\nn1: addi a0, a0, 1\n.word 0\nebreak", 16),
+    ] {
+        let err = check_fault(&assembled(src), src);
+        assert!(matches!(err, PipeError::Decode { pc: at, .. } if at == pc), "{src}: {err:?}");
+    }
+}
+
+#[test]
+fn pcs_outside_the_program_fault_alike() {
+    for (src, pc) in [
+        // `jalr` clears bit 0 only: 6 stays misaligned.
+        ("li t0, 7\njalr zero, 0(t0)\nebreak", 6),
+        ("li t0, 2\njalr ra, 4(t0)\nebreak", 6),
+        ("li t0, 4000\njr t0\nebreak", 4000),
+        ("li t0, -4\njalr ra, 0(t0)\nebreak", 0xffff_fffc),
+        ("beq zero, zero, .+6\nebreak", 6),
+        ("j .+64\nebreak", 64),
+        // Running off the end.
+        ("li a0, 1\naddi a0, a0, 1", 8),
+    ] {
+        let err = check_fault(&assembled(src), src);
+        assert_eq!(err, PipeError::PcOutOfRange { pc }, "{src}");
+    }
+}
+
+#[test]
+fn local_memory_faults_at_every_width_fault_alike() {
+    for (access, base) in [
+        ("lb a0, 0(s0)", 8192),
+        ("lbu a0, 0(s0)", 8192),
+        ("lh a0, 0(s0)", 8191),
+        ("lhu a0, 0(s0)", 8191),
+        ("lw a0, 0(s0)", 8190),
+        ("lw a0, 0(s0)", -4),
+        ("sb t1, 0(s0)", 8192),
+        ("sh t1, 0(s0)", 8191),
+        ("sw t1, 0(s0)", 8189),
+    ] {
+        let src = format!(
+            "li s0, 4096\nli t1, -3\nsw t1, 0(s0)\nlw a1, 0(s0)\nli s0, {base}\n{access}\nebreak"
+        );
+        let program = assembled(&src);
+        let err = check_fault(&program, &src);
+        let (pc, addr) = (4 * (program.len() as u32 - 2), base as u32);
+        assert!(
+            matches!(err, PipeError::Mem { pc: at, source } if at == pc && source.addr == addr),
+            "{src}: {err:?}"
+        );
+    }
+    // The L2 window faults through the same path.
+    let src = "li a0, 5\nli t0, 0x10000\nsw_l2 a0, 0(t0)\nebreak";
+    let err = check_fault(&assembled(src), src);
+    assert!(matches!(err, PipeError::Mem { pc: 8, source } if source.addr == 0x10000), "{err:?}");
+}
+
+/// Budget stops inside a loop, at every budget from 1 to 13 and so at
+/// every position inside and across its blocks: each stop leaves the
+/// golden model's PC and registers after as many steps, and resuming
+/// reaches its final state, retire count and one-call path log.
+#[test]
+fn budget_stops_inside_a_loop_resume_exactly() {
+    let program = assembled(
+        "      li s0, 4096
+               li t0, 9
+               li t1, 0
+        loop:  lw t2, 0(s0)
+               add t1, t1, t0
+               addi t2, t2, 3
+               sw t2, 0(s0)
+               andi t3, t0, 1
+               beqz t3, skip
+               xori t1, t1, 5
+        skip:  addi t0, t0, -1
+               bnez t0, loop
+               sw t1, 4(s0)
+               ebreak",
+    );
+    let mut gold = Interp::with_program(&program, 8192);
+    gold.run(1_000_000).expect("golden model halts");
+    let mut whole = Pipeline::new(program.clone(), FlatMem::new(8192));
+    let mut whole_path = PathLog::new();
+    assert!(matches!(
+        whole.run_functional(u64::MAX, &mut whole_path),
+        Ok((FunctionalStop::Event(Event::Halted), _))
+    ));
+    for budget in 1..=13 {
+        let mut cpu = Pipeline::new(program.clone(), FlatMem::new(8192));
+        let mut path = PathLog::new();
+        let mut stepped = Interp::with_program(&program, 8192);
+        let mut retired = 0;
+        loop {
+            let (stop, n) = cpu.run_functional(budget, &mut path).expect("no fault");
+            retired += n;
+            for _ in 0..n {
+                stepped.step().expect("golden model steps");
+            }
+            assert_eq!(cpu.pc(), stepped.pc(), "budget {budget}: resume PC after {retired}");
+            for reg in Reg::all() {
+                assert_eq!(cpu.reg(reg), stepped.reg(reg), "budget {budget}: {reg} after {retired}");
+            }
+            match stop {
+                FunctionalStop::Budget => assert_eq!(n, budget, "budget {budget}"),
+                FunctionalStop::Event(Event::Halted) => break,
+                other => panic!("budget {budget}: unexpected stop {other:?}"),
+            }
+        }
+        assert_eq!(retired, gold.retired(), "budget {budget}");
+        assert_eq!(path, whole_path, "budget {budget}: the path log depends on the budget");
+        assert_eq!(&cpu.mem().local()[4096..8192], &gold.mem()[4096..8192], "budget {budget}");
+    }
 }
 
 // ---- property-based differential testing ----

@@ -107,6 +107,7 @@ impl SramBank {
     }
 
     /// Capacity in bytes.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.data.len()
     }
@@ -146,16 +147,18 @@ impl SramBank {
         self.writes = 0;
     }
 
+    #[inline]
     fn check(&self, offset: u32, width: u32) -> Result<(), MemError> {
         if offset as usize + width as usize > self.data.len() {
-            Err(MemError::OutOfRange {
-                bank: self.name.clone(),
-                offset,
-                capacity: self.data.len() as u32,
-            })
+            Err(self.out_of_range(offset))
         } else {
             Ok(())
         }
+    }
+
+    #[cold]
+    fn out_of_range(&self, offset: u32) -> MemError {
+        MemError::OutOfRange { bank: self.name.clone(), offset, capacity: self.data.len() as u32 }
     }
 
     /// Reads `width` bytes little-endian at `offset`, counting one access.
@@ -163,14 +166,18 @@ impl SramBank {
     /// # Errors
     ///
     /// Returns [`MemError::OutOfRange`] if the access crosses the bank end.
+    #[inline]
     pub fn read(&mut self, offset: u32, width: u32) -> Result<u32, MemError> {
         self.check(offset, width)?;
         self.reads += 1;
-        let mut raw = 0u32;
-        for i in 0..width as usize {
-            raw |= (self.data[offset as usize + i] as u32) << (8 * i);
-        }
-        Ok(raw)
+        let at = offset as usize;
+        let bytes = &self.data[at..at + width as usize];
+        Ok(match width {
+            1 => u32::from(bytes[0]),
+            2 => u32::from(u16::from_le_bytes([bytes[0], bytes[1]])),
+            4 => u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]),
+            _ => bytes.iter().enumerate().fold(0, |raw, (i, &b)| raw | u32::from(b) << (8 * i)),
+        })
     }
 
     /// Writes the low `width` bytes of `value` little-endian at `offset`.
@@ -178,12 +185,22 @@ impl SramBank {
     /// # Errors
     ///
     /// Returns [`MemError::OutOfRange`] if the access crosses the bank end.
+    #[inline]
     pub fn write(&mut self, offset: u32, width: u32, value: u32) -> Result<(), MemError> {
         self.check(offset, width)?;
         self.writes += 1;
         self.generation += 1;
-        for i in 0..width as usize {
-            self.data[offset as usize + i] = (value >> (8 * i)) as u8;
+        let at = offset as usize;
+        let bytes = &mut self.data[at..at + width as usize];
+        match width {
+            1 => bytes[0] = value as u8,
+            2 => bytes.copy_from_slice(&(value as u16).to_le_bytes()),
+            4 => bytes.copy_from_slice(&value.to_le_bytes()),
+            _ => {
+                for (i, b) in bytes.iter_mut().enumerate() {
+                    *b = (value >> (8 * i)) as u8;
+                }
+            }
         }
         Ok(())
     }
@@ -351,14 +368,20 @@ impl AddressArbiter {
     /// # Errors
     ///
     /// Returns [`MemError::Unmapped`] if no bank covers `addr`.
+    #[inline]
     pub fn resolve(&self, addr: u32) -> Result<(BankId, u32), MemError> {
         let hint = self.last_hit.get();
-        if let Some(bank) = self.banks.get(hint) {
-            let base = self.bases[hint];
+        if let (Some(bank), Some(&base)) = (self.banks.get(hint), self.bases.get(hint)) {
             if addr >= base && (addr as u64) < base as u64 + bank.capacity() as u64 {
                 return Ok((BankId(hint), addr - base));
             }
         }
+        self.resolve_scan(addr)
+    }
+
+    /// [`resolve`](Self::resolve) past a missed hint: the linear scan.
+    #[inline(never)]
+    fn resolve_scan(&self, addr: u32) -> Result<(BankId, u32), MemError> {
         for (i, bank) in self.banks.iter().enumerate() {
             let base = self.bases[i];
             if addr >= base && (addr as u64) < base as u64 + bank.capacity() as u64 {
@@ -374,6 +397,7 @@ impl AddressArbiter {
     /// # Errors
     ///
     /// Returns [`MemError`] for unmapped or bank-crossing accesses.
+    #[inline]
     pub fn read(&mut self, addr: u32, width: u32) -> Result<u32, MemError> {
         let (id, offset) = self.resolve(addr)?;
         self.banks[id.0].read(offset, width)
@@ -384,6 +408,7 @@ impl AddressArbiter {
     /// # Errors
     ///
     /// Returns [`MemError`] for unmapped or bank-crossing accesses.
+    #[inline]
     pub fn write(&mut self, addr: u32, width: u32, value: u32) -> Result<(), MemError> {
         let (id, offset) = self.resolve(addr)?;
         self.banks[id.0].write(offset, width, value)
@@ -431,6 +456,17 @@ mod tests {
         assert_eq!(b.read(1, 2).unwrap(), 0x0302);
         b.write(3, 1, 0xff).unwrap();
         assert_eq!(b.read_word(0).unwrap(), 0xff03_0201);
+    }
+
+    #[test]
+    fn odd_widths_take_the_byte_loop() {
+        let mut b = SramBank::new("t", 8);
+        b.write(1, 3, 0xaabb_ccdd).unwrap();
+        assert_eq!(b.bytes()[..5], [0, 0xdd, 0xcc, 0xbb, 0]);
+        assert_eq!(b.read(1, 3).unwrap(), 0x00bb_ccdd);
+        assert_eq!(b.read(0, 0).unwrap(), 0);
+        assert!(matches!(b.read(6, 3), Err(MemError::OutOfRange { offset: 6, .. })));
+        assert_eq!((b.reads(), b.writes()), (2, 1));
     }
 
     #[test]

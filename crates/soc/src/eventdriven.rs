@@ -60,8 +60,8 @@
 //! # Path-keyed timing
 //!
 //! Every other item runs *functionally* first ([`NcpuCore::run_functional`]:
-//! the predecoded program one instruction per step, no pipeline, with
-//! the BNN batch's data half), which produces the item's exact
+//! the program's lowered micro-ops, no pipeline, with the BNN batch's
+//! data half), which produces the item's exact
 //! architectural effects — registers, banks, the L2 result word — and a
 //! [`PathLog`]: each conditional-branch outcome, `jalr` target and
 //! `sw_l2` address, and each `trans_bnn`'s image count. That log is the

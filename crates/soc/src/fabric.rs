@@ -26,6 +26,8 @@
 //!   exponential backoff, drop and quarantine, for all four engines
 //!   (`Deep` resolves its input staging through it too).
 
+use std::sync::Arc;
+
 use ncpu_accel::AccelConfig;
 use ncpu_core::{NcpuCore, SharedL2, SwitchDma};
 use ncpu_fault::{Fault, FaultPlan, FaultSession};
@@ -78,7 +80,8 @@ pub(crate) fn ncpu_core(
     level: TraceLevel,
     l2: SharedL2,
 ) -> NcpuCore {
-    let mut core = NcpuCore::with_l2(uc.model().clone(), accel_config(soc), soc.switch_policy, l2);
+    let model = Arc::clone(uc.shared_model());
+    let mut core = NcpuCore::with_l2(model, accel_config(soc), soc.switch_policy, l2);
     core.set_obs_level(level);
     core.set_switch_dma(SwitchDma {
         bytes_per_cycle: soc.dma_bytes_per_cycle,
@@ -109,26 +112,31 @@ pub(crate) fn ncpu_pool(
 
 /// Builds the NCPU-mode program for `uc`: pre-process, classify in
 /// place, write the result word to the `result_l2` mailbox. The program
-/// is decoded here, once per core and run; every item loads the shared
-/// image.
+/// is assembled, decoded and lowered once per use case and mailbox (the
+/// use case's [`ProgramMemo`](crate::usecase::ProgramMemo)); every
+/// core, run and item loads the shared image.
 ///
 /// # Panics
 ///
 /// Panics on [`UseCaseKind::Deep`] — deep use cases run on the `Deep`
 /// engine, which schedules the accelerator arrays directly.
 pub(crate) fn ncpu_program(uc: &UseCase, core: &NcpuCore, result_l2: u32) -> Program {
-    let tail = Tail::NcpuClassify { output_base: core.output_base(), result_l2 };
+    let key = (core.image_base(), core.output_base(), result_l2);
+    uc.programs().get_or_build(key, || assemble_ncpu_program(uc, key))
+}
+
+fn assemble_ncpu_program(
+    uc: &UseCase,
+    (image_base, output_base, result_l2): (u32, u32, u32),
+) -> Program {
+    let tail = Tail::NcpuClassify { output_base, result_l2 };
     let words = match uc.kind() {
-        UseCaseKind::Image => image::preprocess_program(
-            &image::ImageLayout::default(),
-            core.image_base(),
-            tail,
-        ),
-        UseCaseKind::Motion => motion_prog::feature_program(
-            &motion_prog::MotionLayout::default(),
-            core.image_base(),
-            tail,
-        ),
+        UseCaseKind::Image => {
+            image::preprocess_program(&image::ImageLayout::default(), image_base, tail)
+        }
+        UseCaseKind::Motion => {
+            motion_prog::feature_program(&motion_prog::MotionLayout::default(), image_base, tail)
+        }
         UseCaseKind::Parametric => {
             let src = format!(
                 "{}\n{}",

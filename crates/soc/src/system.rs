@@ -197,7 +197,8 @@ fn run_heterogeneous(
     let program = fabric::hetero_program(usecase);
     let mut cpu = Pipeline::new(program, FlatMem::with_l2(16 * 1024, fabric::L2_BYTES));
     cpu.set_obs_level(level);
-    let mut accel = Accelerator::new(usecase.model().clone(), fabric::accel_config(soc));
+    let model = std::sync::Arc::clone(usecase.shared_model());
+    let mut accel = Accelerator::new(model, fabric::accel_config(soc));
     // The batch runs on globally-stamped availability times, so the
     // accelerator's spans need no re-basing when absorbed below.
     accel.set_obs_level(level.at_least_counters());

@@ -6,7 +6,9 @@ use ncpu_bnn::{BitVec, BnnLayer, BnnModel, Topology};
 use ncpu_workloads::{image, motion as motion_prog, spin};
 use ncpu_testkit::rng::Rng;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+
+use ncpu_pipeline::Program;
 
 use crate::timing::TimingMemo;
 
@@ -77,15 +79,66 @@ pub struct Item {
 /// Clones share one bounded timing memo: the event engine stores each
 /// item path's cycle timing there once and replays it in every run of
 /// every scenario built from this use case (see the `eventdriven`
-/// module). The memo is a cache: it never changes a result.
+/// module). Clones also share the model (every core built from the use
+/// case points at it) and the NCPU programs assembled for it (see
+/// [`ProgramMemo`]). The memos are caches: they never change a result.
 #[derive(Debug, Clone)]
 pub struct UseCase {
     kind: UseCaseKind,
-    model: BnnModel,
+    model: Arc<BnnModel>,
     items: Vec<Item>,
     /// For [`UseCaseKind::Parametric`]: requested pre-processing cycles.
     spin_cycles: u64,
     timing: Arc<TimingMemo>,
+    programs: Arc<ProgramMemo>,
+}
+
+/// The NCPU programs assembled for one use case, keyed by their tail's
+/// `(image_base, output_base, result_l2)` — everything a core adds to
+/// the use case's program. Every run and serve worker of the use case
+/// then loads the same decoded and lowered image instead of assembling
+/// its own. Holds one entry per distinct key (one per result mailbox
+/// in use), so it needs no bound.
+#[derive(Default)]
+pub(crate) struct ProgramMemo {
+    programs: Mutex<Vec<(ProgramKey, Program)>>,
+}
+
+/// A program tail's `(image_base, output_base, result_l2)`.
+type ProgramKey = (u32, u32, u32);
+
+impl std::fmt::Debug for ProgramMemo {
+    /// Constant: the memo is a cache, not part of a use case's value.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ProgramMemo")
+    }
+}
+
+impl ProgramMemo {
+    /// The program stored under `key`, built by `build` (outside the
+    /// lock) and stored on the first request. Entries never change once
+    /// stored, so a lock poisoned by a panicking holder is taken over.
+    pub(crate) fn get_or_build(
+        &self,
+        key: ProgramKey,
+        build: impl FnOnce() -> Program,
+    ) -> Program {
+        let find = |list: &[(ProgramKey, Program)]| {
+            list.iter().find(|(k, _)| *k == key).map(|(_, p)| p.clone())
+        };
+        let lock = || self.programs.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(program) = find(&lock()) {
+            return program;
+        }
+        let built = build();
+        let mut list = lock();
+        // A concurrent run may have stored it meanwhile: share that one.
+        if let Some(program) = find(&list) {
+            return program;
+        }
+        list.push((key, built.clone()));
+        built
+    }
 }
 
 impl UseCase {
@@ -120,7 +173,7 @@ impl UseCase {
                 Item { staged: image::stage_bytes(&raw), label: raw.label() }
             })
             .collect();
-        UseCase { kind: UseCaseKind::Image, model, items, spin_cycles: 0, timing: Arc::default() }
+        UseCase::build(UseCaseKind::Image, model, items, 0)
     }
 
     /// Builds the motion-detection use case with `batch` sensor windows.
@@ -142,7 +195,7 @@ impl UseCase {
                 Item { staged: motion_prog::stage_bytes(&w), label: w.label() }
             })
             .collect();
-        UseCase { kind: UseCaseKind::Motion, model, items, spin_cycles: 0, timing: Arc::default() }
+        UseCase::build(UseCaseKind::Motion, model, items, 0)
     }
 
     /// Builds the parametric use case of Figs. 13/14: pre-processing is a
@@ -167,13 +220,7 @@ impl UseCase {
         let spin_cycles =
             ((cpu_fraction / (1.0 - cpu_fraction)) * infer as f64).round() as u64;
         let items = (0..batch).map(|_| Item { staged: Vec::new(), label: 0 }).collect();
-        UseCase {
-            kind: UseCaseKind::Parametric,
-            model,
-            items,
-            spin_cycles: spin_cycles.max(32),
-            timing: Arc::default(),
-        }
+        UseCase::build(UseCaseKind::Parametric, model, items, spin_cycles.max(32))
     }
 
     /// Builds a deep-network use case: a model (any depth) plus the raw
@@ -194,7 +241,18 @@ impl UseCase {
                 Item { staged: input.to_bytes(), label: model.classify(input) }
             })
             .collect();
-        UseCase { kind: UseCaseKind::Deep, model, items, spin_cycles: 0, timing: Arc::default() }
+        UseCase::build(UseCaseKind::Deep, model, items, 0)
+    }
+
+    fn build(kind: UseCaseKind, model: BnnModel, items: Vec<Item>, spin_cycles: u64) -> UseCase {
+        UseCase {
+            kind,
+            model: Arc::new(model),
+            items,
+            spin_cycles,
+            timing: Arc::default(),
+            programs: Arc::default(),
+        }
     }
 
     /// The workload kind.
@@ -217,6 +275,12 @@ impl UseCase {
         &self.model
     }
 
+    /// The shared handle to the model, for building cores without
+    /// copying it.
+    pub(crate) fn shared_model(&self) -> &Arc<BnnModel> {
+        &self.model
+    }
+
     /// The batch of items.
     pub fn items(&self) -> &[Item] {
         &self.items
@@ -234,6 +298,11 @@ impl UseCase {
     /// The timing memo every clone of this use case shares.
     pub(crate) fn timing(&self) -> &TimingMemo {
         &self.timing
+    }
+
+    /// The program memo every clone of this use case shares.
+    pub(crate) fn programs(&self) -> &ProgramMemo {
+        &self.programs
     }
 
     /// Requested spin cycles (parametric use case only).
@@ -272,6 +341,39 @@ mod tests {
     #[should_panic(expected = "fraction")]
     fn parametric_rejects_bad_fraction() {
         UseCase::parametric(1.0, 2, tiny_model());
+    }
+
+    /// Every clone of a use case builds each program key once and then
+    /// hands out the stored program.
+    #[test]
+    fn program_memo_builds_each_key_once_for_every_clone() {
+        let uc = UseCase::parametric(0.5, 1, tiny_model());
+        let clone = uc.clone();
+        let builds = std::cell::Cell::new(0);
+        let get = |uc: &UseCase, key: ProgramKey| {
+            uc.programs().get_or_build(key, || {
+                builds.set(builds.get() + 1);
+                Program::new(vec![key.2])
+            })
+        };
+        assert_eq!(get(&uc, (1, 2, 0x40)).words(), [0x40]);
+        assert_eq!(get(&clone, (1, 2, 0x40)).words(), [0x40]);
+        assert_eq!(get(&clone, (1, 2, 0x44)).words(), [0x44]);
+        assert_eq!(get(&uc, (1, 2, 0x44)).words(), [0x44]);
+        assert_eq!(builds.get(), 2);
+    }
+
+    /// Cores built from one use case share its model instead of copying it.
+    #[test]
+    fn cores_share_the_use_case_model() {
+        let uc = UseCase::parametric(0.5, 1, tiny_model());
+        let soc = crate::SocConfig::default();
+        let level = ncpu_obs::TraceLevel::Counters;
+        let l2 = ncpu_core::SharedL2::new(1024);
+        let a = crate::fabric::ncpu_core(&uc, &soc, level, l2.clone());
+        let b = crate::fabric::ncpu_core(&uc.clone(), &soc, level, l2);
+        assert!(std::ptr::eq(a.accel().model(), uc.model()));
+        assert!(std::ptr::eq(b.accel().model(), uc.model()));
     }
 
     #[test]
