@@ -158,9 +158,9 @@ pub enum StepOutcome {
 /// Deliberately excluded: monotonic counters (cycle counts, stats,
 /// retire traces, SRAM access counters) and the recorder shards — they
 /// advance, but never feed back into execution. Shared-L2 *content* is
-/// also excluded; a replaying engine must verify the execution performed
-/// no L2 reads before treating it as replayable (see
-/// [`SharedL2::accesses`]).
+/// also excluded; a replaying engine must know the execution reads no
+/// L2 before treating it as replayable (the SoC's event engine checks
+/// each program for an `lw_l2` before its run).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayState {
     regs: [u32; 32],
@@ -207,7 +207,7 @@ pub struct NcpuCore {
     obs: Recorder,
     /// Start of the current CPU-mode span, in unified cycles.
     span_start: u64,
-    /// `trigger_bnn` retirements not yet consumed by the SoC layer.
+    /// `trigger_bnn` retirements so far.
     pending_triggers: u64,
     /// Remaining BNN-mode busy cycles when stepped incrementally.
     busy_remaining: u64,
@@ -368,14 +368,8 @@ impl NcpuCore {
         self.transition[index]
     }
 
-    /// `trigger_bnn` retirements since the last call (consumed by the
-    /// heterogeneous-baseline SoC model).
-    pub fn take_pending_triggers(&mut self) -> u64 {
-        std::mem::take(&mut self.pending_triggers)
-    }
-
-    /// `trigger_bnn` retirements not yet consumed by
-    /// [`take_pending_triggers`](Self::take_pending_triggers).
+    /// `trigger_bnn` retirements since the core was built (or its replay
+    /// state last restored); part of the event engine's timing key.
     pub const fn pending_triggers(&self) -> u64 {
         self.pending_triggers
     }

@@ -52,6 +52,12 @@ impl Program {
         &self.0.words
     }
 
+    /// Whether any word lowers to an `lw_l2`: the program may read the
+    /// shared L2. (A word that does not decode reads nothing.)
+    pub fn reads_l2(&self) -> bool {
+        self.0.ops.contains(&Op::LwL2)
+    }
+
     /// The decode result of word `index`, if it exists.
     pub(crate) fn decoded(&self, index: usize) -> Option<Result<Instruction, DecodeError>> {
         self.0.decoded.get(index).copied()
@@ -233,5 +239,22 @@ impl Op {
             }
             Instruction::LwL2 { .. } => Op::LwL2,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ncpu_isa::asm::assemble;
+
+    /// `reads_l2` sees an `lw_l2` anywhere in the image, executed or not,
+    /// and nothing else: an `sw_l2` writes the L2 without reading it.
+    #[test]
+    fn reads_l2_finds_any_lw_l2_word() {
+        let program = |src: &str| Program::new(assemble(src).unwrap());
+        assert!(program("li t0, 64\nlw_l2 a0, 0(t0)\nebreak").reads_l2());
+        assert!(program("ebreak\nlw_l2 a0, 0(zero)").reads_l2());
+        assert!(!program("li t0, 64\nsw_l2 a0, 0(t0)\nebreak").reads_l2());
+        assert!(!Program::new(vec![0xffff_ffff]).reads_l2());
     }
 }

@@ -14,16 +14,18 @@
 //!   the loser's timing is unchanged.
 //! * Cores share no other cycle-level state: item programs keep data in
 //!   core-local banks and only *write* one result word through to their
-//!   private L2 mailbox. (The engine verifies the no-L2-read part at
-//!   run time rather than trusting it; see below.)
+//!   private L2 mailbox. (The engine checks the no-L2-read part
+//!   statically, on the programs, rather than trusting it; see below.)
 //!
 //! So cross-core coupling reduces to (a) the order DMA staging
 //! transfers are booked in and (b) which same-cycle L2 touches count as
 //! conflicts. Both are replicated exactly without a global cycle walk:
 //!
-//! * Each core posts its next wakeup (item start, DMA delivery) into a
-//!   deterministic [`EventQueue`] ordered by `(cycle, core)` — the same
-//!   order the lock-step per-cycle core walk books DMA transfers in.
+//! * Each core holds at most one pending wakeup (item start, DMA
+//!   delivery, watchdog expiry) in its slot of a per-core table; the
+//!   engine always takes the earliest `(cycle, core)` — ties go to the
+//!   lower core, the order the lock-step per-cycle core walk books DMA
+//!   transfers in. Re-arming a core overwrites its slot.
 //! * Each item executes atomically via [`NcpuCore::run`] (proven
 //!   byte-identical to the `step_one` walk by the core's own tests),
 //!   with the core's L2 touch log recording which cycles touched the
@@ -36,7 +38,7 @@
 //!
 //! What happens to an item — its queue slot, dispatch, completion, drop
 //! or quarantine — is the same [`fabric::Ledger`] the lock-step engine
-//! drives; this module keeps only its clock: the event queue, the
+//! drives; this module keeps only its clock: the wakeup table, the
 //! steady-state replay and the path-keyed timing memo.
 //!
 //! # Steady-state replay
@@ -97,14 +99,15 @@
 //! profiled under the `event.replay` span, misses (functional pass
 //! included) under `event.simulate`.
 //!
-//! The one escape hatch: an `lw_l2` could observe content another core
-//! has not written yet in this atomic-item schedule, so the functional
-//! pass stops at one and the item is simulated; a simulated item that
-//! read the L2 is never cached, and if one shows up after a skipped item
-//! already happened (a skip does not redo its L2 write), the whole run
-//! restarts with memoization off. Path hits perform every write
-//! themselves. Fabric-generated programs never read the L2, so the
-//! restart exists for soundness, not for the paper's workloads.
+//! The one escape hatch: an item that reads the L2 could observe
+//! content a skipped item never wrote (a skip does not redo its L2
+//! write), and its timing and end state depend on that content. So if
+//! any core's program holds an `lw_l2` ([`Program::reads_l2`], checked
+//! once before the run), the run memoizes nothing: no item is skipped,
+//! run functionally or recorded, and every item is simulated cycle by
+//! cycle. Path hits perform every write themselves. Fabric-generated
+//! programs never read the L2, so the check exists for soundness, not
+//! for the paper's workloads.
 //!
 //! # Mid-item watchdog
 //!
@@ -118,7 +121,6 @@ use ncpu_core::{BankPorts, NcpuCore, ReplayDelta, ReplayState, SharedL2, StepOut
 use ncpu_obs::{EventKind, Recorder, StallCause, TraceLevel};
 use ncpu_pipeline::{PathLog, Program};
 
-use crate::event_queue::EventQueue;
 use crate::fabric;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
@@ -143,21 +145,11 @@ use crate::topology::Topology;
 /// exceeds an internal cycle bound, or the topology has no item-capable
 /// core.
 pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
-    // An item read the shared L2 after its content diverged from the
-    // lock-step walk's: replay is unsound here, simulate every item.
-    let (report, rec, _) = run_attempt(scenario, topo, true)
-        .or_else(|Restart::MemoUnsound| run_attempt(scenario, topo, false))
-        .unwrap_or_else(|_| unreachable!("memoization disabled: nothing to invalidate"));
+    let (report, rec, _) = run_with_stats(scenario, topo);
     (report, rec)
 }
 
-/// The run must start over on a different strategy.
-enum Restart {
-    /// Replay would be unsound: restart without the cache.
-    MemoUnsound,
-}
-
-/// How one [`run_attempt`] served its items (engine instrumentation;
+/// How one [`run_with_stats`] served its items (engine instrumentation;
 /// not part of the report counters, which must match the lock-step
 /// engine's).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +202,8 @@ impl Steady {
 }
 
 /// What a core's pending wakeup does, mirroring the lock-step walk's
-/// per-core state at that slot.
+/// per-core state at that slot. A core holds at most one, in its slot
+/// of the engine's wakeup table (see [`pop`]).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Wake {
     /// Dispatch the core's next item (or wait for it to be available).
@@ -248,13 +241,8 @@ impl Emission {
     }
 }
 
-/// One simulation pass over `scenario`, with or without the replay
-/// cache. On success also returns how its items were served.
-fn run_attempt(
-    scenario: &Scenario,
-    topo: &Topology,
-    mut memoize: bool,
-) -> Result<(RunReport, Recorder, MemoStats), Restart> {
+/// [`run`], also returning how its items were served.
+fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder, MemoStats) {
     let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
     let cores = topo.cores();
     let mut rec = Recorder::new(level.at_least_counters());
@@ -266,50 +254,42 @@ fn run_attempt(
     let mut ledger = fabric::Ledger::new(scenario, topo);
     let watchdog = ledger.ctl.as_ref().map_or(0, fabric::FaultCtl::watchdog);
     let mut steady: Vec<Option<Steady>> = (0..cores).map(|_| None).collect();
-    let mut wake = vec![Wake::Dispatch; cores];
-
-    let mut queue = EventQueue::new(cores);
-    for c in 0..cores {
-        if ledger.head(c).is_some() {
-            queue.arm(c as u16, 0);
-        }
-    }
+    // A program that may read the L2 could observe a write a skipped
+    // item never performed: then every item is simulated.
+    let memoize = !programs.iter().any(Program::reads_l2);
+    // Each core's one pending wakeup, if armed.
+    let mut slots: Vec<Option<(u64, Wake)>> =
+        (0..cores).map(|c| ledger.head(c).map(|_| (0, Wake::Dispatch))).collect();
 
     let mut emissions: Vec<Emission> = Vec::new();
     let mut touches: Vec<(u64, u16)> = Vec::new();
     let mut stats = MemoStats::default();
-    // Whether the shared L2 may differ from the lock-step walk's: a skip
-    // does not redo its write, an aborted functional pass wrote past it.
-    let mut l2_diverged = false;
     // An instruction takes at least a cycle: a functional pass retiring
     // more instructions than the watchdog has cycles overruns for sure.
     let limit = if watchdog > 0 { watchdog } else { fabric::ITEM_BUDGET };
     let budget = 2_000_000_000u64;
-    'pop: while let Some((now, c)) = queue.pop() {
+    'pop: while let Some((now, ci, mut wake)) = pop(&mut slots) {
         assert!(now < budget, "event-driven run exceeded {budget} cycles");
-        let ci = c as usize;
-        match wake[ci] {
-            Wake::Exec => wake[ci] = Wake::Dispatch,
+        let c = ci as u16;
+        match wake {
+            Wake::Exec => {}
             Wake::Abort(start) => {
                 // The lock-step walk's watchdog check at this slot; the walk
                 // `continue`s past it, so the core acts again a cycle later.
                 let mut batch: Vec<(u64, EventKind)> = Vec::new();
                 let ctl = ledger.ctl.as_mut().expect("only an active fault plan arms the watchdog");
-                wake[ci] = match fabric::watchdog_abort(ctl, ci, start, now, &mut rec, &mut Some(&mut batch)) {
+                match fabric::watchdog_abort(ctl, ci, start, now, &mut rec, &mut Some(&mut batch)) {
                     fabric::Decision::RetryAt(resume) => {
-                        queue.arm(c, resume.max(now + 1));
-                        Wake::Redispatch
+                        slots[ci] = Some((resume.max(now + 1), Wake::Redispatch));
                     }
                     fabric::Decision::Drop(at) => {
                         ledger.drop_current(ci, at, &mut rec);
-                        queue.arm(c, now + 1);
-                        Wake::Dispatch
+                        slots[ci] = Some((now + 1, Wake::Dispatch));
                     }
                     fabric::Decision::Quarantine(at) => {
-                        quarantine(&mut ledger, &mut queue, ci, at, &mut rec, &mut batch);
-                        Wake::Dispatch
+                        quarantine(&mut ledger, &mut slots, ci, at, &mut rec, &mut batch);
                     }
-                };
+                }
                 emissions.push(Emission::Fault { cycle: now, core: c, events: batch });
                 continue 'pop;
             }
@@ -327,10 +307,10 @@ fn run_attempt(
                         break false; // parked (drained or quarantined)
                     };
                     if avail > now {
-                        queue.arm(c, avail);
+                        slots[ci] = Some((avail, wake));
                         break false;
                     }
-                    let fresh = std::mem::replace(&mut wake[ci], Wake::Dispatch) == Wake::Dispatch;
+                    let fresh = std::mem::replace(&mut wake, Wake::Dispatch) == Wake::Dispatch;
                     if fresh {
                         ledger.begin(ci, now);
                     }
@@ -349,8 +329,7 @@ fn run_attempt(
                         fabric::Resolution::Run { exec_start } => {
                             if exec_start > now {
                                 // Banks are loaded; sleep until delivery.
-                                wake[ci] = Wake::Exec;
-                                queue.arm(c, exec_start);
+                                slots[ci] = Some((exec_start, Wake::Exec));
                                 break false;
                             }
                             break true;
@@ -359,7 +338,7 @@ fn run_attempt(
                             ledger.drop_current(ci, at, &mut rec);
                             if at > now {
                                 if ledger.head(ci).is_some() {
-                                    queue.arm(c, at);
+                                    slots[ci] = Some((at, Wake::Dispatch));
                                 }
                                 break false;
                             }
@@ -367,7 +346,7 @@ fn run_attempt(
                             // same slot.
                         }
                         fabric::Resolution::Quarantined { at } => {
-                            quarantine(&mut ledger, &mut queue, ci, at, &mut rec, &mut batch);
+                            quarantine(&mut ledger, &mut slots, ci, at, &mut rec, &mut batch);
                             break false;
                         }
                     }
@@ -385,13 +364,12 @@ fn run_attempt(
         // to overrun the watchdog is never replayed: it takes the
         // simulation path, which stops where the watchdog does.
         let core = &mut pool[ci];
-        let hit = steady[ci].as_ref().filter(|s| memoize && s.timing.used <= limit && s.holds(core));
+        let hit = steady[ci].as_ref().filter(|s| s.timing.used <= limit && s.holds(core));
         let executed = if let Some(hit) = hit {
             let _prof = ncpu_obs::selfprof::span("event.replay");
             replay_timing(&hit.timing, now, c, &mut touches, &mut emissions);
             core.apply_replay(&hit.timing.delta);
             stats.replayed += 1;
-            l2_diverged = true;
             Ok((hit.timing.used, hit.prediction))
         } else {
             // Run the item functionally and look its path up in the use
@@ -433,29 +411,14 @@ fn run_attempt(
             } else {
                 prof.relabel("event.simulate");
                 stats.simulated += 1;
-                let (reads_before, _) = l2.accesses();
-                let simulated = simulate(core, &programs[ci], level, watchdog);
-                let (reads_after, _) = l2.accesses();
-                if reads_after > reads_before {
-                    // The program read the shared L2: its outcome may depend
-                    // on content the lock-step walk's L2 would not hold.
-                    if l2_diverged {
-                        return Err(Restart::MemoUnsound);
-                    }
-                    memoize = false;
-                }
-                // An aborted item's functional pass ran past the abort.
-                l2_diverged |= simulated.is_err() && pre.is_some();
-                simulated.map(|timing| {
+                simulate(core, &programs[ci], level, watchdog).map(|timing| {
                     let timing = Arc::new(timing);
                     replay_timing(&timing, now, c, &mut touches, &mut emissions);
-                    if let Some(key) = key.filter(|_| memoize) {
+                    if let Some(key) = key {
                         usecase.timing().insert(key, Arc::clone(&timing));
                     }
                     let (used, prediction) = (timing.used, read_prediction(&l2, ci));
-                    steady[ci] = pre
-                        .filter(|_| memoize)
-                        .and_then(|pre| Steady::reached(core, pre, timing, prediction));
+                    steady[ci] = pre.and_then(|pre| Steady::reached(core, pre, timing, prediction));
                     (used, prediction)
                 })
             }
@@ -466,7 +429,7 @@ fn run_attempt(
                 ledger.charge(ci, used);
                 ledger.complete(ci, now + used, used, prediction, &mut rec);
                 if ledger.head(ci).is_some() {
-                    queue.arm(c, now + used);
+                    slots[ci] = Some((now + used, Wake::Dispatch));
                 }
             }
             Err(partial) => {
@@ -478,8 +441,7 @@ fn run_attempt(
                 pool[ci] = fabric::ncpu_core(usecase, soc, level, l2.clone());
                 pool[ci].set_l2_touch_log(true);
                 steady[ci] = None;
-                wake[ci] = Wake::Abort(now);
-                queue.arm(c, now + watchdog);
+                slots[ci] = Some((now + watchdog, Wake::Abort(now)));
             }
         }
     }
@@ -532,14 +494,26 @@ fn run_attempt(
 
     rec.set_counter("soc.l2_conflict_cycles", l2_conflicts);
     let report = ledger.finish(format!("{cores}x ncpu (event)"), &pool, &mut dma, &mut rec);
-    Ok((report, rec, stats))
+    (report, rec, stats)
+}
+
+/// Takes the earliest pending wakeup `(cycle, core, what)` out of the
+/// per-core table; same-cycle wakeups go to the lower core.
+fn pop(slots: &mut [Option<(u64, Wake)>]) -> Option<(u64, usize, Wake)> {
+    let (cycle, c) = slots
+        .iter()
+        .enumerate()
+        .filter_map(|(c, slot)| slot.map(|(cycle, _)| (cycle, c)))
+        .min()?;
+    let (_, wake) = slots[c].take()?;
+    Some((cycle, c, wake))
 }
 
 /// Quarantines core `c` at cycle `at` and wakes each parked core that
 /// received its items where the lock-step walk would next dispatch it.
 fn quarantine(
     ledger: &mut fabric::Ledger,
-    queue: &mut EventQueue,
+    slots: &mut [Option<(u64, Wake)>],
     c: usize,
     at: u64,
     rec: &mut Recorder,
@@ -547,7 +521,7 @@ fn quarantine(
 ) {
     for (t, parked) in ledger.quarantine(c, at, rec, &mut Some(batch)) {
         if parked {
-            queue.arm(t as u16, ledger.finished_at(t).max(at + 1));
+            slots[t] = Some((ledger.finished_at(t).max(at + 1), Wake::Dispatch));
         }
     }
 }
@@ -712,16 +686,12 @@ mod tests {
         Scenario::new(uc.clone(), SystemConfig::ncpu(cores)).with_soc(soc).with_trace(level)
     }
 
-    /// How the memoizing first pass over `scenario`'s fleet served its
-    /// items; it must complete without a restart.
+    /// How a run over `scenario`'s fleet served its items.
     fn memo_stats(scenario: &Scenario) -> MemoStats {
         let SystemConfig::Ncpu(topo) = scenario.system() else {
             unreachable!("the tests build NCPU scenarios")
         };
-        match run_attempt(scenario, topo, true) {
-            Ok((_, _, stats)) => stats,
-            Err(_) => panic!("the first pass must complete without a restart"),
-        }
+        run_with_stats(scenario, topo).2
     }
 
     /// The headline property on one fixed configuration (the fuzz suite
@@ -769,6 +739,38 @@ mod tests {
             assert_same_bytes(&s);
         }
         assert_eq!(uc.timing().len(), 2, "one entry per trace level");
+    }
+
+    /// A program that may read the shared L2 turns memoization off for
+    /// the whole run. Each core's program here reads its own mailbox
+    /// (the previous item's result) into a register before the normal
+    /// tail, so an item's end state depends on the L2: no item is
+    /// skipped, run functionally or recorded, every item is simulated,
+    /// and the run still matches the lock-step engine byte for byte.
+    #[test]
+    fn programs_that_read_the_l2_simulate_every_item() {
+        let (uc, soc) = (parametric(4), SocConfig::default());
+        let l2 = SharedL2::new(fabric::L2_BYTES);
+        for c in 0..2 {
+            let core = fabric::ncpu_core(&uc, &soc, TraceLevel::Counters, l2.clone());
+            let result_l2 = fabric::result_addr(c);
+            let key = (core.image_base(), core.output_base(), result_l2);
+            uc.programs().get_or_build(key, || {
+                let tail = ncpu_workloads::Tail::NcpuClassify { output_base: key.1, result_l2 };
+                let spin = uc.spin_source().expect("parametric use case");
+                let src = format!("{spin}\nli t5, {result_l2}\nlw_l2 s1, 0(t5)\n{}", tail.asm(0));
+                Program::new(ncpu_isa::asm::assemble(&src).expect("valid program"))
+            });
+        }
+        let (_, _, programs) = fabric::ncpu_pool(&uc, &soc, TraceLevel::Counters, 2);
+        assert!(programs.iter().all(Program::reads_l2), "the seeded programs are used");
+        for level in [TraceLevel::Counters, TraceLevel::Full] {
+            let s = ncpu(&uc, 2, soc, level);
+            let stats = memo_stats(&s);
+            assert_eq!(stats, MemoStats { replayed: 0, path: 0, simulated: 4 }, "{level:?}");
+            assert_same_bytes(&s);
+        }
+        assert_eq!(uc.timing().len(), 0, "nothing is recorded");
     }
 
     /// Asserts equal reports, raw span and instant streams, counters and
@@ -986,8 +988,8 @@ mod tests {
     /// Items that overrun the watchdog are aborted inside the event
     /// engine exactly as the lock-step walk aborts them: `watchdog`
     /// cycles in, with the partial run's L2 touches contending, the core
-    /// rebuilt and the recovery decision taken at the expiry slot. The
-    /// first pass completes without a restart and every byte matches.
+    /// rebuilt and the recovery decision taken at the expiry slot. Every
+    /// byte matches.
     #[test]
     fn watchdog_overrun_aborts_inside_the_event_engine() {
         // No injection at all: the watchdog alone fires on genuinely
@@ -1018,7 +1020,7 @@ mod tests {
         let used = Lockstep.report(&full(&twins, 2)).cores[0].busy_cycles;
         scenarios.push(full(&twins, 2).with_faults(short(used - 1, 0, 0)));
         for s in &scenarios {
-            memo_stats(s); // the first pass completes without a restart
+            memo_stats(s); // a first run warms the timing memo
             let (_, rec) = assert_same_bytes(s);
             let tag = format!("{:?} {:?}", s.system(), s.fault());
             let counter = |name| rec.counters().get(name);

@@ -18,9 +18,9 @@
 //!   queue and cursor, dispatch cycle and queue depth, busy and finish
 //!   cycles, predictions), what a completion, a drop and a quarantine do
 //!   to them, and the final report assembly. The two NCPU item engines
-//!   (the lock-step walk, and the event queue that `Analytic` and
-//!   `EventDriven` run) keep only their clocks and drive one ledger
-//!   each,
+//!   (the lock-step walk, and the per-core wakeup table that
+//!   `Analytic` and `EventDriven` run) keep only their clocks and drive
+//!   one ledger each,
 //! * [`FaultCtl`] with [`resolve_dispatch`] and [`recovery_decision`] —
 //!   the one fault-recovery path: detection pricing, retry with
 //!   exponential backoff, drop and quarantine, for all four engines
@@ -869,4 +869,24 @@ pub(crate) fn watchdog_abort(
     ctl.detected_watchdog += 1;
     note(rec, defer, core_idx as u16, clock, EventKind::Detect { by: Detector::Watchdog });
     recovery_decision(ctl, core_idx, item_start, clock, rec, defer)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every generated NCPU program keeps its data in core-local banks
+    /// and only writes the L2, so the event engine may memoize its items.
+    #[test]
+    fn generated_ncpu_programs_never_read_the_l2() {
+        let usecases = [
+            UseCase::image(2, 2, 1),
+            UseCase::motion(2, 2, 1),
+            UseCase::parametric(0.6, 2, crate::system::tests::pseudo_model(784, 30, 10)),
+        ];
+        for uc in &usecases {
+            let (_, _, programs) = ncpu_pool(uc, &SocConfig::default(), TraceLevel::Counters, 2);
+            assert!(!programs.iter().any(Program::reads_l2), "{:?}", uc.kind());
+        }
+    }
 }

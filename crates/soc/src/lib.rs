@@ -22,9 +22,9 @@
 //! of — plus the run's [`obs::Recorder`]. All engines are built on one
 //! shared `fabric` module, so result mailboxes, program construction,
 //! DMA staging, and report assembly cannot drift apart. [`EventDriven`]
-//! is the byte-identical fast twin of [`Lockstep`]: an event-queue
-//! scheduler that jumps between observable actions instead of walking
-//! every cycle; [`Analytic`] runs NCPU fleets on it too, so the fast
+//! is the byte-identical fast twin of [`Lockstep`]: one wakeup slot per
+//! core, jumping between observable actions instead of walking every
+//! cycle; [`Analytic`] runs NCPU fleets on it too, so the fast
 //! engine is exact. [`run_independent`] runs two different use cases
 //! side by side on one shared fabric.
 
@@ -34,7 +34,6 @@
 pub mod canonical;
 mod deep;
 pub mod energy;
-mod event_queue;
 mod eventdriven;
 mod fabric;
 mod lockstep;

@@ -21,7 +21,7 @@
 //! * [`Lockstep`] — the cycle-stepped co-simulation with real N-way L2
 //!   port arbitration: the reference the fast engine is held to; NCPU
 //!   systems only.
-//! * [`EventDriven`] — the event-queue twin of `Lockstep`:
+//! * [`EventDriven`] — the event-driven twin of `Lockstep`:
 //!   byte-identical reports, counters, and event streams (pinned by
 //!   `tests/engine_differential.rs`), but it jumps between observable
 //!   actions and replays memoized item timing instead of walking every
