@@ -4,6 +4,12 @@
 # succeed from a clean checkout with no registry and no network.
 set -eux
 
+# Mutation net, needles only (no build): every mutant in mutants/list.txt
+# must still apply, so code that moves a needle fails here instead of
+# silently disarming its mutant. The full run (`mutants/run.sh`, every
+# mutant built and tested) is on demand.
+sh mutants/run.sh --check
+
 cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -368,12 +368,6 @@ impl NcpuCore {
         self.transition[index]
     }
 
-    /// `trigger_bnn` retirements since the core was built (or its replay
-    /// state last restored); part of the event engine's timing key.
-    pub const fn pending_triggers(&self) -> u64 {
-        self.pending_triggers
-    }
-
     /// Enables or disables the shared-L2 touch log. While on, every
     /// MEM-stage `lw_l2`/`sw_l2` access records its cycle; the SoC
     /// engines use these to find contended L2 windows without observing
@@ -786,17 +780,6 @@ impl NcpuCore {
             }
         }
         Ok(StepOutcome::Executing)
-    }
-
-    /// Busy-region cycles left before the core returns to CPU mode
-    /// (nonzero only between a `trans_bnn` served by
-    /// [`step_one`](Self::step_one) and the switch back).
-    ///
-    /// During these cycles the core emits no events and touches no
-    /// memory — they are pure countdown, which is what makes the bulk
-    /// fast-forward of [`step_n`](Self::step_n) exact.
-    pub const fn busy_remaining(&self) -> u64 {
-        self.busy_remaining
     }
 
     /// Advances the core by up to `n` cycles in one call.

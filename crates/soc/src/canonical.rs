@@ -89,19 +89,15 @@ pub fn canonical_bytes(scenario: &Scenario) -> Vec<u8> {
 
     // System shape: a tag and the core count (0 for the baseline).
     let hetero_layout;
-    let topo = match scenario.system() {
+    let (system, cores, topo) = match scenario.system() {
         SystemConfig::Heterogeneous => {
             hetero_layout = Topology::homogeneous(1);
-            out.push(0);
-            push_u64(&mut out, 0);
-            &hetero_layout
+            (0, 0, &hetero_layout)
         }
-        SystemConfig::Ncpu(topo) => {
-            out.push(1);
-            push_u64(&mut out, topo.cores() as u64);
-            topo
-        }
+        SystemConfig::Ncpu(topo) => (1, topo.cores(), topo),
     };
+    out.push(system);
+    push_u64(&mut out, cores as u64);
 
     // Fabric parameters.
     let soc = scenario.soc();

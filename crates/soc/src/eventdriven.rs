@@ -82,22 +82,24 @@
 //!
 //! So the item's timing is looked up in the use case's timing memo
 //! under a [`TimingKey`](crate::timing) of: the program words, the
-//! core spec's memo key, the timing fields of [`SocConfig`](crate::SocConfig)
-//! (DMA bytes per cycle and setup, switch policy, layer pipelining), the
-//! trace level, the model topology, the timing entry state
-//! (`busy_remaining`, `pending_triggers`; everything else a timed run
-//! reads at entry is reset by `load_program`) and the path log, compared
-//! byte for byte. A hit applies the recorded cycles, counter deltas,
-//! event shard and L2 touches on top of the functional post-state; a
-//! miss restores the captured entry state, simulates the item cycle by
-//! cycle and records it. Entries are pure functions of their keys, so
-//! the memo lives on the [`UseCase`](crate::UseCase), behind an `Arc`
-//! every clone shares: every scenario, engine run and serve worker
-//! built from one use case shares it. It keeps at most 256 entries and
-//! about 16 MiB (oldest first out); a `Counters`-level image or motion
-//! entry is a few KiB, a `Full`-level one several MiB. Path hits are
-//! profiled under the `event.replay` span, misses (functional pass
-//! included) under `event.simulate`.
+//! timing fields of [`SocConfig`](crate::SocConfig) (DMA bytes per cycle
+//! and setup, switch policy, layer pipelining), the trace level and the
+//! path log, compared byte for byte. The core's spec, the model and the
+//! core's entry state never reach an item's cycles (DESIGN §12 argues
+//! each), so an entry recorded on core `c` serves core `c` of every later
+//! run of the use case, whatever that core's spec; two cores never share
+//! one, as each core's program carries its own mailbox address. A hit
+//! applies the recorded cycles, counter deltas, event shard and L2
+//! touches on top of the functional post-state; a miss restores the
+//! captured entry state, simulates the item cycle by cycle and records
+//! it. Entries are pure functions of their keys, so the memo lives on
+//! the [`UseCase`](crate::UseCase), behind an `Arc` every clone shares:
+//! every scenario, engine run and serve worker built from one use case
+//! shares it. It keeps at most 256 entries and about 16 MiB (oldest
+//! first out); a `Counters`-level image or motion entry is a few KiB, a
+//! `Full`-level one several MiB. Path hits are profiled under the
+//! `event.replay` span, misses (functional pass included) under
+//! `event.simulate`.
 //!
 //! The one escape hatch: an item that reads the L2 could observe
 //! content a skipped item never wrote (a skip does not redo its L2
@@ -382,14 +384,10 @@ fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder,
             let mut key = None;
             let mut timed = None;
             if let Some(pre) = &pre {
-                let entry = (core.busy_remaining(), core.pending_triggers());
                 core.load_program(&programs[ci]);
                 let mut path = PathLog::new();
                 if let Ok(Some(_)) = core.run_functional(limit, &mut path) {
-                    let spec_key = topo.spec(ci).memo_key();
-                    let shape = usecase.model().topology();
-                    let probe =
-                        TimingKey::new(&programs[ci], spec_key, soc, level, shape, entry, path);
+                    let probe = TimingKey::new(&programs[ci], soc, level, path);
                     timed = usecase.timing().get(&probe).filter(|t| t.used <= limit);
                     key = Some(probe);
                 }
@@ -741,6 +739,46 @@ mod tests {
         assert_eq!(uc.timing().len(), 2, "one entry per trace level");
     }
 
+    /// A steady state proves a skip only while the bank generation and
+    /// the registers both stand still: a register write ends it, and so
+    /// does a bank load, whatever bytes it writes.
+    #[test]
+    fn a_steady_state_holds_until_a_register_or_a_bank_changes() {
+        let (uc, level) = (parametric(1), TraceLevel::Counters);
+        let (_, mut pool, programs) = fabric::ncpu_pool(&uc, &SocConfig::default(), level, 1);
+        let core = &mut pool[0];
+        let pre = core.replay_state();
+        let timing = simulate(&mut core.clone(), &programs[0], level, 0).expect("halts");
+        let steady = Steady::reached(core, pre, Arc::new(timing), 0).expect("an untouched core");
+        assert!(steady.holds(core));
+        core.pipeline_mut().regs_mut()[9] ^= 1;
+        assert!(!steady.holds(core), "a register changed");
+        core.pipeline_mut().regs_mut()[9] ^= 1;
+        let banks = core.pipeline_mut().mem_mut().accel_mut().banks_mut();
+        let (bank, _) = banks.resolve(0).expect("data cache starts at 0");
+        banks.bank_mut(bank).load(0, &[0xA5]);
+        assert!(!steady.holds(core), "a bank was loaded");
+    }
+
+    /// Seeds the program memo of a parametric use case so each of its
+    /// first `cores` cores runs the normal item with `extra(result_l2)`
+    /// inserted before the tail; returns the programs a run then uses.
+    fn seed_programs(uc: &UseCase, cores: usize, extra: impl Fn(u32) -> String) -> Vec<Program> {
+        let (soc, l2) = (SocConfig::default(), SharedL2::new(fabric::L2_BYTES));
+        let core = fabric::ncpu_core(uc, &soc, TraceLevel::Counters, l2);
+        for c in 0..cores {
+            let result_l2 = fabric::result_addr(c);
+            let key = (core.image_base(), core.output_base(), result_l2);
+            uc.programs().get_or_build(key, || {
+                let tail = ncpu_workloads::Tail::NcpuClassify { output_base: key.1, result_l2 };
+                let spin = uc.spin_source().expect("parametric use case");
+                let src = format!("{spin}\n{}\n{}", extra(result_l2), tail.asm(0));
+                Program::new(ncpu_isa::asm::assemble(&src).expect("valid program"))
+            });
+        }
+        fabric::ncpu_pool(uc, &soc, TraceLevel::Counters, cores).2
+    }
+
     /// A program that may read the shared L2 turns memoization off for
     /// the whole run. Each core's program here reads its own mailbox
     /// (the previous item's result) into a register before the normal
@@ -749,28 +787,37 @@ mod tests {
     /// and the run still matches the lock-step engine byte for byte.
     #[test]
     fn programs_that_read_the_l2_simulate_every_item() {
-        let (uc, soc) = (parametric(4), SocConfig::default());
-        let l2 = SharedL2::new(fabric::L2_BYTES);
-        for c in 0..2 {
-            let core = fabric::ncpu_core(&uc, &soc, TraceLevel::Counters, l2.clone());
-            let result_l2 = fabric::result_addr(c);
-            let key = (core.image_base(), core.output_base(), result_l2);
-            uc.programs().get_or_build(key, || {
-                let tail = ncpu_workloads::Tail::NcpuClassify { output_base: key.1, result_l2 };
-                let spin = uc.spin_source().expect("parametric use case");
-                let src = format!("{spin}\nli t5, {result_l2}\nlw_l2 s1, 0(t5)\n{}", tail.asm(0));
-                Program::new(ncpu_isa::asm::assemble(&src).expect("valid program"))
-            });
-        }
-        let (_, _, programs) = fabric::ncpu_pool(&uc, &soc, TraceLevel::Counters, 2);
+        let uc = parametric(4);
+        let programs = seed_programs(&uc, 2, |addr| format!("li t5, {addr}\nlw_l2 s1, 0(t5)"));
         assert!(programs.iter().all(Program::reads_l2), "the seeded programs are used");
         for level in [TraceLevel::Counters, TraceLevel::Full] {
-            let s = ncpu(&uc, 2, soc, level);
+            let s = ncpu(&uc, 2, SocConfig::default(), level);
             let stats = memo_stats(&s);
             assert_eq!(stats, MemoStats { replayed: 0, path: 0, simulated: 4 }, "{level:?}");
             assert_same_bytes(&s);
         }
         assert_eq!(uc.timing().len(), 0, "nothing is recorded");
+    }
+
+    /// The pending `trigger_bnn` count is no part of an item's timing.
+    /// Each core's program here retires a `trigger_bnn` before the normal
+    /// tail, so every item enters with one more pending trigger than the
+    /// last and none ends where it started: nothing is skipped, but each
+    /// core's second item takes its timing from the first one's entry.
+    /// Every such hit matches a twin simulation, and the run matches the
+    /// lock-step engine byte for byte.
+    #[test]
+    fn pending_triggers_never_split_a_timing_entry() {
+        let uc = parametric(4);
+        let programs = seed_programs(&uc, 2, |_| "trigger_bnn".to_string());
+        let trigger = ncpu_isa::asm::assemble("trigger_bnn").expect("valid program")[0];
+        assert!(programs.iter().all(|p| p.words().contains(&trigger)), "seeded programs are used");
+        for level in [TraceLevel::Counters, TraceLevel::Full] {
+            let s = ncpu(&uc, 2, SocConfig::default(), level);
+            let checked = twin_checked(|| memo_stats(&s)).expect("hits match twins");
+            assert_eq!(checked, (MemoStats { replayed: 0, path: 2, simulated: 2 }, 2), "{level:?}");
+            assert_same_bytes(&s);
+        }
     }
 
     /// Asserts equal reports, raw span and instant streams, counters and
@@ -794,7 +841,10 @@ mod tests {
     /// operating point and a topology. A key missing an axis would hand
     /// a run the timing recorded under another value of it; every run
     /// must instead match the lock-step engine byte for byte, and the
-    /// repeat of each run must take all its timing from the memo.
+    /// repeat of each run must take all its timing from the memo. An
+    /// operating point and a mixed-voltage, two-bank topology are no
+    /// timing axis: their first run after the default run at the same
+    /// trace level already takes all its timing from the memo.
     #[test]
     fn one_shared_use_case_stays_lockstep_identical_on_every_timing_axis() {
         let uc = UseCase::motion(6, 2, 1);
@@ -806,29 +856,26 @@ mod tests {
             SocConfig { dma_setup_cycles: 40, ..naive },
             SocConfig { layer_pipelining: false, ..SocConfig::default() },
         ];
-        let mixed = Topology::from_specs(
-            vec![
-                crate::topology::CoreSpec::reconfigurable(),
-                crate::topology::CoreSpec {
-                    operating_point: Some(0.7),
-                    bank: 1,
-                    ..crate::topology::CoreSpec::reconfigurable()
-                },
-            ],
-            vec![fabric::L2_BYTES / 2, fabric::L2_BYTES / 2],
-        )
-        .expect("valid topology");
+        let r = crate::topology::CoreSpec::reconfigurable();
+        let slow_on_bank_1 = crate::topology::CoreSpec { operating_point: Some(0.7), bank: 1, ..r };
+        let halves = vec![fabric::L2_BYTES / 2, fabric::L2_BYTES / 2];
+        let mixed = Topology::from_specs(vec![r, slow_on_bank_1], halves).expect("valid topology");
+        // `(scenario, whether the default run's entries cover it)`.
         let mut scenarios = Vec::new();
         for level in [TraceLevel::Counters, TraceLevel::Full] {
             for soc in socs {
-                scenarios.push(ncpu(&uc, 2, soc, level));
+                scenarios.push((ncpu(&uc, 2, soc, level), false));
             }
-            scenarios.push(ncpu(&uc, 2, SocConfig::default(), level).with_operating_point(0.8));
-            scenarios.push(
-                Scenario::new(uc.clone(), SystemConfig::Ncpu(mixed.clone())).with_trace(level),
-            );
+            let slow = ncpu(&uc, 2, SocConfig::default(), level).with_operating_point(0.8);
+            scenarios.push((slow, true));
+            let mixed = Scenario::new(uc.clone(), SystemConfig::Ncpu(mixed.clone()));
+            scenarios.push((mixed.with_trace(level), true));
         }
-        for s in &scenarios {
+        for (s, covered) in &scenarios {
+            if *covered {
+                let cold = memo_stats(s);
+                assert_eq!(cold.simulated, 0, "{:?}: {cold:?}", s.system());
+            }
             assert_same_bytes(s);
             let warm = memo_stats(s);
             assert_eq!(warm.simulated, 0, "{:?}: {warm:?}", s.soc());

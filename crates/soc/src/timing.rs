@@ -1,16 +1,15 @@
 //! The path-keyed timing memo the event engine shares across runs.
 //!
 //! An item's cycle timing is a function of a few things only (the
-//! `eventdriven` module doc argues each one): the program, the core's
-//! timing parameters, the trace level, the model's shape, the core's
-//! timing entry state, and the [`PathLog`] its functional execution
-//! records. A [`TimingKey`] holds exactly those; a [`TimingRecord`]
-//! holds what a timed run of the item adds on top of its architectural
-//! effects — the cycles it used, its counter deltas, its event shard and
-//! its L2 touch offsets. An entry is therefore a pure function of its
-//! key, which is what lets one [`TimingMemo`] live on a
-//! [`UseCase`](crate::UseCase) and serve every scenario, engine run and
-//! worker thread built from it.
+//! `eventdriven` module doc argues each one): the program, the timing
+//! fields of the SoC configuration, the trace level and the [`PathLog`]
+//! its functional execution records. A [`TimingKey`] holds exactly
+//! those; a [`TimingRecord`] holds what a timed run of the item adds on
+//! top of its architectural effects — the cycles it used, its counter
+//! deltas, its event shard and its L2 touch offsets. An entry is
+//! therefore a pure function of its key, which is what lets one
+//! [`TimingMemo`] live on a [`UseCase`](crate::UseCase) and serve every
+//! scenario, engine run, core and worker thread built from it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
@@ -63,65 +62,41 @@ impl SocTiming {
 }
 
 /// Everything one item's timing is a function of. Never staged bytes or
-/// register values: those reach timing only through the path.
+/// register values (they reach timing only through the path), nor the
+/// core's spec, the model or the core's entry state (DESIGN §12 argues
+/// why none of them reaches an item's cycles).
 pub(crate) struct TimingKey {
     /// The item program (compared word for word).
     program: Program,
-    /// [`crate::topology::CoreSpec::memo_key`] of the core it runs on.
-    spec_key: u64,
     soc: SocTiming,
     /// Decides which events the shard holds.
     level: TraceLevel,
-    /// The model's shape: BNN batch cycles depend on it, never on the
-    /// weights.
-    topology: ncpu_bnn::Topology,
-    /// The core's timing entry state: `busy_remaining` (a BNN
-    /// countdown in flight) and `pending_triggers`. Everything else a
-    /// timed run reads at entry — PC, pipeline latches, the multiply
-    /// wait, halt flags — is reset by `load_program`.
-    entry: (u64, u64),
     path: PathLog,
-    /// Pre-filter for lookups; equality still compares every field.
+    /// Hash of the program words and the path: a pre-filter for lookups;
+    /// equality still compares every field.
     digest: u64,
 }
 
 impl TimingKey {
-    /// The key of the item `path` describes: `program` on a core with
-    /// spec key `spec_key` entering in `entry` (`busy_remaining`,
-    /// `pending_triggers`), under `soc`, `level` and a model of shape
-    /// `topology`.
+    /// The key of the item `path` describes: `program` under `soc` and
+    /// `level`.
     pub(crate) fn new(
         program: &Program,
-        spec_key: u64,
         soc: &SocConfig,
         level: TraceLevel,
-        topology: &ncpu_bnn::Topology,
-        entry: (u64, u64),
         path: PathLog,
     ) -> TimingKey {
         let mut h = DefaultHasher::new();
         program.words().hash(&mut h);
         path.hash(&mut h);
-        spec_key.hash(&mut h);
-        TimingKey {
-            program: program.clone(),
-            spec_key,
-            soc: SocTiming::of(soc),
-            level,
-            topology: topology.clone(),
-            entry,
-            path,
-            digest: h.finish(),
-        }
+        let soc = SocTiming::of(soc);
+        TimingKey { program: program.clone(), soc, level, path, digest: h.finish() }
     }
 
     fn same(&self, other: &TimingKey) -> bool {
         self.digest == other.digest
-            && self.spec_key == other.spec_key
             && self.soc == other.soc
             && self.level == other.level
-            && self.entry == other.entry
-            && self.topology == other.topology
             && self.path == other.path
             && self.program.words() == other.program.words()
     }
@@ -225,19 +200,15 @@ mod tests {
     use ncpu_pipeline::PipeStats;
 
     fn key(words: Vec<u32>, branches: &[bool], level: TraceLevel) -> TimingKey {
+        key_on(&SocConfig::default(), words, branches, level)
+    }
+
+    fn key_on(soc: &SocConfig, words: Vec<u32>, branches: &[bool], level: TraceLevel) -> TimingKey {
         let mut path = PathLog::new();
         for &taken in branches {
             path.push_branch(taken);
         }
-        TimingKey::new(
-            &Program::new(words),
-            7,
-            &SocConfig::default(),
-            level,
-            &ncpu_bnn::Topology::new(32, vec![8; 4], 4),
-            (0, 0),
-            path,
-        )
+        TimingKey::new(&Program::new(words), soc, level, path)
     }
 
     fn record(used: u64, events: usize) -> Arc<TimingRecord> {
@@ -258,7 +229,8 @@ mod tests {
     }
 
     /// A lookup matches only a key equal in every field: the program
-    /// word for word, the path bit for bit, the trace level.
+    /// word for word, the path bit for bit, the trace level and each
+    /// timing field of the SoC configuration.
     #[test]
     fn lookups_compare_whole_keys() {
         let memo = TimingMemo::default();
@@ -269,6 +241,17 @@ mod tests {
         assert_eq!(used(key(vec![1, 2, 3], &[true, true], TraceLevel::Counters)), None);
         assert_eq!(used(key(vec![1, 2, 3], &[true, false, false], TraceLevel::Counters)), None);
         assert_eq!(used(key(vec![1, 2, 3], &[true, false], TraceLevel::Full)), None);
+        // One variant per `SocTiming` field.
+        let base = SocConfig::default();
+        for soc in [
+            SocConfig { dma_bytes_per_cycle: 8, ..base },
+            SocConfig { dma_setup_cycles: 40, ..base },
+            SocConfig { switch_policy: SwitchPolicy::Naive, ..base },
+            SocConfig { layer_pipelining: false, ..base },
+        ] {
+            let other = key_on(&soc, vec![1, 2, 3], &[true, false], TraceLevel::Counters);
+            assert_eq!(used(other), None, "{soc:?}");
+        }
         // A second insert under an equal key keeps the first record.
         memo.insert(key(vec![1, 2, 3], &[true, false], TraceLevel::Counters), record(11, 0));
         assert_eq!(used(key(vec![1, 2, 3], &[true, false], TraceLevel::Counters)), Some(10));

@@ -63,7 +63,8 @@ pub struct CoreSpec {
     /// Per-core DVFS operating point in volts; `None` inherits the
     /// scenario-level point (or the nominal 1.0 V). Affects energy
     /// post-processing only — cycle timing stays in one clock domain,
-    /// like the scenario-level point.
+    /// like the scenario-level point — so it never enters an item's
+    /// timing key.
     pub operating_point: Option<f64>,
     /// Which L2 bank the core's traffic arbitrates in.
     pub bank: usize,
@@ -78,20 +79,6 @@ impl CoreSpec {
     /// The voltage this core runs at, given the scenario-level volts.
     pub fn volts(&self, scenario_volts: f64) -> f64 {
         self.operating_point.unwrap_or(scenario_volts)
-    }
-
-    /// A stable 64-bit digest of the spec — the event engine mixes this
-    /// into its memo key so a replay recorded on one core spec can
-    /// never be applied under another.
-    pub fn memo_key(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(17);
-        bytes.push(self.role.tag());
-        // Normalized like Scenario::volts: an unset point and the
-        // nominal default digest identically only when they resolve to
-        // the same voltage, which is exactly the replay-soundness rule.
-        bytes.extend_from_slice(&self.volts(1.0).to_bits().to_le_bytes());
-        bytes.extend_from_slice(&(self.bank as u64).to_le_bytes());
-        crate::canonical::fnv1a_64(&bytes)
     }
 }
 
@@ -327,22 +314,5 @@ mod tests {
         specs[1].operating_point = Some(0.7);
         let t = Topology::from_specs(specs, vec![1024]).unwrap();
         assert_eq!(t.label(), "R+R@0.7V");
-    }
-
-    #[test]
-    fn memo_key_separates_specs() {
-        let base = CoreSpec::reconfigurable();
-        let banked = CoreSpec { bank: 1, ..base };
-        let slow = CoreSpec { operating_point: Some(0.8), ..base };
-        let bnn = CoreSpec { role: CoreRole::BnnOnly, ..base };
-        let keys = [base.memo_key(), banked.memo_key(), slow.memo_key(), bnn.memo_key()];
-        for (i, a) in keys.iter().enumerate() {
-            for b in keys.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
-        // Unset and explicit-nominal voltage resolve identically.
-        let nominal = CoreSpec { operating_point: Some(1.0), ..base };
-        assert_eq!(base.memo_key(), nominal.memo_key());
     }
 }
