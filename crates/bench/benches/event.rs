@@ -68,8 +68,8 @@ fn main() {
         let lockstep = Lockstep.report(&scenario);
         let event = EventDriven.report(&scenario);
         assert_eq!(
-            format!("{:?}", event).replace("(event)", "(engine)"),
-            format!("{:?}", lockstep).replace("(lockstep)", "(engine)"),
+            format!("{event:?}"),
+            format!("{lockstep:?}"),
             "{group}: engines diverged — benchmark aborted"
         );
 

@@ -367,14 +367,6 @@ impl Instruction {
         )
     }
 
-    /// Whether the instruction can redirect the program counter.
-    pub const fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Jal { .. } | Instruction::Jalr { .. } | Instruction::Branch { .. }
-        )
-    }
-
     /// A short stable mnemonic, e.g. `"add"`, `"bltu"`, `"trans_bnn"`.
     ///
     /// Used as the key for per-instruction statistics and the Fig. 11

@@ -181,11 +181,6 @@ impl Interp {
         self.pc
     }
 
-    /// Sets the program counter.
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
     /// Number of retired instructions.
     pub const fn retired(&self) -> u64 {
         self.retired
@@ -209,11 +204,6 @@ impl Interp {
     /// Global L2 backing store used by `sw_l2`/`lw_l2`.
     pub fn l2(&self) -> &[u8] {
         &self.l2
-    }
-
-    /// Mutable access to the L2 backing store.
-    pub fn l2_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.l2
     }
 
     /// Reads a little-endian word from data memory (helper for tests).

@@ -103,11 +103,6 @@ impl FlatMem {
         &self.l2
     }
 
-    /// Mutable L2 (for staging DMA data).
-    pub fn l2_mut(&mut self) -> &mut [u8] {
-        &mut self.l2
-    }
-
     /// Number of local accesses performed through the port.
     pub const fn accesses(&self) -> u64 {
         self.accesses

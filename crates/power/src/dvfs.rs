@@ -26,11 +26,6 @@ impl CoreKind {
             CoreKind::NcpuBnnMode => 1.0 - 0.041,
         }
     }
-
-    /// Whether this is a reconfigurable NCPU core.
-    pub const fn is_ncpu(self) -> bool {
-        matches!(self, CoreKind::NcpuCpuMode | CoreKind::NcpuBnnMode)
-    }
 }
 
 /// Frequency–voltage curve: `f(V) = K · (V − VT)^α / V`.

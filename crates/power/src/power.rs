@@ -100,12 +100,6 @@ impl PowerModel {
         let e_pj = self.energy_per_cycle_pj(CoreKind::NcpuBnnMode, &areas, v, 1.0);
         total_neurons as f64 / e_pj
     }
-
-    /// Scales the BNN switched capacitance for a different array size
-    /// (active neurons dominate BNN dynamic power).
-    pub fn cdyn_bnn_scaled_nf(&self, total_neurons: usize) -> f64 {
-        self.cdyn_bnn_nf * total_neurons as f64 / 400.0
-    }
 }
 
 #[cfg(test)]

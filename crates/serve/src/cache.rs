@@ -3,8 +3,8 @@
 //! Keys are [`ncpu_soc::Scenario::cache_key`] values — 64-bit FNV-1a
 //! over the canonical scenario encoding — so two requests share an
 //! entry **iff** every engine in the equivalence class would produce
-//! byte-identical reports for them. Values are the finished, normalized
-//! compact reports (engine tag stripped), one shared `Arc<str>` each, so
+//! byte-identical reports for them. Values are the finished compact
+//! reports (which name no engine), one shared `Arc<str>` each, so
 //! a hit is a reference-count bump: no simulation, no re-rendering, no
 //! copy, no chance of divergence.
 //!
@@ -26,7 +26,7 @@ use std::sync::Arc;
 pub struct CacheEntry {
     /// Name of the engine that computed the entry.
     pub engine: &'static str,
-    /// The normalized `RunArtifact` rendered compact (`ncpu-run-v2`),
+    /// The `RunArtifact` rendered compact (`ncpu-run-v2`),
     /// for single-line responses; every response serving the entry
     /// shares this one allocation.
     pub compact_json: Arc<str>,

@@ -29,15 +29,15 @@
 //!    alone: each of its requests gets a one-line error, nothing is
 //!    cached for its key, and `serve.panics` counts it.
 //!
-//! Engine routing implements the service policy: every NCPU request
-//! goes to the event-driven engine (it memoizes steady-state parametric
-//! items and is no slower than lockstep on trained image/motion
-//! batches), heterogeneous systems use the analytic scheduler. A client
-//! may pin `lockstep`/`event` explicitly — the lockstep/event pair is
-//! byte-identical by construction so either answer is cacheable under
-//! the same key — but `analytic` on an NCPU system is rejected: serve
-//! names one engine per system class, `"analytic"` is the baseline
-//! scheduler, and NCPU fleets are served by `event` or `lockstep`.
+//! Engine routing is a naming policy: every engine runs every system to
+//! the same bytes, and reports do not name the engine, so any answer is
+//! cacheable under the same key. Every NCPU request goes to the
+//! event-driven engine (it memoizes steady-state parametric items and is
+//! no slower than lockstep on trained image/motion batches), and a
+//! client may pin `lockstep` or `event`; the heterogeneous baseline is
+//! served as `analytic`. Serve names one engine per system class, so
+//! `analytic` on an NCPU system and `lockstep`/`event` on the baseline
+//! are rejected.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -113,7 +113,8 @@ fn routed_engine(spec: &ScenarioSpec) -> Result<&'static str, String> {
     match (&spec.system, spec.engine) {
         (SystemConfig::Heterogeneous, EnginePref::Auto | EnginePref::Analytic) => Ok("analytic"),
         (SystemConfig::Heterogeneous, _) => {
-            Err("engine: only \"analytic\" (or \"auto\") can run a heterogeneous system".to_string())
+            Err("engine: the heterogeneous baseline is served as \"analytic\" (or \"auto\")"
+                .to_string())
         }
         (SystemConfig::Ncpu(_), EnginePref::Analytic) => Err(
             "engine: \"analytic\" names the heterogeneous baseline's scheduler; \
@@ -139,21 +140,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     text.lines().collect::<Vec<_>>().join(" ")
 }
 
-/// Runs `scenario` on the routed engine and normalizes the artifact:
-/// the ` (lockstep)` / ` (event)` config suffix is the single byte
-/// difference between the twin engines, so stripping it makes cached
-/// entries engine-invariant. Returns the cache entry (the compact form,
-/// written in one pass) and the typed artifact it was rendered from.
+/// Runs `scenario` on the routed engine. Reports do not name the engine
+/// that produced them, so cached entries are engine-invariant. Returns
+/// the cache entry (the compact form, written in one pass) and the typed
+/// artifact it was rendered from.
 fn execute(engine: &'static str, key: u64, scenario: &Scenario) -> (CacheEntry, RunArtifact) {
     #[cfg(test)]
     tests::maybe_panic(key);
-    let (mut report, rec) = match engine {
+    let (report, rec) = match engine {
         "lockstep" => Lockstep.run(scenario),
         "event" => EventDriven.run(scenario),
         "analytic" => ncpu_soc::Analytic.run(scenario),
         other => unreachable!("unrouted engine {other}"),
     };
-    report.config = report.config.replace(" (lockstep)", "").replace(" (event)", "");
     let artifact = report.artifact(&format!("serve_{key:016x}"), &rec);
     let entry = CacheEntry { engine, compact_json: artifact.to_compact_json().into() };
     (entry, artifact)
@@ -460,7 +459,7 @@ mod tests {
         assert_eq!(lock.report_json, event.report_json);
         assert!(
             !lock.report_json.contains("(lockstep)") && !lock.report_json.contains("(event)"),
-            "the engine tag must be normalized out of served reports"
+            "served reports name no engine"
         );
     }
 

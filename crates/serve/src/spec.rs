@@ -50,7 +50,8 @@ pub enum EnginePref {
     Lockstep,
     /// Force the event-queue engine.
     Event,
-    /// Force the analytic scheduler (heterogeneous systems only).
+    /// The heterogeneous baseline's engine name (heterogeneous systems
+    /// only).
     Analytic,
 }
 

@@ -7,7 +7,7 @@
 //! layers (half the throughput); series mode splits the network across
 //! N cores so each image streams segment 0 → link → … → segment N−1.
 //! The paper builds the two-core split; [`series`] generalizes it to any
-//! segment count. [`run`] is the [`crate::Deep`] engine's body.
+//! segment count. [`run`] is every engine's body for a deep use case.
 
 use std::fmt;
 
@@ -324,9 +324,9 @@ fn series(
     Ok((run, rec))
 }
 
-/// The deep engine's body: rollback on one BNN-capable core, a series
-/// pipeline over N ≥ 2 of them, with the fault layer resolved against
-/// input staging first.
+/// Every engine's body for a deep use case: rollback on one BNN-capable
+/// core, a series pipeline over N ≥ 2 of them, with the fault layer
+/// resolved against input staging first.
 pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (RunReport, Recorder) {
     // Roles map to segment placement: every BNN-capable core
     // (reconfigurable or fixed BNN array) holds one resident model

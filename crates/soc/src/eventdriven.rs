@@ -1,7 +1,6 @@
 //! Event-driven co-simulation of the N-core SoC — byte-identical to the
 //! lock-step engine, orders of magnitude faster. The one fast NCPU
-//! engine: `EventDriven` runs it, and so does `Analytic` on an NCPU
-//! fleet (under a label without the engine name).
+//! clock: `EventDriven`, `Analytic` and `Deep` run item batches on it.
 //!
 //! # Why jumping is sound
 //!
@@ -491,7 +490,7 @@ fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder,
     }
 
     rec.set_counter("soc.l2_conflict_cycles", l2_conflicts);
-    let report = ledger.finish(format!("{cores}x ncpu (event)"), &pool, &mut dma, &mut rec);
+    let report = ledger.finish(&pool, &mut dma, &mut rec);
     (report, rec, stats)
 }
 
@@ -825,10 +824,7 @@ mod tests {
     fn assert_same_bytes(s: &Scenario) -> (RunReport, Recorder) {
         let (ls, ls_rec) = Lockstep.run(s);
         let (ev, ev_rec) = EventDriven.run(s);
-        assert_eq!(
-            format!("{ev:?}").replace("(event)", "(engine)"),
-            format!("{ls:?}").replace("(lockstep)", "(engine)"),
-        );
+        assert_eq!(format!("{ev:?}"), format!("{ls:?}"));
         assert_eq!(ev_rec.spans(), ls_rec.spans(), "raw span stream");
         assert_eq!(ev_rec.events(), ls_rec.events(), "raw instant stream");
         assert_eq!(ev_rec.counters().to_json(), ls_rec.counters().to_json());
@@ -937,10 +933,7 @@ mod tests {
                 let (ev, hits) = twin_checked(|| EventDriven.report(&s))?;
                 checked.set(checked.get() + hits);
                 let ls = Lockstep.report(&s);
-                ncpu_testkit::prop_assert_eq!(
-                    format!("{ev:?}").replace("(event)", "(engine)"),
-                    format!("{ls:?}").replace("(lockstep)", "(engine)")
-                );
+                ncpu_testkit::prop_assert_eq!(format!("{ev:?}"), format!("{ls:?}"));
                 Ok(())
             },
         );
@@ -1086,7 +1079,6 @@ mod tests {
     fn engine_trait_runs_event() {
         let s = Scenario::new(parametric(3), SystemConfig::ncpu(2));
         let report = EventDriven.report(&s);
-        assert_eq!(report.config, "2x ncpu (event)");
-        assert_eq!(EventDriven.name(), "event");
+        assert_eq!(report.config, "2x ncpu");
     }
 }

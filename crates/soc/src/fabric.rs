@@ -17,14 +17,14 @@
 //! * [`Ledger`] — every per-item fact of an NCPU-fleet run (each core's
 //!   queue and cursor, dispatch cycle and queue depth, busy and finish
 //!   cycles, predictions), what a completion, a drop and a quarantine do
-//!   to them, and the final report assembly. The two NCPU item engines
-//!   (the lock-step walk, and the per-core wakeup table that
-//!   `Analytic` and `EventDriven` run) keep only their clocks and drive
-//!   one ledger each,
+//!   to them, and the final report assembly. The two NCPU item clocks
+//!   (the lock-step walk, and the per-core wakeup table that the other
+//!   three engines run) keep only their clocks and drive one ledger
+//!   each,
 //! * [`FaultCtl`] with [`resolve_dispatch`] and [`recovery_decision`] —
 //!   the one fault-recovery path: detection pricing, retry with
-//!   exponential backoff, drop and quarantine, for all four engines
-//!   (`Deep` resolves its input staging through it too).
+//!   exponential backoff, drop and quarantine, for both item clocks
+//!   (the deep body resolves its input staging through it too).
 
 use std::sync::Arc;
 
@@ -118,8 +118,10 @@ pub(crate) fn ncpu_pool(
 ///
 /// # Panics
 ///
-/// Panics on [`UseCaseKind::Deep`] — deep use cases run on the `Deep`
-/// engine, which schedules the accelerator arrays directly.
+/// Panics on [`UseCaseKind::Deep`], which has no item program: every
+/// engine runs a deep use case on `deep::run`, which schedules the
+/// accelerator arrays directly, so only [`crate::run_independent`] can
+/// get here with one.
 pub(crate) fn ncpu_program(uc: &UseCase, core: &NcpuCore, result_l2: u32) -> Program {
     let key = (core.image_base(), core.output_base(), result_l2);
     uc.programs().get_or_build(key, || assemble_ncpu_program(uc, key))
@@ -145,7 +147,7 @@ fn assemble_ncpu_program(
             );
             asm::assemble(&src).expect("parametric NCPU program")
         }
-        UseCaseKind::Deep => panic!("deep use cases run on the Deep engine"),
+        UseCaseKind::Deep => panic!("a deep use case has no item program"),
     };
     Program::new(words)
 }
@@ -155,8 +157,7 @@ fn assemble_ncpu_program(
 ///
 /// # Panics
 ///
-/// Panics on [`UseCaseKind::Deep`] — deep use cases run on the `Deep`
-/// engine.
+/// Panics on [`UseCaseKind::Deep`], which has no item program.
 pub(crate) fn hetero_program(uc: &UseCase) -> Vec<u32> {
     let tail = Tail::Offload;
     match uc.kind() {
@@ -176,7 +177,7 @@ pub(crate) fn hetero_program(uc: &UseCase) -> Vec<u32> {
             );
             asm::assemble(&src).expect("parametric offload program")
         }
-        UseCaseKind::Deep => panic!("deep use cases run on the Deep engine"),
+        UseCaseKind::Deep => panic!("a deep use case has no item program"),
     }
 }
 
@@ -187,7 +188,7 @@ pub(crate) fn hetero_pack_offset(uc: &UseCase) -> u32 {
         UseCaseKind::Image => image::ImageLayout::default().pack,
         UseCaseKind::Motion => motion_prog::MotionLayout::default().pack,
         UseCaseKind::Parametric => 0,
-        UseCaseKind::Deep => panic!("deep use cases run on the Deep engine"),
+        UseCaseKind::Deep => panic!("a deep use case has no item program"),
     }
 }
 
@@ -462,7 +463,8 @@ impl<'a> Ledger<'a> {
         }
     }
 
-    /// Closes the run and assembles its report: the fault counters
+    /// Closes the run and assembles its report, labeled `"{N}x ncpu"`
+    /// whichever clock ran it: the fault counters
     /// (active plan only, so inert runs stay byte-identical to pre-fault
     /// reports), every core's counters and the DMA lane, the run
     /// counters with the makespan (the latest finish), per-core
@@ -473,7 +475,6 @@ impl<'a> Ledger<'a> {
     /// area and power models on.
     pub(crate) fn finish(
         self,
-        config: String,
         pool: &[NcpuCore],
         dma: &mut DmaEngine,
         rec: &mut Recorder,
@@ -505,7 +506,7 @@ impl<'a> Ledger<'a> {
             })
             .collect();
         RunReport {
-            config,
+            config: format!("{}x ncpu", self.topo.cores()),
             makespan,
             cores,
             predictions: self.predictions,

@@ -19,14 +19,17 @@
 //! [`Deep`] engine, returning a [`RunReport`] with the makespan,
 //! per-core busy/mode timelines, utilizations, predicted classes and
 //! energy — everything the paper's Figs. 13–17 and Table IV are made
-//! of — plus the run's [`obs::Recorder`]. All engines are built on one
-//! shared `fabric` module, so result mailboxes, program construction,
-//! DMA staging, and report assembly cannot drift apart. [`EventDriven`]
-//! is the byte-identical fast twin of [`Lockstep`]: one wakeup slot per
-//! core, jumping between observable actions instead of walking every
-//! cycle; [`Analytic`] runs NCPU fleets on it too, so the fast
-//! engine is exact. [`run_independent`] runs two different use cases
-//! side by side on one shared fabric.
+//! of — plus the run's [`obs::Recorder`]. Every engine runs every
+//! scenario: the baseline and the deep modes have one body each, and
+//! the engine picks only the clock an NCPU fleet's item batches run on.
+//! [`Lockstep`] walks every cycle; the event-driven clock that
+//! [`EventDriven`], [`Analytic`] and [`Deep`] use is its byte-identical
+//! fast twin (one wakeup slot per core, jumping between observable
+//! actions), so the fast engine is exact and a report does not name the
+//! engine that produced it. All engines are built on one shared `fabric`
+//! module, so result mailboxes, program construction, DMA staging, and
+//! report assembly cannot drift apart. [`run_independent`] runs two
+//! different use cases side by side on one shared fabric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,11 +13,11 @@
 //!   position, metrics and terminal point go through the shared
 //!   [`fabric::Ledger`].
 //!
-//! The event engine, which [`crate::Analytic`] runs NCPU fleets on,
-//! reproduces this walk byte for byte without stepping every cycle:
+//! The event engine, which every other engine runs NCPU item batches
+//! on, reproduces this walk byte for byte without stepping every cycle:
 //! `lockstep_agrees_with_analytic_scheduler` holds the reports equal
-//! (label aside) across policies, core counts, workloads and a short
-//! watchdog, and `tests/engine_differential.rs` fuzzes the pair.
+//! across policies, core counts, workloads and a short watchdog, and
+//! `tests/engine_differential.rs` fuzzes the pair.
 
 use ncpu_core::{BankPorts, NcpuCore, StepOutcome};
 use ncpu_obs::{EventKind, Recorder, StallCause};
@@ -265,7 +265,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
     }
 
     rec.set_counter("soc.l2_conflict_cycles", l2_conflicts);
-    let report = ledger.finish(format!("{cores}x ncpu (lockstep)"), &pool, &mut dma, &mut rec);
+    let report = ledger.finish(&pool, &mut dma, &mut rec);
     (report, rec)
 }
 
@@ -283,7 +283,7 @@ mod tests {
     }
 
     /// The fast engine and the cycle-stepped co-simulation produce the
-    /// same report, byte for byte but the engine label — across switch
+    /// same report, byte for byte — across switch
     /// policies, core counts, real workload kinds and a watchdog short
     /// enough to abort items mid-flight, driven through the `Engine`
     /// trait.
@@ -307,7 +307,7 @@ mod tests {
                         let analytic = Analytic.report(&scenario);
                         let lockstep = Lockstep.report(&scenario);
                         assert_eq!(
-                            format!("{lockstep:?}").replace(" (lockstep)", ""),
+                            format!("{lockstep:?}"),
                             format!("{analytic:?}"),
                             "{} {policy:?} {cores} cores {plan:?}",
                             uc.name()

@@ -12,38 +12,38 @@
 //! point.
 //!
 //! An [`Engine`] turns a scenario into a `(RunReport, Recorder)` pair.
-//! Four engines exist, all built on the shared `fabric` module:
+//! Every engine runs every scenario, and one private dispatcher picks the
+//! body from the system and the use-case kind:
 //!
-//! * [`Analytic`] — the fast engine for every figure/table sweep. An
-//!   NCPU fleet runs on the event engine below, under the plain
-//!   `"{N}x ncpu"` label, so its reports are exact against `Lockstep`;
-//!   the heterogeneous baseline has a scheduler of its own.
-//! * [`Lockstep`] — the cycle-stepped co-simulation with real N-way L2
-//!   port arbitration: the reference the fast engine is held to; NCPU
-//!   systems only.
-//! * [`EventDriven`] — the event-driven twin of `Lockstep`:
-//!   byte-identical reports, counters, and event streams (pinned by
-//!   `tests/engine_differential.rs`), but it jumps between observable
-//!   actions and replays memoized item timing instead of walking every
-//!   cycle. `Analytic`'s NCPU run, labeled `(event)`; NCPU systems only.
-//! * [`Deep`] — the beyond-4-layer modes of paper Section VIII-A: one
-//!   BNN-capable core rolls layers back onto one physical array, N ≥ 2
-//!   connect in series. [`UseCaseKind::Deep`] use cases only.
+//! * the heterogeneous baseline runs its own scheduler;
+//! * a [`UseCaseKind::Deep`] use case on an NCPU fleet runs the
+//!   beyond-4-layer modes of paper Section VIII-A: one BNN-capable core
+//!   rolls layers back onto one physical array, N ≥ 2 connect in series;
+//! * image, motion and parametric batches on an NCPU fleet run on the
+//!   engine's item clock: [`Lockstep`] walks one global cycle at a time
+//!   with real N-way L2 port arbitration, and [`EventDriven`],
+//!   [`Analytic`] and [`Deep`] jump between observable actions and replay
+//!   memoized item timing instead.
 //!
-//! N-core semantics are uniform across engines: the item engines
-//! (`Analytic`, `Lockstep`, `EventDriven`) dispatch items round-robin
-//! over the item-capable cores ([`Topology::plan`]; `item i → core
-//! i % N` on the homogeneous default), while `Deep` places one series
-//! segment on each BNN-capable core.
+//! The baseline and deep bodies are the only exact model of their
+//! systems, and the two item clocks give byte-identical reports,
+//! counters, metrics and event streams (pinned by
+//! `tests/engine_differential.rs`), so a report does not name the engine
+//! that produced it. The one observable difference is that only the
+//! event-driven clock fills the use case's timing memo.
 //!
-//! [`Topology`]: crate::topology::Topology
-//! [`Topology::plan`]: crate::topology::Topology::plan
+//! N-core semantics are uniform: item batches dispatch round-robin over
+//! the item-capable cores ([`Topology::plan`]; `item i → core i % N` on
+//! the homogeneous default), while a deep model places one series segment
+//! on each BNN-capable core. The heterogeneous baseline has no deep mode:
+//! a deep use case there panics in the dispatcher.
 
 use ncpu_fault::FaultPlan;
 use ncpu_obs::{Recorder, TraceLevel};
 
 use crate::report::RunReport;
 use crate::system::{SocConfig, SystemConfig};
+use crate::topology::Topology;
 use crate::usecase::{UseCase, UseCaseKind};
 
 /// A complete, self-contained description of one end-to-end run.
@@ -160,17 +160,16 @@ impl Scenario {
 /// All engines return the standard [`RunReport`] plus the root
 /// [`Recorder`] (counters always populated; span/instant events per the
 /// scenario's trace level), so callers swap engines without touching
-/// their reporting code.
+/// their reporting code. Every engine runs every scenario, and the report
+/// does not say which engine ran it: the engine picks only the clock an
+/// NCPU fleet's item workloads run on.
 pub trait Engine {
-    /// Stable short name (artifact/log tag).
-    fn name(&self) -> &'static str;
-
     /// Runs the scenario to completion.
     ///
     /// # Panics
     ///
-    /// Panics if the scenario is outside the engine's domain (see each
-    /// engine's docs) or a generated program faults.
+    /// Panics on a deep use case on the heterogeneous baseline, which has
+    /// no deep-network mode, or if a generated program faults.
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder);
 
     /// Convenience: runs and keeps only the report.
@@ -179,83 +178,72 @@ pub trait Engine {
     }
 }
 
-/// The fast engine — handles every [`SystemConfig`] and every non-deep
-/// [`UseCaseKind`]: NCPU fleets on the event engine (exact against
-/// [`Lockstep`]), the heterogeneous baseline on its own scheduler.
+/// The clock an NCPU fleet's item workloads run on.
+type ItemClock = fn(&Scenario, &Topology) -> (RunReport, Recorder);
+
+/// Picks the body from the system and the use-case kind. The baseline and
+/// the deep modes each have one exact model with no shared-L2 arbitration
+/// for a second clock to differ on, so every engine runs them the same
+/// way; only image, motion and parametric batches on an NCPU fleet run on
+/// the engine's `item_clock`.
+fn dispatch(scenario: &Scenario, item_clock: ItemClock) -> (RunReport, Recorder) {
+    match (&scenario.system, scenario.usecase.kind()) {
+        (SystemConfig::Heterogeneous, UseCaseKind::Deep) => {
+            panic!("the heterogeneous baseline has no deep-network mode")
+        }
+        (SystemConfig::Heterogeneous, _) => {
+            crate::system::run_heterogeneous(&scenario.usecase, &scenario.soc, scenario.trace)
+        }
+        (SystemConfig::Ncpu(topo), UseCaseKind::Deep) => crate::deep::run(scenario, topo),
+        (SystemConfig::Ncpu(topo), _) => item_clock(scenario, topo),
+    }
+}
+
+/// The fast engine for every figure/table sweep: NCPU item batches on the
+/// event-driven clock, exact against [`Lockstep`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Analytic;
 
 impl Engine for Analytic {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
         let _prof = ncpu_obs::selfprof::span("engine.analytic");
-        crate::system::run(scenario)
+        dispatch(scenario, crate::eventdriven::run)
     }
 }
 
-/// The cycle-stepped co-simulation with real L2 arbitration — NCPU
-/// systems only.
+/// The cycle-stepped co-simulation with real L2 arbitration: NCPU item
+/// batches walk every cycle of one global clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Lockstep;
 
 impl Engine for Lockstep {
-    fn name(&self) -> &'static str {
-        "lockstep"
-    }
-
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
         let _prof = ncpu_obs::selfprof::span("engine.lockstep");
-        let SystemConfig::Ncpu(topo) = &scenario.system else {
-            panic!("the lock-step engine co-simulates NCPU cores, not the baseline");
-        };
-        crate::lockstep::run(scenario, topo)
+        dispatch(scenario, crate::lockstep::run)
     }
 }
 
-/// The event-driven co-simulation — byte-identical to [`Lockstep`] but
-/// orders of magnitude faster on steady-state workloads; NCPU systems
-/// only.
+/// The event-driven co-simulation: byte-identical to [`Lockstep`] but
+/// orders of magnitude faster on steady-state workloads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EventDriven;
 
 impl Engine for EventDriven {
-    fn name(&self) -> &'static str {
-        "event"
-    }
-
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
         let _prof = ncpu_obs::selfprof::span("engine.event");
-        let SystemConfig::Ncpu(topo) = &scenario.system else {
-            panic!("the event-driven engine co-simulates NCPU cores, not the baseline");
-        };
-        crate::eventdriven::run(scenario, topo)
+        dispatch(scenario, crate::eventdriven::run)
     }
 }
 
-/// The beyond-4-layer deep-network engine: rollback on one core, series
-/// pipeline on N ≥ 2 — [`UseCaseKind::Deep`] use cases only.
+/// The engine named for the beyond-4-layer modes: rollback on one core,
+/// series pipeline on N ≥ 2. Item batches run on the event-driven clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Deep;
 
 impl Engine for Deep {
-    fn name(&self) -> &'static str {
-        "deep"
-    }
-
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
         let _prof = ncpu_obs::selfprof::span("engine.deep");
-        assert_eq!(
-            scenario.usecase.kind(),
-            UseCaseKind::Deep,
-            "the deep engine runs UseCase::deep workloads"
-        );
-        let SystemConfig::Ncpu(topo) = &scenario.system else {
-            panic!("the deep engine schedules NCPU cores, not the baseline");
-        };
-        crate::deep::run(scenario, topo)
+        dispatch(scenario, crate::eventdriven::run)
     }
 }
 
@@ -291,28 +279,52 @@ mod tests {
         assert!(!hetero.fault().is_active());
     }
 
+    /// Every engine runs the baseline, NCPU item batches and deep models,
+    /// fully traced, to the same report, counters, metrics and raw event
+    /// streams: the engine is not visible in what a run produces.
     #[test]
-    fn engines_are_interchangeable_behind_the_trait() {
-        let uc = UseCase::parametric(0.6, 4, pseudo_model(784, 20, 10));
-        let s = Scenario::new(uc, SystemConfig::ncpu(2));
-        let engines: Vec<Box<dyn Engine>> = vec![Box::new(Analytic), Box::new(Lockstep)];
-        let reports: Vec<RunReport> = engines.iter().map(|e| e.report(&s)).collect();
-        assert_eq!(reports[0].predictions, reports[1].predictions);
-        assert_eq!(reports[0].cores.len(), reports[1].cores.len());
+    fn every_engine_runs_every_scenario_to_the_same_bytes() {
+        let parametric = UseCase::parametric(0.6, 3, pseudo_model(784, 20, 10));
+        let image = UseCase::image(2, 2, 1);
+        let deep = UseCase::deep(
+            crate::deep::tests::deep_model(8),
+            &crate::deep::tests::inputs(4),
+        );
+        let scenarios = [
+            Scenario::new(parametric.clone(), SystemConfig::Heterogeneous),
+            Scenario::new(image.clone(), SystemConfig::Heterogeneous),
+            Scenario::new(image, SystemConfig::ncpu(2)),
+            Scenario::new(parametric, SystemConfig::ncpu(2)),
+            Scenario::new(deep.clone(), SystemConfig::ncpu(1)),
+            Scenario::new(deep, SystemConfig::ncpu(2)),
+        ];
+        let engines: [&dyn Engine; 4] = [&Analytic, &Lockstep, &EventDriven, &Deep];
+        for scenario in scenarios {
+            let s = scenario.with_trace(TraceLevel::Full);
+            let tag = format!("{} on {:?}", s.usecase().name(), s.system());
+            let (reference, ref_rec) = Lockstep.run(&s);
+            for engine in engines {
+                let (report, rec) = engine.run(&s);
+                assert_eq!(format!("{report:?}"), format!("{reference:?}"), "{tag}");
+                assert_eq!(rec.counters().to_json(), ref_rec.counters().to_json(), "{tag}");
+                assert_eq!(rec.metrics().to_json(), ref_rec.metrics().to_json(), "{tag}");
+                assert_eq!(rec.spans(), ref_rec.spans(), "{tag}");
+                assert_eq!(rec.events(), ref_rec.events(), "{tag}");
+            }
+        }
     }
 
+    /// The one observable difference between the two item clocks: the
+    /// lock-step walk never records item timing, the event-driven clock
+    /// fills the use case's memo.
     #[test]
-    #[should_panic(expected = "NCPU cores")]
-    fn lockstep_rejects_heterogeneous() {
-        let uc = UseCase::parametric(0.6, 2, pseudo_model(784, 20, 10));
-        Lockstep.run(&Scenario::new(uc, SystemConfig::Heterogeneous));
-    }
-
-    #[test]
-    #[should_panic(expected = "deep engine")]
-    fn deep_rejects_non_deep_use_cases() {
-        let uc = UseCase::parametric(0.6, 2, pseudo_model(784, 20, 10));
-        Deep.run(&Scenario::new(uc, SystemConfig::ncpu(1)));
+    fn only_the_event_clock_fills_the_timing_memo() {
+        let uc = UseCase::image(2, 2, 1);
+        let s = Scenario::new(uc.clone(), SystemConfig::ncpu(1));
+        Lockstep.run(&s);
+        assert_eq!(uc.timing().len(), 0, "lock-step records nothing");
+        EventDriven.run(&s);
+        assert!(uc.timing().len() > 0, "the event clock records the item's timing");
     }
 
     #[test]

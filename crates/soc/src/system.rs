@@ -1,10 +1,10 @@
-//! The analytic engine: the heterogeneous baseline's scheduler, the
-//! event engine for NCPU fleets, and [`run_independent`].
+//! The system descriptions, the heterogeneous baseline's scheduler, and
+//! [`run_independent`].
 //!
 //! Everything the run paths share — program construction, result
 //! mailboxes, DMA staging, cycle budgets, report assembly — lives in
-//! [`crate::fabric`]. A [`crate::Scenario`] run by the
-//! [`crate::Analytic`] engine reaches exactly this code.
+//! [`crate::fabric`]. Every [`crate::Engine`] runs a
+//! [`SystemConfig::Heterogeneous`] scenario on [`run_heterogeneous`].
 
 use ncpu_accel::Accelerator;
 use ncpu_bnn::BitVec;
@@ -16,7 +16,6 @@ use ncpu_sim::stats::Timeline;
 
 use crate::fabric;
 use crate::report::{CoreReport, RunReport};
-use crate::scenario::Scenario;
 use crate::topology::Topology;
 use crate::usecase::UseCase;
 
@@ -61,36 +60,6 @@ impl SystemConfig {
     /// which counts `0` as one core.
     pub fn ncpu(n: usize) -> SystemConfig {
         SystemConfig::Ncpu(Topology::homogeneous(n))
-    }
-}
-
-/// The analytic engine: runs `scenario` and returns the report together
-/// with the root [`Recorder`] (every core's phase spans re-based onto
-/// the global clock, the DMA lane, the counter registry, and at
-/// [`TraceLevel::Full`] per-cycle instant events). The recorder always
-/// runs at `Counters` or above — report timelines are derived from its
-/// span events.
-///
-/// An NCPU fleet runs on the event engine, exact against the lock-step
-/// co-simulation on every axis, under the plain `"{N}x ncpu"` label. The
-/// heterogeneous baseline has a scheduler of its own, which ignores the
-/// fault plan (the paper's reliability story is about the NCPU's
-/// low-voltage SRAM operating points).
-///
-/// # Panics
-///
-/// Panics if a generated program faults — the programs are produced by
-/// this workspace, so a fault is a bug, not an input condition.
-pub(crate) fn run(scenario: &Scenario) -> (RunReport, Recorder) {
-    match scenario.system() {
-        SystemConfig::Heterogeneous => {
-            run_heterogeneous(scenario.usecase(), scenario.soc(), scenario.trace())
-        }
-        SystemConfig::Ncpu(topo) => {
-            let (mut report, rec) = crate::eventdriven::run(scenario, topo);
-            report.config = format!("{}x ncpu", topo.cores());
-            (report, rec)
-        }
     }
 }
 
@@ -188,7 +157,20 @@ pub fn run_independent(a: &UseCase, b: &UseCase, soc: &SocConfig) -> (RunReport,
     (first, second)
 }
 
-fn run_heterogeneous(
+/// The heterogeneous baseline: runs `usecase` on the standalone CPU and
+/// BNN accelerator and returns the report together with the root
+/// [`Recorder`] (the CPU and accelerator lanes, the DMA lane, the counter
+/// registry, and at [`TraceLevel::Full`] per-cycle instant events). The
+/// recorder always runs at `Counters` or above — report timelines are
+/// derived from its span events. Every engine runs the baseline here; it
+/// ignores the fault plan (the paper's reliability story is about the
+/// NCPU's low-voltage SRAM operating points).
+///
+/// # Panics
+///
+/// Panics if a generated program faults — the programs are produced by
+/// this workspace, so a fault is a bug, not an input condition.
+pub(crate) fn run_heterogeneous(
     usecase: &UseCase,
     soc: &SocConfig,
     level: TraceLevel,
@@ -304,7 +286,7 @@ fn run_heterogeneous(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::scenario::{Analytic, Engine};
+    use crate::scenario::{Analytic, Engine, Scenario};
     use crate::usecase::UseCase;
 
     pub(crate) use crate::usecase::pseudo_model;

@@ -2,9 +2,9 @@
 //!
 //! Runs the same parametric use case through the [`Analytic`],
 //! [`Lockstep`], and [`EventDriven`] engines at the requested core count
-//! and prints the makespans side by side. The two co-simulating engines
-//! must agree **exactly** — this example doubles as the CI smoke for the
-//! event-driven scheduler at four cores:
+//! and prints the makespans side by side. All three must produce the
+//! same report and counters **byte for byte** — this example doubles as
+//! the CI smoke for the event-driven scheduler at four cores:
 //!
 //! ```text
 //! cargo run --release --example engine_matrix 4
@@ -18,9 +18,9 @@ fn main() {
     let uc = UseCase::parametric(0.6, 2 * requested.max(1), pseudo_model(784, 30, 10));
     let scenario = Scenario::new(uc, SystemConfig::ncpu(requested));
 
-    let analytic = Analytic.report(&scenario);
-    let lockstep = Lockstep.report(&scenario);
-    let event = EventDriven.report(&scenario);
+    let (analytic, an_rec) = Analytic.run(&scenario);
+    let (lockstep, ls_rec) = Lockstep.run(&scenario);
+    let (event, ev_rec) = EventDriven.run(&scenario);
     // The fleet that ran (a request for 0 cores builds one).
     let cores = lockstep.cores.len();
 
@@ -32,11 +32,14 @@ fn main() {
         println!("{:<12} {:>12}  {:?}", name, report.makespan, report.predictions);
     }
 
-    assert_eq!(
-        event.makespan, lockstep.makespan,
-        "the event-driven engine must match lock-step cycle for cycle"
-    );
-    assert_eq!(event.predictions, lockstep.predictions, "classification drift");
-    assert_eq!(analytic.predictions, lockstep.predictions, "classification drift");
-    println!("event == lockstep at {cores} cores: ok");
+    let reference = format!("{lockstep:?}");
+    for (name, report, rec) in [("analytic", &analytic, &an_rec), ("event", &event, &ev_rec)] {
+        assert_eq!(format!("{report:?}"), reference, "{name} and lockstep reports diverged");
+        assert_eq!(
+            rec.counters().to_json(),
+            ls_rec.counters().to_json(),
+            "{name} and lockstep counters diverged"
+        );
+    }
+    println!("analytic == lockstep == event at {cores} cores: ok");
 }

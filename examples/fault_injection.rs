@@ -34,18 +34,6 @@ const FAULT_COUNTERS: [&str; 9] = [
     "fault.cores_quarantined",
 ];
 
-/// Renders a report with the engine tag (`" (lockstep)"`, `" (event)"`;
-/// the Analytic label has none) stripped from `config`, so the engines'
-/// reports compare as one byte string.
-fn normalized(report: &RunReport, tag: &str) -> String {
-    let mut r = report.clone();
-    r.config = match report.config.strip_suffix(tag) {
-        Some(label) => label.to_string(),
-        None => panic!("{} should end with {tag:?}", report.config),
-    };
-    format!("{r:?}")
-}
-
 /// Prints the fault counters and makespans of the three engines' runs.
 fn print_counters(runs: &[(RunReport, Recorder); 3]) {
     println!("\n{:<28} {:>10} {:>10} {:>10}", "counter", "analytic", "lockstep", "event");
@@ -116,8 +104,8 @@ fn main() {
     );
     // …and the two co-simulating engines must agree on every byte of it.
     assert_eq!(
-        normalized(&event, " (event)"),
-        normalized(&lockstep, " (lockstep)"),
+        format!("{event:?}"),
+        format!("{lockstep:?}"),
         "event and lockstep reports diverged under faults"
     );
     assert_eq!(
@@ -157,11 +145,9 @@ fn main() {
         ls_rec.counters().get("fault.detected.watchdog") > 0,
         "a 3,000-cycle watchdog must abort image items"
     );
-    let reference = normalized(lockstep, " (lockstep)");
-    for (name, report, rec, tag) in
-        [("analytic", analytic, an_rec, ""), ("event", event, ev_rec, " (event)")]
-    {
-        assert_eq!(normalized(report, tag), reference, "{name} and lockstep reports diverged");
+    let reference = format!("{lockstep:?}");
+    for (name, report, rec) in [("analytic", analytic, an_rec), ("event", event, ev_rec)] {
+        assert_eq!(format!("{report:?}"), reference, "{name} and lockstep reports diverged");
         assert_eq!(
             rec.counters().to_json(),
             ls_rec.counters().to_json(),

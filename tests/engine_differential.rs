@@ -358,26 +358,13 @@ impl Shrink for Case {
     }
 }
 
-/// Renders a report with the engine tag stripped from `config`, so the
-/// two engines' reports can be compared as one byte string.
-fn normalized(report: &RunReport, tag: &str) -> String {
-    assert!(report.config.ends_with(tag), "{} should end with {tag}", report.config);
-    let mut r = report.clone();
-    r.config = r.config.replace(tag, "(engine)");
-    format!("{r:?}")
-}
-
 fn check_case(case: &Case) -> Result<(), String> {
     let scenario = case.scenario();
     let (ls_report, ls_rec) = LockstepEngine.run(&scenario);
     let (ev_report, ev_rec) = EventEngine.run(&scenario);
 
-    // The full report, byte for byte (modulo the engine name).
-    prop_assert_eq!(
-        normalized(&ev_report, "(event)"),
-        normalized(&ls_report, "(lockstep)"),
-        "RunReport diverged"
-    );
+    // The full report, byte for byte.
+    prop_assert_eq!(format!("{ev_report:?}"), format!("{ls_report:?}"), "RunReport diverged");
     // The counter registries (includes soc.l2_conflict_cycles, per-core
     // pipeline/core counters, DMA and run counters).
     prop_assert_eq!(

@@ -78,7 +78,7 @@ fn lockstep_engine_reproduces_pre_refactor_cosim_report() {
     let scenario = Scenario::new(uc, SystemConfig::ncpu(2));
     let (report, rec) = LockstepEngine.run(&scenario);
     check(&report, 4414, &[2, 2, 2, 2], &[4414, 4414]);
-    assert_eq!(report.config, "2x ncpu (lockstep)");
+    assert_eq!(report.config, "2x ncpu");
     assert_eq!(rec.counters().get("soc.l2_conflict_cycles"), 2, "arbitration conflicts");
 }
 
@@ -91,7 +91,7 @@ fn event_engine_reproduces_pre_refactor_cosim_report() {
     let scenario = Scenario::new(uc, SystemConfig::ncpu(2));
     let (report, rec) = EventEngine.run(&scenario);
     check(&report, 4414, &[2, 2, 2, 2], &[4414, 4414]);
-    assert_eq!(report.config, "2x ncpu (event)");
+    assert_eq!(report.config, "2x ncpu");
     assert_eq!(rec.counters().get("soc.l2_conflict_cycles"), 2, "arbitration conflicts");
 }
 

@@ -95,8 +95,8 @@ fn full_trace_carries_instants_for_both_cores() {
 }
 
 /// The one-pass compact writer equals the old `to_json → parse →
-/// render_compact` chain on real run artifacts: every workload, every
-/// engine that accepts it, counter and full tracing, clean and faulted.
+/// render_compact` chain on real run artifacts: every workload, the NCPU
+/// engines and the baseline, counter and full tracing, clean and faulted.
 #[test]
 fn compact_artifacts_equal_the_parse_round_trip_across_the_grid() {
     let plan = FaultPlan {
@@ -113,7 +113,8 @@ fn compact_artifacts_equal_the_parse_round_trip_across_the_grid() {
     };
     let parametric = UseCase::parametric(0.6, 4, ncpu::soc::pseudo_model(64, 20, 10));
     let use_cases = [UseCase::image(4, 2, 1), UseCase::motion(4, 2, 1), parametric];
-    let ncpu_engines: [&dyn Engine; 3] = [&Analytic, &Lockstep, &EventDriven];
+    let ncpu_engines: [(&str, &dyn Engine); 3] =
+        [("analytic", &Analytic), ("lockstep", &Lockstep), ("event", &EventDriven)];
     let mut runs = 0;
     for uc in &use_cases {
         let systems = [
@@ -121,7 +122,7 @@ fn compact_artifacts_equal_the_parse_round_trip_across_the_grid() {
             (SystemConfig::Heterogeneous, &ncpu_engines[..1]),
         ];
         for (system, engines) in systems {
-            for engine in engines {
+            for (name, engine) in engines {
                 for level in [TraceLevel::Counters, TraceLevel::Full] {
                     for faults in [FaultPlan::none(), plan] {
                         let scenario = Scenario::new(uc.clone(), system.clone())
@@ -135,7 +136,7 @@ fn compact_artifacts_equal_the_parse_round_trip_across_the_grid() {
                             obs::json::render_compact(&pretty),
                             "{} on {system:?} via {}, {level:?}, faults {}",
                             uc.name(),
-                            engine.name(),
+                            name,
                             faults.is_active()
                         );
                         runs += 1;
