@@ -4,7 +4,7 @@
 //! produce the same key **iff** every engine in the lockstep/event
 //! equivalence class produces byte-identical reports for them. The
 //! canonical encoding therefore covers exactly the semantic content of
-//! a scenario — workload (model bytes, staged items, spin budget),
+//! a scenario — every workload (model bytes, staged items, spin budget),
 //! system shape, fabric parameters, normalized operating point, and the
 //! full fault plan — in a fixed field order with fixed-width
 //! little-endian integers, and **excludes** the two engine-invariant
@@ -26,7 +26,10 @@
 //! inherits the scenario point), because that is exactly how every
 //! engine resolves them. The heterogeneous baseline has no fleet; its
 //! topology section encodes [`Topology::homogeneous`]`(1)`, the layout
-//! its keys have always had.
+//! its keys have always had. The workload section encodes the first
+//! workload; an independent scenario's further workloads follow the
+//! topology, each behind a 1 byte, before the closing 0 that ends every
+//! encoding, so a single-workload scenario keeps its v2 bytes.
 //!
 //! The key itself is a 64-bit FNV-1a over the canonical bytes — the
 //! same deterministic, dependency-free hash the testkit uses for
@@ -35,12 +38,13 @@
 use crate::scenario::Scenario;
 use crate::system::SystemConfig;
 use crate::topology::Topology;
-use crate::usecase::UseCaseKind;
+use crate::usecase::{UseCase, UseCaseKind};
 
 /// Version tag leading the canonical encoding; bump when the layout
 /// changes so stale persisted keys can never alias fresh ones.
 /// `v2` added the fabric topology (roles, per-core DVFS, L2 banking, and
-/// a scheduler byte that is now always 0) to the encoding.
+/// a scheduler byte, now the closing 0 that an independent scenario's
+/// further workloads precede) to the encoding.
 pub const CANONICAL_TAG: &[u8] = b"ncpu-scenario-v2";
 
 /// 64-bit FNV-1a over `bytes` — deterministic on every host, no
@@ -68,24 +72,7 @@ pub fn canonical_bytes(scenario: &Scenario) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(CANONICAL_TAG);
 
-    // Workload: kind, spin budget, model artifact, staged items.
-    let uc = scenario.usecase();
-    out.push(match uc.kind() {
-        UseCaseKind::Image => 0,
-        UseCaseKind::Motion => 1,
-        UseCaseKind::Parametric => 2,
-        UseCaseKind::Deep => 3,
-    });
-    push_u64(&mut out, uc.spin_cycles());
-    let model = ncpu_bnn::io::to_bytes(uc.model());
-    push_u64(&mut out, model.len() as u64);
-    out.extend_from_slice(&model);
-    push_u64(&mut out, uc.items().len() as u64);
-    for item in uc.items() {
-        push_u64(&mut out, item.label as u64);
-        push_u64(&mut out, item.staged.len() as u64);
-        out.extend_from_slice(&item.staged);
-    }
+    push_workload(&mut out, scenario.usecase());
 
     // System shape: a tag and the core count (0 for the baseline).
     let hetero_layout;
@@ -139,12 +126,36 @@ pub fn canonical_bytes(scenario: &Scenario) -> Vec<u8> {
     for &width in topo.bank_bytes() {
         push_u64(&mut out, width as u64);
     }
-    // Where the v2 layout tagged the item scheduler. Dispatch is always
-    // round-robin now, so the tag is the constant the static scheduler
-    // wrote, which keeps every v2 key valid.
+    // Where the v2 layout tagged the item scheduler with a constant 0:
+    // each further workload of an independent scenario follows a 1 here,
+    // and the 0 still closes the encoding, so every v2 key stays valid.
+    for extra in &scenario.workloads()[1..] {
+        out.push(1);
+        push_workload(&mut out, extra);
+    }
     out.push(0);
 
     out
+}
+
+/// One workload: kind, spin budget, model artifact, staged items.
+fn push_workload(out: &mut Vec<u8>, uc: &UseCase) {
+    out.push(match uc.kind() {
+        UseCaseKind::Image => 0,
+        UseCaseKind::Motion => 1,
+        UseCaseKind::Parametric => 2,
+        UseCaseKind::Deep => 3,
+    });
+    push_u64(out, uc.spin_cycles());
+    let model = ncpu_bnn::io::to_bytes(uc.model());
+    push_u64(out, model.len() as u64);
+    out.extend_from_slice(&model);
+    push_u64(out, uc.items().len() as u64);
+    for item in uc.items() {
+        push_u64(out, item.label as u64);
+        push_u64(out, item.staged.len() as u64);
+        out.extend_from_slice(&item.staged);
+    }
 }
 
 /// [`fnv1a_64`] of [`canonical_bytes`] — the content-addressed cache
@@ -369,6 +380,25 @@ mod tests {
         assert_ne!(parametric.cache_key(), hetero.cache_key(), "system shape is semantic");
     }
 
+    /// An independent scenario keys apart from each of its workloads run
+    /// alone, from its workloads in the other order, and from a scenario
+    /// whose second workload differs.
+    #[test]
+    fn independent_workloads_are_semantic_in_order() {
+        let p = |fraction| UseCase::parametric(fraction, 2, pseudo_model(64, 10, 10));
+        let two = Topology::homogeneous(2);
+        let independent = |a, b| {
+            Scenario::independent(vec![a, b], two.clone()).expect("fits").cache_key()
+        };
+        let key = independent(p(0.3), p(0.6));
+        for solo in [p(0.3), p(0.6)] {
+            assert_ne!(key, Scenario::new(solo, crate::SystemConfig::ncpu(2)).cache_key());
+        }
+        assert_ne!(key, independent(p(0.6), p(0.3)), "workload order is semantic");
+        assert_ne!(key, independent(p(0.3), p(0.7)), "every workload is encoded");
+        assert_eq!(key, independent(p(0.3), p(0.6)));
+    }
+
     #[test]
     fn cache_keys_are_pinned_across_encoder_rewrites() {
         // The key hashes the model artifact bytes, so these pins hold
@@ -382,6 +412,9 @@ mod tests {
         let motion = Scenario::new(UseCase::motion(2, 4, 2), crate::SystemConfig::ncpu(1))
             .with_operating_point(0.8);
         assert_eq!(motion.cache_key(), 0x0bd0_acde_6945_fcac);
+        let workloads = vec![image.usecase().clone(), motion.usecase().clone()];
+        let both = Scenario::independent(workloads, Topology::homogeneous(2)).expect("fits");
+        assert_eq!(both.cache_key(), 0x9414_8716_d4b1_de75);
         let parametric = Scenario::new(
             UseCase::parametric(0.5, 8, pseudo_model(64, 10, 10)),
             crate::SystemConfig::ncpu(2),

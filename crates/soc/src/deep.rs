@@ -467,9 +467,8 @@ fn deep_fault_prologue(
     soc: &SocConfig,
 ) -> DeepPrologue {
     let no_quarantine = FaultPlan { quarantine_after: 0, ..*plan };
-    let one_stream = crate::topology::Topology::homogeneous(1);
     let items = staged_sizes.len();
-    let mut ctl = fabric::FaultCtl::new(&no_quarantine, millivolts, items, &one_stream);
+    let mut ctl = fabric::FaultCtl::new(&no_quarantine, millivolts, items, 1);
     let cost = |bytes: u32| {
         soc.dma_setup_cycles + u64::from(bytes).div_ceil(u64::from(soc.dma_bytes_per_cycle.max(1)))
     };

@@ -130,10 +130,10 @@ use crate::topology::Topology;
 
 /// The event-driven engine: co-simulates `scenario`'s NCPU fleet and
 /// returns the report with the root [`Recorder`] — byte-identical
-/// (events, spans, counters) to [`crate::lockstep::run`] on the same
-/// scenario, except for the engine name in the report's `config`.
+/// (report, events, spans, counters) to [`crate::lockstep::run`] on the
+/// same scenario.
 ///
-/// Item dispatch follows the topology's plan, fixed-function cores sit
+/// Item dispatch follows the ledger's plan, fixed-function cores sit
 /// idle, and L2 arbitration is per bank. An inert fault plan takes the
 /// exact pre-fault code path. An active plan resolves every dispatch
 /// through `fabric::resolve_dispatch` at the same `(cycle, core)` slots
@@ -244,15 +244,15 @@ impl Emission {
 
 /// [`run`], also returning how its items were served.
 fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder, MemoStats) {
-    let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
+    let (soc, level) = (scenario.soc(), scenario.trace());
     let cores = topo.cores();
     let mut rec = Recorder::new(level.at_least_counters());
-    let (l2, mut pool, programs) = fabric::ncpu_pool(usecase, soc, level, cores);
+    let mut ledger = fabric::Ledger::new(scenario, topo);
+    let (l2, mut pool, programs) = fabric::ncpu_pool(&ledger, soc, level);
     for core in &mut pool {
         core.set_l2_touch_log(true);
     }
     let mut dma = fabric::new_dma(soc, level);
-    let mut ledger = fabric::Ledger::new(scenario, topo);
     let watchdog = ledger.ctl.as_ref().map_or(0, fabric::FaultCtl::watchdog);
     let mut steady: Vec<Option<Steady>> = (0..cores).map(|_| None).collect();
     // A program that may read the L2 could observe a write a skipped
@@ -315,11 +315,12 @@ fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder,
                     if fresh {
                         ledger.begin(ci, now);
                     }
+                    let staged = ledger.staged(item);
                     match fabric::resolve_dispatch(
                         ledger.ctl.as_mut(),
                         ci,
                         item,
-                        &usecase.items()[item].staged,
+                        staged,
                         now,
                         fresh,
                         &mut pool[ci],
@@ -364,7 +365,7 @@ fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder,
         // Execute (or replay) the item starting at `now`. An item known
         // to overrun the watchdog is never replayed: it takes the
         // simulation path, which stops where the watchdog does.
-        let core = &mut pool[ci];
+        let (core, usecase) = (&mut pool[ci], ledger.usecase(ci));
         let hit = steady[ci].as_ref().filter(|s| s.timing.used <= limit && s.holds(core));
         let executed = if let Some(hit) = hit {
             let _prof = ncpu_obs::selfprof::span("event.replay");
@@ -435,7 +436,7 @@ fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder,
                 // core is rebuilt, and the decision waits for the expiry slot.
                 push_touches(&partial, now, c, &mut touches);
                 ledger.charge(ci, watchdog);
-                pool[ci] = fabric::ncpu_core(usecase, soc, level, l2.clone());
+                pool[ci] = fabric::ncpu_core(ledger.usecase(ci), soc, level, l2.clone());
                 pool[ci].set_l2_touch_log(true);
                 steady[ci] = None;
                 slots[ci] = Some((now + watchdog, Wake::Abort(now)));
@@ -744,7 +745,7 @@ mod tests {
     #[test]
     fn a_steady_state_holds_until_a_register_or_a_bank_changes() {
         let (uc, level) = (parametric(1), TraceLevel::Counters);
-        let (_, mut pool, programs) = fabric::ncpu_pool(&uc, &SocConfig::default(), level, 1);
+        let (_, mut pool, programs) = fabric::tests::pool(&uc, 1, level);
         let core = &mut pool[0];
         let pre = core.replay_state();
         let timing = simulate(&mut core.clone(), &programs[0], level, 0).expect("halts");
@@ -775,7 +776,7 @@ mod tests {
                 Program::new(ncpu_isa::asm::assemble(&src).expect("valid program"))
             });
         }
-        fabric::ncpu_pool(uc, &soc, TraceLevel::Counters, cores).2
+        fabric::tests::pool(uc, cores, TraceLevel::Counters).2
     }
 
     /// A program that may read the shared L2 turns memoization off for

@@ -1,26 +1,20 @@
-//! The shared SoC fabric: everything the run paths have in common.
-//!
-//! Before the Scenario/Engine refactor the analytic scheduler
-//! (`system.rs`), the lock-step co-simulation (`lockstep.rs`) and the
-//! deep-network series mode (`deep.rs`) each carried private copies of
-//! the result-mailbox layout, program construction, DMA staging, cycle
-//! budgets and report assembly. This module is the single owner of all
-//! of it, so the engines cannot drift:
+//! The shared SoC fabric: everything the run paths have in common, with
+//! one owner each, so the engines cannot drift:
 //!
 //! * [`result_addr`] — the per-core L2 result mailbox layout,
-//! * [`ncpu_program`] / [`hetero_program`] — program construction for
-//!   every [`UseCaseKind`],
-//! * [`run_item`] — DMA staging plus one program execution under the
-//!   shared [`ITEM_BUDGET`],
+//! * [`item_program`] — the one item-program builder: each workload's
+//!   pre-processing under the NCPU classify tail ([`ncpu_program`]) or
+//!   the baseline's offload tail,
+//! * [`stage_item`] — DMA staging into a core's data banks,
 //! * [`ncpu_pool`] / [`ncpu_core`] — core construction, wired to the
 //!   `SocConfig` (shared L2, trace level, naive-switch DMA parameters),
-//! * [`Ledger`] — every per-item fact of an NCPU-fleet run (each core's
-//!   queue and cursor, dispatch cycle and queue depth, busy and finish
-//!   cycles, predictions), what a completion, a drop and a quarantine do
-//!   to them, and the final report assembly. The two NCPU item clocks
-//!   (the lock-step walk, and the per-core wakeup table that the other
-//!   three engines run) keep only their clocks and drive one ledger
-//!   each,
+//! * [`Ledger`] — which workload each core runs, and every per-item fact
+//!   of an NCPU-fleet run (each core's queue and cursor, dispatch cycle
+//!   and queue depth, busy and finish cycles, predictions), what a
+//!   completion, a drop and a quarantine do to them, and the final
+//!   report assembly. The two NCPU item clocks (the lock-step walk, and
+//!   the per-core wakeup table that the other three engines run) keep
+//!   only their clocks and drive one ledger each,
 //! * [`FaultCtl`] with [`resolve_dispatch`] and [`recovery_decision`] —
 //!   the one fault-recovery path: detection pricing, retry with
 //!   exponential backoff, drop and quarantine, for both item clocks
@@ -44,7 +38,7 @@ use crate::report::{CoreReport, RunReport};
 use crate::scenario::Scenario;
 use crate::system::SocConfig;
 use crate::topology::{CoreRole, Topology};
-use crate::usecase::{UseCase, UseCaseKind};
+use crate::usecase::{Item, UseCase, UseCaseKind};
 
 /// Cycle budget per item (well above the heaviest program).
 pub const ITEM_BUDGET: u64 = 200_000_000;
@@ -90,22 +84,22 @@ pub(crate) fn ncpu_core(
     core
 }
 
-/// Builds the `cores`-way NCPU pool on a fresh shared L2, plus each
-/// core's program targeting its [`result_addr`] mailbox.
+/// Builds the NCPU pool of `ledger`'s fleet on a fresh shared L2, each
+/// core from the use case the ledger gives it, plus each core's program
+/// targeting its [`result_addr`] mailbox.
 pub(crate) fn ncpu_pool(
-    uc: &UseCase,
+    ledger: &Ledger,
     soc: &SocConfig,
     level: TraceLevel,
-    cores: usize,
 ) -> (SharedL2, Vec<NcpuCore>, Vec<Program>) {
-    assert!(cores >= 1, "need at least one core");
     let l2 = SharedL2::new(L2_BYTES);
+    let cores = ledger.cores.len();
     let pool: Vec<NcpuCore> =
-        (0..cores).map(|_| ncpu_core(uc, soc, level, l2.clone())).collect();
+        (0..cores).map(|c| ncpu_core(ledger.usecase(c), soc, level, l2.clone())).collect();
     let programs: Vec<Program> = pool
         .iter()
         .enumerate()
-        .map(|(c, core)| ncpu_program(uc, core, result_addr(c)))
+        .map(|(c, core)| ncpu_program(ledger.usecase(c), core, result_addr(c)))
         .collect();
     (l2, pool, programs)
 }
@@ -115,108 +109,38 @@ pub(crate) fn ncpu_pool(
 /// is assembled, decoded and lowered once per use case and mailbox (the
 /// use case's [`ProgramMemo`](crate::usecase::ProgramMemo)); every
 /// core, run and item loads the shared image.
-///
-/// # Panics
-///
-/// Panics on [`UseCaseKind::Deep`], which has no item program: every
-/// engine runs a deep use case on `deep::run`, which schedules the
-/// accelerator arrays directly, so only [`crate::run_independent`] can
-/// get here with one.
 pub(crate) fn ncpu_program(uc: &UseCase, core: &NcpuCore, result_l2: u32) -> Program {
-    let key = (core.image_base(), core.output_base(), result_l2);
-    uc.programs().get_or_build(key, || assemble_ncpu_program(uc, key))
+    let (image_base, output_base) = (core.image_base(), core.output_base());
+    uc.programs().get_or_build((image_base, output_base, result_l2), || {
+        let tail = Tail::NcpuClassify { output_base, result_l2 };
+        Program::new(item_program(uc, Some(image_base), tail).0)
+    })
 }
 
-fn assemble_ncpu_program(
-    uc: &UseCase,
-    (image_base, output_base, result_l2): (u32, u32, u32),
-) -> Program {
-    let tail = Tail::NcpuClassify { output_base, result_l2 };
-    let words = match uc.kind() {
-        UseCaseKind::Image => {
-            image::preprocess_program(&image::ImageLayout::default(), image_base, tail)
-        }
-        UseCaseKind::Motion => {
-            motion_prog::feature_program(&motion_prog::MotionLayout::default(), image_base, tail)
-        }
-        UseCaseKind::Parametric => {
-            let src = format!(
-                "{}\n{}",
-                uc.spin_source().expect("parametric use case"),
-                tail.asm(0)
-            );
-            asm::assemble(&src).expect("parametric NCPU program")
-        }
-        UseCaseKind::Deep => panic!("a deep use case has no item program"),
-    };
-    Program::new(words)
-}
-
-/// Builds the heterogeneous-baseline program for `uc`: pre-process on
-/// the standalone CPU, then offload the packed input.
-///
-/// # Panics
-///
-/// Panics on [`UseCaseKind::Deep`], which has no item program.
-pub(crate) fn hetero_program(uc: &UseCase) -> Vec<u32> {
-    let tail = Tail::Offload;
+/// The item program of `uc` on any system: pre-processing that packs the
+/// BNN input at `pack` (the workload layout's own address when `None`,
+/// as on the baseline's standalone CPU), then `tail`; and the address
+/// it packs at. A parametric item's spin loop packs nothing (address 0).
+pub(crate) fn item_program(uc: &UseCase, pack: Option<u32>, tail: Tail) -> (Vec<u32>, u32) {
     match uc.kind() {
         UseCaseKind::Image => {
             let layout = image::ImageLayout::default();
-            image::preprocess_program(&layout, layout.pack, tail)
+            let pack = pack.unwrap_or(layout.pack);
+            (image::preprocess_program(&layout, pack, tail), pack)
         }
         UseCaseKind::Motion => {
             let layout = motion_prog::MotionLayout::default();
-            motion_prog::feature_program(&layout, layout.pack, tail)
+            let pack = pack.unwrap_or(layout.pack);
+            (motion_prog::feature_program(&layout, pack, tail), pack)
         }
         UseCaseKind::Parametric => {
-            let src = format!(
-                "{}\n{}",
-                uc.spin_source().expect("parametric use case"),
-                tail.asm(0)
-            );
-            asm::assemble(&src).expect("parametric offload program")
+            let spin = uc.spin_source().expect("parametric use case");
+            (asm::assemble(&format!("{spin}\n{}", tail.asm(0))).expect("parametric program"), 0)
         }
-        UseCaseKind::Deep => panic!("a deep use case has no item program"),
+        // Every engine runs a deep use case on `deep::run`, the baseline
+        // refuses one, and `Scenario::independent` admits none.
+        UseCaseKind::Deep => unreachable!("a deep use case has no item program"),
     }
-}
-
-/// Local address where the heterogeneous CPU program packs the BNN
-/// input.
-pub(crate) fn hetero_pack_offset(uc: &UseCase) -> u32 {
-    match uc.kind() {
-        UseCaseKind::Image => image::ImageLayout::default().pack,
-        UseCaseKind::Motion => motion_prog::MotionLayout::default().pack,
-        UseCaseKind::Parametric => 0,
-        UseCaseKind::Deep => panic!("a deep use case has no item program"),
-    }
-}
-
-/// Stages one item and runs one program to completion on `core`,
-/// starting no earlier than `now` (global cycles). Returns
-/// `(end_time, used)` and drains the core's recorder shard into `rec`
-/// as lane `lane`, re-based to global time.
-pub(crate) fn run_item(
-    core: &mut NcpuCore,
-    program: &Program,
-    staged: &[u8],
-    now: u64,
-    dma: &mut DmaEngine,
-    rec: &mut Recorder,
-    lane: u16,
-) -> (u64, u64) {
-    let _prof = ncpu_obs::selfprof::span("fabric.run_item");
-    let start = if staged.is_empty() { now } else { stage_item(core, staged, now, dma) };
-    let internal_before = core.total_cycles();
-    core.load_program(program);
-    core.run(ITEM_BUDGET).expect("NCPU program must complete");
-    let used = core.total_cycles() - internal_before;
-    // The core's shard holds only this item's events (earlier items were
-    // drained), all stamped ≥ internal_before on the core's unified
-    // clock; shift them onto the global clock.
-    let offset = start as i64 - internal_before as i64;
-    rec.absorb(core.obs_mut(), lane, offset);
-    (start + used, used)
 }
 
 /// Books the fabric DMA transfer for `staged` starting no earlier than
@@ -325,17 +249,23 @@ struct CoreLedger {
     finished_at: u64,
 }
 
-/// Every per-item fact of one NCPU-fleet run: each core's queue and
-/// cursor, the dispatch cycle and queue depth of its current item, busy
-/// and finish cycles, and the prediction vector — plus the run's fault
-/// control (`None` under the inert plan: no draws, no `item.retries`
-/// samples, no `fault.*` counters). The two NCPU item clocks differ
-/// only in how they advance; each reports dispatches,
-/// execution and terminal points (completion, drop, quarantine) here,
-/// so what those do to an item cannot drift between engines.
+/// Every per-item fact of one NCPU-fleet run: which workload each core
+/// runs, each core's queue and cursor, the dispatch cycle and queue depth
+/// of its current item, busy and finish cycles, and the prediction
+/// vector — plus the run's fault control (`None` under the inert plan:
+/// no draws, no `item.retries` samples, no `fault.*` counters). The two
+/// NCPU item clocks differ only in how they advance; each reports
+/// dispatches, execution and terminal points (completion, drop,
+/// quarantine) here, so what those do to an item cannot drift between
+/// engines.
 pub(crate) struct Ledger<'a> {
-    usecase: &'a UseCase,
+    workloads: &'a [UseCase],
     topo: &'a Topology,
+    /// The workload each core runs; `None` for fixed-function cores.
+    workload_of: Vec<Option<usize>>,
+    /// Every workload's items in workload order: an item's index here is
+    /// its index in the run.
+    items: Vec<&'a Item>,
     pub(crate) ctl: Option<FaultCtl>,
     cores: Vec<CoreLedger>,
     /// Written at each item's terminal point: items finish out of order
@@ -344,24 +274,57 @@ pub(crate) struct Ledger<'a> {
 }
 
 impl<'a> Ledger<'a> {
-    /// The ledger of `scenario` on `topo`: each core's queue holds its
-    /// share of the topology's dispatch plan.
+    /// The ledger of `scenario` on `topo`. Item-capable core *j*, in
+    /// core-id order, runs workload *j* mod *W*, and each workload's
+    /// items queue round-robin over its own cores — with one workload,
+    /// item *i* on the *i* mod *N*-th item-capable core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology has no item-capable core (an item workload
+    /// cannot run on a fleet of fixed-function cores).
     pub(crate) fn new(scenario: &'a Scenario, topo: &'a Topology) -> Ledger<'a> {
-        let usecase = scenario.usecase();
-        let items = usecase.items().len();
-        let faults = scenario.fault();
+        let workloads = scenario.workloads();
+        let mut workload_of = vec![None; topo.cores()];
+        for (j, c) in topo.item_cores().into_iter().enumerate() {
+            workload_of[c] = Some(j % workloads.len());
+        }
+        let runnable = workload_of.iter().any(Option::is_some);
+        assert!(runnable, "item workload needs a reconfigurable core");
         let mut cores: Vec<CoreLedger> = (0..topo.cores()).map(|_| CoreLedger::default()).collect();
-        for (item, c) in topo.plan(items).into_iter().enumerate() {
-            cores[c].queue.push((item, 0));
+        let mut items = Vec::new();
+        for (w, uc) in workloads.iter().enumerate() {
+            let own: Vec<usize> =
+                (0..topo.cores()).filter(|&c| workload_of[c] == Some(w)).collect();
+            for (i, item) in uc.items().iter().enumerate() {
+                cores[own[i % own.len()]].queue.push((items.len(), 0));
+                items.push(item);
+            }
         }
-        let millivolts = scenario.millivolts();
+        let faults = scenario.fault();
+        let ctl = faults.is_active().then(|| {
+            FaultCtl::new(faults, scenario.millivolts(), items.len(), cores.len())
+        });
         Ledger {
-            usecase,
+            workloads,
             topo,
-            ctl: faults.is_active().then(|| FaultCtl::new(faults, millivolts, items, topo)),
+            ctl,
+            workload_of,
             cores,
-            predictions: vec![0; items],
+            predictions: vec![0; items.len()],
+            items,
         }
+    }
+
+    /// The use case core `c` runs. A fixed-function core runs none and
+    /// is built from the first.
+    pub(crate) fn usecase(&self, c: usize) -> &'a UseCase {
+        &self.workloads[self.workload_of[c].unwrap_or(0)]
+    }
+
+    /// The bytes item `item` stages.
+    pub(crate) fn staged(&self, item: usize) -> &'a [u8] {
+        &self.items[item].staged
     }
 
     /// Core `c`'s current item and the cycle it becomes available, or
@@ -418,9 +381,9 @@ impl<'a> Ledger<'a> {
     }
 
     /// Core `c` was quarantined at cycle `at`: its outstanding items
-    /// (current first) re-schedule round-robin over the healthy
-    /// item-capable cores, available from `at + 1`. An item that finds
-    /// no healthy core is dropped on the spot: counted and stamped with
+    /// (current first) re-schedule round-robin over the healthy cores
+    /// that run its workload, available from `at + 1`. An item that finds
+    /// no such core is dropped on the spot: counted and stamped with
     /// a `recover.drop` on core `c`'s lane at `at`. Returns each core
     /// that received items, in first-receipt order, and whether it was
     /// parked before — a parked event-engine core has no pending wakeup.
@@ -431,13 +394,14 @@ impl<'a> Ledger<'a> {
         rec: &mut Recorder,
         defer: &mut Option<&mut Vec<(u64, EventKind)>>,
     ) -> Vec<(usize, bool)> {
+        let workload = self.workload_of[c];
         let core = &mut self.cores[c];
         core.finished_at = core.finished_at.max(at);
         let moved = core.queue.split_off(core.at);
         let mut received: Vec<(usize, bool)> = Vec::new();
         for (item, _) in moved {
             let ctl = self.ctl.as_mut().expect("only an active fault plan quarantines cores");
-            match ctl.next_healthy() {
+            match ctl.next_healthy(|t| self.workload_of[t] == workload) {
                 Some(t) => {
                     if received.iter().all(|&(r, _)| r != t) {
                         received.push((t, self.head(t).is_none()));
@@ -510,7 +474,7 @@ impl<'a> Ledger<'a> {
             makespan,
             cores,
             predictions: self.predictions,
-            labels: self.usecase.items().iter().map(|i| i.label).collect(),
+            labels: self.items.iter().map(|i| i.label).collect(),
             metrics: rec.metrics().clone(),
         }
     }
@@ -573,9 +537,6 @@ pub(crate) struct FaultCtl {
     /// Consecutive faults per core; any clean delivery resets it.
     consecutive: Vec<u32>,
     quarantined: Vec<bool>,
-    /// Which cores can run whole items at all (reconfigurable role).
-    /// Fixed-function cores are never re-scheduling targets.
-    item_capable: Vec<bool>,
     /// Faults within the current dispatch of each core's current item;
     /// drives the retry budget and the backoff exponent.
     dispatch_faults: Vec<u32>,
@@ -594,21 +555,14 @@ pub(crate) struct FaultCtl {
 
 impl FaultCtl {
     /// Binds `plan` to the operating point for a run of `items` items on
-    /// `topo`'s cores.
-    pub(crate) fn new(
-        plan: &FaultPlan,
-        millivolts: u32,
-        items: usize,
-        topo: &Topology,
-    ) -> FaultCtl {
-        let cores = topo.cores();
+    /// `cores` cores.
+    pub(crate) fn new(plan: &FaultPlan, millivolts: u32, items: usize, cores: usize) -> FaultCtl {
         FaultCtl {
             plan: *plan,
             session: FaultSession::new(plan, millivolts),
             attempts: vec![0; items],
             consecutive: vec![0; cores],
             quarantined: vec![false; cores],
-            item_capable: (0..cores).map(|c| topo.item_capable(c)).collect(),
             dispatch_faults: vec![0; cores],
             rr: 0,
             injected_flip: 0,
@@ -641,13 +595,13 @@ impl FaultCtl {
         u64::from(self.attempts[item].saturating_sub(1))
     }
 
-    /// Next healthy item-capable core in round-robin order, or `None`
-    /// when every eligible core is quarantined.
-    fn next_healthy(&mut self) -> Option<usize> {
+    /// Next healthy core that `eligible` admits, in round-robin order, or
+    /// `None` when every such core is quarantined.
+    fn next_healthy(&mut self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
         let n = self.quarantined.len();
         for k in 0..n {
             let c = (self.rr + k) % n;
-            if !self.quarantined[c] && self.item_capable[c] {
+            if !self.quarantined[c] && eligible(c) {
                 self.rr = (c + 1) % n;
                 return Some(c);
             }
@@ -873,8 +827,48 @@ pub(crate) fn watchdog_abort(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::system::SystemConfig;
+
+    /// The pool and programs a run of `uc` on `cores` identical cores
+    /// builds.
+    pub(crate) fn pool(
+        uc: &UseCase,
+        cores: usize,
+        level: TraceLevel,
+    ) -> (SharedL2, Vec<NcpuCore>, Vec<Program>) {
+        let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores));
+        let SystemConfig::Ncpu(topo) = scenario.system() else { unreachable!() };
+        ncpu_pool(&Ledger::new(&scenario, topo), &SocConfig::default(), level)
+    }
+
+    /// Each core's queue of item indices in a ledger of `scenario`.
+    fn queues(scenario: &Scenario) -> Vec<Vec<usize>> {
+        let SystemConfig::Ncpu(topo) = scenario.system() else { unreachable!() };
+        let ledger = Ledger::new(scenario, topo);
+        ledger.cores.iter().map(|core| core.queue.iter().map(|&(item, _)| item).collect()).collect()
+    }
+
+    /// One workload goes round-robin over the item-capable cores (item
+    /// `i` on core `i % N` of a homogeneous fleet); several take every
+    /// *W*-th item-capable core each, and item indices follow workload
+    /// order.
+    #[test]
+    fn the_ledger_gives_each_workload_its_own_cores() {
+        let p = |batch| UseCase::parametric(0.5, batch, crate::usecase::pseudo_model(64, 10, 10));
+        let homogeneous = Scenario::new(p(7), SystemConfig::ncpu(3));
+        assert_eq!(queues(&homogeneous), [vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
+        let mut specs = vec![crate::topology::CoreSpec::reconfigurable(); 5];
+        specs[1].role = CoreRole::BnnOnly;
+        let mixed = Topology::from_specs(specs, vec![L2_BYTES]).expect("structural");
+        let solo = Scenario::new(p(5), SystemConfig::Ncpu(mixed.clone()));
+        assert_eq!(queues(&solo), [vec![0, 4], vec![], vec![1], vec![2], vec![3]]);
+        // Item-capable cores 0, 2, 3, 4: workload 0 on 0 and 3, workload 1
+        // on 2 and 4; workload 1's items are numbered after workload 0's.
+        let pair = Scenario::independent(vec![p(3), p(2)], mixed).expect("fits");
+        assert_eq!(queues(&pair), [vec![0, 2], vec![], vec![3], vec![1], vec![4]]);
+    }
 
     /// Every generated NCPU program keeps its data in core-local banks
     /// and only writes the L2, so the event engine may memoize its items.
@@ -886,7 +880,7 @@ mod tests {
             UseCase::parametric(0.6, 2, crate::system::tests::pseudo_model(784, 30, 10)),
         ];
         for uc in &usecases {
-            let (_, _, programs) = ncpu_pool(uc, &SocConfig::default(), TraceLevel::Counters, 2);
+            let (_, _, programs) = pool(uc, 2, TraceLevel::Counters);
             assert!(!programs.iter().any(Program::reads_l2), "{:?}", uc.kind());
         }
     }

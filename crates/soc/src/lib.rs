@@ -14,7 +14,8 @@
 //!
 //! A [`Scenario`] describes one run (use case × system × fabric × trace
 //! × operating point × fault plan; an NCPU system is its
-//! [`topology::Topology`]) and [`Engine::run`]
+//! [`topology::Topology`]; [`Scenario::independent`] gives a fleet's
+//! cores different use cases, paper Section VI-A) and [`Engine::run`]
 //! executes it on the [`Analytic`], [`Lockstep`], [`EventDriven`], or
 //! [`Deep`] engine, returning a [`RunReport`] with the makespan,
 //! per-core busy/mode timelines, utilizations, predicted classes and
@@ -28,8 +29,8 @@
 //! actions), so the fast engine is exact and a report does not name the
 //! engine that produced it. All engines are built on one shared `fabric`
 //! module, so result mailboxes, program construction, DMA staging, and
-//! report assembly cannot drift apart. [`run_independent`] runs two
-//! different use cases side by side on one shared fabric.
+//! report assembly cannot drift apart. [`Engine::run`] is the crate's
+//! only run function.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +53,7 @@ pub use canonical::{cache_key, canonical_bytes, fnv1a_64};
 pub use fabric::{result_addr, DROPPED_PREDICTION, ITEM_BUDGET, L2_BYTES};
 pub use report::{CoreReport, RunReport};
 pub use scenario::{Analytic, Deep, Engine, EventDriven, Lockstep, Scenario};
-pub use system::{run_independent, SocConfig, SystemConfig};
+pub use system::{SocConfig, SystemConfig};
 pub use usecase::{pseudo_deep_model, pseudo_model, UseCase, UseCaseKind};
 
 /// The fault-injection plan a [`Scenario`] carries (re-exported from

@@ -35,7 +35,7 @@ use crate::topology::Topology;
 /// time a core touches the L2 in a cycle its bank's port was already
 /// taken, and counts those conflicts in `soc.l2_conflict_cycles`.
 ///
-/// Items follow the topology's dispatch plan, only reconfigurable cores
+/// Items follow the ledger's dispatch plan, only reconfigurable cores
 /// receive them, and L2 arbitration is per bank — cores in different
 /// banks never conflict. An inert fault plan takes the exact pre-fault
 /// code path. An active plan resolves every dispatch through
@@ -50,12 +50,12 @@ use crate::topology::Topology;
 /// exceeds an internal cycle bound, or an item workload is given a
 /// topology with no reconfigurable core.
 pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder) {
-    let (usecase, soc, level) = (scenario.usecase(), scenario.soc(), scenario.trace());
+    let (soc, level) = (scenario.soc(), scenario.trace());
     let cores = topo.cores();
     let mut rec = Recorder::new(level.at_least_counters());
-    let (l2, mut pool, programs) = fabric::ncpu_pool(usecase, soc, level, cores);
-    let mut dma = fabric::new_dma(soc, level);
     let mut ledger = fabric::Ledger::new(scenario, topo);
+    let (l2, mut pool, programs) = fabric::ncpu_pool(&ledger, soc, level);
+    let mut dma = fabric::new_dma(soc, level);
 
     /// One core's position on the global clock.
     #[derive(Default)]
@@ -158,11 +158,12 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
                     if fresh {
                         ledger.begin(c, clock);
                     }
+                    let staged = ledger.staged(item);
                     match fabric::resolve_dispatch(
                         ledger.ctl.as_mut(),
                         c,
                         item,
-                        &usecase.items()[item].staged,
+                        staged,
                         clock,
                         fresh,
                         &mut pool[c],
@@ -204,7 +205,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
             if watchdog > 0 && clock.saturating_sub(st.item_start) >= watchdog {
                 let ctl = ledger.ctl.as_mut().expect("watchdog requires fault control");
                 let decision = fabric::watchdog_abort(ctl, c, st.item_start, clock, &mut rec, &mut None);
-                pool[c] = fabric::ncpu_core(usecase, soc, level, l2.clone());
+                pool[c] = fabric::ncpu_core(ledger.usecase(c), soc, level, l2.clone());
                 st.active = false;
                 match decision {
                     fabric::Decision::RetryAt(resume) => {

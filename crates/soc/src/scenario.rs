@@ -1,15 +1,14 @@
 //! The `Scenario`/`Engine` layer: one description of *what* to run, four
 //! interchangeable simulators for *how* to run it.
 //!
-//! A [`Scenario`] bundles everything a run needs — the [`UseCase`], the
-//! [`SystemConfig`] (for an NCPU fleet, its [`Topology`]: N ≥ 1 core
-//! specs and the L2 banking), the [`SocConfig`] fabric parameters, the
-//! [`TraceLevel`], an optional DVFS operating point, and a fault plan —
-//! so experiments, the `paper` binary, and `ncpu-par` fan-out all pass
-//! one value instead of ad-hoc tuples. [`Engine::run`]
-//! is the only way to run a single use case; `run_independent` (two
-//! different use cases sharing one fabric) is the only other entry
-//! point.
+//! A [`Scenario`] bundles everything a run needs — the workloads (one
+//! [`UseCase`], or with [`Scenario::independent`] several that share one
+//! NCPU fleet), the [`SystemConfig`] (for an NCPU fleet, its
+//! [`Topology`]: N ≥ 1 core specs and the L2 banking), the [`SocConfig`]
+//! fabric parameters, the [`TraceLevel`], an optional DVFS operating
+//! point, and a fault plan — so experiments, the `paper` binary, and
+//! `ncpu-par` fan-out all pass one value instead of ad-hoc tuples.
+//! [`Engine::run`] is the only way to run a simulation.
 //!
 //! An [`Engine`] turns a scenario into a `(RunReport, Recorder)` pair.
 //! Every engine runs every scenario, and one private dispatcher picks the
@@ -33,10 +32,14 @@
 //! event-driven clock fills the use case's timing memo.
 //!
 //! N-core semantics are uniform: item batches dispatch round-robin over
-//! the item-capable cores ([`Topology::plan`]; `item i → core i % N` on
-//! the homogeneous default), while a deep model places one series segment
-//! on each BNN-capable core. The heterogeneous baseline has no deep mode:
-//! a deep use case there panics in the dispatcher.
+//! the item-capable cores (`item i → core i % N` on the homogeneous
+//! default), while a deep model places one series segment on each
+//! BNN-capable core. Paper Section VI-A's mixed workloads, where the cores
+//! "operate independently for different workload tasks", are one
+//! scenario too: item-capable core *j* runs workload *j* mod *W*, and each
+//! workload's items go round-robin over its own cores, all on one shared
+//! L2 and DMA fabric. The heterogeneous baseline has no deep mode: a deep
+//! use case there panics in the dispatcher.
 
 use ncpu_fault::FaultPlan;
 use ncpu_obs::{Recorder, TraceLevel};
@@ -49,7 +52,8 @@ use crate::usecase::{UseCase, UseCaseKind};
 /// A complete, self-contained description of one end-to-end run.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    usecase: UseCase,
+    /// Never empty; a deep use case only ever alone.
+    workloads: Vec<UseCase>,
     system: SystemConfig,
     soc: SocConfig,
     trace: TraceLevel,
@@ -63,13 +67,45 @@ impl Scenario {
     /// fault plan.
     pub fn new(usecase: UseCase, system: SystemConfig) -> Scenario {
         Scenario {
-            usecase,
+            workloads: vec![usecase],
             system,
             soc: SocConfig::default(),
             trace: TraceLevel::Counters,
             operating_point: None,
             fault: FaultPlan::none(),
         }
+    }
+
+    /// Several workloads sharing one NCPU fleet (paper Section VI-A):
+    /// item-capable core *j*, in core-id order, runs workload *j* mod *W*,
+    /// each workload's items go round-robin over its own cores, and item
+    /// indices, predictions and labels follow workload order. One
+    /// workload is exactly [`Scenario::new`] on the same topology.
+    /// Otherwise as [`Scenario::new`]: default fabric, counter-level
+    /// tracing, no operating point, the inert fault plan.
+    ///
+    /// # Errors
+    ///
+    /// An empty list, a deep workload (deep models run no items), or more
+    /// workloads than the topology has item-capable cores.
+    pub fn independent(workloads: Vec<UseCase>, topology: Topology) -> Result<Scenario, String> {
+        if workloads.is_empty() {
+            return Err("scenario: at least one workload".to_string());
+        }
+        if let Some(w) = workloads.iter().position(|uc| uc.kind() == UseCaseKind::Deep) {
+            return Err(format!("scenario: workload {w} is a deep model, which runs no items"));
+        }
+        let (n, cores) = (workloads.len(), topology.item_cores().len());
+        if n > cores {
+            return Err(format!(
+                "scenario: {n} workloads need {n} item-capable cores, the topology has {cores}"
+            ));
+        }
+        let mut workloads = workloads.into_iter();
+        let first = workloads.next().expect("checked non-empty");
+        let mut scenario = Scenario::new(first, SystemConfig::Ncpu(topology));
+        scenario.workloads.extend(workloads);
+        Ok(scenario)
     }
 
     /// Replaces the fabric parameters.
@@ -103,9 +139,15 @@ impl Scenario {
         self
     }
 
-    /// The workload.
+    /// The first workload: the only one unless the scenario was built by
+    /// [`Scenario::independent`].
     pub fn usecase(&self) -> &UseCase {
-        &self.usecase
+        &self.workloads[0]
+    }
+
+    /// Every workload, in the order item-capable cores take them.
+    pub fn workloads(&self) -> &[UseCase] {
+        &self.workloads
     }
 
     /// The system configuration (for an NCPU fleet, its topology).
@@ -187,12 +229,12 @@ type ItemClock = fn(&Scenario, &Topology) -> (RunReport, Recorder);
 /// way; only image, motion and parametric batches on an NCPU fleet run on
 /// the engine's `item_clock`.
 fn dispatch(scenario: &Scenario, item_clock: ItemClock) -> (RunReport, Recorder) {
-    match (&scenario.system, scenario.usecase.kind()) {
+    match (&scenario.system, scenario.usecase().kind()) {
         (SystemConfig::Heterogeneous, UseCaseKind::Deep) => {
             panic!("the heterogeneous baseline has no deep-network mode")
         }
         (SystemConfig::Heterogeneous, _) => {
-            crate::system::run_heterogeneous(&scenario.usecase, &scenario.soc, scenario.trace)
+            crate::system::run_heterogeneous(scenario.usecase(), &scenario.soc, scenario.trace)
         }
         (SystemConfig::Ncpu(topo), UseCaseKind::Deep) => crate::deep::run(scenario, topo),
         (SystemConfig::Ncpu(topo), _) => item_clock(scenario, topo),
@@ -279,9 +321,32 @@ mod tests {
         assert!(!hetero.fault().is_active());
     }
 
-    /// Every engine runs the baseline, NCPU item batches and deep models,
-    /// fully traced, to the same report, counters, metrics and raw event
-    /// streams: the engine is not visible in what a run produces.
+    /// Runs `s` on every engine and asserts the same report, counters,
+    /// metrics and raw event streams; returns the lock-step run.
+    fn same_bytes_on_every_engine(s: &Scenario) -> (RunReport, Recorder) {
+        let tag = format!("{} on {:?}", s.usecase().name(), s.system());
+        let (reference, ref_rec) = Lockstep.run(s);
+        let engines: [&dyn Engine; 4] = [&Analytic, &Lockstep, &EventDriven, &Deep];
+        for engine in engines {
+            let (report, rec) = engine.run(s);
+            assert_eq!(format!("{report:?}"), format!("{reference:?}"), "{tag}");
+            assert_eq!(rec.counters().to_json(), ref_rec.counters().to_json(), "{tag}");
+            assert_eq!(rec.metrics().to_json(), ref_rec.metrics().to_json(), "{tag}");
+            assert_eq!(rec.spans(), ref_rec.spans(), "{tag}");
+            assert_eq!(rec.events(), ref_rec.events(), "{tag}");
+        }
+        (reference, ref_rec)
+    }
+
+    /// Image on core 0 beside motion on core 1 (paper Section VI-A).
+    fn image_beside_motion() -> Scenario {
+        let workloads = vec![UseCase::image(2, 2, 1), UseCase::motion(2, 4, 1)];
+        Scenario::independent(workloads, Topology::homogeneous(2)).expect("two cores, two tasks")
+    }
+
+    /// Every engine runs the baseline, NCPU item batches, independent
+    /// workloads and deep models, fully traced, to the same bytes: the
+    /// engine is not visible in what a run produces.
     #[test]
     fn every_engine_runs_every_scenario_to_the_same_bytes() {
         let parametric = UseCase::parametric(0.6, 3, pseudo_model(784, 20, 10));
@@ -295,23 +360,56 @@ mod tests {
             Scenario::new(image.clone(), SystemConfig::Heterogeneous),
             Scenario::new(image, SystemConfig::ncpu(2)),
             Scenario::new(parametric, SystemConfig::ncpu(2)),
+            image_beside_motion(),
             Scenario::new(deep.clone(), SystemConfig::ncpu(1)),
             Scenario::new(deep, SystemConfig::ncpu(2)),
         ];
-        let engines: [&dyn Engine; 4] = [&Analytic, &Lockstep, &EventDriven, &Deep];
         for scenario in scenarios {
-            let s = scenario.with_trace(TraceLevel::Full);
-            let tag = format!("{} on {:?}", s.usecase().name(), s.system());
-            let (reference, ref_rec) = Lockstep.run(&s);
-            for engine in engines {
-                let (report, rec) = engine.run(&s);
-                assert_eq!(format!("{report:?}"), format!("{reference:?}"), "{tag}");
-                assert_eq!(rec.counters().to_json(), ref_rec.counters().to_json(), "{tag}");
-                assert_eq!(rec.metrics().to_json(), ref_rec.metrics().to_json(), "{tag}");
-                assert_eq!(rec.spans(), ref_rec.spans(), "{tag}");
-                assert_eq!(rec.events(), ref_rec.events(), "{tag}");
-            }
+            same_bytes_on_every_engine(&scenario.with_trace(TraceLevel::Full));
         }
+    }
+
+    /// Independent workloads share one L2 and DMA: the per-core finish,
+    /// busy cycles and predictions are those of the two-task scheduler
+    /// this scenario replaced (a solo motion run finishes at 44,382
+    /// cycles instead). A watchdog that only image items overrun then
+    /// quarantines the image core; its items move only to cores that
+    /// run image, of which there are none, so both drop on the spot and
+    /// the motion core keeps its clean schedule.
+    #[test]
+    fn independent_workloads_keep_to_their_own_cores() {
+        let clean = Analytic.report(&image_beside_motion());
+        let finish = |r: &RunReport| -> Vec<u64> {
+            r.cores.iter().map(|c| c.timeline.total_cycles()).collect()
+        };
+        let busy = |r: &RunReport| -> Vec<u64> { r.cores.iter().map(|c| c.busy_cycles).collect() };
+        assert_eq!(finish(&clean), [242_192, 46_750]);
+        assert_eq!(busy(&clean), [237_456, 43_582]);
+        assert_eq!(clean.predictions, [7, 7, 3, 2]);
+        let plan = FaultPlan { watchdog_cycles: 60_000, quarantine_after: 1, ..FaultPlan::none() };
+        let faulted = image_beside_motion().with_faults(plan).with_trace(TraceLevel::Full);
+        let (report, rec) = same_bytes_on_every_engine(&faulted);
+        assert_eq!(rec.counters().get("fault.cores_quarantined"), 1);
+        let dropped = crate::fabric::DROPPED_PREDICTION;
+        assert_eq!(report.predictions, [dropped, dropped, 3, 2]);
+        assert_eq!((finish(&report)[1], busy(&report)[1]), (46_750, 43_582));
+    }
+
+    #[test]
+    fn independent_rejects_what_it_cannot_place() {
+        let p = || UseCase::parametric(0.5, 2, pseudo_model(64, 10, 10));
+        let deep = UseCase::deep(crate::deep::tests::deep_model(8), &crate::deep::tests::inputs(2));
+        let err = |workloads, cores| Scenario::independent(workloads, cores).unwrap_err();
+        assert!(err(vec![], Topology::homogeneous(2)).contains("at least one workload"));
+        assert!(err(vec![p(), deep], Topology::homogeneous(2)).contains("workload 1 is a deep"));
+        assert!(err(vec![p(), p(), p()], Topology::homogeneous(2)).contains("3 workloads"));
+        let mut specs = vec![crate::topology::CoreSpec::reconfigurable(); 2];
+        specs[1].role = crate::topology::CoreRole::BnnOnly;
+        let one_item_core = Topology::from_specs(specs, vec![1024]).expect("structural");
+        assert!(err(vec![p(), p()], one_item_core).contains("the topology has 1"));
+        // One workload is `Scenario::new` on the same topology.
+        let one = Scenario::independent(vec![p()], Topology::homogeneous(2)).expect("fits");
+        assert_eq!(one.cache_key(), Scenario::new(p(), SystemConfig::ncpu(2)).cache_key());
     }
 
     /// The one observable difference between the two item clocks: the

@@ -1,5 +1,4 @@
-//! The system descriptions, the heterogeneous baseline's scheduler, and
-//! [`run_independent`].
+//! The system descriptions and the heterogeneous baseline's scheduler.
 //!
 //! Everything the run paths share — program construction, result
 //! mailboxes, DMA staging, cycle budgets, report assembly — lives in
@@ -8,11 +7,13 @@
 
 use ncpu_accel::Accelerator;
 use ncpu_bnn::BitVec;
-use ncpu_core::{NcpuCore, SharedL2, SwitchPolicy};
+use ncpu_core::SwitchPolicy;
 use ncpu_isa::interp::Event;
 use ncpu_obs::{Recorder, TraceLevel};
-use ncpu_pipeline::{FlatMem, Pipeline, Program};
+use ncpu_pipeline::{FlatMem, Pipeline};
 use ncpu_sim::stats::Timeline;
+
+use ncpu_workloads::Tail;
 
 use crate::fabric;
 use crate::report::{CoreReport, RunReport};
@@ -63,100 +64,6 @@ impl SystemConfig {
     }
 }
 
-/// Runs two *different* use cases concurrently, one per NCPU core (paper
-/// Section VI-A: the cores "operate independently for different workload
-/// tasks"), sharing the L2 and DMA fabric. Items are processed in global
-/// time order so DMA requests queue in arrival order. Returns one report
-/// per core.
-///
-/// # Panics
-///
-/// Panics if a generated program faults (a workspace bug).
-pub fn run_independent(a: &UseCase, b: &UseCase, soc: &SocConfig) -> (RunReport, RunReport) {
-    let l2 = SharedL2::new(fabric::L2_BYTES);
-    let mut dma = fabric::new_dma(soc, TraceLevel::Off);
-
-    struct CoreState {
-        core: NcpuCore,
-        program: Program,
-        next_item: usize,
-        now: u64,
-        busy: u64,
-        rec: Recorder,
-        predictions: Vec<usize>,
-    }
-    let usecases = [a, b];
-    let mut states: Vec<CoreState> = usecases
-        .iter()
-        .enumerate()
-        .map(|(c, uc)| {
-            let core = fabric::ncpu_core(uc, soc, TraceLevel::Counters, l2.clone());
-            let program = fabric::ncpu_program(uc, &core, fabric::result_addr(c));
-            CoreState {
-                core,
-                program,
-                next_item: 0,
-                now: 0,
-                busy: 0,
-                rec: Recorder::new(TraceLevel::Counters),
-                predictions: Vec::new(),
-            }
-        })
-        .collect();
-
-    // Global-time-ordered scheduling: always advance the core whose clock
-    // is furthest behind, so shared-DMA bookings happen in arrival order.
-    loop {
-        let ready = (0..states.len())
-            .filter(|&c| states[c].next_item < usecases[c].items().len())
-            .min_by_key(|&c| states[c].now);
-        let Some(c) = ready else { break };
-        let item = &usecases[c].items()[states[c].next_item];
-        let st = &mut states[c];
-        let dispatch = st.now;
-        let (end, used) = fabric::run_item(
-            &mut st.core,
-            &st.program,
-            &item.staged,
-            st.now,
-            &mut dma,
-            &mut st.rec,
-            c as u16,
-        );
-        st.now = end;
-        st.busy += used;
-        st.next_item += 1;
-        let depth = (usecases[c].items().len() - st.next_item) as u64;
-        fabric::record_item_metrics(&mut st.rec, end - dispatch, used, depth);
-        st.predictions.push(
-            l2.read_word(fabric::result_addr(c)).expect("result staged by program") as usize,
-        );
-    }
-
-    let mut reports: Vec<RunReport> = states
-        .into_iter()
-        .enumerate()
-        .map(|(c, mut st)| {
-            fabric::record_util_metric(&mut st.rec, st.busy, st.now);
-            RunReport {
-                config: format!("independent core {c}"),
-                makespan: st.now,
-                cores: vec![CoreReport {
-                    role: format!("ncpu{c}"),
-                    timeline: Timeline::from_obs_events(st.rec.spans(), c as u16),
-                    busy_cycles: st.busy,
-                }],
-                predictions: st.predictions,
-                labels: usecases[c].items().iter().map(|i| i.label).collect(),
-                metrics: st.rec.metrics().clone(),
-            }
-        })
-        .collect();
-    let second = reports.pop().expect("two reports");
-    let first = reports.pop().expect("two reports");
-    (first, second)
-}
-
 /// The heterogeneous baseline: runs `usecase` on the standalone CPU and
 /// BNN accelerator and returns the report together with the root
 /// [`Recorder`] (the CPU and accelerator lanes, the DMA lane, the counter
@@ -176,7 +83,7 @@ pub(crate) fn run_heterogeneous(
     level: TraceLevel,
 ) -> (RunReport, Recorder) {
     let mut rec = Recorder::new(level.at_least_counters());
-    let program = fabric::hetero_program(usecase);
+    let (program, pack_at) = fabric::item_program(usecase, None, Tail::Offload);
     let mut cpu = Pipeline::new(program, FlatMem::with_l2(16 * 1024, fabric::L2_BYTES));
     cpu.set_obs_level(level);
     let model = std::sync::Arc::clone(usecase.shared_model());
@@ -223,10 +130,8 @@ pub(crate) fn run_heterogeneous(
         // DMA the packed input from the CPU's local memory through the L2
         // into the accelerator image memory (the conventional offload).
         let delivered = dma.schedule(t_trigger, packed_bytes as u32);
-        let pack_at = fabric::hetero_pack_offset(usecase) as usize;
-        let local = cpu.mem().local();
-        let input =
-            BitVec::from_bytes(&local[pack_at..pack_at + packed_bytes], input_bits);
+        let local = &cpu.mem().local()[pack_at as usize..];
+        let input = BitVec::from_bytes(&local[..packed_bytes], input_bits);
         queued.push((input, delivered));
     }
 
@@ -424,28 +329,5 @@ pub(crate) mod tests {
         assert_eq!(base.predictions.len(), 2);
         assert_eq!(base.predictions, dual.predictions, "same classifier, same answers");
         assert!(dual.makespan < base.makespan, "two cores beat the baseline");
-    }
-}
-
-#[cfg(test)]
-mod independent_tests {
-    use super::tests::{analytic, pseudo_model};
-    use super::*;
-
-    #[test]
-    fn independent_cores_run_different_tasks() {
-        let motion = UseCase::motion(2, 4, 2);
-        let spin = UseCase::parametric(0.5, 3, pseudo_model(784, 20, 10));
-        let (a, b) = run_independent(&motion, &spin, &SocConfig::default());
-        assert_eq!(a.predictions.len(), 2);
-        assert_eq!(b.predictions.len(), 3);
-        assert!(a.makespan > 0 && b.makespan > 0);
-        // Each core's report carries exactly its own role.
-        assert_eq!(a.cores[0].role, "ncpu0");
-        assert_eq!(b.cores[0].role, "ncpu1");
-        // Results match a solo run of the same use case (sharing the
-        // fabric does not change answers).
-        let solo = analytic(&motion, SystemConfig::ncpu(1));
-        assert_eq!(a.predictions, solo.predictions);
     }
 }

@@ -11,13 +11,13 @@
 //!
 //! # Dispatch plan
 //!
-//! [`Topology::plan`] turns an item count into an upfront dispatch
-//! *plan* (`item i → core plan[i]`): round-robin over the item-capable
-//! cores in core-id order, which on a homogeneous fleet is exactly the
-//! historical `item i → core i % N`. All engines consume the same plan,
-//! so the lockstep/event byte-identity proof carries over to every
-//! topology unchanged: the engines never make a placement decision of
-//! their own.
+//! Items are placed upfront, round-robin over the item-capable cores in
+//! core-id order ([`Topology::item_cores`]), which on a homogeneous
+//! fleet is exactly the historical `item i → core i % N`; with several
+//! workloads each one takes every *W*-th of those cores. The NCPU item
+//! ledger owns that rule and both item clocks consume it, so the
+//! lockstep/event byte-identity proof carries over to every topology
+//! unchanged: the engines never make a placement decision of their own.
 //!
 //! # Roles
 //!
@@ -177,19 +177,14 @@ impl Topology {
         self.specs[core].bank
     }
 
-    /// Whether core `c` can run whole items.
-    pub fn item_capable(&self, core: usize) -> bool {
-        self.specs[core].role == CoreRole::Reconfigurable
-    }
-
     /// Whether core `c` can hold a BNN segment (deep engine placement).
     pub fn bnn_capable(&self, core: usize) -> bool {
         matches!(self.specs[core].role, CoreRole::Reconfigurable | CoreRole::BnnOnly)
     }
 
-    /// Item-capable core ids in ascending order.
+    /// Item-capable (reconfigurable) core ids in ascending order.
     pub fn item_cores(&self) -> Vec<usize> {
-        (0..self.cores()).filter(|&c| self.item_capable(c)).collect()
+        (0..self.cores()).filter(|&c| self.specs[c].role == CoreRole::Reconfigurable).collect()
     }
 
     /// BNN-capable core ids in ascending order (deep segment slots).
@@ -236,21 +231,6 @@ impl Topology {
             .collect::<Vec<_>>()
             .join("+")
     }
-
-    /// The dispatch plan for `items` items: `plan[i]` is the core item
-    /// `i` runs on, round-robin over the item-capable cores in core-id
-    /// order. Shared by all engines — the single source of placement
-    /// truth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology has no item-capable core (an item
-    /// workload cannot run on a fleet of fixed-function cores).
-    pub fn plan(&self, items: usize) -> Vec<usize> {
-        let eligible = self.item_cores();
-        assert!(!eligible.is_empty(), "item workload needs a reconfigurable core");
-        (0..items).map(|i| eligible[i % eligible.len()]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -264,22 +244,12 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_plan_is_round_robin() {
-        for cores in [1usize, 2, 3, 4] {
-            let topo = Topology::homogeneous(cores);
-            assert!(topo.is_homogeneous());
-            let expect: Vec<usize> = (0..7).map(|i| i % cores).collect();
-            assert_eq!(topo.plan(7), expect, "{cores} cores");
-        }
-    }
-
-    #[test]
     fn mixed_roles_exclude_fixed_function_cores_from_item_plans() {
         let topo = mixed(4);
         assert_eq!(topo.item_cores(), vec![0, 1, 2]);
         assert_eq!(topo.bnn_cores(), vec![0, 1, 2, 3]);
-        assert_eq!(topo.plan(6), vec![0, 1, 2, 0, 1, 2]);
         assert!(!topo.is_homogeneous());
+        assert!(Topology::homogeneous(4).is_homogeneous());
     }
 
     #[test]

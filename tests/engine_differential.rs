@@ -4,8 +4,9 @@
 //! event streams. Random scenarios cover the full matrix (switch policy
 //! × 1/2/4 cores × use-case kind × DMA operating point × trace level ×
 //! DVFS point × heterogeneous topology — mixed roles, asymmetric L2
-//! banks, per-core undervolting), seeded and shrinking via
-//! `ncpu-testkit`.
+//! banks, per-core undervolting × a second, independent workload on its
+//! own cores — image beside motion, or two parametric workloads with
+//! different CPU fractions), seeded and shrinking via `ncpu-testkit`.
 //!
 //! A second property checks the jump contract the engine is built on:
 //! driving a core by `next_event_in`-sized `step_n` jumps never lands a
@@ -125,6 +126,10 @@ struct Case {
     fault: Option<FaultCase>,
     /// Heterogeneous topology (`None` = the homogeneous default).
     topology: Option<TopologyCase>,
+    /// A second workload sharing the fleet (`None` = one workload): the
+    /// scenario is then independent, every other item-capable core
+    /// running it.
+    second: Option<Workload>,
 }
 
 impl Case {
@@ -143,7 +148,7 @@ impl Case {
             },
         };
         Case {
-            workload,
+            workload: workload.clone(),
             cores: *[1usize, 2, 4].get(rng.gen_range(0..3usize)).unwrap(),
             naive_switch: rng.gen_bool(0.5),
             dma_bytes_per_cycle: *[1u32, 2, 4, 8].get(rng.gen_range(0..4usize)).unwrap(),
@@ -170,18 +175,45 @@ impl Case {
                 asymmetric_banks: rng.gen_bool(0.5),
                 undervolt_littles: rng.gen_bool(0.5),
             }),
+            // Drawn after the topology, for the same reason: image pairs
+            // with motion, a parametric workload with another fraction.
+            second: rng.gen_bool(0.3).then(|| match workload {
+                Workload::Image => Workload::Motion,
+                Workload::Motion => Workload::Image,
+                Workload::Parametric { fraction_pct, .. } => Workload::Parametric {
+                    fraction_pct: 5 + (fraction_pct - 5 + rng.gen_range(1..=80u32)) % 81,
+                    batch: rng.gen_range(1..=4usize),
+                    neurons: rng.gen_range(10..=30usize),
+                    input: *[64usize, 256, 784].get(rng.gen_range(0..3usize)).unwrap(),
+                },
+            }),
         }
     }
 
-    /// The concrete topology the knobs describe on this core count.
-    /// Core 0 always stays reconfigurable so the fleet can run items.
-    fn fleet_topology(&self) -> Option<FleetTopology> {
-        let t = self.topology.as_ref()?;
-        let mut specs = vec![CoreSpec::reconfigurable(); self.cores];
-        if t.mixed_roles && self.cores > 1 {
+    /// Item-capable cores the workloads need: one each.
+    fn workloads(&self) -> usize {
+        1 + usize::from(self.second.is_some())
+    }
+
+    /// The fleet width: the drawn core count, widened to fit the
+    /// workloads.
+    fn fleet_cores(&self) -> usize {
+        self.cores.max(self.workloads())
+    }
+
+    /// The concrete topology the knobs describe on this fleet. Core 0
+    /// always stays reconfigurable, and fixed-function roles leave a
+    /// reconfigurable core for every workload.
+    fn fleet_topology(&self) -> FleetTopology {
+        let cores = self.fleet_cores();
+        let Some(t) = self.topology.as_ref() else {
+            return FleetTopology::homogeneous(cores);
+        };
+        let mut specs = vec![CoreSpec::reconfigurable(); cores];
+        if t.mixed_roles && cores > self.workloads() {
             specs[1].role = CoreRole::BnnOnly;
-            if self.cores > 2 {
-                specs[self.cores - 1].role = CoreRole::CpuOnly;
+            if cores > 2 {
+                specs[cores - 1].role = CoreRole::CpuOnly;
             }
         }
         if t.undervolt_littles {
@@ -197,11 +229,11 @@ impl Case {
         } else {
             vec![L2_BYTES]
         };
-        Some(FleetTopology::from_specs(specs, banks).expect("generated topology is valid"))
+        FleetTopology::from_specs(specs, banks).expect("generated topology is valid")
     }
 
     fn scenario(&self) -> Scenario {
-        let usecase = match &self.workload {
+        let usecase = |workload: &Workload| match workload {
             Workload::Parametric { fraction_pct, batch, neurons, input } => UseCase::parametric(
                 f64::from(*fraction_pct) / 100.0,
                 *batch,
@@ -210,6 +242,7 @@ impl Case {
             Workload::Image => image_usecase().clone(),
             Workload::Motion => motion_usecase().clone(),
         };
+        let workloads = std::iter::once(&self.workload).chain(&self.second).map(usecase).collect();
         let soc = SocConfig {
             dma_bytes_per_cycle: self.dma_bytes_per_cycle,
             dma_setup_cycles: self.dma_setup_cycles,
@@ -220,11 +253,8 @@ impl Case {
             },
             ..SocConfig::default()
         };
-        let system = match self.fleet_topology() {
-            Some(topo) => SystemConfig::Ncpu(topo),
-            None => SystemConfig::ncpu(self.cores),
-        };
-        let mut scenario = Scenario::new(usecase, system)
+        let mut scenario = Scenario::independent(workloads, self.fleet_topology())
+            .expect("every drawn fleet fits its workloads")
             .with_soc(soc)
             .with_trace(if self.full_trace { TraceLevel::Full } else { TraceLevel::Counters });
         if let Some(tenths) = self.operating_point {
@@ -241,6 +271,15 @@ impl Shrink for Case {
     fn shrink(&self) -> Vec<Case> {
         let mut out = Vec::new();
         let mut push = |c: Case| out.push(c);
+        // Dropping the second workload first: a divergence that needs it
+        // is a per-core workload bug.
+        if let Some(second) = &self.second {
+            push(Case { second: None, ..self.clone() });
+            if let Workload::Parametric { batch: 2.., fraction_pct, neurons, input } = *second {
+                let second = Workload::Parametric { fraction_pct, batch: 1, neurons, input };
+                push(Case { second: Some(second), ..self.clone() });
+            }
+        }
         // Dropping the topology first: a divergence that needs a
         // heterogeneous fleet is a topology-threading bug, and the
         // minimal repro should say so by keeping only the guilty knob.
@@ -426,14 +465,17 @@ fn check_termination(
     Ok(())
 }
 
-/// 256 seeded, shrinking scenarios: EventDriven ≡ Lockstep.
+/// 256 seeded, shrinking scenarios, about 30% of them independent:
+/// EventDriven ≡ Lockstep.
 #[test]
 fn event_engine_is_byte_identical_to_lockstep() {
     Prop::new("event_engine_is_byte_identical_to_lockstep")
         .cases(256)
         // Known interesting corners: 4-core contention with naive
-        // switching, and a staged (image) workload on the DMA path.
-        .pin(&[7, 42])
+        // switching, a staged (image) workload on the DMA path, and two
+        // faulted independent scenarios (image beside motion, and two
+        // parametric workloads with a quarantine limit of 1).
+        .pin(&[7, 42, 12_335_554_291_965_279_225, 476_781_342_147_750_950])
         .corpus(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/engine_differential.seeds"))
         .run(Case::generate, check_case);
 }
