@@ -2,6 +2,7 @@
 
 use ncpu_accel::Accelerator;
 use ncpu_pipeline::{MemFault, MemPort};
+use ncpu_sim::SramBank;
 
 use crate::l2::SharedL2;
 
@@ -57,6 +58,13 @@ impl MemPort for NcpuMem {
 
     fn write_l2(&mut self, addr: u32, value: u32) -> Result<(), MemFault> {
         self.l2.write_word(addr, value).map_err(|()| MemFault { addr })
+    }
+
+    /// The W1 weight bank, registered first: the CPU mode's data cache.
+    /// Its accesses route through the arbiter to this bank's own
+    /// `read`/`write`, so the bank called directly counts alike.
+    fn data_cache(&mut self) -> Option<(u32, &mut SramBank)> {
+        self.accel.banks_mut().iter_mut().next()
     }
 }
 

@@ -6,6 +6,7 @@ use std::fmt;
 use ncpu_isa::interp::Event;
 use ncpu_isa::{DecodeError, Instruction, Reg};
 use ncpu_obs::{EventKind as ObsEvent, Recorder, StallCause, TraceLevel};
+use ncpu_sim::SramBank;
 
 use crate::functional::{FunctionalStop, PathLog};
 use crate::memport::{MemFault, MemPort};
@@ -643,9 +644,9 @@ impl<M: MemPort> Pipeline<M> {
     }
 
     /// Executes the program from the current PC without timing: the
-    /// program's lowered micro-ops (see [`Program`]), checking the budget
+    /// program's micro-op table (see [`Program`]), checking the budget
     /// and the PC only on entry and after taken jumps, with exactly the
-    /// [`MemPort`] accesses the MEM stage would perform, recording every
+    /// data accesses the MEM stage would perform, recording every
     /// data-dependent choice into `path` (see [`PathLog`]). Returns why
     /// it stopped and how many instructions retired.
     ///
@@ -654,10 +655,15 @@ impl<M: MemPort> Pipeline<M> {
     /// mode touches nothing else of the pipeline: cycle and retire
     /// counters, the retire trace, recorder events and the L2 touch log
     /// stay as they were, and a caller that needs them replays them from
-    /// a timed execution of the same path. Behind the port it touches
-    /// what the MEM stage's accesses touch — for a banked port, each
-    /// local access still counts one bank read or write and each write
-    /// bumps the bank's generation.
+    /// a timed execution of the same path.
+    ///
+    /// Behind the port it touches what the MEM stage's accesses touch.
+    /// A local access that lies wholly inside the port's
+    /// [`data_cache`](MemPort::data_cache) bank goes to that bank
+    /// directly, and every other access (and every `sw_l2`) through the
+    /// port's methods. Either way, for a banked port each local access
+    /// counts one bank read or write, each write bumps the bank's
+    /// generation, and each `sw_l2` counts as the port counts it.
     ///
     /// Call it on a drained pipeline (after [`restart_at`](Self::restart_at)
     /// or a completed run): in-flight latches are not consulted.
@@ -676,14 +682,24 @@ impl<M: MemPort> Pipeline<M> {
         debug_assert!(self.is_drained(), "functional execution starts from a drained pipeline");
         let image = self.imem.clone();
         let ops = image.ops();
-        let mut regs = self.regs;
+        // The 32 registers, then the `x0` sink (slot `SINK`) and spare
+        // slots up to 256, so a byte index needs no bounds check. Slot 0
+        // is never written: `x0` reads zero.
+        let mut regs = [0u32; 256];
+        regs[..32].copy_from_slice(&self.regs);
+        // The branch outcomes go into a local word, handed to `path`
+        // when full and at the end of the call.
+        let (mut word, mut fill) = path.open_branches();
+        // The data-cache bank and its base; a port without one gets an
+        // empty bank, which no access lies inside. Re-taken after every
+        // access through the port, which needs the port back.
+        let mut no_cache = SramBank::new("", 0);
+        let (mut cache_base, mut cache) = self.mem.data_cache().unwrap_or((0, &mut no_cache));
         let mut pc = self.pc;
         let mut retired = 0u64;
-        // Register indices are below 32 by construction; the mask lets
-        // the compiler drop the bounds check.
         macro_rules! x {
             ($r:expr) => {
-                regs[usize::from($r & 31)]
+                regs[usize::from($r)]
             };
         }
         let outcome = 'block: loop {
@@ -695,32 +711,52 @@ impl<M: MemPort> Pipeline<M> {
             if retired == budget {
                 break Ok(FunctionalStop::Budget);
             }
-            let index = if pc.is_multiple_of(4) { (pc / 4) as usize } else { usize::MAX };
-            let rest = match ops.get(index..) {
-                Some(rest) if !rest.is_empty() => rest,
-                _ => break Err(PipeError::PcOutOfRange { pc }),
-            };
-            let len = (rest.len() as u64).min(budget - retired) as usize;
-            for (k, &op) in rest[..len].iter().enumerate() {
-                // This op's PC, and the instructions retired before it.
-                let at = pc.wrapping_add(4 * k as u32);
-                let done = retired + k as u64;
-                // A taken jump retires this op and opens a block at `target`.
+            let start = if pc.is_multiple_of(4) { (pc / 4) as usize } else { usize::MAX };
+            if start >= ops.len() {
+                break Err(PipeError::PcOutOfRange { pc });
+            }
+            let end = start + ((ops.len() - start) as u64).min(budget - retired) as usize;
+            // Every slot before the block's last word runs whole, a
+            // pair's second word included; at the last word only the
+            // first word's op of a pair runs.
+            let last = end - 1;
+            let whole = &ops[..last];
+            // The op at word `i` has `base + i` instructions retired
+            // before it; its PC is `4 * i`.
+            let base = retired.wrapping_sub(start as u64);
+            let mut i = start;
+            loop {
+                let op = match whole.get(i) {
+                    Some(&op) => op,
+                    None if i == last => ops[last].first(),
+                    None => break,
+                };
+                // Word `k` of this slot (0, or 1 for a pair's second word).
+                macro_rules! at {
+                    ($k:expr) => {
+                        ((i + $k) as u32).wrapping_mul(4)
+                    };
+                }
+                // A taken jump retires word `k` and opens a block at `target`.
                 macro_rules! jump {
-                    ($target:expr) => {{
-                        regs[0] = 0;
-                        retired = done + 1;
+                    ($k:expr, $target:expr) => {{
+                        retired = base.wrapping_add((i + $k + 1) as u64);
                         pc = $target;
                         continue 'block;
                     }};
                 }
                 // A conditional branch records its outcome; taken, it redirects.
                 macro_rules! branch {
-                    ($taken:expr, $target:expr) => {{
+                    ($k:expr, $taken:expr, $target:expr) => {{
                         let taken = $taken;
-                        path.push_branch(taken);
+                        word |= u64::from(taken) << fill;
+                        fill += 1;
+                        if fill == 64 {
+                            path.push_branch_word(word);
+                            (word, fill) = (0, 0);
+                        }
                         if taken {
-                            jump!($target)
+                            jump!($k, $target)
                         }
                     }};
                 }
@@ -728,78 +764,109 @@ impl<M: MemPort> Pipeline<M> {
                 // retires and ends the call.
                 macro_rules! stop {
                     ($event:expr) => {{
-                        retired = done + 1;
-                        pc = at.wrapping_add(4);
+                        retired = base.wrapping_add((i + 1) as u64);
+                        pc = at!(1);
                         break 'block Ok(FunctionalStop::Event($event));
                     }};
                 }
-                // A fault retires nothing and leaves the PC on this op.
+                // A fault at word `k` retires the words before it and
+                // leaves the PC on it.
                 macro_rules! fault {
-                    ($error:expr) => {{
-                        retired = done;
-                        pc = at;
+                    ($k:expr, $error:expr) => {{
+                        retired = base.wrapping_add((i + $k) as u64);
+                        pc = at!($k);
                         break 'block Err($error);
                     }};
                 }
-                macro_rules! local {
-                    ($access:expr) => {
-                        match $access {
+                // A local access through the port, at word `k`; the
+                // port's faults become this word's.
+                macro_rules! port {
+                    ($k:expr, $access:expr) => {{
+                        let result = $access;
+                        (cache_base, cache) = self.mem.data_cache().unwrap_or((0, &mut no_cache));
+                        match result {
                             Ok(value) => value,
-                            Err(source) => fault!(PipeError::Mem { pc: at, source }),
+                            Err(source) => fault!($k, PipeError::Mem { pc: at!($k), source }),
                         }
-                    };
+                    }};
                 }
-                // Destinations are written unconditionally, `x0` included;
-                // `x0` is zeroed again after every op.
+                // A `width`-byte load at word `k`: from the data-cache
+                // bank when it lies wholly inside it, else through the port.
+                macro_rules! load {
+                    ($k:expr, $addr:expr, $width:expr) => {{
+                        let addr: u32 = $addr;
+                        let offset = addr.wrapping_sub(cache_base);
+                        let past = offset as usize + $width;
+                        let hit = if past <= cache.capacity() {
+                            cache.read(offset, $width).ok()
+                        } else {
+                            None
+                        };
+                        match hit {
+                            Some(raw) => raw,
+                            None => port!($k, self.mem.read_local(addr, $width)),
+                        }
+                    }};
+                }
+                macro_rules! store {
+                    ($k:expr, $addr:expr, $width:expr, $value:expr) => {{
+                        let (addr, value): (u32, u32) = ($addr, $value);
+                        let offset = addr.wrapping_sub(cache_base);
+                        let past = offset as usize + $width;
+                        let hit = past <= cache.capacity()
+                            && cache.write(offset, $width, value).is_ok();
+                        if !hit {
+                            port!($k, self.mem.write_local(addr, $width, value))
+                        }
+                    }};
+                }
                 match op {
                     Op::Lui { rd, value } | Op::Auipc { rd, value } => x!(rd) = value,
                     Op::Jal { rd, link, target } => {
                         x!(rd) = link;
-                        jump!(target)
+                        jump!(0, target)
                     }
                     Op::Jalr { rd, rs1, offset, link } => {
                         let target = x!(rs1).wrapping_add(offset) & !1;
                         path.push_value(target);
                         x!(rd) = link;
-                        jump!(target)
+                        jump!(0, target)
                     }
-                    Op::Beq { rs1, rs2, target } => branch!(x!(rs1) == x!(rs2), target),
-                    Op::Bne { rs1, rs2, target } => branch!(x!(rs1) != x!(rs2), target),
+                    Op::Beq { rs1, rs2, target } => branch!(0, x!(rs1) == x!(rs2), target),
+                    Op::Bne { rs1, rs2, target } => branch!(0, x!(rs1) != x!(rs2), target),
                     Op::Blt { rs1, rs2, target } => {
-                        branch!((x!(rs1) as i32) < (x!(rs2) as i32), target)
+                        branch!(0, (x!(rs1) as i32) < (x!(rs2) as i32), target)
                     }
                     Op::Bge { rs1, rs2, target } => {
-                        branch!((x!(rs1) as i32) >= (x!(rs2) as i32), target)
+                        branch!(0, (x!(rs1) as i32) >= (x!(rs2) as i32), target)
                     }
-                    Op::Bltu { rs1, rs2, target } => branch!(x!(rs1) < x!(rs2), target),
-                    Op::Bgeu { rs1, rs2, target } => branch!(x!(rs1) >= x!(rs2), target),
+                    Op::Bltu { rs1, rs2, target } => branch!(0, x!(rs1) < x!(rs2), target),
+                    Op::Bgeu { rs1, rs2, target } => branch!(0, x!(rs1) >= x!(rs2), target),
                     Op::Lb { rd, rs1, offset } => {
-                        let raw = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 1));
+                        let raw = load!(0, x!(rs1).wrapping_add(offset), 1);
                         x!(rd) = raw as u8 as i8 as i32 as u32;
                     }
                     Op::Lh { rd, rs1, offset } => {
-                        let raw = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 2));
+                        let raw = load!(0, x!(rs1).wrapping_add(offset), 2);
                         x!(rd) = raw as u16 as i16 as i32 as u32;
                     }
                     Op::Lw { rd, rs1, offset } => {
-                        x!(rd) = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 4));
+                        x!(rd) = load!(0, x!(rs1).wrapping_add(offset), 4);
                     }
                     Op::Lbu { rd, rs1, offset } => {
-                        let raw = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 1));
-                        x!(rd) = raw as u8 as u32;
+                        x!(rd) = load!(0, x!(rs1).wrapping_add(offset), 1);
                     }
                     Op::Lhu { rd, rs1, offset } => {
-                        let raw = local!(self.mem.read_local(x!(rs1).wrapping_add(offset), 2));
-                        x!(rd) = raw as u16 as u32;
+                        x!(rd) = load!(0, x!(rs1).wrapping_add(offset), 2);
                     }
                     Op::Sb { rs1, rs2, offset } => {
-                        local!(self.mem.write_local(x!(rs1).wrapping_add(offset), 1, x!(rs2)));
+                        store!(0, x!(rs1).wrapping_add(offset), 1, x!(rs2));
                     }
                     Op::Sh { rs1, rs2, offset } => {
-                        local!(self.mem.write_local(x!(rs1).wrapping_add(offset), 2, x!(rs2)));
+                        store!(0, x!(rs1).wrapping_add(offset), 2, x!(rs2));
                     }
                     Op::Sw { rs1, rs2, offset } => {
-                        local!(self.mem.write_local(x!(rs1).wrapping_add(offset), 4, x!(rs2)));
+                        store!(0, x!(rs1).wrapping_add(offset), 4, x!(rs2));
                     }
                     Op::Addi { rd, rs1, imm } => x!(rd) = x!(rs1).wrapping_add(imm),
                     Op::Slti { rd, rs1, imm } => {
@@ -841,26 +908,51 @@ impl<M: MemPort> Pipeline<M> {
                     Op::TriggerBnn => stop!(Event::TriggerBnn),
                     Op::SwL2 { rs1, rs2, offset } => {
                         let addr = x!(rs1).wrapping_add(offset);
-                        if let Err(source) = self.mem.write_l2(addr, x!(rs2)) {
-                            fault!(PipeError::Mem { pc: at, source })
-                        }
+                        port!(0, self.mem.write_l2(addr, x!(rs2)));
                         path.push_value(addr);
                     }
                     Op::LwL2 => {
-                        retired = done;
-                        pc = at;
+                        retired = base.wrapping_add(i as u64);
+                        pc = at!(0);
                         break 'block Ok(FunctionalStop::L2Read);
                     }
-                    Op::Invalid(source) => fault!(PipeError::Decode { pc: at, source }),
+                    Op::Invalid(source) => fault!(0, PipeError::Decode { pc: at!(0), source }),
+                    // Fused pairs: the first word's op, then the second's.
+                    Op::AddiAddi { rd1, rs1, imm1, rd2, rs2, imm2 } => {
+                        x!(rd1) = x!(rs1).wrapping_add(imm1 as u32);
+                        x!(rd2) = x!(rs2).wrapping_add(imm2 as u32);
+                        i += 1;
+                    }
+                    Op::LbuLbu { rd1, rs1, offset1, rd2, rs2, offset2 } => {
+                        x!(rd1) = load!(0, x!(rs1).wrapping_add(offset1 as u32), 1);
+                        x!(rd2) = load!(1, x!(rs2).wrapping_add(offset2 as u32), 1);
+                        i += 1;
+                    }
+                    Op::AddAdd { rd1, a1, b1, rd2, a2, b2 } => {
+                        x!(rd1) = x!(a1).wrapping_add(x!(b1));
+                        x!(rd2) = x!(a2).wrapping_add(x!(b2));
+                        i += 1;
+                    }
+                    Op::AddiBne { rd, rs, imm, rs1, rs2, target } => {
+                        x!(rd) = x!(rs).wrapping_add(imm as u32);
+                        branch!(1, x!(rs1) != x!(rs2), target);
+                        i += 1;
+                    }
+                    Op::AddiBlt { rd, rs, imm, rs1, rs2, target } => {
+                        x!(rd) = x!(rs).wrapping_add(imm as u32);
+                        branch!(1, (x!(rs1) as i32) < (x!(rs2) as i32), target);
+                        i += 1;
+                    }
                 }
-                regs[0] = 0;
+                i += 1;
             }
             // The block ran out: past the program's last word or at the
             // budget, which the next head reports.
-            retired += len as u64;
-            pc = pc.wrapping_add(4 * len as u32);
+            retired = base.wrapping_add(end as u64);
+            pc = (end as u32).wrapping_mul(4);
         };
-        self.regs = regs;
+        path.close_branches(word, fill);
+        self.regs.copy_from_slice(&regs[..32]);
         self.pc = pc;
         outcome.map(|stop| (stop, retired))
     }

@@ -1,12 +1,17 @@
 //! The functional (untimed) execution mode's path record.
 //!
 //! [`Pipeline::run_functional`](crate::Pipeline::run_functional) executes
-//! the program's lowered micro-ops (see [`Program`](crate::Program)),
-//! checking the budget and the PC only on entry and after taken jumps,
-//! with the same [`MemPort`](crate::MemPort) accesses the MEM stage
-//! performs but no latches, hazards or pipeline counters — what the port
-//! itself counts per access (an SRAM bank's reads and writes) still
-//! advances. What it leaves behind besides the architectural state is a
+//! the program's micro-op table (see [`Program`](crate::Program)): one
+//! op per word, adjacent pairs fused inside each basic block, and `x0`
+//! destinations lowered to a sink. It checks the budget and the PC only
+//! on entry and after taken jumps, and derives an op's PC and retire
+//! count from its word index only when a stop or fault needs them. It
+//! makes the data accesses the MEM stage makes, but keeps no latches,
+//! hazards or pipeline counters. What the port counts per access (an
+//! SRAM bank's reads, writes and generation) still advances, whether
+//! the access goes to the port's
+//! [`data_cache`](crate::MemPort::data_cache) bank directly or through
+//! the port. What it leaves behind besides the architectural state is a
 //! [`PathLog`]: every data-dependent choice the execution made. The
 //! pipeline's timing is a function of the program and that log alone —
 //! which instructions issue in which order decides every hazard, flush
@@ -48,14 +53,41 @@ impl PathLog {
     /// Records one conditional-branch outcome.
     #[inline]
     pub fn push_branch(&mut self, taken: bool) {
-        let bit = self.branches % 64;
-        if bit == 0 {
-            self.bits.push(0);
+        let (word, fill) = self.open_branches();
+        self.close_branches(word | u64::from(taken) << fill, fill + 1);
+    }
+
+    /// Takes the branch stream's last word and how many outcomes it
+    /// holds (0 to 63; a full word stays), for a caller that appends
+    /// outcomes in a local and hands them back through
+    /// [`push_branch_word`](Self::push_branch_word) and
+    /// [`close_branches`](Self::close_branches).
+    #[inline]
+    pub(crate) fn open_branches(&mut self) -> (u64, u32) {
+        let fill = (self.branches % 64) as u32;
+        if fill == 0 {
+            return (0, 0);
         }
-        if taken {
-            *self.bits.last_mut().expect("pushed above") |= 1 << bit;
+        self.branches -= u64::from(fill);
+        (self.bits.pop().expect("a partly filled word"), fill)
+    }
+
+    /// Appends a full word of 64 outcomes.
+    #[inline]
+    pub(crate) fn push_branch_word(&mut self, word: u64) {
+        self.bits.push(word);
+        self.branches += 64;
+    }
+
+    /// Appends the `fill` outcomes of `word` (low bits first) after an
+    /// [`open_branches`](Self::open_branches); 64 outcomes make a full
+    /// word.
+    #[inline]
+    pub(crate) fn close_branches(&mut self, word: u64, fill: u32) {
+        if fill > 0 {
+            self.bits.push(word);
+            self.branches += u64::from(fill);
         }
-        self.branches += 1;
     }
 
     /// Records one data-dependent value (a `jalr` target, an `sw_l2`

@@ -18,10 +18,11 @@
 //!   reaches ID,
 //! * a functional mode ([`Pipeline::run_functional`]) that executes the
 //!   same program untimed — each word lowered once, at load, to a flat
-//!   micro-op dispatched by a single `match`, with the budget and PC
-//!   checked only on entry and after taken jumps — and records its
-//!   [`PathLog`], the
-//!   only data-dependent input to the pipeline's timing.
+//!   micro-op dispatched by a single `match`, adjacent pairs fused per
+//!   basic block, with the budget and PC checked only on entry and after
+//!   taken jumps, and data-cache accesses made on the bank in place —
+//!   and records its [`PathLog`], the only data-dependent input to the
+//!   pipeline's timing.
 //!
 //! Architectural results are differential-tested against the functional
 //! golden model in [`ncpu_isa::interp`].

@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use ncpu_sim::SramBank;
+
 /// A data-memory access fault (out of range / unmapped address).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemFault {
@@ -52,6 +54,21 @@ pub trait MemPort {
     ///
     /// Returns [`MemFault`] for unmapped addresses.
     fn write_l2(&mut self, addr: u32, value: u32) -> Result<(), MemFault>;
+
+    /// The bank that holds the port's data cache, and the address it is
+    /// mapped at, for a caller that accesses the cache in place.
+    ///
+    /// An implementation that returns a bank promises that, for every
+    /// local access lying wholly inside it, reading or writing the bank
+    /// at `addr - base` is exactly what [`read_local`](Self::read_local)
+    /// or [`write_local`](Self::write_local) at `addr` does: the same
+    /// bytes, and the same read or write count and generation bump (see
+    /// [`SramBank`]). The functional mode makes its in-window loads and
+    /// stores this way, and every other access through the methods
+    /// above. The default has no such bank.
+    fn data_cache(&mut self) -> Option<(u32, &mut SramBank)> {
+        None
+    }
 }
 
 /// Flat local memory plus flat L2 — the standalone CPU's view.

@@ -7,7 +7,8 @@
 use ncpu_isa::asm::assemble;
 use ncpu_isa::interp::{Event, ExecError, Interp};
 use ncpu_isa::{Instruction, Reg};
-use ncpu_pipeline::{FlatMem, FunctionalStop, PathLog, PipeError, Pipeline};
+use ncpu_pipeline::{FlatMem, FunctionalStop, MemFault, MemPort, PathLog, PipeError, Pipeline};
+use ncpu_sim::{AddressArbiter, SramBank};
 use ncpu_testkit::prop::{Prop, Shrink};
 use ncpu_testkit::rng::Rng;
 use ncpu_testkit::{prop_assert, prop_assert_eq};
@@ -480,40 +481,23 @@ fn local_memory_faults_at_every_width_fault_alike() {
     assert!(matches!(err, PipeError::Mem { pc: 8, source } if source.addr == 0x10000), "{err:?}");
 }
 
-/// Budget stops inside a loop, at every budget from 1 to 13 and so at
-/// every position inside and across its blocks: each stop leaves the
-/// golden model's PC and registers after as many steps, and resuming
-/// reaches its final state, retire count and one-call path log.
-#[test]
-fn budget_stops_inside_a_loop_resume_exactly() {
-    let program = assembled(
-        "      li s0, 4096
-               li t0, 9
-               li t1, 0
-        loop:  lw t2, 0(s0)
-               add t1, t1, t0
-               addi t2, t2, 3
-               sw t2, 0(s0)
-               andi t3, t0, 1
-               beqz t3, skip
-               xori t1, t1, 5
-        skip:  addi t0, t0, -1
-               bnez t0, loop
-               sw t1, 4(s0)
-               ebreak",
-    );
-    let mut gold = Interp::with_program(&program, 8192);
+/// Runs `program` under every budget in `budgets`, resuming after each
+/// stop: each stop must leave the golden model's PC and registers after
+/// as many steps, and the run must reach its final state, retire count
+/// and one-call path log.
+fn check_budget_sweep(program: &[u32], budgets: std::ops::RangeInclusive<u64>) {
+    let mut gold = Interp::with_program(program, 8192);
     gold.run(1_000_000).expect("golden model halts");
-    let mut whole = Pipeline::new(program.clone(), FlatMem::new(8192));
+    let mut whole = Pipeline::new(program.to_vec(), FlatMem::new(8192));
     let mut whole_path = PathLog::new();
     assert!(matches!(
         whole.run_functional(u64::MAX, &mut whole_path),
         Ok((FunctionalStop::Event(Event::Halted), _))
     ));
-    for budget in 1..=13 {
-        let mut cpu = Pipeline::new(program.clone(), FlatMem::new(8192));
+    for budget in budgets {
+        let mut cpu = Pipeline::new(program.to_vec(), FlatMem::new(8192));
         let mut path = PathLog::new();
-        let mut stepped = Interp::with_program(&program, 8192);
+        let mut stepped = Interp::with_program(program, 8192);
         let mut retired = 0;
         loop {
             let (stop, n) = cpu.run_functional(budget, &mut path).expect("no fault");
@@ -534,6 +518,306 @@ fn budget_stops_inside_a_loop_resume_exactly() {
         assert_eq!(retired, gold.retired(), "budget {budget}");
         assert_eq!(path, whole_path, "budget {budget}: the path log depends on the budget");
         assert_eq!(&cpu.mem().local()[4096..8192], &gold.mem()[4096..8192], "budget {budget}");
+    }
+}
+
+/// Budget stops inside a loop, at every budget from 1 to 13 and so at
+/// every position inside and across its blocks.
+#[test]
+fn budget_stops_inside_a_loop_resume_exactly() {
+    let program = assembled(
+        "      li s0, 4096
+               li t0, 9
+               li t1, 0
+        loop:  lw t2, 0(s0)
+               add t1, t1, t0
+               addi t2, t2, 3
+               sw t2, 0(s0)
+               andi t3, t0, 1
+               beqz t3, skip
+               xori t1, t1, 5
+        skip:  addi t0, t0, -1
+               bnez t0, loop
+               sw t1, 4(s0)
+               ebreak",
+    );
+    check_budget_sweep(&program, 1..=13);
+}
+
+// ---- fused pairs ----
+
+/// Every fused form (see `Program`), each on operands that tell it from
+/// its two halves run apart or in the other order: the second half reads
+/// or overwrites the first's destination, or the first overwrites the
+/// second's source; loads zero-extend a byte with its top bit set; and
+/// each terminator branches both ways, `blt` on values whose signed and
+/// unsigned orders differ. No branch targets a pair's second word, so
+/// every pair here is fused.
+const FUSED_FORMS: &str = "
+        li s0, 4096
+        li t0, 0x80
+        sb t0, 0(s0)
+        li t0, 7
+        sb t0, 1(s0)
+        li t5, 40
+        # addi + addi
+        addi t1, t0, 5
+        addi t2, t1, -3
+        addi t3, t0, 1
+        addi t3, t3, 1
+        addi t4, t5, 1
+        addi t5, t4, 2
+        # lbu + lbu
+        lbu a0, 0(s0)
+        lbu a1, 1(s0)
+        lbu a2, 0(s0)
+        lbu a2, 1(s0)
+        # add + add
+        add a3, a0, a1
+        add a3, a3, t1
+        add a4, a1, a2
+        add a1, a4, a4
+        # addi + bne, a counter closing a loop
+        li s1, 3
+loop1:  add s2, s2, s1
+        addi s1, s1, -1
+        bnez s1, loop1
+        # addi + bne, an li of the compared value: taken, then not
+        li t0, 7
+        bne a1, t0, skip1
+        addi s3, s3, 100
+skip1:  li t0, 28
+        bne a1, t0, skip2
+        addi s3, s3, 1
+        # addi + blt, an li of the bound: taken only as signed, then not
+skip2:  li t1, -5
+        li t0, -1
+        blt t1, t0, skip3
+        addi s4, s4, 100
+skip3:  li t0, -6
+        blt t1, t0, skip4
+        addi s4, s4, 1
+        # addi + blt closing a loop
+skip4:  addi s5, s5, 1
+        li t0, 5
+        blt s5, t0, skip4
+        # x0 as the destination of either half
+        li t0, 9
+        addi zero, t0, 5
+        addi a5, zero, 1
+        addi a6, t0, 1
+        addi zero, a6, 1
+        lbu zero, 0(s0)
+        lbu a7, 1(s0)
+        lbu s6, 0(s0)
+        lbu zero, 1(s0)
+        add zero, t0, t0
+        add s7, zero, t0
+        add s8, t0, t0
+        add zero, s8, s8
+        addi zero, zero, 1
+        bnez zero, bad
+        li zero, 5
+        bne zero, t0, good
+bad:    addi s9, s9, 1000
+good:   sw s9, 8(s0)
+        ebreak";
+
+#[test]
+fn fused_forms_match_golden_model() {
+    assert_equivalent(FUSED_FORMS);
+}
+
+/// Budget stops at every position of the fused forms' program, between
+/// the two halves of each pair included, resume exactly.
+#[test]
+fn budget_stops_between_fused_halves_resume_exactly() {
+    check_budget_sweep(&assembled(FUSED_FORMS), 1..=24);
+}
+
+/// A `jalr` may land on the second word of a fused pair, which then runs
+/// alone: here the first `addi` is skipped, and the pair after the
+/// landing word still runs whole.
+#[test]
+fn a_jalr_onto_a_pairs_second_word_runs_it_alone() {
+    assert_equivalent(
+        "      auipc t1, 0
+               jalr ra, 12(t1)
+               addi a0, a0, 1
+               addi a1, a0, 2
+               addi a2, a1, 3
+               addi a3, a2, 4
+               ebreak",
+    );
+}
+
+/// A memory fault in either half of a fused load pair: the PC is the
+/// faulting word's, and a fault in the second half leaves the first
+/// half retired (its destination written).
+#[test]
+fn faults_in_either_half_of_a_pair_fault_alike() {
+    for (first, second, at) in [("0(s0)", "0(s1)", 20), ("0(s1)", "0(s0)", 16)] {
+        let src = format!(
+            "li s0, 4096\nli s1, 8192\nli t0, 5\nsb t0, 0(s0)\nlbu a0, {first}\nlbu a1, {second}\nebreak"
+        );
+        let program = assembled(&src);
+        let err = check_fault(&program, &src);
+        assert!(
+            matches!(err, PipeError::Mem { pc, source } if pc == at && source.addr == 8192),
+            "{src}: {err:?}"
+        );
+    }
+}
+
+// ---- the data-cache port ----
+
+/// A banked port like the NCPU core's: SRAM banks behind an address
+/// arbiter, the first registered one its data cache, mapped at 4096
+/// (so in-bank offsets differ from addresses), with a second bank above
+/// it. L2 accesses go to a flat L2.
+#[derive(Debug, Clone)]
+struct Banked {
+    banks: AddressArbiter,
+    l2: FlatMem,
+}
+
+/// A bank's bytes, reads, writes and generation.
+type BankState = (Vec<u8>, u64, u64, u64);
+
+impl Banked {
+    fn new() -> Banked {
+        let mut banks = AddressArbiter::new();
+        banks.add_bank("cache", 4096, 2048);
+        banks.add_bank("other", 6144, 2048);
+        Banked { banks, l2: FlatMem::with_l2(0, 256) }
+    }
+
+    /// Each bank's bytes, read and write counts and generation, and the
+    /// L2 access count.
+    fn state(&self) -> (Vec<BankState>, u64) {
+        let banks = self.banks.iter();
+        let banks = banks.map(|(_, b)| (b.bytes().to_vec(), b.reads(), b.writes(), b.generation()));
+        (banks.collect(), self.l2.l2_accesses())
+    }
+}
+
+impl MemPort for Banked {
+    fn read_local(&mut self, addr: u32, width: u32) -> Result<u32, MemFault> {
+        self.banks.read(addr, width).map_err(|_| MemFault { addr })
+    }
+
+    fn write_local(&mut self, addr: u32, width: u32, value: u32) -> Result<(), MemFault> {
+        self.banks.write(addr, width, value).map_err(|_| MemFault { addr })
+    }
+
+    fn read_l2(&mut self, addr: u32) -> Result<u32, MemFault> {
+        self.l2.read_l2(addr)
+    }
+
+    fn write_l2(&mut self, addr: u32, value: u32) -> Result<(), MemFault> {
+        self.l2.write_l2(addr, value)
+    }
+
+    fn data_cache(&mut self) -> Option<(u32, &mut SramBank)> {
+        self.banks.iter_mut().next()
+    }
+}
+
+/// Runs `src` on the banked port timed, functionally in one call, and
+/// functionally one instruction per call: all three must end with the
+/// same bank bytes, per-bank read and write counts and generations, and
+/// L2 accesses, and fail with the same error if they fail. The
+/// functional runs must also end with the same registers, PC and path
+/// log; without a fault, so must the timed run. Returns the error.
+fn check_banked(src: &str) -> Option<PipeError> {
+    let program = assembled(src);
+    let mut timed = Pipeline::new(program.clone(), Banked::new());
+    let timed_err = timed.run(1_000_000).err();
+    let mut ends = Vec::new();
+    for budget in [u64::MAX, 1] {
+        let mut cpu = Pipeline::new(program.clone(), Banked::new());
+        let mut path = PathLog::new();
+        let err = loop {
+            match cpu.run_functional(budget, &mut path) {
+                Ok((FunctionalStop::Event(Event::Halted), _)) => break None,
+                Ok((FunctionalStop::L2Read, _)) => panic!("{src}: no lw_l2 here"),
+                Ok(_) => {}
+                Err(e) => break Some(e),
+            }
+        };
+        assert_eq!(err, timed_err, "budget {budget}: {src}");
+        assert_eq!(cpu.mem().state(), timed.mem().state(), "budget {budget}: {src}");
+        for (_, bank) in cpu.mem().banks.iter() {
+            assert_eq!(bank.generation(), bank.writes(), "every write bumps the generation");
+        }
+        let regs: Vec<u32> = Reg::all().map(|reg| cpu.reg(reg)).collect();
+        if err.is_none() {
+            assert_eq!(cpu.pc(), timed.pc(), "budget {budget}: {src}");
+            assert_eq!(regs, Reg::all().map(|reg| timed.reg(reg)).collect::<Vec<_>>(), "{src}");
+        }
+        ends.push((regs, cpu.pc(), path));
+    }
+    assert_eq!(ends[0], ends[1], "{src}");
+    timed_err
+}
+
+/// In-window loads and stores of every width, at both edges of the
+/// data-cache bank, next to accesses of the bank above it and an
+/// `sw_l2`, count alike through the direct port and the arbiter.
+#[test]
+fn data_cache_accesses_count_like_the_port() {
+    let err = check_banked(
+        "li s0, 4096
+         li s1, 6140
+         li t0, -3
+         sw t0, 0(s0)
+         sh t0, 4(s0)
+         sb t0, 7(s0)
+         lw a0, 0(s0)
+         lh a1, 4(s0)
+         lhu a2, 4(s0)
+         lb a3, 7(s0)
+         lbu a4, 7(s0)
+         lbu a5, 0(s0)
+         sw t0, 0(s1)
+         lw a6, 0(s1)
+         sb t0, 3(s1)
+         lbu a7, 3(s1)
+         sh t0, 2(s1)
+         sb t0, 4(s1)
+         lbu s2, 4(s1)
+         lw s3, 4(s1)
+         sw s3, 8(s1)
+         li t1, 64
+         sw_l2 t0, 0(t1)
+         ebreak",
+    );
+    assert_eq!(err, None);
+}
+
+/// Accesses that start in the data-cache bank and cross its end, and
+/// accesses no bank maps, fault alike through either path with the same
+/// counts and generations behind them.
+#[test]
+fn accesses_across_the_data_cache_edge_fault_alike() {
+    for (access, base) in [
+        ("lw a0, 0(s0)", 6142),
+        ("lh a0, 0(s0)", 6143),
+        ("lhu a0, 0(s0)", 6143),
+        ("sw t1, 0(s0)", 6141),
+        ("sh t1, 0(s0)", 6143),
+        ("lw a0, 0(s0)", 8190),
+        ("lbu a0, 0(s0)", 4095),
+        ("sb t1, 0(s0)", 8192),
+    ] {
+        let src = format!(
+            "li s1, 4096\nli t1, -3\nsw t1, 0(s1)\nlw a1, 0(s1)\nli s0, {base}\n{access}\nebreak"
+        );
+        let err = check_banked(&src);
+        assert!(
+            matches!(err, Some(PipeError::Mem { source, .. }) if source.addr == base as u32),
+            "{src}: {err:?}"
+        );
     }
 }
 

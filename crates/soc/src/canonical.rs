@@ -33,7 +33,12 @@
 //!
 //! The key itself is a 64-bit FNV-1a over the canonical bytes — the
 //! same deterministic, dependency-free hash the testkit uses for
-//! property seeds.
+//! property seeds. FNV-1a hashes a stream, so the key resumes from the
+//! hash state after the encoding's prefix (the tag and the first
+//! workload: the model bytes and every staged item), which each
+//! [`UseCase`] computes once and shares with its clones. One encoder
+//! writes both the bytes and the key, generic over where its bytes go,
+//! so the key is always the hash of [`canonical_bytes`].
 
 use crate::scenario::Scenario;
 use crate::system::SystemConfig;
@@ -50,30 +55,89 @@ pub const CANONICAL_TAG: &[u8] = b"ncpu-scenario-v2";
 /// 64-bit FNV-1a over `bytes` — deterministic on every host, no
 /// dependencies, good avalanche for cache keying.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut hash = Fnv::new();
+    hash.put(bytes);
+    hash.0
+}
+
+/// Where the encoder's bytes go: kept, or hashed as they stream by.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
-    hash
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A running 64-bit FNV-1a state.
+struct Fnv(u64);
+
+impl Fnv {
+    /// The state before any byte (the offset basis).
+    const fn new() -> Fnv {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Sink for Fnv {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+fn push_u8(out: &mut impl Sink, v: u8) {
+    out.put(&[v]);
+}
+
+fn push_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
+}
+
+fn push_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
 }
 
 /// The canonical byte encoding of `scenario` (see the module docs for
 /// what is covered and what is deliberately excluded).
 pub fn canonical_bytes(scenario: &Scenario) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(CANONICAL_TAG);
+    push_prefix(&mut out, scenario.usecase());
+    push_rest(&mut out, scenario);
+    out
+}
 
-    push_workload(&mut out, scenario.usecase());
+/// [`fnv1a_64`] of [`canonical_bytes`] — the content-addressed cache
+/// key (also available as [`Scenario::cache_key`]), resumed from the
+/// use case's hashed prefix.
+pub fn cache_key(scenario: &Scenario) -> u64 {
+    let mut hash = Fnv(scenario.usecase().key_prefix());
+    push_rest(&mut hash, scenario);
+    hash.0
+}
 
+/// The FNV-1a state after the encoding's prefix for a scenario whose
+/// first workload is `uc` ([`UseCase::key_prefix`] caches it).
+pub(crate) fn prefix_state(uc: &UseCase) -> u64 {
+    let mut hash = Fnv::new();
+    push_prefix(&mut hash, uc);
+    hash.0
+}
+
+/// The encoding's prefix, which the first workload alone fixes: the
+/// version tag, then that workload.
+fn push_prefix(out: &mut impl Sink, uc: &UseCase) {
+    out.put(CANONICAL_TAG);
+    push_workload(out, uc);
+}
+
+/// The encoding after its prefix: the system, fabric, operating point,
+/// fault plan and topology, then any further workloads.
+fn push_rest(out: &mut impl Sink, scenario: &Scenario) {
     // System shape: a tag and the core count (0 for the baseline).
     let hetero_layout;
     let (system, cores, topo) = match scenario.system() {
@@ -83,64 +147,62 @@ pub fn canonical_bytes(scenario: &Scenario) -> Vec<u8> {
         }
         SystemConfig::Ncpu(topo) => (1, topo.cores(), topo),
     };
-    out.push(system);
-    push_u64(&mut out, cores as u64);
+    push_u8(out, system);
+    push_u64(out, cores as u64);
 
     // Fabric parameters.
     let soc = scenario.soc();
-    push_u32(&mut out, soc.dma_bytes_per_cycle);
-    push_u64(&mut out, soc.dma_setup_cycles);
-    out.push(match soc.switch_policy {
+    push_u32(out, soc.dma_bytes_per_cycle);
+    push_u64(out, soc.dma_setup_cycles);
+    push_u8(out, match soc.switch_policy {
         ncpu_core::SwitchPolicy::ZeroLatency => 0,
         ncpu_core::SwitchPolicy::Naive => 1,
     });
-    out.push(u8::from(soc.layer_pipelining));
+    push_u8(out, u8::from(soc.layer_pipelining));
 
     // Operating point, normalized: None and Some(1.0) encode the same.
-    push_u64(&mut out, scenario.volts().to_bits());
+    push_u64(out, scenario.volts().to_bits());
 
     // Fault plan, every knob.
     let fault = scenario.fault();
-    push_u64(&mut out, fault.seed);
-    push_u32(&mut out, fault.sram_flip_ppm);
-    push_u32(&mut out, fault.dma_stall_ppm);
-    push_u64(&mut out, fault.dma_stall_cycles);
-    push_u32(&mut out, fault.dma_truncate_ppm);
-    push_u32(&mut out, fault.core_hang_ppm);
-    push_u64(&mut out, fault.watchdog_cycles);
-    push_u32(&mut out, fault.max_retries);
-    push_u64(&mut out, fault.backoff_cycles);
-    push_u32(&mut out, fault.quarantine_after);
+    push_u64(out, fault.seed);
+    push_u32(out, fault.sram_flip_ppm);
+    push_u32(out, fault.dma_stall_ppm);
+    push_u64(out, fault.dma_stall_cycles);
+    push_u32(out, fault.dma_truncate_ppm);
+    push_u32(out, fault.core_hang_ppm);
+    push_u64(out, fault.watchdog_cycles);
+    push_u32(out, fault.max_retries);
+    push_u64(out, fault.backoff_cycles);
+    push_u32(out, fault.quarantine_after);
 
     // Topology, resolved: per-core operating points encode as the
     // *effective* voltage (unset inherits the scenario point) — the
     // normalization every engine applies.
     let volts = scenario.volts();
-    push_u64(&mut out, topo.cores() as u64);
+    push_u64(out, topo.cores() as u64);
     for spec in topo.specs() {
-        out.push(spec.role.tag());
-        push_u64(&mut out, spec.volts(volts).to_bits());
-        push_u64(&mut out, spec.bank as u64);
+        push_u8(out, spec.role.tag());
+        push_u64(out, spec.volts(volts).to_bits());
+        push_u64(out, spec.bank as u64);
     }
-    push_u64(&mut out, topo.banks() as u64);
+    push_u64(out, topo.banks() as u64);
     for &width in topo.bank_bytes() {
-        push_u64(&mut out, width as u64);
+        push_u64(out, width as u64);
     }
     // Where the v2 layout tagged the item scheduler with a constant 0:
     // each further workload of an independent scenario follows a 1 here,
     // and the 0 still closes the encoding, so every v2 key stays valid.
     for extra in &scenario.workloads()[1..] {
-        out.push(1);
-        push_workload(&mut out, extra);
+        push_u8(out, 1);
+        push_workload(out, extra);
     }
-    out.push(0);
-
-    out
+    push_u8(out, 0);
 }
 
 /// One workload: kind, spin budget, model artifact, staged items.
-fn push_workload(out: &mut Vec<u8>, uc: &UseCase) {
-    out.push(match uc.kind() {
+fn push_workload(out: &mut impl Sink, uc: &UseCase) {
+    push_u8(out, match uc.kind() {
         UseCaseKind::Image => 0,
         UseCaseKind::Motion => 1,
         UseCaseKind::Parametric => 2,
@@ -149,19 +211,13 @@ fn push_workload(out: &mut Vec<u8>, uc: &UseCase) {
     push_u64(out, uc.spin_cycles());
     let model = ncpu_bnn::io::to_bytes(uc.model());
     push_u64(out, model.len() as u64);
-    out.extend_from_slice(&model);
+    out.put(&model);
     push_u64(out, uc.items().len() as u64);
     for item in uc.items() {
         push_u64(out, item.label as u64);
         push_u64(out, item.staged.len() as u64);
-        out.extend_from_slice(&item.staged);
+        out.put(&item.staged);
     }
-}
-
-/// [`fnv1a_64`] of [`canonical_bytes`] — the content-addressed cache
-/// key (also available as [`Scenario::cache_key`]).
-pub fn cache_key(scenario: &Scenario) -> u64 {
-    fnv1a_64(&canonical_bytes(scenario))
 }
 
 #[cfg(test)]
@@ -342,6 +398,36 @@ mod tests {
             prop_assert!(canonical_bytes(&base).starts_with(CANONICAL_TAG));
             Ok(())
         });
+    }
+
+    /// The key resumes hashing from the use case's cached prefix; it
+    /// must stay the hash of the whole encoding on every draw, for a
+    /// second key from the same use case (the prefix then comes from
+    /// the cache), and for use cases with staged items and further
+    /// workloads.
+    #[test]
+    fn cache_key_is_the_hash_of_the_canonical_bytes() {
+        let whole = |s: &Scenario| fnv1a_64(&canonical_bytes(s));
+        Prop::new("cache_key_is_the_hash_of_the_canonical_bytes").cases(256).run(draw, |d| {
+            let s = build(d);
+            prop_assert_eq!(s.cache_key(), whole(&s));
+            let sibling = Scenario::new(s.usecase().clone(), crate::SystemConfig::Heterogeneous);
+            prop_assert_eq!(sibling.cache_key(), whole(&sibling));
+            prop_assert_eq!(s.cache_key(), whole(&s));
+            Ok(())
+        });
+        let image = UseCase::image(2, 1, 1);
+        let motion = UseCase::motion(2, 1, 1);
+        let both = vec![image.clone(), motion.clone()];
+        for s in [
+            Scenario::new(image.clone(), crate::SystemConfig::ncpu(2)),
+            Scenario::new(motion, crate::SystemConfig::ncpu(1)).with_operating_point(0.8),
+            Scenario::independent(both, Topology::homogeneous(2)).expect("fits"),
+            Scenario::new(image.with_repeated_items(2), crate::SystemConfig::ncpu(2)),
+        ] {
+            assert_eq!(s.cache_key(), whole(&s));
+            assert_eq!(s.cache_key(), whole(&s), "from the cached prefix");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use ncpu_bnn::{BitVec, BnnLayer, BnnModel, Topology};
 use ncpu_workloads::{image, motion as motion_prog, spin};
 use ncpu_testkit::rng::Rng;
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ncpu_pipeline::Program;
 
@@ -80,8 +80,10 @@ pub struct Item {
 /// item path's cycle timing there once and replays it in every run of
 /// every scenario built from this use case (see the `eventdriven`
 /// module). Clones also share the model (every core built from the use
-/// case points at it) and the NCPU programs assembled for it (see
-/// [`ProgramMemo`]). The memos are caches: they never change a result.
+/// case points at it), the NCPU programs assembled for it (see
+/// [`ProgramMemo`]) and the hashed prefix of its scenarios' cache keys
+/// (see [`KeyPrefix`]). The memos are caches: they never change a
+/// result.
 #[derive(Debug, Clone)]
 pub struct UseCase {
     kind: UseCaseKind,
@@ -91,6 +93,21 @@ pub struct UseCase {
     spin_cycles: u64,
     timing: Arc<TimingMemo>,
     programs: Arc<ProgramMemo>,
+    key_prefix: Arc<KeyPrefix>,
+}
+
+/// The FNV-1a state after the canonical encoding's prefix for a
+/// scenario led by this use case (the tag, then the use case's model
+/// and staged items; see [`crate::canonical`]). Computed on the first
+/// cache key, so a use case that is never keyed never hashes its model.
+#[derive(Default)]
+pub(crate) struct KeyPrefix(OnceLock<u64>);
+
+impl std::fmt::Debug for KeyPrefix {
+    /// Constant: the prefix is a cache, not part of a use case's value.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("KeyPrefix")
+    }
 }
 
 /// The NCPU programs assembled for one use case, keyed by their tail's
@@ -252,6 +269,7 @@ impl UseCase {
             spin_cycles,
             timing: Arc::default(),
             programs: Arc::default(),
+            key_prefix: Arc::default(),
         }
     }
 
@@ -292,12 +310,19 @@ impl UseCase {
     #[cfg(test)]
     pub(crate) fn with_repeated_items(mut self, times: usize) -> UseCase {
         self.items = self.items.iter().flat_map(|item| vec![item.clone(); times]).collect();
+        self.key_prefix = Arc::default();
         self
     }
 
     /// The timing memo every clone of this use case shares.
     pub(crate) fn timing(&self) -> &TimingMemo {
         &self.timing
+    }
+
+    /// The FNV-1a state after the cache-key prefix this use case fixes,
+    /// hashed on the first call and shared by every clone.
+    pub(crate) fn key_prefix(&self) -> u64 {
+        *self.key_prefix.0.get_or_init(|| crate::canonical::prefix_state(self))
     }
 
     /// The program memo every clone of this use case shares.
