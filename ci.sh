@@ -21,18 +21,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q
 # classifications).
 NCPU_TRACE=off cargo run --release --offline -p ncpu-bench --bin paper ext_lockstep
 
-# Paper byte gate: every experiment that finishes in under a second (all
-# but table1, table3, fig18 and fig19, which train large models) must
-# print exactly its section of the committed paper_output.txt. Sections
-# start at their `== <id> — <title> ==` header.
+# Paper byte gate: the whole `paper` run (all 25 experiments, every
+# trained model included) must print exactly the committed
+# paper_output.txt. Unpinned on a shared 2-CPU host it took 39-49 s.
 PAPER_DIR=target/paper-ci
 rm -rf "$PAPER_DIR"
 mkdir -p "$PAPER_DIR"
-awk '/^== /{keep = ($2 != "table1" && $2 != "table3" && $2 != "fig18" && $2 != "fig19")} keep' \
-    paper_output.txt > "$PAPER_DIR/expected.txt"
-NCPU_TRACE=off cargo run --release --offline -p ncpu-bench --bin paper \
-    $(grep '^== ' "$PAPER_DIR/expected.txt" | cut -d' ' -f2) > "$PAPER_DIR/actual.txt"
-cmp "$PAPER_DIR/expected.txt" "$PAPER_DIR/actual.txt"
+NCPU_TRACE=off cargo run --release --offline -p ncpu-bench --bin paper > "$PAPER_DIR/actual.txt"
+cmp paper_output.txt "$PAPER_DIR/actual.txt"
 
 # Observability smoke: a fully traced end-to-end run must emit RUN_/TRACE_
 # artifacts that the in-tree checker accepts (unknown event kinds and

@@ -1,5 +1,8 @@
 //! Shared experiment context: models, formatting, and simulation helpers.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
+
 use ncpu_bnn::data::{digits, motion};
 use ncpu_bnn::train::{train, TrainConfig};
 use ncpu_bnn::{BitVec, BnnLayer, BnnModel, Topology};
@@ -44,16 +47,23 @@ pub fn digits_datasets() -> (ncpu_bnn::data::Dataset, ncpu_bnn::data::Dataset, &
 }
 
 /// Trains the digits classifier at `neurons` cells/layer; returns the
-/// model, its held-out accuracy, and the dataset source. Deterministic;
-/// takes tens of seconds in release mode at the default dataset size.
+/// model and its held-out accuracy. Deterministic, so each width trains
+/// once per process: Table III reuses the 100-neuron model Fig. 18 trains.
+/// A call waits for a concurrent one training the same width.
 pub fn trained_digits(neurons: usize) -> (BnnModel, f64) {
-    let (train_set, test_set, _) = digits_datasets();
-    let topo = Topology::paper(digits::PIXELS, neurons, digits::CLASSES);
-    // Wide arrays need more epochs to settle (STE noise grows with width).
-    let epochs = if neurons >= 400 { 60 } else { 40 };
-    let model = train(&topo, &train_set, &TrainConfig { epochs, ..TrainConfig::default() });
-    let acc = ncpu_bnn::metrics::accuracy(&model, &test_set);
-    (model, acc)
+    type Trained = Arc<OnceLock<(BnnModel, f64)>>;
+    static MEMO: Mutex<BTreeMap<usize, Trained>> = Mutex::new(BTreeMap::new());
+    let cell = MEMO.lock().expect("digits memo lock").entry(neurons).or_default().clone();
+    cell.get_or_init(|| {
+        let (train_set, test_set, _) = digits_datasets();
+        let topo = Topology::paper(digits::PIXELS, neurons, digits::CLASSES);
+        // Wide arrays need more epochs to settle (STE noise grows with width).
+        let epochs = if neurons >= 400 { 60 } else { 40 };
+        let model = train(&topo, &train_set, &TrainConfig { epochs, ..TrainConfig::default() });
+        let acc = ncpu_bnn::metrics::accuracy(&model, &test_set);
+        (model, acc)
+    })
+    .clone()
 }
 
 /// Trains the motion classifier; returns the model and its accuracy.

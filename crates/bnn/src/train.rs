@@ -34,153 +34,207 @@ impl Default for TrainConfig {
     }
 }
 
+/// Real-valued shadow parameters of one neuron during training.
+#[derive(Debug, Clone)]
+struct ShadowRow {
+    /// Shadow weights in `[-1, 1]`.
+    w: Vec<f32>,
+    vw: Vec<f32>,
+    b: f32,
+    vb: f32,
+    /// Sign bits of `w` (`w >= 0` → 1), packed 64 per word with zero
+    /// slack: the only weights the forward and `da` kernels read.
+    signs: Vec<u64>,
+}
+
 /// Real-valued shadow parameters of one layer during training.
 #[derive(Debug, Clone)]
 struct ShadowLayer {
-    /// Row-major `[neuron][input]` shadow weights in `[-1, 1]`.
-    w: Vec<f32>,
-    b: Vec<f32>,
-    vw: Vec<f32>,
-    vb: Vec<f32>,
+    rows: Vec<ShadowRow>,
     inputs: usize,
-    neurons: usize,
 }
 
 impl ShadowLayer {
     fn new(inputs: usize, neurons: usize, rng: &mut Rng) -> ShadowLayer {
-        let w = (0..inputs * neurons).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
-        ShadowLayer {
-            w,
-            b: vec![0.0; neurons],
-            vw: vec![0.0; inputs * neurons],
-            vb: vec![0.0; neurons],
-            inputs,
-            neurons,
-        }
+        let rows = (0..neurons)
+            .map(|_| {
+                let w: Vec<f32> = (0..inputs).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+                ShadowRow { signs: pack_signs(&w), vw: vec![0.0; inputs], w, b: 0.0, vb: 0.0 }
+            })
+            .collect();
+        ShadowLayer { rows, inputs }
     }
 
     fn scale(&self) -> f32 {
         1.0 / (self.inputs as f32).sqrt()
     }
 
-    /// Forward with binarized weights: returns normalized pre-activations.
-    fn forward(&self, a: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(a.len(), self.inputs);
+    /// Forward with binarized weights on a ±1 input given as bits:
+    /// returns normalized pre-activations.
+    ///
+    /// Each dot product is `n − 2·popcount(signs XOR x)`: exactly the
+    /// integer a float sum of `n` ±1 terms reaches, since no partial sum
+    /// exceeds `n` ≤ 2^24.
+    fn forward(&self, x: &[u64]) -> Vec<f32> {
         let s = self.scale();
-        (0..self.neurons)
-            .map(|j| {
-                let row = &self.w[j * self.inputs..(j + 1) * self.inputs];
-                let z: f32 = row
-                    .iter()
-                    .zip(a)
-                    .map(|(&w, &x)| if w >= 0.0 { x } else { -x })
-                    .sum();
-                (z + self.b[j]) * s
+        self.rows
+            .iter()
+            .map(|row| {
+                let disagree: u32 =
+                    row.signs.iter().zip(x).map(|(w, x)| (w ^ x).count_ones()).sum();
+                let z = self.inputs as i32 - 2 * disagree as i32;
+                (z as f32 + row.b) * s
             })
             .collect()
     }
 
-    /// Accumulates gradients for one sample; returns gradient w.r.t. input.
-    ///
-    /// `dzn` is the gradient at the normalized pre-activation.
-    fn backward(&self, a: &[f32], dzn: &[f32], gw: &mut [f32], gb: &mut [f32]) -> Vec<f32> {
-        let s = self.scale();
-        let mut da = vec![0.0f32; self.inputs];
-        for j in 0..self.neurons {
-            let dz = dzn[j] * s;
-            if dz == 0.0 {
-                continue;
-            }
-            gb[j] += dz;
-            let row = &self.w[j * self.inputs..(j + 1) * self.inputs];
-            let grow = &mut gw[j * self.inputs..(j + 1) * self.inputs];
-            for i in 0..self.inputs {
-                grow[i] += dz * a[i];
-                da[i] += dz * if row[i] >= 0.0 { 1.0 } else { -1.0 };
-            }
-        }
-        da
+    /// Gradient with respect to the layer input, given the scaled
+    /// pre-activation gradient `dz`: `da[i]` sums `±dz[j]` over neurons
+    /// in order, the sign that of `w[j][i]`.
+    fn input_grad(&self, dz: &[f32]) -> Vec<f32> {
+        let terms: Vec<(&[u64], f32)> = self
+            .rows
+            .iter()
+            .zip(dz)
+            .filter(|&(_, &d)| d != 0.0)
+            .map(|(row, &d)| (&row.signs[..], d))
+            .collect();
+        (0..self.inputs.div_ceil(8)).flat_map(|k| signed_sum(&terms, k)).take(self.inputs).collect()
     }
 
-    fn apply(&mut self, gw: &[f32], gb: &[f32], lr: f32, momentum: f32, inv_batch: f32) {
-        for (i, (&g, v)) in gw.iter().zip(self.vw.iter_mut()).enumerate() {
-            *v = momentum * *v - lr * g * inv_batch;
-            // STE weight clipping keeps shadow weights in [-1, 1].
-            self.w[i] = (self.w[i] + *v).clamp(-1.0, 1.0);
-        }
-        for (j, (&g, v)) in gb.iter().zip(self.vb.iter_mut()).enumerate() {
-            *v = momentum * *v - lr * g * inv_batch;
-            self.b[j] += *v;
+    /// Takes one momentum step on this layer's (layer `l`'s) gradient
+    /// over `batch`, then repacks the sign bits.
+    ///
+    /// Neuron `j`'s gradient is summed from the per-sample rank-1 factors,
+    /// walking the samples in order: each weight slot receives one
+    /// `±dz[j]` per sample whose `dz[j]` is nonzero, the very additions a
+    /// dense per-sample accumulation makes, in the same order.
+    fn apply(&mut self, l: usize, batch: &[SampleGrad], config: &TrainConfig) {
+        let (lr, momentum) = (config.lr, config.momentum);
+        let inv_batch = 1.0 / batch.len() as f32;
+        for (j, row) in self.rows.iter_mut().enumerate() {
+            let terms: Vec<(&[u64], f32)> = batch
+                .iter()
+                .map(|sample| &sample[l])
+                .filter(|(_, dz)| dz[j] != 0.0)
+                .map(|(x, dz)| (&x[..], dz[j]))
+                .collect();
+            let gb = terms.iter().fold(0.0f32, |gb, &(_, d)| gb + d);
+            for (k, (w, vw)) in row.w.chunks_mut(8).zip(row.vw.chunks_mut(8)).enumerate() {
+                for ((w, v), g) in w.iter_mut().zip(vw).zip(signed_sum(&terms, k)) {
+                    *v = momentum * *v - lr * g * inv_batch;
+                    // STE weight clipping keeps shadow weights in [-1, 1].
+                    *w = (*w + *v).clamp(-1.0, 1.0);
+                }
+            }
+            row.vb = momentum * row.vb - lr * gb * inv_batch;
+            row.b += row.vb;
+            row.signs = pack_signs(&row.w);
         }
     }
 
     fn export(&self) -> BnnLayer {
-        let rows: Vec<BitVec> = (0..self.neurons)
-            .map(|j| BitVec::from_signs(&self.w[j * self.inputs..(j + 1) * self.inputs]))
-            .collect();
-        let bias = self.b.iter().map(|&b| b.round() as i32).collect();
+        let rows = self.rows.iter().map(|row| BitVec::from_signs(&row.w)).collect();
+        let bias = self.rows.iter().map(|row| row.b.round() as i32).collect();
         BnnLayer::new(rows, bias)
     }
 }
 
-fn to_pm1(bits: &BitVec) -> Vec<f32> {
-    bits.iter().map(|b| if b { 1.0 } else { -1.0 }).collect()
+/// One sample's gradient, per layer: the layer's ±1 input as sign bits
+/// and its scaled pre-activation gradient `dz`. The layer's weight
+/// gradient is their outer product `dz ⊗ x`, never stored densely.
+type SampleGrad = Vec<(Vec<u64>, Vec<f32>)>;
+
+/// Packs the signs of `values` (`>= 0` → 1), 64 per word, slack bits zero.
+fn pack_signs(values: &[f32]) -> Vec<u64> {
+    values
+        .chunks(64)
+        .map(|chunk| {
+            chunk.iter().enumerate().fold(0, |word, (k, &v)| word | u64::from(v >= 0.0) << k)
+        })
+        .collect()
 }
 
-/// One sample's forward/backward pass, adding its gradient contribution
-/// into `gw`/`gb`.
-///
-/// Each parameter receives **at most one add** per sample (weight `(j, i)`
-/// is touched only by neuron `j`'s row loop), which is what makes the
-/// parallel reduction in [`train`] byte-identical to serial accumulation:
-/// summing per-sample buffers in sample order replays the exact same
-/// sequence of additions into each accumulator slot.
-fn accumulate_sample(
+/// For each byte of sign bits, the `f32` sign-bit masks of its eight
+/// lanes: lane `k` flips (`d` becomes `-d`) where bit `k` is clear.
+const SIGN_FLIPS: [[u32; 8]; 256] = {
+    let mut table = [[0u32; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut k = 0;
+        while k < 8 {
+            if byte >> k & 1 == 0 {
+                table[byte][k] = 1 << 31;
+            }
+            k += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Lanes `8k..8k + 8` of `Σ d·x` over `terms`, each a ±1 vector `x`
+/// given as bits with a weight `d`, summed in the order of `terms`.
+/// Multiplying by ±1 is exact, so each addend is `±d`: `d` with its sign
+/// bit flipped by a lookup on byte `k` of the bits.
+fn signed_sum(terms: &[(&[u64], f32)], k: usize) -> [f32; 8] {
+    let mut sum = [0.0f32; 8];
+    for &(bits, d) in terms {
+        let byte = (bits[k / 8] >> (k % 8 * 8)) as u8;
+        for (s, &flip) in sum.iter_mut().zip(&SIGN_FLIPS[usize::from(byte)]) {
+            *s += f32::from_bits(d.to_bits() ^ flip);
+        }
+    }
+    sum
+}
+
+/// One sample's forward/backward pass: returns its per-layer rank-1
+/// gradient factors.
+fn sample_grad(
     layers: &[ShadowLayer],
     topology: &Topology,
     data: &Dataset,
     idx: usize,
-    gw: &mut [Vec<f32>],
-    gb: &mut [Vec<f32>],
-) {
+) -> SampleGrad {
     let nlayers = layers.len();
     let (input, label) = data.sample(idx);
     assert_eq!(input.len(), topology.input(), "sample width mismatch");
-    // ---- forward ----
-    let mut acts: Vec<Vec<f32>> = Vec::with_capacity(nlayers + 1);
+    // ---- forward: every layer input is ±1, kept as bits ----
+    let mut xs: Vec<Vec<u64>> = vec![input.words().to_vec()];
     let mut zns: Vec<Vec<f32>> = Vec::with_capacity(nlayers);
-    acts.push(to_pm1(input));
     for (l, layer) in layers.iter().enumerate() {
-        let zn = layer.forward(acts.last().expect("pushed"));
-        let is_last = l == nlayers - 1;
-        let next = if is_last {
-            zn.clone() // kept linear; only first `classes` used
-        } else {
-            zn.iter().map(|&z| if z >= 0.0 { 1.0 } else { -1.0 }).collect()
-        };
+        let zn = layer.forward(&xs[l]);
+        // Hidden outputs binarize by sign; the last layer's stay linear,
+        // and only its first `classes` are read.
+        if l + 1 < nlayers {
+            xs.push(pack_signs(&zn));
+        }
         zns.push(zn);
-        acts.push(next);
     }
     // ---- loss gradient at the output ----
     let classes = topology.classes();
-    let logits = &zns[nlayers - 1][..classes];
-    let probs = softmax(logits);
+    let probs = softmax(&zns[nlayers - 1][..classes]);
     let mut dzn = vec![0.0f32; topology.layers()[nlayers - 1]];
     for c in 0..classes {
         dzn[c] = probs[c] - if c == label { 1.0 } else { 0.0 };
     }
     // ---- backward ----
+    let mut dzs = vec![Vec::new(); nlayers];
     for l in (0..nlayers).rev() {
-        let da = layers[l].backward(&acts[l], &dzn, &mut gw[l], &mut gb[l]);
+        let s = layers[l].scale();
+        let dz: Vec<f32> = dzn.iter().map(|&d| d * s).collect();
         if l > 0 {
             // Gradient through the hidden sign: clipped STE.
-            dzn = da
+            dzn = layers[l]
+                .input_grad(&dz)
                 .iter()
                 .zip(&zns[l - 1])
                 .map(|(&d, &zn)| if zn.abs() <= 1.0 { d } else { 0.0 })
                 .collect();
         }
+        dzs[l] = dz;
     }
+    xs.into_iter().zip(dzs).collect()
 }
 
 fn softmax(z: &[f32]) -> Vec<f32> {
@@ -192,10 +246,12 @@ fn softmax(z: &[f32]) -> Vec<f32> {
 
 /// Trains a BNN of shape `topology` on `data` and exports the binary model.
 ///
-/// Training is deterministic in `config.seed` — including under parallel
-/// minibatch evaluation: the gradient reduction sums per-sample buffers in
-/// fixed sample order, so the exported model is byte-identical for every
-/// `NCPU_THREADS` value.
+/// Training is deterministic in `config.seed`, and the exported model is
+/// byte-identical for every `NCPU_THREADS` value: workers map a
+/// minibatch's samples to their rank-1 gradient factors, and one reduction
+/// on the calling thread then sums each weight's gradient from those
+/// factors in sample order, the same additions in the same order for any
+/// worker count.
 ///
 /// # Panics
 ///
@@ -217,69 +273,33 @@ fn softmax(z: &[f32]) -> Vec<f32> {
 /// assert!(acc > 0.9, "easy task must be learned, got {acc}");
 /// ```
 pub fn train(topology: &Topology, data: &Dataset, config: &TrainConfig) -> BnnModel {
+    let layers = train_shadow(topology, data, config);
+    BnnModel::new(topology.clone(), layers.iter().map(ShadowLayer::export).collect())
+}
+
+/// [`train`] up to the shadow parameters, before export.
+fn train_shadow(topology: &Topology, data: &Dataset, config: &TrainConfig) -> Vec<ShadowLayer> {
     assert!(!data.is_empty(), "empty training set");
     assert!(data.classes() <= topology.classes(), "label range exceeds topology classes");
     let mut rng = Rng::seed_from_u64(config.seed);
-    let nlayers = topology.layers().len();
-    let mut layers: Vec<ShadowLayer> = (0..nlayers)
+    let mut layers: Vec<ShadowLayer> = (0..topology.layers().len())
         .map(|l| ShadowLayer::new(topology.layer_input(l), topology.layers()[l], &mut rng))
         .collect();
 
     let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut gw: Vec<Vec<f32>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-    let mut gb: Vec<Vec<f32>> = layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-
     let pool = ncpu_par::Pool::from_env();
     for _epoch in 0..config.epochs {
         rng.shuffle(&mut order);
         for chunk in order.chunks(config.batch) {
-            for g in gw.iter_mut() {
-                g.iter_mut().for_each(|v| *v = 0.0);
-            }
-            for g in gb.iter_mut() {
-                g.iter_mut().for_each(|v| *v = 0.0);
-            }
-            if pool.workers() > 1 && chunk.len() > 1 {
-                // Each sample computes into private zeroed buffers; the
-                // buffers are then summed in sample order. Because every
-                // parameter slot receives at most one add per sample (see
-                // `accumulate_sample`), this replays exactly the additions
-                // the serial branch performs, in the same order — the two
-                // branches are byte-identical, not merely close.
-                let parts = pool.par_map_indexed(chunk.to_vec(), |_, idx| {
-                    let mut igw: Vec<Vec<f32>> =
-                        layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-                    let mut igb: Vec<Vec<f32>> =
-                        layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-                    accumulate_sample(&layers, topology, data, idx, &mut igw, &mut igb);
-                    (igw, igb)
-                });
-                for (igw, igb) in parts {
-                    for (acc, part) in gw.iter_mut().zip(&igw) {
-                        for (a, &p) in acc.iter_mut().zip(part) {
-                            *a += p;
-                        }
-                    }
-                    for (acc, part) in gb.iter_mut().zip(&igb) {
-                        for (a, &p) in acc.iter_mut().zip(part) {
-                            *a += p;
-                        }
-                    }
-                }
-            } else {
-                for &idx in chunk {
-                    accumulate_sample(&layers, topology, data, idx, &mut gw, &mut gb);
-                }
-            }
-            let inv_batch = 1.0 / chunk.len() as f32;
+            let batch = pool.par_map_indexed(chunk.to_vec(), |_, idx| {
+                sample_grad(&layers, topology, data, idx)
+            });
             for (l, layer) in layers.iter_mut().enumerate() {
-                layer.apply(&gw[l], &gb[l], config.lr, config.momentum, inv_batch);
+                layer.apply(l, &batch, config);
             }
         }
     }
-
-    let exported = layers.iter().map(ShadowLayer::export).collect();
-    BnnModel::new(topology.clone(), exported)
+    layers
 }
 
 #[cfg(test)]
@@ -348,6 +368,40 @@ mod tests {
     fn empty_dataset_rejected() {
         let topo = Topology::new(8, vec![4], 2);
         train(&topo, &Dataset::new(vec![], vec![], 2), &TrainConfig::default());
+    }
+
+    /// FNV-1a over every shadow parameter's bits, per layer in the
+    /// order `w` (row-major), `vw`, `b`, `vb`.
+    fn shadow_digest(layers: &[ShadowLayer]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for layer in layers {
+            let rows = &layer.rows;
+            let values = rows
+                .iter()
+                .flat_map(|r| &r.w)
+                .chain(rows.iter().flat_map(|r| &r.vw))
+                .chain(rows.iter().map(|r| &r.b))
+                .chain(rows.iter().map(|r| &r.vb));
+            for v in values {
+                for byte in v.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The shadow parameters after two epochs on 100-bit inputs (rows of
+    /// two words, the second with slack), pinned bit for bit. Exported
+    /// models keep only signs and rounded biases, so a reassociated float
+    /// sum can leave them unchanged; this pin sees every low bit.
+    #[test]
+    fn shadow_state_is_pinned() {
+        let data = parity_dataset(64, 100, 5);
+        let topo = Topology::new(100, vec![24, 24], 2);
+        let layers =
+            train_shadow(&topo, &data, &TrainConfig { epochs: 2, ..TrainConfig::default() });
+        assert_eq!(shadow_digest(&layers), 0x49ee_dcd5_f410_4a2c);
     }
 
     #[test]
