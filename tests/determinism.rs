@@ -138,6 +138,28 @@ fn serve_trained_models_are_pinned() {
     );
 }
 
+/// The items `ncpu serve` stages for its image (`image(8, 2, 1)`) and
+/// motion (`motion(8, 4, 2)`) requests, pinned to FNV-1a over every
+/// item's staged bytes and label. Together with the model pins above
+/// this covers every byte a trained use case feeds the simulator.
+#[test]
+fn trained_use_case_items_are_pinned() {
+    let digest = |uc: UseCase| {
+        let mut bytes = Vec::new();
+        for item in uc.items() {
+            bytes.extend_from_slice(&item.staged);
+            bytes.extend_from_slice(&(item.label as u64).to_le_bytes());
+        }
+        ncpu::soc::fnv1a_64(&bytes)
+    };
+    let (image, motion) = (digest(UseCase::image(8, 2, 1)), digest(UseCase::motion(8, 4, 2)));
+    assert_eq!(
+        (image, motion),
+        (0x34da1f4c0429c3b5, 0xf236416c146dbacc),
+        "{image:#018x} {motion:#018x}"
+    );
+}
+
 /// The digits classifier of Fig. 18 at its narrowest and widest arrays,
 /// trained for one epoch on a small synthetic set, pinned to its exported
 /// bytes.
