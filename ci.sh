@@ -130,6 +130,8 @@ grep -q '"serve.cache.hits":5' "$SERVE_OUT"
 grep -q '"serve.cache.misses":5' "$SERVE_OUT"
 grep -q '"serve.cache.evictions":0' "$SERVE_OUT"
 grep -q '"serve.errors":1' "$SERVE_OUT"
+# Lines 4 and 7 are one image training config: the fleet trains once.
+grep -q '"serve.models_trained":1' "$SERVE_OUT"
 # Every NCPU request without an engine pin routes to the event engine,
 # trained image batches included (line 4 is the auto-routed image miss).
 sed -n 4p "$SERVE_OUT" | grep -q '"engine":"event"'

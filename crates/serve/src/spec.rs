@@ -41,6 +41,12 @@ pub const MAX_CORES: usize = 64;
 /// system, fabric, operating point, faults or topology.
 pub type UseCaseShape = (UseCaseKind, usize, usize, usize);
 
+/// Everything a trained use case's model is a pure function of: its
+/// shape without the batch, `(kind, train_per_class, epochs)`. Item *i*
+/// does not depend on the batch either, so [`UseCase::with_batch`]
+/// turns a use case of one shape into any other of its config.
+pub type TrainingConfig = (UseCaseKind, usize, usize);
+
 /// Which engine the client wants; `Auto` lets the router pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePref {

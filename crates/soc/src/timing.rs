@@ -9,7 +9,9 @@
 //! deltas, its event shard and its L2 touch offsets. An entry is
 //! therefore a pure function of its key, which is what lets one
 //! [`TimingMemo`] live on a [`UseCase`](crate::UseCase) and serve every
-//! scenario, engine run, core and worker thread built from it.
+//! scenario, engine run, core and worker thread built from it, and from
+//! every batch size [`UseCase::with_batch`](crate::UseCase::with_batch)
+//! makes of it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;

@@ -82,8 +82,8 @@ pub struct Item {
 /// module). Clones also share the model (every core built from the use
 /// case points at it), the NCPU programs assembled for it (see
 /// [`ProgramMemo`]) and the hashed prefix of its scenarios' cache keys
-/// (see [`KeyPrefix`]). The memos are caches: they never change a
-/// result.
+/// (see [`KeyPrefix`]). [`UseCase::with_batch`] shares all but the
+/// prefix. The memos are caches: they never change a result.
 #[derive(Debug, Clone)]
 pub struct UseCase {
     kind: UseCaseKind,
@@ -159,7 +159,7 @@ impl ProgramMemo {
 }
 
 impl UseCase {
-    /// Builds the image-classification use case with `batch` raw frames.
+    /// Builds the image-classification use case with `batch` camera frames.
     ///
     /// `train_per_class` controls training-set size (the experiment
     /// binaries use the full default; tests pass something small). The
@@ -183,21 +183,14 @@ impl UseCase {
         let topo = Topology::paper(digits::PIXELS, 100, digits::CLASSES);
         let model =
             train(&topo, &train_set, &TrainConfig { epochs, ..TrainConfig::default() });
-        let mut rng = Rng::seed_from_u64(77);
-        let items = (0..batch)
-            .map(|i| {
-                let raw = digits::render_raw(i % digits::CLASSES, noise, &mut rng);
-                Item { staged: image::stage_bytes(&raw), label: raw.label() }
-            })
-            .collect();
-        UseCase::build(UseCaseKind::Image, model, items, 0)
+        UseCase::build(UseCaseKind::Image, model, staged_items(UseCaseKind::Image, batch), 0)
     }
 
     /// Builds the motion-detection use case with `batch` sensor windows.
     pub fn motion(batch: usize, train_per_class: usize, epochs: usize) -> UseCase {
         let cfg = motion::MotionConfig {
             train_per_class,
-            test_per_class: 1,
+            test_per_class: 0,
             ..motion::MotionConfig::default()
         };
         let (train_w, _) = motion::generate(&cfg);
@@ -205,14 +198,7 @@ impl UseCase {
         let topo = Topology::paper(motion::INPUT_BITS, 100, motion::CLASSES);
         let model =
             train(&topo, &train_set, &TrainConfig { epochs, ..TrainConfig::default() });
-        let mut rng = Rng::seed_from_u64(78);
-        let items = (0..batch)
-            .map(|i| {
-                let w = motion::generate_window(i % motion::CLASSES, cfg.noise, &mut rng);
-                Item { staged: motion_prog::stage_bytes(&w), label: w.label() }
-            })
-            .collect();
-        UseCase::build(UseCaseKind::Motion, model, items, 0)
+        UseCase::build(UseCaseKind::Motion, model, staged_items(UseCaseKind::Motion, batch), 0)
     }
 
     /// Builds the parametric use case of Figs. 13/14: pre-processing is a
@@ -269,6 +255,32 @@ impl UseCase {
             spin_cycles,
             timing: Arc::default(),
             programs: Arc::default(),
+            key_prefix: Arc::default(),
+        }
+    }
+
+    /// This trained use case with `batch` items in place of its own.
+    ///
+    /// Neither the model nor item *i* of [`UseCase::image`] or
+    /// [`UseCase::motion`] depends on the batch size, so the result is
+    /// byte-identical to a fresh build of the same kind and training
+    /// config at `batch`, without training again. It shares this use
+    /// case's model, timing memo and program memo (their entries are
+    /// keyed on what they depend on, never on an item index); its
+    /// cache-key prefix, which hashes the items, is its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the use case is an image or motion one: parametric
+    /// and deep items are not generated here.
+    pub fn with_batch(&self, batch: usize) -> UseCase {
+        UseCase {
+            kind: self.kind,
+            model: Arc::clone(&self.model),
+            items: staged_items(self.kind, batch),
+            spin_cycles: self.spin_cycles,
+            timing: Arc::clone(&self.timing),
+            programs: Arc::clone(&self.programs),
             key_prefix: Arc::default(),
         }
     }
@@ -344,6 +356,42 @@ impl UseCase {
     }
 }
 
+/// The first `batch` items of a trained use case: camera frames
+/// (image) or sensor windows (motion) cycling through the classes, drawn
+/// from one fixed seed per kind, so item *i* is the same at every batch
+/// size.
+///
+/// # Panics
+///
+/// Panics for a parametric or deep `kind`.
+fn staged_items(kind: UseCaseKind, batch: usize) -> Vec<Item> {
+    match kind {
+        UseCaseKind::Image => {
+            let noise = digits::DigitsConfig::default().noise;
+            let mut rng = Rng::seed_from_u64(77);
+            (0..batch)
+                .map(|i| {
+                    let raw = digits::render_raw(i % digits::CLASSES, noise, &mut rng);
+                    Item { staged: image::stage_bytes(&raw), label: raw.label() }
+                })
+                .collect()
+        }
+        UseCaseKind::Motion => {
+            let noise = motion::MotionConfig::default().noise;
+            let mut rng = Rng::seed_from_u64(78);
+            (0..batch)
+                .map(|i| {
+                    let w = motion::generate_window(i % motion::CLASSES, noise, &mut rng);
+                    Item { staged: motion_prog::stage_bytes(&w), label: w.label() }
+                })
+                .collect()
+        }
+        UseCaseKind::Parametric | UseCaseKind::Deep => {
+            panic!("only image and motion items are generated")
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,6 +447,31 @@ mod tests {
         let b = crate::fabric::ncpu_core(&uc.clone(), &soc, level, l2);
         assert!(std::ptr::eq(a.accel().model(), uc.model()));
         assert!(std::ptr::eq(b.accel().model(), uc.model()));
+    }
+
+    /// A rebatched use case stages exactly what a fresh build of that
+    /// batch stages and shares the training's model and memos, but
+    /// hashes its own cache-key prefix.
+    #[test]
+    fn with_batch_matches_a_fresh_build_and_shares_the_training() {
+        let items = |uc: &UseCase| -> Vec<(Vec<u8>, usize)> {
+            uc.items().iter().map(|item| (item.staged.clone(), item.label)).collect()
+        };
+        for uc in [UseCase::image(3, 1, 1), UseCase::motion(3, 2, 1)] {
+            for batch in [0, 1, 5] {
+                let fresh = match uc.kind() {
+                    UseCaseKind::Image => UseCase::image(batch, 1, 1),
+                    _ => UseCase::motion(batch, 2, 1),
+                };
+                let rebatched = uc.with_batch(batch);
+                assert_eq!(items(&rebatched), items(&fresh), "{} {batch}", uc.name());
+                assert_eq!(rebatched.model(), fresh.model());
+                assert!(Arc::ptr_eq(&rebatched.model, &uc.model));
+                assert!(Arc::ptr_eq(&rebatched.timing, &uc.timing));
+                assert!(Arc::ptr_eq(&rebatched.programs, &uc.programs));
+                assert!(!Arc::ptr_eq(&rebatched.key_prefix, &uc.key_prefix));
+            }
+        }
     }
 
     #[test]

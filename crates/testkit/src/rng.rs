@@ -72,6 +72,22 @@ impl Rng {
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let out = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        self.step();
+        out
+    }
+
+    /// Advances the stream past `n` outputs without scrambling them:
+    /// afterwards the generator is where `n` calls of
+    /// [`next_u64`](Self::next_u64) would leave it.
+    pub fn discard(&mut self, n: usize) {
+        for _ in 0..n {
+            self.step();
+        }
+    }
+
+    /// The xoshiro256 state transition (no output).
+    #[inline(always)]
+    fn step(&mut self) {
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -79,7 +95,6 @@ impl Rng {
         self.s[0] ^= self.s[3];
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
-        out
     }
 
     /// Samples a value of a [`Sample`] type (uniform over its natural
@@ -269,6 +284,20 @@ mod tests {
         let mut b = Rng::seed_from_u64(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn discard_equals_that_many_outputs() {
+        for n in [0, 1, 9, 2016, 150_528] {
+            let mut skipped = Rng::seed_from_u64(n as u64);
+            let mut drawn = skipped.clone();
+            skipped.discard(n);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            assert_eq!(skipped, drawn, "n = {n}");
+            assert_eq!(skipped.next_u64(), drawn.next_u64());
         }
     }
 

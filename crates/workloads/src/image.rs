@@ -13,7 +13,7 @@
 //! phase-marker register (`gp`), which the SoC layer samples to build the
 //! Fig. 15 runtime breakdown.
 
-use ncpu_bnn::data::digits::{decimate, RawImage, STAGED};
+use ncpu_bnn::data::digits::{RawImage, STAGED};
 use ncpu_isa::asm;
 
 use crate::Tail;
@@ -56,10 +56,10 @@ pub mod phase {
     pub const NORMALIZE_DONE: u32 = 3;
 }
 
-/// The bytes the DMA stages for one frame (4× strided decimation — data
-/// movement only, no compute).
+/// The bytes the DMA stages for one frame (every 4th pixel of the camera
+/// frame — data movement only, no compute).
 pub fn stage_bytes(raw: &RawImage) -> Vec<u8> {
-    decimate(raw)
+    raw.rgb().to_vec()
 }
 
 /// Number of staged bytes per frame.
