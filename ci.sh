@@ -13,7 +13,8 @@ sh mutants/run.sh --check
 cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q
+# Every workspace crate's docs, not only the root package's.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 
 # Scenario/Engine smoke: a 4-core lock-step co-simulation must complete
 # end to end and agree with the analytic engine (ext_lockstep hands the

@@ -15,10 +15,15 @@
 //!   requests sit above a round's p99, so one preempted request cannot
 //!   decide it, and a burst of contention that slows one round cannot
 //!   decide the median.
+//! * `first_line_b16_w1` times a cold 16-scenario batch at 1 worker from
+//!   handing it to `serve_lines` until the first response line reaches
+//!   the writer, the median of 21 fresh fleets. A flush streams, so the
+//!   first line waits for its own simulation, not for all 16.
 //!
 //! The committed artifact must show warm throughput at least 10x cold —
 //! that is the service's reason to exist — so this harness asserts it.
 
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use ncpu_serve::{serve_lines, Fleet, ServeConfig};
@@ -49,6 +54,28 @@ const LATENCY_REQUESTS: usize = 1024;
 
 /// Rounds of `LATENCY_REQUESTS`; each latency row is the median round's.
 const LATENCY_ROUNDS: usize = 5;
+
+/// Fresh fleets the first-line row is the median of.
+const FIRST_LINE_ROUNDS: usize = 21;
+
+/// A response sink that notes when the first line is complete.
+struct FirstLine {
+    start: Instant,
+    first: Option<Duration>,
+}
+
+impl Write for FirstLine {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        if self.first.is_none() && bytes.contains(&b'\n') {
+            self.first = Some(self.start.elapsed());
+        }
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 fn serve_all(fleet: &mut Fleet, input: &str) -> usize {
     let mut out = Vec::new();
@@ -85,6 +112,19 @@ fn main() {
         );
         medians.push((format!("w{workers}"), cold.median_ns / hot.median_ns));
     }
+
+    // First response line of a cold batch.
+    let mut first_lines: Vec<Duration> = (0..FIRST_LINE_ROUNDS)
+        .map(|_| {
+            let mut fleet = Fleet::new(1, 1024);
+            let mut sink = FirstLine { start: Instant::now(), first: None };
+            serve_lines(&mut fleet, lines.as_bytes(), &mut sink, &ServeConfig::default())
+                .expect("in-memory serve cannot fail");
+            sink.first.expect("the batch answers its first request")
+        })
+        .collect();
+    first_lines.sort_unstable();
+    bench.record_once("first_line_b16_w1", first_lines[FIRST_LINE_ROUNDS / 2]);
 
     // Single-request round-trip latency over the warm cache.
     let mut warm = Fleet::new(1, 1024);

@@ -3,16 +3,20 @@
 //! Every figure and artifact in this repository is a pure function of its
 //! seeds, and that contract must survive parallel execution. This crate
 //! provides the one primitive the workspace parallelizes with:
-//! [`Pool::par_map_indexed`], an order-preserving indexed map over owned
-//! items. Results are collected **by item index**, never by completion
-//! order, so the output vector is identical for any worker count — the
-//! scheduler can only change wall-clock time, not bytes.
+//! [`Pool::par_map_fold`], an indexed map over owned items whose outputs
+//! are folded on the calling thread **by item index**, never by
+//! completion order, so the result is identical for any worker count —
+//! the scheduler can only change wall-clock time, not bytes. The fold
+//! streams: output `i` is folded as soon as it and every earlier output
+//! have arrived, so a caller can act on early results (serve answers a
+//! request) while later items still run. [`Pool::par_map_indexed`] is
+//! that fold collecting a `Vec`.
 //!
 //! The rules call sites must follow to keep that guarantee:
 //!
 //! 1. **No shared mutable state across items.** Each task owns its inputs
-//!    and returns its outputs; reductions happen after the map, in item
-//!    order.
+//!    and returns its outputs; reductions happen in the fold, on the
+//!    calling thread, in item order.
 //! 2. **No shared RNG.** Seeded streams are derived per item
 //!    (`ncpu_testkit::rng::Rng::split(seed, index)`), never advanced from a
 //!    generator that multiple items observe.
@@ -133,7 +137,7 @@ impl Pool {
         self.workers
     }
 
-    /// Maps `f` over `items` in parallel, then folds the outputs into
+    /// Maps `f` over `items` in parallel and folds the outputs into
     /// `init` **in item index order** on the calling thread.
     ///
     /// This is the deterministic reduction primitive: the map fans out
@@ -141,6 +145,18 @@ impl Pool {
     /// so non-commutative or merely non-associative accumulators
     /// (floating-point sums, histogram merges whose observable byte
     /// order matters) produce identical bytes for any worker count.
+    ///
+    /// The fold streams: output `i` is folded as soon as it and every
+    /// output before it have arrived, while later items are still being
+    /// mapped. Outputs that arrive early wait in a reorder buffer. A pool
+    /// of one worker runs inline and interleaves the calls item by item:
+    /// `f(0)`, fold 0, `f(1)`, fold 1, ….
+    ///
+    /// # Panics
+    ///
+    /// If any task panics, the panic is resurfaced on the calling thread
+    /// after the scope unwinds. The fold has then seen only the outputs
+    /// before the first missing one.
     ///
     /// # Examples
     ///
@@ -154,45 +170,16 @@ impl Pool {
     /// );
     /// assert_eq!(concat, "0:1 1:2 2:3 ");
     /// ```
-    pub fn par_map_fold<T, U, A, F, G>(&self, items: Vec<T>, f: F, init: A, fold: G) -> A
+    pub fn par_map_fold<T, U, A, F, G>(&self, items: Vec<T>, f: F, init: A, mut fold: G) -> A
     where
         T: Send,
         U: Send,
         F: Fn(usize, T) -> U + Sync,
         G: FnMut(A, U) -> A,
     {
-        self.par_map_indexed(items, f).into_iter().fold(init, fold)
-    }
-
-    /// Maps `f` over `items`, returning outputs **in item order**.
-    ///
-    /// `f` receives each item's index alongside the item, so call sites
-    /// can derive per-item seeds and labels. The result at position `i`
-    /// is always `f(i, items[i])` regardless of worker count or
-    /// scheduling; a pool of one worker runs the whole map inline on the
-    /// caller's thread.
-    ///
-    /// # Panics
-    ///
-    /// If any task panics, the panic is resurfaced on the calling thread
-    /// after the scope unwinds.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let pool = ncpu_par::Pool::with_workers(4);
-    /// let squares = pool.par_map_indexed(vec![1u64, 2, 3, 4, 5], |i, x| (i as u64, x * x));
-    /// assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16), (4, 25)]);
-    /// ```
-    pub fn par_map_indexed<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(usize, T) -> U + Sync,
-    {
         let workers = self.workers.min(items.len());
         if workers <= 1 {
-            return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
+            return items.into_iter().enumerate().fold(init, |acc, (i, item)| fold(acc, f(i, item)));
         }
 
         let n = items.len();
@@ -204,8 +191,7 @@ impl Pool {
         let task_rx = Mutex::new(task_rx);
 
         let (out_tx, out_rx) = mpsc::channel::<(usize, U)>();
-        let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
-        std::thread::scope(|scope| {
+        let (acc, folded) = std::thread::scope(|scope| {
             for _ in 0..workers {
                 let out_tx = out_tx.clone();
                 let task_rx = &task_rx;
@@ -227,16 +213,57 @@ impl Pool {
                 });
             }
             drop(out_tx);
-            // Collect by index: completion order never reaches the caller.
+            // Fold by index: completion order never reaches the caller.
+            // An output that overtakes an earlier one waits in `early`
+            // until the outputs before it have been folded.
+            let mut early: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
+            let mut acc = init;
+            let mut folded = 0;
             for (i, out) in out_rx {
-                slots[i] = Some(out);
+                early[i] = Some(out);
+                while let Some(out) = early.get_mut(folded).and_then(Option::take) {
+                    acc = fold(acc, out);
+                    folded += 1;
+                }
             }
+            (acc, folded)
         });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.unwrap_or_else(|| panic!("task {i} produced no output")))
-            .collect()
+        assert!(folded == n, "task {folded} produced no output");
+        acc
+    }
+
+    /// Maps `f` over `items`, returning outputs **in item order**.
+    ///
+    /// `f` receives each item's index alongside the item, so call sites
+    /// can derive per-item seeds and labels. The result at position `i`
+    /// is always `f(i, items[i])` regardless of worker count or
+    /// scheduling; a pool of one worker runs the whole map inline on the
+    /// caller's thread. This is [`par_map_fold`](Pool::par_map_fold)
+    /// pushing each output onto a `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// If any task panics, the panic is resurfaced on the calling thread
+    /// after the scope unwinds.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let pool = ncpu_par::Pool::with_workers(4);
+    /// let squares = pool.par_map_indexed(vec![1u64, 2, 3, 4, 5], |i, x| (i as u64, x * x));
+    /// assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16), (4, 25)]);
+    /// ```
+    pub fn par_map_indexed<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(usize, T) -> U + Sync,
+    {
+        let n = items.len();
+        self.par_map_fold(items, f, Vec::with_capacity(n), |mut out, u| {
+            out.push(u);
+            out
+        })
     }
 }
 

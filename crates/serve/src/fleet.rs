@@ -18,14 +18,19 @@
 //! 2. cache hits are copied into a batch-local answer map up front (a
 //!    reference-count bump: an entry is one shared `Arc<str>`), and
 //!    unique misses move their scenario into a job, collected in
-//!    first-appearance order and run via `ncpu_par`'s order-preserving
-//!    `par_map_indexed`, so the worker count changes wall-clock time
-//!    but never results;
-//! 3. results are inserted into the cache *and* the answer map, then
-//!    every request is answered from the answer map — the first
-//!    appearance of a key counts as the miss and also carries the typed
-//!    artifact, duplicates (within the batch or across batches) are hits
-//!    serving the exact cached bytes.
+//!    first-appearance order and run via `ncpu_par`'s `par_map_fold`,
+//!    which folds their results in job order, so the worker count
+//!    changes wall-clock time but never results;
+//! 3. each fold step inserts its job's result into the cache *and* the
+//!    answer map, then emits, in request order, every request whose key
+//!    is now answered, stopping at the first whose job is still pending
+//!    (requests that need no job are emitted before the first job
+//!    runs). So request *i* is answered as soon as it and every earlier
+//!    request of its batch are ready, not after the whole batch. Every
+//!    request is answered from the answer map — the first appearance of
+//!    a key counts as the miss and also carries the typed artifact,
+//!    duplicates (within the batch or across batches) are hits serving
+//!    the exact cached bytes.
 //!    Answering from the batch-local map means the batch's own inserts
 //!    can evict whatever LRU pressure demands (a batch with more unique
 //!    misses than the whole cache is legal) without ever evicting an
@@ -43,7 +48,7 @@
 //! `analytic` on an NCPU system and `lockstep`/`event` on the baseline
 //! are rejected.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -158,6 +163,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// artifact it was rendered from.
 fn execute(engine: &'static str, key: u64, scenario: &Scenario) -> (CacheEntry, RunArtifact) {
     #[cfg(test)]
+    tests::count_execute();
+    #[cfg(test)]
     tests::maybe_panic(key);
     let (report, rec) = match engine {
         "lockstep" => Lockstep.run(scenario),
@@ -245,13 +252,31 @@ impl Fleet {
 
     /// Executes one batch of parsed requests (`Err` entries are parse
     /// failures that still occupy their slot so responses stay in
-    /// request order). Returns one outcome per request, in order.
+    /// request order). Returns one outcome per request, in order: what
+    /// [`FleetAccess::stream_batch`](crate::FleetAccess::stream_batch)
+    /// streams for an exclusive fleet, collected.
     pub fn run_batch(
         &mut self,
         requests: Vec<(String, Result<ScenarioSpec, String>)>,
     ) -> Vec<Result<RunOutcome, (String, String)>> {
+        let mut outcomes = Vec::with_capacity(requests.len());
+        self.stream_batch(requests, |outcome| outcomes.push(outcome));
+        outcomes
+    }
+
+    /// Executes one batch like [`Fleet::run_batch`], handing each
+    /// request's outcome to `emit` in request order as soon as that
+    /// request and every earlier one of the batch are answered: a hit or
+    /// a parse error before the batch's first miss is emitted before any
+    /// job runs, and a miss right after its job, while later jobs still
+    /// run. The outcomes and counters are exactly `run_batch`'s.
+    pub(crate) fn stream_batch(
+        &mut self,
+        requests: Vec<(String, Result<ScenarioSpec, String>)>,
+        mut emit: impl FnMut(Result<RunOutcome, (String, String)>),
+    ) {
         if requests.is_empty() {
-            return Vec::new();
+            return;
         }
         self.counters.add("serve.batches", 1);
         self.counters.add("serve.requests", requests.len() as u64);
@@ -261,13 +286,11 @@ impl Fleet {
         // into the batch-local answer map *before* any insert, and move
         // each unique miss's scenario (built now if the key memo skipped
         // it) into a job, in first-appearance order. Requests are
-        // answered from `answers`, never from post-insert cache
+        // answered from the answer map, never from post-insert cache
         // residency — a batch with more unique misses than the cache
         // holds (or whose misses evict an LRU-old key this batch also
         // hits) must still answer every request.
-        let mut slots: Vec<Result<(String, u64), (String, String)>> =
-            Vec::with_capacity(requests.len());
-        let mut answers: BTreeMap<u64, CacheEntry> = BTreeMap::new();
+        let mut batch = Answers::default();
         let mut jobs: Vec<(u64, &'static str, Scenario)> = Vec::new();
         let mut planned: BTreeSet<u64> = BTreeSet::new();
         for (id, parsed) in requests {
@@ -275,7 +298,7 @@ impl Fleet {
             let (engine, spec) = match routed {
                 Ok(routed) => routed,
                 Err(e) => {
-                    slots.push(Err((id, e)));
+                    batch.slots.push_back(Err((id, e)));
                     continue;
                 }
             };
@@ -289,13 +312,13 @@ impl Fleet {
                     (key, Some(scenario))
                 }
             };
-            slots.push(Ok((id, key)));
-            if answers.contains_key(&key) || planned.contains(&key) {
+            batch.slots.push_back(Ok((id, key)));
+            if batch.entries.contains_key(&key) || planned.contains(&key) {
                 continue;
             }
             match self.cache.get(&key) {
                 Some(entry) => {
-                    answers.insert(key, entry.clone());
+                    batch.entries.insert(key, entry.clone());
                 }
                 None => {
                     planned.insert(key);
@@ -304,53 +327,92 @@ impl Fleet {
                 }
             }
         }
+        batch.release(&mut self.counters, &mut emit);
 
-        // The parallel section: order-preserving fan-out over the fleet.
-        // A job that panics fails alone: its requests get an error line,
-        // every other job of the batch is answered as usual.
-        let results = self.pool.par_map_indexed(jobs, |_i, (key, engine, scenario)| {
-            let run = panic::catch_unwind(AssertUnwindSafe(|| execute(engine, key, &scenario)));
-            (key, run.map_err(|payload| panic_message(payload.as_ref())))
-        });
-        let mut artifacts: BTreeMap<u64, RunArtifact> = BTreeMap::new();
-        let mut failed: BTreeMap<u64, String> = BTreeMap::new();
-        for (key, run) in results {
-            match run {
-                Ok((entry, artifact)) => {
-                    self.cache.insert(key, entry.clone());
-                    answers.insert(key, entry);
-                    artifacts.insert(key, artifact);
+        // The parallel section: fan-out over the fleet, folded in job
+        // order on this thread as results arrive. Each fold step caches
+        // its job's result and releases every request it unblocks. A job
+        // that panics fails alone: its requests get an error line, every
+        // other job of the batch is answered as usual.
+        let batch = self.pool.par_map_fold(
+            jobs,
+            |_i, (key, engine, scenario)| {
+                let run = panic::catch_unwind(AssertUnwindSafe(|| execute(engine, key, &scenario)));
+                (key, run.map_err(|payload| panic_message(payload.as_ref())))
+            },
+            batch,
+            |mut batch, (key, run)| {
+                match run {
+                    Ok((entry, artifact)) => {
+                        self.cache.insert(key, entry.clone());
+                        batch.entries.insert(key, entry);
+                        batch.artifacts.insert(key, artifact);
+                    }
+                    Err(message) => {
+                        self.counters.add("serve.panics", 1);
+                        batch.failed.insert(key, format!("engine failure: {message}"));
+                    }
                 }
-                Err(message) => {
-                    self.counters.add("serve.panics", 1);
-                    failed.insert(key, format!("engine failure: {message}"));
-                }
+                batch.release(&mut self.counters, &mut emit);
+                batch
+            },
+        );
+        assert!(batch.slots.is_empty(), "every job ran, so every request was answered");
+    }
+}
+
+/// One batch's unanswered requests and the answers they wait on.
+#[derive(Default)]
+struct Answers {
+    /// The requests not yet emitted, in request order: a parse or
+    /// routing error, or an id and its cache key.
+    slots: VecDeque<Result<(String, u64), (String, String)>>,
+    /// The batch-local answer map: each hit entry copied up front, then
+    /// each job's entry as it completes.
+    entries: BTreeMap<u64, CacheEntry>,
+    /// Each completed job's artifact, until its key's first request
+    /// (the miss) takes it.
+    artifacts: BTreeMap<u64, RunArtifact>,
+    /// The error line of each key whose job panicked.
+    failed: BTreeMap<u64, String>,
+}
+
+impl Answers {
+    /// Emits every request from the front whose key is answered, in
+    /// order, and stops at the first whose job is still pending. The
+    /// first appearance of an executed key is the miss and takes the
+    /// artifact; every other appearance is a hit.
+    fn release(
+        &mut self,
+        counters: &mut Counters,
+        emit: &mut impl FnMut(Result<RunOutcome, (String, String)>),
+    ) {
+        while let Some(slot) = self.slots.front() {
+            let ready = match slot {
+                Err(_) => true,
+                Ok((_, key)) => self.entries.contains_key(key) || self.failed.contains_key(key),
+            };
+            if !ready {
+                return;
             }
-        }
-
-        // Answer every request from the batch-local map. The first
-        // appearance of a planned key is the miss and takes the
-        // artifact; every other appearance is a hit.
-        slots
-            .into_iter()
-            .map(|slot| match slot {
+            let outcome = match self.slots.pop_front().expect("the front slot exists") {
                 Err((id, e)) => {
-                    self.counters.add("serve.errors", 1);
+                    counters.add("serve.errors", 1);
                     Err((id, e))
                 }
-                Ok((id, key)) if failed.contains_key(&key) => {
-                    self.counters.add("serve.errors", 1);
-                    Err((id, failed[&key].clone()))
+                Ok((id, key)) if self.failed.contains_key(&key) => {
+                    counters.add("serve.errors", 1);
+                    Err((id, self.failed[&key].clone()))
                 }
                 Ok((id, key)) => {
-                    let artifact = artifacts.remove(&key);
+                    let artifact = self.artifacts.remove(&key);
                     let verdict = if artifact.is_some() { "miss" } else { "hit" };
-                    self.counters.add(
+                    counters.add(
                         if verdict == "miss" { "serve.cache.misses" } else { "serve.cache.hits" },
                         1,
                     );
                     let entry =
-                        answers.get(&key).expect("every batch key was pre-fetched or executed");
+                        self.entries.get(&key).expect("every batch key was pre-fetched or executed");
                     Ok(RunOutcome {
                         id,
                         key,
@@ -360,8 +422,9 @@ impl Fleet {
                         artifact,
                     })
                 }
-            })
-            .collect()
+            };
+            emit(outcome);
+        }
     }
 }
 
@@ -369,15 +432,35 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
+    use std::sync::Mutex;
 
-    /// Cache key whose job panics inside `execute` (0: none).
-    static PANIC_KEY: AtomicU64 = AtomicU64::new(0);
+    /// Cache keys whose job panics inside `execute`: a set, so tests
+    /// that run at once each doom only their own key.
+    static PANIC_KEYS: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
 
     pub(super) fn maybe_panic(key: u64) {
-        if key != 0 && PANIC_KEY.load(Ordering::SeqCst) == key {
+        if PANIC_KEYS.lock().expect("no test panics holding the set").contains(&key) {
             panic!("injected engine failure\non two lines");
         }
+    }
+
+    thread_local! {
+        /// `execute` calls made on this thread. A one-worker fleet runs
+        /// its jobs on the calling thread, so a test reads its own count.
+        static EXECUTED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_execute() {
+        EXECUTED.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Runs `f` with `key`'s job doomed to panic.
+    fn with_panicking_key<R>(key: u64, f: impl FnOnce() -> R) -> R {
+        PANIC_KEYS.lock().expect("no test panics holding the set").insert(key);
+        let out = panic::catch_unwind(AssertUnwindSafe(f));
+        PANIC_KEYS.lock().expect("no test panics holding the set").remove(&key);
+        out.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
     /// A job that panics answers each of its requests with a one-line
@@ -391,9 +474,7 @@ mod tests {
         let doomed = r#"{"cpu_fraction":0.123,"batch":1,"cores":1}"#;
         let fine = r#"{"cpu_fraction":0.321,"batch":1,"cores":1}"#;
         let key = spec(doomed).unwrap().build().cache_key();
-        PANIC_KEY.store(key, Ordering::SeqCst);
-        let out = batch(&mut fleet, &[doomed, fine, doomed]);
-        PANIC_KEY.store(0, Ordering::SeqCst);
+        let out = with_panicking_key(key, || batch(&mut fleet, &[doomed, fine, doomed]));
         for i in [0, 2] {
             let (_, message) = out[i].as_ref().expect_err("the panicking job's slots fail");
             assert_eq!(message, "engine failure: injected engine failure on two lines");
@@ -413,12 +494,52 @@ mod tests {
         ScenarioSpec::parse(&parse(text).expect("test JSON parses"))
     }
 
+    fn requests(fleet: &mut Fleet, texts: &[&str]) -> Vec<(String, Result<ScenarioSpec, String>)> {
+        texts.iter().map(|t| (fleet.assign_id(), spec(t))).collect()
+    }
+
     fn batch(fleet: &mut Fleet, texts: &[&str]) -> Vec<Result<RunOutcome, (String, String)>> {
-        let requests = texts
-            .iter()
-            .map(|t| (fleet.assign_id(), spec(t)))
-            .collect();
+        let requests = requests(fleet, texts);
         fleet.run_batch(requests)
+    }
+
+    /// A mixed batch — a hit, in-batch duplicates, an invalid line and
+    /// a panicking job — streams exactly the outcomes and counters that
+    /// `run_batch` returns, at 1 and 2 workers. At one worker each
+    /// request is emitted before the next job runs: the hit before any.
+    #[test]
+    fn streamed_outcomes_equal_run_batch_and_leave_before_the_next_job() {
+        let warm = r#"{"cpu_fraction":0.61,"batch":1,"cores":1}"#;
+        let a = r#"{"cpu_fraction":0.62,"batch":1,"cores":1}"#;
+        let b = r#"{"cpu_fraction":0.63,"batch":1,"cores":1}"#;
+        let c = r#"{"cpu_fraction":0.64,"batch":1,"cores":1}"#;
+        let doomed = r#"{"cpu_fraction":0.137,"batch":1,"cores":1}"#;
+        let texts = [warm, a, b, a, r#"{"cpu_fraction":7}"#, doomed, c, b, doomed];
+        // Jobs run a, b, doomed, c: the jobs done when each slot leaves.
+        let executed_at_emit = [0, 1, 2, 2, 2, 3, 4, 4, 4];
+        let key = spec(doomed).unwrap().build().cache_key();
+        with_panicking_key(key, || {
+            for workers in [1, 2] {
+                let mut collected = Fleet::new(workers, 64);
+                let mut streamed = Fleet::new(workers, 64);
+                batch(&mut collected, &[warm]);
+                batch(&mut streamed, &[warm]);
+                let want = batch(&mut collected, &texts);
+                let requests = requests(&mut streamed, &texts);
+                let start = EXECUTED.get();
+                let mut got = Vec::new();
+                let mut executed = Vec::new();
+                streamed.stream_batch(requests, |outcome| {
+                    executed.push(EXECUTED.get() - start);
+                    got.push(outcome);
+                });
+                assert_eq!(got, want, "workers={workers}");
+                assert_eq!(streamed.counters().to_json(), collected.counters().to_json());
+                if workers == 1 {
+                    assert_eq!(executed, executed_at_emit);
+                }
+            }
+        });
     }
 
     #[test]

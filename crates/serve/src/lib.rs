@@ -24,7 +24,8 @@
 //! * [`cache`] — deterministic bounded LRU keyed by canonical hash;
 //! * [`fleet`] — batch planner, engine router (every NCPU workload →
 //!   event-driven unless lockstep is pinned, heterogeneous → analytic),
-//!   and the order-preserving parallel executor;
+//!   and the parallel executor that answers each request, in order, as
+//!   soon as it and every earlier request of its batch are ready;
 //! * [`server`] — the line protocol and the stdin/TCP front ends.
 
 #![forbid(unsafe_code)]

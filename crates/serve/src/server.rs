@@ -15,6 +15,13 @@
 //! Unparseable lines occupy their response slot as error lines, so a
 //! client can always match response *N* to request *N*.
 //!
+//! A flush streams: over stdin, each response line is written and
+//! flushed as soon as it and every earlier response of its batch are
+//! ready, so request 1 of a 32-request batch no longer waits for
+//! requests 2–32 to simulate. Over TCP the fleet is shared, and a
+//! connection writes its batch's lines only after it has released the
+//! fleet lock, so a client that stops reading cannot stall the others.
+//!
 //! Responses:
 //!
 //! ```text
@@ -65,7 +72,11 @@ fn write_artifact(dir: &std::path::Path, key: u64, artifact_json: &str) -> std::
 /// I/O overlap freely, and one stalled client never blocks another's
 /// accept. Counter updates happen entirely inside `run_batch` under the
 /// lock, which is what keeps the registry's arithmetic exact no matter
-/// how connections interleave.
+/// how connections interleave. The shared form keeps
+/// [`FleetAccess::stream_batch`]'s default, which emits only after
+/// `run_batch` has returned and released the lock: a connection writes
+/// to its socket with the fleet free, so a client that stops reading
+/// never blocks another connection's batch.
 pub trait FleetAccess {
     /// Next deterministic request id (see [`Fleet::assign_id`]).
     fn assign_id(&mut self) -> String;
@@ -75,6 +86,21 @@ pub trait FleetAccess {
         &mut self,
         requests: Vec<(String, Result<ScenarioSpec, String>)>,
     ) -> Vec<Result<RunOutcome, (String, String)>>;
+    /// Executes one batch, handing each outcome to `emit` in request
+    /// order. This default runs the whole batch through
+    /// [`run_batch`](FleetAccess::run_batch) and then emits, so a shared
+    /// fleet's lock is released before the front end writes a line. An
+    /// exclusive fleet (`&mut Fleet`) emits each outcome as soon as it
+    /// and every earlier one of its batch are ready.
+    fn stream_batch(
+        &mut self,
+        requests: Vec<(String, Result<ScenarioSpec, String>)>,
+        emit: &mut dyn FnMut(Result<RunOutcome, (String, String)>),
+    ) {
+        for outcome in self.run_batch(requests) {
+            emit(outcome);
+        }
+    }
     /// Counter snapshot (see [`Fleet::counters`]).
     fn counters(&mut self) -> Counters;
 }
@@ -88,6 +114,13 @@ impl FleetAccess for &mut Fleet {
         requests: Vec<(String, Result<ScenarioSpec, String>)>,
     ) -> Vec<Result<RunOutcome, (String, String)>> {
         Fleet::run_batch(self, requests)
+    }
+    fn stream_batch(
+        &mut self,
+        requests: Vec<(String, Result<ScenarioSpec, String>)>,
+        emit: &mut dyn FnMut(Result<RunOutcome, (String, String)>),
+    ) {
+        Fleet::stream_batch(self, requests, emit);
     }
     fn counters(&mut self) -> Counters {
         Fleet::counters(self)
@@ -117,31 +150,49 @@ impl FleetAccess for &Mutex<&mut Fleet> {
     }
 }
 
+/// Runs the pending batch, writing and flushing each response line as
+/// the fleet emits it. A write error stops the writing, not the batch:
+/// the fleet still finishes it (its cache and counters stay exact), and
+/// the first error is returned.
 fn flush_batch<F: FleetAccess, W: Write>(
     fleet: &mut F,
     pending: &mut Vec<(String, Result<ScenarioSpec, String>)>,
     out: &mut W,
     cfg: &ServeConfig,
 ) -> std::io::Result<()> {
-    for outcome in fleet.run_batch(std::mem::take(pending)) {
-        match outcome {
-            Ok(run) => {
-                if let (Some(dir), Some(artifact)) = (&cfg.artifacts_dir, &run.artifact) {
-                    write_artifact(dir, run.key, &artifact.to_json())?;
-                }
-                writeln!(
-                    out,
-                    "{{\"id\":{},\"key\":\"{:016x}\",\"cache\":\"{}\",\"engine\":\"{}\",\"report\":{}}}",
-                    json_string(&run.id),
-                    run.key,
-                    run.cache,
-                    run.engine,
-                    run.report_json
-                )?;
+    let mut written = Ok(());
+    fleet.stream_batch(std::mem::take(pending), &mut |outcome| {
+        if written.is_ok() {
+            written = write_outcome(out, cfg, outcome);
+        }
+    });
+    written
+}
+
+/// Writes one response line (and, under `--artifacts`, a miss's
+/// artifact file), then flushes it to the client.
+fn write_outcome<W: Write>(
+    out: &mut W,
+    cfg: &ServeConfig,
+    outcome: Result<RunOutcome, (String, String)>,
+) -> std::io::Result<()> {
+    match outcome {
+        Ok(run) => {
+            if let (Some(dir), Some(artifact)) = (&cfg.artifacts_dir, &run.artifact) {
+                write_artifact(dir, run.key, &artifact.to_json())?;
             }
-            Err((id, msg)) => {
-                writeln!(out, "{{\"id\":{},\"error\":{}}}", json_string(&id), json_string(&msg))?;
-            }
+            writeln!(
+                out,
+                "{{\"id\":{},\"key\":\"{:016x}\",\"cache\":\"{}\",\"engine\":\"{}\",\"report\":{}}}",
+                json_string(&run.id),
+                run.key,
+                run.cache,
+                run.engine,
+                run.report_json
+            )?;
+        }
+        Err((id, msg)) => {
+            writeln!(out, "{{\"id\":{},\"error\":{}}}", json_string(&id), json_string(&msg))?;
         }
     }
     out.flush()
@@ -300,6 +351,46 @@ mod tests {
         // Every response line is itself valid JSON.
         for line in &lines {
             json::parse(line).expect("response lines are well-formed JSON");
+        }
+    }
+
+    /// A writer that records what each `flush` hands to the client.
+    #[derive(Default)]
+    struct Flushes {
+        unflushed: Vec<u8>,
+        flushed: Vec<String>,
+    }
+
+    impl Write for Flushes {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.unflushed.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            let chunk = std::mem::take(&mut self.unflushed);
+            self.flushed.push(String::from_utf8(chunk).expect("responses are UTF-8"));
+            Ok(())
+        }
+    }
+
+    /// Each response of a batch reaches the client on its own flush, as
+    /// soon as it is ready, not with the rest of its batch.
+    #[test]
+    fn each_response_of_a_batch_is_flushed_as_it_is_ready() {
+        let mut fleet = Fleet::new(1, 64);
+        let mut out = Flushes::default();
+        let input = "{\"cpu_fraction\":0.5,\"batch\":1,\"cores\":1}\n\
+                     {\"cpu_fraction\":0.5,\"batch\":2,\"cores\":1}\n\
+                     {\"cpu_fraction\":0.5,\"batch\":3,\"cores\":1}\n";
+        serve_lines(&mut fleet, input.as_bytes(), &mut out, &ServeConfig::default())
+            .expect("in-memory serve cannot fail");
+        assert!(out.unflushed.is_empty(), "every line is flushed");
+        let flushed: Vec<usize> = out.flushed.iter().map(|chunk| chunk.lines().count()).collect();
+        assert_eq!(flushed, [1, 1, 1], "lines per flush");
+        for (i, chunk) in out.flushed.iter().enumerate() {
+            assert!(chunk.starts_with(&format!("{{\"id\":\"r{:06}\"", i + 1)), "{chunk}");
+            assert!(chunk.contains("\"cache\":\"miss\""), "{chunk}");
         }
     }
 

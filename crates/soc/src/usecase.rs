@@ -80,10 +80,10 @@ pub struct Item {
 /// item path's cycle timing there once and replays it in every run of
 /// every scenario built from this use case (see the `eventdriven`
 /// module). Clones also share the model (every core built from the use
-/// case points at it), the NCPU programs assembled for it (see
-/// [`ProgramMemo`]) and the hashed prefix of its scenarios' cache keys
-/// (see [`KeyPrefix`]). [`UseCase::with_batch`] shares all but the
-/// prefix. The memos are caches: they never change a result.
+/// case points at it), the NCPU programs assembled for it (a program
+/// memo) and the hashed prefix of its scenarios' cache keys.
+/// [`UseCase::with_batch`] shares all but the prefix. The memos are
+/// caches: they never change a result.
 #[derive(Debug, Clone)]
 pub struct UseCase {
     kind: UseCaseKind,

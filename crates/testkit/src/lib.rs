@@ -15,7 +15,7 @@
 //!   via the [`prop::Shrink`] trait, the failing seed is reported (and can
 //!   be persisted to a regression-seed corpus file that is replayed before
 //!   novel cases, like proptest's `.proptest-regressions`).
-//! * [`bench`] replaces `criterion` — warmup, median-of-N wall-clock
+//! * [`bench`](mod@bench) replaces `criterion` — warmup, median-of-N wall-clock
 //!   sampling, throughput accounting, and machine-readable JSON reports
 //!   written to `BENCH_<suite>.json`.
 //!

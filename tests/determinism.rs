@@ -299,10 +299,15 @@ fn faulted_runs_are_byte_identical_across_thread_counts() {
 
 /// A fleet histogram — per-scenario latency histograms merged through
 /// `Pool::par_map_fold` — must come out byte-identical for any worker
-/// count: the map fans out, the fold stays in scenario index order.
+/// count: the map fans out, the fold stays in scenario index order. The
+/// fold also streams: at one worker the map and fold calls interleave
+/// item by item, and with more workers the last scenario's map waits
+/// until scenario 0 has been folded.
 #[test]
 fn merged_fleet_histogram_is_worker_count_invariant() {
     use ncpu::soc::{Analytic, Engine};
+    use std::sync::{mpsc, Mutex};
+    use std::time::Duration;
     let merged = |workers: usize| {
         let scenarios: Vec<Scenario> = (1..=3)
             .map(|cores| {
@@ -310,23 +315,51 @@ fn merged_fleet_histogram_is_worker_count_invariant() {
                 Scenario::new(uc, SystemConfig::ncpu(cores))
             })
             .collect();
-        ncpu_par::Pool::with_workers(workers).par_map_fold(
+        let last = scenarios.len() - 1;
+        let calls = Mutex::new(Vec::new());
+        let (folded_first, first_folded) = mpsc::channel();
+        let first_folded = Mutex::new(first_folded);
+        let histogram = ncpu_par::Pool::with_workers(workers).par_map_fold(
             scenarios,
-            |_, s| {
+            |i, s| {
+                if workers > 1 && i == last {
+                    // A fold that waited for every output would never
+                    // send this: the wait times out and the test fails.
+                    first_folded
+                        .lock()
+                        .unwrap()
+                        .recv_timeout(Duration::from_secs(30))
+                        .expect("scenario 0 is folded while the last one is mapped");
+                }
                 let (report, _) = Analytic.run(&s);
-                report.metrics.get("item.latency_cycles").cloned().unwrap_or_default()
+                calls.lock().unwrap().push(format!("m{i}"));
+                (i, report.metrics.get("item.latency_cycles").cloned().unwrap_or_default())
             },
             ncpu::obs::CycleHistogram::new(),
-            |mut acc, h| {
+            |mut acc, (i, h)| {
+                calls.lock().unwrap().push(format!("f{i}"));
+                if i == 0 {
+                    folded_first.send(()).expect("the map side holds the receiver");
+                }
                 acc.merge(&h);
                 acc
             },
-        )
+        );
+        (histogram, calls.into_inner().unwrap())
     };
-    let serial = merged(1);
+    let (serial, calls) = merged(1);
     assert!(!serial.is_empty(), "fleet histogram must observe items");
-    assert_eq!(serial.to_json(), merged(4).to_json());
-    assert_eq!(serial.to_json(), merged(8).to_json());
+    assert_eq!(calls, ["m0", "f0", "m1", "f1", "m2", "f2"], "one worker interleaves");
+    for workers in [2, 4, 8] {
+        let (histogram, calls) = merged(workers);
+        assert_eq!(serial.to_json(), histogram.to_json(), "workers={workers}");
+        let folds: Vec<&String> = calls.iter().filter(|c| c.starts_with('f')).collect();
+        assert_eq!(folds, ["f0", "f1", "f2"], "workers={workers}: folds in index order");
+        let at = |call: String| calls.iter().position(|c| *c == call).expect("every call is logged");
+        for i in 0..3 {
+            assert!(at(format!("m{i}")) < at(format!("f{i}")), "workers={workers}: {calls:?}");
+        }
+    }
 }
 
 /// The soc crate's canonical deterministic pseudo model, small enough
