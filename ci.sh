@@ -17,9 +17,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 
 # Scenario/Engine smoke: a 4-core lock-step co-simulation must complete
-# end to end and agree with the analytic engine (ext_lockstep hands the
-# same Scenario to both engines at 1/2/4 cores and asserts identical
-# classifications).
+# end to end and agree with the event-driven engine (ext_lockstep hands
+# the same Scenario to both engines at 1/2/4 cores and asserts identical
+# makespans, classifications and counters).
 NCPU_TRACE=off cargo run --release --offline -p ncpu-bench --bin paper ext_lockstep
 
 # Paper byte gate: the whole `paper` run (all 25 experiments, every
@@ -42,11 +42,11 @@ cargo run --release --offline -p ncpu-obs --bin trace_check -- \
     --summary "$OBS_DIR"/RUN_image.json "$OBS_DIR"/TRACE_image.json
 
 # Fault-injection smoke: a seeded four-core faulty image scenario runs
-# through all three SoC engines; the example itself asserts nonzero
+# through both SoC engines; the example itself asserts nonzero
 # injection/detection/recovery counters and byte-identical lockstep and
 # event reports, then reruns the batch under a 3,000-cycle watchdog
 # that aborts items mid-flight and asserts identical reports and
-# counters on all three engines; its traced artifacts (fault instants
+# counters on both engines; its traced artifacts (fault instants
 # included) must pass the checker. The FaultPlan::none() byte-neutrality gate is
 # tests/golden_equivalence.rs in the workspace suite above.
 FAULT_DIR=target/obs-fault-ci
@@ -87,8 +87,8 @@ NCPU_TRACE=off cargo run --release --offline --example engine_matrix 4
 
 # Heterogeneous-fabric smoke: a mixed-role 4-core fleet (reconfigurable
 # + undervolted + fixed BNN + CPU-only, asymmetric L2 banks) through the
-# lockstep/event twins (byte-equality asserted in-example) and the deep
-# engine (segment placement asserted).
+# lockstep/event twins (byte-equality asserted in-example) and a deep
+# model on the event engine (segment placement asserted).
 NCPU_TRACE=off cargo run --release --offline --example topology_matrix
 
 # Fleet-service smoke: 10 scenario requests over stdin, of which 5 are

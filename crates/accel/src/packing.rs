@@ -65,7 +65,7 @@ mod tests {
     fn paper_sizes_fit_their_banks() {
         // Layer 1: 784 inputs × 100 neurons -> 10 000 B ≤ 25 KiB.
         assert!(100 * packed_row_bytes(784) <= 25 * 1024);
-        // Deep layers: 100 × 100 -> 1 600 B ≤ 6.5 KiB.
+        // Layers 2–4: 100 × 100 -> 1 600 B ≤ 6.5 KiB.
         assert!(100 * packed_row_bytes(100) <= 6 * 1024 + 512);
     }
 }

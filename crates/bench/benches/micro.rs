@@ -116,13 +116,13 @@ fn bench_bnn(b: &mut Bench) {
 }
 
 fn bench_endtoend(b: &mut Bench) {
-    use ncpu_soc::{Analytic, Engine, Scenario, SystemConfig};
+    use ncpu_soc::{Engine, EventDriven, Scenario, SystemConfig};
     let model = ncpu_bench::context::image_pseudo_model(100);
     let uc = ncpu_soc::UseCase::parametric(0.7, 4, model);
     let baseline = Scenario::new(uc.clone(), SystemConfig::Heterogeneous);
-    b.bench("endtoend/heterogeneous_baseline", || black_box(Analytic.report(&baseline)));
+    b.bench("endtoend/heterogeneous_baseline", || black_box(EventDriven.report(&baseline)));
     let dual = Scenario::new(uc, SystemConfig::ncpu(2));
-    b.bench("endtoend/dual_ncpu", || black_box(Analytic.report(&dual)));
+    b.bench("endtoend/dual_ncpu", || black_box(EventDriven.report(&dual)));
 }
 
 fn main() {

@@ -3,7 +3,7 @@
 //! With `--csv <dir>`, also writes one `fig16_<config>_<core>.csv` file per
 //! trace for external plotting.
 use ncpu_power::{AreaModel, PowerModel};
-use ncpu_soc::{energy, Analytic, Engine, Scenario, SystemConfig, UseCase};
+use ncpu_soc::{energy, Engine, EventDriven, Scenario, SystemConfig, UseCase};
 
 fn main() {
     print!("{}", ncpu_bench::experiments::fig16().render());
@@ -14,7 +14,7 @@ fn main() {
     let pm = PowerModel::default();
     let am = AreaModel::default();
     for system in [SystemConfig::Heterogeneous, SystemConfig::ncpu(2)] {
-        let report = Analytic.report(&Scenario::new(uc.clone(), system));
+        let report = EventDriven.report(&Scenario::new(uc.clone(), system));
         let traces = energy::power_traces(&report, &pm, &am, 100, 1.0, 512);
         for (core, trace) in report.cores.iter().zip(&traces) {
             let path = format!(

@@ -70,7 +70,7 @@ fn write_traced_artifacts() {
             ncpu_soc::SystemConfig::ncpu(2),
         )
         .with_trace(level);
-        let (report, rec) = ncpu_soc::Analytic.run(&scenario);
+        let (report, rec) = ncpu_soc::EventDriven.run(&scenario);
         let artifact = report.artifact(scenario.usecase().name(), &rec);
         match ncpu_obs::write_artifacts(&artifact, &rec, &report.thread_names()) {
             Ok((run_path, trace_path)) => {

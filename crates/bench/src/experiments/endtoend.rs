@@ -1,14 +1,14 @@
 //! End-to-end experiments: Fig. 1, Figs. 13–17 and Table IV.
 //!
 //! Every system run is described by a [`Scenario`] and executed through
-//! the [`Engine`] trait (the fast [`Analytic`] engine here), so the
+//! the [`Engine`] trait (the fast [`EventDriven`] engine here), so the
 //! `ncpu-par` fan-outs hand whole scenarios to the pool instead of
 //! ad-hoc tuples — see EXPERIMENTS.md for the figure → scenario map.
 
 use ncpu_bnn::data::{digits, motion};
 use ncpu_power::{AreaModel, PowerModel};
 use ncpu_soc::topology::Topology;
-use ncpu_soc::{energy, phases, Analytic, Engine, Scenario, SystemConfig, UseCase};
+use ncpu_soc::{energy, phases, Engine, EventDriven, Scenario, SystemConfig, UseCase};
 use ncpu_workloads::{image, motion as motion_prog, Tail};
 use ncpu_testkit::rng::Rng;
 
@@ -87,7 +87,7 @@ pub fn fig13() -> Report {
         .iter()
         .flat_map(|&(fraction, _)| versus_dual(&UseCase::parametric(fraction, 2, model.clone())))
         .collect();
-    let reports = ncpu_par::par_map_indexed(scenarios, |_, s| Analytic.report(&s));
+    let reports = ncpu_par::par_map_indexed(scenarios, |_, s| EventDriven.report(&s));
     let mut lines = Vec::new();
     for (k, &(fraction, paper)) in points.iter().enumerate() {
         let (base, dual) = (&reports[2 * k], &reports[2 * k + 1]);
@@ -128,7 +128,7 @@ pub fn fig14() -> Report {
         .iter()
         .flat_map(|&batch| versus_dual(&UseCase::parametric(0.7, batch, model.clone())))
         .collect();
-    let reports = ncpu_par::par_map_indexed(scenarios, |_, s| Analytic.report(&s));
+    let reports = ncpu_par::par_map_indexed(scenarios, |_, s| EventDriven.report(&s));
     for (k, batch) in batches.iter().enumerate() {
         let (base, dual) = (&reports[2 * k], &reports[2 * k + 1]);
         lines.push(format!(
@@ -190,8 +190,8 @@ pub fn fig15() -> Report {
 pub fn fig16() -> Report {
     let uc = UseCase::image(2, 2, 1); // timing-only: tiny training
     let [s_base, s_dual] = versus_dual(&uc).map(|s| s.with_operating_point(1.0));
-    let base = Analytic.report(&s_base);
-    let dual = Analytic.report(&s_dual);
+    let base = EventDriven.report(&s_base);
+    let dual = EventDriven.report(&s_dual);
     let pm = PowerModel::default();
     let am = AreaModel::default();
     let mut lines = vec![format!(
@@ -230,7 +230,7 @@ pub fn table4() -> Report {
     // leaves ~1%, so the balanced run is the comparable row).
     let balanced = UseCase::parametric(0.76, 2, image_pseudo_model(100));
     for (tag, uc) in [("image use case", &uc), ("paper's CPU/BNN balance", &balanced)] {
-        let [base, dual] = versus_dual(uc).map(|s| Analytic.report(&s));
+        let [base, dual] = versus_dual(uc).map(|s| EventDriven.report(&s));
         lines.push(format!("{tag}:"));
         for (name, report) in [("baseline", &base), ("2x ncpu", &dual)] {
             for core in &report.cores {
@@ -261,10 +261,10 @@ pub fn fig17() -> Report {
         ("motion", UseCase::motion(2, 4, 1), 0.35, 0.018),
     ] {
         let nominal = Scenario::new(uc, SystemConfig::Heterogeneous).with_operating_point(1.0);
-        let base = Analytic.report(&nominal);
-        let single = Analytic
+        let base = EventDriven.report(&nominal);
+        let single = EventDriven
             .report(&Scenario::new(nominal.usecase().clone(), SystemConfig::ncpu(1)));
-        let dual = Analytic
+        let dual = EventDriven
             .report(&Scenario::new(nominal.usecase().clone(), SystemConfig::ncpu(2)));
         let single_delta = single.makespan as f64 / base.makespan as f64 - 1.0;
         lines.push(format!(
@@ -296,14 +296,14 @@ pub fn ext_multiprogram() -> Report {
     let workloads = vec![image.clone(), motion.clone()];
     let both = Scenario::independent(workloads, Topology::homogeneous(2))
         .expect("two workloads fit two cores");
-    let dual = Analytic.report(&both);
+    let dual = EventDriven.report(&both);
     // Each core is active until its own queue drains.
     let finish = |c: usize| dual.cores[c].timeline.total_cycles();
     let util = |c: usize| pct(dual.cores[c].utilization(finish(c)));
     // Heterogeneous comparison: the single CPU+accelerator pair must run
     // the two task batches back to back.
-    let h_img = Analytic.report(&Scenario::new(image, SystemConfig::Heterogeneous));
-    let h_mot = Analytic.report(&Scenario::new(motion, SystemConfig::Heterogeneous));
+    let h_img = EventDriven.report(&Scenario::new(image, SystemConfig::Heterogeneous));
+    let h_mot = EventDriven.report(&Scenario::new(motion, SystemConfig::Heterogeneous));
     let serial = h_img.makespan + h_mot.makespan;
     let concurrent = dual.makespan;
     let lines = vec![

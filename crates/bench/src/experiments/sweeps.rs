@@ -9,8 +9,8 @@ use ncpu_core::SwitchPolicy;
 use ncpu_nalu::{cost, normalized_error, AluTask};
 use ncpu_power::AreaModel;
 use ncpu_soc::{
-    Analytic, Engine, EventDriven, FaultPlan, Lockstep, Scenario, SocConfig, SystemConfig,
-    UseCase, DROPPED_PREDICTION,
+    Engine, EventDriven, FaultPlan, Lockstep, Scenario, SocConfig, SystemConfig, UseCase,
+    DROPPED_PREDICTION,
 };
 
 use crate::context::{image_pseudo_model, pct, trained_digits};
@@ -79,7 +79,7 @@ pub fn ablation_switch() -> Report {
     .map(|soc| Scenario::new(uc.clone(), SystemConfig::ncpu(1)).with_soc(soc))
     .collect();
     let mut reports =
-        ncpu_par::par_map_indexed(scenarios, |_, s| Analytic.report(&s)).into_iter();
+        ncpu_par::par_map_indexed(scenarios, |_, s| EventDriven.report(&s)).into_iter();
     let (zero, naive) = (reports.next().expect("two configs"), reports.next().expect("two configs"));
     let lines = vec![
         format!("zero-latency switching: {} cycles", zero.makespan),
@@ -108,7 +108,7 @@ pub fn ablation_pipelining() -> Report {
     .map(|soc| Scenario::new(uc.clone(), SystemConfig::Heterogeneous).with_soc(soc))
     .collect();
     let mut reports =
-        ncpu_par::par_map_indexed(scenarios, |_, s| Analytic.report(&s)).into_iter();
+        ncpu_par::par_map_indexed(scenarios, |_, s| EventDriven.report(&s)).into_iter();
     let (piped, serial) =
         (reports.next().expect("two configs"), reports.next().expect("two configs"));
     let lines = vec![
@@ -135,7 +135,7 @@ pub fn ablation_offload() -> Report {
             .map(|sys| Scenario::new(uc.clone(), sys))
             .collect();
     let mut reports =
-        ncpu_par::par_map_indexed(scenarios, |_, s| Analytic.report(&s)).into_iter();
+        ncpu_par::par_map_indexed(scenarios, |_, s| EventDriven.report(&s)).into_iter();
     let (base, dual) =
         (reports.next().expect("two systems"), reports.next().expect("two systems"));
     // Per item the baseline moves the packed input CPU→L2→accelerator; the
@@ -163,9 +163,8 @@ pub fn ablation_offload() -> Report {
 
 /// Extension (paper Section VIII-A): deeper BNNs than the 4-layer array —
 /// single-core layer rollback vs NCPU cores connected in series, driven
-/// through the `Deep` engine with a [`UseCase::deep`] scenario.
+/// through a [`UseCase::deep`] scenario.
 pub fn ext_deep() -> Report {
-    use ncpu_soc::Deep;
     // An 8-layer, 100-neuron logical network.
     let topo = Topology::new(784, vec![100; 8], 10);
     let layers = (0..8)
@@ -187,7 +186,7 @@ pub fn ext_deep() -> Report {
         .into_iter()
         .map(|cores| Scenario::new(uc.clone(), SystemConfig::ncpu(cores)))
         .collect();
-    let mut runs = ncpu_par::par_map_indexed(scenarios, |_, s| Deep.run(&s)).into_iter();
+    let mut runs = ncpu_par::par_map_indexed(scenarios, |_, s| EventDriven.run(&s)).into_iter();
     let (rolled, rolled_rec) = runs.next().expect("two modes");
     let (series, series_rec) = runs.next().expect("two modes");
     assert_eq!(rolled.predictions, series.predictions, "modes must agree functionally");
@@ -245,10 +244,10 @@ pub fn ablation_interface() -> Report {
                 dma_setup_cycles: setup,
                 ..SocConfig::default()
             };
-            let base = Analytic.report(
+            let base = EventDriven.report(
                 &Scenario::new(uc.clone(), SystemConfig::Heterogeneous).with_soc(soc),
             );
-            let dual = Analytic.report(
+            let dual = EventDriven.report(
                 &Scenario::new(uc.clone(), SystemConfig::ncpu(2)).with_soc(soc),
             );
             format!(
@@ -267,11 +266,12 @@ pub fn ablation_interface() -> Report {
     Report { id: "ablation_interface", title: "NCPU gain vs baseline interface cost", lines }
 }
 
-/// Validation: the fast analytic SoC scheduler against the cycle-stepped
-/// lock-step co-simulation with real L2 arbitration — the same `Scenario`
-/// handed to all three engines, out to four cores. The event-driven
-/// engine must match the lock-step walk cycle for cycle (its column
-/// exists to show the equality in the artifact, not just in tests).
+/// Validation: the fast event-driven SoC scheduler that every other
+/// experiment runs on, against the cycle-stepped lock-step co-simulation
+/// with real L2 arbitration — the same `Scenario` handed to both engines,
+/// out to four cores. The event engine must match the lock-step walk
+/// cycle for cycle; its makespan fills both the `analytic cy` and the
+/// `event cy` column, so the artifact shows the equality too.
 pub fn ext_lockstep() -> Report {
     let model = image_pseudo_model(100);
     let uc = UseCase::parametric(0.6, 8, model);
@@ -281,10 +281,8 @@ pub fn ext_lockstep() -> Report {
     )];
     for cores in [1usize, 2, 4] {
         let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores));
-        let analytic = Analytic.report(&scenario);
         let (lockstep, rec) = Lockstep.run(&scenario);
         let (event, event_rec) = EventDriven.run(&scenario);
-        assert_eq!(analytic.predictions, lockstep.predictions);
         assert_eq!(event.makespan, lockstep.makespan, "event engine drifted");
         assert_eq!(event.predictions, lockstep.predictions, "event engine drifted");
         assert_eq!(
@@ -294,10 +292,10 @@ pub fn ext_lockstep() -> Report {
         );
         lines.push(format!(
             "{cores:<8} {:>14} {:>14} {:>12} {:>8.2}% {:>14}",
-            analytic.makespan,
+            event.makespan,
             lockstep.makespan,
             event.makespan,
-            (lockstep.makespan as f64 / analytic.makespan as f64 - 1.0) * 100.0,
+            (lockstep.makespan as f64 / event.makespan as f64 - 1.0) * 100.0,
             rec.counters().get("soc.l2_conflict_cycles")
         ));
     }
@@ -312,7 +310,7 @@ pub fn ext_lockstep() -> Report {
 }
 
 /// Reliability vs supply voltage: one seeded fault plan priced by the
-/// analytic engine across the DVFS grid. The SRAM soft-error rate
+/// event-driven engine across the DVFS grid. The SRAM soft-error rate
 /// scales quadratically with the voltage deficit below nominal
 /// (`ncpu-fault`'s model), so the same plan that is nearly silent at
 /// 1.0 V floods the recovery layer at 0.6 V — the sweep shows the
@@ -344,7 +342,7 @@ pub fn ext_fault() -> Report {
         let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(4))
             .with_operating_point(volts)
             .with_faults(plan);
-        let (report, rec) = Analytic.run(&scenario);
+        let (report, rec) = EventDriven.run(&scenario);
         let flips = rec.counters().get("fault.injected.sram_flip");
         flips_at.push(flips);
         let good = report.predictions.iter().filter(|&&p| p != DROPPED_PREDICTION).count();

@@ -5,7 +5,7 @@ use ncpu_bnn::data::motion;
 use ncpu_pipeline::{FlatMem, Pipeline};
 use ncpu_power::{AreaModel, CoreKind, PowerModel};
 use ncpu_soc::energy::task_energy_uj;
-use ncpu_soc::{Analytic, Engine, Scenario, SystemConfig, UseCase};
+use ncpu_soc::{Engine, EventDriven, Scenario, SystemConfig, UseCase};
 use ncpu_workloads::{dhrystone, motion as motion_prog, softbnn, Tail};
 use ncpu_testkit::rng::Rng;
 
@@ -206,9 +206,9 @@ pub fn ext_realtime() -> Report {
     // and mode switches included), not a hand-summed estimate.
     let uc = UseCase::motion(1, 4, 2);
     let hetero_cycles =
-        Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous)).makespan;
+        EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous)).makespan;
     let ncpu_cycles =
-        Analytic.report(&Scenario::new(uc, SystemConfig::ncpu(1))).makespan;
+        EventDriven.report(&Scenario::new(uc, SystemConfig::ncpu(1))).makespan;
 
     let pm = PowerModel::default();
     let am = AreaModel::default();

@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// A finished run, ready to serve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
-    /// Name of the engine that computed the entry.
+    /// The routed label of the request that computed the entry.
     pub engine: &'static str,
     /// The `RunArtifact` rendered compact (`ncpu-run-v2`),
     /// for single-line responses; every response serving the entry

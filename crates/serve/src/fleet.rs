@@ -38,15 +38,15 @@
 //!    alone: each of its requests gets a one-line error, nothing is
 //!    cached for its key, and `serve.panics` counts it.
 //!
-//! Engine routing is a naming policy: every engine runs every system to
+//! Engine routing is a naming policy: both engines run every system to
 //! the same bytes, and reports do not name the engine, so any answer is
-//! cacheable under the same key. Every NCPU request goes to the
-//! event-driven engine (it memoizes steady-state parametric items and is
-//! no slower than lockstep on trained image/motion batches), and a
-//! client may pin `lockstep` or `event`; the heterogeneous baseline is
-//! served as `analytic`. Serve names one engine per system class, so
-//! `analytic` on an NCPU system and `lockstep`/`event` on the baseline
-//! are rejected.
+//! cacheable under the same key. A request pinned to `lockstep` runs on
+//! the cycle walk, every other one on the event-driven engine (it
+//! memoizes steady-state parametric items and is no slower than lockstep
+//! on trained image/motion batches). The labels are wire names only: the
+//! baseline is served as `analytic`, and serve keeps one name per system
+//! class, so `analytic` on an NCPU system and `lockstep`/`event` on the
+//! baseline are rejected.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -94,8 +94,7 @@ pub struct RunOutcome {
     pub key: u64,
     /// `"hit"` or `"miss"`.
     pub cache: &'static str,
-    /// Engine that computed the report (for a hit: whichever engine
-    /// computed the cached entry).
+    /// The routed label of the request that computed the report.
     pub engine: &'static str,
     /// Compact single-line report JSON — byte-identical for every
     /// request that shares a key, cached or fresh, and shared with the
@@ -139,10 +138,6 @@ fn routed_engine(spec: &ScenarioSpec) -> Result<&'static str, String> {
                 .to_string(),
         ),
         (SystemConfig::Ncpu(_), EnginePref::Lockstep) => Ok("lockstep"),
-        // The event engine memoizes parametric items and is no slower
-        // than lockstep on non-memoizable image/motion batches
-        // (`tests/event_floor.rs`), so it serves every NCPU request that
-        // does not pin lockstep.
         (SystemConfig::Ncpu(_), EnginePref::Event | EnginePref::Auto) => Ok("event"),
     }
 }
@@ -157,21 +152,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     text.lines().collect::<Vec<_>>().join(" ")
 }
 
-/// Runs `scenario` on the routed engine. Reports do not name the engine
-/// that produced them, so cached entries are engine-invariant. Returns
-/// the cache entry (the compact form, written in one pass) and the typed
-/// artifact it was rendered from.
+/// Runs `scenario` on the routed label's clock: `"lockstep"` on the cycle
+/// walk, any other label on the event clock. Reports do not name the
+/// engine that produced them, so cached entries are engine-invariant.
+/// Returns the cache entry (the compact form, written in one pass) and
+/// the typed artifact it was rendered from.
 fn execute(engine: &'static str, key: u64, scenario: &Scenario) -> (CacheEntry, RunArtifact) {
     #[cfg(test)]
     tests::count_execute();
     #[cfg(test)]
     tests::maybe_panic(key);
-    let (report, rec) = match engine {
-        "lockstep" => Lockstep.run(scenario),
-        "event" => EventDriven.run(scenario),
-        "analytic" => ncpu_soc::Analytic.run(scenario),
-        other => unreachable!("unrouted engine {other}"),
-    };
+    let (report, rec) =
+        if engine == "lockstep" { Lockstep.run(scenario) } else { EventDriven.run(scenario) };
     let artifact = report.artifact(&format!("serve_{key:016x}"), &rec);
     let entry = CacheEntry { engine, compact_json: artifact.to_compact_json().into() };
     (entry, artifact)
@@ -592,18 +584,23 @@ mod tests {
             &[
                 r#"{"cpu_fraction":0.5,"batch":2,"cores":2,"engine":"lockstep"}"#,
                 r#"{"cpu_fraction":0.5,"batch":2,"cores":2,"engine":"event"}"#,
+                r#"{"system":"hetero","cpu_fraction":0.5,"batch":2}"#,
+                r#"{"system":"hetero","cpu_fraction":0.5,"batch":2,"engine":"analytic"}"#,
             ],
         );
-        let lock = out[0].as_ref().unwrap();
-        let event = out[1].as_ref().unwrap();
+        let (lock, event) = (out[0].as_ref().unwrap(), out[1].as_ref().unwrap());
         assert_eq!(lock.key, event.key, "engine choice must not fragment the cache");
-        assert_eq!(lock.cache, "miss");
-        assert_eq!(event.cache, "hit");
+        assert_eq!((lock.cache, event.cache), ("miss", "hit"));
         assert_eq!(lock.report_json, event.report_json);
         assert!(
             !lock.report_json.contains("(lockstep)") && !lock.report_json.contains("(event)"),
             "served reports name no engine"
         );
+        // The baseline, auto-routed and pinned: one entry, labeled `analytic`.
+        let (auto, pinned) = (out[2].as_ref().unwrap(), out[3].as_ref().unwrap());
+        assert_eq!((auto.key, auto.cache, pinned.cache), (pinned.key, "miss", "hit"));
+        assert_eq!(auto.report_json, pinned.report_json);
+        assert_eq!((auto.engine, pinned.engine), ("analytic", "analytic"));
     }
 
     #[test]
@@ -643,6 +640,9 @@ mod tests {
         assert_eq!(routed_engine(&auto_motion).unwrap(), "event");
         assert_eq!(routed_engine(&pinned).unwrap(), "lockstep");
         assert_eq!(routed_engine(&hetero).unwrap(), "analytic");
+        // These rejections stay because servebench's `repeat_mix` sends
+        // `{"engine":"analytic","batch":4}` as an invalid line and fails
+        // the run if that line gets a report.
         let bad = spec(r#"{"engine":"analytic"}"#).unwrap();
         assert!(routed_engine(&bad).is_err(), "analytic names the baseline scheduler only");
         let bad = spec(r#"{"system":"hetero","engine":"event"}"#).unwrap();

@@ -31,7 +31,7 @@
 //! {"op":"shutdown","requests":2}
 //! ```
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -293,12 +293,10 @@ pub fn serve_tcp(
                         let peer = stream
                             .peer_addr()
                             .map_or_else(|_| "<unknown>".to_string(), |a| a.to_string());
-                        let outcome = match stream.try_clone() {
-                            Ok(clone) => {
-                                serve_lines(shared, std::io::BufReader::new(clone), stream, cfg)
-                            }
-                            Err(e) => Err(e),
-                        };
+                        // Each line is flushed once written: one `send` per line.
+                        let outcome = stream.try_clone().and_then(|clone| {
+                            serve_lines(shared, BufReader::new(clone), BufWriter::new(stream), cfg)
+                        });
                         match outcome {
                             Ok(n) => {
                                 served.fetch_add(n, std::sync::atomic::Ordering::Relaxed);

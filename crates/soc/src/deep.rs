@@ -334,7 +334,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (Run
     // homogeneous default keeps the historical "N cores = N
     // segments" exactly.
     let segment_cores = topo.bnn_cores();
-    assert!(!segment_cores.is_empty(), "the deep engine needs at least one BNN-capable core");
+    assert!(!segment_cores.is_empty(), "a deep model needs at least one BNN-capable core");
     let cores = segment_cores.len();
     let model = scenario.usecase().model();
     let width = model.topology().input();
@@ -342,7 +342,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (Run
     // The fault prologue resolves the plan against input staging
     // before the accelerator sees any image: surviving images get
     // delayed arrivals, dropped ones never enter the batch. The
-    // deep engine has no spare cores (every core holds a resident
+    // deep body has no spare cores (every core holds a resident
     // model segment), so quarantine is structurally disabled.
     let mut prologue = scenario.fault().is_active().then(|| {
         let sizes: Vec<usize> = items.iter().map(|i| i.staged.len()).collect();
@@ -429,7 +429,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &crate::topology::Topology) -> (Run
 /// staging delays, dropped images, and the fault-layer bookkeeping the
 /// caller merges into the run's recorder after the batch executes.
 ///
-/// The deep engine has no spare cores to re-schedule onto (every core
+/// The deep body has no spare cores to re-schedule onto (every core
 /// holds a resident model segment), so quarantine is structurally
 /// disabled here: recovery is retry-with-backoff, then drop.
 struct DeepPrologue {

@@ -1,6 +1,6 @@
 //! Event-driven co-simulation of the N-core SoC — byte-identical to the
 //! lock-step engine, orders of magnitude faster. The one fast NCPU
-//! clock: `EventDriven`, `Analytic` and `Deep` run item batches on it.
+//! clock: the `EventDriven` engine runs item batches on it.
 //!
 //! # Why jumping is sound
 //!

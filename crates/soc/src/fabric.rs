@@ -13,7 +13,7 @@
 //!   and queue depth, busy and finish cycles, predictions), what a
 //!   completion, a drop and a quarantine do to them, and the final
 //!   report assembly. The two NCPU item clocks (the lock-step walk, and
-//!   the per-core wakeup table that the other three engines run) keep
+//!   the event engine's per-core wakeup table) keep
 //!   only their clocks and drive one ledger each,
 //! * [`FaultCtl`] with [`resolve_dispatch`] and [`recovery_decision`] —
 //!   the one fault-recovery path: detection pricing, retry with
@@ -166,7 +166,7 @@ pub(crate) fn stage_item(
 /// It reads only the pipeline and core stats because only those are
 /// replayed (the event engine's skipped and path-memo items advance them
 /// by recorded deltas): reading `Accelerator::stats` or SRAM bank access
-/// counts would break lockstep≡event, which every Analytic NCPU run rides.
+/// counts would break lockstep≡event, which every EventDriven NCPU run rides.
 fn snapshot_core_counters(rec: &mut Recorder, c: usize, core: &NcpuCore) {
     let ps = core.pipeline().stats();
     rec.set_counter(format!("core{c}.cycles"), ps.cycles);
@@ -618,8 +618,8 @@ impl FaultCtl {
     /// it at delivery; a hang moves nothing and the watchdog notices a
     /// full budget later. `deliver(bytes)` books a broken delivery of
     /// `bytes` bytes starting at `now` and returns its delivery cycle —
-    /// a fabric DMA booking in the SoC engines, a priced transfer in
-    /// the deep engine's staging prologue.
+    /// a fabric DMA booking on the item clocks, a priced transfer in
+    /// the deep body's staging prologue.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn detect(
         &mut self,
@@ -690,7 +690,7 @@ impl FaultCtl {
 /// Routes a fault-layer event either straight into the recorder (the
 /// lock-step engine emits inline at its walk slot) or into a deferral
 /// buffer (the event engine replays it at the same slot's sort key, so
-/// the raw streams stay byte-identical; the deep engine emits its
+/// the raw streams stay byte-identical; the deep body emits its
 /// staging prologue's events sorted on a lane of their own).
 fn note(
     rec: &mut Recorder,
@@ -775,7 +775,7 @@ pub(crate) fn resolve_dispatch(
 /// otherwise retry after exponential backoff. Also invoked by the
 /// simulating engines' mid-item watchdog abort (where `fault_at` is the
 /// aborted item's start, so `fault.recovery_cycles` prices the wasted
-/// execution plus the backoff) and by the deep engine's staging
+/// execution plus the backoff) and by the deep body's staging
 /// prologue.
 pub(crate) fn recovery_decision(
     ctl: &mut FaultCtl,

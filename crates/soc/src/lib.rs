@@ -16,21 +16,19 @@
 //! × operating point × fault plan; an NCPU system is its
 //! [`topology::Topology`]; [`Scenario::independent`] gives a fleet's
 //! cores different use cases, paper Section VI-A) and [`Engine::run`]
-//! executes it on the [`Analytic`], [`Lockstep`], [`EventDriven`], or
-//! [`Deep`] engine, returning a [`RunReport`] with the makespan,
-//! per-core busy/mode timelines, utilizations, predicted classes and
-//! energy — everything the paper's Figs. 13–17 and Table IV are made
-//! of — plus the run's [`obs::Recorder`]. Every engine runs every
-//! scenario: the baseline and the deep modes have one body each, and
-//! the engine picks only the clock an NCPU fleet's item batches run on.
-//! [`Lockstep`] walks every cycle; the event-driven clock that
-//! [`EventDriven`], [`Analytic`] and [`Deep`] use is its byte-identical
-//! fast twin (one wakeup slot per core, jumping between observable
-//! actions), so the fast engine is exact and a report does not name the
-//! engine that produced it. All engines are built on one shared `fabric`
-//! module, so result mailboxes, program construction, DMA staging, and
-//! report assembly cannot drift apart. [`Engine::run`] is the crate's
-//! only run function.
+//! executes it on one of two engines, one per clock, returning a
+//! [`RunReport`] with the makespan, per-core busy/mode timelines,
+//! utilizations, predicted classes and energy — everything the paper's
+//! Figs. 13–17 and Table IV are made of — plus the run's
+//! [`obs::Recorder`]. Both engines run every scenario: the baseline and
+//! the deep modes have one body each, and the engine picks only the
+//! clock an NCPU fleet's item batches run on. [`Lockstep`] walks every
+//! cycle; [`EventDriven`] is its byte-identical fast twin (one wakeup
+//! slot per core, jumping between observable actions), so the fast
+//! engine is exact and a report does not name the engine that produced
+//! it. Both engines are built on one shared `fabric` module, so result
+//! mailboxes, program construction, DMA staging, and report assembly
+//! cannot drift apart. [`Engine::run`] is the crate's only run function.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +50,11 @@ mod usecase;
 pub use canonical::{cache_key, canonical_bytes, fnv1a_64};
 pub use fabric::{result_addr, DROPPED_PREDICTION, ITEM_BUDGET, L2_BYTES};
 pub use report::{CoreReport, RunReport};
-pub use scenario::{Analytic, Deep, Engine, EventDriven, Lockstep, Scenario};
+// The fast engine's former name, kept only because `servebench` (built
+// outside this workspace) still imports it.
+#[doc(hidden)]
+pub use scenario::EventDriven as Analytic;
+pub use scenario::{Engine, EventDriven, Lockstep, Scenario};
 pub use system::{SocConfig, SystemConfig};
 pub use usecase::{pseudo_deep_model, pseudo_model, UseCase, UseCaseKind};
 

@@ -13,11 +13,10 @@
 //!   position, metrics and terminal point go through the shared
 //!   [`fabric::Ledger`].
 //!
-//! The event engine, which every other engine runs NCPU item batches
-//! on, reproduces this walk byte for byte without stepping every cycle:
-//! `lockstep_agrees_with_analytic_scheduler` holds the reports equal
-//! across policies, core counts, workloads and a short watchdog, and
-//! `tests/engine_differential.rs` fuzzes the pair.
+//! The event engine reproduces this walk byte for byte without stepping
+//! every cycle: `lockstep_agrees_with_the_event_clock` holds the reports
+//! equal across policies, core counts, workloads and a short watchdog,
+//! and `tests/engine_differential.rs` fuzzes the pair.
 
 use ncpu_core::{BankPorts, NcpuCore, StepOutcome};
 use ncpu_obs::{EventKind, Recorder, StallCause};
@@ -273,7 +272,7 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Analytic, Engine, Lockstep};
+    use crate::scenario::{Engine, EventDriven, Lockstep};
     use crate::system::{SocConfig, SystemConfig};
     use crate::usecase::UseCase;
     use ncpu_core::SwitchPolicy;
@@ -289,7 +288,7 @@ mod tests {
     /// enough to abort items mid-flight, driven through the `Engine`
     /// trait.
     #[test]
-    fn lockstep_agrees_with_analytic_scheduler() {
+    fn lockstep_agrees_with_the_event_clock() {
         let usecases = [UseCase::image(4, 2, 1), UseCase::motion(4, 4, 2)];
         let short_watchdog = FaultPlan {
             watchdog_cycles: 3_000,
@@ -305,11 +304,11 @@ mod tests {
                         let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores))
                             .with_soc(soc)
                             .with_faults(plan);
-                        let analytic = Analytic.report(&scenario);
+                        let event = EventDriven.report(&scenario);
                         let lockstep = Lockstep.report(&scenario);
                         assert_eq!(
                             format!("{lockstep:?}"),
-                            format!("{analytic:?}"),
+                            format!("{event:?}"),
                             "{} {policy:?} {cores} cores {plan:?}",
                             uc.name()
                         );
@@ -331,8 +330,8 @@ mod tests {
     fn four_way_arbitration_completes_and_agrees() {
         let scenario = Scenario::new(parametric(8), SystemConfig::ncpu(4));
         let lockstep = Lockstep.report(&scenario);
-        let analytic = Analytic.report(&scenario);
-        assert_eq!(lockstep.predictions, analytic.predictions);
+        let event = EventDriven.report(&scenario);
+        assert_eq!(lockstep.predictions, event.predictions);
         assert_eq!(lockstep.cores.len(), 4);
         for core in &lockstep.cores {
             assert!(core.busy_cycles > 0, "{} never ran", core.role);

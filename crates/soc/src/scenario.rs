@@ -1,5 +1,5 @@
-//! The `Scenario`/`Engine` layer: one description of *what* to run, four
-//! interchangeable simulators for *how* to run it.
+//! The `Scenario`/`Engine` layer: one description of *what* to run, two
+//! interchangeable simulators, one per clock, for *how* to run it.
 //!
 //! A [`Scenario`] bundles everything a run needs — the workloads (one
 //! [`UseCase`], or with [`Scenario::independent`] several that share one
@@ -11,7 +11,7 @@
 //! [`Engine::run`] is the only way to run a simulation.
 //!
 //! An [`Engine`] turns a scenario into a `(RunReport, Recorder)` pair.
-//! Every engine runs every scenario, and one private dispatcher picks the
+//! Both engines run every scenario, and one private dispatcher picks the
 //! body from the system and the use-case kind:
 //!
 //! * the heterogeneous baseline runs its own scheduler;
@@ -20,9 +20,9 @@
 //!   rolls layers back onto one physical array, N ≥ 2 connect in series;
 //! * image, motion and parametric batches on an NCPU fleet run on the
 //!   engine's item clock: [`Lockstep`] walks one global cycle at a time
-//!   with real N-way L2 port arbitration, and [`EventDriven`],
-//!   [`Analytic`] and [`Deep`] jump between observable actions and replay
-//!   memoized item timing instead.
+//!   with real N-way L2 port arbitration, and [`EventDriven`] jumps
+//!   between observable actions and replays memoized item timing
+//!   instead.
 //!
 //! The baseline and deep bodies are the only exact model of their
 //! systems, and the two item clocks give byte-identical reports,
@@ -202,7 +202,7 @@ impl Scenario {
 /// All engines return the standard [`RunReport`] plus the root
 /// [`Recorder`] (counters always populated; span/instant events per the
 /// scenario's trace level), so callers swap engines without touching
-/// their reporting code. Every engine runs every scenario, and the report
+/// their reporting code. Both engines run every scenario, and the report
 /// does not say which engine ran it: the engine picks only the clock an
 /// NCPU fleet's item workloads run on.
 pub trait Engine {
@@ -225,7 +225,7 @@ type ItemClock = fn(&Scenario, &Topology) -> (RunReport, Recorder);
 
 /// Picks the body from the system and the use-case kind. The baseline and
 /// the deep modes each have one exact model with no shared-L2 arbitration
-/// for a second clock to differ on, so every engine runs them the same
+/// for a second clock to differ on, so both engines run them the same
 /// way; only image, motion and parametric batches on an NCPU fleet run on
 /// the engine's `item_clock`.
 fn dispatch(scenario: &Scenario, item_clock: ItemClock) -> (RunReport, Recorder) {
@@ -241,18 +241,6 @@ fn dispatch(scenario: &Scenario, item_clock: ItemClock) -> (RunReport, Recorder)
     }
 }
 
-/// The fast engine for every figure/table sweep: NCPU item batches on the
-/// event-driven clock, exact against [`Lockstep`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Analytic;
-
-impl Engine for Analytic {
-    fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
-        let _prof = ncpu_obs::selfprof::span("engine.analytic");
-        dispatch(scenario, crate::eventdriven::run)
-    }
-}
-
 /// The cycle-stepped co-simulation with real L2 arbitration: NCPU item
 /// batches walk every cycle of one global clock.
 #[derive(Debug, Clone, Copy, Default)]
@@ -265,26 +253,15 @@ impl Engine for Lockstep {
     }
 }
 
-/// The event-driven co-simulation: byte-identical to [`Lockstep`] but
-/// orders of magnitude faster on steady-state workloads.
+/// The event-driven co-simulation, and the engine for every figure and
+/// table sweep: byte-identical to [`Lockstep`] but orders of magnitude
+/// faster on steady-state workloads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EventDriven;
 
 impl Engine for EventDriven {
     fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
         let _prof = ncpu_obs::selfprof::span("engine.event");
-        dispatch(scenario, crate::eventdriven::run)
-    }
-}
-
-/// The engine named for the beyond-4-layer modes: rollback on one core,
-/// series pipeline on N ≥ 2. Item batches run on the event-driven clock.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Deep;
-
-impl Engine for Deep {
-    fn run(&self, scenario: &Scenario) -> (RunReport, Recorder) {
-        let _prof = ncpu_obs::selfprof::span("engine.deep");
         dispatch(scenario, crate::eventdriven::run)
     }
 }
@@ -321,12 +298,12 @@ mod tests {
         assert!(!hetero.fault().is_active());
     }
 
-    /// Runs `s` on every engine and asserts the same report, counters,
+    /// Runs `s` on both engines and asserts the same report, counters,
     /// metrics and raw event streams; returns the lock-step run.
     fn same_bytes_on_every_engine(s: &Scenario) -> (RunReport, Recorder) {
         let tag = format!("{} on {:?}", s.usecase().name(), s.system());
         let (reference, ref_rec) = Lockstep.run(s);
-        let engines: [&dyn Engine; 4] = [&Analytic, &Lockstep, &EventDriven, &Deep];
+        let engines: [&dyn Engine; 2] = [&Lockstep, &EventDriven];
         for engine in engines {
             let (report, rec) = engine.run(s);
             assert_eq!(format!("{report:?}"), format!("{reference:?}"), "{tag}");
@@ -344,7 +321,7 @@ mod tests {
         Scenario::independent(workloads, Topology::homogeneous(2)).expect("two cores, two tasks")
     }
 
-    /// Every engine runs the baseline, NCPU item batches, independent
+    /// Both engines run the baseline, NCPU item batches, independent
     /// workloads and deep models, fully traced, to the same bytes: the
     /// engine is not visible in what a run produces.
     #[test]
@@ -378,7 +355,7 @@ mod tests {
     /// the motion core keeps its clean schedule.
     #[test]
     fn independent_workloads_keep_to_their_own_cores() {
-        let clean = Analytic.report(&image_beside_motion());
+        let clean = EventDriven.report(&image_beside_motion());
         let finish = |r: &RunReport| -> Vec<u64> {
             r.cores.iter().map(|c| c.timeline.total_cycles()).collect()
         };
@@ -431,13 +408,13 @@ mod tests {
         let ins = crate::deep::tests::inputs(6);
         let uc = UseCase::deep(model, &ins);
         let reference: Vec<usize> = uc.items().iter().map(|i| i.label).collect();
-        let rolled = Deep.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(1)));
+        let rolled = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(1)));
         assert_eq!(rolled.config, "deep rollback (1 core)");
         assert_eq!(rolled.predictions, reference);
         assert_eq!(rolled.cores.len(), 1);
         for cores in [2usize, 4] {
             let (report, rec) =
-                Deep.run(&Scenario::new(uc.clone(), SystemConfig::ncpu(cores)));
+                EventDriven.run(&Scenario::new(uc.clone(), SystemConfig::ncpu(cores)));
             assert_eq!(report.config, format!("{cores}x ncpu (series)"));
             assert_eq!(report.predictions, reference, "{cores} segments");
             assert_eq!(report.cores.len(), cores);
@@ -464,13 +441,13 @@ mod tests {
             ..FaultPlan::none()
         };
         for cores in [1usize, 2] {
-            let clean = Deep.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(cores)));
+            let clean = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(cores)));
             let scenario = Scenario::new(uc.clone(), SystemConfig::ncpu(cores))
                 .with_operating_point(0.8)
                 .with_trace(TraceLevel::Full)
                 .with_faults(plan);
-            let (report, rec) = Deep.run(&scenario);
-            let (again, rec2) = Deep.run(&scenario);
+            let (report, rec) = EventDriven.run(&scenario);
+            let (again, rec2) = EventDriven.run(&scenario);
             assert_eq!(report.makespan, again.makespan, "faulted deep run is deterministic");
             assert_eq!(report.predictions, again.predictions);
             assert_eq!(rec.metrics().to_json(), rec2.metrics().to_json());

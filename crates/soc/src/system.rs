@@ -191,14 +191,14 @@ pub(crate) fn run_heterogeneous(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::scenario::{Analytic, Engine, Scenario};
+    use crate::scenario::{Engine, EventDriven, Scenario};
     use crate::usecase::UseCase;
 
     pub(crate) use crate::usecase::pseudo_model;
 
-    /// The default-fabric Analytic report of `uc` under `system`.
-    pub(crate) fn analytic(uc: &UseCase, system: SystemConfig) -> RunReport {
-        Analytic.report(&Scenario::new(uc.clone(), system))
+    /// The default-fabric EventDriven report of `uc` under `system`.
+    pub(crate) fn event_report(uc: &UseCase, system: SystemConfig) -> RunReport {
+        EventDriven.report(&Scenario::new(uc.clone(), system))
     }
 
     #[test]
@@ -206,8 +206,8 @@ pub(crate) mod tests {
         let model = pseudo_model(784, 100, 10);
         for (fraction, expect) in [(0.4, 0.285), (0.7, 0.412)] {
             let uc = UseCase::parametric(fraction, 2, model.clone());
-            let base = analytic(&uc, SystemConfig::Heterogeneous);
-            let dual = analytic(&uc, SystemConfig::ncpu(2));
+            let base = event_report(&uc, SystemConfig::Heterogeneous);
+            let dual = event_report(&uc, SystemConfig::ncpu(2));
             let imp = dual.improvement_over(&base);
             assert!(
                 (imp - expect).abs() < 0.06,
@@ -220,9 +220,9 @@ pub(crate) mod tests {
     fn predictions_agree_across_systems() {
         let model = pseudo_model(784, 20, 10);
         let uc = UseCase::parametric(0.5, 4, model);
-        let a = analytic(&uc, SystemConfig::Heterogeneous);
-        let b = analytic(&uc, SystemConfig::ncpu(1));
-        let c = analytic(&uc, SystemConfig::ncpu(2));
+        let a = event_report(&uc, SystemConfig::Heterogeneous);
+        let b = event_report(&uc, SystemConfig::ncpu(1));
+        let c = event_report(&uc, SystemConfig::ncpu(2));
         assert_eq!(a.predictions, b.predictions);
         assert_eq!(a.predictions, c.predictions);
     }
@@ -231,7 +231,7 @@ pub(crate) mod tests {
     fn dual_ncpu_sustains_high_utilization() {
         let model = pseudo_model(784, 50, 10);
         let uc = UseCase::parametric(0.7, 8, model);
-        let dual = analytic(&uc, SystemConfig::ncpu(2));
+        let dual = event_report(&uc, SystemConfig::ncpu(2));
         for core in &dual.cores {
             assert!(
                 core.utilization(dual.makespan) > 0.95,
@@ -240,7 +240,7 @@ pub(crate) mod tests {
                 core.utilization(dual.makespan)
             );
         }
-        let base = analytic(&uc, SystemConfig::Heterogeneous);
+        let base = event_report(&uc, SystemConfig::Heterogeneous);
         let cpu_util = base.cores[0].utilization(base.makespan);
         let accel_util = base.cores[1].utilization(base.makespan);
         assert!(cpu_util > accel_util, "baseline accelerator must be under-utilized");
@@ -250,8 +250,8 @@ pub(crate) mod tests {
     fn four_ncpu_cores_scale_the_parametric_sweep() {
         let model = pseudo_model(784, 50, 10);
         let uc = UseCase::parametric(0.7, 8, model);
-        let two = analytic(&uc, SystemConfig::ncpu(2));
-        let four = analytic(&uc, SystemConfig::ncpu(4));
+        let two = event_report(&uc, SystemConfig::ncpu(2));
+        let four = event_report(&uc, SystemConfig::ncpu(4));
         assert_eq!(two.predictions, four.predictions, "same answers at any width");
         assert_eq!(four.cores.len(), 4);
         // 8 items over 4 cores halve the 2-core makespan (modulo DMA
@@ -268,8 +268,8 @@ pub(crate) mod tests {
     fn single_ncpu_is_modestly_slower_than_baseline() {
         let model = pseudo_model(784, 100, 10);
         let uc = UseCase::parametric(0.7, 2, model);
-        let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let single = analytic(&uc, SystemConfig::ncpu(1));
+        let base = event_report(&uc, SystemConfig::Heterogeneous);
+        let single = event_report(&uc, SystemConfig::ncpu(1));
         let delta = single.makespan as f64 / base.makespan as f64 - 1.0;
         // Paper Fig. 17: +13.8% for the image case at batch 2.
         assert!((0.0..0.35).contains(&delta), "single-NCPU delta {delta}");
@@ -281,7 +281,7 @@ pub(crate) mod tests {
         let uc = UseCase::parametric(0.5, 2, model);
         let scenario =
             Scenario::new(uc.clone(), SystemConfig::ncpu(2)).with_trace(TraceLevel::Full);
-        let (report, rec) = Analytic.run(&scenario);
+        let (report, rec) = EventDriven.run(&scenario);
         assert_eq!(rec.counters().get("run.makespan_cycles"), report.makespan);
         assert_eq!(rec.counters().get("run.items"), 2);
         assert!(rec.counters().get("core0.retired") > 0);
@@ -299,7 +299,7 @@ pub(crate) mod tests {
             assert!(!core.timeline.spans().is_empty());
         }
         // Tracing must not perturb the simulation itself.
-        let plain = analytic(&uc, SystemConfig::ncpu(2));
+        let plain = event_report(&uc, SystemConfig::ncpu(2));
         assert_eq!(plain.makespan, report.makespan);
         assert_eq!(plain.predictions, report.predictions);
     }
@@ -308,7 +308,7 @@ pub(crate) mod tests {
     fn traced_heterogeneous_records_both_lanes_and_dma() {
         let model = pseudo_model(784, 20, 10);
         let uc = UseCase::parametric(0.5, 2, model);
-        let (report, rec) = Analytic.run(&Scenario::new(uc, SystemConfig::Heterogeneous));
+        let (report, rec) = EventDriven.run(&Scenario::new(uc, SystemConfig::Heterogeneous));
         assert!(!report.cores[0].timeline.spans().is_empty(), "cpu lane");
         assert!(!report.cores[1].timeline.spans().is_empty(), "accel lane");
         assert!(rec.counters().get("cpu.retired") > 0);
@@ -324,8 +324,8 @@ pub(crate) mod tests {
     #[test]
     fn motion_use_case_end_to_end() {
         let uc = UseCase::motion(2, 6, 3);
-        let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let dual = analytic(&uc, SystemConfig::ncpu(2));
+        let base = event_report(&uc, SystemConfig::Heterogeneous);
+        let dual = event_report(&uc, SystemConfig::ncpu(2));
         assert_eq!(base.predictions.len(), 2);
         assert_eq!(base.predictions, dual.predictions, "same classifier, same answers");
         assert!(dual.makespan < base.makespan, "two cores beat the baseline");

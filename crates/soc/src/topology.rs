@@ -27,7 +27,7 @@
 //!   they contribute area and leakage (and, for `BnnOnly`, deep-engine
 //!   segment placement) but stay idle in the item engines.
 //!
-//! The deep engine maps segments onto BNN-capable cores
+//! The deep body maps segments onto BNN-capable cores
 //! (`Reconfigurable` or `BnnOnly`) in core-id order.
 
 /// What a core can execute.
@@ -177,7 +177,7 @@ impl Topology {
         self.specs[core].bank
     }
 
-    /// Whether core `c` can hold a BNN segment (deep engine placement).
+    /// Whether core `c` can hold a BNN segment (deep segment placement).
     pub fn bnn_capable(&self, core: usize) -> bool {
         matches!(self.specs[core].role, CoreRole::Reconfigurable | CoreRole::BnnOnly)
     }

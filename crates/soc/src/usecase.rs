@@ -25,8 +25,8 @@ pub fn pseudo_model(input: usize, neurons: usize, classes: usize) -> BnnModel {
 }
 
 /// The same deterministic weight/bias pattern at an arbitrary hidden
-/// depth — `layers > 4` feeds the [`Deep`](crate::Deep) engine's
-/// rollback/series schedulers without training anything.
+/// depth — `layers > 4` feeds the deep modes' rollback/series
+/// schedulers without training anything.
 pub fn pseudo_deep_model(
     input: usize,
     neurons: usize,
@@ -59,8 +59,8 @@ pub enum UseCaseKind {
     /// Parametric workload (Figs. 13/14): a calibrated spin loop stands in
     /// for pre-processing so the CPU workload fraction is set exactly.
     Parametric,
-    /// Deep network beyond the 4-layer array (paper Section IV-D): runs on
-    /// the `Deep` engine via rollback (one core) or a series pipeline of
+    /// A deep network beyond the 4-layer array (paper Section IV-D): runs
+    /// on either engine via rollback (one core) or a series pipeline of
     /// model segments (N cores); there is no CPU pre-processing phase.
     Deep,
 }
@@ -228,7 +228,7 @@ impl UseCase {
 
     /// Builds a deep-network use case: a model (any depth) plus the raw
     /// input vectors to classify. Labels are the model's own answers —
-    /// the deep engines are judged on schedule fidelity, and functional
+    /// the deep modes are judged on schedule fidelity, and functional
     /// equivalence between rollback and series modes is asserted against
     /// these reference classifications.
     ///

@@ -1,10 +1,10 @@
-//! Engine matrix: one scenario, every engine, any core count.
+//! Engine matrix: one scenario, both engines, any core count.
 //!
-//! Runs the same parametric use case through the [`Analytic`],
-//! [`Lockstep`], and [`EventDriven`] engines at the requested core count
-//! and prints the makespans side by side. All three must produce the
-//! same report and counters **byte for byte** — this example doubles as
-//! the CI smoke for the event-driven scheduler at four cores:
+//! Runs the same parametric use case through the [`Lockstep`] and
+//! [`EventDriven`] engines at the requested core count and prints the
+//! makespans side by side. Both must produce the same report and
+//! counters **byte for byte** — this example doubles as the CI smoke for
+//! the event-driven scheduler at four cores:
 //!
 //! ```text
 //! cargo run --release --example engine_matrix 4
@@ -18,28 +18,26 @@ fn main() {
     let uc = UseCase::parametric(0.6, 2 * requested.max(1), pseudo_model(784, 30, 10));
     let scenario = Scenario::new(uc, SystemConfig::ncpu(requested));
 
-    let (analytic, an_rec) = Analytic.run(&scenario);
     let (lockstep, ls_rec) = Lockstep.run(&scenario);
     let (event, ev_rec) = EventDriven.run(&scenario);
     // The fleet that ran (a request for 0 cores builds one).
     let cores = lockstep.cores.len();
 
-    println!("engine matrix — {} cores, batch {}", cores, analytic.predictions.len());
+    println!("engine matrix — {} cores, batch {}", cores, event.predictions.len());
     println!("{:<12} {:>12}  predictions", "engine", "makespan");
-    for (name, report) in
-        [("analytic", &analytic), ("lockstep", &lockstep), ("event", &event)]
-    {
+    for (name, report) in [("lockstep", &lockstep), ("event", &event)] {
         println!("{:<12} {:>12}  {:?}", name, report.makespan, report.predictions);
     }
 
-    let reference = format!("{lockstep:?}");
-    for (name, report, rec) in [("analytic", &analytic, &an_rec), ("event", &event, &ev_rec)] {
-        assert_eq!(format!("{report:?}"), reference, "{name} and lockstep reports diverged");
-        assert_eq!(
-            rec.counters().to_json(),
-            ls_rec.counters().to_json(),
-            "{name} and lockstep counters diverged"
-        );
-    }
-    println!("analytic == lockstep == event at {cores} cores: ok");
+    assert_eq!(
+        format!("{event:?}"),
+        format!("{lockstep:?}"),
+        "event and lockstep reports diverged"
+    );
+    assert_eq!(
+        ev_rec.counters().to_json(),
+        ls_rec.counters().to_json(),
+        "event and lockstep counters diverged"
+    );
+    println!("lockstep == event at {cores} cores: ok");
 }

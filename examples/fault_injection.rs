@@ -2,13 +2,13 @@
 //!
 //! Attaches a seeded [`FaultPlan`] to a four-core image scenario at a
 //! lowered operating point (a lower supply raises the SRAM soft-error
-//! rate), runs it through the [`Analytic`], [`Lockstep`], and
-//! [`EventDriven`] engines, prints the injection/detection/recovery
-//! counters side by side, and asserts the two co-simulating engines
-//! agree **byte for byte** — faults included. It then runs the same
-//! batch under a 3,000-cycle watchdog, which aborts ordinary items
-//! mid-flight, and asserts all three engines' reports and counters agree
-//! byte for byte there too. This example doubles as the CI fault smoke:
+//! rate), runs it through the [`Lockstep`] and [`EventDriven`] engines,
+//! prints the injection/detection/recovery counters side by side, and
+//! asserts the two engines agree **byte for byte** — faults included. It
+//! then runs the same batch under a 3,000-cycle watchdog, which aborts
+//! ordinary items mid-flight, and asserts both engines' reports and
+//! counters agree byte for byte there too. This example doubles as the
+//! CI fault smoke:
 //!
 //! ```text
 //! NCPU_TRACE=full NCPU_TRACE_DIR=out cargo run --release --example fault_injection
@@ -34,15 +34,15 @@ const FAULT_COUNTERS: [&str; 9] = [
     "fault.cores_quarantined",
 ];
 
-/// Prints the fault counters and makespans of the three engines' runs.
-fn print_counters(runs: &[(RunReport, Recorder); 3]) {
-    println!("\n{:<28} {:>10} {:>10} {:>10}", "counter", "analytic", "lockstep", "event");
+/// Prints the fault counters and makespans of both engines' runs.
+fn print_counters(runs: &[(RunReport, Recorder); 2]) {
+    println!("\n{:<28} {:>10} {:>10}", "counter", "lockstep", "event");
     for name in FAULT_COUNTERS {
-        let [a, l, e] = runs.each_ref().map(|(_, rec)| rec.counters().get(name));
-        println!("{name:<28} {a:>10} {l:>10} {e:>10}");
+        let [l, e] = runs.each_ref().map(|(_, rec)| rec.counters().get(name));
+        println!("{name:<28} {l:>10} {e:>10}");
     }
-    let [a, l, e] = runs.each_ref().map(|(report, _)| report.makespan);
-    println!("{:<28} {a:>10} {l:>10} {e:>10}", "makespan");
+    let [l, e] = runs.each_ref().map(|(report, _)| report.makespan);
+    println!("{:<28} {l:>10} {e:>10}", "makespan");
 }
 
 fn main() {
@@ -67,9 +67,7 @@ fn main() {
         .with_operating_point(0.9)
         .with_faults(plan);
 
-    let (analytic, an_rec) = Analytic.run(&scenario);
-    let (lockstep, ls_rec) = Lockstep.run(&scenario);
-    let (event, ev_rec) = EventDriven.run(&scenario);
+    let runs = [Lockstep.run(&scenario), EventDriven.run(&scenario)];
 
     println!(
         "\nfault plan: seed {}, {} mV, flip {} ppm, stall {} ppm, truncate {} ppm, hang {} ppm",
@@ -80,9 +78,8 @@ fn main() {
         plan.dma_truncate_ppm,
         plan.core_hang_ppm,
     );
-    let runs = [(analytic, an_rec), (lockstep, ls_rec), (event, ev_rec)];
     print_counters(&runs);
-    let [_, (lockstep, ls_rec), (event, ev_rec)] = runs;
+    let [(lockstep, ls_rec), (event, ev_rec)] = runs;
     let dropped = lockstep.predictions.iter().filter(|&&p| p == DROPPED_PREDICTION).count();
     println!(
         "items: {} total, {} dropped by the recovery policy",
@@ -102,7 +99,7 @@ fn main() {
             > 0,
         "detection must fire"
     );
-    // …and the two co-simulating engines must agree on every byte of it.
+    // …and the two engines must agree on every byte of it.
     assert_eq!(
         format!("{event:?}"),
         format!("{lockstep:?}"),
@@ -133,26 +130,27 @@ fn main() {
     }
 
     // The same batch under a watchdog short enough to abort ordinary
-    // items mid-flight: every engine prices the abort on its own, and
-    // all three must still agree on every byte.
+    // items mid-flight: each engine prices the abort on its own, and
+    // both must still agree on every byte.
     let short = FaultPlan { watchdog_cycles: 3_000, ..plan };
     println!("\nsame batch, {}-cycle watchdog:", short.watchdog_cycles);
     let scenario = scenario.with_faults(short);
-    let runs = [Analytic.run(&scenario), Lockstep.run(&scenario), EventDriven.run(&scenario)];
+    let runs = [Lockstep.run(&scenario), EventDriven.run(&scenario)];
     print_counters(&runs);
-    let [(analytic, an_rec), (lockstep, ls_rec), (event, ev_rec)] = &runs;
+    let [(lockstep, ls_rec), (event, ev_rec)] = &runs;
     assert!(
         ls_rec.counters().get("fault.detected.watchdog") > 0,
         "a 3,000-cycle watchdog must abort image items"
     );
-    let reference = format!("{lockstep:?}");
-    for (name, report, rec) in [("analytic", analytic, an_rec), ("event", event, ev_rec)] {
-        assert_eq!(format!("{report:?}"), reference, "{name} and lockstep reports diverged");
-        assert_eq!(
-            rec.counters().to_json(),
-            ls_rec.counters().to_json(),
-            "{name} and lockstep counters diverged"
-        );
-    }
-    println!("analytic == lockstep == event under a short watchdog: ok");
+    assert_eq!(
+        format!("{event:?}"),
+        format!("{lockstep:?}"),
+        "event and lockstep reports diverged"
+    );
+    assert_eq!(
+        ev_rec.counters().to_json(),
+        ls_rec.counters().to_json(),
+        "event and lockstep counters diverged"
+    );
+    println!("lockstep == event under a short watchdog: ok");
 }

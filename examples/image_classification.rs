@@ -2,7 +2,7 @@
 //!
 //! Builds one [`Scenario`] per system — the heterogeneous CPU+accelerator
 //! baseline, one NCPU, and the two-core NCPU SoC — runs them through the
-//! [`Analytic`] engine, and prints latency, utilization, and the power
+//! [`EventDriven`] engine, and prints latency, utilization, and the power
 //! picture.
 //!
 //! Run with: `cargo run --release --example image_classification [batch]`
@@ -19,10 +19,10 @@ fn main() {
         Scenario::new(uc.clone(), system).with_trace(level).with_operating_point(1.0)
     };
 
-    let base = Analytic.report(&scenario(SystemConfig::Heterogeneous));
-    let single = Analytic.report(&scenario(SystemConfig::ncpu(1)));
+    let base = EventDriven.report(&scenario(SystemConfig::Heterogeneous));
+    let single = EventDriven.report(&scenario(SystemConfig::ncpu(1)));
     let dual_scenario = scenario(SystemConfig::ncpu(2));
-    let (dual, rec) = Analytic.run(&dual_scenario);
+    let (dual, rec) = EventDriven.run(&dual_scenario);
 
     println!("\nclassification accuracy over the batch: {:.0}%", dual.accuracy() * 100.0);
     println!("\n{:<16} {:>12} {:>10}", "system", "cycles", "vs base");

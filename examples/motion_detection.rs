@@ -87,8 +87,8 @@ fn main() {
     // scheduling) is costed instead of hand-summed from probes.
     let uc = UseCase::motion(1, 4, 2);
     let scenario = |system| Scenario::new(uc.clone(), system).with_operating_point(0.4);
-    let hetero = Analytic.report(&scenario(SystemConfig::Heterogeneous));
-    let ncpu = Analytic.report(&scenario(SystemConfig::ncpu(1)));
+    let hetero = EventDriven.report(&scenario(SystemConfig::Heterogeneous));
+    let ncpu = EventDriven.report(&scenario(SystemConfig::ncpu(1)));
     println!("\nend-to-end per window through the scenario layer:");
     for r in [&hetero, &ncpu] {
         println!("  {:<16} {:>9} cycles = {:6.2} ms", r.config, r.makespan, ms(r.makespan));

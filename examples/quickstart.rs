@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Scale out: the core above is one instance of an N-core SoC
     //    scenario — same model, batch of items, round-robin schedule.
     let uc = ncpu::soc::UseCase::parametric(0.5, 4, model);
-    let dual = Analytic.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
+    let dual = EventDriven.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
     println!(
         "scaled out as a scenario: {} classifies a 4-image batch in {} cycles",
         dual.config, dual.makespan

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sum();
     let frac = cycles as f64 / (cycles + infer) as f64;
     let uc = ncpu::soc::UseCase::parametric(frac, 4, model);
-    let dual = Analytic.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
+    let dual = EventDriven.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
     println!(
         "\nas the CPU phase of a 4-item scenario ({:.0}% CPU work per item), \
          {} finishes in {} cycles",

@@ -1,4 +1,4 @@
-//! Topology matrix: one mixed-role fleet, every engine that can run it.
+//! Topology matrix: one mixed-role fleet, both engines.
 //!
 //! Builds a heterogeneous 4-core fleet — a nominal reconfigurable core
 //! on a wide L2 bank, a 0.7 V reconfigurable core on a narrow bank, a
@@ -7,8 +7,8 @@
 //!
 //! * the [`Lockstep`] and [`EventDriven`] twins run an item batch and
 //!   must agree **byte for byte** (reports and counters);
-//! * the [`Deep`] engine runs an 8-layer model on the same fleet and
-//!   must place one segment per BNN-capable core.
+//! * the [`EventDriven`] engine runs an 8-layer model on the same fleet
+//!   in series mode and must place one segment per BNN-capable core.
 //!
 //! This is the CI smoke for the heterogeneous fabric:
 //!
@@ -19,7 +19,7 @@
 use ncpu::prelude::*;
 use ncpu::soc::pseudo_model;
 use ncpu::soc::topology::{CoreRole, CoreSpec, Topology};
-use ncpu::soc::{Deep, L2_BYTES};
+use ncpu::soc::L2_BYTES;
 
 fn mixed_fleet() -> Topology {
     let mut specs = vec![CoreSpec::reconfigurable(); 4];
@@ -55,13 +55,13 @@ fn main() {
     assert_eq!(lockstep.cores[2].busy_cycles, 0, "a fixed BNN array runs no items");
     assert_eq!(lockstep.cores[3].busy_cycles, 0, "a CPU-only core runs no items");
 
-    // The deep engine on the same fleet: 3 BNN-capable cores, 3 segments.
+    // A deep model on the same fleet: 3 BNN-capable cores, 3 segments.
     let model = ncpu::soc::pseudo_deep_model(64, 12, 8, 8);
     let inputs: Vec<BitVec> =
         (0..4).map(|k| BitVec::from_bools((0..64).map(|i| (i * 5 + k) % 3 == 0))).collect();
     let deep_uc = UseCase::deep(model, &inputs);
     let scenario = Scenario::new(deep_uc, SystemConfig::Ncpu(mixed_fleet()));
-    let report = Deep.report(&scenario);
+    let report = EventDriven.report(&scenario);
     let roles: Vec<&str> = report.cores.iter().map(|c| c.role.as_str()).collect();
     println!("{:<14} {:>12}  {:?}", "deep", report.makespan, roles);
     assert_eq!(roles, ["seg0@core0", "seg1@core1", "seg2@core2"], "segment placement");

@@ -41,8 +41,8 @@ fn detail(v: f64) {
     let uc = UseCase::parametric(0.3, 2, model);
     let scenario = |system| Scenario::new(uc.clone(), system).with_operating_point(v);
     let dual_scenario = scenario(SystemConfig::ncpu(2));
-    let base = Analytic.report(&scenario(SystemConfig::Heterogeneous));
-    let dual = Analytic.report(&dual_scenario);
+    let base = EventDriven.report(&scenario(SystemConfig::Heterogeneous));
+    let dual = EventDriven.report(&dual_scenario);
     let volts = dual_scenario.volts();
     let (e_base, e_dual) = (
         energy::run_energy_uj(&base, &pm, &am, 30, volts),

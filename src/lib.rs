@@ -103,7 +103,6 @@ pub mod prelude {
     pub use ncpu_pipeline::{FlatMem, Pipeline};
     pub use ncpu_power::{AreaModel, CoreKind, PowerModel};
     pub use ncpu_soc::{
-        Analytic, Engine, EventDriven, FaultPlan, Lockstep, Scenario, SocConfig, SystemConfig,
-        UseCase,
+        Engine, EventDriven, FaultPlan, Lockstep, Scenario, SocConfig, SystemConfig, UseCase,
     };
 }

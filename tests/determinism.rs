@@ -4,14 +4,14 @@
 use ncpu::prelude::*;
 use ncpu::soc::RunReport;
 
-/// The default-fabric Analytic report of `uc` under `system`.
-fn analytic(uc: &UseCase, system: SystemConfig) -> RunReport {
-    Analytic.report(&Scenario::new(uc.clone(), system))
+/// The default-fabric EventDriven report of `uc` under `system`.
+fn event_report(uc: &UseCase, system: SystemConfig) -> RunReport {
+    EventDriven.report(&Scenario::new(uc.clone(), system))
 }
 
-/// A fully traced Analytic run of `uc` on two NCPU cores.
+/// A fully traced EventDriven run of `uc` on two NCPU cores.
 fn traced_dual(uc: &UseCase) -> (RunReport, ncpu::obs::Recorder) {
-    Analytic.run(
+    EventDriven.run(
         &Scenario::new(uc.clone(), SystemConfig::ncpu(2)).with_trace(TraceLevel::Full),
     )
 }
@@ -20,8 +20,8 @@ fn traced_dual(uc: &UseCase) -> (RunReport, ncpu::obs::Recorder) {
 fn soc_runs_are_bit_reproducible() {
     let mk = || {
         let uc = UseCase::motion(2, 4, 2);
-        let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let dual = analytic(&uc, SystemConfig::ncpu(2));
+        let base = event_report(&uc, SystemConfig::Heterogeneous);
+        let dual = event_report(&uc, SystemConfig::ncpu(2));
         (base.makespan, dual.makespan, base.predictions, dual.predictions)
     };
     assert_eq!(mk(), mk());
@@ -34,8 +34,8 @@ fn soc_runs_are_bit_reproducible() {
 fn image_use_case_reports_are_byte_identical() {
     let mk = || {
         let uc = UseCase::image(3, 4, 2);
-        let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let dual = analytic(&uc, SystemConfig::ncpu(2));
+        let base = event_report(&uc, SystemConfig::Heterogeneous);
+        let dual = event_report(&uc, SystemConfig::ncpu(2));
         format!("{base:?}\n{dual:?}")
     };
     assert_eq!(mk(), mk(), "image-classification reports must be byte-identical");
@@ -45,8 +45,8 @@ fn image_use_case_reports_are_byte_identical() {
 fn motion_use_case_reports_are_byte_identical() {
     let mk = || {
         let uc = UseCase::motion(3, 4, 2);
-        let base = analytic(&uc, SystemConfig::Heterogeneous);
-        let dual = analytic(&uc, SystemConfig::ncpu(2));
+        let base = event_report(&uc, SystemConfig::Heterogeneous);
+        let dual = event_report(&uc, SystemConfig::ncpu(2));
         format!("{base:?}\n{dual:?}")
     };
     assert_eq!(mk(), mk(), "motion-detection reports must be byte-identical");
@@ -230,8 +230,7 @@ fn trace_artifacts_are_thread_count_invariant() {
 /// The metrics block of the run artifact — per-item latency, service,
 /// queue-depth, and per-core utilization histograms — must be
 /// byte-identical across worker counts and across the lockstep and
-/// event-driven engines (the analytic path is covered by the artifact
-/// test above; lockstep/event equivalence is fuzzed in
+/// event-driven engines (lockstep/event equivalence is fuzzed in
 /// `engine_differential.rs`, and pinned here on a fixed workload).
 #[test]
 fn metrics_histograms_are_thread_count_invariant() {
@@ -255,7 +254,7 @@ fn metrics_histograms_are_thread_count_invariant() {
 /// across worker counts, for every engine that simulates recovery.
 #[test]
 fn faulted_runs_are_byte_identical_across_thread_counts() {
-    use ncpu::soc::{Analytic, Engine, EventDriven, Lockstep};
+    use ncpu::soc::{Engine, EventDriven, Lockstep};
     let plan = FaultPlan {
         seed: 21,
         sram_flip_ppm: 250_000,
@@ -274,7 +273,6 @@ fn faulted_runs_are_byte_identical_across_thread_counts() {
             .with_trace(TraceLevel::Full)
             .with_operating_point(0.9)
             .with_faults(plan);
-        let (an_report, an_rec) = Analytic.run(&scenario);
         let (ls_report, ls_rec) = Lockstep.run(&scenario);
         let (ev_report, ev_rec) = EventDriven.run(&scenario);
         assert!(
@@ -286,9 +284,7 @@ fn faulted_runs_are_byte_identical_across_thread_counts() {
             "the plan must inject something for this test to mean anything"
         );
         format!(
-            "{an_report:?}\n{}\n{}\n{ls_report:?}\n{}\n{}\n{ev_report:?}\n{}\n{}",
-            an_rec.counters().to_json(),
-            an_rec.metrics().to_json(),
+            "{ls_report:?}\n{}\n{}\n{ev_report:?}\n{}\n{}",
             ls_rec.counters().to_json(),
             ls_rec.metrics().to_json(),
             ev_rec.counters().to_json(),
@@ -305,7 +301,7 @@ fn faulted_runs_are_byte_identical_across_thread_counts() {
 /// until scenario 0 has been folded.
 #[test]
 fn merged_fleet_histogram_is_worker_count_invariant() {
-    use ncpu::soc::{Analytic, Engine};
+    use ncpu::soc::{Engine, EventDriven};
     use std::sync::{mpsc, Mutex};
     use std::time::Duration;
     let merged = |workers: usize| {
@@ -331,7 +327,7 @@ fn merged_fleet_histogram_is_worker_count_invariant() {
                         .recv_timeout(Duration::from_secs(30))
                         .expect("scenario 0 is folded while the last one is mapped");
                 }
-                let (report, _) = Analytic.run(&s);
+                let (report, _) = EventDriven.run(&s);
                 calls.lock().unwrap().push(format!("m{i}"));
                 (i, report.metrics.get("item.latency_cycles").cloned().unwrap_or_default())
             },

@@ -82,7 +82,7 @@ fn three_inference_paths_agree_on_motion() {
 #[test]
 fn soc_motion_predictions_match_host_pipeline() {
     let uc = UseCase::motion(3, 4, 2);
-    let report = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
+    let report = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
     // Recompute what the model says about each staged window.
     for (i, item) in uc.items().iter().enumerate() {
         // Rebuild the window input from the staged channel-major bytes.
@@ -113,8 +113,8 @@ fn soc_motion_predictions_match_host_pipeline() {
 fn dual_ncpu_full_utilization_vs_starved_baseline() {
     let model = pseudo_model(digits::PIXELS, 50, 10);
     let uc = UseCase::parametric(0.7, 6, model);
-    let base = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
-    let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
+    let base = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
+    let dual = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
     let base_accel = base.cores[1].utilization(base.makespan);
     assert!(base_accel < 0.5, "baseline accelerator should starve, got {base_accel}");
     for core in &dual.cores {

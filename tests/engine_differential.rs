@@ -429,11 +429,9 @@ fn check_case(case: &Case) -> Result<(), String> {
         "sorted event stream diverged"
     );
     if case.fault.is_some() {
-        let (an_report, an_rec) = Analytic.run(&scenario);
         for (engine, report, rec) in [
             ("lockstep", &ls_report, &ls_rec),
             ("event", &ev_report, &ev_rec),
-            ("analytic", &an_report, &an_rec),
         ] {
             check_termination(engine, report, rec)?;
         }

@@ -9,7 +9,7 @@
 //! the pins in the same commit with a note on why.
 
 use ncpu::prelude::*;
-use ncpu::soc::{EventDriven as EventEngine, Lockstep as LockstepEngine, RunReport};
+use ncpu::soc::RunReport;
 
 /// The soc crate's internal deterministic test model, replicated: 4
 /// hidden layers of `neurons`, weights `(i*7 + j*3 + l) % 5 < 2`, biases
@@ -46,14 +46,11 @@ fn analytic_engine_reproduces_pre_refactor_parametric_reports() {
     ];
     for (fraction, (het_makespan, het_busy), n1, n2) in table {
         let uc = UseCase::parametric(fraction, 2, model.clone());
-        let het = Analytic
-            .report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
+        let het = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
         check(&het, het_makespan, &[2, 2], &het_busy);
-        let one =
-            Analytic.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(1)));
+        let one = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(1)));
         check(&one, n1, &[2, 2], &[n1]);
-        let two =
-            Analytic.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
+        let two = EventDriven.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
         check(&two, n2, &[2, 2], &[n2, n2]);
         assert_eq!(
             fraction == 0.7,
@@ -66,9 +63,9 @@ fn analytic_engine_reproduces_pre_refactor_parametric_reports() {
 #[test]
 fn analytic_engine_reproduces_pre_refactor_motion_report() {
     let uc = UseCase::motion(2, 4, 2);
-    let het = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
+    let het = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
     check(&het, 43866, &[3, 2], &[42502, 1040]);
-    let two = Analytic.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
+    let two = EventDriven.report(&Scenario::new(uc, SystemConfig::ncpu(2)));
     check(&two, 22591, &[3, 2], &[21791, 21791]);
 }
 
@@ -76,7 +73,7 @@ fn analytic_engine_reproduces_pre_refactor_motion_report() {
 fn lockstep_engine_reproduces_pre_refactor_cosim_report() {
     let uc = UseCase::parametric(0.6, 4, pseudo_model(784, 30, 10));
     let scenario = Scenario::new(uc, SystemConfig::ncpu(2));
-    let (report, rec) = LockstepEngine.run(&scenario);
+    let (report, rec) = Lockstep.run(&scenario);
     check(&report, 4414, &[2, 2, 2, 2], &[4414, 4414]);
     assert_eq!(report.config, "2x ncpu");
     assert_eq!(rec.counters().get("soc.l2_conflict_cycles"), 2, "arbitration conflicts");
@@ -89,7 +86,7 @@ fn lockstep_engine_reproduces_pre_refactor_cosim_report() {
 fn event_engine_reproduces_pre_refactor_cosim_report() {
     let uc = UseCase::parametric(0.6, 4, pseudo_model(784, 30, 10));
     let scenario = Scenario::new(uc, SystemConfig::ncpu(2));
-    let (report, rec) = EventEngine.run(&scenario);
+    let (report, rec) = EventDriven.run(&scenario);
     check(&report, 4414, &[2, 2, 2, 2], &[4414, 4414]);
     assert_eq!(report.config, "2x ncpu");
     assert_eq!(rec.counters().get("soc.l2_conflict_cycles"), 2, "arbitration conflicts");
@@ -111,34 +108,34 @@ fn fnv(text: &str) -> u64 {
     ncpu::soc::fnv1a_64(text.as_bytes())
 }
 
-/// Pins a full Analytic run: the report fields of [`check`] plus FNV-1a
+/// Pins a full EventDriven run: the report fields of [`check`] plus FNV-1a
 /// hashes of the counter registry's and the metrics block's JSON.
-fn check_analytic(
+fn check_event_run(
     scenario: &Scenario,
     makespan: u64,
     predictions: &[usize],
     busy: &[u64],
     (counters, metrics): (u64, u64),
 ) {
-    let (report, rec) = Analytic.run(scenario);
+    let (report, rec) = EventDriven.run(scenario);
     check(&report, makespan, predictions, busy);
     let tag = &report.config;
     assert_eq!(fnv(&rec.counters().to_json()), counters, "{tag}: counter registry drifted");
     assert_eq!(fnv(&rec.metrics().to_json()), metrics, "{tag}: metrics block drifted");
 }
 
-/// The analytic scheduler on a mixed static fleet and under an active
-/// fault plan. Captured from the tree that still had a separate
-/// fault-free analytic loop, so the single loop must reproduce both.
-/// Since Analytic runs NCPU fleets on the event engine, the counter
-/// registries carry its `"soc.l2_conflict_cycles":0`; removing that one
-/// key gives back the bytes the earlier pins hashed.
+/// The fast scheduler on a mixed static fleet and under an active fault
+/// plan. Captured from the tree that still had a separate fault-free
+/// analytic loop, so the single loop must reproduce both. Since NCPU
+/// fleets run on the event clock, the counter registries carry its
+/// `"soc.l2_conflict_cycles":0`; removing that one key gives back the
+/// bytes the earlier pins hashed.
 #[test]
 fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
     let fleet = mixed_static_fleet();
     assert_eq!(fleet.label(), "R+R@0.7V+R");
     let image = Scenario::new(UseCase::image(13, 2, 1), SystemConfig::Ncpu(fleet.clone()));
-    check_analytic(
+    check_event_run(
         &image,
         605_480,
         &[7, 7, 6, 6, 8, 1, 7, 7, 3, 5, 7, 3, 5],
@@ -146,7 +143,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
         (0x05c5_f184_7c49_337c, 0x0d11_f2ba_736d_3122),
     );
     let motion = Scenario::new(UseCase::motion(13, 4, 2), SystemConfig::Ncpu(fleet));
-    check_analytic(
+    check_event_run(
         &motion,
         110_955,
         &[3, 2, 0, 2, 2, 0, 3, 1, 2, 5, 2, 2, 1],
@@ -168,7 +165,7 @@ fn analytic_engine_reproduces_mixed_fleet_and_faulted_reports() {
     let faulted = Scenario::new(UseCase::image(4, 2, 1), SystemConfig::ncpu(4))
         .with_operating_point(0.9)
         .with_faults(plan);
-    check_analytic(
+    check_event_run(
         &faulted,
         135_480,
         &[ncpu::soc::DROPPED_PREDICTION, 7, 6, 6],
@@ -187,10 +184,10 @@ fn recorder_fnvs(rec: &ncpu::obs::Recorder) -> [u64; 3] {
     ]
 }
 
-/// The Deep engine's staging prologue under two active fault plans, on
+/// The deep modes' staging prologue under two active fault plans, on
 /// one core (rollback) and two (series): flips, truncations and stalls
 /// with retries and drops, and a hang plan whose `quarantine_after` the
-/// deep engine must ignore (every core holds a resident segment, so
+/// deep body must ignore (every core holds a resident segment, so
 /// there is nowhere to re-schedule to). Captured before the prologue
 /// moved onto the shared fault-recovery path.
 #[test]
@@ -253,7 +250,7 @@ fn deep_engine_reproduces_faulted_prologue_reports() {
             .with_trace(TraceLevel::Full)
             .with_operating_point(0.9)
             .with_faults(plan);
-        let (report, rec) = ncpu::soc::Deep.run(&scenario);
+        let (report, rec) = EventDriven.run(&scenario);
         let tag = format!("seed {} on {cores} core(s)", plan.seed);
         assert_eq!(report.makespan, makespan, "{tag}: makespan");
         assert_eq!(report.predictions, predictions, "{tag}: predictions");

@@ -41,8 +41,8 @@ fn golden_dual_ncpu_speedup_exceeds_37pct_at_batch_2() {
     let model = pseudo_image_model(100);
     let improvement_at = |batch: usize| {
         let uc = UseCase::parametric(0.7, batch, model.clone());
-        let base = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
-        let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
+        let base = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
+        let dual = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
         dual.improvement_over(&base)
     };
     let at2 = improvement_at(2);
@@ -78,7 +78,7 @@ fn golden_utilization_ncpu_99pct_vs_starved_baseline() {
     let model = pseudo_image_model(100);
     let uc = UseCase::parametric(0.76, 2, model);
 
-    let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
+    let dual = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
     for core in &dual.cores {
         let util = core.utilization(dual.makespan);
         assert!(
@@ -88,7 +88,7 @@ fn golden_utilization_ncpu_99pct_vs_starved_baseline() {
         );
     }
 
-    let base = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
+    let base = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
     let util_of = |role: &str| {
         base.cores
             .iter()

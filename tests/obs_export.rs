@@ -37,7 +37,7 @@ fn chrome_trace_matches_golden_file() {
 fn traced_dual_run_artifacts_validate_and_pin_utilization() {
     let model = ncpu::bnn::BnnModel::zeros(&Topology::paper(784, 100, 10));
     let uc = UseCase::parametric(0.76, 2, model);
-    let (dual, rec) = Analytic.run(
+    let (dual, rec) = EventDriven.run(
         &Scenario::new(uc.clone(), SystemConfig::ncpu(2)).with_trace(TraceLevel::Full),
     );
     let artifact = dual.artifact(uc.name(), &rec);
@@ -75,7 +75,7 @@ fn traced_dual_run_artifacts_validate_and_pin_utilization() {
 fn full_trace_carries_instants_for_both_cores() {
     let model = ncpu::bnn::BnnModel::zeros(&Topology::paper(784, 50, 10));
     let uc = UseCase::parametric(0.5, 4, model);
-    let (_, rec) = Analytic
+    let (_, rec) = EventDriven
         .run(&Scenario::new(uc, SystemConfig::ncpu(2)).with_trace(TraceLevel::Full));
     for core in [0u16, 1] {
         assert!(
@@ -113,13 +113,12 @@ fn compact_artifacts_equal_the_parse_round_trip_across_the_grid() {
     };
     let parametric = UseCase::parametric(0.6, 4, ncpu::soc::pseudo_model(64, 20, 10));
     let use_cases = [UseCase::image(4, 2, 1), UseCase::motion(4, 2, 1), parametric];
-    let ncpu_engines: [(&str, &dyn Engine); 3] =
-        [("analytic", &Analytic), ("lockstep", &Lockstep), ("event", &EventDriven)];
+    let engines: [(&str, &dyn Engine); 2] = [("lockstep", &Lockstep), ("event", &EventDriven)];
     let mut runs = 0;
     for uc in &use_cases {
         let systems = [
-            (SystemConfig::ncpu(2), &ncpu_engines[..]),
-            (SystemConfig::Heterogeneous, &ncpu_engines[..1]),
+            (SystemConfig::ncpu(2), &engines[..]),
+            (SystemConfig::Heterogeneous, &engines[1..]),
         ];
         for (system, engines) in systems {
             for (name, engine) in engines {
@@ -145,5 +144,5 @@ fn compact_artifacts_equal_the_parse_round_trip_across_the_grid() {
             }
         }
     }
-    assert_eq!(runs, 3 * (3 + 1) * 2 * 2);
+    assert_eq!(runs, 3 * (2 + 1) * 2 * 2);
 }

@@ -40,8 +40,8 @@ fn claim_fig13_improvements() {
     let model = pseudo_image_model(100);
     for (fraction, expect) in [(0.7, 0.412), (0.4, 0.285)] {
         let uc = UseCase::parametric(fraction, 2, model.clone());
-        let base = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
-        let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
+        let base = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::Heterogeneous));
+        let dual = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
         let improvement = dual.improvement_over(&base);
         assert!(
             (improvement - expect).abs() < 0.06,
@@ -85,7 +85,7 @@ fn claim_full_utilization_across_batches() {
     let model = pseudo_image_model(50);
     for batch in [2usize, 10, 30] {
         let uc = UseCase::parametric(0.6, batch, model.clone());
-        let dual = Analytic.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
+        let dual = EventDriven.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(2)));
         for core in &dual.cores {
             assert!(
                 core.utilization(dual.makespan) > 0.95,

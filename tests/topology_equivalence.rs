@@ -1,12 +1,12 @@
 //! Topology equivalence on heterogeneous fabrics: on genuinely mixed
 //! fleets the twin engines stay byte-identical to each other,
-//! fixed-function cores stay out of the item plan, and the deep engine
-//! places segments on BNN-capable cores only. (The homogeneous default
+//! fixed-function cores stay out of the item plan, and a deep model's
+//! segments go on BNN-capable cores only. (The homogeneous default
 //! is pinned by `golden_equivalence.rs`.)
 
 use ncpu::prelude::*;
 use ncpu::soc::topology::{CoreRole, CoreSpec, Topology as FleetTopology};
-use ncpu::soc::{Deep, EventDriven as EventEngine, Lockstep as LockstepEngine, L2_BYTES};
+use ncpu::soc::{EventDriven as EventEngine, Lockstep as LockstepEngine, L2_BYTES};
 
 use ncpu::soc::{pseudo_deep_model, pseudo_model};
 
@@ -40,7 +40,7 @@ fn twin_engines_stay_byte_identical_on_mixed_fleets() {
     assert_eq!(ls.predictions, EventEngine.report(&scenario).predictions);
 }
 
-/// The deep engine maps model segments onto BNN-capable cores only:
+/// The deep body maps model segments onto BNN-capable cores only:
 /// a CPU-only core holds no segment, and the placement is recorded in
 /// the `deep.seg*.core` counters and `seg{s}@core{c}` roles.
 #[test]
@@ -51,7 +51,7 @@ fn deep_engine_places_segments_on_bnn_capable_cores_only() {
     let uc = UseCase::deep(model, &inputs);
 
     // Homogeneous 3-core reference: three segments, seg0..seg2.
-    let reference = Deep.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(3)));
+    let reference = EventEngine.report(&Scenario::new(uc.clone(), SystemConfig::ncpu(3)));
 
     // A 4-core fleet with one CPU-only core still has three BNN-capable
     // cores, so the pipeline shape — and every prediction — matches.
@@ -61,7 +61,7 @@ fn deep_engine_places_segments_on_bnn_capable_cores_only() {
     let topo =
         FleetTopology::from_specs(specs, vec![L2_BYTES]).expect("deep fleet is structurally valid");
     let scenario = Scenario::new(uc, SystemConfig::Ncpu(topo));
-    let (report, rec) = Deep.run(&scenario);
+    let (report, rec) = EventEngine.run(&scenario);
     assert_eq!(report.predictions, reference.predictions);
     assert_eq!(report.makespan, reference.makespan, "placement must not shift the pipeline");
     let roles: Vec<&str> = report.cores.iter().map(|c| c.role.as_str()).collect();
