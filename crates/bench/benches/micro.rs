@@ -71,12 +71,13 @@ fn bench_pipeline(b: &mut Bench) {
 
 /// One staged image item through the functional mode: the image
 /// pre-processing program plus its in-place classification, re-staged
-/// every iteration. `elements` is the instructions one item retires, so
-/// the row reads instructions per second.
+/// every iteration, its clock priced from the program's block table.
+/// `elements` is the instructions one item retires, so the row reads
+/// instructions per second.
 fn bench_functional_image_item(b: &mut Bench) {
     use ncpu_bnn::data::digits;
     use ncpu_core::{NcpuCore, SwitchPolicy};
-    use ncpu_pipeline::{PathLog, Program};
+    use ncpu_pipeline::Program;
     use ncpu_workloads::{image, Tail};
 
     let mut core = NcpuCore::new(
@@ -97,7 +98,7 @@ fn bench_functional_image_item(b: &mut Bench) {
         let (bank, off) = banks.resolve(0).expect("data cache starts at 0");
         banks.bank_mut(bank).load(off as usize, &staged);
         core.load_program(&program);
-        core.run_functional(u64::MAX, &mut PathLog::new())
+        core.run_functional(u64::MAX)
             .expect("image item runs")
             .expect("image item reads no L2")
     };

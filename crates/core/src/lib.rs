@@ -16,10 +16,10 @@
 //!   weights resident and hides deeper-layer weight loads behind
 //!   inference; the naive alternative (used by the switch-cost ablation)
 //!   pays an explicit weight-reload stall,
-//! * [`NcpuCore::run_functional`] runs a program untimed to the same
-//!   architectural end state as [`NcpuCore::run`] and records its
-//!   [`PathLog`](ncpu_pipeline::PathLog) — the only data-dependent input
-//!   to `run`'s timing, which replaying engines key cycle records on.
+//! * [`NcpuCore::run_functional`] runs a program without stepping the
+//!   pipeline to the end state [`NcpuCore::run`] reaches — clock,
+//!   counters, spans and L2 touches included — pricing its cycles block
+//!   by block and serving each `trans_bnn` where it retires.
 //!
 //! # Examples
 //!

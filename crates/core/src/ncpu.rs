@@ -8,9 +8,7 @@ use ncpu_accel::{packed_row_bytes, AccelConfig, Accelerator};
 use ncpu_bnn::{BitVec, BnnModel};
 use ncpu_isa::interp::Event;
 use ncpu_obs::{EventKind as ObsEvent, Mode, Recorder, TraceLevel};
-use ncpu_pipeline::{
-    FunctionalStop, PathLog, PipeError, PipeStats, Pipeline, PipelineConfig, Program,
-};
+use ncpu_pipeline::{FunctionalStop, PipeError, PipeStats, Pipeline, PipelineConfig, Program};
 use ncpu_sim::stats::Timeline;
 
 use crate::l2::SharedL2;
@@ -509,67 +507,32 @@ impl NcpuCore {
         self.span_start = self.total_cycles();
     }
 
-    /// Runs until `ebreak` retires, serving every mode switch on the way.
+    /// Runs until `ebreak` retires, serving every mode switch on the way:
+    /// [`step_n`](Self::step_n) with a budget of `max_cycles`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] on pipeline faults, invalid BNN configuration,
     /// or cycle-budget exhaustion.
     pub fn run(&mut self, max_cycles: u64) -> Result<(), CoreError> {
-        let deadline = self.total_cycles() + max_cycles;
-        while !self.pipeline.is_halted() {
-            if self.total_cycles() >= deadline {
-                return Err(CoreError::CycleLimit { limit: max_cycles });
-            }
-            if let Some(event) = self.pipeline.step()? {
-                match event {
-                    Event::MvNeu { value, neuron } if (neuron as usize) < TRANSITION_NEURONS => {
-                        self.transition[neuron as usize] = value;
-                    }
-                    Event::MvNeu { .. } => {}
-                    Event::TransBnn => {
-                        let stall = self.serve_bnn()?;
-                        self.extra_cycles += stall;
-                        self.span_start = self.total_cycles();
-                        self.pipeline.resume();
-                    }
-                    Event::TransCpu => {
-                        // Already in CPU mode: architecturally a no-op, but
-                        // the serializing semantics parked fetch.
-                        self.pipeline.resume();
-                    }
-                    Event::TriggerBnn => self.pending_triggers += 1,
-                    Event::Halted => break,
-                    _ => {}
-                }
-            }
+        let halted = max_cycles > 0 && self.step_n(max_cycles)?.0 == StepOutcome::Halted;
+        if halted || self.pipeline.is_halted() {
+            Ok(())
+        } else {
+            Err(CoreError::CycleLimit { limit: max_cycles })
         }
-        let now = self.total_cycles();
-        if now > self.span_start {
-            self.obs.phase(0, "cpu", self.span_start, now);
-            self.span_start = now;
-        }
-        self.sync_pipeline_obs();
-        Ok(())
     }
 
-    /// Runs the loaded program to `ebreak` without timing — the
-    /// functional twin of [`run`](Self::run). Registers, transition
-    /// neurons, pending triggers, bank contents (BNN results included)
-    /// and shared-L2 writes end exactly as `run` leaves them, and the
-    /// accelerator runs only its data half (see `serve_bnn`).
-    ///
-    /// Of the counters it advances exactly what those data accesses
-    /// advance: each SRAM bank's read and write counts and write
-    /// generation (every local load and store, and a batch's output
-    /// writes), the accelerator's activity counters
-    /// ([`Accelerator::stats`]) and the shared L2's access counts (every
-    /// `sw_l2`). The clock, [`CoreStats`], pipeline counters, recorder
-    /// shards and L2 touch log are not touched.
-    ///
-    /// Each `trans_bnn`'s image count is appended to `path` after the
-    /// pipeline's own entries (see [`PathLog`]), which makes the log the
-    /// whole data-dependent input to `run`'s timing.
+    /// Runs the loaded program to `ebreak` without stepping the pipeline
+    /// — the functional twin of [`run`](Self::run), priced by the block
+    /// (see [`Pipeline::run_functional`]). Every `trans_bnn` is served
+    /// where it retires, data and accounting half alike, its busy region
+    /// charged at once. Registers, transition neurons, pending triggers,
+    /// bank contents (BNN results included), shared-L2 writes, the
+    /// clock, [`CoreStats`], pipeline counters, the recorder shard's
+    /// spans and the L2 touch log end exactly as `run` leaves them; of
+    /// the instant events that only [`TraceLevel::Full`] records, the
+    /// pipeline's (retirements, stalls, L2 accesses) are not produced.
     ///
     /// Returns `Ok(None)` without executing an `lw_l2`: what it reads may
     /// depend on other cores, so the item needs a timed run. Otherwise
@@ -577,33 +540,22 @@ impl NcpuCore {
     ///
     /// # Errors
     ///
-    /// The [`CoreError`] a timed run of the same path raises, except that
-    /// the budget counts instructions: [`CoreError::CycleLimit`] once
+    /// The [`CoreError`] a timed run raises, except that the budget
+    /// counts instructions: [`CoreError::CycleLimit`] once
     /// `max_instructions` retire without a halt. Every instruction takes
     /// at least one cycle, so a program that halts within
     /// `max_instructions` cycles under [`run`](Self::run) halts here too.
-    pub fn run_functional(
-        &mut self,
-        max_instructions: u64,
-        path: &mut PathLog,
-    ) -> Result<Option<u64>, CoreError> {
+    pub fn run_functional(&mut self, max_instructions: u64) -> Result<Option<u64>, CoreError> {
         let mut retired = 0;
         loop {
-            let (stop, n) = self.pipeline.run_functional(max_instructions - retired, path)?;
+            let (stop, n) = self.pipeline.run_functional(max_instructions - retired)?;
             retired += n;
             match stop {
-                FunctionalStop::Event(Event::MvNeu { value, neuron })
-                    if (neuron as usize) < TRANSITION_NEURONS =>
-                {
-                    self.transition[neuron as usize] = value;
-                }
-                FunctionalStop::Event(Event::TransBnn) => {
-                    let (images, _) = self.bnn_data()?;
-                    path.push_value(images as u32);
-                }
-                FunctionalStop::Event(Event::TriggerBnn) => self.pending_triggers += 1,
-                FunctionalStop::Event(Event::Halted) => return Ok(Some(retired)),
-                FunctionalStop::Event(_) => {}
+                FunctionalStop::Event(event) => match self.retire(event)? {
+                    StepOutcome::Halted => return Ok(Some(retired)),
+                    StepOutcome::BnnBusy { remaining } => self.count_down(remaining),
+                    StepOutcome::Executing => {}
+                },
                 FunctionalStop::L2Read => return Ok(None),
                 FunctionalStop::Budget => {
                     return Err(CoreError::CycleLimit { limit: max_instructions })
@@ -616,8 +568,7 @@ impl NcpuCore {
     /// images sitting in the image memory and write the classes to the
     /// output memory. Returns the image count and the batch's BNN cycles,
     /// which depend only on that count, the model's shape and the
-    /// accelerator configuration. Shared by the timed and the functional
-    /// runs.
+    /// accelerator configuration.
     fn bnn_data(&mut self) -> Result<(usize, u64), CoreError> {
         let images = (self.transition[0].max(1)) as usize;
         let stride = self.image_stride();
@@ -660,13 +611,13 @@ impl NcpuCore {
         Ok((images, run.total_cycles))
     }
 
-    /// Serves one `trans_bnn` in a timed run: the data half
+    /// Serves one `trans_bnn`: the data half
     /// ([`bnn_data`](Self::bnn_data)), then the accounting half — the
     /// CPU, switch and BNN spans, the mode-switch and inference events,
     /// and the core counters. Returns the stall cycles the
     /// reconfiguration + inference occupy; the caller decides whether to
-    /// charge them at once ([`run`](Self::run)) or count them down
-    /// ([`step_one`](Self::step_one)).
+    /// charge them at once ([`run_functional`](Self::run_functional)) or
+    /// count them down ([`step_n`](Self::step_n)).
     fn serve_bnn(&mut self) -> Result<u64, CoreError> {
         let (images, bnn_cycles) = self.bnn_data()?;
 
@@ -722,64 +673,59 @@ impl NcpuCore {
     }
 
     /// Advances the core by exactly one cycle — the lock-step interface the
-    /// co-simulated SoC uses. CPU-mode cycles step the pipeline; BNN-mode
-    /// cycles count down the inference the `trans_bnn` started.
+    /// co-simulated SoC uses: [`step_n`](Self::step_n) of one cycle.
+    /// CPU-mode cycles step the pipeline; BNN-mode cycles count down the
+    /// inference the `trans_bnn` started.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] on pipeline faults or invalid BNN
     /// configuration.
     pub fn step_one(&mut self) -> Result<StepOutcome, CoreError> {
-        if self.pipeline.is_halted() {
-            return Ok(StepOutcome::Halted);
-        }
-        if self.busy_remaining > 0 {
-            self.busy_remaining -= 1;
-            self.extra_cycles += 1;
-            if self.busy_remaining == 0 {
-                self.span_start = self.total_cycles();
-                self.pipeline.resume();
-            }
-            return Ok(StepOutcome::BnnBusy { remaining: self.busy_remaining });
-        }
-        self.cpu_cycle()
+        self.step_n(1).map(|(outcome, _)| outcome)
     }
 
-    /// One CPU-mode cycle of a core that is neither halted nor in a BNN
-    /// busy region: the body [`step_one`](Self::step_one) and
-    /// [`step_n`](Self::step_n) share.
-    fn cpu_cycle(&mut self) -> Result<StepOutcome, CoreError> {
-        if let Some(event) = self.pipeline.step()? {
-            match event {
-                Event::MvNeu { value, neuron } if (neuron as usize) < TRANSITION_NEURONS => {
-                    self.transition[neuron as usize] = value;
-                }
-                Event::MvNeu { .. } => {}
-                Event::TransBnn => {
-                    let stall = self.serve_bnn()?;
-                    if stall == 0 {
-                        self.span_start = self.total_cycles();
-                        self.pipeline.resume();
-                    } else {
-                        self.busy_remaining = stall;
-                    }
-                    return Ok(StepOutcome::BnnBusy { remaining: self.busy_remaining });
-                }
-                Event::TransCpu => self.pipeline.resume(),
-                Event::TriggerBnn => self.pending_triggers += 1,
-                Event::Halted => {
-                    let now = self.total_cycles();
-                    if now > self.span_start {
-                        self.obs.phase(0, "cpu", self.span_start, now);
-                        self.span_start = now;
-                    }
-                    self.sync_pipeline_obs();
-                    return Ok(StepOutcome::Halted);
-                }
-                _ => {}
+    /// Acts on an instruction's retirement: the body the timed and the
+    /// functional runs share. A `trans_bnn` is served and leaves its
+    /// stall to count down (none left resumes the pipeline at once); the
+    /// `ebreak` closes the CPU span and syncs the pipeline's shard.
+    fn retire(&mut self, event: Event) -> Result<StepOutcome, CoreError> {
+        match event {
+            Event::MvNeu { value, neuron } if (neuron as usize) < TRANSITION_NEURONS => {
+                self.transition[neuron as usize] = value;
             }
+            Event::TransBnn => {
+                self.busy_remaining = self.serve_bnn()?;
+                self.count_down(0);
+                return Ok(StepOutcome::BnnBusy { remaining: self.busy_remaining });
+            }
+            // Already in CPU mode: architecturally a no-op, but the
+            // serializing semantics parked fetch.
+            Event::TransCpu => self.pipeline.resume(),
+            Event::TriggerBnn => self.pending_triggers += 1,
+            Event::Halted => {
+                let now = self.total_cycles();
+                if now > self.span_start {
+                    self.obs.phase(0, "cpu", self.span_start, now);
+                    self.span_start = now;
+                }
+                self.sync_pipeline_obs();
+                return Ok(StepOutcome::Halted);
+            }
+            _ => {}
         }
         Ok(StepOutcome::Executing)
+    }
+
+    /// Spends `k` cycles of the BNN busy region; once none is left, the
+    /// next CPU span starts and the pipeline resumes.
+    fn count_down(&mut self, k: u64) {
+        self.busy_remaining -= k;
+        self.extra_cycles += k;
+        if self.busy_remaining == 0 {
+            self.span_start = self.total_cycles();
+            self.pipeline.resume();
+        }
     }
 
     /// Advances the core by up to `n` cycles in one call.
@@ -823,16 +769,14 @@ impl NcpuCore {
         while consumed < n {
             if self.busy_remaining > 0 {
                 let k = (n - consumed).min(self.busy_remaining);
-                self.busy_remaining -= k;
-                self.extra_cycles += k;
+                self.count_down(k);
                 consumed += k;
-                if self.busy_remaining == 0 {
-                    self.span_start = self.total_cycles();
-                    self.pipeline.resume();
-                }
                 outcome = StepOutcome::BnnBusy { remaining: self.busy_remaining };
             } else {
-                outcome = self.cpu_cycle()?;
+                outcome = match self.pipeline.step()? {
+                    Some(event) => self.retire(event)?,
+                    None => StepOutcome::Executing,
+                };
                 consumed += 1;
                 if matches!(outcome, StepOutcome::Halted) {
                     break;

@@ -1,34 +1,36 @@
-//! Property test: a core's timing is a function of its path.
+//! Property test: a functional run prices an item exactly.
 //!
-//! The event engine's timing memo rests on two facts about
-//! [`NcpuCore::run_functional`], checked here on seeded random programs
-//! whose control flow, `jalr` targets, `sw_l2` addresses and
-//! `trans_bnn` image counts all depend on staged data:
+//! [`NcpuCore::run_functional`] sums each block's timing, measured once
+//! per program on the timed pipeline, and serves every `trans_bnn`
+//! where it retires. Checked here against a timed [`NcpuCore::run`] of
+//! the same program on the same data, at [`TraceLevel::Off`] and
+//! [`TraceLevel::Counters`]:
 //!
-//! * **Functional ≡ timed.** Run functionally, a program leaves exactly
-//!   the architectural state a timed [`NcpuCore::run`] leaves (replay
-//!   state, L2 words) and retires as many instructions.
-//! * **Path ⇒ timing.** Two data sets whose functional runs record equal
-//!   [`PathLog`]s take identical timed runs: cycles, pipeline and core
-//!   counters, recorded spans and events, and L2 touch cycles.
+//! * the architectural end state (replay state, L2 words) and the
+//!   instructions retired;
+//! * the clock, every [`PipeStats`] and [`CoreStats`] field, the
+//!   recorded spans and events, and the L2 touch cycles.
 //!
-//! Data words come from a tiny range, so different data sets often share
-//! a path (the second fact gets exercised) and often do not (a log that
-//! dropped a branch outcome would then merge paths with different
-//! timing).
+//! The random programs' branches, `jalr` targets, `sw_l2` addresses and
+//! `trans_bnn` image counts depend on staged data, so blocks are entered
+//! both ways and closed at every kind of end. The fabric's own item
+//! programs (image, motion, parametric) run under both switch policies,
+//! with layer pipelining on and off, two items in a row on one core.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use ncpu_accel::AccelConfig;
+use ncpu_bnn::data::{digits, motion};
 use ncpu_bnn::{BitVec, BnnModel, Topology};
 use ncpu_core::{CoreStats, NcpuCore, SwitchPolicy};
 use ncpu_isa::asm;
 use ncpu_obs::{Event, TraceLevel};
-use ncpu_pipeline::{PathLog, PipeStats};
+use ncpu_pipeline::PipeStats;
 use ncpu_testkit::prop::Prop;
 use ncpu_testkit::rng::Rng;
 use ncpu_testkit::{prop_assert, prop_assert_eq};
+use ncpu_workloads::{image, motion as motion_prog, spin, Tail};
 
 /// Registers the blocks compute on (data flows through them).
 const REGS: [&str; 8] = ["t0", "t1", "t2", "a0", "a1", "a2", "s2", "s3"];
@@ -37,6 +39,8 @@ const ALU: [&str; 8] = ["add", "sub", "xor", "mul", "or", "and", "slt", "sltu"];
 const WORDS: usize = 8;
 /// Data sets run per program.
 const SETS: usize = 6;
+/// The L2 mailbox the fabric programs write their class to.
+const MAILBOX: u32 = 0x40;
 
 fn small_model() -> BnnModel {
     let topo = Topology::new(32, vec![8, 8], 4);
@@ -52,15 +56,19 @@ fn small_model() -> BnnModel {
     BnnModel::new(topo, layers)
 }
 
-fn fresh_core(naive: bool, data: &[u8]) -> NcpuCore {
+fn core(model: &BnnModel, naive: bool, pipelining: bool, level: TraceLevel) -> NcpuCore {
     let policy = if naive { SwitchPolicy::Naive } else { SwitchPolicy::ZeroLatency };
-    let mut core = NcpuCore::new(small_model(), AccelConfig::default(), policy);
-    core.set_obs_level(TraceLevel::Full);
+    let config = AccelConfig { layer_pipelining: pipelining, ..AccelConfig::default() };
+    let mut core = NcpuCore::new(model.clone(), config, policy);
+    core.set_obs_level(level);
     core.set_l2_touch_log(true);
+    core
+}
+
+fn stage(core: &mut NcpuCore, data: &[u8]) {
     let banks = core.pipeline_mut().mem_mut().accel_mut().banks_mut();
     let (bank, off) = banks.resolve(0).expect("data cache starts at 0");
     banks.bank_mut(bank).load(off as usize, data);
-    core
 }
 
 /// One block of assembly per `(kind, x, y)`, decoded cyclically so
@@ -100,7 +108,7 @@ fn render(blocks: &[(u8, u8, u8)], image_base: u32, output_base: u32) -> String 
     src
 }
 
-/// What a timed run adds on top of its architectural effects.
+/// What a run adds on top of its architectural effects.
 #[derive(Debug, PartialEq)]
 struct Timing {
     cycles: u64,
@@ -111,7 +119,53 @@ struct Timing {
     touches: Vec<u64>,
 }
 
-type Case = (bool, Vec<(u8, u8, u8)>, Vec<Vec<u8>>);
+impl Timing {
+    fn of(core: &mut NcpuCore) -> Timing {
+        Timing {
+            cycles: core.total_cycles(),
+            pipe: *core.pipeline().stats(),
+            core: *core.stats(),
+            spans: core.obs().spans().to_vec(),
+            events: core.obs().events().to_vec(),
+            touches: core.take_l2_touch_cycles(),
+        }
+    }
+}
+
+/// Loads `program` on both cores, runs `functional` functionally and
+/// `timed` cycle by cycle, and compares the two. Returns the timed
+/// run's retired count and timing.
+fn check(
+    functional: &mut NcpuCore,
+    timed: &mut NcpuCore,
+    program: &ncpu_pipeline::Program,
+    what: &str,
+) -> Result<(u64, Timing), String> {
+    functional.load_program(program);
+    let retired = functional
+        .run_functional(10_000_000)
+        .map_err(|e| format!("functional run failed: {e}\n{what}"))?
+        .ok_or_else(|| format!("no lw_l2 was generated\n{what}"))?;
+    timed.load_program(program);
+    let before = timed.pipeline().stats().retired;
+    timed.run(100_000_000).map_err(|e| format!("timed run failed: {e}\n{what}"))?;
+
+    prop_assert!(
+        functional.replay_state() == timed.replay_state(),
+        "functional and timed runs end in different states\n{}",
+        what
+    );
+    for addr in (64..80).step_by(4) {
+        let l2 = |c: &NcpuCore| c.pipeline().mem().l2().read_word(addr);
+        prop_assert_eq!(l2(functional), l2(timed), "L2 word {} differs\n{}", addr, what);
+    }
+    prop_assert_eq!(retired, timed.pipeline().stats().retired - before, "retired\n{}", what);
+    let timing = Timing::of(timed);
+    prop_assert_eq!(Timing::of(functional), timing, "priced timing differs\n{}", what);
+    Ok((retired, timing))
+}
+
+type Case = (bool, bool, Vec<(u8, u8, u8)>, Vec<Vec<u8>>);
 
 fn case(rng: &mut Rng) -> Case {
     let len = rng.gen_range(1usize..24);
@@ -120,68 +174,114 @@ fn case(rng: &mut Rng) -> Case {
         .collect();
     let sets: Vec<Vec<u8>> =
         (0..SETS).map(|_| (0..WORDS).map(|_| rng.gen_range(0u8..3)).collect()).collect();
-    (rng.gen_bool(0.3), blocks, sets)
+    (rng.gen_bool(0.3), rng.gen_bool(0.5), blocks, sets)
 }
 
 #[test]
-fn equal_paths_take_equal_timed_runs() {
-    let shared_paths = Cell::new(0u32);
+fn random_programs_price_to_their_timed_runs() {
+    let model = small_model();
+    // Cases whose data sets took different paths through one program,
+    // runs with a taken transfer (a block closed at a taken branch or
+    // jump, the next one entered by it), and runs with a `trans_bnn` (a
+    // block entered from a drained pipeline mid-program).
     let split_paths = Cell::new(0u32);
-    Prop::new("core::equal_paths_take_equal_timed_runs").run(case, |(naive, blocks, sets)| {
-        let probe = fresh_core(*naive, &[]);
-        let src = render(blocks, probe.image_base(), probe.output_base());
-        let program = asm::assemble(&src).map_err(|e| format!("assembly failed: {e}\n{src}"))?;
-        let mut seen: HashMap<PathLog, Timing> = HashMap::new();
-        for words in sets {
-            let data: Vec<u8> = words.iter().flat_map(|&w| u32::from(w).to_le_bytes()).collect();
-
-            let mut functional = fresh_core(*naive, &data);
-            functional.load_program(program.clone());
-            let mut path = PathLog::new();
-            let retired = functional
-                .run_functional(1_000_000, &mut path)
-                .map_err(|e| format!("functional run failed: {e}\n{src}"))?
-                .ok_or_else(|| format!("no lw_l2 was generated\n{src}"))?;
-
-            let mut timed = fresh_core(*naive, &data);
-            timed.load_program(program.clone());
-            timed.run(10_000_000).map_err(|e| format!("timed run failed: {e}\n{src}"))?;
-
-            prop_assert!(
-                functional.replay_state() == timed.replay_state(),
-                "functional and timed runs end in different states\n{}",
-                src
-            );
-            for addr in (64..80).step_by(4) {
-                let l2 = |c: &NcpuCore| c.pipeline().mem().l2().read_word(addr);
-                prop_assert_eq!(l2(&functional), l2(&timed), "L2 word {} differs\n{}", addr, src);
+    let taken = Cell::new(0u32);
+    let drained = Cell::new(0u32);
+    Prop::new("core::random_programs_price_to_their_timed_runs").run(
+        case,
+        |(naive, counters, blocks, sets)| {
+            let level = if *counters { TraceLevel::Counters } else { TraceLevel::Off };
+            let probe = core(&model, *naive, true, level);
+            let src = render(blocks, probe.image_base(), probe.output_base());
+            let words = asm::assemble(&src).map_err(|e| format!("assembly failed: {e}\n{src}"))?;
+            // One decoded program for every data set, so later sets run
+            // on blocks earlier ones measured.
+            let program = ncpu_pipeline::Program::new(words);
+            let mut paths = HashSet::new();
+            for words in sets {
+                let data: Vec<u8> =
+                    words.iter().flat_map(|&w| u32::from(w).to_le_bytes()).collect();
+                let mut functional = core(&model, *naive, true, level);
+                let mut timed = core(&model, *naive, true, level);
+                stage(&mut functional, &data);
+                stage(&mut timed, &data);
+                let (retired, timing) = check(&mut functional, &mut timed, &program, &src)?;
+                paths.insert((retired, timing.cycles));
+                taken.set(taken.get() + u32::from(timing.pipe.flush_cycles > 0));
+                drained.set(drained.get() + u32::from(timing.core.images_inferred > 0));
             }
-            prop_assert_eq!(retired, timed.pipeline().stats().retired, "retired\n{}", src);
-            prop_assert_eq!(functional.total_cycles(), 0, "functional runs take no cycles\n{}", src);
+            split_paths.set(split_paths.get() + u32::from(paths.len() > 1));
+            Ok(())
+        },
+    );
+    assert!(split_paths.get() > 0, "no program ever took two paths");
+    assert!(taken.get() > 0, "no run ever took a branch or jump");
+    assert!(drained.get() > 0, "no run ever ran a trans_bnn");
+}
 
-            let timing = Timing {
-                cycles: timed.total_cycles(),
-                pipe: *timed.pipeline().stats(),
-                core: *timed.stats(),
-                spans: timed.obs().spans().to_vec(),
-                events: timed.obs().events().to_vec(),
-                touches: timed.take_l2_touch_cycles(),
-            };
-            match seen.get(&path) {
-                Some(earlier) => {
-                    shared_paths.set(shared_paths.get() + 1);
-                    prop_assert_eq!(earlier, &timing, "equal paths, different timing\n{}", src);
-                }
-                None => {
-                    if !seen.is_empty() {
-                        split_paths.set(split_paths.get() + 1);
+/// A fabric item program: its use-case kind, model, words and the
+/// staged bytes of the items it runs.
+type FabricProgram = (&'static str, BnnModel, Vec<u32>, Vec<Vec<u8>>);
+
+/// One fabric item program per use-case kind, with its model and the
+/// staged bytes of two items (none for the parametric spin loop).
+fn fabric_programs() -> Vec<FabricProgram> {
+    let probe = |model: &BnnModel| core(model, false, true, TraceLevel::Off);
+    let tail = |core: &NcpuCore| Tail::NcpuClassify {
+        output_base: core.output_base(),
+        result_l2: MAILBOX,
+    };
+    let mut rng = Rng::seed_from_u64(9);
+
+    let image_model = BnnModel::zeros(&Topology::paper(digits::PIXELS, 100, digits::CLASSES));
+    let c = probe(&image_model);
+    let layout = image::ImageLayout::default();
+    let image_words = image::preprocess_program(&layout, c.image_base(), tail(&c));
+    let noise = digits::DigitsConfig::default().noise;
+    let images = (0..2)
+        .map(|d| image::stage_bytes(&digits::render_raw(d + 3, noise, &mut rng)))
+        .collect();
+
+    let motion_model = BnnModel::zeros(&Topology::paper(motion::INPUT_BITS, 100, motion::CLASSES));
+    let c = probe(&motion_model);
+    let layout = motion_prog::MotionLayout::default();
+    let motion_words = motion_prog::feature_program(&layout, c.image_base(), tail(&c));
+    let noise = motion::MotionConfig::default().noise;
+    let windows = (0..2)
+        .map(|l| motion_prog::stage_bytes(&motion::generate_window(l + 1, noise, &mut rng)))
+        .collect();
+
+    let spin_model = BnnModel::zeros(&Topology::paper(784, 30, 10));
+    let c = probe(&spin_model);
+    let src = format!("{}\n{}", spin::spin_source(2_000), tail(&c).asm(0));
+    let spin_words = asm::assemble(&src).expect("parametric program");
+
+    vec![
+        ("image", image_model, image_words, images),
+        ("motion", motion_model, motion_words, windows),
+        ("parametric", spin_model, spin_words, vec![Vec::new(); 2]),
+    ]
+}
+
+#[test]
+fn fabric_programs_price_to_their_timed_runs() {
+    for (kind, model, words, items) in fabric_programs() {
+        let program = ncpu_pipeline::Program::new(words);
+        for naive in [false, true] {
+            for pipelining in [true, false] {
+                for level in [TraceLevel::Off, TraceLevel::Counters] {
+                    let mut functional = core(&model, naive, pipelining, level);
+                    let mut timed = core(&model, naive, pipelining, level);
+                    for (i, staged) in items.iter().enumerate() {
+                        stage(&mut functional, staged);
+                        stage(&mut timed, staged);
+                        let what = format!(
+                            "{kind} item {i}, naive {naive}, pipelining {pipelining}, {level:?}"
+                        );
+                        check(&mut functional, &mut timed, &program, &what).unwrap();
                     }
-                    seen.insert(path, timing);
                 }
             }
         }
-        Ok(())
-    });
-    assert!(shared_paths.get() > 0, "no two data sets ever shared a path");
-    assert!(split_paths.get() > 0, "no program ever took two paths");
+    }
 }

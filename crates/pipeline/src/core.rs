@@ -2,20 +2,21 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use ncpu_isa::interp::Event;
 use ncpu_isa::{DecodeError, Instruction, Reg};
 use ncpu_obs::{EventKind as ObsEvent, Recorder, StallCause, TraceLevel};
 use ncpu_sim::SramBank;
 
-use crate::functional::{FunctionalStop, PathLog};
+use crate::functional::FunctionalStop;
 use crate::memport::{MemFault, MemPort};
-use crate::program::{Op, Program};
+use crate::program::{BlockKey, BlockTiming, Entry, Op, Program};
 use crate::stats::PipeStats;
 use crate::trace::{RetireTrace, TraceEntry};
 
 /// Timing parameters of the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     /// Extra EX-stage cycles for `mul` (the paper realizes the multiplier
     /// from neuron adders, so it is multi-cycle).
@@ -150,6 +151,13 @@ pub struct Pipeline<M> {
     /// observing access-counter deltas every cycle.
     l2_touch_log: bool,
     l2_touches: Vec<u64>,
+    /// The functional mode's open block: its first word and how it was
+    /// entered. A restart opens a drained block at the new PC.
+    block: (u32, Entry),
+    /// Set only on a block probe (see `measure_block`): the PC of the
+    /// block's last word. Every conditional branch before it falls
+    /// through, and every taken transfer fetches from it next.
+    steer: Option<u32>,
 }
 
 impl<M: MemPort> Pipeline<M> {
@@ -182,6 +190,8 @@ impl<M: MemPort> Pipeline<M> {
             obs: Recorder::disabled(),
             l2_touch_log: false,
             l2_touches: Vec::new(),
+            block: (0, Entry::Drained),
+            steer: None,
         }
     }
 
@@ -320,6 +330,7 @@ impl<M: MemPort> Pipeline<M> {
         self.ex_busy = 0;
         self.fetch_halted = false;
         self.halted = false;
+        self.block = (pc / 4, Entry::Drained);
     }
 
     /// Resumes fetching after a serializing instruction parked the core
@@ -564,7 +575,7 @@ impl<M: MemPort> Pipeline<M> {
         let mut mem_remaining = 0u64;
 
         let redirect = |this: &mut Self, target: u32, squash: &mut bool| {
-            this.pc = target;
+            this.pc = this.steer.unwrap_or(target);
             this.if_id = None;
             this.stats.flush_cycles += 2;
             if this.obs.wants_events() {
@@ -586,7 +597,11 @@ impl<M: MemPort> Pipeline<M> {
                 redirect(self, target, squash_fetch);
             }
             Instruction::Branch { op, rs1, rs2, offset } => {
-                if op.taken(self.resolve(rs1), self.resolve(rs2)) {
+                let taken = match self.steer {
+                    Some(last) => pc == last,
+                    None => op.taken(self.resolve(rs1), self.resolve(rs2)),
+                };
+                if taken {
                     redirect(self, pc.wrapping_add(offset as u32), squash_fetch);
                 }
             }
@@ -643,19 +658,26 @@ impl<M: MemPort> Pipeline<M> {
         Ok(())
     }
 
-    /// Executes the program from the current PC without timing: the
-    /// program's micro-op table (see [`Program`]), checking the budget
-    /// and the PC only on entry and after taken jumps, with exactly the
-    /// data accesses the MEM stage would perform, recording every
-    /// data-dependent choice into `path` (see [`PathLog`]). Returns why
+    /// Executes the program from the current PC without stepping the
+    /// stages: the program's micro-op table (see [`Program`]), checking
+    /// the budget and the PC only on entry and after taken jumps, with
+    /// exactly the data accesses the MEM stage would perform. Returns why
     /// it stopped and how many instructions retired.
     ///
     /// Registers, memory, the PC and (at `ebreak`) the halt flags end as
-    /// a [`run`](Self::run) over the same instructions leaves them. The
-    /// mode touches nothing else of the pipeline: cycle and retire
-    /// counters, the retire trace, recorder events and the L2 touch log
-    /// stay as they were, and a caller that needs them replays them from
-    /// a timed execution of the same path.
+    /// a [`run`](Self::run) over the same instructions leaves them. So do
+    /// the counters ([`stats`](Self::stats)) and the L2 touch log, priced
+    /// by the block: each straight-line run of words that ends at a taken
+    /// transfer or at a serializing `ebreak`, `trans_bnn` or `trans_cpu`
+    /// adds, when it ends, what the timed pipeline takes for it from that
+    /// entry, measured once per program on the timed pipeline itself.
+    /// A block's timing depends on nothing else: local accesses never
+    /// stall, and after a taken transfer or a drain nothing of the
+    /// previous block is left in flight. A block still open at a stop
+    /// that is not an end (`mv_neu`, `trigger_bnn`, `ecall`, the budget)
+    /// continues in the next call; one open at an `lw_l2` or a fault is
+    /// never priced. The retire trace and recorder events (which only
+    /// [`TraceLevel::Full`] holds) are not produced.
     ///
     /// Behind the port it touches what the MEM stage's accesses touch.
     /// A local access that lies wholly inside the port's
@@ -666,7 +688,8 @@ impl<M: MemPort> Pipeline<M> {
     /// generation, and each `sw_l2` counts as the port counts it.
     ///
     /// Call it on a drained pipeline (after [`restart_at`](Self::restart_at)
-    /// or a completed run): in-flight latches are not consulted.
+    /// or a previous functional call): in-flight latches are not
+    /// consulted.
     ///
     /// # Errors
     ///
@@ -674,11 +697,7 @@ impl<M: MemPort> Pipeline<M> {
     /// [`PipeError::Decode`] for a bad word it would execute,
     /// [`PipeError::PcOutOfRange`] for a PC outside the program, and
     /// [`PipeError::Mem`] for an unmapped access.
-    pub fn run_functional(
-        &mut self,
-        budget: u64,
-        path: &mut PathLog,
-    ) -> Result<(FunctionalStop, u64), PipeError> {
+    pub fn run_functional(&mut self, budget: u64) -> Result<(FunctionalStop, u64), PipeError> {
         debug_assert!(self.is_drained(), "functional execution starts from a drained pipeline");
         let image = self.imem.clone();
         let ops = image.ops();
@@ -687,9 +706,12 @@ impl<M: MemPort> Pipeline<M> {
         // is never written: `x0` reads zero.
         let mut regs = [0u32; 256];
         regs[..32].copy_from_slice(&self.regs);
-        // The branch outcomes go into a local word, handed to `path`
-        // when full and at the end of the call.
-        let (mut word, mut fill) = path.open_branches();
+        // The blocks this call closed, each with its visits. Their
+        // counters are added once, at the end of the call; the clock
+        // advances at every close, which stamps the touches.
+        let mut closed = Closed::default();
+        let mut clock = self.stats.cycles;
+        let (mut first, mut entry) = self.block;
         // The data-cache bank and its base; a port without one gets an
         // empty bank, which no access lies inside. Re-taken after every
         // access through the port, which needs the port back.
@@ -737,25 +759,36 @@ impl<M: MemPort> Pipeline<M> {
                         ((i + $k) as u32).wrapping_mul(4)
                     };
                 }
-                // A taken jump retires word `k` and opens a block at `target`.
+                // The open block ends at word `k`, and the next one
+                // (at `pc`) is entered as `$next`.
+                macro_rules! close {
+                    ($k:expr, $next:expr) => {{
+                        let last = (i + $k) as u32;
+                        let key = BlockKey { first, last, entry, config: self.config };
+                        let visit = closed.visit(key, || image.block_timing(key));
+                        visit.visits += 1;
+                        if visit.touches && self.l2_touch_log {
+                            let touches = visit.timing.touches.iter().map(|t| clock + t);
+                            self.l2_touches.extend(touches);
+                        }
+                        clock += visit.cycles;
+                        (first, entry) = (pc / 4, $next);
+                    }};
+                }
+                // A taken jump retires word `k`, ends the block and opens
+                // one at `target`.
                 macro_rules! jump {
                     ($k:expr, $target:expr) => {{
                         retired = base.wrapping_add((i + $k + 1) as u64);
                         pc = $target;
+                        close!($k, Entry::Taken);
                         continue 'block;
                     }};
                 }
-                // A conditional branch records its outcome; taken, it redirects.
+                // A conditional branch redirects if taken.
                 macro_rules! branch {
                     ($k:expr, $taken:expr, $target:expr) => {{
-                        let taken = $taken;
-                        word |= u64::from(taken) << fill;
-                        fill += 1;
-                        if fill == 64 {
-                            path.push_branch_word(word);
-                            (word, fill) = (0, 0);
-                        }
-                        if taken {
+                        if $taken {
                             jump!($k, $target)
                         }
                     }};
@@ -766,6 +799,16 @@ impl<M: MemPort> Pipeline<M> {
                     ($event:expr) => {{
                         retired = base.wrapping_add((i + 1) as u64);
                         pc = at!(1);
+                        break 'block Ok(FunctionalStop::Event($event));
+                    }};
+                }
+                // A serializing instruction also drains the pipeline,
+                // which ends the block.
+                macro_rules! drain {
+                    ($event:expr) => {{
+                        retired = base.wrapping_add((i + 1) as u64);
+                        pc = at!(1);
+                        close!(0, Entry::Drained);
                         break 'block Ok(FunctionalStop::Event($event));
                     }};
                 }
@@ -828,7 +871,6 @@ impl<M: MemPort> Pipeline<M> {
                     }
                     Op::Jalr { rd, rs1, offset, link } => {
                         let target = x!(rs1).wrapping_add(offset) & !1;
-                        path.push_value(target);
                         x!(rd) = link;
                         jump!(0, target)
                     }
@@ -900,16 +942,14 @@ impl<M: MemPort> Pipeline<M> {
                     Op::Ebreak => {
                         self.halted = true;
                         self.fetch_halted = true;
-                        stop!(Event::Halted)
+                        drain!(Event::Halted)
                     }
                     Op::MvNeu { rs1, neuron } => stop!(Event::MvNeu { value: x!(rs1), neuron }),
-                    Op::TransBnn => stop!(Event::TransBnn),
-                    Op::TransCpu => stop!(Event::TransCpu),
+                    Op::TransBnn => drain!(Event::TransBnn),
+                    Op::TransCpu => drain!(Event::TransCpu),
                     Op::TriggerBnn => stop!(Event::TriggerBnn),
                     Op::SwL2 { rs1, rs2, offset } => {
-                        let addr = x!(rs1).wrapping_add(offset);
-                        port!(0, self.mem.write_l2(addr, x!(rs2)));
-                        path.push_value(addr);
+                        port!(0, self.mem.write_l2(x!(rs1).wrapping_add(offset), x!(rs2)));
                     }
                     Op::LwL2 => {
                         retired = base.wrapping_add(i as u64);
@@ -951,7 +991,11 @@ impl<M: MemPort> Pipeline<M> {
             retired = base.wrapping_add(end as u64);
             pc = (end as u32).wrapping_mul(4);
         };
-        path.close_branches(word, fill);
+        for visit in &closed.visits {
+            self.stats.merge_times(&visit.timing.stats, visit.visits);
+        }
+        debug_assert_eq!(self.stats.cycles, clock);
+        self.block = (first, entry);
         self.regs.copy_from_slice(&regs[..32]);
         self.pc = pc;
         outcome.map(|stop| (stop, retired))
@@ -998,4 +1042,106 @@ impl<M: MemPort> Pipeline<M> {
             }
         }
     }
+}
+
+/// One block a functional call closed: its timing and its visits, with
+/// what every visit reads copied out of the shared entry.
+struct Visit {
+    key: u64,
+    cycles: u64,
+    touches: bool,
+    timing: Arc<BlockTiming>,
+    visits: u64,
+}
+
+/// The blocks one functional call closed, found through a direct-mapped
+/// index on the block's words and entry: a loop finds its block in one
+/// probe.
+struct Closed {
+    visits: Vec<Visit>,
+    index: [u32; 64],
+}
+
+impl Default for Closed {
+    fn default() -> Closed {
+        Closed { visits: Vec::new(), index: [u32::MAX; 64] }
+    }
+}
+
+impl Closed {
+    /// The visit record of block `key`, priced by `price` the first
+    /// time this call closes it.
+    #[inline(always)]
+    fn visit(&mut self, key: BlockKey, price: impl FnOnce() -> Arc<BlockTiming>) -> &mut Visit {
+        let packed = u64::from(key.first) << 32
+            | u64::from(key.last) << 1
+            | u64::from(key.entry == Entry::Taken);
+        let slot = (packed ^ packed >> 32) as usize % self.index.len();
+        let at = self.index[slot] as usize;
+        if self.visits.get(at).is_none_or(|v| v.key != packed) {
+            self.index[slot] = match self.visits.iter().position(|v| v.key == packed) {
+                Some(at) => at as u32,
+                None => {
+                    let timing = price();
+                    self.visits.push(Visit {
+                        key: packed,
+                        cycles: timing.stats.cycles,
+                        touches: !timing.touches.is_empty(),
+                        timing,
+                        visits: 0,
+                    });
+                    (self.visits.len() - 1) as u32
+                }
+            };
+        }
+        &mut self.visits[self.index[slot] as usize]
+    }
+}
+
+/// The data path of a block probe: every access succeeds, reads return
+/// zero and nothing is kept. No value reaches a block's timing: the
+/// probe steers its branches (`Pipeline::steer`).
+struct NoData;
+
+impl MemPort for NoData {
+    fn read_local(&mut self, _: u32, _: u32) -> Result<u32, MemFault> {
+        Ok(0)
+    }
+
+    fn write_local(&mut self, _: u32, _: u32, _: u32) -> Result<(), MemFault> {
+        Ok(())
+    }
+
+    fn read_l2(&mut self, _: u32) -> Result<u32, MemFault> {
+        Ok(0)
+    }
+
+    fn write_l2(&mut self, _: u32, _: u32) -> Result<(), MemFault> {
+        Ok(())
+    }
+}
+
+/// Measures one visit of block `key` on the timed pipeline: a probe
+/// restarted at the block's first word (a drained entry), stepped two
+/// cycles further for a taken entry, then stepped until the block's
+/// last word retires, with every branch but the last falling through.
+///
+/// Every counter a block's instructions advance advances by the cycle
+/// its last instruction retires, and none of the next block's does
+/// before then: a taken transfer or a serializing instruction leaves
+/// nothing in flight, so the next block's first instruction reaches EX
+/// only after it retires.
+pub(crate) fn measure_block(program: &Program, key: BlockKey) -> BlockTiming {
+    let mut probe = Pipeline::with_config(program, NoData, key.config);
+    probe.steer = Some(key.last * 4);
+    probe.l2_touch_log = true;
+    probe.restart_at(key.first * 4);
+    if key.entry == Entry::Taken {
+        probe.step().and_then(|_| probe.step()).expect("fetch and decode do not fault");
+        probe.stats = PipeStats::default();
+    }
+    while probe.stats.retired <= u64::from(key.last - key.first) {
+        probe.step().expect("a block the functional mode ran steps without a fault");
+    }
+    BlockTiming { stats: probe.stats, touches: probe.l2_touches.into() }
 }

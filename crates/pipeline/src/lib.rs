@@ -21,8 +21,8 @@
 //!   micro-op dispatched by a single `match`, adjacent pairs fused per
 //!   basic block, with the budget and PC checked only on entry and after
 //!   taken jumps, and data-cache accesses made on the bank in place —
-//!   and records its [`PathLog`], the only data-dependent input to the
-//!   pipeline's timing.
+//!   whose counters and clock are priced by the block from a table each
+//!   [`Program`] fills on the timed pipeline.
 //!
 //! Architectural results are differential-tested against the functional
 //! golden model in [`ncpu_isa::interp`].
@@ -54,7 +54,7 @@ mod stats;
 mod trace;
 
 pub use crate::core::{Pipeline, PipelineConfig, PipeError};
-pub use functional::{FunctionalStop, PathLog};
+pub use functional::FunctionalStop;
 pub use memport::{FlatMem, MemFault, MemPort};
 pub use program::Program;
 pub use stats::{InstrCounts, PipeStats};

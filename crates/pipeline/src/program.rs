@@ -20,10 +20,18 @@
 //!   enters there (a `jalr` target, a resumed budget stop) runs it
 //!   alone, and the pairing of the rest of the block does not depend on
 //!   where execution entered.
+//!
+//! The functional mode prices its execution from the program's block
+//! table, filled on first use (see [`Program::block_timing`]).
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ncpu_isa::{decode, AluOp, BranchOp, DecodeError, Instruction, LoadOp, Reg, StoreOp};
+
+use crate::core::PipelineConfig;
+use crate::stats::PipeStats;
 
 /// A program image decoded once: the raw words next to each word's
 /// decode result, which the pipeline's ID stage takes instead of calling
@@ -38,15 +46,61 @@ use ncpu_isa::{decode, AluOp, BranchOp, DecodeError, Instruction, LoadOp, Reg, S
 ///
 /// Cloning shares the image (reference-counted), so an engine that runs
 /// the same program for every item decodes and lowers it once and hands
-/// each load a handle.
+/// each load a handle, and every clone shares one block table.
 #[derive(Debug, Clone)]
 pub struct Program(Arc<Image>);
 
-#[derive(Debug)]
 struct Image {
     words: Vec<u32>,
     decoded: Vec<Result<Instruction, DecodeError>>,
     ops: Vec<Op>,
+    blocks: Mutex<HashMap<BlockKey, Arc<BlockTiming>>>,
+}
+
+impl fmt::Debug for Image {
+    /// Leaves the block table out: it is a cache, not part of the
+    /// program's value.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Image")
+            .field("words", &self.words)
+            .field("decoded", &self.decoded)
+            .field("ops", &self.ops)
+            .finish_non_exhaustive()
+    }
+}
+
+/// How the pipeline entered a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Entry {
+    /// From a drained pipeline: a restart, or the instruction after a
+    /// serializing `trans_bnn` or `trans_cpu` retired.
+    Drained,
+    /// By a taken jump or branch, which redirects fetch in EX: when it
+    /// retires two cycles later, the target is fetched and decoded.
+    Taken,
+}
+
+/// A block of the program's table: the straight-line run of words
+/// `first..=last` that ends at a taken transfer or a serializing
+/// instruction (every conditional branch before `last` falls through),
+/// entered as `entry` on a pipeline with latencies `config`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct BlockKey {
+    pub(crate) first: u32,
+    pub(crate) last: u32,
+    pub(crate) entry: Entry,
+    pub(crate) config: PipelineConfig,
+}
+
+/// What one visit of a block adds to the timed pipeline, from the
+/// retirement that ends the previous block (or the restart) to its own
+/// last retirement.
+#[derive(Debug)]
+pub(crate) struct BlockTiming {
+    /// Counter deltas; `cycles` is the visit's length.
+    pub(crate) stats: PipeStats,
+    /// L2 touch cycles, relative to the visit's start.
+    pub(crate) touches: Box<[u64]>,
 }
 
 impl Program {
@@ -67,7 +121,7 @@ impl Program {
             })
             .collect();
         let ops = fuse_blocks(&singles);
-        Program(Arc::new(Image { words, decoded, ops }))
+        Program(Arc::new(Image { words, decoded, ops, blocks: Mutex::default() }))
     }
 
     /// The raw instruction words.
@@ -90,6 +144,19 @@ impl Program {
     /// the first word of a fused pair, the pair.
     pub(crate) fn ops(&self) -> &[Op] {
         &self.0.ops
+    }
+
+    /// The timing of one visit of block `key`, measured on the timed
+    /// pipeline the first time any clone of this program asks for it.
+    /// Entries never change once inserted, so a lock poisoned by a
+    /// panicking holder still guards a consistent table.
+    pub(crate) fn block_timing(&self, key: BlockKey) -> Arc<BlockTiming> {
+        let table = || self.0.blocks.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(timing) = table().get(&key) {
+            return Arc::clone(timing);
+        }
+        let timing = Arc::new(crate::core::measure_block(self, key));
+        Arc::clone(table().entry(key).or_insert(timing))
     }
 }
 

@@ -34,9 +34,9 @@ impl InstrCounts {
         Instruction::MNEMONICS.into_iter().zip(self.0).filter(|&(_, n)| n > 0)
     }
 
-    fn add(&mut self, other: &InstrCounts) {
+    fn add_times(&mut self, other: &InstrCounts, times: u64) {
         for (a, b) in self.0.iter_mut().zip(other.0) {
-            *a += b;
+            *a += b * times;
         }
     }
 
@@ -91,13 +91,19 @@ impl PipeStats {
     /// Adds another stats block (used when a core alternates modes, and
     /// by replaying engines advancing counters by a recorded delta).
     pub fn merge(&mut self, other: &PipeStats) {
-        self.cycles += other.cycles;
-        self.retired += other.retired;
-        self.load_use_stalls += other.load_use_stalls;
-        self.flush_cycles += other.flush_cycles;
-        self.ex_stall_cycles += other.ex_stall_cycles;
-        self.mem_stall_cycles += other.mem_stall_cycles;
-        self.per_instr.add(&other.per_instr);
+        self.merge_times(other, 1);
+    }
+
+    /// Adds another stats block `times` times over (a functional run
+    /// adding every visit of one block at once).
+    pub(crate) fn merge_times(&mut self, other: &PipeStats, times: u64) {
+        self.cycles += other.cycles * times;
+        self.retired += other.retired * times;
+        self.load_use_stalls += other.load_use_stalls * times;
+        self.flush_cycles += other.flush_cycles * times;
+        self.ex_stall_cycles += other.ex_stall_cycles * times;
+        self.mem_stall_cycles += other.mem_stall_cycles * times;
+        self.per_instr.add_times(&other.per_instr, times);
     }
 
     /// Fieldwise `self - earlier`: the counters one execution added

@@ -2,12 +2,13 @@
 //! mode must both produce exactly the architectural state of the
 //! functional golden model (`ncpu_isa::interp`) for identical programs —
 //! and the functional mode must also retire the golden model's PC
-//! stream, instruction by instruction.
+//! stream, instruction by instruction, and price its blocks to exactly
+//! the timed pipeline's counters.
 
 use ncpu_isa::asm::assemble;
 use ncpu_isa::interp::{Event, ExecError, Interp};
 use ncpu_isa::{Instruction, Reg};
-use ncpu_pipeline::{FlatMem, FunctionalStop, MemFault, MemPort, PathLog, PipeError, Pipeline};
+use ncpu_pipeline::{FlatMem, FunctionalStop, MemFault, MemPort, PipeError, PipeStats, Pipeline};
 use ncpu_sim::{AddressArbiter, SramBank};
 use ncpu_testkit::prop::{Prop, Shrink};
 use ncpu_testkit::rng::Rng;
@@ -34,14 +35,15 @@ fn check_equivalent(src: &str) -> Result<(), String> {
         src
     );
     prop_assert_eq!(cpu.stats().retired, gold.retired(), "retire count differs\n{}", src);
-    check_functional(&program, src)
+    check_functional(&program, cpu.stats(), src)
 }
 
 /// The functional mode against the golden model: stepped one instruction
 /// per call, its PC stream must be the golden model's; run in one call,
-/// it must reach the same registers, memory, retire count and path log.
-/// An `lw_l2` ends the comparison where the functional mode stops at it.
-fn check_functional(program: &[u32], src: &str) -> Result<(), String> {
+/// it must reach the same registers, memory and retire count. Both runs
+/// must price exactly the counters of the `timed` run. An `lw_l2` ends
+/// the comparison where the functional mode stops at it.
+fn check_functional(program: &[u32], timed: &PipeStats, src: &str) -> Result<(), String> {
     let mut gold = Interp::with_program(program, 8192);
     let mut gold_pcs = Vec::new();
     while !gold.is_halted() {
@@ -50,12 +52,11 @@ fn check_functional(program: &[u32], src: &str) -> Result<(), String> {
     }
 
     let mut stepped = Pipeline::new(program.to_vec(), FlatMem::new(8192));
-    let mut stepped_path = PathLog::new();
     let mut pcs = Vec::new();
     let mut retired = 0;
     let l2_read = loop {
         let pc = stepped.pc();
-        match stepped.run_functional(1, &mut stepped_path) {
+        match stepped.run_functional(1) {
             Ok((FunctionalStop::L2Read, n)) => {
                 prop_assert_eq!(n, 0, "an lw_l2 stop retires nothing\n{}", src);
                 let word = program[(pc / 4) as usize];
@@ -88,10 +89,9 @@ fn check_functional(program: &[u32], src: &str) -> Result<(), String> {
     prop_assert!(stepped.is_halted(), "ebreak halts the functional run\n{}", src);
 
     let mut whole = Pipeline::new(program.to_vec(), FlatMem::new(8192));
-    let mut whole_path = PathLog::new();
     let mut whole_retired = 0;
     loop {
-        match whole.run_functional(u64::MAX, &mut whole_path) {
+        match whole.run_functional(u64::MAX) {
             Ok((FunctionalStop::Event(Event::Halted), n)) => {
                 whole_retired += n;
                 break;
@@ -101,9 +101,8 @@ fn check_functional(program: &[u32], src: &str) -> Result<(), String> {
         }
     }
     prop_assert_eq!(whole_retired, gold.retired(), "retire count differs in one call\n{}", src);
-    prop_assert_eq!(&whole_path, &stepped_path, "path log depends on the budget\n{}", src);
-    prop_assert_eq!(whole.stats().retired, 0, "functional mode counts nothing\n{}", src);
     for (model, name) in [(&stepped, "stepped"), (&whole, "whole")] {
+        prop_assert_eq!(model.stats(), timed, "{} priced counters differ\n{}", name, src);
         for reg in Reg::all() {
             prop_assert_eq!(model.reg(reg), gold.reg(reg), "{} register {} differs\n{}", name, reg, src);
         }
@@ -363,9 +362,8 @@ fn check_fault(program: &[u32], what: &str) -> PipeError {
     let mut timed = Pipeline::new(program.to_vec(), FlatMem::new(8192));
     let timed_err = timed.run(1_000_000).expect_err(what);
     let mut functional = Pipeline::new(program.to_vec(), FlatMem::new(8192));
-    let mut path = PathLog::new();
     let err = loop {
-        match functional.run_functional(u64::MAX, &mut path) {
+        match functional.run_functional(u64::MAX) {
             Err(e) => break e,
             Ok((FunctionalStop::Event(Event::Halted) | FunctionalStop::L2Read, _)) => {
                 panic!("{what}: the functional run did not fault")
@@ -484,23 +482,24 @@ fn local_memory_faults_at_every_width_fault_alike() {
 /// Runs `program` under every budget in `budgets`, resuming after each
 /// stop: each stop must leave the golden model's PC and registers after
 /// as many steps, and the run must reach its final state, retire count
-/// and one-call path log.
+/// and one-call priced counters, which equal a timed run's.
 fn check_budget_sweep(program: &[u32], budgets: std::ops::RangeInclusive<u64>) {
     let mut gold = Interp::with_program(program, 8192);
     gold.run(1_000_000).expect("golden model halts");
     let mut whole = Pipeline::new(program.to_vec(), FlatMem::new(8192));
-    let mut whole_path = PathLog::new();
     assert!(matches!(
-        whole.run_functional(u64::MAX, &mut whole_path),
+        whole.run_functional(u64::MAX),
         Ok((FunctionalStop::Event(Event::Halted), _))
     ));
+    let mut timed = Pipeline::new(program.to_vec(), FlatMem::new(8192));
+    timed.run(1_000_000).expect("the timed run halts");
+    assert_eq!(whole.stats(), timed.stats(), "priced and timed counters differ");
     for budget in budgets {
         let mut cpu = Pipeline::new(program.to_vec(), FlatMem::new(8192));
-        let mut path = PathLog::new();
         let mut stepped = Interp::with_program(program, 8192);
         let mut retired = 0;
         loop {
-            let (stop, n) = cpu.run_functional(budget, &mut path).expect("no fault");
+            let (stop, n) = cpu.run_functional(budget).expect("no fault");
             retired += n;
             for _ in 0..n {
                 stepped.step().expect("golden model steps");
@@ -516,7 +515,7 @@ fn check_budget_sweep(program: &[u32], budgets: std::ops::RangeInclusive<u64>) {
             }
         }
         assert_eq!(retired, gold.retired(), "budget {budget}");
-        assert_eq!(path, whole_path, "budget {budget}: the path log depends on the budget");
+        assert_eq!(cpu.stats(), whole.stats(), "budget {budget}: counters depend on the budget");
         assert_eq!(&cpu.mem().local()[4096..8192], &gold.mem()[4096..8192], "budget {budget}");
     }
 }
@@ -727,8 +726,8 @@ impl MemPort for Banked {
 /// functionally one instruction per call: all three must end with the
 /// same bank bytes, per-bank read and write counts and generations, and
 /// L2 accesses, and fail with the same error if they fail. The
-/// functional runs must also end with the same registers, PC and path
-/// log; without a fault, so must the timed run. Returns the error.
+/// functional runs must also end with the same registers, PC and
+/// counters; without a fault, so must the timed run. Returns the error.
 fn check_banked(src: &str) -> Option<PipeError> {
     let program = assembled(src);
     let mut timed = Pipeline::new(program.clone(), Banked::new());
@@ -736,9 +735,8 @@ fn check_banked(src: &str) -> Option<PipeError> {
     let mut ends = Vec::new();
     for budget in [u64::MAX, 1] {
         let mut cpu = Pipeline::new(program.clone(), Banked::new());
-        let mut path = PathLog::new();
         let err = loop {
-            match cpu.run_functional(budget, &mut path) {
+            match cpu.run_functional(budget) {
                 Ok((FunctionalStop::Event(Event::Halted), _)) => break None,
                 Ok((FunctionalStop::L2Read, _)) => panic!("{src}: no lw_l2 here"),
                 Ok(_) => {}
@@ -754,8 +752,9 @@ fn check_banked(src: &str) -> Option<PipeError> {
         if err.is_none() {
             assert_eq!(cpu.pc(), timed.pc(), "budget {budget}: {src}");
             assert_eq!(regs, Reg::all().map(|reg| timed.reg(reg)).collect::<Vec<_>>(), "{src}");
+            assert_eq!(cpu.stats(), timed.stats(), "budget {budget}: {src}");
         }
-        ends.push((regs, cpu.pc(), path));
+        ends.push((regs, cpu.pc(), *cpu.stats()));
     }
     assert_eq!(ends[0], ends[1], "{src}");
     timed_err

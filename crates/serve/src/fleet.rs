@@ -7,10 +7,10 @@
 //!    its cache key from a bounded spec → key memo, so a repeat that
 //!    hits the cache never builds a scenario; otherwise the scenario is
 //!    assembled from a use case. Trained (image/motion) use cases are
-//!    memoized at two levels: the trained model, with the timing and
-//!    program memos every batch size shares, by its training config
-//!    `(kind, train_per_class, epochs)`, so the fleet trains each
-//!    config once; and the assembled use case by its shape `(kind,
+//!    memoized at two levels: the trained model, with the program memo
+//!    (and its programs' block tables) every batch size shares, by its
+//!    training config `(kind, train_per_class, epochs)`, so the fleet
+//!    trains each config once; and the assembled use case by its shape `(kind,
 //!    batch, train_per_class, epochs)`, so a request that changes only
 //!    the system, fabric, operating point, faults or topology of a seen
 //!    workload never restages its items or rehashes its cache-key

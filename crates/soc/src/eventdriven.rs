@@ -38,7 +38,7 @@
 //! What happens to an item — its queue slot, dispatch, completion, drop
 //! or quarantine — is the same [`fabric::Ledger`] the lock-step engine
 //! drives; this module keeps only its clock: the wakeup table, the
-//! steady-state replay and the path-keyed timing memo.
+//! steady-state replay and the functional pass that prices items.
 //!
 //! # Steady-state replay
 //!
@@ -58,74 +58,58 @@
 //! DMA staging loads the banks before every image and motion item, so
 //! those items never skip; they take the path below instead.
 //!
-//! # Path-keyed timing
+//! # Priced by the block
 //!
-//! Every other item runs *functionally* first ([`NcpuCore::run_functional`]:
-//! the program's lowered micro-ops, no pipeline, with the BNN batch's
-//! data half), which produces the item's exact
-//! architectural effects — registers, banks, the L2 result word — and a
-//! [`PathLog`]: each conditional-branch outcome, `jalr` target and
-//! `sw_l2` address, and each `trans_bnn`'s image count. That log is the
-//! only data-dependent input to the item's timing:
-//!
-//! * the pipeline's hazards, flushes and multi-cycle waits depend only
-//!   on which instructions issue in which order — fixed by the program,
-//!   the branch outcomes and the `jalr` targets — and on the static
-//!   multiply wait and the fixed `l2_extra_cycles` of each L2 access;
-//!   local loads and stores never stall;
-//! * a BNN batch's cycles depend only on its image count, the model's
-//!   shape and the accelerator configuration, and the naive switch
-//!   policy's reloads only on the model's size and the DMA point;
-//! * the full trace's events carry PCs (path), stall causes (path),
-//!   `sw_l2` addresses (logged) and image counts (logged).
-//!
-//! So the item's timing is looked up in the use case's timing memo
-//! under a [`TimingKey`](crate::timing) of: the program words, the
-//! timing fields of [`SocConfig`](crate::SocConfig) (DMA bytes per cycle
-//! and setup, switch policy, layer pipelining), the trace level and the
-//! path log, compared byte for byte. The core's spec, the model and the
-//! core's entry state never reach an item's cycles (DESIGN §12 argues
-//! each), so an entry recorded on core `c` serves core `c` of every later
-//! run of the use case, whatever that core's spec; two cores never share
-//! one, as each core's program carries its own mailbox address. A hit
-//! applies the recorded cycles, counter deltas, event shard and L2
-//! touches on top of the functional post-state; a miss restores the
-//! captured entry state, simulates the item cycle by cycle and records
-//! it. Entries are pure functions of their keys, so the memo lives on
-//! the [`UseCase`](crate::UseCase), behind an `Arc` every clone shares:
-//! every scenario, engine run and serve worker built from one use case
-//! shares it. It keeps at most 256 entries and about 16 MiB (oldest
-//! first out); a `Counters`-level image or motion entry is a few KiB, a
-//! `Full`-level one several MiB. Path hits are profiled under the
-//! `event.replay` span, misses (functional pass included) under
+//! Every other item at [`TraceLevel::Off`] or [`TraceLevel::Counters`]
+//! runs *functionally* ([`NcpuCore::run_functional`]: the program's
+//! lowered micro-ops, no pipeline), which produces its exact
+//! architectural effects — registers, banks, the L2 result word — and
+//! its exact timing. The pipeline is in order with fixed latencies, so
+//! a straight-line run of instructions that ends at a taken transfer or
+//! a serializing instruction takes the same cycles, stalls and L2 touch
+//! offsets on every visit with the same entry (after a drain or a taken
+//! transfer, which leave nothing of the previous block in flight). Each
+//! [`Program`] measures each such block once, on the timed pipeline
+//! itself, and the functional pass adds a block's timing each time it
+//! leaves it. A BNN batch's cycles depend only on its image count, the
+//! model's shape and the accelerator configuration, and the naive
+//! switch policy's reloads only on the model's size and the DMA point,
+//! so each `trans_bnn` is served where it retires, spans and counters
+//! included. The pass ends with the core's clock, counters, spans and
+//! L2 touch log exactly where a timed run leaves them; the item's record
+//! is read off the core as a simulated item's is. Its blocks are shared
+//! by every core, run and serve worker that loads the program, and the
+//! record by nothing but the core's steady state. Priced items are
+//! profiled under the `event.replay` span, simulated ones under
 //! `event.simulate`.
 //!
-//! The one escape hatch: an item that reads the L2 could observe
-//! content a skipped item never wrote (a skip does not redo its L2
-//! write), and its timing and end state depend on that content. So if
-//! any core's program holds an `lw_l2` ([`Program::reads_l2`], checked
-//! once before the run), the run memoizes nothing: no item is skipped,
-//! run functionally or recorded, and every item is simulated cycle by
-//! cycle. Path hits perform every write themselves. Fabric-generated
-//! programs never read the L2, so the check exists for soundness, not
-//! for the paper's workloads.
+//! An item is simulated cycle by cycle in three cases only: at
+//! [`TraceLevel::Full`] (whose per-instruction events only the pipeline
+//! emits), when it overruns the watchdog (known once priced: the entry
+//! state is restored and the item simulated to the expiry), and behind
+//! the one escape hatch: an item that reads the L2 could observe content
+//! a skipped item never wrote (a skip does not redo its L2 write), and
+//! its timing and end state depend on that content. So if any core's
+//! program holds an `lw_l2` ([`Program::reads_l2`], checked once before
+//! the run), no item is skipped or run functionally, and every item is
+//! simulated. Fabric-generated programs never read the L2, so the check
+//! exists for soundness, not for the paper's workloads.
 //!
 //! # Mid-item watchdog
 //!
-//! An item that would overrun an active plan's watchdog is never replayed
-//! or memoized: it is simulated for exactly `watchdog` cycles and its core
+//! An item that would overrun an active plan's watchdog is never
+//! replayed: it is simulated for exactly `watchdog` cycles and its core
 //! rebuilt; [`fabric::watchdog_abort`] decides at the expiry cycle's slot.
 
 use std::sync::Arc;
 
 use ncpu_core::{BankPorts, NcpuCore, ReplayDelta, ReplayState, SharedL2, StepOutcome};
 use ncpu_obs::{EventKind, Recorder, StallCause, TraceLevel};
-use ncpu_pipeline::{PathLog, Program};
+use ncpu_pipeline::Program;
 
 use crate::fabric;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
-use crate::timing::{TimingKey, TimingRecord};
 use crate::topology::Topology;
 
 /// The event-driven engine: co-simulates `scenario`'s NCPU fleet and
@@ -157,11 +141,22 @@ pub(crate) fn run(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder)
 struct MemoStats {
     /// Items skipped outright: the core provably sat in a steady state.
     replayed: usize,
-    /// Items run functionally whose timing came from the use case's
-    /// timing memo.
-    path: usize,
+    /// Items run functionally and priced by their blocks.
+    priced: usize,
     /// Items simulated cycle by cycle.
     simulated: usize,
+}
+
+/// What a run of an item adds on top of its architectural effects.
+struct ItemTiming {
+    /// Unified cycles the item took.
+    used: u64,
+    /// Its counter deltas.
+    delta: ReplayDelta,
+    /// Its events and spans, cycles relative to the item start.
+    shard: Recorder,
+    /// Its L2 touch cycles relative to the item start (1-based).
+    touches_rel: Vec<u64>,
 }
 
 /// An item that ended exactly where it started, and the proof that a
@@ -173,9 +168,8 @@ struct Steady {
     /// compared equal to `state`'s: while it is unchanged no bank was
     /// written, loaded or (un)gated. Registers are still compared on use.
     generation: u64,
-    /// Cycles, counter deltas, event shard and L2 touches — shared with
-    /// the use case's timing memo.
-    timing: Arc<TimingRecord>,
+    /// Cycles, counter deltas, event shard and L2 touches.
+    timing: Arc<ItemTiming>,
     prediction: usize,
 }
 
@@ -185,7 +179,7 @@ impl Steady {
     fn reached(
         core: &NcpuCore,
         pre: ReplayState,
-        timing: Arc<TimingRecord>,
+        timing: Arc<ItemTiming>,
         prediction: usize,
     ) -> Option<Steady> {
         core.matches_replay_state(&pre).then(|| Steady {
@@ -258,6 +252,7 @@ fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder,
     // A program that may read the L2 could observe a write a skipped
     // item never performed: then every item is simulated.
     let memoize = !programs.iter().any(Program::reads_l2);
+    let functional = memoize && level != TraceLevel::Full;
     // Each core's one pending wakeup, if armed.
     let mut slots: Vec<Option<(u64, Wake)>> =
         (0..cores).map(|c| ledger.head(c).map(|_| (0, Wake::Dispatch))).collect();
@@ -365,7 +360,7 @@ fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder,
         // Execute (or replay) the item starting at `now`. An item known
         // to overrun the watchdog is never replayed: it takes the
         // simulation path, which stops where the watchdog does.
-        let (core, usecase) = (&mut pool[ci], ledger.usecase(ci));
+        let core = &mut pool[ci];
         let hit = steady[ci].as_ref().filter(|s| s.timing.used <= limit && s.holds(core));
         let executed = if let Some(hit) = hit {
             let _prof = ncpu_obs::selfprof::span("event.replay");
@@ -374,52 +369,40 @@ fn run_with_stats(scenario: &Scenario, topo: &Topology) -> (RunReport, Recorder,
             stats.replayed += 1;
             Ok((hit.timing.used, hit.prediction))
         } else {
-            // Run the item functionally and look its path up in the use
-            // case's timing memo; a miss restores the entry state and
-            // times the item cycle by cycle.
             let mut prof = ncpu_obs::selfprof::span("event.replay");
             let pre = memoize.then(|| core.replay_state());
             #[cfg(test)]
-            let twin = (pre.is_some() && tests::twin_checks()).then(|| core.clone());
-            let mut key = None;
-            let mut timed = None;
-            if let Some(pre) = &pre {
-                core.load_program(&programs[ci]);
-                let mut path = PathLog::new();
-                if let Ok(Some(_)) = core.run_functional(limit, &mut path) {
-                    let probe = TimingKey::new(&programs[ci], soc, level, path);
-                    timed = usecase.timing().get(&probe).filter(|t| t.used <= limit);
-                    key = Some(probe);
-                }
-                if timed.is_none() {
+            let twin = (functional && tests::twin_checks()).then(|| core.clone());
+            let priced = pre.as_ref().filter(|_| functional).and_then(|pre| {
+                let priced = price(core, &programs[ci], level, limit);
+                if priced.is_none() {
+                    // An overrun: simulated below to the watchdog.
                     core.restore_replay_state(pre);
                 }
-            }
-            if let Some(timing) = timed {
-                stats.path += 1;
-                replay_timing(&timing, now, c, &mut touches, &mut emissions);
-                core.apply_replay(&timing.delta);
-                #[cfg(test)]
-                if let Some(twin) = twin {
-                    tests::check_twin(twin, &programs[ci], level, &timing, core);
+                priced
+            });
+            let timing = match priced {
+                Some(timing) => {
+                    stats.priced += 1;
+                    #[cfg(test)]
+                    if let Some(twin) = twin {
+                        tests::check_twin(twin, &programs[ci], level, &timing, core);
+                    }
+                    Ok(timing)
                 }
+                None => {
+                    prof.relabel("event.simulate");
+                    stats.simulated += 1;
+                    simulate(core, &programs[ci], level, watchdog)
+                }
+            };
+            timing.map(|timing| {
+                let timing = Arc::new(timing);
+                replay_timing(&timing, now, c, &mut touches, &mut emissions);
                 let (used, prediction) = (timing.used, read_prediction(&l2, ci));
                 steady[ci] = pre.and_then(|pre| Steady::reached(core, pre, timing, prediction));
-                Ok((used, prediction))
-            } else {
-                prof.relabel("event.simulate");
-                stats.simulated += 1;
-                simulate(core, &programs[ci], level, watchdog).map(|timing| {
-                    let timing = Arc::new(timing);
-                    replay_timing(&timing, now, c, &mut touches, &mut emissions);
-                    if let Some(key) = key {
-                        usecase.timing().insert(key, Arc::clone(&timing));
-                    }
-                    let (used, prediction) = (timing.used, read_prediction(&l2, ci));
-                    steady[ci] = pre.and_then(|pre| Steady::reached(core, pre, timing, prediction));
-                    (used, prediction)
-                })
-            }
+                (used, prediction)
+            })
         };
 
         match executed {
@@ -525,7 +508,7 @@ fn quarantine(
 }
 
 /// Queues L2 touches stamped on an item-relative clock (see
-/// [`TimingRecord::touches_rel`]) for the post-hoc arbitration of an
+/// [`ItemTiming::touches_rel`]) for the post-hoc arbitration of an
 /// item that began at `now` on core `c`.
 fn push_touches(touches_rel: &[u64], now: u64, c: u16, touches: &mut Vec<(u64, u16)>) {
     touches.extend(touches_rel.iter().map(|&rel| (now + rel - 1, c)));
@@ -535,7 +518,7 @@ fn push_touches(touches_rel: &[u64], now: u64, c: u16, touches: &mut Vec<(u64, u
 /// its L2 touches for the post-hoc arbitration and its event shard,
 /// absorbed at the item's halt cycle.
 fn replay_timing(
-    timing: &TimingRecord,
+    timing: &ItemTiming,
     now: u64,
     c: u16,
     touches: &mut Vec<(u64, u16)>,
@@ -557,31 +540,55 @@ fn read_prediction(l2: &SharedL2, ci: usize) -> usize {
     l2.read_word(fabric::result_addr(ci)).expect("result written") as usize
 }
 
-/// Runs `program` on `core` cycle by cycle and returns what the run
-/// added on top of its architectural effects, with its events drained
-/// onto an item-relative clock so a replay can re-base them anywhere.
+/// Runs `program` on `core` cycle by cycle (see [`record`]).
 ///
 /// An armed watchdog stops the run after exactly `watchdog` cycles, as
-/// the lock-step walk's abort does (`step_n`; `run`, the faster loop
-/// otherwise, could overshoot inside a BNN batch); an item still running
-/// then is `Err` with its L2 touches so far, item-relative.
+/// the lock-step walk's abort does; an item still running then is `Err`
+/// with its L2 touches so far, item-relative.
 fn simulate(
     core: &mut NcpuCore,
     program: &Program,
     level: TraceLevel,
     watchdog: u64,
-) -> Result<TimingRecord, Vec<u64>> {
+) -> Result<ItemTiming, Vec<u64>> {
+    record(core, program, level, |core| {
+        let budget = if watchdog > 0 { watchdog } else { fabric::ITEM_BUDGET };
+        let (outcome, _) = core.step_n(budget).expect("NCPU program must not fault");
+        assert!(watchdog > 0 || outcome == StepOutcome::Halted, "NCPU program must complete");
+        outcome == StepOutcome::Halted
+    })
+}
+
+/// Runs `program` on `core` functionally, priced by the block (see
+/// [`record`]); `None` for an item that takes more than `limit` cycles.
+fn price(
+    core: &mut NcpuCore,
+    program: &Program,
+    level: TraceLevel,
+    limit: u64,
+) -> Option<ItemTiming> {
+    record(core, program, level, |core| matches!(core.run_functional(limit), Ok(Some(_))))
+        .ok()
+        .filter(|timing| timing.used <= limit)
+}
+
+/// Loads `program` on `core`, runs it through `run` (whether it halted)
+/// and returns what the run added on top of its architectural effects,
+/// with its events drained onto an item-relative clock so a replay can
+/// re-base them anywhere. An item that did not halt is `Err` with its L2
+/// touches so far, item-relative.
+fn record(
+    core: &mut NcpuCore,
+    program: &Program,
+    level: TraceLevel,
+    run: impl FnOnce(&mut NcpuCore) -> bool,
+) -> Result<ItemTiming, Vec<u64>> {
     let pipe_before = *core.pipeline().stats();
     let core_before = *core.stats();
     let internal_before = core.total_cycles();
     let extra_before = internal_before - pipe_before.cycles;
     core.load_program(program);
-    let halted = if watchdog > 0 {
-        core.step_n(watchdog).expect("NCPU program must not fault").0 == StepOutcome::Halted
-    } else {
-        core.run(fabric::ITEM_BUDGET).expect("NCPU program must complete");
-        true
-    };
+    let halted = run(core);
     let touches_rel =
         core.take_l2_touch_cycles().into_iter().map(|t| t - internal_before).collect();
     if !halted {
@@ -596,7 +603,7 @@ fn simulate(
         core: core_diff(&core_before, core.stats()),
         extra_cycles: (core.total_cycles() - after.cycles) - extra_before,
     };
-    Ok(TimingRecord { used, delta, shard, touches_rel })
+    Ok(ItemTiming { used, delta, shard, touches_rel })
 }
 
 /// Fieldwise `after - before` of the core counters.
@@ -623,9 +630,9 @@ mod tests {
     use std::cell::{Cell, RefCell};
 
     thread_local! {
-        /// Whether path hits on this thread are also simulated on a twin.
+        /// Whether priced items on this thread are also simulated on a twin.
         static TWIN_CHECKS: Cell<bool> = const { Cell::new(false) };
-        /// Path hits twin-checked, and the first mismatch seen.
+        /// Priced items twin-checked, and the first mismatch seen.
         static TWIN_LOG: RefCell<(usize, Option<String>)> = const { RefCell::new((0, None)) };
     }
 
@@ -633,16 +640,16 @@ mod tests {
         TWIN_CHECKS.with(Cell::get)
     }
 
-    /// Cycle-simulates a path hit on `twin` — the core as it entered the
-    /// item — and checks the twin ends exactly where the functional run
-    /// plus the replayed timing left `core`: architectural state,
-    /// counters and clock, event shard and L2 touches. Mismatches are
-    /// logged, not panicked, so the property harness can shrink.
+    /// Cycle-simulates a priced item on `twin` — the core as it entered
+    /// the item — and checks the twin ends exactly where the functional
+    /// run left `core`: architectural state, counters and clock, event
+    /// shard and L2 touches. Mismatches are logged, not panicked, so the
+    /// property harness can shrink.
     pub(super) fn check_twin(
         mut twin: NcpuCore,
         program: &Program,
         level: TraceLevel,
-        timing: &TimingRecord,
+        timing: &ItemTiming,
         core: &NcpuCore,
     ) {
         let simulated = simulate(&mut twin, program, level, 0).expect("an unarmed run halts");
@@ -660,13 +667,14 @@ mod tests {
             let mut log = log.borrow_mut();
             log.0 += 1;
             if let (None, Some((what, _))) = (&log.1, checks.iter().find(|(_, ok)| !ok)) {
-                log.1 = Some(format!("path hit {}: {what} differs from a twin simulation", log.0));
+                let n = log.0;
+                log.1 = Some(format!("priced item {n}: {what} differs from a twin simulation"));
             }
         });
     }
 
-    /// Runs `f` with every path hit twin-checked; returns `f`'s value and
-    /// how many hits were checked, or the first mismatch.
+    /// Runs `f` with every priced item twin-checked; returns `f`'s value
+    /// and how many items were checked, or the first mismatch.
     fn twin_checked<T>(f: impl FnOnce() -> T) -> Result<(T, usize), String> {
         TWIN_LOG.with(|log| *log.borrow_mut() = (0, None));
         TWIN_CHECKS.with(|on| on.set(true));
@@ -706,37 +714,46 @@ mod tests {
     }
 
     /// Replay accelerates without changing a single byte: batch 16 on
-    /// two cores simulates the cold first item per core, runs the first
-    /// steady-state one functionally (it follows the cold item's path,
-    /// so the timing memo supplies its cycles) and skips the rest, each
-    /// proven by the bank generation.
+    /// two cores prices the first two items per core by their blocks
+    /// (the first leaves the core in the state every later one starts
+    /// and ends in) and skips the rest, each proven by the bank
+    /// generation.
     #[test]
     fn steady_state_items_replay() {
         let s = ncpu(&parametric(16), 2, SocConfig::default(), TraceLevel::Counters);
-        assert_eq!(memo_stats(&s), MemoStats { replayed: 12, path: 2, simulated: 2 });
+        assert_eq!(memo_stats(&s), MemoStats { replayed: 12, priced: 4, simulated: 0 });
         assert_same_bytes(&s);
     }
 
-    /// Every digit follows one path through the pre-processing program:
-    /// of four distinct images on one core only the first is simulated
-    /// cycle by cycle, the other three run functionally and take their
-    /// timing from the memo — and a second run of the same use case
-    /// simulates nothing. DMA staging moves the bank generation before
-    /// every item, so none is skipped outright. Both runs match the
-    /// lock-step engine byte for byte at both trace levels; a new trace
-    /// level is a new timing key.
+    /// Fresh (cold) image, motion and parametric use cases on two cores,
+    /// with no watchdog: at `Off` and `Counters` every item is priced or
+    /// skipped, none simulated, and the run matches the lock-step engine
+    /// byte for byte. DMA staging moves the bank generation before every
+    /// image and motion item, so those are all priced. At `Full` every
+    /// item that is not skipped is simulated.
     #[test]
-    fn distinct_images_take_their_timing_from_the_path_memo() {
-        let uc = UseCase::image(4, 2, 1);
-        for level in [TraceLevel::Counters, TraceLevel::Full] {
-            let s = ncpu(&uc, 1, SocConfig::default(), level);
-            let cold = MemoStats { replayed: 0, path: 3, simulated: 1 };
-            let warm = MemoStats { path: 4, simulated: 0, ..cold };
-            assert_eq!(memo_stats(&s), cold, "{level:?}");
-            assert_eq!(memo_stats(&s), warm, "{level:?}");
-            assert_same_bytes(&s);
+    fn cold_use_cases_simulate_no_item_below_full_tracing() {
+        let fresh: [fn() -> UseCase; 3] = [
+            || UseCase::image(4, 2, 1),
+            || UseCase::motion(4, 2, 1),
+            || parametric(6),
+        ];
+        for level in [TraceLevel::Off, TraceLevel::Counters, TraceLevel::Full] {
+            for usecase in fresh {
+                let s = ncpu(&usecase(), 2, SocConfig::default(), level);
+                let stats = memo_stats(&s);
+                let kind = s.usecase().kind();
+                if level == TraceLevel::Full {
+                    assert_eq!(stats.priced, 0, "{kind:?}: {stats:?}");
+                } else {
+                    assert_eq!(stats.simulated, 0, "{kind:?} {level:?}: {stats:?}");
+                }
+                if kind != crate::usecase::UseCaseKind::Parametric {
+                    assert_eq!(stats.replayed, 0, "{kind:?} {level:?}: staging moves generations");
+                }
+                assert_same_bytes(&s);
+            }
         }
-        assert_eq!(uc.timing().len(), 2, "one entry per trace level");
     }
 
     /// A steady state proves a skip only while the bank generation and
@@ -779,11 +796,11 @@ mod tests {
         fabric::tests::pool(uc, cores, TraceLevel::Counters).2
     }
 
-    /// A program that may read the shared L2 turns memoization off for
-    /// the whole run. Each core's program here reads its own mailbox
-    /// (the previous item's result) into a register before the normal
-    /// tail, so an item's end state depends on the L2: no item is
-    /// skipped, run functionally or recorded, every item is simulated,
+    /// A program that may read the shared L2 turns the skip and the
+    /// functional pass off for the whole run. Each core's program here
+    /// reads its own mailbox (the previous item's result) into a register
+    /// before the normal tail, so an item's end state depends on the L2:
+    /// no item is skipped or run functionally, every item is simulated,
     /// and the run still matches the lock-step engine byte for byte.
     #[test]
     fn programs_that_read_the_l2_simulate_every_item() {
@@ -793,29 +810,27 @@ mod tests {
         for level in [TraceLevel::Counters, TraceLevel::Full] {
             let s = ncpu(&uc, 2, SocConfig::default(), level);
             let stats = memo_stats(&s);
-            assert_eq!(stats, MemoStats { replayed: 0, path: 0, simulated: 4 }, "{level:?}");
+            assert_eq!(stats, MemoStats { replayed: 0, priced: 0, simulated: 4 }, "{level:?}");
             assert_same_bytes(&s);
         }
-        assert_eq!(uc.timing().len(), 0, "nothing is recorded");
     }
 
-    /// The pending `trigger_bnn` count is no part of an item's timing.
     /// Each core's program here retires a `trigger_bnn` before the normal
     /// tail, so every item enters with one more pending trigger than the
-    /// last and none ends where it started: nothing is skipped, but each
-    /// core's second item takes its timing from the first one's entry.
-    /// Every such hit matches a twin simulation, and the run matches the
-    /// lock-step engine byte for byte.
+    /// last and none ends where it started: nothing is skipped, every
+    /// item is priced, each matches a twin simulation, and the run
+    /// matches the lock-step engine byte for byte.
     #[test]
-    fn pending_triggers_never_split_a_timing_entry() {
+    fn items_with_pending_triggers_price_like_a_twin_simulation() {
         let uc = parametric(4);
         let programs = seed_programs(&uc, 2, |_| "trigger_bnn".to_string());
         let trigger = ncpu_isa::asm::assemble("trigger_bnn").expect("valid program")[0];
         assert!(programs.iter().all(|p| p.words().contains(&trigger)), "seeded programs are used");
-        for level in [TraceLevel::Counters, TraceLevel::Full] {
+        for level in [TraceLevel::Off, TraceLevel::Counters] {
             let s = ncpu(&uc, 2, SocConfig::default(), level);
-            let checked = twin_checked(|| memo_stats(&s)).expect("hits match twins");
-            assert_eq!(checked, (MemoStats { replayed: 0, path: 2, simulated: 2 }, 2), "{level:?}");
+            let checked = twin_checked(|| memo_stats(&s)).expect("priced items match twins");
+            let all_priced = MemoStats { replayed: 0, priced: 4, simulated: 0 };
+            assert_eq!(checked, (all_priced, 4), "{level:?}");
             assert_same_bytes(&s);
         }
     }
@@ -833,15 +848,13 @@ mod tests {
         (ev, ev_rec)
     }
 
-    /// One use case, so one timing memo, under every timing-relevant
-    /// axis in turn: each `SocConfig` field, both trace levels, an
-    /// operating point and a topology. A key missing an axis would hand
-    /// a run the timing recorded under another value of it; every run
-    /// must instead match the lock-step engine byte for byte, and the
-    /// repeat of each run must take all its timing from the memo. An
-    /// operating point and a mixed-voltage, two-bank topology are no
-    /// timing axis: their first run after the default run at the same
-    /// trace level already takes all its timing from the memo.
+    /// One use case, so one program and one block table per core, under
+    /// every timing-relevant axis in turn: each `SocConfig` field, both
+    /// trace levels, an operating point and a topology. A block timing
+    /// that depended on an axis would price a run with the timing
+    /// measured under another value of it; every run must instead match
+    /// the lock-step engine byte for byte, and below `Full` no item may
+    /// be simulated.
     #[test]
     fn one_shared_use_case_stays_lockstep_identical_on_every_timing_axis() {
         let uc = UseCase::motion(6, 2, 1);
@@ -857,25 +870,20 @@ mod tests {
         let slow_on_bank_1 = crate::topology::CoreSpec { operating_point: Some(0.7), bank: 1, ..r };
         let halves = vec![fabric::L2_BYTES / 2, fabric::L2_BYTES / 2];
         let mixed = Topology::from_specs(vec![r, slow_on_bank_1], halves).expect("valid topology");
-        // `(scenario, whether the default run's entries cover it)`.
         let mut scenarios = Vec::new();
         for level in [TraceLevel::Counters, TraceLevel::Full] {
             for soc in socs {
-                scenarios.push((ncpu(&uc, 2, soc, level), false));
+                scenarios.push(ncpu(&uc, 2, soc, level));
             }
-            let slow = ncpu(&uc, 2, SocConfig::default(), level).with_operating_point(0.8);
-            scenarios.push((slow, true));
+            scenarios.push(ncpu(&uc, 2, SocConfig::default(), level).with_operating_point(0.8));
             let mixed = Scenario::new(uc.clone(), SystemConfig::Ncpu(mixed.clone()));
-            scenarios.push((mixed.with_trace(level), true));
+            scenarios.push(mixed.with_trace(level));
         }
-        for (s, covered) in &scenarios {
-            if *covered {
-                let cold = memo_stats(s);
-                assert_eq!(cold.simulated, 0, "{:?}: {cold:?}", s.system());
+        for s in &scenarios {
+            let stats = memo_stats(s);
+            if s.trace() != TraceLevel::Full {
+                assert_eq!(stats.simulated, 0, "{:?} {:?}: {stats:?}", s.system(), s.soc());
             }
-            assert_same_bytes(s);
-            let warm = memo_stats(s);
-            assert_eq!(warm.simulated, 0, "{:?}: {warm:?}", s.soc());
             assert_same_bytes(s);
         }
     }
@@ -884,15 +892,15 @@ mod tests {
     static TWIN_MOTION: std::sync::OnceLock<UseCase> = std::sync::OnceLock::new();
     static TWIN_PARAMETRIC: std::sync::OnceLock<UseCase> = std::sync::OnceLock::new();
 
-    /// Soundness of the path memo on drawn scenarios: every path hit is
-    /// also simulated cycle by cycle on a twin of the core, which must
+    /// Soundness of block pricing on drawn scenarios: every priced item
+    /// is also simulated cycle by cycle on a twin of the core, which must
     /// end in the same replay state, counters and clock, with the same
     /// event shard and L2 touches; the run's report must equal the
     /// lock-step engine's. Use cases are shared across cases, so later
-    /// cases hit entries earlier ones recorded under other configs.
-    /// Draw: `(workload, cores, soc variant, full trace, fault plan)`.
+    /// cases price blocks earlier ones measured under other configs.
+    /// Draw: `(workload, cores, soc variant, counters trace, fault plan)`.
     #[test]
-    fn path_hits_match_a_twin_simulation() {
+    fn priced_items_match_a_twin_simulation() {
         use ncpu_testkit::prop::Prop;
         let usecase = |kind: u8| match kind % 3 {
             0 => TWIN_IMAGE.get_or_init(|| UseCase::image(3, 2, 1)),
@@ -900,24 +908,24 @@ mod tests {
             _ => TWIN_PARAMETRIC.get_or_init(|| parametric(4)),
         };
         let checked = Cell::new(0);
-        Prop::new("eventdriven::path_hits_match_a_twin_simulation").cases(24).run(
+        Prop::new("eventdriven::priced_items_match_a_twin_simulation").cases(24).run(
             |rng| {
                 (
                     rng.gen_range(0u8..3),
                     rng.gen_range(1usize..=3),
                     rng.gen_range(0u8..4),
-                    rng.gen_bool(0.3),
+                    rng.gen_bool(0.5),
                     rng.gen_bool(0.3),
                 )
             },
-            |&(kind, cores, variant, full, faulted)| {
+            |&(kind, cores, variant, counters, faulted)| {
                 let soc = match variant % 4 {
                     0 => SocConfig::default(),
                     1 => SocConfig { switch_policy: SwitchPolicy::Naive, ..SocConfig::default() },
                     2 => SocConfig { layer_pipelining: false, ..SocConfig::default() },
                     _ => SocConfig { dma_bytes_per_cycle: 2, ..SocConfig::default() },
                 };
-                let level = if full { TraceLevel::Full } else { TraceLevel::Counters };
+                let level = if counters { TraceLevel::Counters } else { TraceLevel::Off };
                 let mut s = ncpu(usecase(kind), cores.max(1), soc, level);
                 if faulted {
                     s = s.with_faults(FaultPlan {
@@ -931,14 +939,14 @@ mod tests {
                         ..FaultPlan::none()
                     });
                 }
-                let (ev, hits) = twin_checked(|| EventDriven.report(&s))?;
-                checked.set(checked.get() + hits);
+                let (ev, priced) = twin_checked(|| EventDriven.report(&s))?;
+                checked.set(checked.get() + priced);
                 let ls = Lockstep.report(&s);
                 ncpu_testkit::prop_assert_eq!(format!("{ev:?}"), format!("{ls:?}"));
                 Ok(())
             },
         );
-        assert!(checked.get() > 0, "the drawn scenarios must produce path hits");
+        assert!(checked.get() > 0, "the drawn scenarios must price items");
     }
 
     /// The heterogeneous-style staged workloads exercise the DMA wakeup
@@ -978,23 +986,23 @@ mod tests {
             backoff_cycles: 32,
             quarantine_after: 6,
         };
-        // The repeated batch on one core gives the timing memo hits to
-        // find; staging (and a flip's discarded delivery) moves the bank
-        // generation, so no item is skipped outright.
+        // Staging (and a flip's discarded delivery) moves the bank
+        // generation, so no item is skipped outright; below `Full` every
+        // item is priced.
         let repeated = UseCase::image(4, 2, 1).with_repeated_items(4);
-        // `(use case, cores, level, least path hits)`.
         let runs = [
-            (&uc, 2, TraceLevel::Counters, 0),
-            (&uc, 2, TraceLevel::Full, 0),
-            (&repeated, 1, TraceLevel::Full, 1),
+            (&uc, 2, TraceLevel::Counters),
+            (&uc, 2, TraceLevel::Full),
+            (&repeated, 1, TraceLevel::Off),
         ];
-        for (uc, cores, level, least_path) in runs {
+        for (uc, cores, level) in runs {
             let s = ncpu(uc, cores, SocConfig::default(), level)
                 .with_operating_point(0.9)
                 .with_faults(plan);
             let stats = memo_stats(&s);
             assert_eq!(stats.replayed, 0, "{level:?}: staging moves the generation");
-            assert!(stats.path >= least_path, "{cores} cores, {level:?}: {stats:?}");
+            let priced = level != TraceLevel::Full;
+            assert_eq!(stats.priced > 0, priced, "{cores} cores, {level:?}: {stats:?}");
             let (_, ev_rec) = assert_same_bytes(&s);
             let injected = ev_rec.counters().get("fault.injected.sram_flip")
                 + ev_rec.counters().get("fault.injected.dma_stall")
@@ -1061,7 +1069,6 @@ mod tests {
         let used = Lockstep.report(&full(&twins, 2)).cores[0].busy_cycles;
         scenarios.push(full(&twins, 2).with_faults(short(used - 1, 0, 0)));
         for s in &scenarios {
-            memo_stats(s); // a first run warms the timing memo
             let (_, rec) = assert_same_bytes(s);
             let tag = format!("{:?} {:?}", s.system(), s.fault());
             let counter = |name| rec.counters().get(name);

@@ -164,8 +164,8 @@ pub(crate) fn stage_item(
 /// never updated on the simulation hot path.
 ///
 /// It reads only the pipeline and core stats because only those are
-/// replayed (the event engine's skipped and path-memo items advance them
-/// by recorded deltas): reading `Accelerator::stats` or SRAM bank access
+/// replayed (the event engine's skipped items advance them by recorded
+/// deltas, its priced ones by their blocks'): reading `Accelerator::stats` or SRAM bank access
 /// counts would break lockstep≡event, which every EventDriven NCPU run rides.
 fn snapshot_core_counters(rec: &mut Recorder, c: usize, core: &NcpuCore) {
     let ps = core.pipeline().stats();

@@ -43,7 +43,6 @@ pub mod phases;
 mod report;
 mod scenario;
 mod system;
-mod timing;
 pub mod topology;
 mod usecase;
 

@@ -21,15 +21,14 @@
 //! * image, motion and parametric batches on an NCPU fleet run on the
 //!   engine's item clock: [`Lockstep`] walks one global cycle at a time
 //!   with real N-way L2 port arbitration, and [`EventDriven`] jumps
-//!   between observable actions and replays memoized item timing
-//!   instead.
+//!   between observable actions, skipping items that provably repeat
+//!   and pricing the rest by the block instead of stepping them.
 //!
 //! The baseline and deep bodies are the only exact model of their
 //! systems, and the two item clocks give byte-identical reports,
 //! counters, metrics and event streams (pinned by
 //! `tests/engine_differential.rs`), so a report does not name the engine
-//! that produced it. The one observable difference is that only the
-//! event-driven clock fills the use case's timing memo.
+//! that produced it.
 //!
 //! N-core semantics are uniform: item batches dispatch round-robin over
 //! the item-capable cores (`item i → core i % N` on the homogeneous
@@ -389,17 +388,21 @@ mod tests {
         assert_eq!(one.cache_key(), Scenario::new(p(), SystemConfig::ncpu(2)).cache_key());
     }
 
-    /// The one observable difference between the two item clocks: the
-    /// lock-step walk never records item timing, the event-driven clock
-    /// fills the use case's memo.
+    /// The one difference between the two item clocks seen from outside
+    /// a report: only the event-driven clock runs each item through its
+    /// skip, pricing or simulation, each profiled under an `event.` span.
     #[test]
-    fn only_the_event_clock_fills_the_timing_memo() {
-        let uc = UseCase::image(2, 2, 1);
-        let s = Scenario::new(uc.clone(), SystemConfig::ncpu(1));
-        Lockstep.run(&s);
-        assert_eq!(uc.timing().len(), 0, "lock-step records nothing");
-        EventDriven.run(&s);
-        assert!(uc.timing().len() > 0, "the event clock records the item's timing");
+    fn only_the_event_clock_profiles_item_executors() {
+        let s = Scenario::new(UseCase::image(2, 2, 1), SystemConfig::ncpu(1));
+        let item_spans = |engine: &dyn Engine| {
+            ncpu_obs::selfprof::set_enabled(true);
+            engine.run(&s);
+            ncpu_obs::selfprof::set_enabled(false);
+            let profile = ncpu_obs::selfprof::take();
+            profile.entries.iter().filter(|e| e.frames().contains("event.")).count()
+        };
+        assert_eq!(item_spans(&Lockstep), 0, "lock-step profiles no item executor");
+        assert!(item_spans(&EventDriven) > 0, "the event clock profiles each item's executor");
     }
 
     #[test]

@@ -10,8 +10,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ncpu_pipeline::Program;
 
-use crate::timing::TimingMemo;
-
 /// The workspace's deterministic pseudo-model: 4 hidden layers of
 /// `neurons` each with a fixed weight/bias pattern — no training, so
 /// callers (benches, examples, the serve fleet) start instantly, and
@@ -76,12 +74,11 @@ pub struct Item {
 
 /// An end-to-end workload: a trained model plus a batch of items.
 ///
-/// Clones share one bounded timing memo: the event engine stores each
-/// item path's cycle timing there once and replays it in every run of
-/// every scenario built from this use case (see the `eventdriven`
-/// module). Clones also share the model (every core built from the use
-/// case points at it), the NCPU programs assembled for it (a program
-/// memo) and the hashed prefix of its scenarios' cache keys.
+/// Clones share the model (every core built from the use case points at
+/// it), the NCPU programs assembled for it (a program memo; each program
+/// keeps the block timing table the event engine prices items from, so
+/// every run of every scenario built from this use case measures a block
+/// once) and the hashed prefix of its scenarios' cache keys.
 /// [`UseCase::with_batch`] shares all but the prefix. The memos are
 /// caches: they never change a result.
 #[derive(Debug, Clone)]
@@ -91,7 +88,6 @@ pub struct UseCase {
     items: Vec<Item>,
     /// For [`UseCaseKind::Parametric`]: requested pre-processing cycles.
     spin_cycles: u64,
-    timing: Arc<TimingMemo>,
     programs: Arc<ProgramMemo>,
     key_prefix: Arc<KeyPrefix>,
 }
@@ -253,7 +249,6 @@ impl UseCase {
             model: Arc::new(model),
             items,
             spin_cycles,
-            timing: Arc::default(),
             programs: Arc::default(),
             key_prefix: Arc::default(),
         }
@@ -265,7 +260,7 @@ impl UseCase {
     /// [`UseCase::motion`] depends on the batch size, so the result is
     /// byte-identical to a fresh build of the same kind and training
     /// config at `batch`, without training again. It shares this use
-    /// case's model, timing memo and program memo (their entries are
+    /// case's model and program memo (its entries are
     /// keyed on what they depend on, never on an item index); its
     /// cache-key prefix, which hashes the items, is its own.
     ///
@@ -279,7 +274,6 @@ impl UseCase {
             model: Arc::clone(&self.model),
             items: staged_items(self.kind, batch),
             spin_cycles: self.spin_cycles,
-            timing: Arc::clone(&self.timing),
             programs: Arc::clone(&self.programs),
             key_prefix: Arc::default(),
         }
@@ -324,11 +318,6 @@ impl UseCase {
         self.items = self.items.iter().flat_map(|item| vec![item.clone(); times]).collect();
         self.key_prefix = Arc::default();
         self
-    }
-
-    /// The timing memo every clone of this use case shares.
-    pub(crate) fn timing(&self) -> &TimingMemo {
-        &self.timing
     }
 
     /// The FNV-1a state after the cache-key prefix this use case fixes,
@@ -467,7 +456,6 @@ mod tests {
                 assert_eq!(items(&rebatched), items(&fresh), "{} {batch}", uc.name());
                 assert_eq!(rebatched.model(), fresh.model());
                 assert!(Arc::ptr_eq(&rebatched.model, &uc.model));
-                assert!(Arc::ptr_eq(&rebatched.timing, &uc.timing));
                 assert!(Arc::ptr_eq(&rebatched.programs, &uc.programs));
                 assert!(!Arc::ptr_eq(&rebatched.key_prefix, &uc.key_prefix));
             }

@@ -113,7 +113,7 @@ impl Bench {
         let iters_per_sample =
             ((self.sample_target.as_nanos() as f64 / per_iter.max(1.0)).ceil() as u64).max(1);
 
-        let mut per_iter_ns: Vec<f64> = (0..self.samples)
+        let per_iter_ns: Vec<f64> = (0..self.samples)
             .map(|_| {
                 let start = Instant::now();
                 for _ in 0..iters_per_sample {
@@ -122,8 +122,33 @@ impl Bench {
                 start.elapsed().as_nanos() as f64 / iters_per_sample as f64
             })
             .collect();
-        per_iter_ns.sort_by(|a, b| a.total_cmp(b));
+        self.push(name, per_iter_ns, iters_per_sample, elements);
+    }
 
+    /// Times one run of `f` per sample, each on a fresh input from
+    /// `setup`, which runs outside the timed region: a cold start, timed
+    /// without the cost of building what it starts from. Consumes any
+    /// pending [`Bench::throughput`] declaration.
+    pub fn bench_cold<S, R>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(S) -> R,
+    ) {
+        let elements = std::mem::take(&mut self.next_elements);
+        let per_iter_ns = (0..self.samples)
+            .map(|_| {
+                let input = setup();
+                let start = Instant::now();
+                black_box(f(input));
+                start.elapsed().as_nanos() as f64
+            })
+            .collect();
+        self.push(name, per_iter_ns, 1, elements);
+    }
+
+    fn push(&mut self, name: &str, mut per_iter_ns: Vec<f64>, iters_per_sample: u64, elems: u64) {
+        per_iter_ns.sort_by(|a, b| a.total_cmp(b));
         let result = BenchResult {
             name: name.to_string(),
             median_ns: per_iter_ns[per_iter_ns.len() / 2],
@@ -131,7 +156,7 @@ impl Bench {
             max_ns: per_iter_ns[per_iter_ns.len() - 1],
             samples: self.samples,
             iters_per_sample,
-            elements,
+            elements: elems,
         };
         println!("{}", render_line(&self.suite, &result));
         self.results.push(result);

@@ -6,11 +6,10 @@
 //! outright because the core provably sits in the state the previous
 //! item started from. Trained image batches are the other regime: every
 //! item stages distinct bytes over DMA, so no item is skipped. Each runs
-//! functionally instead — an untimed pass over the predecoded program —
-//! and takes its cycles from the use case's path-keyed timing memo:
-//! every digit follows the same path through the pre-processing program,
-//! so only the first item per core program is ever simulated cycle by
-//! cycle, and a repeated run of the same use case simulates none.
+//! functionally instead — a pass over the predecoded program that does
+//! not step the pipeline — and sums its cycles block by block from its
+//! program's block table, which the timed pipeline fills the first time
+//! a block is priced: no item is simulated cycle by cycle.
 //!
 //! The serve router sends every NCPU request to the event engine unless
 //! a client pins lockstep. This test justifies that rule with a measured
